@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd ci
+.PHONY: build test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd perfbench-test perfbench-quick ci
 
 build:
 	$(GO) build ./...
@@ -80,7 +80,8 @@ bench-serve-baseline:
 # bench-dsp is the DSP-hot-path regression gate. It benchmarks the FFT
 # plans, convolution, the per-radio end-to-end packet (core
 # BenchmarkSessionRunPacket), the channel application per fading model and
-# the fault layer, appends one JSONL trajectory point to BENCH_DSP.json,
+# the fault layer, the 1500 B WiFi PPDU synthesis (wifi
+# BenchmarkTransmit1500B), appends one JSONL trajectory point to BENCH_DSP.json,
 # and fails if any benchmark regresses past the checked-in
 # BENCH_DSP_BASELINE.json: >15% ns/op, or allocs/op beyond
 # max(old*1.05, old+2). Fixed iteration counts and min-across--count=5
@@ -95,7 +96,7 @@ BENCH_DSP_TIME_FAST ?= 2000x
 BENCH_DSP_TIME_E2E ?= 400x
 BENCH_DSP_TIME_SWEEP ?= 2x
 BENCH_DSP_COUNT ?= 5
-BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveFFT|SessionRunPacket|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
+BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveFFT|SessionRunPacket|Transmit1500B|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
 
 bench-dsp:
 	@( $(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
@@ -103,7 +104,7 @@ bench-dsp:
 		./internal/signal ./internal/channel ./internal/faults ./internal/fec ./internal/decoder ; \
 	$(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
 		-benchtime=$(BENCH_DSP_TIME_E2E) -count=$(BENCH_DSP_COUNT) \
-		./internal/core ; \
+		./internal/wifi ./internal/core ; \
 	$(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
 		-benchtime=$(BENCH_DSP_TIME_SWEEP) -count=$(BENCH_DSP_COUNT) \
 		./internal/experiments ) \
@@ -119,7 +120,7 @@ bench-dsp-quick:
 		-benchtime=200x -count=1 \
 		./internal/signal ./internal/channel ./internal/faults ./internal/fec ./internal/decoder
 	@$(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
-		-benchtime=20x -count=1 ./internal/core
+		-benchtime=20x -count=1 ./internal/wifi ./internal/core
 
 # bench-dsp-baseline re-records BENCH_DSP_BASELINE.json from the current
 # tree. Only run it for intentional performance changes.
@@ -176,10 +177,30 @@ fuzz-decoder:
 # metrics and traceback words (saturation boundaries ±32767 included);
 # the FFT fuzzer feeds raw float bits (NaN, Inf, subnormals) and demands
 # bitwise identity on every non-NaN bin. Both skip cleanly on builds
-# without asm kernels.
+# without asm kernels. The fused-modulator fuzzer transmits random PSDUs
+# at random rates and scrambler seeds and demands bitwise sample equality
+# with the reference interleave → map → IFFT chain, over whichever FFT
+# kernels the build dispatches to.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzTransmitFused -fuzztime=10s ./internal/wifi
+
+# perfbench-test runs the repository benchmark's own tests (percentile
+# selection, span accounting, a smoke run of each workload). perfbench/
+# is a separate Go module, so `go test ./...` at the root never sees it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
+# perfbench-quick is a 5-second wifi-fresh run of the repository
+# benchmark at seed 1 (see perfbench/README.md). It fails when the run
+# reports an incorrect result or any failed operation; the metric line is
+# printed either way.
+perfbench-quick:
+	@out=$$(bash perfbench/run.sh --workload wifi-fresh --seed 1 --seconds 5) || exit 1; \
+	echo "$$out" | tail -n 1; \
+	if echo "$$out" | grep -q '"correct":false'; then echo "perfbench-quick: incorrect output" >&2; exit 1; fi; \
+	if echo "$$out" | grep -Eq '"failed":[1-9]'; then echo "perfbench-quick: failed operations" >&2; exit 1; fi
 
 # ci is the gate: everything must build (natively and cross-compiled for
 # arm64, so the NEON kernels always assemble), pass vet (and staticcheck
@@ -187,6 +208,6 @@ fuzz-simd:
 # on (in shuffled order) and again with the asm kernels compiled out,
 # hold the service layer bit-identical under concurrent load, survive the
 # quick chaos soak, keep the fault-spec, RS-codec, window decoder and
-# SIMD differential fuzzers clean, and stay within the DSP and serve
-# benchmark budgets.
-ci: build cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd bench-dsp bench-serve
+# SIMD differential fuzzers clean, pass the repository benchmark's tests
+# and quick run, and stay within the DSP and serve benchmark budgets.
+ci: build cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd perfbench-test perfbench-quick bench-dsp bench-serve

@@ -450,24 +450,7 @@ func (s *Session) PacketDuration() float64 {
 func (s *Session) translator() tag.Translator {
 	switch s.cfg.Radio {
 	case WiFi:
-		// Modulation starts after preamble + SIGNAL + the first DATA
-		// symbol: that symbol carries the SERVICE field, from which the
-		// receiver recovers the scrambler seed. Flipping it would corrupt
-		// descrambling of the whole packet (§3.2.1's scrambler discussion),
-		// so the tag leaves it untouched.
-		tr := &tag.PhaseTranslator{
-			DataStart:     float64(wifi.PreambleLen)/wifi.SampleRate + 2*wifi.SymbolTime,
-			SymbolPeriod:  wifi.SymbolTime,
-			SymbolsPerBit: s.cfg.Redundancy,
-			DeltaTheta:    math.Pi,
-			BitsPerStep:   1,
-			Latency:       tag.EnvelopeLatency,
-		}
-		if s.cfg.Quaternary {
-			tr.DeltaTheta = math.Pi / 2
-			tr.BitsPerStep = 2
-		}
-		return tr
+		return s.wifiTranslator()
 	case ZigBee:
 		hdrSymbols := float64(zigbee.PreambleSymbols + 2 + 2) // preamble + SFD + length
 		symPeriod := 1.0 / zigbee.SymbolRate
@@ -491,6 +474,27 @@ func (s *Session) translator() tag.Translator {
 		}
 	}
 	return nil
+}
+
+// wifiTranslator is the WiFi tag's phase translator. Modulation starts
+// after preamble + SIGNAL + the first DATA symbol: that symbol carries the
+// SERVICE field, from which the receiver recovers the scrambler seed.
+// Flipping it would corrupt descrambling of the whole packet (§3.2.1's
+// scrambler discussion), so the tag leaves it untouched.
+func (s *Session) wifiTranslator() *tag.PhaseTranslator {
+	tr := &tag.PhaseTranslator{
+		DataStart:     float64(wifi.PreambleLen)/wifi.SampleRate + 2*wifi.SymbolTime,
+		SymbolPeriod:  wifi.SymbolTime,
+		SymbolsPerBit: s.cfg.Redundancy,
+		DeltaTheta:    math.Pi,
+		BitsPerStep:   1,
+		Latency:       tag.EnvelopeLatency,
+	}
+	if s.cfg.Quaternary {
+		tr.DeltaTheta = math.Pi / 2
+		tr.BitsPerStep = 2
+	}
+	return tr
 }
 
 // RunPacket transmits one excitation packet, backscatters tagBits onto it
@@ -601,6 +605,14 @@ var capturePool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal { r
 // use (the default source carries a ~5 KB state table).
 var packetRNGPool = signal.FreeList[*rand.Rand]{New: func() *rand.Rand { return rand.New(rand.NewSource(0)) }}
 
+// excitationPool recycles the waveform of an uncached WiFi entry (~650 KB
+// for a 1500 B packet): nothing outside the packet ever sees such an
+// entry, so runWiFi returns its waveform here as soon as the channel has
+// copied it into the capture (DESIGN §8.2). A separate list from
+// capturePool keeps each list's buffers one size, so warm checkouts never
+// regrow and the allocation pins stay exact.
+var excitationPool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal { return signal.New(wifi.SampleRate, 0) }, Cap: 32}
+
 // link instantiates the configured link for one packet, seeding it from the
 // packet's RNG stream and attaching the slot's channel-level faults (nil
 // impairment for a clean slot, which keeps Apply on its benign path).
@@ -620,7 +632,12 @@ func (s *Session) wifiEntry(psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Tran
 	scramblerSeed := wtx.ScramblerSeed
 	c := s.cfg.Waveforms
 	if c == nil {
-		return s.synthesizeWiFi(psdu, tagBits, rate, wtx, scramblerSeed)
+		exc := excitationPool.Get()
+		e, err := s.synthesizeWiFi(exc, psdu, tagBits, rate, wtx, scramblerSeed)
+		if err != nil {
+			excitationPool.Put(exc)
+		}
+		return e, err
 	}
 	key := waveform.NewKey().
 		Byte(byte(WiFi)).
@@ -632,7 +649,7 @@ func (s *Session) wifiEntry(psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Tran
 		Bytes(tagBits).
 		Sum()
 	e, synthesized, err := c.GetOrSynthesize(key, func() (*waveform.Entry, error) {
-		return s.synthesizeWiFi(psdu, tagBits, rate, wtx, scramblerSeed)
+		return s.synthesizeWiFi(signal.New(wifi.SampleRate, 0), psdu, tagBits, rate, wtx, scramblerSeed)
 	})
 	if err != nil {
 		return nil, err
@@ -646,20 +663,21 @@ func (s *Session) wifiEntry(psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Tran
 	return e, nil
 }
 
-// synthesizeWiFi runs the full WiFi TX chain for one packet's content and
-// packages the result as a cache entry. scramblerSeed is the seed wtx held
-// before Transmit advanced it — the CodedRef rebuild must use the same one.
-func (s *Session) synthesizeWiFi(psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Transmitter, scramblerSeed byte) (*waveform.Entry, error) {
-	exc, err := wtx.Transmit(psdu, rate)
-	if err != nil {
+// synthesizeWiFi runs the full WiFi TX chain for one packet's content into
+// exc — excitation, tag translation and channel shift all in place — and
+// packages the result as an entry whose Wave is exc. scramblerSeed is the
+// seed wtx held before TransmitTo advanced it — the CodedRef rebuild must
+// use the same one.
+func (s *Session) synthesizeWiFi(exc *signal.Signal, psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Transmitter, scramblerSeed byte) (*waveform.Entry, error) {
+	if err := wtx.TransmitTo(exc, psdu, rate); err != nil {
 		return nil, err
 	}
-	backscattered, used, err := s.translator().Translate(exc, tagBits)
+	used, err := s.wifiTranslator().TranslateInPlace(exc, tagBits)
 	if err != nil {
 		return nil, err
 	}
 	sh := tag.ChannelShifter{OffsetHz: 20e6, Mode: tag.ShiftEquivalentBaseband}
-	if _, err := sh.Shift(backscattered); err != nil {
+	if _, err := sh.Shift(exc); err != nil {
 		return nil, err
 	}
 	// Reference stream: descrambled SERVICE + PSDU + tail + pad, which
@@ -668,8 +686,8 @@ func (s *Session) synthesizeWiFi(psdu, tagBits []byte, rate wifi.Rate, wtx *wifi
 	ref := make([]byte, nSym*rate.NDBPS)
 	copy(ref[wifi.ServiceBits:], bits.FromBytes(psdu))
 	e := &waveform.Entry{
-		Wave:      backscattered,
-		MeanPower: backscattered.MeanPower(),
+		Wave:      exc,
+		MeanPower: exc.MeanPower(),
 		Used:      used,
 		Airtime:   exc.Duration(),
 		Ref:       ref,
@@ -697,7 +715,14 @@ func (s *Session) runWiFi(tagBits []byte, content, chanRng *rand.Rand, wtx *wifi
 
 	cap := capturePool.Get()
 	defer capturePool.Put(cap)
-	if err := s.link(chanRng, pf).ApplyToWithPower(cap, entry.Wave, 400, false, entry.MeanPower); err != nil {
+	err = s.link(chanRng, pf).ApplyToWithPower(cap, entry.Wave, 400, false, entry.MeanPower)
+	if s.cfg.Waveforms == nil {
+		// The capture holds its own copy now; the uncached excitation is
+		// dead (DESIGN §8.2).
+		excitationPool.Put(entry.Wave)
+		entry.Wave = nil
+	}
+	if err != nil {
 		return PacketResult{}, err
 	}
 	res.Samples = len(cap.Samples)

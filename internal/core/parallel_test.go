@@ -10,40 +10,54 @@ import (
 // to the serial Run regardless of worker count, because each packet draws
 // from its own (seed, index)-derived RNG stream and the aggregation
 // happens in index order.
+//
+// The WiFi cases also pin the ownership rule of the uncached excitation
+// (DESIGN §8.2): with at least one batch per worker, four workers recycle
+// excitationPool buffers mid-run, so a buffer handed back while its packet
+// still read it would diverge here — and trip the detector under `make
+// race`. Dual, single-receiver and quaternary decodes read the entry
+// differently after the channel step, so all three run.
 func TestRunParallelMatchesRun(t *testing.T) {
+	const wifiPackets = 4 * DefaultBatchSize
 	cases := []struct {
-		radio Radio
-		dist  float64
+		name    string
+		radio   Radio
+		dist    float64
+		packets int
+		set     func(*Config)
 	}{
-		{WiFi, 10}, // mid-range: mixes decoded and lost packets
-		{ZigBee, 8},
-		{Bluetooth, 6},
+		// WiFi at mid-range mixes decoded and lost packets.
+		{"wifi-dual", WiFi, 10, wifiPackets, func(*Config) {}},
+		{"wifi-single", WiFi, 10, wifiPackets, func(c *Config) { c.ReceiverMode = SingleReceiver }},
+		{"wifi-quaternary", WiFi, 10, wifiPackets, func(c *Config) { c.WiFiRateMbps, c.Quaternary = 12, true }},
+		{"zigbee", ZigBee, 8, 3, func(*Config) {}},
+		{"bluetooth", Bluetooth, 6, 3, func(*Config) {}},
 	}
-	const packets = 3
 	for _, c := range cases {
 		cfg := DefaultConfig(c.radio, c.dist)
 		cfg.Seed = 99
 		if c.radio == WiFi {
 			cfg.PayloadSize = 400 // keep the sample count test-sized
 		}
+		c.set(&cfg)
 		s, err := NewSession(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := s.Run(packets)
+		serial, err := s.Run(c.packets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if serial.Packets != packets {
-			t.Fatalf("%v: serial run counted %d packets, want %d", c.radio, serial.Packets, packets)
+		if serial.Packets != c.packets {
+			t.Fatalf("%s: serial run counted %d packets, want %d", c.name, serial.Packets, c.packets)
 		}
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			par, err := s.RunParallel(packets, workers)
+			par, err := s.RunParallel(c.packets, workers)
 			if err != nil {
-				t.Fatalf("%v workers=%d: %v", c.radio, workers, err)
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 			}
 			if par != serial {
-				t.Errorf("%v workers=%d: parallel %+v != serial %+v", c.radio, workers, par, serial)
+				t.Errorf("%s workers=%d: parallel %+v != serial %+v", c.name, workers, par, serial)
 			}
 		}
 	}

@@ -58,19 +58,30 @@ type PhaseTranslator struct {
 	Latency float64
 }
 
-// Translate implements Translator.
+// Translate implements Translator: TranslateInPlace on a copy of exc.
 func (p *PhaseTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error) {
-	if err := p.validate(); err != nil {
+	out := exc.Clone()
+	used, err := p.TranslateInPlace(out, tagBits)
+	if err != nil {
 		return nil, 0, err
 	}
-	out := exc.Clone()
-	blockSamples := int(math.Round(p.SymbolPeriod * float64(p.SymbolsPerBit) * exc.Rate))
-	start := int(math.Round((p.DataStart + p.Latency) * exc.Rate))
+	return out, used, nil
+}
+
+// TranslateInPlace rotates the phase blocks of s itself, for callers that
+// own the excitation buffer and have no further use for the unmodified
+// waveform. It returns the number of tag bits embedded.
+func (p *PhaseTranslator) TranslateInPlace(s *signal.Signal, tagBits []byte) (int, error) {
+	if err := p.validate(); err != nil {
+		return 0, err
+	}
+	blockSamples := int(math.Round(p.SymbolPeriod * float64(p.SymbolsPerBit) * s.Rate))
+	start := int(math.Round((p.DataStart + p.Latency) * s.Rate))
 	used := 0
 	for i := 0; ; i++ {
 		lo := start + i*blockSamples
 		hi := lo + blockSamples
-		if hi > len(out.Samples) || used >= len(tagBits) {
+		if hi > len(s.Samples) || used >= len(tagBits) {
 			break
 		}
 		var sym float64
@@ -83,10 +94,10 @@ func (p *PhaseTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal
 		}
 		rot := complex(math.Cos(p.DeltaTheta*sym), math.Sin(p.DeltaTheta*sym))
 		for j := lo; j < hi; j++ {
-			out.Samples[j] *= rot
+			s.Samples[j] *= rot
 		}
 	}
-	return out, used, nil
+	return used, nil
 }
 
 // Capacity implements Translator.

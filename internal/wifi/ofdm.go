@@ -14,34 +14,54 @@ func AssembleSymbol(data [NumData]complex128, symIdx int) ([]complex128, error) 
 	out := make([]complex128, SymbolLen)
 	a := signal.GetArena()
 	defer a.Release()
-	if err := assembleSymbolInto(out, data, symIdx, a); err != nil {
+	td := a.ComplexUninit(FFTSize)
+	for i, bin := range dataBins {
+		td[bin] = data[i]
+	}
+	if err := symbolInto(out, td, symIdx); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// assembleSymbolInto writes the SymbolLen samples of one OFDM symbol into
-// dst using arena scratch, allocating nothing on a warm arena.
-func assembleSymbolInto(dst []complex128, data [NumData]complex128, symIdx int, a *signal.Arena) error {
-	td := a.Complex(FFTSize)
-	for i, k := range DataSubcarriers {
-		td[binFor(k)] = data[i]
-	}
+// symbolInto finishes one OFDM symbol whose 48 data bins the caller has
+// already written into td (FFTSize bins, clobbered): it sets the pilot
+// and null bins, runs the inverse transform, and writes the scaled body
+// and cyclic prefix straight into dst (SymbolLen samples).
+//
+// The output must equal signal.IFFT followed by a complex multiply by
+// N/√52 bit for bit (the reference chain in tx_ref_test.go), so the
+// per-bin loop keeps Plan.IFFT's inlined Smith division by complex(N, 0)
+// term for term — (re + im·0) and (im − re·0), ratio being +0 — with the
+// runtime fallback on NaN. Only the final ÷N becomes ×2⁻⁶: N is a power
+// of two, so both are the correctly rounded value of the same real
+// number.
+func symbolInto(dst, td []complex128, symIdx int) error {
 	p := PilotPolarity(symIdx)
-	for _, pl := range PilotSubcarriers {
-		td[binFor(pl.Index)] = complex(pl.Polarity*p, 0)
+	for i, pl := range PilotSubcarriers {
+		td[pilotBins[i]] = complex(pl.Polarity*p, 0)
 	}
-	if err := signal.IFFT(td); err != nil {
+	for _, bin := range nullBins {
+		td[bin] = 0
+	}
+	if err := fftPlan64.InverseRaw(td); err != nil {
 		return err
 	}
-	// The IFFT includes 1/N; rescale so mean symbol power is ~1 regardless
-	// of FFT convention: multiply by N/sqrt(Nused).
+	const invN = 0x1p-6 // 1/FFTSize, exact
 	scale := complex(float64(FFTSize)/sqrtNused, 0)
-	for i := range td {
-		td[i] *= scale
+	body := dst[CPLen:SymbolLen]
+	for i, v := range td[:FFTSize] {
+		re, im := real(v), imag(v)
+		e := (re + im*0) * invN
+		f := (im - re*0) * invN
+		if math.IsNaN(e) && math.IsNaN(f) {
+			v /= complex(FFTSize, 0)
+		} else {
+			v = complex(e, f)
+		}
+		body[i] = v * scale
 	}
-	copy(dst[:CPLen], td[FFTSize-CPLen:])
-	copy(dst[CPLen:SymbolLen], td)
+	copy(dst[:CPLen], body[FFTSize-CPLen:])
 	return nil
 }
 
@@ -202,10 +222,14 @@ func disassembleSymbolBuf(td []complex128, eq *equalizer, buf []complex128, data
 }
 
 // dataBins and pilotBins cache the binFor mapping of the data and pilot
-// subcarriers for the per-symbol extraction loops.
+// subcarriers for the per-symbol assembly and extraction loops.
 var (
 	dataBins  = buildDataBins()
 	pilotBins = buildPilotBins()
+	// nullBins are the 12 bins no subcarrier uses — DC and the guard band
+	// (subcarriers ±27..±32) — which the transmitter zeroes before every
+	// symbol transform.
+	nullBins = [FFTSize - NumData - NumPilots]int{0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37}
 )
 
 func buildDataBins() (t [NumData]int) {

@@ -52,12 +52,19 @@ func (t *Transmitter) TransmitTo(dst *signal.Signal, psdu []byte, rate Rate) err
 	}
 	copy(dst.Samples[:PreambleLen], preambleTmpl)
 
-	a := signal.GetArena()
-	defer a.Release()
-	if err := signalSymbolInto(dst.Samples[PreambleLen:PreambleLen+SymbolLen], rate, len(psdu), a); err != nil {
+	m, err := mapperFor(rate)
+	if err != nil {
 		return err
 	}
-	if err := t.dataSymbolsInto(dst.Samples[PreambleLen+SymbolLen:], psdu, rate, nSym, a); err != nil {
+	a := signal.GetArena()
+	defer a.Release()
+	// One frequency-domain buffer serves every symbol of the packet:
+	// symbolInto rewrites all 64 bins before each transform.
+	td := a.ComplexUninit(FFTSize)
+	if err := signalSymbolInto(dst.Samples[PreambleLen:PreambleLen+SymbolLen], rate, len(psdu), td, a); err != nil {
+		return err
+	}
+	if err := t.dataSymbolsInto(dst.Samples[PreambleLen+SymbolLen:], psdu, rate, m, nSym, td, a); err != nil {
 		return err
 	}
 
@@ -120,8 +127,9 @@ func CodedBits(psdu []byte, rate Rate, scramblerSeed byte) ([]byte, error) {
 }
 
 // signalSymbolInto encodes the 24-bit SIGNAL field (always BPSK rate 1/2,
-// never scrambled) into dst (SymbolLen samples).
-func signalSymbolInto(dst []complex128, rate Rate, length int, a *signal.Arena) error {
+// never scrambled) into dst (SymbolLen samples), using td as the
+// frequency-domain scratch.
+func signalSymbolInto(dst []complex128, rate Rate, length int, td []complex128, a *signal.Arena) error {
 	b := a.Bytes(24)[:0]
 	for i := 3; i >= 0; i-- { // RATE bits transmitted b3 first
 		b = append(b, (rate.SignalBits>>uint(i))&1)
@@ -137,22 +145,15 @@ func signalSymbolInto(dst []complex128, rate Rate, length int, a *signal.Arena) 
 	b = append(b, parity)
 	b = append(b, 0, 0, 0, 0, 0, 0) // tail
 
-	r6 := Rates[6]
 	coded := convEncodeInto(a.Bytes(2 * len(b))[:0], b)
-	inter := a.Bytes(r6.NCBPS)
-	if err := interleaveInto(inter, coded, r6); err != nil {
-		return err
-	}
-	pts, err := MapSymbolBits(inter, r6)
-	if err != nil {
-		return err
-	}
-	return assembleSymbolInto(dst, pts, 0, a)
+	mappers[BPSK].fill(td, coded)
+	return symbolInto(dst, td, 0)
 }
 
 // dataSymbolsInto encodes SERVICE + PSDU + tail + pad into dst
-// (nSym·SymbolLen samples).
-func (t *Transmitter) dataSymbolsInto(dst []complex128, psdu []byte, rate Rate, nSym int, a *signal.Arena) error {
+// (nSym·SymbolLen samples), mapping each symbol's punctured bits with m
+// into the frequency-domain scratch td.
+func (t *Transmitter) dataSymbolsInto(dst []complex128, psdu []byte, rate Rate, m *mapper, nSym int, td []complex128, a *signal.Arena) error {
 	nBits := nSym * rate.NDBPS
 
 	raw := a.Bytes(nBits) // zeroed: SERVICE, tail and pad stay 0
@@ -171,25 +172,91 @@ func (t *Transmitter) dataSymbolsInto(dst []complex128, psdu []byte, rate Rate, 
 		scrambled[tailStart+i] = 0
 	}
 
-	coded := convEncodeInto(a.Bytes(2 * nBits)[:0], scrambled)
-	punct, err := punctureInto(a.Bytes(2 * nBits)[:0], coded, rate.Coding)
-	if err != nil {
-		return err
+	punct := convEncodeInto(a.Bytes(2 * nBits)[:0], scrambled)
+	if rate.Coding != Rate1_2 { // rate 1/2 puncturing is the identity
+		var err error
+		if punct, err = punctureInto(a.Bytes(2 * nBits)[:0], punct, rate.Coding); err != nil {
+			return err
+		}
 	}
-
-	inter := a.Bytes(rate.NCBPS)
 	for s := 0; s < nSym; s++ {
-		if err := interleaveInto(inter, punct[s*rate.NCBPS:(s+1)*rate.NCBPS], rate); err != nil {
-			return err
-		}
-		pts, err := MapSymbolBits(inter, rate)
-		if err != nil {
-			return err
-		}
+		m.fill(td, punct[s*rate.NCBPS:(s+1)*rate.NCBPS])
 		// Pilot index 0 is SIGNAL.
-		if err := assembleSymbolInto(dst[s*SymbolLen:(s+1)*SymbolLen], pts, s+1, a); err != nil {
+		if err := symbolInto(dst[s*SymbolLen:(s+1)*SymbolLen], td, s+1); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// mapper is one constellation's fused interleave-and-map stage: it reads a
+// symbol's NCBPS punctured bits in encoder order and writes the 48 data
+// subcarrier points straight into their FFT bins, with no interleaved
+// copy and no per-point call. src folds the §17.3.5.7 permutation into
+// the mapper's bit order: bit b (MSB first, I axis then Q) of data
+// subcarrier i is in[src[i·NBPSC+b]], where the interleaver would have
+// put it. levels are the kmod-scaled per-axis PAM levels Map indexes, so
+// every point is the exact value MapSymbolBits produced from the
+// interleaved bits.
+type mapper struct {
+	src    []uint16
+	levels []float64
+	nbpsc  int // 1 for BPSK (no Q axis), else two axes of nbpsc/2 bits
+}
+
+// mappers holds the fused mapper of each standard constellation, indexed
+// by Modulation and built at package init.
+var mappers = buildMappers()
+
+func buildMappers() (t [QAM64 + 1]mapper) {
+	for mod, nbpsc := range [...]int{BPSK: 1, QPSK: 2, QAM16: 4, QAM64: 6} {
+		levels, _, _ := scaledLevelsFor(Modulation(mod))
+		// computePerm, not standardPerms: package variables initialise
+		// before init functions run.
+		perm := computePerm(NumData*nbpsc, nbpsc)
+		src := make([]uint16, len(perm))
+		for k, j := range perm {
+			src[j] = uint16(k)
+		}
+		t[mod] = mapper{src: src, levels: levels, nbpsc: nbpsc}
+	}
+	return t
+}
+
+// mapperFor returns the fused mapper for a rate, rejecting the shapes
+// MapSymbolBits and Map would reject: an unknown modulation, or NBPSC and
+// NCBPS that do not match the constellation.
+func mapperFor(r Rate) (*mapper, error) {
+	if r.Modulation < BPSK || r.Modulation > QAM64 {
+		return nil, fmt.Errorf("wifi: unknown modulation %v", r.Modulation)
+	}
+	m := &mappers[r.Modulation]
+	if r.NBPSC != m.nbpsc || r.NCBPS != NumData*m.nbpsc {
+		return nil, fmt.Errorf("wifi: %v rate with NBPSC=%d, NCBPS=%d: want %d, %d", r.Modulation, r.NBPSC, r.NCBPS, m.nbpsc, NumData*m.nbpsc)
+	}
+	return m, nil
+}
+
+// fill maps one symbol's punctured bits (len NCBPS, values 0/1) onto the
+// data bins of td.
+func (m *mapper) fill(td []complex128, in []byte) {
+	td = td[:FFTSize]
+	if m.nbpsc == 1 {
+		src := m.src[:NumData]
+		for i, bin := range dataBins {
+			td[bin] = complex(m.levels[in[src[i]]&1], 0)
+		}
+		return
+	}
+	p := m.nbpsc / 2
+	src := m.src[:NumData*m.nbpsc]
+	for i, bin := range dataBins {
+		s := src[m.nbpsc*i : m.nbpsc*(i+1)]
+		re, im := 0, 0
+		for b := 0; b < p; b++ {
+			re = re<<1 | int(in[s[b]]&1)
+			im = im<<1 | int(in[s[p+b]]&1)
+		}
+		td[bin] = complex(m.levels[re], m.levels[im])
+	}
 }
