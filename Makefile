@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd perfbench-test perfbench-quick ci
+.PHONY: build test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick ci
 
 build:
 	$(GO) build ./...
@@ -186,28 +186,39 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzTransmitFused -fuzztime=10s ./internal/wifi
 
+# fuzz-core smoke-fuzzes session configuration: random radio, rate,
+# payload size, redundancy, receiver mode, quaternary flag and coding must
+# either be rejected by NewSession or run a packet through RunPacket and
+# RunPacketBatch without error, decoding no more bits than the tag sent.
+fuzz-core:
+	$(GO) test -run=^$$ -fuzz=FuzzSessionConfig -fuzztime=10s ./internal/core
+
 # perfbench-test runs the repository benchmark's own tests (percentile
 # selection, span accounting, a smoke run of each workload). perfbench/
 # is a separate Go module, so `go test ./...` at the root never sees it.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# perfbench-quick is a 5-second wifi-fresh run of the repository
-# benchmark at seed 1 (see perfbench/README.md). It fails when the run
-# reports an incorrect result or any failed operation; the metric line is
-# printed either way.
+# perfbench-quick runs the repository benchmark for 5 seconds at seed 1
+# on each packet workload (see perfbench/README.md): wifi-fresh covers the
+# uncached WiFi path, zb-bt-replay the ZigBee and Bluetooth paths. It fails
+# when a run reports an incorrect result or any failed operation; each
+# metric line is printed either way.
 perfbench-quick:
-	@out=$$(bash perfbench/run.sh --workload wifi-fresh --seed 1 --seconds 5) || exit 1; \
-	echo "$$out" | tail -n 1; \
-	if echo "$$out" | grep -q '"correct":false'; then echo "perfbench-quick: incorrect output" >&2; exit 1; fi; \
-	if echo "$$out" | grep -Eq '"failed":[1-9]'; then echo "perfbench-quick: failed operations" >&2; exit 1; fi
+	@for w in wifi-fresh zb-bt-replay; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5) || exit 1; \
+		echo "$$out" | tail -n 1; \
+		if echo "$$out" | grep -q '"correct":false'; then echo "perfbench-quick: $$w: incorrect output" >&2; exit 1; fi; \
+		if echo "$$out" | grep -Eq '"failed":[1-9]'; then echo "perfbench-quick: $$w: failed operations" >&2; exit 1; fi; \
+	done
 
 # ci is the gate: everything must build (natively and cross-compiled for
 # arm64, so the NEON kernels always assemble), pass vet (and staticcheck
 # and govulncheck where installed), pass the suite with the race detector
 # on (in shuffled order) and again with the asm kernels compiled out,
 # hold the service layer bit-identical under concurrent load, survive the
-# quick chaos soak, keep the fault-spec, RS-codec, window decoder and
-# SIMD differential fuzzers clean, pass the repository benchmark's tests
-# and quick run, and stay within the DSP and serve benchmark budgets.
-ci: build cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd perfbench-test perfbench-quick bench-dsp bench-serve
+# quick chaos soak, keep the fault-spec, RS-codec, window decoder, SIMD
+# differential and session-config fuzzers clean, pass the repository
+# benchmark's tests and quick runs, and stay within the DSP and serve
+# benchmark budgets.
+ci: build cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick bench-dsp bench-serve

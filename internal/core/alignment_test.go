@@ -28,8 +28,9 @@ func TestMisalignedFlipsDestroyDecoding(t *testing.T) {
 			t.Fatal(err)
 		}
 		rate := wifi.Rates[cfg.WiFiRateMbps]
-		psdu := s.wifiPSDU(s.rng)
-		exc, err := s.wifiTX.Transmit(psdu, rate)
+		psdu, seed := s.phy.draw(s.rng, true)
+		tx := wifi.Transmitter{ScramblerSeed: seed, FixedSeed: true}
+		exc, err := tx.Transmit(psdu, rate)
 		if err != nil {
 			t.Fatal(err)
 		}

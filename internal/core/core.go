@@ -9,21 +9,16 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"repro/internal/bits"
-	"repro/internal/bluetooth"
 	"repro/internal/channel"
 	"repro/internal/decoder"
 	"repro/internal/faults"
 	"repro/internal/fec"
 	"repro/internal/runner"
 	"repro/internal/signal"
-	"repro/internal/tag"
 	"repro/internal/waveform"
 	"repro/internal/wifi"
-	"repro/internal/zigbee"
 )
 
 // Radio identifies the excitation technology.
@@ -85,7 +80,8 @@ type Config struct {
 	Radio Radio
 	Link  channel.Link
 
-	// PayloadSize is the excitation packet payload in bytes.
+	// PayloadSize is the excitation packet payload in bytes, within the
+	// radio's frame: WiFi 24–4091, ZigBee 9–125, Bluetooth 1–255.
 	PayloadSize int
 	// WiFiRateMbps selects the 802.11 rate (6/9/12/18; codeword translation
 	// by 180° phase needs BPSK or QPSK subcarriers).
@@ -196,55 +192,37 @@ func (c Config) detectionThreshold(def float64) float64 {
 // DefaultConfig returns the calibrated defaults for a radio at the given
 // tag-to-receiver distance (TX-to-tag 1 m, LOS, as in §4.1).
 func DefaultConfig(r Radio, tagToRx float64) Config {
-	cfg := Config{Radio: r, Redundancy: 4, InterPacketGap: 100e-6, Seed: 1}
+	cfg := Config{Radio: r, Redundancy: 4, InterPacketGap: 100e-6, Seed: 1, Link: channel.Link{
+		Deployment: channel.LOS,
+		SystemGain: channel.DefaultSystemGainDB,
+		TagLossDB:  channel.DefaultTagLossDB,
+		TxToTag:    1,
+		TagToRx:    tagToRx,
+		FadingK:    4, // Rician, strong LOS component
+		Seed:       1,
+	}}
 	switch r {
 	case WiFi:
 		cfg.PayloadSize = 1500
 		cfg.WiFiRateMbps = 6
-		cfg.Link = channel.Link{
-			Deployment: channel.LOS,
-			TxPowerDBm: 11,
-			SystemGain: channel.DefaultSystemGainDB,
-			TagLossDB:  channel.DefaultTagLossDB,
-			TxToTag:    1,
-			TagToRx:    tagToRx,
-			NoiseFloor: channel.NoiseFloorFor(20e6, 6),
-			FadingK:    4, // Rician, strong LOS component
-			Seed:       1,
-		}
+		cfg.Link.TxPowerDBm = 11
+		cfg.Link.NoiseFloor = channel.NoiseFloorFor(20e6, 6)
 	case ZigBee:
 		cfg.PayloadSize = 100
-		cfg.Redundancy = 4
 		cfg.InterPacketGap = 192e-6 // 802.15.4 turnaround
-		cfg.Link = channel.Link{
-			Deployment: channel.LOS,
-			TxPowerDBm: 5,
-			// 4 dB below the WiFi rig: the CC2650's PCB antenna path (the
-			// RSSI anchor is Fig 12c's -97 dBm at 22 m).
-			SystemGain: channel.DefaultSystemGainDB - 4,
-			TagLossDB:  channel.DefaultTagLossDB,
-			TxToTag:    1,
-			TagToRx:    tagToRx,
-			NoiseFloor: channel.NoiseFloorFor(2e6, 10),
-			FadingK:    4,
-			Seed:       1,
-		}
+		cfg.Link.TxPowerDBm = 5
+		// 4 dB below the WiFi rig: the CC2650's PCB antenna path (the RSSI
+		// anchor is Fig 12c's -97 dBm at 22 m).
+		cfg.Link.SystemGain = channel.DefaultSystemGainDB - 4
+		cfg.Link.NoiseFloor = channel.NoiseFloorFor(2e6, 10)
 	case Bluetooth:
 		cfg.PayloadSize = 255
 		cfg.Redundancy = 16
 		cfg.InterPacketGap = 150e-6 // T_IFS
-		cfg.Link = channel.Link{
-			Deployment: channel.LOS,
-			TxPowerDBm: 0,
-			// 7 dB below the WiFi rig (anchor: Fig 13c's -100 dBm at 12 m).
-			SystemGain: channel.DefaultSystemGainDB - 7,
-			TagLossDB:  channel.DefaultTagLossDB,
-			TxToTag:    1,
-			TagToRx:    tagToRx,
-			NoiseFloor: channel.NoiseFloorFor(1e6, 12),
-			FadingK:    4,
-			Seed:       1,
-		}
+		cfg.Link.TxPowerDBm = 0
+		// 7 dB below the WiFi rig (anchor: Fig 13c's -100 dBm at 12 m).
+		cfg.Link.SystemGain = channel.DefaultSystemGainDB - 7
+		cfg.Link.NoiseFloor = channel.NoiseFloorFor(1e6, 12)
 	}
 	return cfg
 }
@@ -297,37 +275,16 @@ type Session struct {
 	// use the packet index as the slot.
 	slot int
 
-	wifiTX *wifi.Transmitter
-	zbTX   *zigbee.Transmitter
-	btTX   *bluetooth.Transmitter
-
-	// layout is the coded-chunk geometry for the current scheme, non-nil
-	// iff Config.Coding is set. Recomputed by SetQuaternary (capacity
-	// changes with the scheme); read-only during runs, so RunParallel
-	// workers share it safely.
-	layout *fec.Layout
+	// Built by configure: the radio's half of the pipeline, the tag bits
+	// per packet, and the coded-chunk geometry (non-nil iff Config.Coding
+	// is set). Runs only read them, so RunParallel workers share them.
+	phy      phy
+	capacity int
+	layout   *fec.Layout
 }
 
+// validate checks the radio-independent fields; newPHY checks the rest.
 func validate(cfg Config) error {
-	switch cfg.Radio {
-	case WiFi:
-		r, ok := wifi.Rates[cfg.WiFiRateMbps]
-		if !ok {
-			return fmt.Errorf("core: unknown wifi rate %d Mbps", cfg.WiFiRateMbps)
-		}
-		if r.Modulation != wifi.BPSK && r.Modulation != wifi.QPSK {
-			return fmt.Errorf("core: 180° codeword translation needs BPSK/QPSK subcarriers; %d Mbps uses %v", cfg.WiFiRateMbps, r.Modulation)
-		}
-		if cfg.Quaternary && r.Modulation != wifi.QPSK {
-			return fmt.Errorf("core: quaternary (eq. 5) translation needs QPSK; %d Mbps uses %v", cfg.WiFiRateMbps, r.Modulation)
-		}
-	case ZigBee, Bluetooth:
-		if cfg.Quaternary {
-			return fmt.Errorf("core: quaternary translation is only implemented for WiFi")
-		}
-	default:
-		return fmt.Errorf("core: unknown radio %v", cfg.Radio)
-	}
 	switch cfg.ReceiverMode {
 	case DualReceiver:
 	case SingleReceiver:
@@ -340,9 +297,6 @@ func validate(cfg Config) error {
 		}
 	default:
 		return fmt.Errorf("core: unknown receiver mode %v", cfg.ReceiverMode)
-	}
-	if cfg.PayloadSize <= 0 {
-		return fmt.Errorf("core: payload size %d must be positive", cfg.PayloadSize)
 	}
 	if cfg.Redundancy <= 0 {
 		return fmt.Errorf("core: redundancy %d must be positive", cfg.Redundancy)
@@ -362,24 +316,42 @@ func validate(cfg Config) error {
 
 // NewSession validates the configuration and prepares a session.
 func NewSession(cfg Config) (*Session, error) {
-	if err := validate(cfg); err != nil {
+	s := &Session{rng: rand.New(rand.NewSource(cfg.Seed))}
+	if err := s.configure(cfg); err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		wifiTX: wifi.NewTransmitter(),
-		zbTX:   zigbee.NewTransmitter(),
-		btTX:   bluetooth.NewTransmitter(),
-	}
-	if cfg.Coding != nil {
-		lay, err := fec.LayoutFor(s.Capacity(), *cfg.Coding)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.layout = &lay
-	}
 	return s, nil
+}
+
+// configure validates cfg and builds what the session derives from it once:
+// the phy (with its translator), the per-packet capacity and the coded
+// layout. It commits only when all of them succeed, so a rejected
+// SetQuaternary leaves the session as it was.
+func (s *Session) configure(cfg Config) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
+	p, err := newPHY(cfg, s.phy)
+	if err != nil {
+		return err
+	}
+	capacity := p.translator().Capacity(p.airtime())
+	if capacity == 0 {
+		return fmt.Errorf("core: redundancy %d leaves no room for a tag bit in a packet", cfg.Redundancy)
+	}
+	var layout *fec.Layout
+	if cfg.Coding != nil {
+		// Capacity changes with the scheme, so the coded layout is
+		// re-planned with it; soft values accumulated under the old scheme
+		// no longer align (callers reset their combiners — see fec.Combiner).
+		lay, err := fec.LayoutFor(capacity, *cfg.Coding)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		layout = &lay
+	}
+	s.cfg, s.phy, s.capacity, s.layout = cfg, p, capacity, layout
+	return nil
 }
 
 // Config returns the session's configuration.
@@ -388,28 +360,13 @@ func (s *Session) Config() Config { return s.cfg }
 // SetQuaternary switches the WiFi translation scheme between quaternary
 // (eq. 5, 2 bits/window) and binary (eq. 4) mid-session — the graceful-
 // degradation lever freerider.Send pulls when quaternary demapping starts
-// taking bit errors. It re-validates the config; the slot counter and RNG
-// streams are untouched, so fault timelines stay aligned across the switch.
+// taking bit errors. It re-validates the config; the slot counter, RNG
+// streams and scrambler rotation are untouched, so fault timelines stay
+// aligned across the switch.
 func (s *Session) SetQuaternary(q bool) error {
 	cfg := s.cfg
 	cfg.Quaternary = q
-	if err := validate(cfg); err != nil {
-		return err
-	}
-	oldCfg, oldLayout := s.cfg, s.layout
-	s.cfg = cfg
-	if cfg.Coding != nil {
-		// Capacity changes with the scheme, so the coded layout must be
-		// re-planned; soft values accumulated under the old scheme no
-		// longer align (callers reset their combiners — see fec.Combiner).
-		lay, err := fec.LayoutFor(s.Capacity(), *cfg.Coding)
-		if err != nil {
-			s.cfg, s.layout = oldCfg, oldLayout
-			return fmt.Errorf("core: %w", err)
-		}
-		s.layout = &lay
-	}
-	return nil
+	return s.configure(cfg)
 }
 
 // Layout returns the coded-chunk layout and true when coding is enabled.
@@ -426,76 +383,14 @@ func (s *Session) DataCapacity() int {
 	if s.layout != nil {
 		return s.layout.DataBits()
 	}
-	return s.Capacity()
+	return s.capacity
 }
 
 // Capacity returns how many tag bits one excitation packet carries.
-func (s *Session) Capacity() int {
-	return s.translator().Capacity(s.PacketDuration())
-}
+func (s *Session) Capacity() int { return s.capacity }
 
 // PacketDuration returns the excitation packet airtime in seconds.
-func (s *Session) PacketDuration() float64 {
-	switch s.cfg.Radio {
-	case WiFi:
-		return wifi.PacketDuration(s.cfg.PayloadSize+4, wifi.Rates[s.cfg.WiFiRateMbps])
-	case ZigBee:
-		return zigbee.FrameDuration(s.cfg.PayloadSize)
-	case Bluetooth:
-		return bluetooth.FrameDuration(s.cfg.PayloadSize)
-	}
-	return 0
-}
-
-func (s *Session) translator() tag.Translator {
-	switch s.cfg.Radio {
-	case WiFi:
-		return s.wifiTranslator()
-	case ZigBee:
-		hdrSymbols := float64(zigbee.PreambleSymbols + 2 + 2) // preamble + SFD + length
-		symPeriod := 1.0 / zigbee.SymbolRate
-		return &tag.PhaseTranslator{
-			DataStart:     hdrSymbols * symPeriod,
-			SymbolPeriod:  symPeriod,
-			SymbolsPerBit: s.cfg.Redundancy,
-			DeltaTheta:    math.Pi,
-			BitsPerStep:   1,
-			// The envelope latency (0.35 µs) is negligible against the
-			// 16 µs OQPSK symbol but is modelled anyway.
-			Latency: tag.EnvelopeLatency,
-		}
-	case Bluetooth:
-		return &tag.FreqTranslator{
-			DataStart:     40.0 / bluetooth.BitRate, // preamble + access address
-			BitPeriod:     1.0 / bluetooth.BitRate,
-			BitsPerTagBit: s.cfg.Redundancy,
-			ToggleHz:      bluetooth.CodewordDelta,
-			Latency:       tag.EnvelopeLatency,
-		}
-	}
-	return nil
-}
-
-// wifiTranslator is the WiFi tag's phase translator. Modulation starts
-// after preamble + SIGNAL + the first DATA symbol: that symbol carries the
-// SERVICE field, from which the receiver recovers the scrambler seed.
-// Flipping it would corrupt descrambling of the whole packet (§3.2.1's
-// scrambler discussion), so the tag leaves it untouched.
-func (s *Session) wifiTranslator() *tag.PhaseTranslator {
-	tr := &tag.PhaseTranslator{
-		DataStart:     float64(wifi.PreambleLen)/wifi.SampleRate + 2*wifi.SymbolTime,
-		SymbolPeriod:  wifi.SymbolTime,
-		SymbolsPerBit: s.cfg.Redundancy,
-		DeltaTheta:    math.Pi,
-		BitsPerStep:   1,
-		Latency:       tag.EnvelopeLatency,
-	}
-	if s.cfg.Quaternary {
-		tr.DeltaTheta = math.Pi / 2
-		tr.BitsPerStep = 2
-	}
-	return tr
-}
+func (s *Session) PacketDuration() float64 { return s.phy.airtime() }
 
 // RunPacket transmits one excitation packet, backscatters tagBits onto it
 // and decodes them at the adjacent-channel receiver. Randomness (payload,
@@ -506,7 +401,7 @@ func (s *Session) wifiTranslator() *tag.PhaseTranslator {
 func (s *Session) RunPacket(tagBits []byte) (PacketResult, error) {
 	slot := s.slot
 	s.slot++
-	return s.runPacket(tagBits, s.rng, s.rng, s.wifiTX, slot)
+	return s.runPacket(tagBits, s.rng, s.rng, true, slot)
 }
 
 // Slot returns the next packet slot RunPacket will occupy.
@@ -520,76 +415,6 @@ func (s *Session) AdvanceSlots(n int) {
 	if n > 0 {
 		s.slot += n
 	}
-}
-
-// runPacket is RunPacket with explicit randomness sources: content drives
-// the packet's payload draws, chanRng its fading and noise draws, and wtx
-// supplies the WiFi scrambler state (the one per-packet mutable piece of
-// transmitter state). Callers without a content/channel split pass the same
-// generator twice, which reproduces the legacy single-stream draw order
-// exactly. slot addresses the fault profile; a slot whose excitation is out
-// or whose tag reservoir is dry short-circuits to a lost packet before any
-// PHY work — and before any rng draw, which is harmless because every
-// packet runs on streams other packets never observe.
-func (s *Session) runPacket(tagBits []byte, content, chanRng *rand.Rand, wtx *wifi.Transmitter, slot int) (PacketResult, error) {
-	pf := s.cfg.Faults.At(s.cfg.Seed, slot)
-	if pf.Outage || pf.SkipReflection {
-		// Nothing reaches the receiver: no excitation to ride on (outage)
-		// or no charge to reflect with (brownout). Slot time still passes.
-		return PacketResult{AirTime: s.PacketDuration(), Fault: pf}, nil
-	}
-	switch s.cfg.Radio {
-	case WiFi:
-		return s.runWiFi(tagBits, content, chanRng, wtx, pf)
-	case ZigBee:
-		return s.runZigBee(tagBits, content, chanRng, pf)
-	case Bluetooth:
-		return s.runBluetooth(tagBits, content, chanRng, pf)
-	}
-	return PacketResult{}, fmt.Errorf("core: unknown radio %v", s.cfg.Radio)
-}
-
-func randomPayload(rng *rand.Rand, n int) []byte {
-	out := make([]byte, n)
-	rng.Read(out)
-	return out
-}
-
-// wifiPSDU builds a genuine 802.11 data MPDU whose total PSDU size equals
-// PayloadSize+4 (matching the raw-payload sizing the calibration uses).
-// The frame body is the productive traffic the excitation carries.
-func (s *Session) wifiPSDU(rng *rand.Rand) []byte {
-	bodyLen := s.cfg.PayloadSize - 24
-	if bodyLen < 0 {
-		bodyLen = 0
-	}
-	f := &wifi.DataFrame{
-		FrameControl: wifi.FrameControlData,
-		DurationID:   44,
-		Addr1:        [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x01},
-		Addr2:        [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x02},
-		Addr3:        [6]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x03},
-		SeqCtrl:      uint16(rng.Intn(1<<12) << 4),
-		Body:         randomPayload(rng, bodyLen),
-	}
-	return f.Marshal()
-}
-
-// zigbeeMPDU builds a genuine 802.15.4 data MPDU (MHR + body) of
-// PayloadSize total bytes, carrying productive traffic.
-func (s *Session) zigbeeMPDU(rng *rand.Rand) []byte {
-	bodyLen := s.cfg.PayloadSize - 9
-	if bodyLen < 0 {
-		bodyLen = 0
-	}
-	f := &zigbee.DataFrame{
-		Seq:     byte(rng.Intn(256)),
-		DstPAN:  0x1234,
-		DstAddr: 0x0001,
-		SrcAddr: 0x0002,
-		Payload: randomPayload(rng, bodyLen),
-	}
-	return f.Marshal()
 }
 
 // capturePool recycles the receiver-side capture buffers (hundreds of KB
@@ -607,8 +432,8 @@ var packetRNGPool = signal.FreeList[*rand.Rand]{New: func() *rand.Rand { return 
 
 // excitationPool recycles the waveform of an uncached WiFi entry (~650 KB
 // for a 1500 B packet): nothing outside the packet ever sees such an
-// entry, so runWiFi returns its waveform here as soon as the channel has
-// copied it into the capture (DESIGN §8.2). A separate list from
+// entry, so runPacket releases its waveform here as soon as the channel
+// has copied it into the capture (DESIGN §8.2). A separate list from
 // capturePool keeps each list's buffers one size, so warm checkouts never
 // regrow and the allocation pins stay exact.
 var excitationPool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal { return signal.New(wifi.SampleRate, 0) }, Cap: 32}
@@ -623,518 +448,118 @@ func (s *Session) link(rng *rand.Rand, pf faults.Packet) channel.Link {
 	return l
 }
 
-// wifiEntry returns the clean backscattered waveform plus decode references
-// for one WiFi packet's content, either replayed from the waveform cache or
-// synthesised (and, with a cache attached, stored for the next identical
-// packet). A cache hit must still advance wtx's scrambler rotation so the
-// transmitter's seed sequence is identical to the uncached path.
-func (s *Session) wifiEntry(psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Transmitter) (*waveform.Entry, error) {
-	scramblerSeed := wtx.ScramblerSeed
-	c := s.cfg.Waveforms
-	if c == nil {
-		exc := excitationPool.Get()
-		e, err := s.synthesizeWiFi(exc, psdu, tagBits, rate, wtx, scramblerSeed)
-		if err != nil {
-			excitationPool.Put(exc)
-		}
-		return e, err
+// runPacket is RunPacket with explicit randomness sources: content drives
+// the packet's payload draws, chanRng its fading and noise draws, and
+// sequential picks the session's rotating transmitter state (phy.draw).
+// Callers without a content/channel split pass the same generator twice,
+// which reproduces the legacy single-stream draw order exactly. slot
+// addresses the fault profile; a slot whose excitation is out or whose tag
+// reservoir is dry short-circuits to a lost packet before any PHY work —
+// and before any rng draw, which is harmless because every packet runs on
+// streams other packets never observe.
+func (s *Session) runPacket(tagBits []byte, content, chanRng *rand.Rand, sequential bool, slot int) (PacketResult, error) {
+	pf := s.cfg.Faults.At(s.cfg.Seed, slot)
+	if pf.Outage || pf.SkipReflection {
+		// Nothing reaches the receiver: no excitation to ride on (outage)
+		// or no charge to reflect with (brownout). Slot time still passes.
+		return PacketResult{AirTime: s.PacketDuration(), Fault: pf}, nil
 	}
-	key := waveform.NewKey().
-		Byte(byte(WiFi)).
-		Uint64(uint64(s.cfg.WiFiRateMbps)).
-		Uint64(uint64(s.cfg.Redundancy)).
-		Bool(s.cfg.Quaternary).
-		Byte(scramblerSeed).
-		Bytes(psdu).
-		Bytes(tagBits).
-		Sum()
-	e, synthesized, err := c.GetOrSynthesize(key, func() (*waveform.Entry, error) {
-		return s.synthesizeWiFi(signal.New(wifi.SampleRate, 0), psdu, tagBits, rate, wtx, scramblerSeed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !synthesized {
-		// Served from cache or a concurrent leader's synthesis: Transmit
-		// never ran here, so replay its scrambler-seed rotation to keep the
-		// transmitter's seed sequence identical to the uncached path.
-		wtx.AdvanceScramblerSeed()
-	}
-	return e, nil
-}
-
-// synthesizeWiFi runs the full WiFi TX chain for one packet's content into
-// exc — excitation, tag translation and channel shift all in place — and
-// packages the result as an entry whose Wave is exc. scramblerSeed is the
-// seed wtx held before TransmitTo advanced it — the CodedRef rebuild must
-// use the same one.
-func (s *Session) synthesizeWiFi(exc *signal.Signal, psdu, tagBits []byte, rate wifi.Rate, wtx *wifi.Transmitter, scramblerSeed byte) (*waveform.Entry, error) {
-	if err := wtx.TransmitTo(exc, psdu, rate); err != nil {
-		return nil, err
-	}
-	used, err := s.wifiTranslator().TranslateInPlace(exc, tagBits)
-	if err != nil {
-		return nil, err
-	}
-	sh := tag.ChannelShifter{OffsetHz: 20e6, Mode: tag.ShiftEquivalentBaseband}
-	if _, err := sh.Shift(exc); err != nil {
-		return nil, err
-	}
-	// Reference stream: descrambled SERVICE + PSDU + tail + pad, which
-	// is what receiver 1 reports over the backhaul.
-	nSym := wifi.NumDataSymbols(len(psdu), rate)
-	ref := make([]byte, nSym*rate.NDBPS)
-	copy(ref[wifi.ServiceBits:], bits.FromBytes(psdu))
-	e := &waveform.Entry{
-		Wave:      exc,
-		MeanPower: exc.MeanPower(),
-		Used:      used,
-		Airtime:   exc.Duration(),
-		Ref:       ref,
-	}
-	if s.cfg.Quaternary {
-		// eq. 5 needs the interleaved coded stream; rebuild it once at
-		// synthesis time so cache hits skip it along with the TX chain.
-		e.CodedRef, err = wifi.CodedBits(psdu, rate, scramblerSeed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-func (s *Session) runWiFi(tagBits []byte, content, chanRng *rand.Rand, wtx *wifi.Transmitter, pf faults.Packet) (PacketResult, error) {
-	rate := wifi.Rates[s.cfg.WiFiRateMbps]
-	psdu := s.wifiPSDU(content)
-	entry, err := s.wifiEntry(psdu, tagBits, rate, wtx)
+	payload, seed := s.phy.draw(content, sequential)
+	entry, err := s.entry(payload, tagBits, seed)
 	if err != nil {
 		return PacketResult{}, err
 	}
-	used := entry.Used
-	res := PacketResult{AirTime: entry.Airtime, TagBits: used, Fault: pf}
+	res := PacketResult{AirTime: entry.Airtime, TagBits: entry.Used, Fault: pf}
 
 	cap := capturePool.Get()
 	defer capturePool.Put(cap)
 	err = s.link(chanRng, pf).ApplyToWithPower(cap, entry.Wave, 400, false, entry.MeanPower)
 	if s.cfg.Waveforms == nil {
-		// The capture holds its own copy now; the uncached excitation is
-		// dead (DESIGN §8.2).
-		excitationPool.Put(entry.Wave)
-		entry.Wave = nil
+		// The capture holds its own copy now; the uncached entry is dead.
+		s.phy.release(entry)
 	}
 	if err != nil {
 		return PacketResult{}, err
 	}
 	res.Samples = len(cap.Samples)
 
-	rx := wifi.NewReceiver()
-	rx.DetectionThreshold = s.cfg.detectionThreshold(wifiDetectionThreshold)
-	rx.PilotPhaseTracking = s.cfg.PilotPhaseTracking
-	rx.SoftDecision = s.cfg.SoftDecision
-	rx.CollectPilotPhases = s.cfg.ReceiverMode == SingleReceiver
-	// The session reports the link budget's backscatter RSSI (below), never
-	// the capture measurement, so skip that full-packet power pass.
-	rx.SkipRSSI = true
-	pkt, err := rx.Receive(cap)
-	if err != nil {
-		return res, nil // undetected: lost packet, not a session error
+	rx := s.phy.receive(cap, entry)
+	if !rx.detected {
+		return res, nil
 	}
 	res.Detected = true
 	res.RSSI = s.cfg.Link.BackscatterRSSI()
-	if len(pkt.PSDU) != len(psdu) {
-		return res, nil // header decoded to a wrong length; treat as loss
-	}
-	if s.cfg.ReceiverMode == SingleReceiver {
-		return s.decodeWiFiSingle(res, pkt, tagBits, used)
-	}
-	// Tag windows start one OFDM symbol into the data (the SERVICE symbol
-	// is reflected unmodified; see translator()).
-	if s.cfg.Quaternary {
-		// eq. 5: rotation hypotheses on the raw demapped coded bits.
-		if len(pkt.DemappedBits) <= rate.NCBPS {
-			return res, nil
-		}
-		qws, err := decoder.DecodeQuaternaryWindows(
-			entry.CodedRef[rate.NCBPS:], pkt.DemappedBits[rate.NCBPS:],
-			s.cfg.Redundancy*rate.NCBPS)
-		if err != nil {
-			return PacketResult{}, err
-		}
-		decoded := decoder.QuaternaryBits(qws)
-		if len(decoded) > used {
-			decoded = decoded[:used]
-		}
-		res.Decoded = true
-		res.DecodedTag = decoded
-		var berDropped int
-		res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], decoded)
-		res.DroppedElements += berDropped
-		if s.cfg.Coding != nil {
-			soft := decoder.QuaternarySoft(qws)
-			if len(soft) > used {
-				soft = soft[:used]
-			}
-			res.SoftTag = soft
-		}
+	if rx.obs == nil {
 		return res, nil
 	}
-	window := s.cfg.Redundancy * rate.NDBPS
-	if len(pkt.RawBits) <= rate.NDBPS {
-		return res, nil
-	}
-	ws, dropped, err := decoder.DecodeWindows(entry.Ref[rate.NDBPS:], pkt.RawBits[rate.NDBPS:], window, 0.5)
-	if err != nil {
-		return PacketResult{}, err
-	}
-	res.DroppedElements += dropped
-	if len(ws) > used {
-		ws = ws[:used]
-	}
-	res.Decoded = true
-	res.DecodedTag = decoder.Bits(ws)
-	var berDropped int
-	res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)
-	res.DroppedElements += berDropped
-	if s.cfg.Coding != nil {
-		res.SoftTag = decoder.Soft(ws)
-	}
-	return res, nil
+	return s.decode(res, rx, tagBits)
 }
 
-// decodeWiFiSingle is the Double-decker decision for WiFi: the receiver's
-// per-symbol pilot-correlation phases are an absolute estimate of the
-// tag's applied rotation. PilotPhases[0] is the SERVICE symbol — reflected
-// untranslated (see translator()), it anchors the all-zero state the
-// differential decoder assumes before window 0, and the tag windows start
-// at index 1. The effective window is Redundancy features instead of the
-// dual path's Redundancy·NDBPS bits — the heart of the single-receiver
-// sensitivity cost the BER-vs-SNR experiment measures.
-//
-// The raw phases carry a slowly accumulating common phase error on top of
-// the tag rotation (the tag's phase jumps bias the receiver's CP-based
-// residual-CFO estimate, leaving a drift of ~0.01 rad/symbol that crosses
-// a quantisation boundary mid-packet). Quantising the absolute phase
-// directly would hand that drift to the differential decoder as a slow
-// parade of false transitions, so the feature extractor runs a
-// decision-directed tracker first: the residual after removing the nearest
-// rotation hypothesis is rotation-independent, and an EWMA of it estimates
-// the drift, which is subtracted before quantising. Drift per symbol is
-// orders of magnitude below the π/4 (binary: π/2) decision radius, so the
-// tracker cannot lose lock to the tag's own steps.
-func (s *Session) decodeWiFiSingle(res PacketResult, pkt *wifi.RxPacket, tagBits []byte, used int) (PacketResult, error) {
-	if len(pkt.PilotPhases) <= 1 {
-		return res, nil
-	}
-	feat := make([]byte, len(pkt.PilotPhases)-1)
-	if s.cfg.Quaternary {
-		var cpe float64
-		for i, p := range pkt.PilotPhases {
-			// Quantise to quarter turns: the eq. 5 rotation index.
-			q := wrapPhase(p - cpe)
-			n := math.Round(q / (math.Pi / 2))
-			cpe = wrapPhase(cpe + cpeGain*(q-n*(math.Pi/2)))
-			if i > 0 {
-				feat[i-1] = byte(int(n) & 3)
-			}
-		}
-		qws, err := decoder.DecodeDifferentialQuaternaryWindows(feat, s.cfg.Redundancy)
-		if err != nil {
-			return PacketResult{}, err
-		}
-		decoded := decoder.QuaternaryBits(qws)
-		soft := decoder.QuaternarySoft(qws)
-		if len(decoded) > used {
-			decoded = decoded[:used]
-			soft = soft[:used]
-		}
-		res.Decoded = true
-		res.DecodedTag = decoded
-		res.SoftTag = soft
-		var berDropped int
-		res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], decoded)
-		res.DroppedElements += berDropped
-		return res, nil
-	}
-	var cpe float64
-	for i, p := range pkt.PilotPhases {
-		q := wrapPhase(p - cpe)
-		n := math.Round(q / math.Pi)
-		cpe = wrapPhase(cpe + cpeGain*(q-n*math.Pi))
-		if i > 0 && math.Abs(q) > math.Pi/2 {
-			feat[i-1] = 1
-		}
-	}
-	ws, err := decoder.DecodeDifferentialWindows(feat, s.cfg.Redundancy, singleThreshold)
-	if err != nil {
-		return PacketResult{}, err
-	}
-	if len(ws) > used {
-		ws = ws[:used]
-	}
-	res.Decoded = true
-	res.DecodedTag = decoder.Bits(ws)
-	res.SoftTag = decoder.Soft(ws)
-	var berDropped int
-	res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)
-	res.DroppedElements += berDropped
-	return res, nil
-}
-
-// zigbeeEntry returns the clean backscattered waveform plus the symbol
-// reference for one ZigBee packet's content, cached when a cache is
-// attached. The ZigBee transmitter is stateless, so a hit skips the whole
-// synthesis path with nothing to replay.
-func (s *Session) zigbeeEntry(payload, tagBits []byte) (*waveform.Entry, error) {
+// entry returns the clean backscattered waveform plus decode references for
+// one packet's content: replayed from the waveform cache when one is
+// attached (synthesised and stored on a miss), else synthesised afresh.
+func (s *Session) entry(payload, tagBits []byte, seed byte) (*waveform.Entry, error) {
 	c := s.cfg.Waveforms
 	if c == nil {
-		return s.synthesizeZigBee(payload, tagBits)
+		return s.phy.synthesize(payload, tagBits, seed)
 	}
-	key := waveform.NewKey().
-		Byte(byte(ZigBee)).
-		Uint64(uint64(s.cfg.Redundancy)).
-		Bytes(payload).
-		Bytes(tagBits).
-		Sum()
-	e, _, err := c.GetOrSynthesize(key, func() (*waveform.Entry, error) {
-		return s.synthesizeZigBee(payload, tagBits)
+	k := waveform.NewKey().Byte(byte(s.cfg.Radio))
+	s.phy.key(k, seed)
+	e, _, err := c.GetOrSynthesize(k.Bytes(payload).Bytes(tagBits).Sum(), func() (*waveform.Entry, error) {
+		return s.phy.synthesize(payload, tagBits, seed)
 	})
 	return e, err
 }
 
-// synthesizeZigBee runs the full ZigBee TX chain for one packet's content
-// and packages the result as a cache entry.
-func (s *Session) synthesizeZigBee(payload, tagBits []byte) (*waveform.Entry, error) {
-	exc, err := s.zbTX.Transmit(payload)
-	if err != nil {
-		return nil, err
+// decode is the one decode tail: the window decision on the phy's streams
+// (compare or differential; 2 bits per window with Quaternary), truncated
+// to the res.TagBits bits the tag embedded and scored against tagBits.
+// Soft decisions follow PacketResult.SoftTag's rule.
+func (s *Session) decode(res PacketResult, rx received, tagBits []byte) (PacketResult, error) {
+	used := res.TagBits
+	single := s.cfg.ReceiverMode == SingleReceiver
+	var ws []decoder.WindowResult
+	var qws []decoder.QuaternaryWindowResult
+	var dropped int
+	var err error
+	switch {
+	case s.cfg.Quaternary && single:
+		qws, err = decoder.DecodeDifferentialQuaternaryWindows(rx.obs, rx.window)
+	case s.cfg.Quaternary:
+		qws, err = decoder.DecodeQuaternaryWindows(rx.ref, rx.obs, rx.window)
+	case single:
+		ws, err = decoder.DecodeDifferentialWindows(rx.obs, rx.window, singleThreshold)
+	default:
+		ws, dropped, err = decoder.DecodeWindows(rx.ref, rx.obs, rx.window, rx.threshold)
 	}
-	backscattered, used, err := s.translator().Translate(exc, tagBits)
-	if err != nil {
-		return nil, err
-	}
-	sh := tag.ChannelShifter{OffsetHz: 16e6, Mode: tag.ShiftEquivalentBaseband}
-	if _, err := sh.Shift(backscattered); err != nil {
-		return nil, err
-	}
-	fcs := bits.CRC16CCITT(payload)
-	body := append(append([]byte(nil), payload...), byte(fcs), byte(fcs>>8))
-	return &waveform.Entry{
-		Wave:      backscattered,
-		MeanPower: backscattered.MeanPower(),
-		Used:      used,
-		Airtime:   exc.Duration(),
-		Ref:       zigbee.SymbolsFromBytes(body),
-	}, nil
-}
-
-func (s *Session) runZigBee(tagBits []byte, content, chanRng *rand.Rand, pf faults.Packet) (PacketResult, error) {
-	payload := s.zigbeeMPDU(content)
-	entry, err := s.zigbeeEntry(payload, tagBits)
 	if err != nil {
 		return PacketResult{}, err
 	}
-	used := entry.Used
-	res := PacketResult{AirTime: entry.Airtime, TagBits: used, Fault: pf}
-
-	cap := capturePool.Get()
-	defer capturePool.Put(cap)
-	if err := s.link(chanRng, pf).ApplyToWithPower(cap, entry.Wave, 400, false, entry.MeanPower); err != nil {
-		return PacketResult{}, err
-	}
-	res.Samples = len(cap.Samples)
-
-	zrx := zigbee.NewReceiver()
-	zrx.DetectionThreshold = s.cfg.detectionThreshold(zbDetectionThreshold)
-	zrx.CollectFlips = s.cfg.ReceiverMode == SingleReceiver
-	frame, err := zrx.Receive(cap)
-	if err != nil {
-		return res, nil
-	}
-	res.Detected = true
-	res.RSSI = s.cfg.Link.BackscatterRSSI()
-	if len(frame.Symbols) != len(entry.Ref) {
-		return res, nil
-	}
-	if s.cfg.ReceiverMode == SingleReceiver {
-		// Double-decker: each payload symbol's flip feature asks whether
-		// the chip window correlated better with the complemented codebook
-		// than the true one (see zigbee.BestWorstSymbol) — a clean binary
-		// estimate of the tag's absolute flip state, one per symbol.
-		ws, err := decoder.DecodeDifferentialWindows(frame.Flips, s.cfg.Redundancy, singleThreshold)
-		if err != nil {
-			return PacketResult{}, err
-		}
-		if len(ws) > used {
-			ws = ws[:used]
-		}
-		res.Decoded = true
-		res.DecodedTag = decoder.Bits(ws)
-		res.SoftTag = decoder.Soft(ws)
-		var berDropped int
-		res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)
-		res.DroppedElements += berDropped
-		return res, nil
-	}
-	ws, dropped, err := decoder.DecodeWindows(entry.Ref, frame.Symbols, s.cfg.Redundancy, 0.3)
-	if err != nil {
-		return PacketResult{}, err
-	}
-	res.DroppedElements += dropped
 	if len(ws) > used {
 		ws = ws[:used]
 	}
-	res.Decoded = true
-	res.DecodedTag = decoder.Bits(ws)
-	var berDropped int
-	res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)
-	res.DroppedElements += berDropped
-	if s.cfg.Coding != nil {
-		res.SoftTag = decoder.Soft(ws)
-	}
-	return res, nil
-}
-
-// bluetoothEntry returns the clean backscattered waveform plus the frame
-// bit reference for one Bluetooth packet's content, cached when a cache is
-// attached. The whitening seed is static per session but shapes the
-// waveform, so it participates in the key.
-func (s *Session) bluetoothEntry(payload, tagBits []byte) (*waveform.Entry, error) {
-	c := s.cfg.Waveforms
-	if c == nil {
-		return s.synthesizeBluetooth(payload, tagBits)
-	}
-	key := waveform.NewKey().
-		Byte(byte(Bluetooth)).
-		Uint64(uint64(s.cfg.Redundancy)).
-		Byte(s.btTX.WhitenSeed).
-		Bytes(payload).
-		Bytes(tagBits).
-		Sum()
-	e, _, err := c.GetOrSynthesize(key, func() (*waveform.Entry, error) {
-		return s.synthesizeBluetooth(payload, tagBits)
-	})
-	return e, err
-}
-
-// synthesizeBluetooth runs the full Bluetooth TX chain for one packet's
-// content and packages the result as a cache entry.
-func (s *Session) synthesizeBluetooth(payload, tagBits []byte) (*waveform.Entry, error) {
-	exc, err := s.btTX.Transmit(payload)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := s.btTX.FrameBits(payload)
-	if err != nil {
-		return nil, err
-	}
-	// The Bluetooth tag's codeword toggle already runs through the real
-	// square-wave mixer inside the translator; the channel hop to
-	// 2.48 GHz is folded into TagLossDB like the others, so no shifter
-	// here.
-	backscattered, used, err := s.translator().Translate(exc, tagBits)
-	if err != nil {
-		return nil, err
-	}
-	return &waveform.Entry{
-		Wave:      backscattered,
-		MeanPower: backscattered.MeanPower(),
-		Used:      used,
-		Airtime:   exc.Duration(),
-		Ref:       ref,
-	}, nil
-}
-
-func (s *Session) runBluetooth(tagBits []byte, content, chanRng *rand.Rand, pf faults.Packet) (PacketResult, error) {
-	payload := randomPayload(content, s.cfg.PayloadSize)
-	entry, err := s.bluetoothEntry(payload, tagBits)
-	if err != nil {
-		return PacketResult{}, err
-	}
-	used := entry.Used
-	ref := entry.Ref
-	res := PacketResult{AirTime: entry.Airtime, TagBits: used, Fault: pf}
-
-	cap := capturePool.Get()
-	defer capturePool.Put(cap)
-	if err := s.link(chanRng, pf).ApplyToWithPower(cap, entry.Wave, 400, false, entry.MeanPower); err != nil {
-		return PacketResult{}, err
-	}
-	res.Samples = len(cap.Samples)
-
-	rx := bluetooth.NewReceiver()
-	rx.DetectionThreshold = s.cfg.detectionThreshold(btDetectionThreshold)
-	rx.CollectPower = s.cfg.ReceiverMode == SingleReceiver
-	// One channel-filter + discriminator pass answers both the sync
-	// detection and the raw bit slicing.
-	demod := rx.Demod(cap)
-	start, q := demod.Detect()
-	if start < 0 || q < rx.DetectionThreshold {
-		return res, nil
-	}
-	res.Detected = true
-	res.RSSI = s.cfg.Link.BackscatterRSSI()
-
-	const hdr = 40 // tag modulation starts after preamble + access address
-	if s.cfg.ReceiverMode == SingleReceiver {
-		// Double-decker: a flipped bit's FSK tone is toggled out to a
-		// sideband the ±500 kHz channel filter mostly rejects, so its
-		// filtered in-band power drops to ≈(2/π)² of an unflipped bit's.
-		// The 40 untranslated header bits self-calibrate the reference
-		// power — no second receiver, and no absolute power knowledge.
-		powers := demod.BitPowers(start, len(ref))
-		if len(powers) < len(ref) {
-			return res, nil
+	soft := single || s.cfg.Coding != nil
+	if s.cfg.Quaternary {
+		res.DecodedTag = decoder.QuaternaryBits(qws)
+		if soft {
+			res.SoftTag = decoder.QuaternarySoft(qws)
 		}
-		refPower := 0.0
-		for _, p := range powers[:hdr] {
-			refPower += p
-		}
-		refPower /= hdr
-		if refPower <= 0 {
-			return res, nil
-		}
-		feat := make([]byte, len(ref)-hdr)
-		for i, p := range powers[hdr:] {
-			if p < btSinglePowerRatio*refPower {
-				feat[i] = 1
-			}
-		}
-		ws, err := decoder.DecodeDifferentialWindows(feat, s.cfg.Redundancy, singleThreshold)
-		if err != nil {
-			return PacketResult{}, err
-		}
-		if len(ws) > used {
-			ws = ws[:used]
-		}
-		res.Decoded = true
+	} else {
 		res.DecodedTag = decoder.Bits(ws)
-		res.SoftTag = decoder.Soft(ws)
-		var berDropped int
-		res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)
-		res.DroppedElements += berDropped
-		return res, nil
+		if soft {
+			res.SoftTag = decoder.Soft(ws)
+		}
 	}
-
-	raw := demod.RawBitsAt(start, len(ref))
-	if len(raw) < len(ref) {
-		return res, nil
-	}
-	ws, dropped, err := decoder.DecodeWindows(ref[hdr:], raw[hdr:], s.cfg.Redundancy, 0.5)
-	if err != nil {
-		return PacketResult{}, err
-	}
-	res.DroppedElements += dropped
-	if len(ws) > used {
-		ws = ws[:used]
+	if len(res.DecodedTag) > used { // a quaternary window's second bit
+		res.DecodedTag = res.DecodedTag[:used]
+		if soft {
+			res.SoftTag = res.SoftTag[:used]
+		}
 	}
 	res.Decoded = true
-	res.DecodedTag = decoder.Bits(ws)
 	var berDropped int
 	res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)
-	res.DroppedElements += berDropped
-	if s.cfg.Coding != nil {
-		res.SoftTag = decoder.Soft(ws)
-	}
+	res.DroppedElements += dropped + berDropped
 	return res, nil
 }
 
@@ -1231,7 +656,7 @@ func (s *Session) runPacketAtWith(idx int, rng, crng *rand.Rand) (PacketResult, 
 		crng.Seed(runner.DeriveSeed(s.cfg.ContentSeed, "core.content", idx))
 		content = crng
 	}
-	tagBits := make([]byte, s.Capacity())
+	tagBits := make([]byte, s.capacity)
 	for j := range tagBits {
 		tagBits[j] = byte(content.Intn(2))
 	}
@@ -1248,14 +673,7 @@ func (s *Session) runPacketAtWith(idx int, rng, crng *rand.Rand) (PacketResult, 
 		}
 		copy(tagBits, coded)
 	}
-	var wtx *wifi.Transmitter
-	if s.cfg.Radio == WiFi {
-		// Commodity cards rotate the 7-bit scrambler seed per packet; here
-		// each packet draws its own nonzero seed from its stream instead of
-		// inheriting rotation order from the previous packet.
-		wtx = &wifi.Transmitter{ScramblerSeed: byte(1 + content.Intn(127)), FixedSeed: true}
-	}
-	pr, err := s.runPacket(tagBits, content, rng, wtx, idx)
+	pr, err := s.runPacket(tagBits, content, rng, false, idx)
 	if err != nil || s.layout == nil {
 		return pr, err
 	}
@@ -1401,9 +819,4 @@ func (s *Session) RunParallel(n, workers int) (SessionResult, error) {
 		out.accumulate(prs[i], s.cfg.InterPacketGap)
 	}
 	return out, nil
-}
-
-// wrapPhase folds an angle into (-π, π].
-func wrapPhase(x float64) float64 {
-	return math.Atan2(math.Sin(x), math.Cos(x))
 }

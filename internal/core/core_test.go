@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -37,8 +38,62 @@ func TestNewSessionValidation(t *testing.T) {
 	if _, err := NewSession(cfg); err == nil {
 		t.Error("zero redundancy accepted")
 	}
+	cfg = DefaultConfig(WiFi, 5)
+	cfg.Redundancy = (1<<63)/24 + 1 // Redundancy·NDBPS-bit windows overflow int
+	if _, err := NewSession(cfg); err == nil {
+		t.Error("redundancy leaving no room for a tag bit accepted")
+	}
 	if _, err := NewSession(Config{Radio: Radio(42), PayloadSize: 1, Redundancy: 1}); err == nil {
 		t.Error("unknown radio accepted")
+	}
+	// Payloads outside the frame the PHY can send: above the PSDU/frame
+	// limit every packet would fail in TX, below the MAC header the frame
+	// sent would be longer than PacketDuration and Capacity assume.
+	for _, tc := range []struct {
+		radio Radio
+		size  int
+	}{
+		{WiFi, 10}, {WiFi, 23}, {WiFi, 4092}, {WiFi, 5000},
+		{ZigBee, 3}, {ZigBee, 8}, {ZigBee, 126}, {ZigBee, 200},
+		{Bluetooth, 256}, {Bluetooth, 300},
+	} {
+		cfg := DefaultConfig(tc.radio, 5)
+		cfg.PayloadSize = tc.size
+		if _, err := NewSession(cfg); err == nil {
+			t.Errorf("%v payload size %d accepted", tc.radio, tc.size)
+		}
+	}
+}
+
+// TestPayloadBoundsMatchAirtime runs one packet at each end of every
+// radio's accepted payload range: the packet must transmit, and the frame
+// actually sent must last PacketDuration to well within one PHY unit (a
+// 4 µs OFDM symbol, a 32 µs ZigBee byte, an 8 µs Bluetooth byte); the
+// OQPSK half-chip offset and pulse tail add 1 µs to a ZigBee waveform.
+func TestPayloadBoundsMatchAirtime(t *testing.T) {
+	for _, tc := range []struct {
+		radio  Radio
+		lo, hi int
+	}{
+		{WiFi, 24, 4091},
+		{ZigBee, 9, 125},
+		{Bluetooth, 1, 255},
+	} {
+		for _, size := range []int{tc.lo, tc.hi} {
+			cfg := DefaultConfig(tc.radio, 5)
+			cfg.PayloadSize = size
+			s, err := NewSession(cfg)
+			if err != nil {
+				t.Fatalf("%v payload size %d rejected: %v", tc.radio, size, err)
+			}
+			res, err := s.RunPacket(make([]byte, s.Capacity()))
+			if err != nil {
+				t.Fatalf("%v payload size %d: %v", tc.radio, size, err)
+			}
+			if d := s.PacketDuration(); math.Abs(res.AirTime-d) > 2e-6 {
+				t.Errorf("%v payload size %d: airtime %g s, PacketDuration %g s", tc.radio, size, res.AirTime, d)
+			}
+		}
 	}
 }
 

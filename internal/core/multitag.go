@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/decoder"
-	"repro/internal/tag"
 	"repro/internal/wifi"
 )
 
@@ -30,7 +28,8 @@ type MultiTagResult struct {
 // the codeword structure and every tag's BER collapses toward 0.5 — the
 // physical justification for the MAC treating shared slots as lost.
 func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
-	if s.cfg.Radio != WiFi {
+	p, ok := s.phy.(*wifiPHY)
+	if !ok {
 		return MultiTagResult{}, fmt.Errorf("core: collision study implemented for WiFi excitation")
 	}
 	if len(tagData) == 0 {
@@ -44,16 +43,12 @@ func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
 	if pf.Outage {
 		return MultiTagResult{PerTagBER: ones(len(tagData))}, nil
 	}
-	rate := wifi.Rates[s.cfg.WiFiRateMbps]
-	psdu := s.wifiPSDU(s.rng)
-	exc, err := s.wifiTX.Transmit(psdu, rate)
+	psdu, seed := p.draw(s.rng, true)
+	tx := wifi.Transmitter{ScramblerSeed: seed, FixedSeed: true}
+	exc, err := tx.Transmit(psdu, p.rate)
 	if err != nil {
 		return MultiTagResult{}, err
 	}
-
-	nSym := wifi.NumDataSymbols(len(psdu), rate)
-	ref := make([]byte, nSym*rate.NDBPS)
-	copy(ref[wifi.ServiceBits:], bits.FromBytes(psdu))
 
 	// Each tag modulates its own copy; reflections sum at the receiver
 	// (equal path gains: the worst-case collision).
@@ -61,13 +56,12 @@ func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
 	sum.Scale(0) // start from silence at the excitation's length
 	used := make([]int, len(tagData))
 	for i, data := range tagData {
-		mod, u, err := s.translator().Translate(exc, data)
+		mod, u, err := p.tr.Translate(exc, data)
 		if err != nil {
 			return MultiTagResult{}, err
 		}
 		used[i] = u
-		sh := tag.ChannelShifter{OffsetHz: 20e6, Mode: tag.ShiftEquivalentBaseband}
-		if _, err := sh.Shift(mod); err != nil {
+		if _, err := wifiShifter.Shift(mod); err != nil {
 			return MultiTagResult{}, err
 		}
 		mod.Scale(complex(1/float64(len(tagData)), 0))
@@ -80,15 +74,13 @@ func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
 	if err != nil {
 		return MultiTagResult{}, err
 	}
-	rx := wifi.NewReceiver()
-	rx.DetectionThreshold = s.cfg.detectionThreshold(wifiDetectionThreshold)
-	pkt, err := rx.Receive(cap)
+	pkt, err := p.receiver().Receive(cap)
 	if err != nil || len(pkt.PSDU) != len(psdu) {
 		return MultiTagResult{PerTagBER: ones(len(tagData))}, nil
 	}
 
-	window := s.cfg.Redundancy * rate.NDBPS
-	ws, _, err := decoder.DecodeWindows(ref[rate.NDBPS:], pkt.RawBits[rate.NDBPS:], window, 0.5)
+	nd := p.rate.NDBPS
+	ws, _, err := decoder.DecodeWindows(p.ref(psdu)[nd:], pkt.RawBits[nd:], s.cfg.Redundancy*nd, 0.5)
 	if err != nil {
 		return MultiTagResult{}, err
 	}

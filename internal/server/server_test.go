@@ -291,6 +291,11 @@ func TestSimulateValidation(t *testing.T) {
 		{Radio: "wifi", Distance: 5, Packets: 1, RateMbps: 54},       // non-BPSK/QPSK rate
 		{Radio: "zigbee", Distance: 5, Packets: 1, Quaternary: true}, // quaternary off-WiFi
 		{Radio: "wifi", Distance: 5, Packets: 1, Faults: "no-such-profile"},
+		{Radio: "zigbee", Distance: 5, Packets: 1, PayloadSize: 200},    // over the 802.15.4 frame
+		{Radio: "bluetooth", Distance: 5, Packets: 1, PayloadSize: 300}, // over the BLE PDU
+		{Radio: "wifi", Distance: 5, Packets: 1, PayloadSize: 5000},     // over the 4095 B PSDU
+		{Radio: "wifi", Distance: 5, Packets: 1, PayloadSize: 10},       // under the MAC header
+		{Radio: "zigbee", Distance: 5, Packets: 1, PayloadSize: 3},      // under the MHR
 	}
 	for i, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/simulate", c)
