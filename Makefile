@@ -78,7 +78,8 @@ bench-serve-baseline:
 	@$(MAKE) bench-serve BENCHGATE_FLAGS=-update
 
 # bench-dsp is the DSP-hot-path regression gate. It benchmarks the FFT
-# plans, convolution, the per-radio end-to-end packet (core
+# plans, convolution (the 101-tap filter and the Bluetooth receive
+# shape), the per-radio end-to-end packet (core
 # BenchmarkSessionRunPacket), the channel application per fading model and
 # the fault layer, the 1500 B WiFi PPDU synthesis (wifi
 # BenchmarkTransmit1500B), appends one JSONL trajectory point to BENCH_DSP.json,
@@ -96,7 +97,7 @@ BENCH_DSP_TIME_FAST ?= 2000x
 BENCH_DSP_TIME_E2E ?= 400x
 BENCH_DSP_TIME_SWEEP ?= 2x
 BENCH_DSP_COUNT ?= 5
-BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveFFT|SessionRunPacket|Transmit1500B|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
+BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveCapture129Taps|SessionRunPacket|Transmit1500B|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
 
 bench-dsp:
 	@( $(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
@@ -180,11 +181,21 @@ fuzz-decoder:
 # without asm kernels. The fused-modulator fuzzer transmits random PSDUs
 # at random rates and scrambler seeds and demands bitwise sample equality
 # with the reference interleave → map → IFFT chain, over whichever FFT
-# kernels the build dispatches to.
+# kernels the build dispatches to. The receive-kernel fuzzers feed raw
+# float bits and hostile captures (random lengths, NaN/Inf samples,
+# truncated or shifted preambles) through both dispatch modes: the FIR
+# fuzzer demands identity with the scatter-form convolution reference,
+# the ZigBee preamble-scan fuzzer identical (start, gain, quality), and
+# the two receiver fuzzers no panic, a frame or a sentinel error, and
+# identical results with the Go loops and the AVX2 kernels.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzTransmitFused -fuzztime=10s ./internal/wifi
+	$(GO) test -run=^$$ -fuzz=FuzzConvolveDispatch$$ -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzPreambleCorrDispatch$$ -fuzztime=10s ./internal/zigbee
+	$(GO) test -run=^$$ -fuzz=FuzzZigBeeReceive$$ -fuzztime=10s ./internal/zigbee
+	$(GO) test -run=^$$ -fuzz=FuzzBluetoothReceive$$ -fuzztime=10s ./internal/bluetooth
 
 # fuzz-core smoke-fuzzes session configuration: random radio, rate,
 # payload size, redundancy, receiver mode, quaternary flag and coding must

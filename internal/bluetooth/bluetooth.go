@@ -149,7 +149,7 @@ func ModulateBits(b []byte) *signal.Signal {
 		}
 	}
 	// Gaussian pulse shaping of the frequency waveform.
-	freq := signal.ConvolveInto(a.Complex(len(nrz)), nrz, gaussTaps, a)
+	freq := signal.ConvolveInto(a.ComplexUninit(len(nrz)), nrz, gaussTaps)
 
 	// Phase integration: f_inst = Deviation * freq[n].
 	s := signal.New(SampleRate, len(freq))

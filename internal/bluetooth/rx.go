@@ -88,7 +88,9 @@ func (rx *Receiver) ReceiveAll(cap *signal.Signal) []*RxFrame {
 }
 
 func (rx *Receiver) receive(cap *signal.Signal, firstOnly bool) []*RxFrame {
-	disc := rx.demodulate(cap)
+	a := signal.GetArena()
+	defer a.Release()
+	disc := rx.DemodInto(cap, a).disc
 	var out []*RxFrame
 	from := 0
 	for {
@@ -119,7 +121,10 @@ func (rx *Receiver) receive(cap *signal.Signal, firstOnly bool) []*RxFrame {
 // the tag leaves the sync header unmodified, so detection works even when
 // the body bits are translated and the frame no longer parses.
 func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
-	return rx.Demod(cap).Detect()
+	a := signal.GetArena()
+	defer a.Release()
+	d := rx.DemodInto(cap, a)
+	return d.Detect()
 }
 
 // Demodulated is one channel-filter + FM-discrimination pass over a
@@ -142,33 +147,43 @@ type Demodulated struct {
 // discriminator output. The results are bit-identical to the one-shot
 // methods, which perform exactly this pass internally.
 func (rx *Receiver) Demod(cap *signal.Signal) *Demodulated {
-	disc, power := rx.demodulateFull(cap)
-	return &Demodulated{rx: rx, disc: disc, power: power}
-}
-
-// demodulate runs the channel filter + FM discriminator over a capture.
-// The filtered intermediate lives in a pooled arena (ConvolveInto is
-// bit-identical to Clone().Filter()), so the only escaping allocation is
-// the discriminator output itself.
-func (rx *Receiver) demodulate(cap *signal.Signal) []float64 {
-	disc, _ := rx.demodulateFull(cap)
-	return disc
-}
-
-// demodulateFull is demodulate plus, when CollectPower is set, the
-// per-sample filtered power snapshot taken before the arena holding the
-// filtered samples is released. power is nil when CollectPower is off.
-func (rx *Receiver) demodulateFull(cap *signal.Signal) (disc, power []float64) {
 	a := signal.GetArena()
 	defer a.Release()
-	filtered := signal.ConvolveInto(a.Complex(len(cap.Samples)), cap.Samples, rx.channelFilter, a)
+	d := rx.demod(cap, a, nil)
+	return &d
+}
+
+// DemodInto is Demod with the discriminator output (and the power
+// snapshot under CollectPower) checked out of a: the pass is valid only
+// until a.Release, and a warm arena makes it allocation-free.
+func (rx *Receiver) DemodInto(cap *signal.Signal, a *signal.Arena) Demodulated {
+	return rx.demod(cap, a, a)
+}
+
+// demod is the channel filter + FM discriminator pass. The filtered
+// samples are scratch from a; disc and power come from out, or from the
+// heap when out is nil. power is nil when CollectPower is off.
+func (rx *Receiver) demod(cap *signal.Signal, a, out *signal.Arena) Demodulated {
+	n := len(cap.Samples)
+	filtered := signal.ConvolveInto(a.ComplexUninit(n), cap.Samples, rx.channelFilter)
+	d := Demodulated{rx: rx, disc: floats(out, n)}
 	if rx.CollectPower {
-		power = make([]float64, len(filtered))
+		d.power = floats(out, n)
 		for i, v := range filtered {
-			power[i] = real(v)*real(v) + imag(v)*imag(v)
+			d.power[i] = real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
-	return Discriminate(&signal.Signal{Rate: cap.Rate, Samples: filtered}), power
+	discriminateInto(d.disc, &signal.Signal{Rate: cap.Rate, Samples: filtered})
+	return d
+}
+
+// floats returns n unspecified float64s from out, or from the heap when
+// out is nil.
+func floats(out *signal.Arena, n int) []float64 {
+	if out == nil {
+		return make([]float64, n)
+	}
+	return out.FloatUninit(n)
 }
 
 // Detect is Receiver.Detect against the shared discriminator pass.
@@ -215,12 +230,20 @@ func (d *Demodulated) BitPowers(start, nBits int) []float64 {
 // corrupts the integrate-and-dump decision for the whole bit.
 func Discriminate(s *signal.Signal) []float64 {
 	out := make([]float64, len(s.Samples))
-	if len(s.Samples) < 2 {
-		return out
+	discriminateInto(out, s)
+	return out
+}
+
+// discriminateInto is Discriminate writing every element of
+// out[:len(s.Samples)].
+func discriminateInto(out []float64, s *signal.Signal) {
+	meanP := 0.0
+	if len(s.Samples) >= 2 {
+		meanP = s.MeanPower()
 	}
-	meanP := s.MeanPower()
 	if meanP <= 0 {
-		return out
+		clear(out)
+		return
 	}
 	nominal := math.Sin(2 * math.Pi * Deviation / s.Rate)
 	norm := 1 / (meanP * nominal)
@@ -230,17 +253,21 @@ func Discriminate(s *signal.Signal) []float64 {
 		out[i] = im * norm
 	}
 	out[0] = out[1]
-	return out
 }
+
+// syncTemplatePow is the sync template's energy, summed in index order.
+var syncTemplatePow = func() float64 {
+	var p float64
+	for _, v := range syncTemplate {
+		p += v * v
+	}
+	return p
+}()
 
 // detect slides the sync template over the discriminator output, returning
 // the best start index and normalised correlation quality.
 func (rx *Receiver) detect(disc []float64, from int) (int, float64) {
 	tpl := syncTemplate
-	var tplPow float64
-	for _, v := range tpl {
-		tplPow += v * v
-	}
 	best, bestQ := -1, 0.0
 	for i := from; i+len(tpl) <= len(disc); i++ {
 		var acc, pow float64
@@ -252,7 +279,7 @@ func (rx *Receiver) detect(disc []float64, from int) (int, float64) {
 		if pow <= 0 {
 			continue
 		}
-		q := acc / math.Sqrt(pow*tplPow)
+		q := acc / math.Sqrt(pow*syncTemplatePow)
 		if q > bestQ {
 			best, bestQ = i, q
 		}
@@ -337,13 +364,6 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) (*
 	}, end
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RawBitsAt channel-filters and FM-discriminates the capture, then slices
 // nBits hard bit decisions starting at sample index start, with no framing,
 // sync or de-whitening applied. This is what FreeRider's backscatter decoder
@@ -351,7 +371,9 @@ func min(a, b int) int {
 // it over the backhaul) and extracts tag data by comparing streams, so it
 // does not depend on the translated frame parsing cleanly.
 func (rx *Receiver) RawBitsAt(cap *signal.Signal, start, nBits int) []byte {
-	return rawBitsFrom(rx.demodulate(cap), start, nBits)
+	a := signal.GetArena()
+	defer a.Release()
+	return rawBitsFrom(rx.DemodInto(cap, a).disc, start, nBits)
 }
 
 func rawBitsFrom(disc []float64, start, nBits int) []byte {

@@ -444,8 +444,11 @@ func (p *bluetoothPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	rx.DetectionThreshold = p.cfg.detectionThreshold(btDetectionThreshold)
 	rx.CollectPower = p.cfg.ReceiverMode == SingleReceiver
 	// One channel-filter + discriminator pass answers both the sync
-	// detection and the raw bit slicing.
-	demod := rx.Demod(cap)
+	// detection and the raw bit slicing; its buffers live until the
+	// features below have been copied out.
+	a := signal.GetArena()
+	defer a.Release()
+	demod := rx.DemodInto(cap, a)
 	start, q := demod.Detect()
 	if start < 0 || q < rx.DetectionThreshold {
 		return lost

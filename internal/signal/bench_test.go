@@ -61,43 +61,21 @@ func BenchmarkConvolve101Taps(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolveFFT101Taps times the overlap-save path on the same
-// shape as BenchmarkConvolve101Taps, so bench-dsp tracks the FFT-vs-direct
-// ratio of the 101-tap channel filter directly.
-func BenchmarkConvolveFFT101Taps(b *testing.B) {
-	s := benchSignal(4096)
-	h, err := LowpassFIR(20e6, 2e6, 101)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ConvolveFFT(s.Samples, h) // warm the plan/response cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvolveFFT(s.Samples, h)
-	}
-}
-
-// BenchmarkConvolveFFTCapture129Taps is the Bluetooth receive shape: the
-// 129-tap channel-select filter over a full ~36k-sample capture, arena-
-// backed. This is the shape where overlap-save pays for itself.
-func BenchmarkConvolveFFTCapture129Taps(b *testing.B) {
-	s := benchSignal(36864)
-	h, err := LowpassFIR(32e6, 1.5e6, 129)
+// BenchmarkConvolveCapture129Taps is the Bluetooth receive shape: the
+// 129-tap ±500 kHz channel-select filter at 8 MHz over a 17,696-sample
+// capture (a 255-byte frame plus guard), written into a reused output
+// as bluetooth's demodulator does.
+func BenchmarkConvolveCapture129Taps(b *testing.B) {
+	s := benchSignal(17696)
+	h, err := LowpassFIR(8e6, 0.5e6, 129)
 	if err != nil {
 		b.Fatal(err)
 	}
 	dst := make([]complex128, len(s.Samples))
-	// Arena scoped per iteration, as the per-packet receive path does.
-	warm := GetArena()
-	ConvolveFFTInto(dst, s.Samples, h, warm)
-	warm.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := GetArena()
-		ConvolveFFTInto(dst, s.Samples, h, a)
-		a.Release()
+		ConvolveInto(dst, s.Samples, h)
 	}
 }
 

@@ -77,26 +77,6 @@ func TestFFTDispatchBitIdentity(t *testing.T) {
 	}
 }
 
-// TestConvolveFFTDispatchBitIdentity covers the overlap-save consumer:
-// the full filtering path (forward FFT, spectral multiply, raw inverse)
-// must be bit-identical under both dispatch modes, including lengths
-// that straddle the segmented-convolution block boundaries.
-func TestConvolveFFTDispatchBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	taps := make([]float64, 33)
-	for i := range taps {
-		taps[i] = rng.NormFloat64()
-	}
-	for _, n := range []int{1, 17, 64, 127, 128, 129, 500, 1000} {
-		in := randomComplex(rng, n)
-		withBothDispatchModes(t, func() []complex128 {
-			return ConvolveFFT(append([]complex128(nil), in...), taps)
-		}, func(goRes, simdRes []complex128) {
-			requireBitIdentical(t, "ConvolveFFT", goRes, simdRes)
-		})
-	}
-}
-
 // FuzzFFTSIMD is the FFT half of `make fuzz-simd`: arbitrary sample
 // bytes (interpreted as float64 bits, so NaNs, infinities, subnormals
 // and negative zeros all appear) run through both dispatch modes.

@@ -3,7 +3,8 @@ package signal
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"repro/internal/simd"
 )
 
 // LowpassFIR designs a windowed-sinc (Hamming) lowpass FIR filter with the
@@ -66,264 +67,88 @@ func Convolve(x []complex128, h []float64) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return nil
 	}
-	full := make([]complex128, len(x)+len(h)-1)
-	for i, xv := range x {
-		for j, hv := range h {
-			full[i+j] += xv * complex(hv, 0)
-		}
-	}
-	delay := (len(h) - 1) / 2
-	out := make([]complex128, len(x))
-	copy(out, full[delay:delay+len(x)])
-	return out
+	return ConvolveInto(make([]complex128, len(x)), x, h)
 }
 
-// ConvolveInto is Convolve with caller-provided storage: the result is
-// appended to dst[:0] and the intermediate full-length product comes from
-// the arena, so a warm caller allocates nothing. The multiply–accumulate
-// order is exactly Convolve's, so the output is bit-identical.
-func ConvolveInto(dst, x []complex128, h []float64, a *Arena) []complex128 {
+// ConvolveInto is Convolve with caller-provided storage: the len(x)
+// outputs are written to dst[:len(x)] (reallocated only when dst is too
+// small), so a warm caller allocates nothing. dst must not overlap x.
+//
+// Each output is gathered: output k is the full-convolution sample
+// n = k + (len(h)−1)/2, the sum of x[i]·h[n−i] over every valid i taken
+// from +0 in ascending i. That is exactly the order in which a scatter
+// loop over x (full[i+j] += x[i]·h[j]) adds into full[n], so the result
+// is bit-identical to the textbook form without its len(x)+len(h)−1
+// intermediate. The interior outputs, whose taps all land inside x, are
+// a "valid" FIR (simd.FIRReal when dispatched, firRealGo otherwise);
+// the edges drop the taps that fall outside x.
+func ConvolveInto(dst, x []complex128, h []float64) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return dst[:0]
 	}
-	full := a.Complex(len(x) + len(h) - 1)
-	for i, xv := range x {
-		row := full[i : i+len(h) : i+len(h)]
-		for j, hv := range h {
-			row[j] += xv * complex(hv, 0)
-		}
+	if cap(dst) < len(x) {
+		dst = make([]complex128, len(x))
 	}
-	delay := (len(h) - 1) / 2
-	return append(dst[:0], full[delay:delay+len(x)]...)
-}
-
-// ConvolveFFTThreshold is the tap count at and above which overlap-save FFT
-// convolution (ConvolveFFT) beats the direct form for typical capture
-// lengths (see ConvolveUseFFT for the length-aware crossover). Re-measured
-// with the SIMD FFT butterflies dispatched: the vectorized transforms
-// shrink the FFT path's wall time ~1.6× but the crossover stays at ~128
-// taps because the direct form's contiguous multiply-add loop was never
-// the bottleneck the op-count model assumed — see convolveFFTOpCost for
-// the sweep data. It is advisory: the FFT path reorders floating-point
-// summation and is therefore NOT bit-identical to Convolve, so bit-exact
-// paths (anything feeding the golden vectors or the RunParallel identity
-// check) must keep calling Convolve/ConvolveInto regardless of tap count.
-const ConvolveFFTThreshold = 128
-
-// ConvolveFFTTolerance bounds the relative error of ConvolveFFT against the
-// direct Convolve reference: for every output sample,
-//
-//	|fft − direct| ≤ ConvolveFFTTolerance · Σ|x[i]|·|h[j]|  (the L1 mass)
-//
-// The FFT path accumulates O(log n) rounding steps per output versus the
-// direct form's O(taps), both in float64, so the observed error is ~1e-15
-// relative; the gate leaves three orders of magnitude of slack and the
-// property tests in filter_fft_test.go enforce it across the crossover.
-const ConvolveFFTTolerance = 1e-12
-
-// convolveFFTOpCost is the measured cost of one FFT-path "op" in the
-// ConvolveUseFFT model, in units of one direct-form multiply-add. It
-// calibrates the op-count model against wall time with the SIMD
-// butterflies dispatched (re-measure if the kernels change): sweeping
-// ConvolveInto vs ConvolveFFTInto over nx ∈ {1024, 4096, 16384} and
-// nh ∈ {8..128} (AVX2 host, warm FIR plans, arena-backed so neither
-// side allocates), the direct form wins through 64 taps at every
-// length (fft/direct wall-time 1.04×–1.5×), the two paths cross
-// between 96 and 128 taps (nh=96: direct 3.13 ms vs fft 2.83 ms at
-// nx=16384 but 1.04 ms vs 1.14 ms at nx=4096; nh=128: fft wins at
-// every nx ≥ 4096, 3.78 ms vs 2.37 ms at nx=16384), and 3.0 is the
-// per-op ratio that reproduces that crossover. The uncalibrated model
-// predicted the FFT path from 24 taps — ~4× too eager — because the
-// butterfly's shuffle-heavy complex multiply costs ~3 direct MACs even
-// vectorized, not 1.
-const convolveFFTOpCost = 3.0
-
-// ConvolveUseFFT reports whether the overlap-save FFT path is predicted to
-// beat direct convolution for an nx-sample input filtered by nh taps. The
-// model counts whole blocks: direct is 4·nx·nh real multiply-adds; the FFT
-// path runs ⌈(nx+nh−1)/L⌉ blocks of two n-point transforms plus a pointwise
-// product (≈ n·(10·log2(n) + 8) real ops each, weighted by the measured
-// convolveFFTOpCost), with L = n−nh+1 outputs per block. Counting whole
-// blocks rather than amortised per-output cost charges the FFT path for
-// its final partial block, which is what sinks it on short captures.
-// Short signals and short filters stay on the direct form, which is also
-// the bit-identical one.
-func ConvolveUseFFT(nx, nh int) bool {
-	if nx == 0 || nh == 0 || nh < 16 {
-		return false
-	}
-	n := convolveFFTSize(nh)
-	l := n - nh + 1
-	blocks := (nx + nh - 1 + l - 1) / l
-	fftOps := float64(blocks) * float64(n) * (10*math.Log2(float64(n)) + 8) * convolveFFTOpCost
-	directOps := 4 * float64(nx) * float64(nh)
-	return fftOps < directOps
-}
-
-// convolveFFTSize picks the overlap-save block size for an m-tap filter:
-// the power of two at least 4·m (and at least 64), which keeps ≥ 75% of
-// every block's outputs valid while the transforms stay cache-resident.
-func convolveFFTSize(m int) int {
-	n := 1
-	for n < 4*m || n < 64 {
-		n <<= 1
-	}
-	return n
-}
-
-// firPlan carries one filter's frequency-domain image at one block size,
-// cached so repeated ConvolveFFT calls with the same taps (the per-packet
-// channel and Gauss filters) skip the filter FFT and its allocation.
-type firPlan struct {
-	plan *Plan
-	taps []float64    // defensive copy, compared on lookup against collisions
-	hf   []complex128 // n-point FFT of taps
-}
-
-// firPlanCache maps {tap hash, tap count, block size} to *firPlan.
-// Collisions are resolved by comparing the stored taps, so a hash collision
-// costs one extra build, never a wrong filter.
-var firPlanCache sync.Map // firKey -> []*firPlan
-
-type firKey struct {
-	hash uint64
-	m, n int
-}
-
-func tapsHash(h []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	acc := uint64(offset64)
-	for _, v := range h {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			acc ^= (b >> s) & 0xFF
-			acc *= prime64
-		}
-	}
-	return acc
-}
-
-func firPlanFor(h []float64, n int) (*firPlan, error) {
-	key := firKey{hash: tapsHash(h), m: len(h), n: n}
-	if v, ok := firPlanCache.Load(key); ok {
-		for _, fp := range v.([]*firPlan) {
-			if floatsEqual(fp.taps, h) {
-				return fp, nil
-			}
-		}
-	}
-	p, err := PlanFor(n)
-	if err != nil {
-		return nil, err
-	}
-	hf := make([]complex128, n)
-	for i, hv := range h {
-		hf[i] = complex(hv, 0)
-	}
-	if err := p.FFT(hf); err != nil {
-		return nil, err
-	}
-	fp := &firPlan{plan: p, taps: append([]float64(nil), h...), hf: hf}
-	for {
-		v, loaded := firPlanCache.LoadOrStore(key, []*firPlan{fp})
-		if !loaded {
-			return fp, nil
-		}
-		plans := v.([]*firPlan)
-		for _, prior := range plans {
-			if floatsEqual(prior.taps, h) {
-				return prior, nil
-			}
-		}
-		if firPlanCache.CompareAndSwap(key, v, append(append([]*firPlan(nil), plans...), fp)) {
-			return fp, nil
-		}
-	}
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// ConvolveFFT computes the same "same"-aligned filtering as Convolve using
-// overlap-save FFT blocks. The filter's frequency response is plan-cached
-// (first call per filter pays one FFT; every later call is lookup-only) and
-// all scratch comes from a pooled arena, so a warm call allocates only its
-// result. Results agree with Convolve to ConvolveFFTTolerance — summation
-// order differs — so this path is opt-in for analysis, offline tooling and
-// explicitly-gated fast paths, never a silent replacement on bit-exact
-// decode paths.
-func ConvolveFFT(x []complex128, h []float64) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	a := GetArena()
-	defer a.Release()
-	out := make([]complex128, len(x))
-	return convolveFFTInto(out, x, h, a)
-}
-
-// ConvolveFFTInto is ConvolveFFT with caller-provided storage: the result
-// is written into dst[:len(x)] (which must have capacity) and scratch comes
-// from the supplied arena, so a warm caller allocates nothing.
-func ConvolveFFTInto(dst, x []complex128, h []float64, a *Arena) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return dst[:0]
-	}
-	return convolveFFTInto(dst[:len(x)], x, h, a)
-}
-
-func convolveFFTInto(out, x []complex128, h []float64, a *Arena) []complex128 {
+	dst = dst[:len(x)]
 	m := len(h)
-	n := convolveFFTSize(m)
-	fp, err := firPlanFor(h, n)
-	if err != nil {
-		// Unreachable (n is a power of two), but fail exact rather than wrong.
-		return append(out[:0], Convolve(x, h)...)
-	}
-	p, hf := fp.plan, fp.hf
-	block := a.ComplexUninit(n)
-	fullLen := len(x) + m - 1
-	full := a.ComplexUninit(fullLen)
-	// Overlap-save: each block covers input x[pos-m+1 : pos-m+1+n]; after
-	// the circular convolution, entries m-1..n-1 are valid linear-convolution
-	// outputs full[pos : pos+L].
-	L := n - m + 1
-	for pos := 0; pos < fullLen; pos += L {
-		lo := pos - m + 1
-		for i := 0; i < n; i++ {
-			idx := lo + i
-			if idx >= 0 && idx < len(x) {
-				block[i] = x[idx]
-			} else {
-				block[i] = 0
-			}
-		}
-		p.FFT(block)
-		for i := range block {
-			block[i] *= hf[i]
-		}
-		p.IFFT(block)
-		lim := L
-		if pos+lim > fullLen {
-			lim = fullLen - pos
-		}
-		copy(full[pos:pos+lim], block[m-1:m-1+lim])
-	}
 	delay := (m - 1) / 2
-	copy(out, full[delay:delay+len(x)])
-	return out
+	// Interior output k reads x[k−lo : k−lo+m].
+	lo := min(m-1-delay, len(x))
+	hi := max(lo, len(x)-delay)
+	interior := dst[lo:hi]
+	if simd.RxEnabled() {
+		vec := len(interior) &^ 7
+		simd.FIRReal(interior[:vec], x, h)
+		firRealGo(interior[vec:], x[vec:], h)
+	} else {
+		firRealGo(interior, x, h)
+	}
+	convolveEdge(dst, x, h, 0, lo)
+	convolveEdge(dst, x, h, hi, len(x))
+	return dst
+}
+
+// firRealGo is the Go definition of simd.FIRReal:
+// dst[q] = Σ_{t<len(h)} x[q+t]·complex(h[len(h)−1−t], 0), summed from +0
+// in t order. Four outputs share each pass so their independent sums
+// overlap instead of queueing on one add-latency chain.
+func firRealGo(dst, x []complex128, h []float64) {
+	m := len(h)
+	q := 0
+	for ; q+4 <= len(dst); q += 4 {
+		xs := x[q : q+m+3]
+		var a0, a1, a2, a3 complex128
+		for t := 0; t < m; t++ {
+			hv := complex(h[m-1-t], 0)
+			a0 += xs[t] * hv
+			a1 += xs[t+1] * hv
+			a2 += xs[t+2] * hv
+			a3 += xs[t+3] * hv
+		}
+		dst[q], dst[q+1], dst[q+2], dst[q+3] = a0, a1, a2, a3
+	}
+	for ; q < len(dst); q++ {
+		var acc complex128
+		for t, xv := range x[q : q+m] {
+			acc += xv * complex(h[m-1-t], 0)
+		}
+		dst[q] = acc
+	}
+}
+
+// convolveEdge computes ConvolveInto's outputs k0..k1−1 near either end
+// of x, where some taps fall outside it.
+func convolveEdge(dst, x []complex128, h []float64, k0, k1 int) {
+	m := len(h)
+	delay := (m - 1) / 2
+	for k := k0; k < k1; k++ {
+		n := k + delay
+		var acc complex128
+		for i := max(0, n-m+1); i <= min(n, len(x)-1); i++ {
+			acc += x[i] * complex(h[n-i], 0)
+		}
+		dst[k] = acc
+	}
 }
 
 // Filter applies h to the signal in place (same alignment) and returns it.

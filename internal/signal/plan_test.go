@@ -221,49 +221,15 @@ func TestConvolveIntoBitIdentical(t *testing.T) {
 			h[i] = rng.NormFloat64()
 		}
 		want := Convolve(x, h)
-		a := GetArena()
-		got := ConvolveInto(nil, x, h, a)
+		got := ConvolveInto(nil, x, h)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d taps=%d sample %d: %v vs %v", tc.n, tc.taps, i, got[i], want[i])
 			}
 		}
-		a.Release()
 	}
-	a := GetArena()
-	defer a.Release()
-	if out := ConvolveInto(nil, nil, []float64{1}, a); len(out) != 0 {
+	if out := ConvolveInto(nil, nil, []float64{1}); len(out) != 0 {
 		t.Error("empty input should give empty output")
-	}
-}
-
-func TestConvolveFFTMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for _, tc := range []struct{ n, taps int }{{64, 129}, {1000, 129}, {5000, 257}, {100, 401}, {37, 5}} {
-		x := randComplex(rng, tc.n)
-		h := make([]float64, tc.taps)
-		for i := range h {
-			h[i] = rng.NormFloat64() / float64(tc.taps)
-		}
-		want := Convolve(x, h)
-		got := ConvolveFFT(x, h)
-		if len(got) != len(want) {
-			t.Fatalf("length %d, want %d", len(got), len(want))
-		}
-		var scale float64
-		for _, v := range want {
-			scale += real(v)*real(v) + imag(v)*imag(v)
-		}
-		scale = math.Sqrt(scale/float64(len(want))) + 1e-30
-		for i := range want {
-			d := got[i] - want[i]
-			if math.Hypot(real(d), imag(d)) > 1e-9*scale+1e-12 {
-				t.Fatalf("n=%d taps=%d sample %d: fft %v, direct %v", tc.n, tc.taps, i, got[i], want[i])
-			}
-		}
-	}
-	if ConvolveFFT(nil, []float64{1}) != nil {
-		t.Error("nil input should give nil")
 	}
 }
 

@@ -44,3 +44,16 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 //
 //go:noescape
 func fftPass(x *complex128, n int, tw *complex128, size int)
+
+// rxKernels reports that this build carries FIRReal and PreambleCorr.
+const rxKernels = true
+
+// firReal is the AVX2 real-tap FIR kernel (fir_amd64.s).
+//
+//go:noescape
+func firReal(dst *complex128, n int, x *complex128, h *float64, m int)
+
+// preambleCorr is the AVX2 segmented correlation kernel (corr_amd64.s).
+//
+//go:noescape
+func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, tpl *complex128, seg int, segs int)

@@ -19,3 +19,13 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 func fftPass(x *complex128, n int, tw *complex128, size int) {
 	panic("simd: fftPass called on a build without asm kernels")
 }
+
+const rxKernels = false
+
+func firReal(dst *complex128, n int, x *complex128, h *float64, m int) {
+	panic("simd: firReal called on a build without asm kernels")
+}
+
+func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, tpl *complex128, seg int, segs int) {
+	panic("simd: preambleCorr called on a build without asm kernels")
+}

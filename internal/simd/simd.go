@@ -1,13 +1,21 @@
-// Package simd provides runtime-dispatched vector kernels for the two
+// Package simd provides runtime-dispatched vector kernels for the four
 // hottest inner loops in the decode chain: the int16 Viterbi
-// add-compare-select step (wifi.ViterbiDecodeSoftQ) and the radix-2
-// complex FFT butterfly pass (signal.Plan). Each kernel has a Go
-// assembly implementation per architecture (AVX2 on amd64, NEON on
-// arm64) and the callers keep their pure-Go loops as the
-// always-available fallback.
+// add-compare-select step (wifi.ViterbiDecodeSoftQ), the radix-2
+// complex FFT butterfly pass (signal.Plan), the real-tap FIR behind
+// signal.ConvolveInto (the Bluetooth channel filter and the GFSK
+// Gaussian filter) and the ZigBee preamble correlation scan
+// (zigbee.(*Receiver).detect). Each kernel has a Go assembly
+// implementation (AVX2 on amd64; NEON on arm64 for the first two) and
+// the callers keep their pure-Go loops as the always-available
+// fallback and the semantic definition.
 //
-// Exactness contract: both kernels are bit-identical to the pure-Go
-// reference for every input, not just typical ones.
+// Exactness contract: every kernel is bit-identical to the pure-Go
+// reference for every input, not just typical ones. The one exception
+// is a NaN's payload bits where two NaNs meet in a commutative add or
+// multiply: which operand x86 propagates follows the instruction's
+// operand order, which for compiled Go is a register-allocation choice
+// (two Go spellings of the same loop already disagree). NaN-ness itself
+// is always identical, as is every non-NaN bit (±Inf, −0, subnormals).
 //
 //   - ViterbiACS does its arithmetic in 32-bit lanes (sign-extended
 //     from the int16 metrics) exactly like the Go kernel's plain-int
@@ -23,6 +31,17 @@
 //     im = br·wi + bi·wr; lo' = a+prod, hi' = a−prod), with no
 //     reassociation, fused multiply-add, or extended precision, so
 //     float results are bit-identical to the Go loop.
+//
+//   - FIRReal vectorizes across outputs only; each output is summed
+//     from +0 in input-index order, and each term is Go's complex
+//     multiply by complex(h, 0) with its ·0 cross terms kept
+//     (re = xr·h − xi·0, im = xi·h + xr·0), so Inf samples, −0 and
+//     subnormals round exactly as in the scalar loop.
+//
+//   - PreambleCorr vectorizes across scan positions only; each
+//     segment sum and the running power keep the scalar order, the
+//     products use FFTPass's lowering, and VHADDPD forms xr² + xi²
+//     exactly as the scalar expression does.
 //
 // Dispatch is decided once at init from CPU features, can be disabled
 // at build time with the `noasm` build tag, at process start with the
@@ -125,4 +144,67 @@ func FFTPass(x []complex128, tw []complex128, size int) {
 		return
 	}
 	fftPass(&x[0], len(x), &tw[0], size)
+}
+
+// RxEnabled reports whether FIRReal and PreambleCorr are dispatched:
+// Enabled() on builds that carry them (amd64). arm64 has no NEON twins
+// of these two, so its callers stay on their Go loops even while
+// Enabled() is true for ViterbiACS and FFTPass.
+func RxEnabled() bool { return rxKernels && active.Load() }
+
+// FIRReal computes len(dst) outputs of a real-tap FIR over complex
+// samples, each summed from +0 in input order:
+//
+//	dst[q] = Σ_{t<len(h)} x[q+t] · complex(h[len(h)-1-t], 0)
+//
+// This is the "valid" part of a convolution: output q reads
+// x[q : q+len(h)]. len(dst) must be a multiple of 8, len(h) ≥ 1 and
+// len(x) ≥ len(dst)+len(h)−1; dst must not overlap x. Callers must
+// check RxEnabled().
+func FIRReal(dst, x []complex128, h []float64) {
+	if len(dst)%8 != 0 {
+		panic("simd: FIRReal output count must be a multiple of 8")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	if len(h) == 0 || len(x) < len(dst)+len(h)-1 {
+		panic("simd: FIRReal input shorter than outputs + taps - 1")
+	}
+	firReal(&dst[0], len(dst), &x[0], &h[0], len(h))
+}
+
+// PreambleCorr correlates npos = len(pow) adjacent scan positions of x
+// against tpl cut into segments of seg samples. For position p and
+// segment s:
+//
+//	acc[s*stride+p] = Σ_{j<seg} x[p+s*seg+j] · tpl[s*seg+j]
+//	pow[p]          = Σ_{k<len(tpl)} real(x[p+k])² + imag(x[p+k])²
+//
+// with each product lowered as (xr·cr − xi·ci, xr·ci + xi·cr), each
+// segment sum taken from +0 in j order and pow running over all
+// segments in k order. tpl is used as given (pass the conjugated
+// template for a matched filter). len(pow) must be a multiple of 8,
+// len(tpl) a positive multiple of seg, stride ≥ len(pow),
+// len(acc) ≥ (segments−1)·stride + len(pow) and
+// len(x) ≥ len(pow)−1+len(tpl). Callers must check RxEnabled().
+func PreambleCorr(acc []complex128, stride int, pow []float64, x, tpl []complex128, seg int) {
+	npos := len(pow)
+	if npos%8 != 0 {
+		panic("simd: PreambleCorr position count must be a multiple of 8")
+	}
+	if npos == 0 {
+		return
+	}
+	if seg < 1 || len(tpl) == 0 || len(tpl)%seg != 0 {
+		panic("simd: PreambleCorr template must be whole segments")
+	}
+	segs := len(tpl) / seg
+	if stride < npos || len(acc) < (segs-1)*stride+npos {
+		panic("simd: PreambleCorr accumulator layout too small")
+	}
+	if len(x) < npos-1+len(tpl) {
+		panic("simd: PreambleCorr input shorter than positions + template")
+	}
+	preambleCorr(&acc[0], stride, &pow[0], npos, &x[0], &tpl[0], seg, segs)
 }

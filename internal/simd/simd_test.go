@@ -96,8 +96,11 @@ func TestEnvOverrideSubprocess(t *testing.T) {
 func TestKernelContracts(t *testing.T) {
 	var m [64]int16
 	var s [64]int32
-	// Zero steps is a no-op regardless of dispatch mode or build.
+	// Zero steps (outputs, positions) is a no-op regardless of dispatch
+	// mode or build.
 	ViterbiACS(&m, &s, nil, nil)
+	FIRReal(nil, nil, nil)
+	PreambleCorr(nil, 0, nil, nil, nil, 0)
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -119,5 +122,30 @@ func TestKernelContracts(t *testing.T) {
 	})
 	mustPanic("ragged input", func() {
 		FFTPass(make([]complex128, 6), make([]complex128, 2), 4)
+	})
+	mustPanic("FIR output count", func() {
+		FIRReal(make([]complex128, 6), make([]complex128, 8), make([]float64, 3))
+	})
+	mustPanic("FIR short input", func() {
+		FIRReal(make([]complex128, 8), make([]complex128, 9), make([]float64, 3))
+	})
+	mustPanic("FIR no taps", func() {
+		FIRReal(make([]complex128, 8), make([]complex128, 8), nil)
+	})
+	tpl := make([]complex128, 64)
+	mustPanic("corr position count", func() {
+		PreambleCorr(make([]complex128, 64), 4, make([]float64, 4), make([]complex128, 128), tpl, 16)
+	})
+	mustPanic("corr ragged template", func() {
+		PreambleCorr(make([]complex128, 64), 8, make([]float64, 8), make([]complex128, 128), tpl, 24)
+	})
+	mustPanic("corr accumulator layout", func() {
+		PreambleCorr(make([]complex128, 31), 8, make([]float64, 8), make([]complex128, 128), tpl, 16)
+	})
+	mustPanic("corr stride", func() {
+		PreambleCorr(make([]complex128, 64), 4, make([]float64, 8), make([]complex128, 128), tpl, 16)
+	})
+	mustPanic("corr short input", func() {
+		PreambleCorr(make([]complex128, 32), 8, make([]float64, 8), make([]complex128, 70), tpl, 16)
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
 // Errors returned by the receiver.
@@ -229,32 +230,84 @@ func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 // 8 µs slice only rotates ~58° at 20 kHz CFO).
 const detectSegments = PreambleSymbols * 2
 
+// detectSeg is the length in samples of one detection slice.
+const detectSeg = PreambleSymbols * SymbolSamples / detectSegments
+
+// detectBlock is the number of adjacent scan positions correlated in one
+// pass. Positions a pass computes beyond an early stop are discarded.
+const detectBlock = 16
+
+// preamblePow is the preamble template's energy, summed in index order.
+var preamblePow = func() float64 {
+	var p float64
+	for _, v := range preambleTemplate {
+		p += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return p
+}()
+
 // detect correlates the preamble template slice-wise, returning the start
 // index, the complex channel gain estimate (coherent, so only valid after
 // CFO removal) and the normalised quality.
 func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float64) {
-	tpl := preambleTemplate
-	seg := len(tpl) / detectSegments
-	var tplPow float64
-	for _, v := range tpl {
-		tplPow += real(v)*real(v) + imag(v)*imag(v)
-	}
-	n := len(cap.Samples)
+	x := cap.Samples
+	last := len(x) - len(preambleTemplate) // final scan position
 	best, bestQ := -1, 0.0
 	var bestGain complex128
-	for i := from; i+len(tpl) <= n; i++ {
-		var mag float64
-		var coh complex128
-		var pow float64
-		// The correlation consumes the pre-conjugated template through the
-		// same real-arithmetic multiply/add order the complex expression
-		// `acc += x * cmplx.Conj(tpl[j])` lowers to, so the scan result is
-		// bit-identical while skipping per-sample conjugation and bounds
-		// checks.
+	var acc [detectSegments * detectBlock]complex128
+	var pow [detectBlock]float64
+	for i0 := from; i0 <= last; i0 += detectBlock {
+		npos := min(detectBlock, last-i0+1)
+		correlateBlock(acc[:], pow[:npos], x[i0:])
+		for p, pw := range pow[:npos] {
+			if pw == 0 {
+				continue
+			}
+			var mag float64
+			var coh complex128
+			for s := 0; s < detectSegments; s++ {
+				a := acc[s*detectBlock+p]
+				mag += math.Hypot(real(a), imag(a))
+				coh += a
+			}
+			i := i0 + p
+			q := mag / math.Sqrt(pw*preamblePow)
+			if q > bestQ {
+				best, bestQ = i, q
+				bestGain = coh / complex(preamblePow, 0)
+			}
+			// The preamble is symbol-periodic, so misalignments by a whole
+			// symbol also correlate strongly; keep scanning one full symbol
+			// past the best candidate before accepting it. Fixed internal
+			// gate: a low user threshold must not stop the scan on a noise
+			// blip before the true preamble.
+			if bestQ > 0.4 && i > best+SymbolSamples {
+				return best, bestGain, bestQ
+			}
+		}
+	}
+	return best, bestGain, bestQ
+}
+
+// correlateBlock fills, for the len(pow) scan positions starting at
+// x[0], each slice's correlation against the conjugated preamble
+// (acc[s*detectBlock+p]) and the window energy (pow[p]): whole groups
+// of 8 positions through simd.PreambleCorr when dispatched, the rest in
+// Go. The Go loop is the kernel's definition: each slice sums from +0 in
+// sample order, the product is spelled in the real arithmetic
+// `x * cmplx.Conj(tpl)` lowers to, and the energy runs across slices.
+func correlateBlock(acc []complex128, pow []float64, x []complex128) {
+	vec := 0
+	if simd.RxEnabled() {
+		vec = len(pow) &^ 7
+		simd.PreambleCorr(acc, detectBlock, pow[:vec], x, preambleConjTemplate, detectSeg)
+	}
+	for p := vec; p < len(pow); p++ {
+		var pw float64
 		for s := 0; s < detectSegments; s++ {
 			var accR, accI float64
-			cs := preambleConjTemplate[s*seg : (s+1)*seg : (s+1)*seg]
-			xs := cap.Samples[i+s*seg:]
+			cs := preambleConjTemplate[s*detectSeg : (s+1)*detectSeg : (s+1)*detectSeg]
+			xs := x[p+s*detectSeg:]
 			xs = xs[:len(cs):len(cs)]
 			for j, c := range cs {
 				x := xs[j]
@@ -262,49 +315,33 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 				cr, ci := real(c), imag(c)
 				accR += xr*cr - xi*ci
 				accI += xr*ci + xi*cr
-				pow += xr*xr + xi*xi
+				pw += xr*xr + xi*xi
 			}
-			mag += math.Hypot(accR, accI)
-			coh += complex(accR, accI)
+			acc[s*detectBlock+p] = complex(accR, accI)
 		}
-		if pow == 0 {
-			continue
-		}
-		q := mag / math.Sqrt(pow*tplPow)
-		if q > bestQ {
-			best, bestQ = i, q
-			bestGain = coh / complex(tplPow, 0)
-		}
-		// The preamble is symbol-periodic, so misalignments by a whole
-		// symbol also correlate strongly; keep scanning one full symbol
-		// past the best candidate before accepting it. Fixed internal
-		// gate: a low user threshold must not stop the scan on a noise
-		// blip before the true preamble.
-		if bestQ > 0.4 && i > best+SymbolSamples {
-			break
-		}
+		pow[p] = pw
 	}
-	return best, bestGain, bestQ
 }
 
 // decodeFrom demodulates a frame whose preamble starts at sample start.
+// Indices below are relative to start.
 func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (*RxFrame, error) {
-	samples := cap.Samples
+	samples := cap.Samples[start:]
 	if rx.CFOCorrection {
-		// Derotate a copy of the frame region using the preamble-derived
+		// Derotate the frame region into scratch using the preamble-derived
 		// offset, then re-estimate the channel gain coherently.
-		cfo := estimateCFO(samples, start, cap.Rate)
-		work := append([]complex128(nil), samples[start:]...)
+		cfo := estimateCFO(cap.Samples, start, cap.Rate)
+		a := signal.GetArena()
+		defer a.Release()
+		work := a.ComplexUninit(len(samples))
+		copy(work, samples)
 		signal.Derotate(work, cfo, cap.Rate)
-		samples = make([]complex128, start, start+len(work))
-		samples = append(samples, work...)
+		samples = work
 		var acc complex128
-		var tplPow float64
 		for j, r := range preambleTemplate {
-			acc += samples[start+j] * cmplx.Conj(r)
-			tplPow += real(r)*real(r) + imag(r)*imag(r)
+			acc += samples[j] * cmplx.Conj(r)
 		}
-		gain = acc / complex(tplPow, 0)
+		gain = acc / complex(preamblePow, 0)
 	}
 	if gain == 0 {
 		return nil, ErrNoFrame
@@ -342,7 +379,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 	}
 
 	// Skip preamble, check SFD (2 symbols), read length, then payload+FCS.
-	pos := start + PreambleSymbols*SymbolSamples
+	pos := PreambleSymbols * SymbolSamples
 	var hdr [4]byte // SFD low, SFD high, len low, len high nibbles
 	var corrSum, corrN float64
 	for i := 0; i < 4; i++ {
@@ -388,7 +425,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 	payload := body[:length-2]
 	fcs := uint16(body[length-2]) | uint16(body[length-1])<<8
 
-	frameSamples := &signal.Signal{Rate: cap.Rate, Samples: samples[start:min(pos, len(samples))]}
+	frameSamples := &signal.Signal{Rate: cap.Rate, Samples: samples[:min(pos, len(samples))]}
 	return &RxFrame{
 		Payload:    payload,
 		Symbols:    syms,
