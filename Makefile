@@ -57,14 +57,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # bench-serve benchmarks the HTTP service path (decode micro-batcher,
-# session pool) plus the sharded waveform-cache contention benchmark
-# through the same benchgate as the DSP suite: one JSONL trajectory point
-# per run in BENCH_SERVE.json (ns/op, allocs/op, plus the req/batch,
-# hit-rate, coalesced/s and lockwait-ns/op custom metrics), gated against
+# session pool) plus the waveform-cache contention benchmark through the
+# same benchgate as the DSP suite: one JSONL trajectory point per run in
+# BENCH_SERVE.json (ns/op, allocs/op, plus the req/batch, hit-rate,
+# coalesced/s and lockwait-ns/op custom metrics), gated against
 # BENCH_SERVE_BASELINE.json. The contention benchmark runs a fixed
-# iteration count so the shards_8-vs-shards_1 ratio is comparable across
-# runs. The serve suite has no calibration probe, so ns/op budgets are
-# compared unscaled.
+# iteration count so its ns/op and lock wait are comparable across runs.
+# The serve suite has no calibration probe, so ns/op budgets are compared
+# unscaled.
 BENCH_SERVE_TIME_CONTENTION ?= 500000x
 bench-serve:
 	@( $(GO) test -bench='DecodeEndpoint|SimulateEndpoint' -benchmem -benchtime=200x -count=3 -run=^$$ ./internal/server ; \

@@ -60,9 +60,6 @@ const (
 	Bluetooth = core.Bluetooth
 )
 
-// RadioNames lists the wire names ParseRadio accepts, in Radio order.
-func RadioNames() []string { return []string{"wifi", "zigbee", "bluetooth"} }
-
 // ParseRadio maps a case-insensitive wire name ("wifi", "zigbee",
 // "bluetooth") to its Radio. It is the inverse of RadioKey.
 func ParseRadio(name string) (Radio, error) {
@@ -74,7 +71,7 @@ func ParseRadio(name string) (Radio, error) {
 	case "bluetooth":
 		return Bluetooth, nil
 	}
-	return 0, fmt.Errorf("freerider: unknown radio %q (want %s)", name, strings.Join(RadioNames(), ", "))
+	return 0, fmt.Errorf("freerider: unknown radio %q (want wifi, zigbee, bluetooth)", name)
 }
 
 // RadioKey returns the stable wire name of a radio ("wifi", "zigbee",
@@ -103,10 +100,6 @@ const (
 	SingleReceiver = core.SingleReceiver
 )
 
-// ReceiverModeNames lists the wire names ParseReceiverMode accepts, in
-// ReceiverMode order.
-func ReceiverModeNames() []string { return []string{"dual", "single"} }
-
 // ParseReceiverMode maps a case-insensitive wire name to its
 // ReceiverMode. The empty string means DualReceiver, so absent request
 // fields and flags keep the historical behaviour.
@@ -117,7 +110,7 @@ func ParseReceiverMode(name string) (ReceiverMode, error) {
 	case "single":
 		return SingleReceiver, nil
 	}
-	return 0, fmt.Errorf("freerider: unknown receiver mode %q (want %s)", name, strings.Join(ReceiverModeNames(), ", "))
+	return 0, fmt.Errorf("freerider: unknown receiver mode %q (want dual, single)", name)
 }
 
 // WindowDecision is one decoded tag bit with its decision quality; see

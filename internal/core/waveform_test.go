@@ -102,12 +102,13 @@ func TestWaveformCacheQuaternaryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWaveformCacheShardedBitIdentical pins the sharding refactor's
-// correctness contract for every radio: a sharded cache and a single-shard
-// cache must produce byte-identical SessionResults on both the cold pass
-// (synthesis + insert paths) and the warm pass (lookup path), and both
-// must match the uncached run. Sharding may only change which entries
-// survive eviction pressure, never the bits an entry replays.
+// TestWaveformCacheShardedBitIdentical pins the cache's correctness
+// contract for every radio under two byte budgets: the default budget and
+// a one-byte budget that rejects every entry must produce byte-identical
+// SessionResults on both the cold pass (synthesis + insert paths) and the
+// warm pass (lookup path), and both must match the uncached run. The
+// budget may only change which entries survive, never the bits an entry
+// replays.
 func TestWaveformCacheShardedBitIdentical(t *testing.T) {
 	cases := []struct {
 		radio Radio
@@ -132,27 +133,31 @@ func TestWaveformCacheShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 16} {
-			cfg.Waveforms = waveform.NewSharded(0, shards)
+		for _, capBytes := range []int64{0, 1} {
+			cfg.Waveforms = waveform.New(capBytes)
 			cs, err := NewSession(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pass, want := 0, 0; pass < 2; pass++ {
+			for pass := 0; pass < 2; pass++ {
 				got, err := cs.Run(packets)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != plain {
-					t.Errorf("%v shards=%d pass %d: cached run %+v != uncached %+v",
-						c.radio, shards, pass, got, plain)
+					t.Errorf("%v cap=%d pass %d: cached run %+v != uncached %+v",
+						c.radio, capBytes, pass, got, plain)
 				}
-				want += packets
-				st := cfg.Waveforms.Stats()
-				if int(st.Hits+st.Misses) != want || st.Misses != packets {
-					t.Errorf("%v shards=%d pass %d: stats %+v, want %d misses total",
-						c.radio, shards, pass, st, packets)
-				}
+			}
+			st := cfg.Waveforms.Stats()
+			if int(st.Hits+st.Misses) != 2*packets {
+				t.Errorf("%v cap=%d: stats %+v, want %d lookups", c.radio, capBytes, st, 2*packets)
+			}
+			if capBytes == 0 && st.Misses != packets {
+				t.Errorf("%v: stats %+v, want %d misses total", c.radio, st, packets)
+			}
+			if capBytes == 1 && (st.Hits != 0 || st.Entries != 0) {
+				t.Errorf("%v: a 1-byte cache must store nothing, stats %+v", c.radio, st)
 			}
 		}
 	}

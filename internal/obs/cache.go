@@ -43,7 +43,6 @@ type CacheStats struct {
 	Entries       int     `json:"entries"`
 	Bytes         int64   `json:"bytes,omitempty"`
 	CapacityBytes int64   `json:"capacity_bytes,omitempty"`
-	Shards        int     `json:"shards,omitempty"`
 	Hits          int64   `json:"hits"`
 	Misses        int64   `json:"misses"`
 	Evictions     int64   `json:"evictions"`
@@ -52,17 +51,6 @@ type CacheStats struct {
 	Coalesced     int64   `json:"coalesced"`
 	LockWaitNs    int64   `json:"lock_wait_ns,omitempty"`
 	HitRate       float64 `json:"hit_rate"`
-}
-
-// ShardStats is the /metrics view of one cache shard: the size and
-// contention fields that are naturally per-shard. Lookup counters stay
-// aggregate (CacheStats) — a request doesn't care which shard served it.
-type ShardStats struct {
-	Entries       int   `json:"entries"`
-	Bytes         int64 `json:"bytes"`
-	CapacityBytes int64 `json:"capacity_bytes"`
-	Evictions     int64 `json:"evictions"`
-	LockWaitNs    int64 `json:"lock_wait_ns"`
 }
 
 // Snapshot captures the counters, computing the hit rate over all lookups.

@@ -32,8 +32,5 @@ func (g *Gate) TryEnter() bool {
 // Leave releases a slot claimed by TryEnter.
 func (g *Gate) Leave() { <-g.slots }
 
-// InUse returns the number of currently claimed slots.
-func (g *Gate) InUse() int { return len(g.slots) }
-
 // Capacity returns the gate's concurrent-entry bound.
 func (g *Gate) Capacity() int { return cap(g.slots) }

@@ -10,30 +10,27 @@ import (
 // metricsResponse is the GET /metrics payload: per-endpoint counters and
 // latency histograms (internal/obs), the session pool's measured hit
 // rate, the decode micro-batcher's coalescing statistics, and the
-// waveform cache in both aggregate (hits/misses/rejected/duplicates/
-// coalesced over all shards, one consistent snapshot) and per-shard
-// (entries, bytes, evictions, lock wait) form.
+// waveform cache's size, lookup counters (hits/misses/rejected/
+// duplicates/coalesced) and lock wait, read as one consistent snapshot.
 type metricsResponse struct {
-	UptimeSeconds       float64                         `json:"uptime_seconds"`
-	Endpoints           map[string]obs.EndpointSnapshot `json:"endpoints"`
-	SessionPool         poolStats                       `json:"session_pool"`
-	Batcher             batcherStats                    `json:"batcher"`
-	WaveformCache       obs.CacheStats                  `json:"waveform_cache"`
-	WaveformCacheShards []obs.ShardStats                `json:"waveform_cache_shards"`
-	FEC                 obs.FECStats                    `json:"fec"`
-	ReceiverModes       obs.ModeStats                   `json:"receiver_modes"`
+	UptimeSeconds float64                         `json:"uptime_seconds"`
+	Endpoints     map[string]obs.EndpointSnapshot `json:"endpoints"`
+	SessionPool   poolStats                       `json:"session_pool"`
+	Batcher       batcherStats                    `json:"batcher"`
+	WaveformCache obs.CacheStats                  `json:"waveform_cache"`
+	FEC           obs.FECStats                    `json:"fec"`
+	ReceiverModes obs.ModeStats                   `json:"receiver_modes"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, metricsResponse{
-		UptimeSeconds:       timeSince(s.start),
-		Endpoints:           s.endpoints.Snapshot(),
-		SessionPool:         s.pool.stats(),
-		Batcher:             s.batcher.stats(),
-		WaveformCache:       s.waveforms.Stats(),
-		WaveformCacheShards: s.waveforms.ShardStats(),
-		FEC:                 s.fec.Snapshot(),
-		ReceiverModes:       s.modes.Snapshot(),
+		UptimeSeconds: timeSince(s.start),
+		Endpoints:     s.endpoints.Snapshot(),
+		SessionPool:   s.pool.stats(),
+		Batcher:       s.batcher.stats(),
+		WaveformCache: s.waveforms.Stats(),
+		FEC:           s.fec.Snapshot(),
+		ReceiverModes: s.modes.Snapshot(),
 	})
 }
 

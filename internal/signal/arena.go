@@ -1,11 +1,11 @@
 package signal
 
 // Arena is a scratch-buffer allocator for the per-packet DSP kernels.
-// Buffers are checked out with Complex/Float/Bytes/Int32 and all returned
-// at once by Release; the arena itself cycles through a bounded FreeList
-// (GC-stable, unlike a sync.Pool — see pool.go), so a steady-state packet
-// path performs a deterministic zero heap allocations once the list is
-// warm.
+// Buffers are checked out with Complex/Bytes/Int16 (or their Uninit
+// variants) and all returned at once by Release; the arena itself cycles
+// through a bounded FreeList (GC-stable, unlike a sync.Pool — see pool.go),
+// so a steady-state packet path performs a deterministic zero heap
+// allocations once the list is warm.
 //
 // Ownership rules (see DESIGN.md §8): an arena serves one goroutine at a
 // time; every buffer obtained from it is valid only until Release and must
@@ -16,7 +16,6 @@ type Arena struct {
 	cFree, cUsed [][]complex128
 	fFree, fUsed [][]float64
 	bFree, bUsed [][]byte
-	iFree, iUsed [][]int32
 	sFree, sUsed [][]int16
 	uFree, uUsed [][]uint64
 }
@@ -37,13 +36,11 @@ func (a *Arena) Release() {
 	a.cFree = append(a.cFree, a.cUsed...)
 	a.fFree = append(a.fFree, a.fUsed...)
 	a.bFree = append(a.bFree, a.bUsed...)
-	a.iFree = append(a.iFree, a.iUsed...)
 	a.sFree = append(a.sFree, a.sUsed...)
 	a.uFree = append(a.uFree, a.uUsed...)
 	a.cUsed = a.cUsed[:0]
 	a.fUsed = a.fUsed[:0]
 	a.bUsed = a.bUsed[:0]
-	a.iUsed = a.iUsed[:0]
 	a.sUsed = a.sUsed[:0]
 	a.uUsed = a.uUsed[:0]
 	arenaPool.Put(a)
@@ -82,8 +79,7 @@ func (a *Arena) ComplexUninit(n int) []complex128 {
 
 // FloatUninit returns a scratch slice of n float64 values whose contents
 // are unspecified, for callers that assign every element before any read
-// (the matched-filter screen's prefix sums). Anything else must take the
-// zeroed Float.
+// (the matched-filter screen's prefix sums); there is no zeroed variant.
 func (a *Arena) FloatUninit(n int) []float64 {
 	for i, b := range a.fFree {
 		if cap(b) >= n {
@@ -91,26 +87,6 @@ func (a *Arena) FloatUninit(n int) []float64 {
 			a.fFree[i] = a.fFree[last]
 			a.fFree = a.fFree[:last]
 			b = b[:n]
-			a.fUsed = append(a.fUsed, b)
-			return b
-		}
-	}
-	b := make([]float64, n)
-	a.fUsed = append(a.fUsed, b)
-	return b
-}
-
-// Float returns a zeroed scratch slice of n float64 values.
-func (a *Arena) Float(n int) []float64 {
-	for i, b := range a.fFree {
-		if cap(b) >= n {
-			last := len(a.fFree) - 1
-			a.fFree[i] = a.fFree[last]
-			a.fFree = a.fFree[:last]
-			b = b[:n]
-			for j := range b {
-				b[j] = 0
-			}
 			a.fUsed = append(a.fUsed, b)
 			return b
 		}
@@ -181,7 +157,7 @@ func (a *Arena) Int16Uninit(n int) []int16 {
 
 // Uint64Uninit returns a scratch slice of n uint64 values whose contents
 // are unspecified, for callers that assign every element before any read
-// (the Viterbi traceback words). Anything else must take the zeroed Uint64.
+// (the Viterbi traceback words); there is no zeroed variant.
 func (a *Arena) Uint64Uninit(n int) []uint64 {
 	for i, b := range a.uFree {
 		if cap(b) >= n {
@@ -215,45 +191,5 @@ func (a *Arena) Int16(n int) []int16 {
 	}
 	b := make([]int16, n)
 	a.sUsed = append(a.sUsed, b)
-	return b
-}
-
-// Uint64 returns a zeroed scratch slice of n uint64 values.
-func (a *Arena) Uint64(n int) []uint64 {
-	for i, b := range a.uFree {
-		if cap(b) >= n {
-			last := len(a.uFree) - 1
-			a.uFree[i] = a.uFree[last]
-			a.uFree = a.uFree[:last]
-			b = b[:n]
-			for j := range b {
-				b[j] = 0
-			}
-			a.uUsed = append(a.uUsed, b)
-			return b
-		}
-	}
-	b := make([]uint64, n)
-	a.uUsed = append(a.uUsed, b)
-	return b
-}
-
-// Int32 returns a zeroed scratch slice of n int32 values.
-func (a *Arena) Int32(n int) []int32 {
-	for i, b := range a.iFree {
-		if cap(b) >= n {
-			last := len(a.iFree) - 1
-			a.iFree[i] = a.iFree[last]
-			a.iFree = a.iFree[:last]
-			b = b[:n]
-			for j := range b {
-				b[j] = 0
-			}
-			a.iUsed = append(a.iUsed, b)
-			return b
-		}
-	}
-	b := make([]int32, n)
-	a.iUsed = append(a.iUsed, b)
 	return b
 }

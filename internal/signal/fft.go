@@ -1,9 +1,6 @@
 package signal
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // FFT computes the in-place radix-2 decimation-in-time FFT of x. The length
 // must be a power of two. The transform is unnormalised (standard DFT sum).
@@ -33,18 +30,6 @@ func IFFT(x []complex128) error {
 	return p.IFFT(x)
 }
 
-// FFTShift reorders FFT output so the zero-frequency bin sits in the middle
-// of the slice (negative frequencies first). Returns a new slice; use
-// FFTShiftInPlace on a hot path.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
 // Spectrum returns the power spectrum (|X[k]|^2 / N^2) over the first n
 // samples of the signal, ordered with DC at bin 0. n must be a power of two
 // no larger than the signal: silently zero-padding past the end would
@@ -70,22 +55,4 @@ func (s *Signal) Spectrum(n int) ([]float64, error) {
 		out[i] = (real(v)*real(v) + imag(v)*imag(v)) / norm
 	}
 	return out, nil
-}
-
-// Goertzel evaluates the DFT of x at a single normalised frequency f (cycles
-// per sample), useful for cheap tone detection in the FSK demodulator tests.
-// The phasor recurrence hoists all trigonometry out of the loop: one
-// cos/sin pair per call regardless of the block length.
-func Goertzel(x []complex128, f float64) complex128 {
-	// Direct correlation: sum x[n]·exp(-j2πfn). For the short blocks used in
-	// tests this is clearer than the classical recurrence and numerically
-	// safer for complex input.
-	var acc complex128
-	w := complex(math.Cos(-2*math.Pi*f), math.Sin(-2*math.Pi*f))
-	rot := complex(1, 0)
-	for _, v := range x {
-		acc += v * rot
-		rot *= w
-	}
-	return acc
 }

@@ -150,39 +150,3 @@ func convolveEdge(dst, x []complex128, h []float64, k0, k1 int) {
 		dst[k] = acc
 	}
 }
-
-// Filter applies h to the signal in place (same alignment) and returns it.
-func (s *Signal) Filter(h []float64) *Signal {
-	s.Samples = Convolve(s.Samples, h)
-	return s
-}
-
-// Upsample inserts factor-1 zeros between samples and raises the rate. The
-// caller normally follows with a lowpass interpolation filter.
-func (s *Signal) Upsample(factor int) *Signal {
-	if factor <= 1 {
-		return s
-	}
-	out := make([]complex128, len(s.Samples)*factor)
-	for i, v := range s.Samples {
-		out[i*factor] = v * complex(float64(factor), 0)
-	}
-	s.Samples = out
-	s.Rate *= float64(factor)
-	return s
-}
-
-// Downsample keeps every factor-th sample and lowers the rate. The caller
-// normally lowpass-filters first to avoid aliasing.
-func (s *Signal) Downsample(factor int) *Signal {
-	if factor <= 1 {
-		return s
-	}
-	out := make([]complex128, 0, len(s.Samples)/factor+1)
-	for i := 0; i < len(s.Samples); i += factor {
-		out = append(out, s.Samples[i])
-	}
-	s.Samples = out
-	s.Rate /= float64(factor)
-	return s
-}

@@ -198,3 +198,19 @@ func FuzzConvolveDispatch(f *testing.F) {
 		checkConvolve(t, x, h)
 	})
 }
+
+func randSignal(rng *rand.Rand, n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return x
+}
+
+func randTaps(rng *rand.Rand, n int) []float64 {
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = rng.NormFloat64()
+	}
+	return h
+}

@@ -222,24 +222,3 @@ func (p *Plan) transform(x []complex128, stages [][]complex128) {
 		}
 	}
 }
-
-// FFTShiftInPlace reorders FFT output in place so the zero-frequency bin
-// sits in the middle of the slice (negative frequencies first). It performs
-// exactly the rotation FFTShift materialises into a fresh slice, without
-// allocating.
-func FFTShiftInPlace(x []complex128) {
-	n := len(x)
-	if n < 2 {
-		return
-	}
-	half := (n + 1) / 2 // rotate left by half
-	reverseComplex(x[:half])
-	reverseComplex(x[half:])
-	reverseComplex(x)
-}
-
-func reverseComplex(x []complex128) {
-	for i, j := 0, len(x)-1; i < j; i, j = i+1, j-1 {
-		x[i], x[j] = x[j], x[i]
-	}
-}

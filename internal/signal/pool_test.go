@@ -49,3 +49,23 @@ func TestFreeListCap(t *testing.T) {
 		t.Fatalf("default-cap list retains %d values, want 16", got)
 	}
 }
+
+func TestArenaComplexUninit(t *testing.T) {
+	a := GetArena()
+	b := a.ComplexUninit(64)
+	if len(b) != 64 {
+		t.Fatalf("len %d", len(b))
+	}
+	for i := range b {
+		b[i] = complex(1, 1)
+	}
+	a.Release()
+	a2 := GetArena()
+	defer a2.Release()
+	z := a2.Complex(64)
+	for i, v := range z {
+		if v != 0 {
+			t.Fatalf("Complex(%d) not zeroed at %d after uninit use: %v", 64, i, v)
+		}
+	}
+}

@@ -67,15 +67,6 @@ func (s *Signal) Add(other *Signal, off int) error {
 	return nil
 }
 
-// Append concatenates other after the receiver's samples. Rates must match.
-func (s *Signal) Append(other *Signal) error {
-	if s.Rate != other.Rate {
-		return fmt.Errorf("signal: rate mismatch %g vs %g", s.Rate, other.Rate)
-	}
-	s.Samples = append(s.Samples, other.Samples...)
-	return nil
-}
-
 // FrequencyShift mixes the signal with exp(j·2π·df·t) in place, moving its
 // spectrum up by df Hz.
 func (s *Signal) FrequencyShift(df float64) *Signal {
@@ -120,17 +111,6 @@ func (s *Signal) MeanPower() float64 {
 		p += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return p / float64(len(s.Samples))
-}
-
-// PeakPower returns max |x|^2 over the signal.
-func (s *Signal) PeakPower() float64 {
-	var p float64
-	for _, v := range s.Samples {
-		if q := real(v)*real(v) + imag(v)*imag(v); q > p {
-			p = q
-		}
-	}
-	return p
 }
 
 // PowerDB converts a linear power ratio to dB; PowerDB(0) is -inf.

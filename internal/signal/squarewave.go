@@ -31,13 +31,3 @@ func (s *Signal) SquareWaveMix(f, phase float64) *Signal {
 // that model the shift as a complex-exponential mix apply this gain so link
 // budgets match the switch-based tag.
 const SSBShiftGain = 2 / math.Pi
-
-// HarmonicImageGain returns the amplitude of the k-th square-wave harmonic
-// image relative to the input (k must be odd; even harmonics are absent and
-// return 0).
-func HarmonicImageGain(k int) float64 {
-	if k <= 0 || k%2 == 0 {
-		return 0
-	}
-	return 2 / (math.Pi * float64(k))
-}

@@ -1,42 +1,27 @@
 package waveform
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// BenchmarkWaveformCacheContention is the serve-path scaling benchmark:
-// 16 goroutines hammer one shared cache with a mixed-radio working set —
-// warm Gets, an eviction-churning Put tail, and a rotating singleflight
-// synthesis — the access mix the session pool produces under concurrent
-// /v1/simulate load. The sub-benchmarks pit the single-mutex layout
-// (shards_1, the pre-shard design) against the sharded ones;
-// `make bench-serve` records all of them in BENCH_SERVE.json, where the
-// shards_8-vs-shards_1 ns/op ratio is the headline scaling number.
-// The scaling ratio is core-count-bound: on a single-core host only the
-// lock-handoff overhead shrinks, while ≥8 cores expose the full
-// parallel win. Reported extras: coalesced/s (singleflight sharing
-// rate) and lockwait-ns/op (time goroutines spent blocked on shard locks
-// per operation).
+// BenchmarkWaveformCacheContention is the serve-path contention
+// benchmark: 16 goroutines hammer one shared cache with a mixed-radio
+// working set — warm Gets, an eviction-churning Put tail, and a rotating
+// singleflight synthesis — the access mix the session pool produces under
+// concurrent /v1/simulate load. `make bench-serve` records it in
+// BENCH_SERVE.json. Reported extras: coalesced/s (singleflight sharing
+// rate) and lockwait-ns/op (time goroutines spent blocked on the cache
+// lock per operation).
 func BenchmarkWaveformCacheContention(b *testing.B) {
-	for _, shards := range []int{1, 8, 16} {
-		b.Run(fmt.Sprintf("shards_%d", shards), func(b *testing.B) {
-			benchContention(b, shards)
-		})
-	}
-}
-
-func benchContention(b *testing.B, shards int) {
 	const goroutines = 16
 	// Mixed-radio working set: three radio prefixes, different entry
 	// sizes per radio like real WiFi/ZigBee/Bluetooth waveforms. The
-	// budget holds the whole set at every shard count (4× headroom covers
-	// the hashing variance of the per-shard split), so the steady state is
+	// budget holds the whole set with 4× headroom, so the steady state is
 	// the serve path's hot case — warm lookups — where lock overhead is
-	// the dominant cost a single global mutex serializes.
+	// the dominant cost.
 	type radioShape struct {
 		radio   byte
 		samples int
@@ -54,7 +39,7 @@ func benchContention(b *testing.B, shards int) {
 			setBytes += e.sizeBytes()
 		}
 	}
-	c := NewSharded(setBytes*4, shards)
+	c := New(setBytes * 4)
 	for i, k := range keys {
 		c.Put(k, entries[i])
 	}

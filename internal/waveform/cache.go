@@ -16,9 +16,10 @@
 // never write again. That makes a cache shared by concurrent sessions safe
 // with no per-sample locking; the -race cache tests pin this.
 //
-// The cache is split into power-of-two shards addressed by the top bits of
-// the sha256 key, each with its own lock, LRU list and byte budget, so the
-// serve path's concurrent sessions contend on 1/Nth of the lock traffic.
+// The cache is one mutex over one LRU list, key map and byte budget. The
+// mutex records the time callers spend blocked on it (lock_wait_ns in
+// /metrics); the benchmark workloads spend a negligible share of their run
+// there (DESIGN.md §8.2), which is why the lock is not split.
 // GetOrSynthesize adds a singleflight layer on top: concurrent misses on
 // one key run the synthesis function once and share the result.
 package waveform
@@ -147,49 +148,21 @@ func (e *Entry) sizeBytes() int64 {
 // roughly a hundred full-size WiFi excitation packets.
 const DefaultMaxBytes = 64 << 20
 
-// DefaultShards is the shard count New uses: enough to spread the serve
-// path's lock traffic across cores while keeping each shard's byte budget
-// (total/shards) comfortably above one full-size WiFi entry.
-const DefaultShards = 8
+// Cache is a byte-capped LRU of waveform entries behind one mutex, safe
+// for concurrent use by any number of sessions. Lookups on the warm path
+// (Get with a pooled KeyBuilder) perform zero heap allocations.
+type Cache struct {
+	counters obs.CacheCounters
 
-// shard is one independently locked slice of the cache: its own LRU list,
-// key map and byte budget. An entry lives in exactly one shard, chosen by
-// the top bits of its key.
-type shard struct {
 	mu    sync.Mutex
 	max   int64
 	bytes int64
 	ll    *list.List // front = most recently used
 	byKey map[Key]*list.Element
-
-	// evictions and lockWaitNs are guarded by mu (lockWaitNs is only
-	// written after Lock returns, so the write is inside the critical
-	// section even though the wait itself was not).
-	evictions  int64
+	// lockWaitNs is guarded by mu (it is only written after Lock returns,
+	// so the write is inside the critical section even though the wait
+	// itself was not).
 	lockWaitNs int64
-}
-
-// lock acquires the shard mutex, accumulating the time spent blocked when
-// another goroutine holds it. The uncontended path is a bare TryLock — no
-// clock reads — so warm single-session lookups stay allocation- and
-// syscall-free.
-func (s *shard) lock() {
-	if s.mu.TryLock() {
-		return
-	}
-	t0 := time.Now()
-	s.mu.Lock()
-	s.lockWaitNs += time.Since(t0).Nanoseconds()
-}
-
-// Cache is a byte-capped sharded LRU of waveform entries, safe for
-// concurrent use by any number of sessions. Lookups on the warm path (Get
-// with a pooled KeyBuilder) perform zero heap allocations.
-type Cache struct {
-	counters obs.CacheCounters
-
-	shards    []shard
-	shardBits uint // log2(len(shards))
 
 	sfMu     sync.Mutex
 	inFlight map[Key]*sfCall
@@ -210,75 +183,48 @@ type sfCall struct {
 }
 
 // New returns an empty cache holding at most maxBytes of waveform data
-// (DefaultMaxBytes when maxBytes <= 0), split across DefaultShards shards.
+// (DefaultMaxBytes when maxBytes <= 0). An entry larger than the whole
+// budget is rejected (and counted) rather than stored.
 func New(maxBytes int64) *Cache {
-	return NewSharded(maxBytes, DefaultShards)
-}
-
-// NewSharded returns an empty cache with an explicit shard count, rounded
-// up to a power of two in [1, 256]. The byte budget is divided evenly:
-// each shard holds at most maxBytes/shards, so an entry larger than that
-// slice is rejected (and counted) rather than stored. shards <= 0 selects
-// DefaultShards; NewSharded(n, 1) is the single-mutex cache, which the
-// bit-identity tests pin against the sharded one.
-func NewSharded(maxBytes int64, shards int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	if shards <= 0 {
-		shards = DefaultShards
+	return &Cache{
+		max:      maxBytes,
+		ll:       list.New(),
+		byKey:    map[Key]*list.Element{},
+		inFlight: map[Key]*sfCall{},
 	}
-	if shards > 256 {
-		shards = 256
-	}
-	bits := uint(0)
-	for 1<<bits < shards {
-		bits++
-	}
-	n := 1 << bits
-	perShard := maxBytes / int64(n)
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{
-		shards:    make([]shard, n),
-		shardBits: bits,
-		inFlight:  map[Key]*sfCall{},
-	}
-	for i := range c.shards {
-		c.shards[i] = shard{max: perShard, ll: list.New(), byKey: map[Key]*list.Element{}}
-	}
-	return c
 }
 
-// shardFor selects the shard owning k by the top bits of the digest. The
-// sha256 output is uniform, so the top bits spread keys evenly; shifting
-// by 8-shardBits keeps the selection stable under any shard count (a
-// 1-shard cache shifts the byte away entirely).
-func (c *Cache) shardFor(k Key) *shard {
-	return &c.shards[k[0]>>(8-c.shardBits)]
+// lock acquires the cache mutex, accumulating the time spent blocked when
+// another goroutine holds it. The uncontended path is a bare TryLock — no
+// clock reads — so warm single-session lookups stay allocation- and
+// syscall-free.
+func (c *Cache) lock() {
+	if c.mu.TryLock() {
+		return
+	}
+	t0 := time.Now()
+	c.mu.Lock()
+	c.lockWaitNs += time.Since(t0).Nanoseconds()
 }
-
-// NumShards returns the shard count (always a power of two).
-func (c *Cache) NumShards() int { return len(c.shards) }
 
 // Get returns the entry stored under k, or nil on a miss. The hit/miss
-// counters move inside the shard's critical section so a Stats snapshot
-// holding every shard lock sees counters and sizes from one consistent
-// cut.
+// counters move inside the critical section so a Stats snapshot holding
+// the lock sees counters and sizes from one consistent cut.
 func (c *Cache) Get(k Key) *Entry {
-	s := c.shardFor(k)
-	s.lock()
-	el, ok := s.byKey[k]
+	c.lock()
+	el, ok := c.byKey[k]
 	if !ok {
 		c.counters.Miss()
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return nil
 	}
-	s.ll.MoveToFront(el)
+	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheItem).entry
 	c.counters.Hit()
-	s.mu.Unlock()
+	c.mu.Unlock()
 	return e
 }
 
@@ -286,46 +232,43 @@ func (c *Cache) Get(k Key) *Entry {
 // re-check residency after registering, so the double check does not
 // inflate the miss count the caller's Get already recorded.
 func (c *Cache) peek(k Key) *Entry {
-	s := c.shardFor(k)
-	s.lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byKey[k]; ok {
-		s.ll.MoveToFront(el)
+	c.lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[k]; ok {
+		c.ll.MoveToFront(el)
 		return el.Value.(*cacheItem).entry
 	}
 	return nil
 }
 
 // Put stores e under k and reports whether the entry was stored, evicting
-// least-recently-used entries from k's shard until its byte budget holds.
-// The two admission refusals move counters instead of failing silently: an
-// entry alone larger than the shard budget is rejected (Rejected), and
-// when k is already present (two sessions synthesized the same content
-// concurrently) the incumbent wins (Duplicates) — entries are pure
-// functions of their key, so either copy serves every reader.
+// least-recently-used entries until the byte budget holds. The two
+// admission refusals move counters instead of failing silently: an entry
+// alone larger than the budget is rejected (Rejected), and when k is
+// already present (two sessions synthesized the same content concurrently)
+// the incumbent wins (Duplicates) — entries are pure functions of their
+// key, so either copy serves every reader.
 func (c *Cache) Put(k Key, e *Entry) bool {
 	size := e.sizeBytes()
-	s := c.shardFor(k)
-	s.lock()
-	defer s.mu.Unlock()
-	if size > s.max {
+	c.lock()
+	defer c.mu.Unlock()
+	if size > c.max {
 		c.counters.Reject()
 		return false
 	}
-	if el, ok := s.byKey[k]; ok {
-		s.ll.MoveToFront(el)
+	if el, ok := c.byKey[k]; ok {
+		c.ll.MoveToFront(el)
 		c.counters.Duplicate()
 		return false
 	}
-	s.byKey[k] = s.ll.PushFront(&cacheItem{key: k, entry: e, size: size})
-	s.bytes += size
-	for s.bytes > s.max {
-		oldest := s.ll.Back()
+	c.byKey[k] = c.ll.PushFront(&cacheItem{key: k, entry: e, size: size})
+	c.bytes += size
+	for c.bytes > c.max {
+		oldest := c.ll.Back()
 		it := oldest.Value.(*cacheItem)
-		s.ll.Remove(oldest)
-		delete(s.byKey, it.key)
-		s.bytes -= it.size
-		s.evictions++
+		c.ll.Remove(oldest)
+		delete(c.byKey, it.key)
+		c.bytes -= it.size
 		c.counters.Evict()
 	}
 	return true
@@ -383,69 +326,30 @@ func (c *Cache) GetOrSynthesize(k Key, fn func() (*Entry, error)) (*Entry, bool,
 
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
 // Bytes returns the resident waveform bytes.
 func (c *Cache) Bytes() int64 {
-	var b int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.lock()
-		b += s.bytes
-		s.mu.Unlock()
-	}
-	return b
+	c.lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
-// Stats snapshots the cache for /metrics. It holds every shard lock while
+// Stats snapshots the cache for /metrics. It holds the cache lock while
 // reading both the sizes and the counters: all counter movement happens
-// inside some shard's critical section (Coalesced excepted — it moves
-// under the singleflight mutex), so the snapshot is one consistent cut and
-// a scrape can never report entries that its own miss count has not paid
-// for.
+// inside the critical section (Coalesced excepted — it moves under the
+// singleflight mutex), so the snapshot is one consistent cut and a scrape
+// can never report entries that its own miss count has not paid for.
 func (c *Cache) Stats() obs.CacheStats {
-	for i := range c.shards {
-		c.shards[i].lock()
-	}
+	c.lock()
+	defer c.mu.Unlock()
 	st := c.counters.Snapshot()
-	st.Shards = len(c.shards)
-	for i := range c.shards {
-		s := &c.shards[i]
-		st.Entries += s.ll.Len()
-		st.Bytes += s.bytes
-		st.CapacityBytes += s.max
-		st.LockWaitNs += s.lockWaitNs
-	}
-	for i := range c.shards {
-		c.shards[i].mu.Unlock()
-	}
+	st.Entries = c.ll.Len()
+	st.Bytes = c.bytes
+	st.CapacityBytes = c.max
+	st.LockWaitNs = c.lockWaitNs
 	return st
-}
-
-// ShardStats snapshots each shard's size and contention figures for the
-// per-shard /metrics view. Each shard is read under its own lock; the
-// aggregate consistency contract lives in Stats.
-func (c *Cache) ShardStats() []obs.ShardStats {
-	out := make([]obs.ShardStats, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.lock()
-		out[i] = obs.ShardStats{
-			Entries:       s.ll.Len(),
-			Bytes:         s.bytes,
-			CapacityBytes: s.max,
-			Evictions:     s.evictions,
-			LockWaitNs:    s.lockWaitNs,
-		}
-		s.mu.Unlock()
-	}
-	return out
 }

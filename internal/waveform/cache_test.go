@@ -1,9 +1,13 @@
 package waveform
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/signal"
 )
@@ -64,9 +68,6 @@ func TestCacheHitMissStats(t *testing.T) {
 	if st.Bytes <= 0 || st.Bytes > st.CapacityBytes {
 		t.Fatalf("byte accounting out of range: %+v", st)
 	}
-	if st.Shards != DefaultShards {
-		t.Fatalf("shards = %d, want %d", st.Shards, DefaultShards)
-	}
 }
 
 // TestCachePutDuplicateCounts pins the duplicate-put accounting: a second
@@ -93,9 +94,7 @@ func TestCachePutDuplicateCounts(t *testing.T) {
 
 func TestCacheLRUEvictionBoundsMemory(t *testing.T) {
 	perEntry := testEntry(1024, 0).sizeBytes()
-	// Single shard: this test pins exact LRU order across one list; the
-	// sharded equivalents live in shard_test.go.
-	c := NewSharded(perEntry*4, 1) // room for exactly 4 entries
+	c := New(perEntry * 4) // room for exactly 4 entries
 	for i := 0; i < 32; i++ {
 		c.Put(keyOf(byte(i)), testEntry(1024, byte(i)))
 	}
@@ -121,9 +120,38 @@ func TestCacheLRUEvictionBoundsMemory(t *testing.T) {
 	}
 }
 
+// TestCrossShardByteAccounting checks the byte budget across every view
+// of the cache: after eviction churn the resident bytes stay within the
+// requested capacity, the capacity is reported as requested, and Bytes,
+// Len and the Stats snapshot all agree.
+func TestCrossShardByteAccounting(t *testing.T) {
+	perEntry := testEntry(512, 0).sizeBytes()
+	total := perEntry * 24
+	c := New(total)
+	for i := 0; i < 64; i++ {
+		c.Put(keyOf(byte(i)), testEntry(512, byte(i)))
+	}
+	if n := c.Len(); n != 24 {
+		t.Fatalf("%d entries resident, want 24", n)
+	}
+	if b := c.Bytes(); b > total {
+		t.Fatalf("%d bytes resident, cap %d", b, total)
+	}
+	st := c.Stats()
+	if st.CapacityBytes != total {
+		t.Fatalf("capacity = %d, requested %d", st.CapacityBytes, total)
+	}
+	if st.Bytes != c.Bytes() || st.Entries != c.Len() {
+		t.Fatalf("stats %+v disagree with Bytes() = %d, Len() = %d", st, c.Bytes(), c.Len())
+	}
+	if st.Evictions != 64-24 {
+		t.Fatalf("%d evictions, want %d", st.Evictions, 64-24)
+	}
+}
+
 func TestCacheLRUTouchOnGet(t *testing.T) {
 	perEntry := testEntry(256, 0).sizeBytes()
-	c := NewSharded(perEntry*2, 1) // exact LRU order needs one list
+	c := New(perEntry * 2)
 	c.Put(keyOf(1), testEntry(256, 1))
 	c.Put(keyOf(2), testEntry(256, 2))
 	c.Get(keyOf(1)) // touch 1 so 2 becomes the LRU victim
@@ -133,6 +161,27 @@ func TestCacheLRUTouchOnGet(t *testing.T) {
 	}
 	if c.Get(keyOf(1)) == nil || c.Get(keyOf(3)) == nil {
 		t.Fatal("entries 1 and 3 should be resident")
+	}
+}
+
+// TestCachePutAdmitsUpToBudget pins admission against the whole byte
+// budget: an entry well over an eighth of an empty cache, but within the
+// budget, is stored, not rejected.
+func TestCachePutAdmitsUpToBudget(t *testing.T) {
+	perEntry := testEntry(1024, 0).sizeBytes()
+	c := New(4 * perEntry)
+	big := testEntry(3*1024, 1) // ~3/4 of the budget
+	if size := big.sizeBytes(); size <= 4*perEntry/8 || size > 4*perEntry {
+		t.Fatalf("test entry of %d bytes is not between 1/8 of and the whole %d-byte budget", size, 4*perEntry)
+	}
+	if !c.Put(keyOf(1), big) {
+		t.Fatal("an entry within the budget must be stored")
+	}
+	if c.Get(keyOf(1)) != big {
+		t.Fatal("stored entry not served back")
+	}
+	if st := c.Stats(); st.Rejected != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 0 rejections, 1 entry", st)
 	}
 }
 
@@ -214,5 +263,165 @@ func TestCacheGetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Get: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSingleflightColdKeyRace is the acceptance race test: 64 goroutines
+// miss on one cold key simultaneously and the synthesis function must run
+// exactly once, with every caller receiving the same entry and the other
+// 63 lookups counted as coalesced. The leader's synthesis blocks until
+// every follower has joined the in-flight call, so the coalescing is
+// deterministic, not a lucky interleaving. Run under -race this also
+// proves the handoff publishes the entry safely.
+func TestSingleflightColdKeyRace(t *testing.T) {
+	c := New(1 << 20)
+	k := keyOf(42)
+	var calls atomic.Int64
+	entry := testEntry(256, 42)
+
+	const goroutines = 64
+	var done sync.WaitGroup
+	results := make([]*Entry, goroutines)
+	done.Add(goroutines)
+	deadline := time.Now().Add(10 * time.Second)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer done.Done()
+			e, _, err := c.GetOrSynthesize(k, func() (*Entry, error) {
+				calls.Add(1)
+				// Hold the flight open until the other 63 goroutines have
+				// coalesced onto it (they cannot hit the cache before this
+				// returns). The deadline turns a lost follower into a
+				// counter assertion failure instead of a hang.
+				for c.Stats().Coalesced < goroutines-1 && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+				return entry, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			results[g] = e
+		}(g)
+	}
+	done.Wait()
+
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("synthesis ran %d times for one cold key, want exactly 1", n)
+	}
+	for g, e := range results {
+		if e != entry {
+			t.Fatalf("goroutine %d received a different entry", g)
+		}
+	}
+	st := c.Stats()
+	if st.Coalesced != goroutines-1 {
+		t.Fatalf("coalesced = %d, want %d", st.Coalesced, goroutines-1)
+	}
+	if st.Hits+st.Misses != goroutines {
+		t.Fatalf("lookup accounting: %d hits + %d misses != %d", st.Hits, st.Misses, goroutines)
+	}
+}
+
+// TestGetOrSynthesizeLeaderFlag pins the synthesized-here contract the
+// WiFi scrambler replay depends on: true exactly when fn ran in this call
+// and produced the entry, false on a warm hit.
+func TestGetOrSynthesizeLeaderFlag(t *testing.T) {
+	c := New(1 << 20)
+	k := keyOf(9)
+	e, ran, err := c.GetOrSynthesize(k, func() (*Entry, error) { return testEntry(64, 9), nil })
+	if err != nil || !ran || e == nil {
+		t.Fatalf("cold call: entry=%v ran=%v err=%v, want synthesis here", e, ran, err)
+	}
+	e2, ran, err := c.GetOrSynthesize(k, func() (*Entry, error) {
+		t.Fatal("warm call must not synthesize")
+		return nil, nil
+	})
+	if err != nil || ran || e2 != e {
+		t.Fatalf("warm call: entry match=%v ran=%v err=%v, want cached entry without synthesis", e2 == e, ran, err)
+	}
+}
+
+// TestGetOrSynthesizeError propagates a synthesis failure to the caller
+// (and any coalesced waiters), caches nothing, and lets a later call
+// retry.
+func TestGetOrSynthesizeError(t *testing.T) {
+	c := New(1 << 20)
+	k := keyOf(13)
+	boom := errors.New("synthesis failed")
+	if _, ran, err := c.GetOrSynthesize(k, func() (*Entry, error) { return nil, boom }); err != boom || ran {
+		t.Fatalf("got ran=%v err=%v, want the synthesis error and ran=false", ran, err)
+	}
+	if c.Len() != 0 {
+		t.Fatal("a failed synthesis must cache nothing")
+	}
+	e, ran, err := c.GetOrSynthesize(k, func() (*Entry, error) { return testEntry(64, 13), nil })
+	if err != nil || !ran || e == nil {
+		t.Fatalf("retry after failure: entry=%v ran=%v err=%v", e, ran, err)
+	}
+}
+
+// TestStatsConsistentSnapshot hammers the cache from writers that always
+// Get before Put while a scraper loops over Stats. Every resident entry
+// was preceded by a counted miss inside the same critical section, so a
+// consistent snapshot can never report more entries than misses — the
+// exact inversion the pre-fix code allowed by reading the counters before
+// taking the locks.
+func TestStatsConsistentSnapshot(t *testing.T) {
+	c := New(1 << 20)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := keyOf(byte(w), byte(i), byte(i>>8))
+				if c.Get(k) == nil {
+					c.Put(k, testEntry(16, byte(w)))
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 2000; i++ {
+		st := c.Stats()
+		if int64(st.Entries) > st.Misses {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("inconsistent snapshot: %d entries resident but only %d misses counted", st.Entries, st.Misses)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestGetOrSynthesizeWarmZeroAlloc extends the zero-allocation pin to the
+// singleflight entry point: a warm hit through GetOrSynthesize — key build
+// included — must not touch the heap, or the serve path's per-packet
+// lookup regresses.
+func TestGetOrSynthesizeWarmZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	c := New(1 << 20)
+	payload := make([]byte, 1500)
+	tagBits := make([]byte, 128)
+	mk := func() Key {
+		return NewKey().Byte(0).Uint64(6).Bytes(payload).Bytes(tagBits).Sum()
+	}
+	c.Put(mk(), testEntry(64, 1))
+	allocs := testing.AllocsPerRun(100, func() {
+		e, ran, err := c.GetOrSynthesize(mk(), func() (*Entry, error) { return testEntry(64, 1), nil })
+		if e == nil || ran || err != nil {
+			t.Fatal("expected a warm hit")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm GetOrSynthesize: %v allocs/op, want 0", allocs)
 	}
 }

@@ -94,21 +94,12 @@ func deinterleaveInto(out, in []byte, r Rate) error {
 // InterleaveSymbols applies the interleaver across a multi-symbol stream
 // whose length must be a multiple of NCBPS.
 func InterleaveSymbols(in []byte, r Rate) ([]byte, error) {
-	return mapSymbols(in, r, Interleave)
-}
-
-// DeinterleaveSymbols inverts InterleaveSymbols.
-func DeinterleaveSymbols(in []byte, r Rate) ([]byte, error) {
-	return mapSymbols(in, r, Deinterleave)
-}
-
-func mapSymbols(in []byte, r Rate, f func([]byte, Rate) ([]byte, error)) ([]byte, error) {
 	if len(in)%r.NCBPS != 0 {
 		return nil, fmt.Errorf("wifi: stream length %d not a multiple of NCBPS=%d", len(in), r.NCBPS)
 	}
 	out := make([]byte, 0, len(in))
 	for off := 0; off < len(in); off += r.NCBPS {
-		sym, err := f(in[off:off+r.NCBPS], r)
+		sym, err := Interleave(in[off:off+r.NCBPS], r)
 		if err != nil {
 			return nil, err
 		}

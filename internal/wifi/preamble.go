@@ -99,13 +99,6 @@ func buildPreamble() []complex128 {
 	return out
 }
 
-// LTFTime returns the 64-sample time-domain long training symbol. The
-// caller owns the returned copy.
-func LTFTime() []complex128 {
-	templateOnce.Do(initTemplates)
-	return append([]complex128(nil), ltfTmpl...)
-}
-
 func buildLTFTime() []complex128 {
 	var freq [FFTSize]complex128
 	scale := complex(float64(FFTSize)/sqrtNused, 0)
