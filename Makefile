@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: build test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick ci
+.PHONY: build cmd-smoke test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick ci
 
 build:
 	$(GO) build ./...
+
+# cmd-smoke runs each command once at minimal effort, so a broken command
+# or flag fails CI instead of a user.
+cmd-smoke:
+	$(GO) run ./cmd/freerider-sim -packets 2 >/dev/null
+	$(GO) run ./cmd/freerider-trace -samples 10000 >/dev/null
+	$(GO) run ./cmd/freerider-calibrate -trials 1 >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick -json table1 power plmrate snr-single >/dev/null
 
 # -shuffle=on randomises test order every run so accidental inter-test
 # coupling (shared caches, package-level state) surfaces in CI instead of
@@ -224,7 +232,8 @@ perfbench-quick:
 	done
 
 # ci is the gate: everything must build (natively and cross-compiled for
-# arm64, so the NEON kernels always assemble), pass vet (and staticcheck
+# arm64, so the NEON kernels always assemble), every command must run,
+# pass vet (and staticcheck
 # and govulncheck where installed), pass the suite with the race detector
 # on (in shuffled order) and again with the asm kernels compiled out,
 # hold the service layer bit-identical under concurrent load, survive the
@@ -232,4 +241,4 @@ perfbench-quick:
 # differential and session-config fuzzers clean, pass the repository
 # benchmark's tests and quick runs, and stay within the DSP and serve
 # benchmark budgets.
-ci: build cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick bench-dsp bench-serve
+ci: build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick bench-dsp bench-serve

@@ -8,11 +8,12 @@
 // Usage:
 //
 //	freerider-bench [-quick] [-seed N] [-workers N] [-json] [-faults SPEC]
-//	                [-cpuprofile FILE] [-memprofile FILE] <experiment|all>
+//	                [-cpuprofile FILE] [-memprofile FILE] <experiment|all>...
 //
-// Experiments: fig3 fig4 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
-// fig17sim power plmrate redundancy pilots baselines collision quaternary
-// cfo waterfall table1 soak all
+// The experiments are internal/experiments.Registry (the set the HTTP
+// service also serves) plus the CLI-only waterfall, table1 and soak; run
+// without arguments to list them. "all" runs every one in that order;
+// several names run in the order given.
 //
 // -faults attaches a fault-injection profile (a preset like "bursty-wifi"
 // or "chaos", optionally "@0.5" intensity-scaled, or a custom
@@ -28,9 +29,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,14 +46,20 @@ import (
 	"repro/internal/obs"
 )
 
+// cliOnly lists the experiments the HTTP service does not serve: the
+// long-running native waterfalls and chaos soak, and the Table 1 logic.
+var cliOnly = []experiments.Experiment{
+	{Name: "waterfall", Title: "PHY sensitivity waterfalls (native links)", Run: runWaterfall},
+	{Name: "table1", Title: "Table 1 — codeword translation logic", Run: table1},
+	{Name: "soak", Title: "chaos soak — fault-intensity sweep + degraded transfer", Run: runSoak},
+}
+
 // result is one experiment's output: a title plus its data rows and run
-// metrics. Rows either implement fmt.Stringer element-wise (slices) or
-// carry their own rendering via the lines field.
+// metrics.
 type result struct {
 	Title   string       `json:"title"`
 	Rows    any          `json:"rows"`
 	Metrics []obs.Report `json:"metrics,omitempty"`
-	lines   []string
 }
 
 func main() {
@@ -71,24 +79,20 @@ func main() {
 	}
 
 	// Subcommand flags: flag.Parse stops at the first positional argument,
-	// so per-experiment options ride after the experiment name and are
-	// parsed by the experiment's own FlagSet.
+	// so the snr sweep's options ride after its name and are parsed by its
+	// own FlagSet; any names after them run too.
 	snrFlags := flag.NewFlagSet("snr", flag.ExitOnError)
 	snrCoded := snrFlags.Bool("coded", false, "pair the sweep with an RS-coded run and report the dB link-margin gain at BER 1e-3")
 	snrN := snrFlags.Int("code-n", 15, "RS codeword length n (with -coded)")
 	snrK := snrFlags.Int("code-k", 9, "RS data symbols k (with -coded)")
 	snrInterleave := snrFlags.Int("interleave", 1, "RS interleave depth (with -coded)")
 	snrChase := snrFlags.Int("chase", 4, "retransmission budget for the chase-combined arm (with -coded; <2 disables)")
-	snrSingle := snrFlags.Bool("single", false, "pair the sweep with a single-receiver (Double-decker) run and report the dB sensitivity cost at BER 1e-2")
-	if flag.NArg() > 1 {
-		if flag.Arg(0) != "snr" {
-			fmt.Fprintf(os.Stderr, "unexpected arguments after %q: %v\n", flag.Arg(0), flag.Args()[1:])
-			usage()
+	names := flag.Args()
+	if names[0] == "snr" {
+		if err := snrFlags.Parse(names[1:]); err != nil {
 			os.Exit(2)
 		}
-		if err := snrFlags.Parse(flag.Args()[1:]); err != nil {
-			os.Exit(2)
-		}
+		names = append([]string{"snr"}, snrFlags.Args()...)
 	}
 
 	profile, err := faults.Parse(*faultSpec)
@@ -108,315 +112,57 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	opt := experiments.DefaultOptions()
-	samples, windows, rounds, messages := 1000000, 300, 12, 20000
-	if *quick {
-		opt = experiments.QuickOptions()
-		samples, windows, rounds, messages = 100000, 100, 8, 2000
+	opt := experiments.QuickOptions()
+	if !*quick {
+		opt = experiments.DefaultOptions()
 	}
 	opt.Seed = *seed
 	opt.Workers = *workers
 	opt.Faults = profile
 	collector := obs.NewCollector()
 	opt.Obs = collector
-	soakFailed := false
 
-	runners := map[string]func() (result, error){
-		"fig3": func() (result, error) {
-			res, err := experiments.Fig3AmbientDurations(samples, opt)
-			if err != nil {
-				return result{}, err
-			}
-			lines := []string{
-				fmt.Sprintf("<500us fraction: %.1f%% (paper ~78%%)", res.ShortFraction*100),
-				fmt.Sprintf("1.5-2.7ms fraction: %.1f%% (paper ~18%%)", res.LongFraction*100),
-				fmt.Sprintf("PLM alias probability (±25us): %.4f%% (paper ~0.03%%)", res.AliasProbability*100),
-				"duration PDF (ms -> density):",
-			}
-			for i := range res.BinCentresMs {
-				lines = append(lines, fmt.Sprintf("  %5.2f %8.1f", res.BinCentresMs[i], res.Density[i]))
-			}
-			return result{Title: "Fig 3 — ambient packet durations on channel 6", Rows: res, lines: lines}, nil
-		},
-		"fig4": func() (result, error) {
-			pts, err := experiments.Fig4PLMAccuracy(messages, opt)
-			return result{Title: "Fig 4 — PLM scheduling-message delivery vs distance (15 dBm)", Rows: pts}, err
-		},
-		"fig10": linkRunner("Fig 10 — WiFi LOS backscatter vs distance", experiments.Fig10WiFiLOS, opt),
-		"fig11": linkRunner("Fig 11 — WiFi NLOS backscatter vs distance", experiments.Fig11WiFiNLOS, opt),
-		"fig12": linkRunner("Fig 12 — ZigBee LOS backscatter vs distance", experiments.Fig12ZigBeeLOS, opt),
-		"fig13": linkRunner("Fig 13 — Bluetooth LOS backscatter vs distance", experiments.Fig13BluetoothLOS, opt),
-		"fig14": func() (result, error) {
-			pts, err := experiments.Fig14OperatingRegime(opt)
-			return result{Title: "Fig 14 — operating regime: max RX-to-tag vs TX-to-tag distance", Rows: pts}, err
-		},
-		"fig15": func() (result, error) {
-			rows, err := experiments.Fig15WiFiCoexistence(windows, opt)
-			return result{Title: "Fig 15 — WiFi throughput with and without backscatter", Rows: rows}, err
-		},
-		"fig16": func() (result, error) {
-			rows, err := experiments.Fig16BackscatterUnderWiFi(windows, opt)
-			return result{Title: "Fig 16 — backscatter throughput with WiFi traffic present/absent", Rows: rows}, err
-		},
-		"fig17": func() (result, error) {
-			pts, err := experiments.Fig17MultiTag(rounds, opt)
-			return result{Title: "Fig 17 — multi-tag aggregate throughput and Jain fairness", Rows: pts}, err
-		},
-		"fig17sim": func() (result, error) {
-			pts, err := experiments.Fig17FirmwareLevel(rounds, opt)
-			return result{Title: "Fig 17 (firmware-level) — per-pulse PLM losses through real tag state machines", Rows: pts}, err
-		},
-		"power": func() (result, error) {
-			return result{Title: "§3.3 — tag power budget", Rows: experiments.PowerBudget()}, nil
-		},
-		"plmrate": func() (result, error) {
-			rate := experiments.PLMRateBps()
-			return result{
-				Title: "§2.4.2 — PLM downlink rate",
-				Rows:  map[string]float64{"rate_bps": rate},
-				lines: []string{fmt.Sprintf("%.0f bps (paper ~500 bps)", rate)},
-			}, nil
-		},
-		"redundancy": func() (result, error) {
-			pts, err := experiments.RedundancySweep(opt)
-			return result{Title: "§3.2.1 — OFDM symbols per tag bit (redundancy study)", Rows: pts}, err
-		},
-		"snr": func() (result, error) {
-			if *snrSingle {
-				if *snrCoded {
-					return result{}, fmt.Errorf("snr: -single and -coded are mutually exclusive")
-				}
-				res, err := experiments.SingleReceiverBERvsSNR(opt)
-				if err != nil {
-					return result{}, err
-				}
-				lines := []string{"dual-receiver:"}
-				for _, p := range res.Dual {
-					lines = append(lines, "  "+p.String())
-				}
-				lines = append(lines, "single-receiver (Double-decker):")
-				for _, p := range res.Single {
-					lines = append(lines, "  "+p.String())
-				}
-				lines = append(lines, fmt.Sprintf(
-					"BER<=%.0e: dual needs %.2f dB, single needs %.2f dB — sensitivity cost %.2f dB",
-					res.TargetBER, res.DualSNRdB, res.SingleSNRdB, res.DeltaDB))
-				return result{
-					Title: "BER vs SNR — single- vs dual-receiver decode (sensitivity study)",
-					Rows:  res,
-					lines: lines,
-				}, nil
-			}
-			if !*snrCoded {
-				pts, err := experiments.BERvsSNR(opt)
-				return result{Title: "BER vs SNR — WiFi decoder operating curve (memoized excitation)", Rows: pts}, err
-			}
-			code := fec.Config{N: *snrN, K: *snrK, Interleave: *snrInterleave}
-			res, err := experiments.CodedBERvsSNRChase(opt, &code, *snrChase)
-			if err != nil {
-				return result{}, err
-			}
-			lines := []string{"uncoded:"}
-			for _, p := range res.Uncoded {
-				lines = append(lines, "  "+p.String())
-			}
-			lines = append(lines, fmt.Sprintf("coded RS(%d,%d) x%d:", code.N, code.K, code.Interleave))
-			for _, p := range res.Coded {
-				lines = append(lines, "  "+p.String())
-			}
-			lines = append(lines, fmt.Sprintf(
-				"BER<=%.0e: uncoded needs %.2f dB, coded needs %.2f dB — gain %.2f dB",
-				res.TargetBER, res.UncodedSNRdB, res.CodedSNRdB, res.GainDB))
-			if res.ChaseDepth >= 2 {
-				lines = append(lines, fmt.Sprintf("chase-combined RS(%d,%d) x%d, budget %d:",
-					code.N, code.K, code.Interleave, res.ChaseDepth))
-				for _, p := range res.Chase {
-					lines = append(lines, "  "+p.String())
-				}
-				lines = append(lines, fmt.Sprintf(
-					"BER<=%.0e: chase-combined needs %.2f dB — %.2f dB link margin over uncoded",
-					res.TargetBER, res.ChaseSNRdB, res.ChaseGainDB))
-			}
-			return result{
-				Title: "BER vs SNR — coded vs uncoded uplink (RS link-margin study)",
-				Rows:  res,
-				lines: lines,
-			}, nil
-		},
-		"pilots": func() (result, error) {
-			without, with, err := experiments.PilotTrackingAblation(opt)
-			if err != nil {
-				return result{}, err
-			}
-			return result{
-				Title: "§3.2.1 — pilot phase tracking ablation",
-				Rows:  map[string]float64{"ber_tracking_off": without, "ber_tracking_on": with},
-				lines: []string{
-					fmt.Sprintf("tag BER without tracking: %.4f", without),
-					fmt.Sprintf("tag BER with tracking:    %.4f (tracking erases the tag's phase)", with),
-				},
-			}, nil
-		},
-		"baselines": func() (result, error) {
-			pts, err := experiments.BaselineAvailability(opt)
-			return result{Title: "§1 motivation — FreeRider vs HitchHike [25] on mixed traffic", Rows: pts}, err
-		},
-		"collision": func() (result, error) {
-			pts, err := experiments.CollisionStudy(opt)
-			return result{Title: "§2.4.1 — slot-collision physics (superposed tags at sample level)", Rows: pts}, err
-		},
-		"quaternary": func() (result, error) {
-			pts, err := experiments.QuaternaryStudy(opt)
-			return result{Title: "eq. 4 vs eq. 5 — binary vs quaternary phase translation (12 Mbps QPSK)", Rows: pts}, err
-		},
-		"cfo": func() (result, error) {
-			pts, err := experiments.CFOStudy(opt)
-			return result{Title: "carrier-frequency-offset robustness (pilot-free tracking)", Rows: pts}, err
-		},
-		"waterfall": func() (result, error) {
-			frames := 20
-			if *quick {
-				frames = 6
-			}
-			type radioCurve struct {
-				Radio  string                       `json:"radio"`
-				Points []experiments.WaterfallPoint `json:"points"`
-			}
-			var rows []radioCurve
-			var lines []string
-			for _, radio := range []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth} {
-				pts, err := experiments.Waterfall(radio,
-					[]float64{-4, -2, 0, 2, 4, 6, 8, 12}, frames, opt)
-				if err != nil {
-					return result{}, err
-				}
-				rows = append(rows, radioCurve{Radio: radio.String(), Points: pts})
-				lines = append(lines, radio.String()+":")
-				for _, p := range pts {
-					lines = append(lines, "  "+p.String())
-				}
-			}
-			return result{Title: "PHY sensitivity waterfalls (native links)", Rows: rows, lines: lines}, nil
-		},
-		"soak": func() (result, error) {
-			// With no -faults profile given, soak under full chaos.
-			soakProfile := profile
-			if soakProfile == nil {
-				var err error
-				if soakProfile, err = faults.Parse("chaos"); err != nil {
-					return result{}, err
-				}
-			}
-			res, err := experiments.Soak(soakProfile, opt)
-			if err != nil {
-				return result{}, err
-			}
-			lines := []string{"profile: " + res.Profile}
-			for _, c := range res.Cells {
-				lines = append(lines, c.String())
-			}
-
-			// Chaos transfer: push a real payload through the faulted link
-			// with the graceful-degradation machinery engaged end to end.
-			payloadBytes := 4096
-			if *quick {
-				payloadBytes = 512
-			}
-			payload := make([]byte, payloadBytes*8)
-			for i := range payload {
-				payload[i] = byte(i % 2)
-			}
-			sendOpts := freerider.DefaultSendOptions()
-			// Soak-sized attempt budget: full chaos stacks multi-slot
-			// excitation outages on brownout charge cycles, so roughly
-			// every other slot loses or corrupts a packet. 12 attempts of
-			// exponential backoff span ~200 fault-timeline slots — enough
-			// to decorrelate from any of the chaos preset's periodicities.
-			sendOpts.Attempts = 12
-			sendOpts.Quaternary = true
-			sendOpts.Faults = soakProfile
-			out, rep, sendErr := freerider.SendDetailed(freerider.WiFi, 4, payload, *seed, sendOpts)
-			lines = append(lines, fmt.Sprintf(
-				"transfer: %d B quaternary WiFi at 4 m under %s", payloadBytes, res.Profile))
-			if sendErr != nil {
-				res.Violations = append(res.Violations, "transfer failed: "+sendErr.Error())
-			} else if len(out) != len(payload) {
-				res.Violations = append(res.Violations, fmt.Sprintf(
-					"transfer returned %d of %d bits", len(out), len(payload)))
-			}
-			lines = append(lines, fmt.Sprintf(
-				"  chunks=%d packets=%d retransmissions=%d corrupt=%d faulted-losses=%d",
-				rep.Chunks, rep.Packets, rep.Retransmissions, rep.CorruptPackets, rep.FaultedLosses))
-			lines = append(lines, fmt.Sprintf(
-				"  backoff=%d slots (%.1f ms)  fallbacks=%d recoveries=%d final-quaternary=%v degraded=%v",
-				rep.BackoffSlots, rep.BackoffSeconds*1e3, rep.Fallbacks, rep.Recoveries,
-				rep.FinalQuaternary, rep.Degraded()))
-
-			for _, v := range res.Violations {
-				lines = append(lines, "VIOLATION: "+v)
-			}
-			if len(res.Violations) == 0 {
-				lines = append(lines, "invariants: PASS (no panics, worker-count bit-identity, residual monotone)")
-			} else {
-				soakFailed = true
-			}
-			type soakRows struct {
-				Soak     experiments.SoakResult      `json:"soak"`
-				Transfer freerider.DegradationReport `json:"transfer"`
-			}
-			return result{
-				Title: "chaos soak — fault-intensity sweep + degraded transfer",
-				Rows:  soakRows{res, rep},
-				lines: lines,
-			}, nil
-		},
-		"table1": func() (result, error) {
-			type row struct {
-				Decoded    string `json:"decoded"`
-				Excitation string `json:"excitation"`
-				TagBit     byte   `json:"tag_bit"`
-			}
-			var rows []row
-			var lines []string
-			lines = append(lines, "decoded  excitation  tag-bit")
-			for _, c := range [][2]byte{{2, 1}, {1, 2}, {1, 1}, {2, 2}} {
-				bit := decoder.XORDecode(c[1], c[0])
-				rows = append(rows, row{
-					Decoded:    fmt.Sprintf("C%d", c[0]),
-					Excitation: fmt.Sprintf("C%d", c[1]),
-					TagBit:     bit,
-				})
-				lines = append(lines, fmt.Sprintf("   C%d        C%d         %d", c[0], c[1], bit))
-			}
-			return result{Title: "Table 1 — codeword translation logic", Rows: rows, lines: lines}, nil
-		},
+	catalogue := slices.Concat(experiments.Registry, cliOnly)
+	byName := func(name string) int {
+		return slices.IndexFunc(catalogue, func(e experiments.Experiment) bool { return e.Name == name })
 	}
-
-	names := []string{flag.Arg(0)}
-	if flag.Arg(0) == "all" {
-		names = names[:0]
-		for k := range runners {
-			names = append(names, k)
-		}
-		sort.Strings(names)
+	if *snrCoded {
+		code := fec.Config{N: *snrN, K: *snrK, Interleave: *snrInterleave}
+		catalogue[byName("snr")] = experiments.Experiment{Name: "snr",
+			Title: "BER vs SNR — coded vs uncoded uplink (RS link-margin study)",
+			Run: func(opt experiments.Options, _ bool) (any, error) {
+				return experiments.CodedBERvsSNRChase(opt, &code, *snrChase)
+			}}
 	}
-
-	suiteStart := time.Now()
-	var jsonOut []result
+	var selected []experiments.Experiment
 	for _, name := range names {
-		run, ok := runners[name]
-		if !ok {
+		if name == "all" {
+			selected = append(selected, catalogue...)
+			continue
+		}
+		i := byName(name)
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			usage()
 			os.Exit(2)
 		}
+		selected = append(selected, catalogue[i])
+	}
+
+	suiteStart := time.Now()
+	soakFailed := false
+	var jsonOut []result
+	for _, exp := range selected {
 		seen := len(collector.Reports())
-		res, err := run()
+		rows, err := exp.Run(opt, !*quick)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", exp.Name, err)
 			os.Exit(1)
 		}
-		res.Metrics = collector.Reports()[seen:]
+		if soak, ok := rows.(soakRows); ok && len(soak.Soak.Violations) > 0 {
+			soakFailed = true
+		}
+		res := result{Title: exp.Title, Rows: rows, Metrics: collector.Reports()[seen:]}
 		if *asJSON {
 			jsonOut = append(jsonOut, res)
 			continue
@@ -430,8 +176,8 @@ func main() {
 		if err := enc.Encode(jsonOut); err != nil {
 			fatal(err)
 		}
-	} else if len(names) > 1 {
-		fmt.Printf("suite: %d experiments in %.2fs\n", len(names), time.Since(suiteStart).Seconds())
+	} else if len(selected) > 1 {
+		fmt.Printf("suite: %d experiments in %.2fs\n", len(selected), time.Since(suiteStart).Seconds())
 	}
 
 	if *memProfile != "" {
@@ -451,79 +197,168 @@ func main() {
 	}
 }
 
-// printText renders a result: bespoke lines if provided, otherwise one
-// String() per row element, then the run metrics.
+// printText renders a result: its title, the text of its rows, then the
+// run metrics.
 func printText(r result) {
 	fmt.Println(r.Title)
-	if r.lines != nil {
-		for _, l := range r.lines {
-			fmt.Println("  " + l)
-		}
-	} else {
-		switch rows := r.Rows.(type) {
-		case []experiments.LinkPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.PLMPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.RegimePoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.Fig15Row:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.Fig16Row:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.MultiTagPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.PowerRow:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.RedundancyPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.BaselinePoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.CollisionPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.QuaternaryPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		case []experiments.CFOPoint:
-			for _, p := range rows {
-				fmt.Println("  " + p.String())
-			}
-		default:
-			fmt.Printf("  %+v\n", r.Rows)
-		}
+	for _, l := range rowLines(r.Rows) {
+		fmt.Println("  " + l)
 	}
 	for _, m := range r.Metrics {
 		fmt.Println("  # " + m.String())
 	}
 }
 
-func linkRunner(title string, f func(experiments.Options) ([]experiments.LinkPoint, error),
-	opt experiments.Options) func() (result, error) {
-	return func() (result, error) {
-		pts, err := f(opt)
-		return result{Title: title, Rows: pts}, err
+// rowLines renders rows as text lines: a fmt.Stringer by its String, a
+// slice element by element, anything else in Go syntax.
+func rowLines(rows any) []string {
+	if s, ok := rows.(fmt.Stringer); ok {
+		return strings.Split(s.String(), "\n")
 	}
+	v := reflect.ValueOf(rows)
+	if v.Kind() != reflect.Slice {
+		return []string{fmt.Sprintf("%+v", rows)}
+	}
+	var lines []string
+	for i := 0; i < v.Len(); i++ {
+		lines = append(lines, rowLines(v.Index(i).Interface())...)
+	}
+	return lines
+}
+
+// radioCurve is one radio's waterfall.
+type radioCurve struct {
+	Radio  string                       `json:"radio"`
+	Points []experiments.WaterfallPoint `json:"points"`
+}
+
+func (c radioCurve) String() string {
+	lines := []string{c.Radio + ":"}
+	for _, p := range c.Points {
+		lines = append(lines, "  "+p.String())
+	}
+	return strings.Join(lines, "\n")
+}
+
+// runWaterfall measures each radio's native PHY sensitivity curve.
+func runWaterfall(opt experiments.Options, full bool) (any, error) {
+	frames := 6
+	if full {
+		frames = 20
+	}
+	var rows []radioCurve
+	for _, radio := range []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth} {
+		pts, err := experiments.Waterfall(radio, []float64{-4, -2, 0, 2, 4, 6, 8, 12}, frames, opt)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, radioCurve{Radio: radio.String(), Points: pts})
+	}
+	return rows, nil
+}
+
+// table1Row is one line of Table 1: the tag bit a decoded/excitation
+// codeword pair yields.
+type table1Row struct {
+	Decoded    string `json:"decoded"`
+	Excitation string `json:"excitation"`
+	TagBit     byte   `json:"tag_bit"`
+}
+
+type table1Rows []table1Row
+
+func (t table1Rows) String() string {
+	lines := []string{"decoded  excitation  tag-bit"}
+	for _, r := range t {
+		lines = append(lines, fmt.Sprintf("   %s        %s         %d", r.Decoded, r.Excitation, r.TagBit))
+	}
+	return strings.Join(lines, "\n")
+}
+
+// table1 evaluates the codeword translation logic of Table 1.
+func table1(experiments.Options, bool) (any, error) {
+	var rows table1Rows
+	for _, c := range [][2]byte{{2, 1}, {1, 2}, {1, 1}, {2, 2}} {
+		rows = append(rows, table1Row{
+			Decoded:    fmt.Sprintf("C%d", c[0]),
+			Excitation: fmt.Sprintf("C%d", c[1]),
+			TagBit:     decoder.XORDecode(c[1], c[0]),
+		})
+	}
+	return rows, nil
+}
+
+// soakRows is the soak experiment's output: the intensity sweep and the
+// degraded transfer pushed through the faulted link.
+type soakRows struct {
+	Soak         experiments.SoakResult      `json:"soak"`
+	Transfer     freerider.DegradationReport `json:"transfer"`
+	payloadBytes int
+}
+
+func (r soakRows) String() string {
+	lines := []string{"profile: " + r.Soak.Profile}
+	for _, c := range r.Soak.Cells {
+		lines = append(lines, c.String())
+	}
+	rep := r.Transfer
+	lines = append(lines,
+		fmt.Sprintf("transfer: %d B quaternary WiFi at 4 m under %s", r.payloadBytes, r.Soak.Profile),
+		fmt.Sprintf("  chunks=%d packets=%d retransmissions=%d corrupt=%d faulted-losses=%d",
+			rep.Chunks, rep.Packets, rep.Retransmissions, rep.CorruptPackets, rep.FaultedLosses),
+		fmt.Sprintf("  backoff=%d slots (%.1f ms)  fallbacks=%d recoveries=%d final-quaternary=%v degraded=%v",
+			rep.BackoffSlots, rep.BackoffSeconds*1e3, rep.Fallbacks, rep.Recoveries,
+			rep.FinalQuaternary, rep.Degraded()))
+	for _, v := range r.Soak.Violations {
+		lines = append(lines, "VIOLATION: "+v)
+	}
+	if len(r.Soak.Violations) == 0 {
+		lines = append(lines, "invariants: PASS (no panics, worker-count bit-identity, residual monotone)")
+	}
+	return strings.Join(lines, "\n")
+}
+
+// runSoak sweeps the -faults profile's intensity (full chaos when none is
+// given), then pushes a real payload through the faulted link with the
+// graceful-degradation machinery engaged end to end. A failed transfer is
+// recorded as a violation.
+func runSoak(opt experiments.Options, full bool) (any, error) {
+	profile := opt.Faults
+	if profile == nil {
+		var err error
+		if profile, err = faults.Parse("chaos"); err != nil {
+			return nil, err
+		}
+	}
+	res, err := experiments.Soak(profile, opt)
+	if err != nil {
+		return nil, err
+	}
+	payloadBytes := 512
+	if full {
+		payloadBytes = 4096
+	}
+	payload := make([]byte, payloadBytes*8)
+	for i := range payload {
+		payload[i] = byte(i % 2)
+	}
+	sendOpts := freerider.DefaultSendOptions()
+	// Soak-sized attempt budget: full chaos stacks multi-slot excitation
+	// outages on brownout charge cycles, so roughly every other slot loses
+	// or corrupts a packet. 12 attempts of exponential backoff span ~200
+	// fault-timeline slots — enough to decorrelate from any of the chaos
+	// preset's periodicities.
+	sendOpts.Attempts = 12
+	sendOpts.Quaternary = true
+	sendOpts.Faults = profile
+	out, rep, sendErr := freerider.SendDetailed(freerider.WiFi, 4, payload, opt.Seed, sendOpts)
+	if sendErr != nil {
+		res.Violations = append(res.Violations, "transfer failed: "+sendErr.Error())
+	} else if len(out) != len(payload) {
+		res.Violations = append(res.Violations, fmt.Sprintf(
+			"transfer returned %d of %d bits", len(out), len(payload)))
+	}
+	return soakRows{Soak: res, Transfer: rep, payloadBytes: payloadBytes}, nil
 }
 
 func fatal(err error) {
@@ -532,35 +367,16 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: freerider-bench [-quick] [-seed N] [-workers N] [-json] [-faults SPEC] [-cpuprofile FILE] [-memprofile FILE] <experiment> [subcommand flags]
-experiments:
-  fig3        ambient packet-duration PDF + PLM aliasing (Fig 3)
-  fig4        PLM scheduling accuracy vs distance (Fig 4)
-  fig10-13    single-link throughput/BER/RSSI sweeps (Figs 10-13)
-  fig14       operating regime (Fig 14)
-  fig15       WiFi throughput under backscatter (Fig 15)
-  fig16       backscatter throughput under WiFi (Fig 16)
-  fig17       multi-tag throughput + fairness (Fig 17)
-  fig17sim    Fig 17 re-run through the firmware-level event simulator
-  power       tag power budget (§3.3)
-  plmrate     PLM downlink rate (§2.4.2)
-  redundancy  OFDM symbols per tag bit (§3.2.1)
-  pilots      pilot-tracking ablation (§3.2.1)
-  baselines   FreeRider vs HitchHike traffic-availability study (§1)
-  collision   slot-collision physics at sample level (§2.4.1)
-  quaternary  eq. 4 binary vs eq. 5 quaternary phase translation
-  cfo         carrier-frequency-offset robustness sweep
-  snr [-coded [-code-n N -code-k K -interleave D -chase R] | -single]
-              BER vs SNR; -coded pairs it with an RS-coded sweep on the
-              dense transition-band grid and reports the dB margin gain
-              at BER 1e-3; -chase adds the chase-combined uplink at a
-              retransmission budget of R (default 4); -single pairs it
-              with a single-receiver (Double-decker) sweep and reports
-              the dB sensitivity cost at BER 1e-2
-  waterfall   native PHY sensitivity curves (BER/packet rate vs SNR)
-  table1      codeword translation logic table (Table 1)
-  soak        chaos soak: fault-intensity sweep + degraded transfer
-  all         everything above
+	fmt.Fprintln(os.Stderr, `usage: freerider-bench [-quick] [-seed N] [-workers N] [-json] [-faults SPEC] [-cpuprofile FILE] [-memprofile FILE] <experiment|all>... [snr flags]
+experiments:`)
+	for _, e := range slices.Concat(experiments.Registry, cliOnly) {
+		fmt.Fprintf(os.Stderr, "  %-11s %s\n", e.Name, e.Title)
+	}
+	fmt.Fprintln(os.Stderr, `  all         everything above
+snr -coded [-code-n N -code-k K -interleave D -chase R] pairs the snr sweep
+with an RS-coded sweep on the dense transition-band grid and reports the dB
+margin gain at BER 1e-3; -chase adds the chase-combined uplink at a
+retransmission budget of R (default 4).
 flags: -workers bounds the deterministic worker pool (results never depend
 on it); -faults attaches a fault profile (preset name, name@intensity, or
 "burst:p01=...;outage:period=...;..." spec) to every link — soak defaults

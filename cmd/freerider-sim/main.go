@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/channel"
 )
 
 func main() {
@@ -36,16 +35,9 @@ func main() {
 			", name@intensity, or a custom burst:...;outage:... spec")
 	flag.Parse()
 
-	var r freerider.Radio
-	switch *radio {
-	case "wifi":
-		r = freerider.WiFi
-	case "zigbee":
-		r = freerider.ZigBee
-	case "bluetooth":
-		r = freerider.Bluetooth
-	default:
-		fmt.Fprintf(os.Stderr, "unknown radio %q\n", *radio)
+	r, err := freerider.ParseRadio(*radio)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -60,9 +52,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Faults = profile
 	if *nlos {
-		cfg.Link.Deployment = channel.NLOS
-		cfg.Link.TxPowerDBm = 15
-		cfg.Link.FadingK = 1.5
+		cfg.SetNLOS()
 	}
 	if *redundancy > 0 {
 		cfg.Redundancy = *redundancy

@@ -13,9 +13,8 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/plm"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -37,9 +36,9 @@ func main() {
 		}
 	}
 
-	m := trace.NewAmbientModel(*seed)
-	durations := m.Samples(*samples)
-	centres, density, err := stats.Histogram(durations, 0, 2.8e-3, 28)
+	// The histogram and alias probability are the Fig 3 experiment's, drawn
+	// from its derived seed streams.
+	res, err := experiments.Fig3AmbientDurations(*samples, experiments.Options{Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -47,25 +46,20 @@ func main() {
 
 	fmt.Printf("ambient traffic model (%d samples):\n", *samples)
 	peak := 0.0
-	for _, d := range density {
+	for _, d := range res.Density {
 		if d > peak {
 			peak = d
 		}
 	}
-	for i := range centres {
-		bar := strings.Repeat("#", int(density[i]/peak*50))
-		fmt.Printf("  %5.2f ms %s\n", centres[i]*1e3, bar)
+	for i, c := range res.BinCentresMs {
+		bar := strings.Repeat("#", int(res.Density[i]/peak*50))
+		fmt.Printf("  %5.2f ms %s\n", c, bar)
 	}
 
 	scheme := plm.DefaultScheme()
-	alias, err := m.AliasProbability([]float64{scheme.L0, scheme.L1}, scheme.Bound, *samples)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	fmt.Printf("\nPLM scheme: L0=%.0fus L1=%.0fus gap=%.0fus bound=±%.0fus rate=%.0f bps\n",
 		scheme.L0*1e6, scheme.L1*1e6, scheme.Gap*1e6, scheme.Bound*1e6, scheme.RateBps())
-	fmt.Printf("ambient alias probability: %.4f%% (paper: ~0.03%%)\n", alias*100)
+	fmt.Printf("ambient alias probability: %.4f%% (paper: ~0.03%%)\n", res.AliasProbability*100)
 
 	fmt.Printf("\nschedule for message %s (preamble %v):\n", *message, scheme.Preamble)
 	t := 0.0

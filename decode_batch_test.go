@@ -1,6 +1,7 @@
 package freerider
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -63,5 +64,45 @@ func TestDecodeBatchMatchesSerialCalls(t *testing.T) {
 	}
 	if got := DecodeBatch(nil, 2); len(got) != 0 {
 		t.Fatalf("empty batch: got %d results", len(got))
+	}
+}
+
+// TestStreamAPIRejectsUnknownRadio pins that every stream entry point
+// refuses a Radio value outside WiFi, ZigBee and Bluetooth with
+// ErrUnknownRadio, instead of silently running the WiFi rules.
+func TestStreamAPIRejectsUnknownRadio(t *testing.T) {
+	ref := []byte{0, 1, 0, 1, 1, 0, 1, 0}
+	for _, r := range []Radio{Radio(7), Radio(-1)} {
+		cases := []struct {
+			name string
+			call func() error
+		}{
+			{"EncodeStream", func() error {
+				_, _, err := EncodeStream(r, ref, []byte{1, 0}, 4)
+				return err
+			}},
+			{"DecodeStream", func() error {
+				_, _, err := DecodeStream(r, ref, ref, 4)
+				return err
+			}},
+			{"DecodeDifferentialStream", func() error {
+				_, err := DecodeDifferentialStream(r, ref, 4)
+				return err
+			}},
+			{"DecodeBatch/dual", func() error {
+				return DecodeBatch([]DecodeRequest{{Radio: r, Ref: ref, RX: ref, Window: 4}}, 1)[0].Err
+			}},
+			{"DecodeBatch/single", func() error {
+				return DecodeBatch([]DecodeRequest{{Radio: r, RX: ref, Window: 4, Single: true}}, 1)[0].Err
+			}},
+		}
+		for _, c := range cases {
+			if err := c.call(); !errors.Is(err, ErrUnknownRadio) {
+				t.Errorf("%s(%v): err = %v, want ErrUnknownRadio", c.name, r, err)
+			}
+		}
+	}
+	if _, err := ParseRadio("lora"); !errors.Is(err, ErrUnknownRadio) {
+		t.Errorf("ParseRadio(lora): err = %v, want ErrUnknownRadio", err)
 	}
 }

@@ -26,12 +26,12 @@
 package freerider
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"repro/internal/bits"
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/decoder"
 	"repro/internal/faults"
@@ -44,12 +44,6 @@ import (
 	"repro/internal/zigbee"
 )
 
-// bit helpers re-exported for example programs and API users.
-var (
-	bitsFromBytes = bits.FromBytes
-	bytesFromBits = bits.ToBytes
-)
-
 // Radio identifies the excitation technology a tag rides on.
 type Radio = core.Radio
 
@@ -59,6 +53,10 @@ const (
 	ZigBee    = core.ZigBee
 	Bluetooth = core.Bluetooth
 )
+
+// ErrUnknownRadio reports a radio name or value other than WiFi, ZigBee
+// and Bluetooth. ParseRadio and the stream API wrap it.
+var ErrUnknownRadio = errors.New("freerider: unknown radio")
 
 // ParseRadio maps a case-insensitive wire name ("wifi", "zigbee",
 // "bluetooth") to its Radio. It is the inverse of RadioKey.
@@ -71,7 +69,16 @@ func ParseRadio(name string) (Radio, error) {
 	case "bluetooth":
 		return Bluetooth, nil
 	}
-	return 0, fmt.Errorf("freerider: unknown radio %q (want wifi, zigbee, bluetooth)", name)
+	return 0, fmt.Errorf("%w %q (want wifi, zigbee, bluetooth)", ErrUnknownRadio, name)
+}
+
+// checkRadio rejects Radio values outside the three supported radios.
+func checkRadio(r Radio) error {
+	switch r {
+	case WiFi, ZigBee, Bluetooth:
+		return nil
+	}
+	return fmt.Errorf("%w %d", ErrUnknownRadio, int(r))
 }
 
 // RadioKey returns the stable wire name of a radio ("wifi", "zigbee",
@@ -128,6 +135,9 @@ func streamAlphabet(r Radio) byte {
 }
 
 func validateStream(r Radio, name string, s []byte) error {
+	if err := checkRadio(r); err != nil {
+		return err
+	}
 	limit := streamAlphabet(r)
 	for i, v := range s {
 		if v >= limit {
@@ -135,18 +145,6 @@ func validateStream(r Radio, name string, s []byte) error {
 		}
 	}
 	return nil
-}
-
-// decodeThreshold is the per-radio mismatch fraction above which a window
-// decodes as tag bit 1 (the same values core.Session uses): 0.5 for the
-// complementing WiFi/Bluetooth translations, 0.3 for ZigBee, whose
-// inverted chip sequence decodes to a different symbol only with the
-// codebook's confusion margin.
-func decodeThreshold(r Radio) float64 {
-	if r == ZigBee {
-		return 0.3
-	}
-	return 0.5
 }
 
 // translateElement returns the radio's element-level codeword translation:
@@ -196,7 +194,7 @@ func DecodeStream(r Radio, ref, rx []byte, window int) ([]WindowDecision, int, e
 	if err := validateStream(r, "rx", rx); err != nil {
 		return nil, 0, err
 	}
-	return decoder.DecodeWindows(ref, rx, window, decodeThreshold(r))
+	return decoder.DecodeWindows(ref, rx, window, core.WindowThreshold(r))
 }
 
 // DecodeDifferentialStream recovers tag bits from a single receiver's
@@ -210,7 +208,7 @@ func DecodeStream(r Radio, ref, rx []byte, window int) ([]WindowDecision, int, e
 // symmetry with DecodeStream (the feature alphabet is binary for every
 // radio, and all three slice at the 0.5 midpoint).
 func DecodeDifferentialStream(r Radio, features []byte, window int) ([]WindowDecision, error) {
-	if _, err := ParseRadio(RadioKey(r)); err != nil {
+	if err := checkRadio(r); err != nil {
 		return nil, err
 	}
 	for i, v := range features {
@@ -289,18 +287,6 @@ type PacketResult = core.PacketResult
 
 // SessionResult aggregates a multi-packet run.
 type SessionResult = core.SessionResult
-
-// Link is the radio-link budget and geometry.
-type Link = channel.Link
-
-// Deployment is a propagation environment; LOS and NLOS reproduce Fig 9.
-type Deployment = channel.Deployment
-
-// Propagation environments from the paper's evaluation (Fig 9).
-var (
-	LOS  = channel.LOS
-	NLOS = channel.NLOS
-)
 
 // DefaultConfig returns the calibrated configuration for a radio with the
 // receiver at the given distance from the tag (transmitter 1 m away, LOS).
@@ -752,11 +738,11 @@ func DefaultPLMScheme() PLMScheme { return plm.DefaultScheme() }
 
 // BitsFromBytes expands bytes into the 0/1 bit slice a tag transmits,
 // least-significant bit first.
-func BitsFromBytes(data []byte) []byte { return bitsFromBytes(data) }
+func BitsFromBytes(data []byte) []byte { return bits.FromBytes(data) }
 
 // BytesFromBits packs a decoded 0/1 bit slice (length a multiple of 8,
 // LSB first) back into bytes.
-func BytesFromBits(bs []byte) ([]byte, error) { return bytesFromBits(bs) }
+func BytesFromBits(bs []byte) ([]byte, error) { return bits.ToBytes(bs) }
 
 // TagPowerProfile itemises the tag's microwatt budget (§3.3).
 type TagPowerProfile = tag.PowerProfile

@@ -96,8 +96,9 @@ func TestRunPacketBatchMatchesSerialLoop(t *testing.T) {
 }
 
 // TestRunBatchSizeInvariance pins that the aggregate result does not depend
-// on the batch size — including a batch larger than the packet count — and
-// matches RunParallel's batch-sharded pool.
+// on how the packet range is split: RunPacketBatch ranges of every size —
+// including one larger than the packet count — accumulate to Run's result,
+// which also matches RunParallel's batch-sharded pool.
 func TestRunBatchSizeInvariance(t *testing.T) {
 	cfg := DefaultConfig(ZigBee, 8)
 	cfg.Seed = 31
@@ -106,17 +107,23 @@ func TestRunBatchSizeInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const packets = 5
-	ref, err := s.RunBatch(packets, 1)
+	ref, err := s.Run(packets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{2, 3, packets, packets + 7, 0 /* default */} {
-		got, err := s.RunBatch(packets, batch)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+	for _, batch := range []int{1, 2, 3, packets, packets + 7} {
+		var got SessionResult
+		for lo := 0; lo < packets; lo += batch {
+			prs, err := s.RunPacketBatch(lo, min(batch, packets-lo))
+			if err != nil {
+				t.Fatalf("batch=%d: %v", batch, err)
+			}
+			for _, pr := range prs {
+				got.accumulate(pr, cfg.InterPacketGap)
+			}
 		}
 		if got != ref {
-			t.Errorf("batch=%d: %+v != reference %+v", batch, got, ref)
+			t.Errorf("batch=%d: %+v != Run %+v", batch, got, ref)
 		}
 	}
 	par, err := s.RunParallel(packets, 3)
@@ -124,7 +131,7 @@ func TestRunBatchSizeInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if par != ref {
-		t.Errorf("RunParallel %+v != RunBatch reference %+v", par, ref)
+		t.Errorf("RunParallel %+v != Run %+v", par, ref)
 	}
 }
 

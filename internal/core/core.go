@@ -227,6 +227,27 @@ func DefaultConfig(r Radio, tagToRx float64) Config {
 	return cfg
 }
 
+// SetNLOS switches the link to the paper's through-the-wall deployment
+// (Fig 9b, Fig 11): the NLOS path-loss model at the full 15 dBm, with a
+// weaker line-of-sight component (Rician K 1.5).
+func (c *Config) SetNLOS() {
+	c.Link.Deployment = channel.NLOS
+	c.Link.TxPowerDBm = 15
+	c.Link.FadingK = 1.5
+}
+
+// WindowThreshold returns the radio's dual-receiver window threshold: the
+// mismatch fraction above which a window decodes as tag bit 1. The
+// complementing WiFi and Bluetooth translations slice at the midpoint;
+// ZigBee's inverted chip sequence decodes to a different symbol only with
+// the codebook's confusion margin, so it slices lower.
+func WindowThreshold(r Radio) float64 {
+	if r == ZigBee {
+		return 0.3
+	}
+	return 0.5
+}
+
 // PacketResult reports one excitation packet's backscatter outcome.
 type PacketResult struct {
 	Detected   bool    // adjacent-channel receiver found the packet
@@ -530,7 +551,7 @@ func (s *Session) decode(res PacketResult, rx received, tagBits []byte) (PacketR
 	case single:
 		ws, err = decoder.DecodeDifferentialWindows(rx.obs, rx.window, singleThreshold)
 	default:
-		ws, dropped, err = decoder.DecodeWindows(rx.ref, rx.obs, rx.window, rx.threshold)
+		ws, dropped, err = decoder.DecodeWindows(rx.ref, rx.obs, rx.window, WindowThreshold(s.cfg.Radio))
 	}
 	if err != nil {
 		return PacketResult{}, err
@@ -627,7 +648,7 @@ func (r SessionResult) LossRate() float64 {
 // RNG stream. The stream — tag data, payload, WiFi scrambler seed, fading
 // and noise — depends only on (Config.Seed, idx), never on which packets
 // ran before or on which worker this one lands, which is what makes Run,
-// RunBatch and RunParallel bit-identical.
+// RunPacketBatch and RunParallel bit-identical.
 func (s *Session) runPacketAt(idx int) (PacketResult, error) {
 	rng := packetRNGPool.Get()
 	defer packetRNGPool.Put(rng)
@@ -766,21 +787,16 @@ func (s *Session) RunPacketBatch(start, n int) ([]PacketResult, error) {
 	return prs, nil
 }
 
-// RunBatch is Run with an explicit batch size: packets are processed in
-// contiguous ranges of `batch` (<= 0 selects DefaultBatchSize) through
-// RunPacketBatch's amortised loop. The aggregate result is bit-identical
-// to Run and RunParallel for every batch size.
-func (s *Session) RunBatch(n, batch int) (SessionResult, error) {
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
+// Run executes n excitation packets with fresh random tag data on each and
+// aggregates the results. Packets run in contiguous DefaultBatchSize
+// ranges through RunPacketBatch's amortised loop, each on its own RNG
+// stream derived from (Config.Seed, packet index), so the result is
+// exactly what RunParallel produces with any worker count.
+func (s *Session) Run(n int) (SessionResult, error) {
 	var out SessionResult
-	prs := make([]PacketResult, batch)
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
+	prs := make([]PacketResult, DefaultBatchSize)
+	for lo := 0; lo < n; lo += DefaultBatchSize {
+		hi := min(lo+DefaultBatchSize, n)
 		if err := s.runPacketRange(lo, hi, prs[:hi-lo]); err != nil {
 			return SessionResult{}, err
 		}
@@ -789,14 +805,6 @@ func (s *Session) RunBatch(n, batch int) (SessionResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// Run executes n excitation packets with fresh random tag data on each and
-// aggregates the results. Each packet runs on its own RNG stream derived
-// from (Config.Seed, packet index), so the result is exactly what
-// RunParallel produces with any worker count.
-func (s *Session) Run(n int) (SessionResult, error) {
-	return s.RunBatch(n, DefaultBatchSize)
 }
 
 // RunParallel is Run spread over a bounded worker pool (all cores when

@@ -38,14 +38,13 @@ type phy interface {
 
 // received is what a phy's receive hands the decode tail. Dual-receiver
 // mode compares ref against obs in windows of window elements, slicing the
-// mismatch fraction at threshold; single-receiver mode leaves ref nil and
-// obs holds the per-unit flip features. obs is nil when the packet was
+// mismatch fraction at WindowThreshold; single-receiver mode leaves ref nil
+// and obs holds the per-unit flip features. obs is nil when the packet was
 // detected but its streams do not line up.
 type received struct {
-	detected  bool
-	ref, obs  []byte
-	window    int
-	threshold float64
+	detected bool
+	ref, obs []byte
+	window   int
 }
 
 var lost, undecodable = received{}, received{detected: true}
@@ -251,7 +250,7 @@ func (p *wifiPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	if len(obs) <= unit {
 		return undecodable
 	}
-	return received{detected: true, ref: ref[unit:], obs: obs[unit:], window: p.cfg.Redundancy * unit, threshold: 0.5}
+	return received{detected: true, ref: ref[unit:], obs: obs[unit:], window: p.cfg.Redundancy * unit}
 }
 
 // wifiFlipFeatures is the Double-decker feature extractor for WiFi: the
@@ -382,7 +381,7 @@ func (p *zigbeePHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 		// estimate of the tag's absolute flip state, one per symbol.
 		return received{detected: true, obs: frame.Flips, window: p.cfg.Redundancy}
 	}
-	return received{detected: true, ref: e.Ref, obs: frame.Symbols, window: p.cfg.Redundancy, threshold: 0.3}
+	return received{detected: true, ref: e.Ref, obs: frame.Symbols, window: p.cfg.Redundancy}
 }
 
 // btHeaderBits is the preamble + access address: the tag's modulation
@@ -461,7 +460,7 @@ func (p *bluetoothPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	if len(raw) < n {
 		return undecodable
 	}
-	return received{detected: true, ref: e.Ref[btHeaderBits:], obs: raw[btHeaderBits:], window: p.cfg.Redundancy, threshold: 0.5}
+	return received{detected: true, ref: e.Ref[btHeaderBits:], obs: raw[btHeaderBits:], window: p.cfg.Redundancy}
 }
 
 // btFlipFeatures is the Double-decker feature for Bluetooth: a flipped

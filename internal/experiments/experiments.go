@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4). Each Fig* function runs the corresponding experiment on
 // the simulation substrate and returns the same rows/series the paper
-// plots; cmd/freerider-bench prints them and bench_test.go times them.
-// Options.Quick trades sample count for runtime so the full suite stays
-// usable in tests.
+// plots. Registry names them for cmd/freerider-bench and the HTTP
+// service's /v1/experiments; bench_test.go times them. QuickOptions and
+// the registry's quick effort trade sample count for runtime so the full
+// suite stays usable in tests.
 //
 // Every experiment runs on the internal/runner deterministic worker pool:
 // points execute on all cores but each draws its RNG stream from

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/waveform"
@@ -91,11 +90,7 @@ func Fig10WiFiLOS(opt Options) ([]LinkPoint, error) {
 // wall appears beyond 22 m, Fig 9b).
 func Fig11WiFiNLOS(opt Options) ([]LinkPoint, error) {
 	d := []float64{1, 4, 8, 12, 14, 16, 18, 20, 22, 25}
-	return linkSweep("fig11", core.WiFi, d, opt, func(c *core.Config) {
-		c.Link.Deployment = channel.NLOS
-		c.Link.TxPowerDBm = 15 // the NLOS run uses the full 15 dBm
-		c.Link.FadingK = 1.5   // weaker LOS component through walls
-	})
+	return linkSweep("fig11", core.WiFi, d, opt, (*core.Config).SetNLOS)
 }
 
 // Fig12ZigBeeLOS sweeps the ZigBee LOS deployment of Fig 12 (5 dBm).

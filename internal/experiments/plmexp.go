@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/channel"
 	"repro/internal/plm"
@@ -24,6 +25,20 @@ type Fig3Result struct {
 	// AliasProbability is the chance an ambient packet masquerades as a
 	// PLM pulse within the ±25 µs bound (paper: ~0.03%).
 	AliasProbability float64
+}
+
+// String renders the result as the bench log's Fig 3 block.
+func (r Fig3Result) String() string {
+	lines := []string{
+		fmt.Sprintf("<500us fraction: %.1f%% (paper ~78%%)", r.ShortFraction*100),
+		fmt.Sprintf("1.5-2.7ms fraction: %.1f%% (paper ~18%%)", r.LongFraction*100),
+		fmt.Sprintf("PLM alias probability (±25us): %.4f%% (paper ~0.03%%)", r.AliasProbability*100),
+		"duration PDF (ms -> density):",
+	}
+	for i := range r.BinCentresMs {
+		lines = append(lines, fmt.Sprintf("  %5.2f %8.1f", r.BinCentresMs[i], r.Density[i]))
+	}
+	return strings.Join(lines, "\n")
 }
 
 // Fig3AmbientDurations samples the lecture-hall traffic model and computes
@@ -143,3 +158,11 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 // PLMRateBps reports the signalling rate of the default PLM scheme
 // (§2.4.2 quotes ~500 bps).
 func PLMRateBps() float64 { return plm.DefaultScheme().RateBps() }
+
+// PLMRate is the plmrate experiment's row.
+type PLMRate struct {
+	RateBps float64 `json:"rate_bps"`
+}
+
+// String renders the rate as a bench-log row.
+func (r PLMRate) String() string { return fmt.Sprintf("%.0f bps (paper ~500 bps)", r.RateBps) }

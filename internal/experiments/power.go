@@ -324,3 +324,16 @@ func PilotTrackingAblation(opt Options) (withoutBER, withBER float64, err error)
 	}
 	return bers[0], bers[1], nil
 }
+
+// PilotAblation is the pilots experiment's row: tag BER with receiver
+// pilot phase tracking off and on.
+type PilotAblation struct {
+	BEROff float64 `json:"ber_tracking_off"`
+	BEROn  float64 `json:"ber_tracking_on"`
+}
+
+// String renders the ablation as the bench log's two rows.
+func (a PilotAblation) String() string {
+	return fmt.Sprintf("tag BER without tracking: %.4f\ntag BER with tracking:    %.4f (tracking erases the tag's phase)",
+		a.BEROff, a.BEROn)
+}

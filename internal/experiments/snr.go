@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fec"
@@ -74,11 +75,7 @@ func berVsSNROn(grid []float64, opt Options, waves *waveform.Cache, coding *fec.
 		if err != nil {
 			return err
 		}
-		// Batched packet loop: one arena checkout and RNG seeding per
-		// DefaultBatchSize packets instead of per packet. RunBatch is
-		// bit-identical to the serial loop, so every published curve is
-		// unchanged.
-		res, err := s.RunBatch(opt.packets(), core.DefaultBatchSize)
+		res, err := s.Run(opt.packets())
 		if err != nil {
 			return err
 		}
@@ -138,6 +135,32 @@ type CodedSNRResult struct {
 	Chase       []SNRPoint
 	ChaseSNRdB  float64
 	ChaseGainDB float64
+}
+
+// String renders the paired sweeps and their margins as the bench log's
+// block.
+func (r CodedSNRResult) String() string {
+	c := r.Coding
+	lines := curveLines(nil, "uncoded:", r.Uncoded)
+	lines = curveLines(lines, fmt.Sprintf("coded RS(%d,%d) x%d:", c.N, c.K, c.Interleave), r.Coded)
+	lines = append(lines, fmt.Sprintf("BER<=%.0e: uncoded needs %.2f dB, coded needs %.2f dB — gain %.2f dB",
+		r.TargetBER, r.UncodedSNRdB, r.CodedSNRdB, r.GainDB))
+	if r.ChaseDepth >= 2 {
+		lines = curveLines(lines, fmt.Sprintf("chase-combined RS(%d,%d) x%d, budget %d:",
+			c.N, c.K, c.Interleave, r.ChaseDepth), r.Chase)
+		lines = append(lines, fmt.Sprintf("BER<=%.0e: chase-combined needs %.2f dB — %.2f dB link margin over uncoded",
+			r.TargetBER, r.ChaseSNRdB, r.ChaseGainDB))
+	}
+	return strings.Join(lines, "\n")
+}
+
+// curveLines appends a heading and one indented row per point.
+func curveLines(lines []string, heading string, curve []SNRPoint) []string {
+	lines = append(lines, heading)
+	for _, p := range curve {
+		lines = append(lines, "  "+p.String())
+	}
+	return lines
 }
 
 // codedTargetBER is the operating threshold the coded sweep reports link
@@ -345,6 +368,16 @@ type SingleReceiverSNRResult struct {
 	DualSNRdB   float64
 	SingleSNRdB float64
 	DeltaDB     float64
+}
+
+// String renders both curves and the sensitivity cost as the bench log's
+// block.
+func (r SingleReceiverSNRResult) String() string {
+	lines := curveLines(nil, "dual-receiver:", r.Dual)
+	lines = curveLines(lines, "single-receiver (Double-decker):", r.Single)
+	lines = append(lines, fmt.Sprintf("BER<=%.0e: dual needs %.2f dB, single needs %.2f dB — sensitivity cost %.2f dB",
+		r.TargetBER, r.DualSNRdB, r.SingleSNRdB, r.DeltaDB))
+	return strings.Join(lines, "\n")
 }
 
 // singleTargetBER is the operating threshold the single-receiver sweep

@@ -11,7 +11,6 @@ import (
 
 	freerider "repro"
 
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fec"
@@ -420,9 +419,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			cfg.Link.TxToTag = req.TxDistance
 		}
 		if req.NLOS {
-			cfg.Link.Deployment = channel.NLOS
-			cfg.Link.TxPowerDBm = 15
-			cfg.Link.FadingK = 1.5
+			cfg.SetNLOS()
 		}
 		if req.PayloadSize > 0 {
 			cfg.PayloadSize = req.PayloadSize
@@ -500,100 +497,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // ---- /v1/experiments/{name} ------------------------------------------
 
-// experimentEntry adapts one figure/study runner to the service. Effort
-// knobs (windows, rounds, messages, samples) take the bench CLI's -quick
-// values unless the request asks for ?full=1.
-type experimentEntry struct {
-	Title string
-	Run   func(opt experiments.Options, full bool) (any, error)
-}
-
-// experimentRegistry is the servable subset of the bench suite: the
-// sample-level sweeps, the MAC studies and the closed-form tables. The
-// long-running chaos soak and waterfall stay CLI-only.
-var experimentRegistry = map[string]experimentEntry{
-	"fig3": {"Fig 3 — ambient packet durations on channel 6",
-		func(opt experiments.Options, full bool) (any, error) {
-			samples := 100000
-			if full {
-				samples = 1000000
-			}
-			return experiments.Fig3AmbientDurations(samples, opt)
-		}},
-	"fig4": {"Fig 4 — PLM scheduling-message delivery vs distance (15 dBm)",
-		func(opt experiments.Options, full bool) (any, error) {
-			messages := 2000
-			if full {
-				messages = 20000
-			}
-			return experiments.Fig4PLMAccuracy(messages, opt)
-		}},
-	"fig10": {"Fig 10 — WiFi LOS backscatter vs distance",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.Fig10WiFiLOS(opt) }},
-	"fig11": {"Fig 11 — WiFi NLOS backscatter vs distance",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.Fig11WiFiNLOS(opt) }},
-	"fig12": {"Fig 12 — ZigBee LOS backscatter vs distance",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.Fig12ZigBeeLOS(opt) }},
-	"fig13": {"Fig 13 — Bluetooth LOS backscatter vs distance",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.Fig13BluetoothLOS(opt) }},
-	"fig14": {"Fig 14 — operating regime: max RX-to-tag vs TX-to-tag distance",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.Fig14OperatingRegime(opt) }},
-	"fig15": {"Fig 15 — WiFi throughput with and without backscatter",
-		func(opt experiments.Options, full bool) (any, error) {
-			return experiments.Fig15WiFiCoexistence(expWindows(full), opt)
-		}},
-	"fig16": {"Fig 16 — backscatter throughput with WiFi traffic present/absent",
-		func(opt experiments.Options, full bool) (any, error) {
-			return experiments.Fig16BackscatterUnderWiFi(expWindows(full), opt)
-		}},
-	"fig17": {"Fig 17 — multi-tag aggregate throughput and Jain fairness",
-		func(opt experiments.Options, full bool) (any, error) {
-			return experiments.Fig17MultiTag(expRounds(full), opt)
-		}},
-	"fig17sim": {"Fig 17 (firmware-level) — per-pulse PLM losses through real tag state machines",
-		func(opt experiments.Options, full bool) (any, error) {
-			return experiments.Fig17FirmwareLevel(expRounds(full), opt)
-		}},
-	"power": {"§3.3 — tag power budget",
-		func(experiments.Options, bool) (any, error) { return experiments.PowerBudget(), nil }},
-	"plmrate": {"§2.4.2 — PLM downlink rate",
-		func(experiments.Options, bool) (any, error) {
-			return map[string]float64{"rate_bps": experiments.PLMRateBps()}, nil
-		}},
-	"redundancy": {"§3.2.1 — OFDM symbols per tag bit (redundancy study)",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.RedundancySweep(opt) }},
-	"snr": {"BER vs SNR — WiFi decoder operating curve (memoized excitation)",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.BERvsSNR(opt) }},
-	"snr-single": {"BER vs SNR — single-receiver (Double-decker) vs dual-receiver sensitivity",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.SingleReceiverBERvsSNR(opt) }},
-	"pilots": {"§3.2.1 — pilot phase tracking ablation",
-		func(opt experiments.Options, _ bool) (any, error) {
-			without, with, err := experiments.PilotTrackingAblation(opt)
-			return map[string]float64{"ber_tracking_off": without, "ber_tracking_on": with}, err
-		}},
-	"baselines": {"§1 motivation — FreeRider vs HitchHike on mixed traffic",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.BaselineAvailability(opt) }},
-	"collision": {"§2.4.1 — slot-collision physics (superposed tags at sample level)",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.CollisionStudy(opt) }},
-	"quaternary": {"eq. 4 vs eq. 5 — binary vs quaternary phase translation (12 Mbps QPSK)",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.QuaternaryStudy(opt) }},
-	"cfo": {"carrier-frequency-offset robustness (pilot-free tracking)",
-		func(opt experiments.Options, _ bool) (any, error) { return experiments.CFOStudy(opt) }},
-}
-
-func expWindows(full bool) int {
-	if full {
-		return 300
-	}
-	return 100
-}
-
-func expRounds(full bool) int {
-	if full {
-		return 12
-	}
-	return 8
-}
+// The service runs experiments.Registry at CI effort unless the request
+// asks for ?full=1. The long-running chaos soak and waterfalls stay
+// CLI-only.
 
 type experimentResponse struct {
 	Name    string       `json:"name"`
@@ -606,7 +512,7 @@ type experimentResponse struct {
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	entry, ok := experimentRegistry[name]
+	exp, ok := experiments.Lookup(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown experiment %q (GET /v1/experiments lists them)", name)
 		return
@@ -638,13 +544,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	collector := obs.NewCollector()
 	opt.Obs = collector
 
-	rows, err := entry.Run(opt, full)
+	rows, err := exp.Run(opt, full)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%s: %v", name, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, experimentResponse{
-		Name: name, Title: entry.Title, Full: full, Seed: seed,
+		Name: name, Title: exp.Title, Full: full, Seed: seed,
 		Rows: rows, Metrics: collector.Reports(),
 	})
 }
@@ -654,15 +560,9 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 		Name  string `json:"name"`
 		Title string `json:"title"`
 	}
-	items := make([]item, 0, len(experimentRegistry))
-	for name, e := range experimentRegistry {
-		items = append(items, item{name, e.Title})
-	}
-	// Stable listing order for clients and tests.
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].Name < items[j-1].Name; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
+	items := make([]item, len(experiments.Registry))
+	for i, e := range experiments.Registry {
+		items[i] = item{e.Name, e.Title}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": items})
 }

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	freerider "repro"
+
+	"repro/internal/experiments"
 )
 
 // newTestServer builds a server with fast test-sized knobs plus a live
@@ -315,12 +317,25 @@ func TestExperimentEndpoint(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/experiments/no-such-figure", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown experiment: got %d, want 404", resp.StatusCode)
 	}
-	var list map[string][]map[string]string
+}
+
+// TestExperimentListMatchesRegistry pins the /v1/experiments listing to
+// experiments.Registry, entry for entry and in order.
+func TestExperimentListMatchesRegistry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var list struct {
+		Experiments []struct{ Name, Title string } `json:"experiments"`
+	}
 	if resp := getJSON(t, ts.URL+"/v1/experiments", &list); resp.StatusCode != http.StatusOK {
 		t.Fatalf("experiments list: %d", resp.StatusCode)
 	}
-	if len(list["experiments"]) != len(experimentRegistry) {
-		t.Fatalf("listing has %d entries, registry %d", len(list["experiments"]), len(experimentRegistry))
+	if len(list.Experiments) != len(experiments.Registry) {
+		t.Fatalf("listing has %d entries, registry %d", len(list.Experiments), len(experiments.Registry))
+	}
+	for i, e := range experiments.Registry {
+		if got := list.Experiments[i]; got.Name != e.Name || got.Title != e.Title {
+			t.Errorf("listing[%d] = %q %q, registry %q %q", i, got.Name, got.Title, e.Name, e.Title)
+		}
 	}
 }
 
