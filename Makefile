@@ -194,8 +194,9 @@ fuzz-decoder:
 # truncated or shifted preambles) through both dispatch modes: the FIR
 # fuzzer demands identity with the scatter-form convolution reference,
 # the ZigBee preamble-scan fuzzer identical (start, gain, quality), and
-# the two receiver fuzzers no panic, a frame or a sentinel error, and
-# identical results with the Go loops and the AVX2 kernels.
+# the three receiver fuzzers no panic, a frame or a sentinel error, and
+# identical results with the Go loops and the asm kernels (the WiFi one
+# also toggles soft decisions and pilot-phase collection).
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
@@ -204,6 +205,7 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzPreambleCorrDispatch$$ -fuzztime=10s ./internal/zigbee
 	$(GO) test -run=^$$ -fuzz=FuzzZigBeeReceive$$ -fuzztime=10s ./internal/zigbee
 	$(GO) test -run=^$$ -fuzz=FuzzBluetoothReceive$$ -fuzztime=10s ./internal/bluetooth
+	$(GO) test -run=^$$ -fuzz=FuzzWiFiReceive$$ -fuzztime=10s ./internal/wifi
 
 # fuzz-core smoke-fuzzes session configuration: random radio, rate,
 # payload size, redundancy, receiver mode, quaternary flag and coding must

@@ -208,13 +208,13 @@ func BenchmarkPilotTracking_Ablation(b *testing.B) {
 	opt := benchOptions()
 	opt.PacketsPerPoint = 1
 	for i := 0; i < b.N; i++ {
-		without, with, err := experiments.PilotTrackingAblation(opt)
+		a, err := experiments.PilotTrackingAblation(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(without, "BER-off")
-			b.ReportMetric(with, "BER-on")
+			b.ReportMetric(a.BEROff, "BER-off")
+			b.ReportMetric(a.BEROn, "BER-on")
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command freerider-calibrate re-derives the receiver detection-quality
 // curves the link calibration rests on: for each radio it sweeps SNR,
-// measures the mean preamble-detection quality and frame success on the
-// native link, and prints the quality value at a chosen sensitivity point.
+// measures the mean preamble-detection quality on the native link, and
+// prints the quality value at a chosen sensitivity point.
 // The thresholds baked into internal/core (0.72 WiFi periodicity, 0.85
 // ZigBee correlation, 0.81 Bluetooth sync correlation) come from exactly
 // this procedure; re-run it after changing any receiver internals.
@@ -65,9 +65,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			rx := wifi.NewReceiver()
-			rx.DetectionThreshold = 0.99 // disable early accept, measure raw q
-			_, q := rx.DetectPreamble(cap, 0)
+			_, q := wifi.NewReceiver().DetectPreamble(cap, 0)
 			*qSum += q
 			return nil
 		})
@@ -83,9 +81,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			rx := zigbee.NewReceiver()
-			rx.DetectionThreshold = 0.99
-			_, q := rx.Detect(cap)
+			_, q := zigbee.NewReceiver().Detect(cap)
 			*qSum += q
 			return nil
 		})
@@ -101,9 +97,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			rx := bluetooth.NewReceiver()
-			rx.DetectionThreshold = 0.99
-			_, q := rx.Detect(cap)
+			_, q := bluetooth.NewReceiver().Detect(cap)
 			*qSum += q
 			return nil
 		})

@@ -127,7 +127,7 @@ func (p BaselinePoint) String() string {
 // airtime. FreeRider wins whenever less than ~1/5 of airtime is legacy
 // 802.11b — i.e. essentially everywhere today.
 func BaselineAvailability(opt Options) ([]BaselinePoint, error) {
-	sp := opt.span("baseline")
+	sp := opt.Obs.Start("baseline")
 	defer sp.End()
 	// FreeRider's in-packet tag rate from a close-range session.
 	cfg := core.DefaultConfig(core.WiFi, 3)

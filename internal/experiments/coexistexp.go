@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/coexist"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/tag"
@@ -54,9 +55,7 @@ func (r Fig15Row) String() string {
 // The three excitation rows run concurrently; the with/without arms of one
 // row intentionally share a derived seed so the comparison stays paired.
 func Fig15WiFiCoexistence(windows int, opt Options) ([]Fig15Row, error) {
-	sp := opt.span("fig15")
-	out := make([]Fig15Row, len(coexistExcitations))
-	st, err := runner.MapStats(len(coexistExcitations), opt.workers(), func(i int) error {
+	return sweep(opt, "fig15", len(coexistExcitations), func(i int, sp *obs.Span) (Fig15Row, error) {
 		exc := coexistExcitations[i]
 		cfg := coexist.DefaultConfig(exc)
 		if windows > 0 {
@@ -65,31 +64,23 @@ func Fig15WiFiCoexistence(windows int, opt Options) ([]Fig15Row, error) {
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "coexist.fig15", i)
 		without, err := coexist.WiFiThroughput(cfg, false)
 		if err != nil {
-			return err
+			return Fig15Row{}, err
 		}
 		with, err := coexist.WiFiThroughput(cfg, true)
 		if err != nil {
-			return err
+			return Fig15Row{}, err
 		}
 		sw, err := summarise(without)
 		if err != nil {
-			return err
+			return Fig15Row{}, err
 		}
 		spres, err := summarise(with)
 		if err != nil {
-			return err
+			return Fig15Row{}, err
 		}
 		sp.AddPackets(int64(len(without) + len(with)))
-		out[i] = Fig15Row{Excitation: exc, WithoutMbps: sw, WithMbps: spres}
-		return nil
+		return Fig15Row{Excitation: exc, WithoutMbps: sw, WithMbps: spres}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig16Row compares backscatter goodput with WiFi traffic present/absent.
@@ -110,9 +101,7 @@ func (r Fig16Row) String() string {
 // Rows run concurrently with per-row derived seeds; the on/off arms stay
 // paired on one seed.
 func Fig16BackscatterUnderWiFi(windows int, opt Options) ([]Fig16Row, error) {
-	sp := opt.span("fig16")
-	out := make([]Fig16Row, len(coexistExcitations))
-	st, err := runner.MapStats(len(coexistExcitations), opt.workers(), func(i int) error {
+	return sweep(opt, "fig16", len(coexistExcitations), func(i int, sp *obs.Span) (Fig16Row, error) {
 		exc := coexistExcitations[i]
 		cfg := coexist.DefaultConfig(exc)
 		if windows > 0 {
@@ -121,29 +110,21 @@ func Fig16BackscatterUnderWiFi(windows int, opt Options) ([]Fig16Row, error) {
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "coexist.fig16", i)
 		absent, err := coexist.BackscatterThroughput(cfg, false)
 		if err != nil {
-			return err
+			return Fig16Row{}, err
 		}
 		present, err := coexist.BackscatterThroughput(cfg, true)
 		if err != nil {
-			return err
+			return Fig16Row{}, err
 		}
 		sa, err := summarise(absent)
 		if err != nil {
-			return err
+			return Fig16Row{}, err
 		}
 		spres, err := summarise(present)
 		if err != nil {
-			return err
+			return Fig16Row{}, err
 		}
 		sp.AddPackets(int64(len(absent) + len(present)))
-		out[i] = Fig16Row{Excitation: exc, AbsentKbps: sa, PresentKbps: spres}
-		return nil
+		return Fig16Row{Excitation: exc, AbsentKbps: sa, PresentKbps: spres}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -6,14 +6,19 @@
 // the registry's quick effort trade sample count for runtime so the full
 // suite stays usable in tests.
 //
-// Every experiment runs on the internal/runner deterministic worker pool:
-// points execute on all cores but each draws its RNG stream from
-// runner.DeriveSeed(seed, experiment, indices...), so results are
-// bit-identical for any worker count and no two experiments share a noise
-// stream.
+// Every sweep runs through one harness, sweep, on the internal/runner
+// deterministic worker pool: points execute on all cores but each draws
+// its RNG stream from runner.DeriveSeed(seed, experiment, indices...), so
+// results are bit-identical for any worker count and no two experiments
+// share a noise stream. The same harness meters each sweep on Options.Obs
+// (points, pool busy time), and runSession builds and meters the link
+// sessions. Every link session the experiments run carries
+// Options.Faults, except the soak's, which carry its profile argument
+// scaled per cell.
 package experiments
 
 import (
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -51,14 +56,42 @@ func (o Options) packets() int {
 	return o.PacketsPerPoint
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runner.DefaultWorkers()
+// sweep is the harness every experiment sweep runs on: it computes point
+// i for i in [0, n) on the deterministic worker pool (opt.Workers, 0 for
+// all cores) under a metrics span named name, records the pool's busy time
+// and n points on it, and returns the points in index order, or the
+// lowest-index error.
+func sweep[T any](opt Options, name string, n int, point func(i int, sp *obs.Span) (T, error)) ([]T, error) {
+	sp := opt.Obs.Start(name)
+	out := make([]T, n)
+	st, err := runner.MapStats(n, opt.Workers, func(i int) error {
+		var err error
+		out[i], err = point(i, sp)
+		return err
+	})
+	sp.RecordPool(st.Workers, st.Busy)
+	sp.AddPoints(int64(n))
+	sp.End()
+	if err != nil {
+		return nil, err
 	}
-	return o.Workers
+	return out, nil
 }
 
-// span opens a metrics span on the options' collector (nil-safe).
-func (o Options) span(name string) *obs.Span {
-	return o.Obs.Start(name)
+// runSession builds a session for cfg with the options' fault profile
+// attached, runs opt.packets() packets through it and counts them and
+// their samples on sp.
+func runSession(cfg core.Config, opt Options, sp *obs.Span) (core.SessionResult, error) {
+	cfg.Faults = opt.Faults
+	s, err := core.NewSession(cfg)
+	if err != nil {
+		return core.SessionResult{}, err
+	}
+	res, err := s.Run(opt.packets())
+	if err != nil {
+		return core.SessionResult{}, err
+	}
+	sp.AddPackets(int64(res.Packets))
+	sp.AddSamples(res.SamplesProcessed)
+	return res, nil
 }

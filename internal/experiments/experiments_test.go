@@ -327,15 +327,15 @@ func TestRedundancySweepShape(t *testing.T) {
 }
 
 func TestPilotTrackingAblation(t *testing.T) {
-	without, with, err := PilotTrackingAblation(Options{PacketsPerPoint: 2, Seed: 10})
+	a, err := PilotTrackingAblation(Options{PacketsPerPoint: 2, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if without > 0.01 {
-		t.Errorf("BER without tracking %.3f, want ~0", without)
+	if a.BEROff > 0.01 {
+		t.Errorf("BER without tracking %.3f, want ~0", a.BEROff)
 	}
-	if with < 0.2 {
-		t.Errorf("BER with tracking %.3f, want destroyed (> 0.2)", with)
+	if a.BEROn < 0.2 {
+		t.Errorf("BER with tracking %.3f, want destroyed (> 0.2)", a.BEROn)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/waveform"
 )
@@ -34,49 +35,28 @@ func (p LinkPoint) String() string {
 // synthesised once and replayed through every point's own channel.
 func linkSweep(domain string, radio core.Radio, distances []float64, opt Options,
 	mutate func(*core.Config)) ([]LinkPoint, error) {
-	sp := opt.span(domain)
-	out := make([]LinkPoint, len(distances))
 	waves := waveform.New(0)
 	contentSeed := runner.DeriveSeed(opt.Seed, "links."+domain+".content")
-	st, err := runner.MapStats(len(distances), opt.workers(), func(i int) error {
+	return sweep(opt, domain, len(distances), func(i int, sp *obs.Span) (LinkPoint, error) {
 		cfg := core.DefaultConfig(radio, distances[i])
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "links."+domain, i)
 		cfg.ContentSeed = contentSeed
 		cfg.Waveforms = waves
-		cfg.Faults = opt.Faults
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		s, err := core.NewSession(cfg)
+		res, err := runSession(cfg, opt, sp)
 		if err != nil {
-			return err
+			return LinkPoint{}, err
 		}
-		res, err := s.Run(opt.packets())
-		if err != nil {
-			return err
-		}
-		sp.AddPackets(int64(res.Packets))
-		sp.AddSamples(res.SamplesProcessed)
-		ber := res.BER()
-		if res.TagBitsDecoded == 0 {
-			ber = 1
-		}
-		out[i] = LinkPoint{
+		return LinkPoint{
 			DistanceM:      distances[i],
 			ThroughputKbps: res.ThroughputBps() / 1e3,
-			BER:            ber,
+			BER:            res.BER(),
 			RSSIdBm:        cfg.Link.BackscatterRSSI(),
 			LossRate:       res.LossRate(),
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig10WiFiLOS sweeps the WiFi LOS deployment of Fig 10 (throughput, BER
@@ -146,38 +126,21 @@ func Fig14OperatingRegime(opt Options) ([]RegimePoint, error) {
 			jobs = append(jobs, job{radio, i, txd})
 		}
 	}
-	sp := opt.span("fig14")
-	out := make([]RegimePoint, len(jobs))
-	st, err := runner.MapStats(len(jobs), opt.workers(), func(k int) error {
+	return sweep(opt, "fig14", len(jobs), func(k int, sp *obs.Span) (RegimePoint, error) {
 		jb := jobs[k]
 		maxRx := 0.0
 		for j, rxd := range grids[jb.radio] {
 			cfg := core.DefaultConfig(jb.radio, rxd)
 			cfg.Link.TxToTag = jb.txd
 			cfg.Seed = runner.DeriveSeed(opt.Seed, "links.fig14", int(jb.radio), jb.txIdx, j)
-			cfg.Faults = opt.Faults
-			s, err := core.NewSession(cfg)
+			res, err := runSession(cfg, opt, sp)
 			if err != nil {
-				return err
+				return RegimePoint{}, err
 			}
-			res, err := s.Run(opt.packets())
-			if err != nil {
-				return err
-			}
-			sp.AddPackets(int64(res.Packets))
-			sp.AddSamples(res.SamplesProcessed)
 			if res.LossRate() <= 0.8 && res.TagBitsDecoded > 0 {
 				maxRx = rxd
 			}
 		}
-		out[k] = RegimePoint{Radio: jb.radio, TxToTagM: jb.txd, MaxRxToTag: maxRx}
-		return nil
+		return RegimePoint{Radio: jb.radio, TxToTagM: jb.txd, MaxRxToTag: maxRx}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mac"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -37,40 +38,30 @@ func Fig17FirmwareLevel(rounds int, opt Options) ([]MultiTagPoint, error) {
 	if rounds <= 0 {
 		rounds = 12
 	}
-	sp := opt.span("fig17-firmware")
-	out := make([]MultiTagPoint, len(fig17Populations))
-	st, err := runner.MapStats(len(fig17Populations), opt.workers(), func(i int) error {
+	return sweep(opt, "fig17-firmware", len(fig17Populations), func(i int, sp *obs.Span) (MultiTagPoint, error) {
 		n := fig17Populations[i]
 		cfg := sim.DefaultConfig(n)
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "mac.fig17.firmware", i)
 		res, err := sim.Run(cfg, rounds)
 		if err != nil {
-			return err
+			return MultiTagPoint{}, err
 		}
 		j, err := res.FairnessIndex()
 		if err != nil {
-			return err
+			return MultiTagPoint{}, err
 		}
 		slots := 0.0
 		for _, r := range res.Rounds {
 			slots += float64(r.Slots)
 		}
 		sp.AddPackets(int64(rounds * n))
-		out[i] = MultiTagPoint{
+		return MultiTagPoint{
 			Tags:              n,
 			AlohaKbps:         res.AggregateThroughputBps() / 1e3,
 			FairnessIndex:     j,
 			MeanSlotsPerRound: slots / float64(len(res.Rounds)),
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig17MultiTag reproduces both panels of Fig 17: aggregate throughput and
@@ -82,9 +73,7 @@ func Fig17MultiTag(rounds int, opt Options) ([]MultiTagPoint, error) {
 	if rounds <= 0 {
 		rounds = 12 // a measurement-sized run, matching Fig 17b's variance
 	}
-	sp := opt.span("fig17")
-	out := make([]MultiTagPoint, len(fig17Populations))
-	st, err := runner.MapStats(len(fig17Populations), opt.workers(), func(i int) error {
+	return sweep(opt, "fig17", len(fig17Populations), func(i int, sp *obs.Span) (MultiTagPoint, error) {
 		n := fig17Populations[i]
 		seed := runner.DeriveSeed(opt.Seed, "mac.fig17", i)
 		aCfg := mac.DefaultConfig(mac.FramedSlottedAloha, n)
@@ -92,38 +81,30 @@ func Fig17MultiTag(rounds int, opt Options) ([]MultiTagPoint, error) {
 		aCfg.RoundCorruption = opt.Faults.RoundCorruption(seed)
 		aloha, err := mac.Run(aCfg, rounds)
 		if err != nil {
-			return err
+			return MultiTagPoint{}, err
 		}
 		tCfg := mac.DefaultConfig(mac.TDM, n)
 		tCfg.Seed = seed
 		tCfg.RoundCorruption = opt.Faults.RoundCorruption(seed)
 		tdm, err := mac.Run(tCfg, rounds)
 		if err != nil {
-			return err
+			return MultiTagPoint{}, err
 		}
 		j, err := aloha.FairnessIndex()
 		if err != nil {
-			return err
+			return MultiTagPoint{}, err
 		}
 		slots := 0.0
 		for _, r := range aloha.Rounds {
 			slots += float64(r.Slots)
 		}
 		sp.AddPackets(int64(rounds * n))
-		out[i] = MultiTagPoint{
+		return MultiTagPoint{
 			Tags:              n,
 			AlohaKbps:         aloha.AggregateThroughputBps() / 1e3,
 			TDMKbps:           tdm.AggregateThroughputBps() / 1e3,
 			FairnessIndex:     j,
 			MeanSlotsPerRound: slots / float64(len(aloha.Rounds)),
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

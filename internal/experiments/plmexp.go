@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/channel"
+	"repro/internal/obs"
 	"repro/internal/plm"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -48,7 +49,7 @@ func Fig3AmbientDurations(samples int, opt Options) (Fig3Result, error) {
 	if samples <= 0 {
 		return Fig3Result{}, fmt.Errorf("experiments: sample count %d must be positive", samples)
 	}
-	sp := opt.span("fig3")
+	sp := opt.Obs.Start("fig3")
 	defer sp.End()
 	m := trace.NewAmbientModel(runner.DeriveSeed(opt.Seed, "plm.fig3.durations"))
 	durations := m.Samples(samples)
@@ -113,9 +114,7 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 	const msgBits = 8
 	det := tag.NewEnvelopeDetector()
 	distances := []float64{1, 2, 4, 8, 12, 16, 20, 25, 30, 35, 40, 45, 50}
-	sp := opt.span("fig4")
-	out := make([]PLMPoint, len(distances))
-	st, err := runner.MapStats(len(distances), opt.workers(), func(i int) error {
+	return sweep(opt, "fig4", len(distances), func(i int, sp *obs.Span) (PLMPoint, error) {
 		d := distances[i]
 		rng := rand.New(rand.NewSource(runner.DeriveSeed(opt.Seed, "plm.fig4", i)))
 		l := channel.Link{
@@ -139,20 +138,12 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 			}
 		}
 		sp.AddPackets(int64(messages))
-		out[i] = PLMPoint{
+		return PLMPoint{
 			DistanceM: d,
 			Accuracy:  float64(ok) / float64(messages),
 			MarginDB:  margin,
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // PLMRateBps reports the signalling rate of the default PLM scheme

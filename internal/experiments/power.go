@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/tag"
 )
@@ -64,36 +65,20 @@ func (p RedundancyPoint) String() string {
 // four redundancy settings run concurrently on derived seed streams.
 func RedundancySweep(opt Options) ([]RedundancyPoint, error) {
 	spbs := []int{1, 2, 4, 8}
-	sp := opt.span("redundancy")
-	out := make([]RedundancyPoint, len(spbs))
-	st, err := runner.MapStats(len(spbs), opt.workers(), func(i int) error {
+	return sweep(opt, "redundancy", len(spbs), func(i int, sp *obs.Span) (RedundancyPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 20)
 		cfg.Redundancy = spbs[i]
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "power.redundancy", i)
-		s, err := core.NewSession(cfg)
+		res, err := runSession(cfg, opt, sp)
 		if err != nil {
-			return err
+			return RedundancyPoint{}, err
 		}
-		res, err := s.Run(opt.packets())
-		if err != nil {
-			return err
-		}
-		sp.AddPackets(int64(res.Packets))
-		sp.AddSamples(res.SamplesProcessed)
-		out[i] = RedundancyPoint{
+		return RedundancyPoint{
 			SymbolsPerBit:  spbs[i],
 			TagBER:         res.BER(),
 			ThroughputKbps: res.ThroughputBps() / 1e3,
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // QuaternaryPoint compares the eq. 4 binary and eq. 5 quaternary schemes.
@@ -119,37 +104,21 @@ func QuaternaryStudy(opt Options) ([]QuaternaryPoint, error) {
 		quaternary bool
 	}{{"binary", false}, {"quaternary", true}}
 	seed := runner.DeriveSeed(opt.Seed, "power.quaternary")
-	sp := opt.span("quaternary")
-	out := make([]QuaternaryPoint, len(schemes))
-	st, err := runner.MapStats(len(schemes), opt.workers(), func(i int) error {
+	return sweep(opt, "quaternary", len(schemes), func(i int, sp *obs.Span) (QuaternaryPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 5)
 		cfg.WiFiRateMbps = 12
 		cfg.Quaternary = schemes[i].quaternary
 		cfg.Seed = seed
-		s, err := core.NewSession(cfg)
+		res, err := runSession(cfg, opt, sp)
 		if err != nil {
-			return err
+			return QuaternaryPoint{}, err
 		}
-		res, err := s.Run(opt.packets())
-		if err != nil {
-			return err
-		}
-		sp.AddPackets(int64(res.Packets))
-		sp.AddSamples(res.SamplesProcessed)
-		out[i] = QuaternaryPoint{
+		return QuaternaryPoint{
 			Scheme:         schemes[i].name,
 			ThroughputKbps: res.ThroughputBps() / 1e3,
 			TagBER:         res.BER(),
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CFOPoint is one sample of the carrier-frequency-offset study.
@@ -192,40 +161,24 @@ func CFOStudy(opt Options) ([]CFOPoint, error) {
 			jobs = append(jobs, job{si, ci})
 		}
 	}
-	sp := opt.span("cfo")
-	out := make([]CFOPoint, len(jobs))
-	st, err := runner.MapStats(len(jobs), opt.workers(), func(k int) error {
+	return sweep(opt, "cfo", len(jobs), func(k int, sp *obs.Span) (CFOPoint, error) {
 		sw := sweeps[jobs[k].swIdx]
 		cfo := sw.cfos[jobs[k].cfoIdx]
 		cfg := core.DefaultConfig(sw.radio, sw.dist)
 		cfg.Link.CFOHz = cfo
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "power.cfo", jobs[k].swIdx, jobs[k].cfoIdx)
-		s, err := core.NewSession(cfg)
+		res, err := runSession(cfg, opt, sp)
 		if err != nil {
-			return err
+			return CFOPoint{}, err
 		}
-		res, err := s.Run(opt.packets())
-		if err != nil {
-			return err
-		}
-		sp.AddPackets(int64(res.Packets))
-		sp.AddSamples(res.SamplesProcessed)
-		out[k] = CFOPoint{
+		return CFOPoint{
 			Radio:          sw.radio,
 			CFOHz:          cfo,
 			ThroughputKbps: res.ThroughputBps() / 1e3,
 			TagBER:         res.BER(),
 			LossRate:       res.LossRate(),
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CollisionPoint reports tag decodability vs how many tags share a slot.
@@ -248,16 +201,15 @@ func (p CollisionPoint) String() string {
 // concurrently instead of sharing one session's RNG stream.
 func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 	populations := []int{1, 2, 3}
-	sp := opt.span("collision")
-	out := make([]CollisionPoint, len(populations))
-	st, err := runner.MapStats(len(populations), opt.workers(), func(k int) error {
+	return sweep(opt, "collision", len(populations), func(k int, sp *obs.Span) (CollisionPoint, error) {
 		n := populations[k]
 		cfg := core.DefaultConfig(core.WiFi, 5)
 		cfg.Link.FadingK = 0
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "power.collision", k)
+		cfg.Faults = opt.Faults
 		s, err := core.NewSession(cfg)
 		if err != nil {
-			return err
+			return CollisionPoint{}, err
 		}
 		data := make([][]byte, n)
 		for i := range data {
@@ -269,7 +221,7 @@ func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 		}
 		res, err := s.RunCollision(data)
 		if err != nil {
-			return err
+			return CollisionPoint{}, err
 		}
 		sp.AddPackets(int64(n))
 		worst := 0.0
@@ -278,51 +230,28 @@ func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 				worst = b
 			}
 		}
-		out[k] = CollisionPoint{Tags: n, WorstBER: worst, Detectable: res.Detected}
-		return nil
+		return CollisionPoint{Tags: n, WorstBER: worst, Detectable: res.Detected}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // PilotTrackingAblation contrasts tag BER with and without receiver pilot
 // phase tracking (§3.2.1: tracking erases the tag's phase modulation). The
 // two arms share one derived seed and run concurrently, keeping the
 // ablation paired.
-func PilotTrackingAblation(opt Options) (withoutBER, withBER float64, err error) {
+func PilotTrackingAblation(opt Options) (PilotAblation, error) {
 	seed := runner.DeriveSeed(opt.Seed, "power.pilot")
-	sp := opt.span("pilot")
-	bers := make([]float64, 2)
-	st, err := runner.MapStats(2, opt.workers(), func(i int) error {
+	bers, err := sweep(opt, "pilot", 2, func(i int, sp *obs.Span) (float64, error) {
 		cfg := core.DefaultConfig(core.WiFi, 5)
 		cfg.Link.FadingK = 0
 		cfg.PilotPhaseTracking = i == 1
 		cfg.Seed = seed
-		s, err := core.NewSession(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(opt.packets())
-		if err != nil {
-			return err
-		}
-		sp.AddPackets(int64(res.Packets))
-		sp.AddSamples(res.SamplesProcessed)
-		bers[i] = res.BER()
-		return nil
+		res, err := runSession(cfg, opt, sp)
+		return res.BER(), err
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(2)
-	sp.End()
 	if err != nil {
-		return 0, 0, err
+		return PilotAblation{}, err
 	}
-	return bers[0], bers[1], nil
+	return PilotAblation{BEROff: bers[0], BEROn: bers[1]}, nil
 }
 
 // PilotAblation is the pilots experiment's row: tag BER with receiver

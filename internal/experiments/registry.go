@@ -50,11 +50,7 @@ var Registry = []Experiment{
 	{"plmrate", "§2.4.2 — PLM downlink rate",
 		func(Options, bool) (any, error) { return PLMRate{RateBps: PLMRateBps()}, nil }},
 	{"redundancy", "§3.2.1 — OFDM symbols per tag bit (redundancy study)", fixed(RedundancySweep)},
-	{"pilots", "§3.2.1 — pilot phase tracking ablation",
-		func(opt Options, _ bool) (any, error) {
-			off, on, err := PilotTrackingAblation(opt)
-			return PilotAblation{BEROff: off, BEROn: on}, err
-		}},
+	{"pilots", "§3.2.1 — pilot phase tracking ablation", fixed(PilotTrackingAblation)},
 	{"baselines", "§1 motivation — FreeRider vs HitchHike [25] on mixed traffic", fixed(BaselineAvailability)},
 	{"collision", "§2.4.1 — slot-collision physics (superposed tags at sample level)", fixed(CollisionStudy)},
 	{"quaternary", "eq. 4 vs eq. 5 — binary vs quaternary phase translation (12 Mbps QPSK)", fixed(QuaternaryStudy)},

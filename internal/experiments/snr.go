@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fec"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/waveform"
 )
@@ -56,55 +57,33 @@ func berVsSNR(opt Options, waves *waveform.Cache, coding *fec.Config) ([]SNRPoin
 // at 2 dB grid points measure error-free on either side of it), so the
 // coarse grid steps straight over the region where a code earns its keep.
 func berVsSNROn(grid []float64, opt Options, waves *waveform.Cache, coding *fec.Config, mode core.ReceiverMode) ([]SNRPoint, error) {
-	sp := opt.span("snr")
-	out := make([]SNRPoint, len(grid))
 	var contentSeed int64
 	if waves != nil {
 		contentSeed = runner.DeriveSeed(opt.Seed, "snr.content")
 	}
-	st, err := runner.MapStats(len(grid), opt.workers(), func(i int) error {
+	return sweep(opt, "snr", len(grid), func(i int, sp *obs.Span) (SNRPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 8)
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "snr", i)
 		cfg.ContentSeed = contentSeed
 		cfg.Waveforms = waves
-		cfg.Faults = opt.Faults
 		cfg.Coding = coding
 		cfg.ReceiverMode = mode
 		cfg.Link.NoiseFloor = cfg.Link.BackscatterRSSI() - grid[i]
-		s, err := core.NewSession(cfg)
+		res, err := runSession(cfg, opt, sp)
 		if err != nil {
-			return err
+			return SNRPoint{}, err
 		}
-		res, err := s.Run(opt.packets())
-		if err != nil {
-			return err
-		}
-		sp.AddPackets(int64(res.Packets))
-		sp.AddSamples(res.SamplesProcessed)
-		var ber float64
+		ber := res.BER()
 		if coding != nil {
 			ber = res.CodedBER()
-		} else {
-			ber = res.BER()
-			if res.TagBitsDecoded == 0 {
-				ber = 1
-			}
 		}
-		out[i] = SNRPoint{
+		return SNRPoint{
 			SNRdB:          grid[i],
 			BER:            ber,
 			LossRate:       res.LossRate(),
 			ThroughputKbps: res.ThroughputBps() / 1e3,
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CodedSNRResult pairs an uncoded and an RS-coded BER-vs-SNR sweep over
@@ -255,9 +234,7 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 // nothing; a payload with no received copy in the whole budget counts as
 // lost, not errored, matching Session.Run's accounting.
 func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]SNRPoint, error) {
-	sp := opt.span("snr.chase")
-	out := make([]SNRPoint, len(grid))
-	st, err := runner.MapStats(len(grid), opt.workers(), func(i int) error {
+	return sweep(opt, "snr.chase", len(grid), func(i int, sp *obs.Span) (SNRPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 8)
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "snr.chase", i)
 		cfg.Faults = opt.Faults
@@ -265,7 +242,7 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 		cfg.Link.NoiseFloor = cfg.Link.BackscatterRSSI() - grid[i]
 		sess, err := core.NewSession(cfg)
 		if err != nil {
-			return err
+			return SNRPoint{}, err
 		}
 		lay, _ := sess.Layout()
 		data := rand.New(rand.NewSource(runner.DeriveSeed(opt.Seed, "snr.chase.data", i)))
@@ -281,14 +258,14 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 			}
 			coded, err := lay.EncodeBits(payload)
 			if err != nil {
-				return err
+				return SNRPoint{}, err
 			}
 			comb.Reset(lay.CodedBits())
 			var final []byte
 			for t := 0; t < depth; t++ {
 				pr, err := sess.RunPacket(coded)
 				if err != nil {
-					return err
+					return SNRPoint{}, err
 				}
 				packets++
 				airTime += pr.AirTime
@@ -330,21 +307,13 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 		if airTime > 0 {
 			thr = float64(dataBits-bitErrs) / airTime / 1e3
 		}
-		out[i] = SNRPoint{
+		return SNRPoint{
 			SNRdB:          grid[i],
 			BER:            ber,
 			LossRate:       float64(lost) / float64(opt.packets()),
 			ThroughputKbps: thr,
-		}
-		return nil
+		}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SingleReceiverSNRResult pairs dual- and single-receiver BER-vs-SNR

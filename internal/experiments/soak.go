@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fec"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -106,23 +107,17 @@ func Soak(profile *faults.Profile, opt Options) (SoakResult, error) {
 		cell      SoakCell
 		violation string
 	}
-	sp := opt.span("soak")
-	cells := make([]cellOut, len(radios)*len(soakIntensities))
-	st, err := runner.MapStats(len(cells), opt.workers(), func(k int) error {
+	cells, err := sweep(opt, "soak", len(radios)*len(soakIntensities), func(k int, sp *obs.Span) (cellOut, error) {
 		radio := radios[k/len(soakIntensities)]
 		lam := soakIntensities[k%len(soakIntensities)]
 		cell, violation, err := soakCell(radio, profile, lam,
 			runner.DeriveSeed(opt.Seed, "soak", int(radio)), opt.packets())
 		if err != nil {
-			return err
+			return cellOut{}, err
 		}
 		sp.AddPackets(int64(cell.Packets))
-		cells[k] = cellOut{cell, violation}
-		return nil
+		return cellOut{cell, violation}, nil
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(len(cells)))
-	sp.End()
 	if err != nil {
 		return res, err
 	}
@@ -220,9 +215,6 @@ func soakCell(radio core.Radio, profile *faults.Profile, lam float64, seed int64
 	}
 
 	ber := base.BER()
-	if base.TagBitsDecoded == 0 {
-		ber = 1
-	}
 	loss := base.LossRate()
 	codedLoss := coded.LossRate()
 	cell = SoakCell{

@@ -40,14 +40,14 @@ func Waterfall(radio core.Radio, snrsDB []float64, framesPerPoint int, opt Optio
 		return nil, fmt.Errorf("experiments: frames per point %d must be positive", framesPerPoint)
 	}
 	domain := fmt.Sprintf("waterfall.%v", radio)
-	sp := opt.span(domain)
+	sp := opt.Obs.Start(domain)
 	type frameResult struct {
 		ok               bool
 		bitErrs, bitTot  int
 		samplesProcessed int64
 	}
 	frames := make([]frameResult, len(snrsDB)*framesPerPoint)
-	st, err := runner.MapStats(len(frames), opt.workers(), func(k int) error {
+	st, err := runner.MapStats(len(frames), opt.Workers, func(k int) error {
 		i, f := k/framesPerPoint, k%framesPerPoint
 		s := runner.DeriveSeed(opt.Seed, domain, i, f)
 		ok, be, bt, ns, err := oneFrame(radio, snrsDB[i], s)

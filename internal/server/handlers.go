@@ -385,6 +385,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "packets %d outside [1, %d]", req.Packets, s.cfg.MaxPackets)
 		return
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"tx_distance", req.TxDistance},
+		{"payload_size", float64(req.PayloadSize)},
+		{"redundancy", float64(req.Redundancy)},
+		{"rate_mbps", float64(req.RateMbps)},
+	} {
+		if f.v < 0 {
+			writeError(w, http.StatusBadRequest, "%s %g must not be negative (0 selects the default)", f.name, f.v)
+			return
+		}
+	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}

@@ -305,6 +305,20 @@ func TestSimulateValidation(t *testing.T) {
 			t.Errorf("case %d: got %d %s, want 400", i, resp.StatusCode, body)
 		}
 	}
+	// A negative optional field is rejected by name instead of silently
+	// falling back to its default (0 keeps selecting the default).
+	negative := map[string]simulateRequest{
+		"payload_size": {Radio: "wifi", Distance: 5, Packets: 1, PayloadSize: -5},
+		"redundancy":   {Radio: "wifi", Distance: 5, Packets: 1, Redundancy: -1},
+		"rate_mbps":    {Radio: "wifi", Distance: 5, Packets: 1, RateMbps: -6},
+		"tx_distance":  {Radio: "wifi", Distance: 5, Packets: 1, TxDistance: -0.5},
+	}
+	for field, c := range negative {
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", c)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+			t.Errorf("negative %s: got %d %s, want 400 naming the field", field, resp.StatusCode, body)
+		}
+	}
 }
 
 func TestExperimentEndpoint(t *testing.T) {
