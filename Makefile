@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build cmd-smoke test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick ci
+.PHONY: build cmd-smoke test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick ci
 
 build:
 	$(GO) build ./...
@@ -196,7 +196,11 @@ fuzz-decoder:
 # the ZigBee preamble-scan fuzzer identical (start, gain, quality), and
 # the three receiver fuzzers no panic, a frame or a sentinel error, and
 # identical results with the Go loops and the asm kernels (the WiFi one
-# also toggles soft decisions and pilot-phase collection).
+# also toggles soft decisions and pilot-phase collection). The AWGN
+# fuzzer drives seed, length, stream offset and noise power (zero,
+# subnormal, huge, non-finite) through the block noise stream in both
+# dispatch modes and demands the samples and stream position of the
+# rand.NormFloat64 loop it replaced.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
@@ -206,6 +210,7 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzZigBeeReceive$$ -fuzztime=10s ./internal/zigbee
 	$(GO) test -run=^$$ -fuzz=FuzzBluetoothReceive$$ -fuzztime=10s ./internal/bluetooth
 	$(GO) test -run=^$$ -fuzz=FuzzWiFiReceive$$ -fuzztime=10s ./internal/wifi
+	$(GO) test -run=^$$ -fuzz=FuzzAWGN$$ -fuzztime=10s ./internal/signal
 
 # fuzz-core smoke-fuzzes session configuration: random radio, rate,
 # payload size, redundancy, receiver mode, quaternary flag and coding must
@@ -213,6 +218,14 @@ fuzz-simd:
 # RunPacketBatch without error, decoding no more bits than the tag sent.
 fuzz-core:
 	$(GO) test -run=^$$ -fuzz=FuzzSessionConfig -fuzztime=10s ./internal/core
+
+# fuzz-server posts arbitrary bodies to /v1/encode, /v1/decode and
+# /v1/simulate through the server's handler: each must answer 200 with a
+# JSON object or a 4xx/5xx JSON error, never a 500 and never a panic.
+fuzz-server:
+	$(GO) test -run=^$$ -fuzz=FuzzEncodeBody$$ -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeBody$$ -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzSimulateBody$$ -fuzztime=10s ./internal/server
 
 # perfbench-test runs the repository benchmark's own tests (percentile
 # selection, span accounting, a smoke run of each workload). perfbench/
@@ -240,7 +253,7 @@ perfbench-quick:
 # on (in shuffled order) and again with the asm kernels compiled out,
 # hold the service layer bit-identical under concurrent load, survive the
 # quick chaos soak, keep the fault-spec, RS-codec, window decoder, SIMD
-# differential and session-config fuzzers clean, pass the repository
+# differential, session-config and HTTP body fuzzers clean, pass the repository
 # benchmark's tests and quick runs, and stay within the DSP and serve
 # benchmark budgets.
 ci: build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick bench-dsp bench-serve

@@ -3,7 +3,6 @@ package bluetooth
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +102,7 @@ func TestTransmitReceiveNoisyAndRotated(t *testing.T) {
 	copy(cap.Samples[201:], sig.Samples)
 	cap.Scale(complex(0.02, 0))
 	cap.PhaseShift(2.5) // FM demod is phase-agnostic
-	cap.AddAWGN(4e-6, rand.New(rand.NewSource(8)))
+	cap.AddAWGN(4e-6, signal.NewNoise(8))
 	f, err := NewReceiver().Receive(cap)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,7 @@ func TestTransmitReceiveNoisyAndRotated(t *testing.T) {
 
 func TestReceiverRejectsNoise(t *testing.T) {
 	cap := signal.New(SampleRate, 30000)
-	cap.AddAWGN(0.01, rand.New(rand.NewSource(4)))
+	cap.AddAWGN(0.01, signal.NewNoise(4))
 	if _, err := NewReceiver().Receive(cap); err == nil {
 		t.Error("decoded a frame from pure noise")
 	}

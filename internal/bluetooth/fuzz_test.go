@@ -112,7 +112,7 @@ func FuzzBluetoothReceive(f *testing.F) {
 		prev := simd.Enabled()
 		defer simd.SetEnabled(prev)
 		for _, on := range []bool{false, true} {
-			if simd.SetEnabled(on); on && !simd.RxEnabled() {
+			if simd.SetEnabled(on); on && !simd.AVX2Enabled() {
 				break
 			}
 			var r btResult

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"repro/internal/signal"
 )
@@ -191,14 +190,6 @@ func (l Link) ExcitationRSSIAtTag() float64 {
 // SNRdB returns the backscatter link SNR at the receiver.
 func (l Link) SNRdB() float64 { return l.BackscatterRSSI() - l.NoiseFloor }
 
-// rngPool recycles *rand.Rand instances across Apply calls: the default
-// source carries a ~5 KB state table, and Seed re-initialises that state
-// completely, so a pooled generator seeded with l.Seed produces exactly
-// the draw sequence a fresh rand.New(rand.NewSource(0)) would after the
-// same Seed. A GC-stable FreeList keeps the recycle deterministic (see
-// signal.FreeList).
-var rngPool = signal.FreeList[*rand.Rand]{New: func() *rand.Rand { return rand.New(rand.NewSource(0)) }}
-
 // Apply scales a unit-power baseband signal to the link's receive power and
 // adds thermal noise, returning a new capture with headroom samples of
 // leading and trailing noise. The tag-side losses must already be embedded
@@ -261,9 +252,10 @@ func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom in
 		dst.Samples = make([]complex128, n)
 	}
 	out := dst
-	rng := rngPool.Get()
-	defer rngPool.Put(rng)
-	rng.Seed(l.Seed)
+	// Every draw — fade gain, tap phases, AWGN, impulses — continues one
+	// stream: exactly rand.New(rand.NewSource(l.Seed))'s.
+	rng := signal.GetNoise(l.Seed)
+	defer signal.PutNoise(rng)
 	g := complex(amp/math.Sqrt(p), 0) * l.fadeGain(rng)
 	for i, v := range s.Samples {
 		out.Samples[headroom+i] = v * g
@@ -323,7 +315,7 @@ func (l Link) truncateFraction() float64 {
 
 // fadeGain draws one packet's small-scale fading gain (complex, mean
 // square 1) from the link's configured FadeModel.
-func (l Link) fadeGain(rng *rand.Rand) complex128 {
+func (l Link) fadeGain(rng *signal.Noise) complex128 {
 	switch l.FadeModel {
 	case FadeNone:
 		return 1
@@ -359,6 +351,8 @@ func ApplySNR(s *signal.Signal, snrDB float64, headroom int, seed int64) (*signa
 	for i, v := range s.Samples {
 		out.Samples[headroom+i] = v * g
 	}
-	out.AddAWGN(1, rand.New(rand.NewSource(seed)))
+	noise := signal.GetNoise(seed)
+	out.AddAWGN(1, noise)
+	signal.PutNoise(noise)
 	return out, nil
 }

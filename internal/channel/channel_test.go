@@ -2,10 +2,13 @@ package channel
 
 import (
 	"math"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
 func TestPathLossMonotone(t *testing.T) {
@@ -404,6 +407,166 @@ func TestMultipathDeterministic(t *testing.T) {
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatal("multipath not deterministic under a fixed seed")
+		}
+	}
+}
+
+// applyRef is ApplyToWithPower as it stood when every draw came from a
+// *rand.Rand, kept as the reference the signal.Noise stream must
+// reproduce byte for byte: fade gain, tap phases, AWGN and impulses in
+// that order from one rand.New(rand.NewSource(l.Seed)).
+func applyRef(l Link, s *signal.Signal, headroom int, excludeTagLoss bool) *signal.Signal {
+	rssi := l.BackscatterRSSI()
+	if excludeTagLoss {
+		rssi += l.TagLossDB
+	}
+	if l.Impairment != nil {
+		rssi -= l.Impairment.ExtraLossDB
+	}
+	amp := signal.AmplitudeForPowerDBm(rssi)
+	p := s.MeanPower()
+	out := signal.New(s.Rate, len(s.Samples)+2*headroom)
+	rng := rand.New(rand.NewSource(l.Seed))
+	g := complex(amp/math.Sqrt(p), 0) * fadeGainRef(l, rng)
+	for i, v := range s.Samples {
+		out.Samples[headroom+i] = v * g
+	}
+	for _, tap := range l.Multipath {
+		d := int(math.Round(tap.Delay * s.Rate))
+		tapGain := complex(signal.AmplitudeForPowerDBm(tap.GainDB), 0) *
+			cmplx.Exp(complex(0, 2*math.Pi*rng.Float64()))
+		for i, v := range s.Samples {
+			j := headroom + i + d
+			if j >= len(out.Samples) {
+				break
+			}
+			out.Samples[j] += v * g * tapGain
+		}
+	}
+	if t := l.truncateFraction(); t > 0 {
+		cut := headroom + int(t*float64(len(s.Samples)))
+		for j := cut; j < len(out.Samples); j++ {
+			out.Samples[j] = 0
+		}
+	}
+	cfo := l.CFOHz
+	if l.Impairment != nil {
+		cfo += l.Impairment.CFOHz
+	}
+	if cfo != 0 {
+		out.FrequencyShift(cfo)
+	}
+	sigma := math.Sqrt(signal.DBToPower(l.NoiseFloor) / 2)
+	for i := range out.Samples {
+		out.Samples[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	}
+	if imp := l.Impairment; imp != nil && imp.ImpulseProb > 0 {
+		sigma := math.Sqrt(signal.DBToPower(imp.ImpulsePowerDBm) / 2)
+		for j := range out.Samples {
+			if rng.Float64() < imp.ImpulseProb {
+				out.Samples[j] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+			}
+		}
+	}
+	return out
+}
+
+// fadeGainRef is Link.fadeGain drawing from a *rand.Rand.
+func fadeGainRef(l Link, rng *rand.Rand) complex128 {
+	switch l.FadeModel {
+	case FadeNone:
+		return 1
+	case FadeRayleigh:
+		s := math.Sqrt(0.5)
+		return complex(rng.NormFloat64()*s, rng.NormFloat64()*s)
+	}
+	if l.FadingK <= 0 {
+		return 1
+	}
+	k := l.FadingK
+	los := math.Sqrt(k / (k + 1))
+	sigma := math.Sqrt(1 / (k + 1) / 2)
+	return complex(los+rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+}
+
+// TestApplyMatchesRandReference runs every fading model with multipath,
+// brownout truncation, static and drifting CFO and impulsive noise
+// through ApplyTo (into a dirty, reused buffer) in both dispatch modes
+// and requires applyRef's capture bit for bit, so the stream reaches the
+// impulse loop exactly where the old generator did.
+func TestApplyMatchesRandReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	in := signal.New(20e6, 3000)
+	for i := range in.Samples {
+		in.Samples[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	dst := signal.New(0, 0)
+	for _, fm := range []FadeModel{FadeRician, FadeRayleigh, FadeNone} {
+		for _, k := range []float64{0, 4} {
+			for _, imp := range []*Impairment{
+				nil,
+				{Truncate: 0.6},
+				{CFOHz: 700, ImpulseProb: 0.02, ImpulsePowerDBm: -50},
+				{ExtraLossDB: 3, Truncate: 0.3, ImpulseProb: 0.5, ImpulsePowerDBm: -60},
+			} {
+				for _, taps := range [][]Tap{nil, {{Delay: 200e-9, GainDB: -3}, {Delay: 650e-9, GainDB: -9}}} {
+					l := wifiLOSLink(7)
+					l.FadeModel, l.FadingK, l.Impairment, l.Multipath = fm, k, imp, taps
+					l.CFOHz = 1200
+					l.Seed = int64(fm)*1000 + int64(k)*10 + int64(len(taps))
+					want := applyRef(l, in, 400, false)
+					for _, on := range []bool{false, true} {
+						simd.SetEnabled(on)
+						for i := range dst.Samples {
+							dst.Samples[i] = complex(math.NaN(), 1)
+						}
+						if err := l.ApplyTo(dst, in, 400, false); err != nil {
+							t.Fatal(err)
+						}
+						if len(dst.Samples) != len(want.Samples) {
+							t.Fatalf("length %d, want %d", len(dst.Samples), len(want.Samples))
+						}
+						for i := range want.Samples {
+							a, b := dst.Samples[i], want.Samples[i]
+							if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
+								math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+								t.Fatalf("%v K=%g imp=%+v taps=%d simd=%s: sample %d = %v, want %v",
+									fm, k, imp, len(taps), simd.Mode(), i, a, b)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestApplySNRMatchesRandReference pins ApplySNR's noise to the
+// rand.New(rand.NewSource(seed)) loop it replaced.
+func TestApplySNRMatchesRandReference(t *testing.T) {
+	in := signal.New(1e6, 2500)
+	for i := range in.Samples {
+		in.Samples[i] = complex(float64(i%9)-4, 1)
+	}
+	got, err := ApplySNR(in, 7, 33, 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := signal.New(in.Rate, len(in.Samples)+66)
+	g := complex(math.Sqrt(signal.DBToPower(7)/in.MeanPower()), 0)
+	for i, v := range in.Samples {
+		want.Samples[33+i] = v * g
+	}
+	rng := rand.New(rand.NewSource(123))
+	sigma := math.Sqrt(0.5)
+	for i := range want.Samples {
+		want.Samples[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	}
+	for i := range want.Samples {
+		if got.Samples[i] != want.Samples[i] {
+			t.Fatalf("sample %d = %v, want %v", i, got.Samples[i], want.Samples[i])
 		}
 	}
 }

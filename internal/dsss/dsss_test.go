@@ -3,7 +3,6 @@ package dsss
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/signal"
@@ -86,7 +85,7 @@ func TestTransmitReceiveNoisyRotated(t *testing.T) {
 	copy(cap.Samples[173:], sig.Samples)
 	cap.Scale(complex(0.03, 0))
 	cap.PhaseShift(1.9) // DBPSK is phase-reference free
-	cap.AddAWGN(6e-6, rand.New(rand.NewSource(5)))
+	cap.AddAWGN(6e-6, signal.NewNoise(5))
 	f, err := NewReceiver().Receive(cap)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestTransmitReceiveNoisyRotated(t *testing.T) {
 
 func TestReceiverRejectsNoise(t *testing.T) {
 	cap := signal.New(SampleRate, 40000)
-	cap.AddAWGN(0.02, rand.New(rand.NewSource(9)))
+	cap.AddAWGN(0.02, signal.NewNoise(9))
 	if _, err := NewReceiver().Receive(cap); err == nil {
 		t.Error("decoded a frame from pure noise")
 	}
@@ -244,7 +243,7 @@ func TestDQPSKSurvivesRotationAndNoise(t *testing.T) {
 	copy(cap.Samples[100:], sig.Samples)
 	cap.PhaseShift(0.9)
 	cap.Scale(complex(0.1, 0))
-	cap.AddAWGN(2e-4, rand.New(rand.NewSource(6)))
+	cap.AddAWGN(2e-4, signal.NewNoise(6))
 	got := DemodulateDQPSK(cap, 100, len(bits)/2)
 	if !bytes.Equal(got, bits) {
 		t.Fatal("DQPSK failed under rotation and noise")

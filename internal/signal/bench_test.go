@@ -79,12 +79,18 @@ func BenchmarkConvolveCapture129Taps(b *testing.B) {
 	}
 }
 
+// BenchmarkAddAWGN is one packet's noise at the wifi-fresh capture
+// length (1500 B at 6 Mbps plus 400 samples of headroom each side): a
+// reseeded stream, as channel.Link.ApplyTo draws it, filling 41,440
+// samples.
 func BenchmarkAddAWGN(b *testing.B) {
-	s := benchSignal(4096)
-	rng := rand.New(rand.NewSource(2))
+	s := benchSignal(41440)
+	n := NewNoise(2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.AddAWGN(0.1, rng)
+		n.Seed(int64(i))
+		s.AddAWGN(0.1, n)
 	}
 }
 

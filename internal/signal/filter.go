@@ -96,7 +96,7 @@ func ConvolveInto(dst, x []complex128, h []float64) []complex128 {
 	lo := min(m-1-delay, len(x))
 	hi := max(lo, len(x)-delay)
 	interior := dst[lo:hi]
-	if simd.RxEnabled() {
+	if simd.AVX2Enabled() {
 		vec := len(interior) &^ 7
 		simd.FIRReal(interior[:vec], x, h)
 		firRealGo(interior[vec:], x[vec:], h)

@@ -28,7 +28,7 @@ func convolveScatter(x []complex128, h []float64) []complex128 {
 }
 
 // eachDispatchMode runs fn with the pure-Go loops and, when the build
-// and CPU carry them, again with the receive kernels dispatched,
+// and CPU carry them, again with the AVX2 kernels dispatched,
 // restoring the ambient state afterwards.
 func eachDispatchMode(t testing.TB, fn func(mode string)) {
 	t.Helper()
@@ -36,7 +36,7 @@ func eachDispatchMode(t testing.TB, fn func(mode string)) {
 	defer simd.SetEnabled(prev)
 	simd.SetEnabled(false)
 	fn("go")
-	if simd.SetEnabled(true); simd.RxEnabled() {
+	if simd.SetEnabled(true); simd.AVX2Enabled() {
 		fn(simd.Mode())
 	}
 }

@@ -1,0 +1,224 @@
+package signal
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"testing"
+)
+
+// awgnRef is the loop AddAWGN replaced, kept as the reference its
+// blocks must reproduce: one NormFloat64 per part, real part first,
+// from math/rand's own generator.
+func awgnRef(x []complex128, noisePower float64, rng *rand.Rand) {
+	if noisePower <= 0 {
+		return
+	}
+	sigma := math.Sqrt(noisePower / 2)
+	for i := range x {
+		x[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	}
+}
+
+// checkAWGN adds noise to a copy of x with AddAWGN in every dispatch
+// mode and with awgnRef, starting both streams skip draws into seed's
+// stream, and requires identical samples and identical stream positions
+// afterwards.
+func checkAWGN(t testing.TB, x []complex128, noisePower float64, seed int64, skip int) {
+	t.Helper()
+	want := append([]complex128(nil), x...)
+	rng := rand.New(rand.NewSource(seed))
+	for range skip {
+		rng.Int63()
+	}
+	awgnRef(want, noisePower, rng)
+	after := rng.Int63()
+	eachDispatchMode(t, func(mode string) {
+		got := append([]complex128(nil), x...)
+		n := NewNoise(seed)
+		for range skip {
+			n.next()
+		}
+		(&Signal{Samples: got}).AddAWGN(noisePower, n)
+		requireSameSamples(t, mode+" AddAWGN", got, want)
+		if v := int64(n.next() & (1<<63 - 1)); v != after {
+			t.Fatalf("%s: stream after AddAWGN at %d, want %d", mode, v, after)
+		}
+	})
+}
+
+// TestNoiseMatchesMathRand interleaves Float64, NormFloat64 and AddAWGN
+// over several block refills and requires every value to equal
+// rand.Rand's for the same seed.
+func TestNoiseMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -5, 42, 1 << 40} {
+		rng := rand.New(rand.NewSource(seed))
+		n := NewNoise(seed)
+		for round := range 40 {
+			for range 300 + 17*round {
+				if a, b := n.NormFloat64(), rng.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("seed %d: NormFloat64 %v, want %v", seed, a, b)
+				}
+			}
+			for range 50 + round {
+				if a, b := n.Float64(), rng.Float64(); a != b {
+					t.Fatalf("seed %d: Float64 %v, want %v", seed, a, b)
+				}
+			}
+			x := make([]complex128, 100+97*round)
+			want := append([]complex128(nil), x...)
+			(&Signal{Samples: x}).AddAWGN(0.3, n)
+			awgnRef(want, 0.3, rng)
+			requireSameSamples(t, "interleaved AddAWGN", x, want)
+		}
+	}
+}
+
+// TestNoiseSeedResets reseeds a used stream, as the pool does.
+func TestNoiseSeedResets(t *testing.T) {
+	n := GetNoise(9)
+	for range 5000 {
+		n.NormFloat64()
+	}
+	PutNoise(n)
+	n = GetNoise(3)
+	defer PutNoise(n)
+	rng := rand.New(rand.NewSource(3))
+	for range 5000 {
+		if a, b := n.NormFloat64(), rng.NormFloat64(); a != b {
+			t.Fatalf("reseeded stream %v, want %v", a, b)
+		}
+	}
+}
+
+// TestZigguratTablesMatchMathRand compares the tables built at init
+// with the kn, wn and fn literals in the toolchain's math/rand source,
+// entry for entry.
+func TestZigguratTablesMatchMathRand(t *testing.T) {
+	path := filepath.Join(runtime.GOROOT(), "src", "math", "rand", "normal.go")
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Skipf("math/rand source unavailable: %v", err)
+	}
+	seen := map[string]int{}
+	ast.Inspect(f, func(node ast.Node) bool {
+		vs, ok := node.(*ast.ValueSpec)
+		if !ok || len(vs.Values) != 1 {
+			return true
+		}
+		lit, ok := vs.Values[0].(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		name := vs.Names[0].Name
+		for i, e := range lit.Elts {
+			v := e.(*ast.BasicLit).Value
+			switch name {
+			case "kn":
+				want, err := strconv.ParseUint(v, 0, 32)
+				if err != nil || uint32(want) != zigK[i] {
+					t.Errorf("kn[%d] = %#x, math/rand has %s", i, zigK[i], v)
+				}
+			case "wn", "fn":
+				want, err := strconv.ParseFloat(v, 32)
+				got := zigW[i]
+				if name == "fn" {
+					got = zigF[i]
+				}
+				if err != nil || float32(want) != got {
+					t.Errorf("%s[%d] = %v, math/rand has %s", name, i, got, v)
+				}
+			default:
+				return true
+			}
+			seen[name]++
+		}
+		return true
+	})
+	for _, name := range []string{"kn", "wn", "fn"} {
+		if seen[name] != 128 {
+			t.Errorf("math/rand's %s: compared %d entries, want 128", name, seen[name])
+		}
+	}
+}
+
+// TestAddAWGNPinned is the pinned differential run: 200 seeds of 25,000
+// samples (10⁷ normal draws) against awgnRef in every dispatch mode.
+func TestAddAWGNPinned(t *testing.T) {
+	const seeds, samples = 200, 25000
+	x := make([]complex128, samples)
+	for i := range x {
+		x[i] = complex(float64(i%13)-6, float64(i%7)*0.25)
+	}
+	for seed := range int64(seeds) {
+		checkAWGN(t, x, 1e-3*float64(seed+1), seed*7919-300, int(seed%5))
+	}
+}
+
+// TestAddAWGNBlockEdges runs the lengths and stream offsets around the
+// first refill (sample 303 straddles the seeded window's end) and later
+// block boundaries.
+func TestAddAWGNBlockEdges(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 302, 303, 304, 305, 1024, 1327, 1328, 1329, 2352, 5000} {
+		for _, skip := range []int{0, 1, 2, 605, 606, 607, 2654} {
+			checkAWGN(t, make([]complex128, n), 0.5, int64(n*31+skip), skip)
+		}
+	}
+}
+
+func TestAddAWGNZeroAllocs(t *testing.T) {
+	s := New(20e6, 5000)
+	allocs := testing.AllocsPerRun(20, func() {
+		n := GetNoise(4)
+		s.AddAWGN(0.1, n)
+		PutNoise(n)
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled AddAWGN allocates %.1f times, want 0", allocs)
+	}
+}
+
+// FuzzAWGN drives seed, length, stream offset and noise power through
+// AddAWGN in both dispatch modes and demands the reference loop's
+// samples and stream position. Powers cover zero, negative, subnormal,
+// tiny, ordinary, huge and non-finite values.
+func FuzzAWGN(f *testing.F) {
+	for _, n := range []uint16{0, 1, 303, 304, 305, 1327, 1328, 1329, 2400} {
+		f.Add(int64(n), n, uint16(0), uint8(n%9), int64(0))
+	}
+	f.Add(int64(-1), uint16(700), uint16(606), uint8(4), int64(math.Float64bits(-0.5)))
+	f.Add(int64(77), uint16(3000), uint16(2653), uint8(3), int64(math.Float64bits(3.25)))
+	f.Fuzz(func(t *testing.T, seed int64, n, skip uint16, kind uint8, bits int64) {
+		var power float64
+		switch kind % 9 {
+		case 0:
+			power = 0
+		case 1:
+			power = math.SmallestNonzeroFloat64
+		case 2:
+			power = 0x1p-1060 // subnormal
+		case 3:
+			power = 1e300
+		case 4:
+			power = math.MaxFloat64
+		case 5:
+			power = math.Inf(1)
+		case 6:
+			power = math.NaN()
+		case 7:
+			power = -1
+		default:
+			power = math.Float64frombits(uint64(bits))
+		}
+		x := make([]complex128, int(n)%4096)
+		for i := range x {
+			x[i] = complex(float64(i%5), -float64(i%3))
+		}
+		checkAWGN(t, x, power, seed, int(skip)%4096)
+	})
+}

@@ -299,21 +299,21 @@ func TestConvolveIdentity(t *testing.T) {
 
 func TestAddAWGNPowerAndDeterminism(t *testing.T) {
 	s := New(1e6, 100000)
-	s.AddAWGN(0.25, rand.New(rand.NewSource(42)))
+	s.AddAWGN(0.25, NewNoise(42))
 	if p := s.MeanPower(); !approx(p, 0.25, 0.01) {
 		t.Fatalf("noise power = %g, want 0.25", p)
 	}
 	a := New(1e6, 16)
 	b := New(1e6, 16)
-	a.AddAWGN(1, rand.New(rand.NewSource(1)))
-	b.AddAWGN(1, rand.New(rand.NewSource(1)))
+	a.AddAWGN(1, NewNoise(1))
+	b.AddAWGN(1, NewNoise(1))
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatal("same seed produced different noise")
 		}
 	}
 	c := New(1e6, 4)
-	c.AddAWGN(0, rand.New(rand.NewSource(1)))
+	c.AddAWGN(0, NewNoise(1))
 	for _, v := range c.Samples {
 		if v != 0 {
 			t.Fatal("zero-power AWGN modified signal")

@@ -45,9 +45,6 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 //go:noescape
 func fftPass(x *complex128, n int, tw *complex128, size int)
 
-// rxKernels reports that this build carries FIRReal and PreambleCorr.
-const rxKernels = true
-
 // firReal is the AVX2 real-tap FIR kernel (fir_amd64.s).
 //
 //go:noescape
@@ -57,3 +54,18 @@ func firReal(dst *complex128, n int, x *complex128, h *float64, m int)
 //
 //go:noescape
 func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, tpl *complex128, seg int, segs int)
+
+// lagFill is the AVX2 lagged-Fibonacci block fill (noise_amd64.s).
+//
+//go:noescape
+func lagFill(y *uint64, n int)
+
+// zigReject is the AVX2 ziggurat acceptance scan (noise_amd64.s).
+//
+//go:noescape
+func zigReject(flags *uint64, u *uint64, words int, kn *uint32)
+
+// normAdd is the AVX2 ziggurat fast-path add (noise_amd64.s).
+//
+//go:noescape
+func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64)

@@ -16,10 +16,9 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 //go:noescape
 func fftPass(x *complex128, n int, tw *complex128, size int)
 
-// rxKernels: FIRReal and PreambleCorr have no NEON twins. The Go compiler
-// fuses multiply-adds on arm64, so the callers' Go loops are the
-// reference there and RxEnabled keeps them on it.
-const rxKernels = false
+// FIRReal, PreambleCorr and the noise kernels have no NEON twins. The Go
+// compiler fuses multiply-adds on arm64, so the callers' Go loops are
+// the reference there and AVX2Enabled keeps them on it.
 
 func firReal(dst *complex128, n int, x *complex128, h *float64, m int) {
 	panic("simd: firReal has no arm64 kernel")
@@ -27,4 +26,16 @@ func firReal(dst *complex128, n int, x *complex128, h *float64, m int) {
 
 func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, tpl *complex128, seg int, segs int) {
 	panic("simd: preambleCorr has no arm64 kernel")
+}
+
+func lagFill(y *uint64, n int) {
+	panic("simd: lagFill has no arm64 kernel")
+}
+
+func zigReject(flags *uint64, u *uint64, words int, kn *uint32) {
+	panic("simd: zigReject has no arm64 kernel")
+}
+
+func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64) {
+	panic("simd: normAdd has no arm64 kernel")
 }

@@ -20,12 +20,22 @@ func fftPass(x *complex128, n int, tw *complex128, size int) {
 	panic("simd: fftPass called on a build without asm kernels")
 }
 
-const rxKernels = false
-
 func firReal(dst *complex128, n int, x *complex128, h *float64, m int) {
 	panic("simd: firReal called on a build without asm kernels")
 }
 
 func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, tpl *complex128, seg int, segs int) {
 	panic("simd: preambleCorr called on a build without asm kernels")
+}
+
+func lagFill(y *uint64, n int) {
+	panic("simd: lagFill called on a build without asm kernels")
+}
+
+func zigReject(flags *uint64, u *uint64, words int, kn *uint32) {
+	panic("simd: zigReject called on a build without asm kernels")
+}
+
+func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64) {
+	panic("simd: normAdd called on a build without asm kernels")
 }

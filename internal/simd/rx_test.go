@@ -12,9 +12,9 @@ import (
 // over shapes the callers never produce: short templates, strides wider
 // than the pass, several passes per call.
 
-func requireRxKernels(t *testing.T) {
-	if !RxEnabled() {
-		t.Skip("receive kernels not dispatched on this build")
+func requireAVX2Kernels(t *testing.T) {
+	if !AVX2Enabled() {
+		t.Skip("AVX2 kernels not dispatched on this build")
 	}
 }
 
@@ -34,7 +34,7 @@ func requireBits(t *testing.T, label string, got, want float64) {
 }
 
 func TestFIRRealMatchesDefinition(t *testing.T) {
-	requireRxKernels(t)
+	requireAVX2Kernels(t)
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ n, m int }{{8, 1}, {8, 2}, {16, 7}, {40, 129}, {64, 3}} {
 		h := make([]float64, tc.m)
@@ -56,7 +56,7 @@ func TestFIRRealMatchesDefinition(t *testing.T) {
 }
 
 func TestPreambleCorrMatchesDefinition(t *testing.T) {
-	requireRxKernels(t)
+	requireAVX2Kernels(t)
 	rng := rand.New(rand.NewSource(2))
 	for _, tc := range []struct{ npos, stride, seg, segs int }{
 		{8, 8, 1, 1}, {8, 11, 3, 5}, {16, 16, 64, 16}, {24, 40, 5, 2},

@@ -1,13 +1,15 @@
-// Package simd provides runtime-dispatched vector kernels for the four
-// hottest inner loops in the decode chain: the int16 Viterbi
+// Package simd provides runtime-dispatched vector kernels for the
+// hottest inner loops of the packet path: the int16 Viterbi
 // add-compare-select step (wifi.ViterbiDecodeSoftQ), the radix-2
 // complex FFT butterfly pass (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
-// Gaussian filter) and the ZigBee preamble correlation scan
-// (zigbee.(*Receiver).detect). Each kernel has a Go assembly
-// implementation (AVX2 on amd64; NEON on arm64 for the first two) and
-// the callers keep their pure-Go loops as the always-available
-// fallback and the semantic definition.
+// Gaussian filter), the ZigBee preamble correlation scan
+// (zigbee.(*Receiver).detect), and the channel's Gaussian noise
+// (signal.Noise, signal.(*Signal).AddAWGN): the lagged-Fibonacci block
+// fill, the ziggurat's fast-path acceptance flags and the fast-path
+// add. Each kernel has a Go assembly implementation (AVX2 on amd64;
+// NEON on arm64 for the first two) and the callers keep their pure-Go
+// loops as the always-available fallback and the semantic definition.
 //
 // Exactness contract: every kernel is bit-identical to the pure-Go
 // reference for every input, not just typical ones. The one exception
@@ -42,6 +44,24 @@
 //     segment sum and the running power keep the scalar order, the
 //     products use FFTPass's lowering, and VHADDPD forms xr² + xi²
 //     exactly as the scalar expression does.
+//
+//   - LagFill is 64-bit integer addition, exact by construction; it
+//     runs 16 values per pass, which the recurrence's shortest lag
+//     (273) leaves independent.
+//
+//   - ZigReject is integer-only: the ziggurat's unsigned acceptance
+//     test per draw, eight draws per pass, packed into flag bits in
+//     draw order.
+//
+//   - NormAdd vectorizes across draws only; each lane is the scalar
+//     fast path's float64(j)·float64(w), then ·sigma, then the add into
+//     the sample, each rounded once (no FMA).
+//
+// On amd64 the Go compiler never fuses a multiply into an add (at any
+// GOAMD64 level; only math.FMA fuses), so the Go twins round every
+// product and the kernels match them. On arm64 it does fuse, which is
+// why only the Viterbi and FFT kernels have NEON twins and the others'
+// callers keep their Go loops there.
 //
 // Dispatch is decided once at init from CPU features, can be disabled
 // at build time with the `noasm` build tag, at process start with the
@@ -146,11 +166,11 @@ func FFTPass(x []complex128, tw []complex128, size int) {
 	fftPass(&x[0], len(x), &tw[0], size)
 }
 
-// RxEnabled reports whether FIRReal and PreambleCorr are dispatched:
-// Enabled() on builds that carry them (amd64). arm64 has no NEON twins
-// of these two, so its callers stay on their Go loops even while
-// Enabled() is true for ViterbiACS and FFTPass.
-func RxEnabled() bool { return rxKernels && active.Load() }
+// AVX2Enabled reports whether the amd64-only kernels (FIRReal,
+// PreambleCorr, LagFill, ZigReject and NormAdd) are dispatched. arm64
+// has no NEON twins of these, so its callers stay on their Go loops
+// even while Enabled() is true for ViterbiACS and FFTPass.
+func AVX2Enabled() bool { return hwMode == "avx2" && active.Load() }
 
 // FIRReal computes len(dst) outputs of a real-tap FIR over complex
 // samples, each summed from +0 in input order:
@@ -160,7 +180,7 @@ func RxEnabled() bool { return rxKernels && active.Load() }
 // This is the "valid" part of a convolution: output q reads
 // x[q : q+len(h)]. len(dst) must be a multiple of 8, len(h) ≥ 1 and
 // len(x) ≥ len(dst)+len(h)−1; dst must not overlap x. Callers must
-// check RxEnabled().
+// check AVX2Enabled().
 func FIRReal(dst, x []complex128, h []float64) {
 	if len(dst)%8 != 0 {
 		panic("simd: FIRReal output count must be a multiple of 8")
@@ -187,7 +207,7 @@ func FIRReal(dst, x []complex128, h []float64) {
 // template for a matched filter). len(pow) must be a multiple of 8,
 // len(tpl) a positive multiple of seg, stride ≥ len(pow),
 // len(acc) ≥ (segments−1)·stride + len(pow) and
-// len(x) ≥ len(pow)−1+len(tpl). Callers must check RxEnabled().
+// len(x) ≥ len(pow)−1+len(tpl). Callers must check AVX2Enabled().
 func PreambleCorr(acc []complex128, stride int, pow []float64, x, tpl []complex128, seg int) {
 	npos := len(pow)
 	if npos%8 != 0 {
@@ -207,4 +227,63 @@ func PreambleCorr(acc []complex128, stride int, pow []float64, x, tpl []complex1
 		panic("simd: PreambleCorr input shorter than positions + template")
 	}
 	preambleCorr(&acc[0], stride, &pow[0], npos, &x[0], &tpl[0], seg, segs)
+}
+
+// The lags of math/rand's additive lagged-Fibonacci generator: its raw
+// output satisfies y[k] = y[k-FibLong] + y[k-FibShort] (mod 2⁶⁴), so the
+// last FibLong values are its whole state.
+const (
+	FibLong  = 607
+	FibShort = 273
+)
+
+// LagFill extends that sequence in place:
+//
+//	y[k] = y[k-FibLong] + y[k-FibShort]   for FibLong ≤ k < len(y)
+//
+// len(y) − FibLong must be a non-negative multiple of 16. Callers must
+// check AVX2Enabled().
+func LagFill(y []uint64) {
+	n := len(y) - FibLong
+	if n < 0 || n%16 != 0 {
+		panic("simd: LagFill needs FibLong + a multiple of 16 values")
+	}
+	if n == 0 {
+		return
+	}
+	lagFill(&y[0], n)
+}
+
+// ZigReject flags the draws that leave the ziggurat fast path of
+// math/rand's NormFloat64: each raw generator output u gives
+// j = int32(u>>31), and bit b of flags[w] is set exactly when draw
+// u[64w+b] has |j| ≥ kn[j&127] as unsigned integers (|−2³¹| = 2³¹).
+// len(u) must be 64·len(flags). Callers must check AVX2Enabled().
+func ZigReject(flags, u []uint64, kn *[128]uint32) {
+	if len(u) != 64*len(flags) {
+		panic("simd: ZigReject needs 64 draws per flag word")
+	}
+	if len(flags) == 0 {
+		return
+	}
+	zigReject(&flags[0], &u[0], len(flags), &kn[0])
+}
+
+// NormAdd adds sigma-scaled fast-path normals into x, two draws per
+// sample (real part first): with j = int32(u>>31) and w = wn[j&127],
+//
+//	x[q] += complex(float64(j0)·float64(w0)·sigma, float64(j1)·float64(w1)·sigma)
+//
+// for draws u[2q], u[2q+1], each product rounded in that order. It is
+// NormFloat64's value only for draws ZigReject leaves unflagged; the
+// caller hands it runs of those. len(u) must be at least 2·len(x).
+// Callers must check AVX2Enabled().
+func NormAdd(x []complex128, u []uint64, wn *[128]float32, sigma float64) {
+	if len(u) < 2*len(x) {
+		panic("simd: NormAdd needs two draws per sample")
+	}
+	if len(x) == 0 {
+		return
+	}
+	normAdd(&x[0], len(x), &u[0], &wn[0], sigma)
 }

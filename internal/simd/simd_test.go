@@ -101,6 +101,11 @@ func TestKernelContracts(t *testing.T) {
 	ViterbiACS(&m, &s, nil, nil)
 	FIRReal(nil, nil, nil)
 	PreambleCorr(nil, 0, nil, nil, nil, 0)
+	LagFill(make([]uint64, FibLong))
+	var kn [128]uint32
+	var wn [128]float32
+	ZigReject(nil, nil, &kn)
+	NormAdd(nil, nil, &wn, 1)
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -131,6 +136,12 @@ func TestKernelContracts(t *testing.T) {
 	})
 	mustPanic("FIR no taps", func() {
 		FIRReal(make([]complex128, 8), make([]complex128, 8), nil)
+	})
+	mustPanic("LagFill short window", func() { LagFill(make([]uint64, FibLong-1)) })
+	mustPanic("LagFill ragged block", func() { LagFill(make([]uint64, FibLong+8)) })
+	mustPanic("ZigReject ragged draws", func() { ZigReject(make([]uint64, 1), make([]uint64, 65), &kn) })
+	mustPanic("NormAdd short draws", func() {
+		NormAdd(make([]complex128, 4), make([]uint64, 7), &wn, 1)
 	})
 	tpl := make([]complex128, 64)
 	mustPanic("corr position count", func() {

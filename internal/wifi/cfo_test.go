@@ -3,7 +3,6 @@ package wifi
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/signal"
@@ -19,7 +18,7 @@ func cfoCapture(t *testing.T, psdu []byte, cfoHz float64, noise float64, seed in
 	cap := appendSilence(sig, 200, 200)
 	cap.FrequencyShift(cfoHz)
 	if noise > 0 {
-		cap.AddAWGN(noise, rand.New(rand.NewSource(seed)))
+		cap.AddAWGN(noise, signal.NewNoise(seed))
 	}
 	return cap
 }

@@ -1,10 +1,6 @@
 package wifi
 
-import (
-	"math/rand"
-
-	"repro/internal/signal"
-)
+import "repro/internal/signal"
 
 // appendSilence surrounds a packet with zero samples.
 func appendSilence(s *signal.Signal, before, after int) *signal.Signal {
@@ -16,6 +12,6 @@ func appendSilence(s *signal.Signal, before, after int) *signal.Signal {
 // newNoise returns a pure-AWGN capture for negative tests.
 func newNoise(n int, power float64, seed int64) *signal.Signal {
 	s := signal.New(SampleRate, n)
-	s.AddAWGN(power, rand.New(rand.NewSource(seed)))
+	s.AddAWGN(power, signal.NewNoise(seed))
 	return s
 }

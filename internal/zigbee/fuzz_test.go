@@ -78,7 +78,7 @@ func bothDispatchModes(fn func()) bool {
 	simd.SetEnabled(false)
 	fn()
 	simd.SetEnabled(true)
-	if !simd.RxEnabled() {
+	if !simd.AVX2Enabled() {
 		return false
 	}
 	fn()

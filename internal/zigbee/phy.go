@@ -298,7 +298,7 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 // `x * cmplx.Conj(tpl)` lowers to, and the energy runs across slices.
 func correlateBlock(acc []complex128, pow []float64, x []complex128) {
 	vec := 0
-	if simd.RxEnabled() {
+	if simd.AVX2Enabled() {
 		vec = len(pow) &^ 7
 		simd.PreambleCorr(acc, detectBlock, pow[:vec], x, preambleConjTemplate, detectSeg)
 	}

@@ -203,7 +203,7 @@ func TestTransmitReceiveWithChannelImpairments(t *testing.T) {
 	// Random complex gain (attenuation + phase) and moderate noise.
 	cap.Scale(complex(0.05, 0))
 	cap.PhaseShift(1.2)
-	cap.AddAWGN(1e-5, rand.New(rand.NewSource(77)))
+	cap.AddAWGN(1e-5, signal.NewNoise(77))
 	f, err := NewReceiver().Receive(cap)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestTransmitReceiveWithChannelImpairments(t *testing.T) {
 
 func TestReceiverRejectsNoise(t *testing.T) {
 	cap := signal.New(SampleRate, 20000)
-	cap.AddAWGN(0.01, rand.New(rand.NewSource(5)))
+	cap.AddAWGN(0.01, signal.NewNoise(5))
 	if _, err := NewReceiver().Receive(cap); err == nil {
 		t.Error("decoded a frame from pure noise")
 	}
