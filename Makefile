@@ -64,11 +64,11 @@ govulncheck:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-serve benchmarks the HTTP service path (decode micro-batcher,
-# session pool) plus the waveform-cache contention benchmark through the
+# bench-serve benchmarks the HTTP service path (inline decode, session
+# pool) plus the waveform-cache contention benchmark through the
 # same benchgate as the DSP suite: one JSONL trajectory point per run in
-# BENCH_SERVE.json (ns/op, allocs/op, plus the req/batch, hit-rate,
-# coalesced/s and lockwait-ns/op custom metrics), gated against
+# BENCH_SERVE.json (ns/op, allocs/op, plus the hit-rate, coalesced/s and
+# lockwait-ns/op custom metrics), gated against
 # BENCH_SERVE_BASELINE.json. The contention benchmark runs a fixed
 # iteration count so its ns/op and lock wait are comparable across runs.
 # The serve suite has no calibration probe, so ns/op budgets are compared
@@ -149,7 +149,9 @@ golden:
 
 # loadtest-quick is the service-layer race gate: 64 goroutines hammer
 # /v1/decode with mixed radio configs over real HTTP and every response
-# must be bit-identical to the serial baseline.
+# must be bit-identical to the serial baseline; concurrent simulates share
+# one pooled session; and a closed server answers 503 while every request
+# accepted before Close completes.
 loadtest-quick:
 	$(GO) test -race -count=1 -run 'TestDecodeConcurrentMixedRadios|TestSimulateConcurrentSharedSession|TestShutdownDrains' ./internal/server
 
@@ -220,12 +222,14 @@ fuzz-core:
 	$(GO) test -run=^$$ -fuzz=FuzzSessionConfig -fuzztime=10s ./internal/core
 
 # fuzz-server posts arbitrary bodies to /v1/encode, /v1/decode and
-# /v1/simulate through the server's handler: each must answer 200 with a
-# JSON object or a 4xx/5xx JSON error, never a 500 and never a panic.
+# /v1/simulate, and arbitrary query strings to /v1/experiments/power,
+# through the server's handler: each must answer 200 with a JSON object
+# or a 4xx/5xx JSON error, never a 500 and never a panic.
 fuzz-server:
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeBody$$ -fuzztime=10s ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBody$$ -fuzztime=10s ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateBody$$ -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzExperimentQuery$$ -fuzztime=10s ./internal/server
 
 # perfbench-test runs the repository benchmark's own tests (percentile
 # selection, span accounting, a smoke run of each workload). perfbench/
@@ -253,7 +257,7 @@ perfbench-quick:
 # on (in shuffled order) and again with the asm kernels compiled out,
 # hold the service layer bit-identical under concurrent load, survive the
 # quick chaos soak, keep the fault-spec, RS-codec, window decoder, SIMD
-# differential, session-config and HTTP body fuzzers clean, pass the repository
+# differential, session-config and HTTP body and query fuzzers clean, pass the repository
 # benchmark's tests and quick runs, and stay within the DSP and serve
 # benchmark budgets.
-ci: build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core perfbench-test perfbench-quick bench-dsp bench-serve
+ci: build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick bench-dsp bench-serve

@@ -6,17 +6,14 @@
 // Usage:
 //
 //	freerider-serve [-addr :8080] [-workers N] [-max-inflight N]
-//	                [-batch-window D] [-batch-max N] [-pool-size N]
-//	                [-max-body BYTES] [-request-timeout D]
+//	                [-pool-size N] [-max-body BYTES] [-request-timeout D]
 //	                [-admin-addr 127.0.0.1:6060]
 //
-// Concurrent decode requests are coalesced into batches of up to
-// -batch-max (gathered for at most -batch-window) and dispatched through
-// one deterministic worker-pool run; responses are bit-identical to
-// direct library calls. Each v1 endpoint admits at most -max-inflight
-// concurrent requests and sheds the excess with 429 + Retry-After.
-// SIGINT/SIGTERM trigger a graceful shutdown that finishes in-flight
-// requests and drains pending decode batches before exiting.
+// Each decode request is decoded on its own request goroutine;
+// responses are bit-identical to direct library calls. Each v1 endpoint
+// admits at most -max-inflight concurrent requests and sheds the excess
+// with 429 + Retry-After. SIGINT/SIGTERM trigger a graceful shutdown that
+// finishes in-flight requests before exiting.
 package main
 
 import (
@@ -69,13 +66,11 @@ func startAdmin(addr string) {
 
 func main() {
 	addr := flag.String("addr", server.DefaultAddr, "listen address")
-	workers := flag.Int("workers", 0, "worker pool for batched decodes and sweeps (0 = all cores); results do not depend on it")
+	workers := flag.Int("workers", 0, "worker pool for simulate and experiment sweeps (0 = all cores); results do not depend on it")
 	maxInflight := flag.Int("max-inflight", server.DefaultMaxInflight, "per-endpoint concurrent requests before 429 backpressure")
-	batchWindow := flag.Duration("batch-window", server.DefaultBatchWindow, "decode micro-batch coalescing window")
-	batchMax := flag.Int("batch-max", server.DefaultMaxBatch, "max decode requests per batch dispatch")
 	poolSize := flag.Int("pool-size", server.DefaultPoolSize, "session LRU capacity (distinct link configs kept warm)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes (413 beyond)")
-	requestTimeout := flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request compute deadline on /v1/decode and /v1/simulate (504 beyond; negative disables)")
+	requestTimeout := flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request compute deadline on /v1/simulate (504 beyond; negative disables)")
 	adminAddr := flag.String("admin-addr", "", "loopback-only admin listener serving /debug/pprof (disabled when empty)")
 	flag.Parse()
 
@@ -87,8 +82,6 @@ func main() {
 		Addr:           *addr,
 		Workers:        *workers,
 		MaxInflight:    *maxInflight,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *batchMax,
 		PoolSize:       *poolSize,
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *requestTimeout,
@@ -97,8 +90,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("freerider-serve listening on %s (max-inflight %d, batch window %s)",
-		*addr, *maxInflight, batchWindow.String())
+	log.Printf("freerider-serve listening on %s (max-inflight %d)", *addr, *maxInflight)
 	start := time.Now()
 	if err := srv.ListenAndServe(ctx); err != nil {
 		log.Fatal(err)

@@ -222,58 +222,15 @@ func DecodeDifferentialStream(r Radio, features []byte, window int) ([]WindowDec
 // DecisionBits extracts just the tag bits from a DecodeStream result.
 func DecisionBits(ws []WindowDecision) []byte { return decoder.Bits(ws) }
 
-// DecodeRequest is one stream-decode job for DecodeBatch: the arguments of
-// a DecodeStream call, or of a DecodeDifferentialStream call when Single is
-// set (Ref must then be empty and RX carries the flip-feature stream).
+// DecodeRequest names the arguments of one stream decode: a DecodeStream
+// call, or a DecodeDifferentialStream call when Single is set (Ref must
+// then be empty and RX carries the flip-feature stream).
 type DecodeRequest struct {
 	Radio  Radio
 	Ref    []byte
 	RX     []byte
 	Window int
 	Single bool
-}
-
-// DecodeResult is one DecodeBatch outcome, slot-aligned with the request
-// that produced it. Err is per-request: one malformed stream never fails
-// its batch peers.
-type DecodeResult struct {
-	Windows []WindowDecision
-	Dropped int
-	Err     error
-}
-
-// decodeBatchSize is how many stream decodes one pool dispatch carries in
-// DecodeBatch. Window decodes are short relative to pool hand-off, so
-// grouping a few per dispatch amortises the scheduling cost; results are
-// bit-identical for any grouping because every request decodes into its
-// own slot from its own inputs.
-const decodeBatchSize = 4
-
-// DecodeBatch decodes a coalesced batch of independent stream-decode
-// requests through the deterministic worker pool (all cores when
-// workers <= 0) and returns one slot-aligned DecodeResult per request.
-// Slot i holds exactly what DecodeStream (or DecodeDifferentialStream for
-// Single requests) would have returned for reqs[i] — batching changes the
-// dispatch count, never the outputs. This is the single entry point the
-// serve micro-batcher hands its coalesced /v1/decode window to.
-func DecodeBatch(reqs []DecodeRequest, workers int) []DecodeResult {
-	res := make([]DecodeResult, len(reqs))
-	// The per-request fn cannot fail (errors travel in the slots), so the
-	// pool call itself never errors.
-	_ = runner.MapBatches(len(reqs), decodeBatchSize, workers, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			r := reqs[i]
-			if r.Single {
-				ws, err := DecodeDifferentialStream(r.Radio, r.RX, r.Window)
-				res[i] = DecodeResult{Windows: ws, Err: err}
-				continue
-			}
-			ws, dropped, err := DecodeStream(r.Radio, r.Ref, r.RX, r.Window)
-			res[i] = DecodeResult{Windows: ws, Dropped: dropped, Err: err}
-		}
-		return nil
-	})
-	return res
 }
 
 // Config describes one backscatter link end to end; see core.Config.

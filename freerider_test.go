@@ -2,6 +2,7 @@ package freerider
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -105,5 +106,39 @@ func TestRunNetworkFirmwareLevel(t *testing.T) {
 	}
 	if res.TotalBits() == 0 {
 		t.Fatal("no data delivered at firmware level")
+	}
+}
+
+// TestStreamAPIRejectsUnknownRadio pins that every stream entry point
+// refuses a Radio value outside WiFi, ZigBee and Bluetooth with
+// ErrUnknownRadio, instead of silently running the WiFi rules.
+func TestStreamAPIRejectsUnknownRadio(t *testing.T) {
+	ref := []byte{0, 1, 0, 1, 1, 0, 1, 0}
+	for _, r := range []Radio{Radio(7), Radio(-1)} {
+		cases := []struct {
+			name string
+			call func() error
+		}{
+			{"EncodeStream", func() error {
+				_, _, err := EncodeStream(r, ref, []byte{1, 0}, 4)
+				return err
+			}},
+			{"DecodeStream", func() error {
+				_, _, err := DecodeStream(r, ref, ref, 4)
+				return err
+			}},
+			{"DecodeDifferentialStream", func() error {
+				_, err := DecodeDifferentialStream(r, ref, 4)
+				return err
+			}},
+		}
+		for _, c := range cases {
+			if err := c.call(); !errors.Is(err, ErrUnknownRadio) {
+				t.Errorf("%s(%v): err = %v, want ErrUnknownRadio", c.name, r, err)
+			}
+		}
+	}
+	if _, err := ParseRadio("lora"); !errors.Is(err, ErrUnknownRadio) {
+		t.Errorf("ParseRadio(lora): err = %v, want ErrUnknownRadio", err)
 	}
 }

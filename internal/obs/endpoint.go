@@ -103,8 +103,8 @@ func quantileMs(counts []int64, total int64, q float64) float64 {
 // All fields are safe for concurrent use.
 type Endpoint struct {
 	Requests atomic.Int64 // completed requests (any status)
-	Errors   atomic.Int64 // completed with status >= 400 (not counting 429)
-	Rejected atomic.Int64 // turned away with 429 backpressure
+	Errors   atomic.Int64 // completed with status >= 400 (not counting rejections)
+	Rejected atomic.Int64 // turned away with 429 backpressure, or 503 once the server is closed
 	InFlight atomic.Int64 // currently executing
 	Latency  *Histogram
 }

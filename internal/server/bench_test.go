@@ -6,16 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // BenchmarkDecodeEndpoint measures the full service decode path —
-// middleware, JSON, micro-batcher dispatch, response — driven in
-// parallel so the batcher actually coalesces. Reports the mean batch
-// size alongside ns/op; `make bench-serve` appends both to
-// BENCH_SERVE.json.
+// middleware, JSON, stream decode, response — driven 32-way parallel;
+// `make bench-serve` appends ns/op and allocs/op to BENCH_SERVE.json.
 func BenchmarkDecodeEndpoint(b *testing.B) {
-	s := New(Config{BatchWindow: 100 * time.Microsecond, MaxInflight: 1 << 20})
+	s := New(Config{MaxInflight: 1 << 20})
 	defer s.Close()
 	cases := buildDecodeCases(b, 8)
 	bodies := make([][]byte, len(cases))
@@ -41,10 +38,6 @@ func BenchmarkDecodeEndpoint(b *testing.B) {
 			i++
 		}
 	})
-	b.StopTimer()
-	if st := s.batcher.stats(); st.Batches > 0 {
-		b.ReportMetric(st.MeanBatch, "req/batch")
-	}
 }
 
 // BenchmarkSimulateEndpoint measures the simulate path over a small

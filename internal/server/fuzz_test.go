@@ -13,15 +13,14 @@ import (
 // server's own handler and demand an answer, never a crash: either 200
 // with a JSON object, or a 4xx/5xx JSON error naming what was wrong. A
 // 500 is a failure too: it means the server accepted a request it then
-// could not serve. A panic anywhere on the request path, the decode
-// batcher and the simulate workers included, fails the fuzzer outright.
+// could not serve. A panic anywhere on the request path, the simulate
+// workers included, fails the fuzzer outright.
 
 // fuzzServer builds one server per fuzz target, sized so that a valid
 // body stays cheap: two packets per simulate, 64 KiB bodies, one worker.
 func fuzzServer(f *testing.F) *Server {
 	s := New(Config{
 		Workers:        1,
-		BatchWindow:    50 * time.Microsecond,
 		MaxPackets:     2,
 		MaxBodyBytes:   64 << 10,
 		RequestTimeout: time.Minute,
@@ -32,27 +31,33 @@ func fuzzServer(f *testing.F) *Server {
 
 // postFuzz sends body to path and checks the response contract.
 func postFuzz(t *testing.T, s *Server, path string, body []byte) {
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	serveFuzz(t, s, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)), string(body))
+}
+
+// serveFuzz serves req through the handler and checks the response
+// contract; input is the fuzzed part of the request, for the report.
+func serveFuzz(t *testing.T, s *Server, req *http.Request, input string) {
+	path := req.URL.Path
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("%s %q: status %d with Content-Type %q", path, body, rec.Code, ct)
+		t.Fatalf("%s %q: status %d with Content-Type %q", path, input, rec.Code, ct)
 	}
 	switch {
 	case rec.Code == http.StatusOK:
 		var obj map[string]any
 		if err := json.Unmarshal(rec.Body.Bytes(), &obj); err != nil {
-			t.Fatalf("%s %q: 200 with a body that is not a JSON object: %v", path, body, err)
+			t.Fatalf("%s %q: 200 with a body that is not a JSON object: %v", path, input, err)
 		}
 		return
 	case rec.Code == http.StatusInternalServerError:
-		t.Fatalf("%s %q: 500: %s", path, body, rec.Body.Bytes())
+		t.Fatalf("%s %q: 500: %s", path, input, rec.Body.Bytes())
 	case rec.Code < 400 || rec.Code > 599:
-		t.Fatalf("%s %q: unexpected status %d", path, body, rec.Code)
+		t.Fatalf("%s %q: unexpected status %d", path, input, rec.Code)
 	}
 	var e errorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
-		t.Fatalf("%s %q: status %d without a JSON error: %s", path, body, rec.Code, rec.Body.Bytes())
+		t.Fatalf("%s %q: status %d without a JSON error: %s", path, input, rec.Code, rec.Body.Bytes())
 	}
 }
 
@@ -126,4 +131,28 @@ func FuzzSimulateBody(f *testing.F) {
 	}
 	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) { postFuzz(t, s, "/v1/simulate", body) })
+}
+
+// FuzzExperimentQuery sends arbitrary raw query strings to
+// GET /v1/experiments/power (a few milliseconds at either effort), so the
+// seed, faults and full parameters face repeated, badly escaped, negative
+// and out-of-range values under the same contract as the body fuzzers.
+func FuzzExperimentQuery(f *testing.F) {
+	for _, q := range []string{
+		``, `full=`, `full=1`, `full=false`, `full=yes`, `full=1&full=0`,
+		`seed=7`, `seed=-1`, `seed=0`, `seed=9223372036854775807`,
+		`seed=9223372036854775808`, `seed=-9223372036854775809`, `seed=1e3`,
+		`seed=1&seed=x`, `seed=%zz`, `seed=%`, `seed=%2d5`,
+		`faults=none`, `faults=chaos`, `faults=chaos@-1`, `faults=chaos@1e308`,
+		`faults=burst:p01=2`, `faults=%ff%fe`, `faults=bursty-wifi&faults=`,
+		`full=t&seed=3&faults=impulsive`, `;;&&==`, `full=%00`,
+	} {
+		f.Add(q)
+	}
+	s := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, query string) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/experiments/power", nil)
+		req.URL.RawQuery = query
+		serveFuzz(t, s, req, query)
+	})
 }

@@ -249,8 +249,8 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Validate the code before spending batcher time on the stream. In
-	// single mode the stream length is rx's (there is no ref).
+	// Validate the code before decoding the stream. In single mode the
+	// stream length is rx's (there is no ref).
 	var lay fec.Layout
 	if req.Coding != nil {
 		if req.Window <= 0 {
@@ -267,51 +267,29 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	job := &decodeJob{
-		radio: radio, ref: ref, rx: rx, window: req.Window, single: single,
-		out: make(chan decodeJobResult, 1),
+	var windows []freerider.WindowDecision
+	var dropped int
+	if single {
+		windows, err = freerider.DecodeDifferentialStream(radio, rx, req.Window)
+	} else {
+		windows, dropped, err = freerider.DecodeStream(radio, ref, rx, req.Window)
 	}
-	if err := s.batcher.submit(ctx, job); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout,
-				"decode exceeded the %s request deadline", s.cfg.RequestTimeout)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	var res decodeJobResult
-	select {
-	case res = <-job.out:
-	case <-ctx.Done():
-		// The batch keeps running; its send lands in the job's buffered
-		// channel, so abandoning it here leaks nothing.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout,
-				"decode exceeded the %s request deadline", s.cfg.RequestTimeout)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "%v", ctx.Err())
-		return
-	}
-	if res.err != nil {
-		writeError(w, http.StatusBadRequest, "%v", res.err)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.modes.Decode(single)
-	s.modes.AddDropped(int64(res.dropped))
-	hard := freerider.DecisionBits(res.windows)
+	s.modes.AddDropped(int64(dropped))
+	hard := freerider.DecisionBits(windows)
 	resp := decodeResponse{
 		Radio:           freerider.RadioKey(radio),
 		Mode:            mode.String(),
 		TagBits:         formatStream(hard),
-		Windows:         len(res.windows),
-		Mismatch:        make([]float64, len(res.windows)),
-		DroppedElements: res.dropped,
+		Windows:         len(windows),
+		Mismatch:        make([]float64, len(windows)),
+		DroppedElements: dropped,
 	}
-	for i, wd := range res.windows {
+	for i, wd := range windows {
 		resp.Mismatch[i] = wd.MismatchFraction
 	}
 	if req.Coding != nil {
@@ -512,8 +490,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // ---- /v1/experiments/{name} ------------------------------------------
 
 // The service runs experiments.Registry at CI effort unless the request
-// asks for ?full=1. The long-running chaos soak and waterfalls stay
-// CLI-only.
+// asks for ?full=1 (any strconv.ParseBool spelling; empty means quick).
+// The long-running chaos soak and waterfalls stay CLI-only.
 
 type experimentResponse struct {
 	Name    string       `json:"name"`
@@ -532,7 +510,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	full := q.Get("full") == "1" || q.Get("full") == "true"
+	full := false
+	if v := q.Get("full"); v != "" {
+		parsed, err := strconv.ParseBool(v)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "full: %v", err)
+			return
+		}
+		full = parsed
+	}
 	seed := int64(1)
 	if v := q.Get("seed"); v != "" {
 		parsed, err := strconv.ParseInt(v, 10, 64)

@@ -23,7 +23,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // request/latency/error metrics always, and — when gated — a per-endpoint
 // concurrency gate that converts overload into 429 + Retry-After rather
 // than parking goroutines. Each endpoint owns an independent gate, so a
-// flood of simulate requests cannot starve decode, and vice versa.
+// flood of simulate requests cannot starve decode, and vice versa. Once
+// the server is closed, gated endpoints answer 503.
 func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.HandlerFunc {
 	ep := s.endpoints.Get(name)
 	var gate *runner.Gate
@@ -33,6 +34,11 @@ func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.Ha
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if gate != nil {
+			if s.closed.Load() {
+				ep.Rejected.Add(1)
+				writeError(w, http.StatusServiceUnavailable, "server closed; not accepting %s requests", name)
+				return
+			}
 			if !gate.TryEnter() {
 				ep.Rejected.Add(1)
 				w.Header().Set("Retry-After", "1")

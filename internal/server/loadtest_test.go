@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	freerider "repro"
 )
@@ -61,12 +60,11 @@ func buildDecodeCases(t testing.TB, n int) []decodeCase {
 	return cases
 }
 
-// TestDecodeConcurrentMixedRadios is the batcher/session-layer race
-// check: 64 goroutines hammer /v1/decode over real HTTP with mixed-radio
+// TestDecodeConcurrentMixedRadios is the decode-path race check: 64 goroutines hammer /v1/decode over real HTTP with mixed-radio
 // configs, and every response must be bit-identical to the serial
 // baseline. Run under -race by `make race` and `make loadtest-quick`.
 func TestDecodeConcurrentMixedRadios(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInflight: 64, BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Config{MaxInflight: 64})
 	cases := buildDecodeCases(t, 16)
 
 	client := ts.Client()
@@ -108,7 +106,7 @@ func TestDecodeConcurrentMixedRadios(t *testing.T) {
 					return
 				}
 				if dec.TagBits != c.want {
-					t.Errorf("goroutine %d case %d: tag bits %s, want %s (batched decode diverged from serial)",
+					t.Errorf("goroutine %d case %d: tag bits %s, want %s (concurrent decode diverged from serial)",
 						g, k, dec.TagBits, c.want)
 					failures.Add(1)
 					return

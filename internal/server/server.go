@@ -9,23 +9,23 @@
 //   - a session pool caching constructed PHY/codebook state keyed by a
 //     hash of the link configuration (LRU with a measured hit rate), so a
 //     hot config pays NewSession once;
-//   - a micro-batcher coalescing concurrent /v1/decode requests into one
-//     deterministic worker-pool dispatch;
 //   - per-endpoint concurrency gates that turn overload into 429 +
 //     Retry-After instead of unbounded goroutines;
 //   - graceful shutdown that stops accepting, lets in-flight handlers
-//     finish (http.Server.Shutdown) and then drains the batcher.
+//     finish (http.Server.Shutdown) and then answers 503 to anything
+//     that still reaches a gated endpoint.
 //
 // Every response is bit-identical to the corresponding direct library
-// call: decode batches run on runner.Map with per-index isolation, and
-// cached sessions are only used through the Run/RunParallel paths, which
-// derive all randomness from (seed, packet index) and never mutate
-// session state.
+// call: /v1/decode calls the stream decoder on the request's own
+// goroutine, and cached sessions are only used through the
+// Run/RunParallel paths, which derive all randomness from (seed, packet
+// index) and never mutate session state.
 package server
 
 import (
 	"context"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -37,14 +37,12 @@ import (
 const (
 	DefaultAddr         = ":8080"
 	DefaultMaxInflight  = 64
-	DefaultBatchWindow  = 2 * time.Millisecond
-	DefaultMaxBatch     = 64
 	DefaultPoolSize     = 32
 	DefaultMaxBodyBytes = 8 << 20
 	DefaultMaxPackets   = 2000
 
-	// DefaultRequestTimeout bounds how long /v1/decode and /v1/simulate
-	// may compute before the handler answers 504.
+	// DefaultRequestTimeout bounds how long /v1/simulate may compute
+	// before the handler answers 504.
 	DefaultRequestTimeout = 30 * time.Second
 
 	// shutdownGrace bounds how long ListenAndServe waits for in-flight
@@ -56,18 +54,12 @@ const (
 type Config struct {
 	// Addr is the listen address for ListenAndServe.
 	Addr string
-	// Workers bounds the worker pool used for batched decodes and
-	// simulate/experiment sweeps (0 = all cores). Results never depend
-	// on it.
+	// Workers bounds the worker pool used for simulate and experiment
+	// sweeps (0 = all cores). Results never depend on it.
 	Workers int
 	// MaxInflight is the per-endpoint concurrency bound; a request
 	// arriving with the gate full is rejected with 429 + Retry-After.
 	MaxInflight int
-	// BatchWindow is how long the decode micro-batcher holds the first
-	// request of a batch while coalescing followers.
-	BatchWindow time.Duration
-	// MaxBatch caps how many decode requests one dispatch carries.
-	MaxBatch int
 	// PoolSize is the session LRU capacity (distinct link configs kept
 	// constructed).
 	PoolSize int
@@ -75,10 +67,10 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxPackets caps the per-request packet count of /v1/simulate.
 	MaxPackets int
-	// RequestTimeout is the per-request compute deadline on /v1/decode
-	// and /v1/simulate: a request still working when it expires is
-	// answered 504 Gateway Timeout. 0 selects DefaultRequestTimeout;
-	// negative disables the deadline.
+	// RequestTimeout is the per-request compute deadline on /v1/simulate:
+	// a run still working when it expires is answered 504 Gateway
+	// Timeout. /v1/decode decodes inline in microseconds and has no
+	// deadline. 0 selects DefaultRequestTimeout; negative disables it.
 	RequestTimeout time.Duration
 }
 
@@ -88,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = DefaultMaxInflight
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = DefaultBatchWindow
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = DefaultPoolSize
@@ -110,14 +96,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the assembled service: handlers, batcher, session pool,
-// gates and metrics. Create with New, serve via Handler or
-// ListenAndServe, and Close when done to drain the batcher.
+// Server is the assembled service: handlers, session pool, gates and
+// metrics. Create with New, serve via Handler or ListenAndServe, and
+// Close when done.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	batcher *batcher
-	pool    *sessionPool
+	cfg  Config
+	mux  *http.ServeMux
+	pool *sessionPool
 	// waveforms is the process-wide TX waveform cache: every simulate
 	// session the pool builds shares it, so repeated requests with the
 	// same seed replay synthesised excitations even across distinct link
@@ -128,6 +113,8 @@ type Server struct {
 	fec       obs.FECCounters
 	modes     obs.ModeCounters
 	start     time.Time
+	// closed is set by Close; every gated endpoint then answers 503.
+	closed atomic.Bool
 
 	// testSimHook, when set by a test, runs inside the simulate worker
 	// goroutine before the session run — the injection point for a slow
@@ -141,7 +128,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
-		batcher:   newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.Workers),
 		pool:      newSessionPool(cfg.PoolSize),
 		waveforms: waveform.New(0),
 		endpoints: obs.NewEndpointSet(),
@@ -167,15 +153,16 @@ func (s *Server) routes() {
 // Handler returns the root handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains the decode batcher: pending batches run to completion and
-// later submissions fail with 503. Call after in-flight HTTP handlers
-// have finished (ListenAndServe orders this for you).
-func (s *Server) Close() { s.batcher.close() }
+// Close stops the server taking work: every later request to a gated
+// /v1 endpoint answers 503, while requests already inside a handler run
+// to completion. Health and metrics keep answering. ListenAndServe calls
+// it once in-flight HTTP handlers have finished.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // ListenAndServe serves until ctx is cancelled, then shuts down
 // gracefully: the listener closes, in-flight handlers get shutdownGrace
-// to finish (draining their decode batches with them), and only then is
-// the batcher closed. Returns nil on a clean shutdown.
+// to finish, and then the server is closed. Returns nil on a clean
+// shutdown.
 func (s *Server) ListenAndServe(ctx context.Context) error {
 	httpSrv := &http.Server{Addr: s.cfg.Addr, Handler: s.mux}
 	errCh := make(chan error, 1)
@@ -194,8 +181,8 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return err
 }
 
-// requestCtx derives the compute-deadline context for /v1/decode and
-// /v1/simulate (RequestTimeout <= 0 disables the deadline).
+// requestCtx derives the compute-deadline context for /v1/simulate
+// (RequestTimeout <= 0 disables the deadline).
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout <= 0 {
 		return r.Context(), func() {}

@@ -179,24 +179,6 @@ func TestSimulateCoded(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestTimeout pins the /v1/decode deadline: a dispatch held
-// past RequestTimeout answers 504 while the batch itself is free to finish
-// into the job's buffered channel.
-func TestDecodeRequestTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{RequestTimeout: 25 * time.Millisecond})
-	release := make(chan struct{})
-	s.batcher.testHook = func() { <-release }
-	defer close(release)
-
-	ref := testStream(freerider.WiFi, 64, 7)
-	resp, body := postJSON(t, ts.URL+"/v1/decode", decodeRequest{
-		Radio: "wifi", Ref: streamString(ref), RX: streamString(ref), Window: 4,
-	})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("slow decode = %d %s, want 504", resp.StatusCode, body)
-	}
-}
-
 // TestSimulateRequestTimeout pins the /v1/simulate deadline via the
 // injected slow session hook.
 func TestSimulateRequestTimeout(t *testing.T) {
@@ -214,17 +196,16 @@ func TestSimulateRequestTimeout(t *testing.T) {
 }
 
 // TestRequestTimeoutDisabled checks a negative RequestTimeout switches the
-// deadline off: a briefly-held dispatch still completes normally.
+// deadline off: a briefly-held simulate run still completes normally.
 func TestRequestTimeoutDisabled(t *testing.T) {
 	s, ts := newTestServer(t, Config{RequestTimeout: -1})
-	s.batcher.testHook = func() { time.Sleep(40 * time.Millisecond) }
+	s.testSimHook = func() { time.Sleep(40 * time.Millisecond) }
 
-	ref := testStream(freerider.WiFi, 64, 7)
-	resp, body := postJSON(t, ts.URL+"/v1/decode", decodeRequest{
-		Radio: "wifi", Ref: streamString(ref), RX: streamString(ref), Window: 4,
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
+		Radio: "wifi", Distance: 8, Packets: 2, Seed: 1,
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("decode with disabled deadline = %d %s, want 200", resp.StatusCode, body)
+		t.Fatalf("simulate with disabled deadline = %d %s, want 200", resp.StatusCode, body)
 	}
 }
 

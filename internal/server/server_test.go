@@ -11,20 +11,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	freerider "repro"
 
 	"repro/internal/experiments"
 )
 
-// newTestServer builds a server with fast test-sized knobs plus a live
-// httptest listener; both are torn down with the test.
+// newTestServer builds a server plus a live httptest listener; both are
+// torn down with the test.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 200 * time.Microsecond
-	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -331,6 +327,17 @@ func TestExperimentEndpoint(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/experiments/no-such-figure", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown experiment: got %d, want 404", resp.StatusCode)
 	}
+	// An empty ?full= is quick effort; a value ParseBool rejects is a 400
+	// naming the parameter, not a silent quick run.
+	got = experimentResponse{}
+	if resp := getJSON(t, ts.URL+"/v1/experiments/power?full=", &got); resp.StatusCode != http.StatusOK || got.Full {
+		t.Fatalf("full= (empty): %d full=%v, want 200 at quick effort", resp.StatusCode, got.Full)
+	}
+	var e errorResponse
+	resp = getJSON(t, ts.URL+"/v1/experiments/power?full=yes", &e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "full") {
+		t.Fatalf("full=yes: got %d %q, want 400 naming full", resp.StatusCode, e.Error)
+	}
 }
 
 // TestExperimentListMatchesRegistry pins the /v1/experiments listing to
@@ -367,9 +374,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if dec.Latency.Count != 1 || dec.Latency.MeanMs <= 0 {
 		t.Fatalf("decode latency histogram = %+v", dec.Latency)
 	}
-	if got.Batcher.Requests != 1 || got.Batcher.Batches != 1 {
-		t.Fatalf("batcher stats = %+v", got.Batcher)
-	}
 }
 
 // TestMetricsWaveformCache pins the service-level TX memoization: the
@@ -401,9 +405,9 @@ func TestMetricsWaveformCache(t *testing.T) {
 }
 
 // TestShutdownDrains submits decode work, closes the server, and checks
-// that accepted jobs completed while later submissions are refused.
+// that accepted requests completed while later /v1 requests are refused.
 func TestShutdownDrains(t *testing.T) {
-	s := New(Config{BatchWindow: 200 * time.Microsecond})
+	s := New(Config{})
 	ref := testStream(freerider.WiFi, 32, 1)
 	rx, _, err := freerider.EncodeStream(freerider.WiFi, ref, []byte{1, 0, 1, 1}, 4)
 	if err != nil {
@@ -426,7 +430,7 @@ func TestShutdownDrains(t *testing.T) {
 			}
 		}(i)
 	}
-	wg.Wait() // handlers done = their batches were served
+	wg.Wait()
 	s.Close()
 
 	want := streamString(freerider.DecisionBits(mustDecode(t, freerider.WiFi, ref, rx, 4)))
@@ -443,13 +447,18 @@ func TestShutdownDrains(t *testing.T) {
 		}
 	}
 
-	// Post-close: the batcher refuses new work with 503.
-	req := httptest.NewRequest("POST", "/v1/decode", strings.NewReader(fmt.Sprintf(
-		`{"radio":"wifi","ref":"%s","rx":"%s","window":4}`, formatStream(ref), formatStream(rx))))
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("post-close decode: got %d, want 503", rec.Code)
+	// Post-close: every gated endpoint refuses new work with 503.
+	for path, body := range map[string]string{
+		"/v1/decode": fmt.Sprintf(`{"radio":"wifi","ref":"%s","rx":"%s","window":4}`,
+			formatStream(ref), formatStream(rx)),
+		"/v1/simulate": `{"radio":"zigbee","distance":4,"packets":1,"seed":3}`,
+	} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("post-close %s: got %d, want 503", path, rec.Code)
+		}
 	}
 }
 

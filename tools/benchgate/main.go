@@ -22,8 +22,8 @@
 // comparisons are scaled by probe(now)/probe(baseline) so machine-wide
 // slowdowns cancel and only code-relative regressions trip the gate.
 //
-// Custom benchmark metrics (b.ReportMetric units such as req/batch,
-// hit-rate, coalesced/s or lockwait-ns/op) are recorded in the
+// Custom benchmark metrics (b.ReportMetric units such as hit-rate,
+// coalesced/s or lockwait-ns/op) are recorded in the
 // trajectory alongside ns/op and allocs/op — "/" in the unit becomes
 // "_per_" so the JSON keys stay flat — but are never gated: they
 // describe workload shape, not performance budgets. Cost-like extras
@@ -360,7 +360,7 @@ func gate(base *baseline, names []string, cur map[string]point, scale float64) b
 // comparePoints prints the percent delta of every metric between the
 // last two JSONL points of the trajectory file. Negative ns/op and
 // allocs/op deltas are improvements; throughput-like extras (hit-rate,
-// req/batch) read the other way — the tool prints signed deltas and
+// coalesced/s) read the other way — the tool prints signed deltas and
 // leaves the judgement to the reader.
 func comparePoints(path string) error {
 	raw, err := os.ReadFile(path)
