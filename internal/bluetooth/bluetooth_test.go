@@ -54,6 +54,13 @@ func TestModulationIndex(t *testing.T) {
 	}
 }
 
+// Discriminate is discriminateInto into a fresh slice.
+func Discriminate(s *signal.Signal) []float64 {
+	out := make([]float64, len(s.Samples))
+	discriminateInto(out, s)
+	return out
+}
+
 func TestDiscriminatorRecoversFrequency(t *testing.T) {
 	// A long run of 1s settles the Gaussian filter to +Deviation.
 	s := ModulateBits([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})

@@ -221,21 +221,14 @@ func (d *Demodulated) BitPowers(start, nBits int) []float64 {
 	return out
 }
 
-// Discriminate converts a baseband capture into instantaneous frequency,
-// normalised so nominal codewords read ±1, using a quadrature detector:
+// discriminateInto converts a baseband capture into instantaneous
+// frequency, writing every element of out[:len(s.Samples)], normalised
+// so nominal codewords read ±1, using a quadrature detector:
 // Im(x[n]·conj(x[n-1])) ∝ A²·sin(Δφ). The A² weighting suppresses the FM
 // "clicks" a backscatter tag's square-wave mixer creates (each RF-switch
 // sign flip is a 180° phase jump through an envelope null); a plain
 // atan2 discriminator would turn each click into a full-scale spike that
 // corrupts the integrate-and-dump decision for the whole bit.
-func Discriminate(s *signal.Signal) []float64 {
-	out := make([]float64, len(s.Samples))
-	discriminateInto(out, s)
-	return out
-}
-
-// discriminateInto is Discriminate writing every element of
-// out[:len(s.Samples)].
 func discriminateInto(out []float64, s *signal.Signal) {
 	meanP := 0.0
 	if len(s.Samples) >= 2 {

@@ -377,7 +377,7 @@ func (p *zigbeePHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	if rx.CollectFlips {
 		// Double-decker: each payload symbol's flip feature asks whether
 		// the chip window correlated better with the complemented codebook
-		// than the true one (see zigbee.BestWorstSymbol) — a clean binary
+		// than the true one (see zigbee.RxFrame.Flips) — a clean binary
 		// estimate of the tag's absolute flip state, one per symbol.
 		return received{detected: true, obs: frame.Flips, window: p.cfg.Redundancy}
 	}

@@ -61,18 +61,11 @@ func GaussianFIR(bt float64, sps, span int) []float64 {
 	return h
 }
 
-// Convolve filters x with real taps h ("same" alignment: output sample i
-// corresponds to input sample i with the filter group delay removed).
-func Convolve(x []complex128, h []float64) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	return ConvolveInto(make([]complex128, len(x)), x, h)
-}
-
-// ConvolveInto is Convolve with caller-provided storage: the len(x)
-// outputs are written to dst[:len(x)] (reallocated only when dst is too
-// small), so a warm caller allocates nothing. dst must not overlap x.
+// ConvolveInto filters x with real taps h ("same" alignment: output
+// sample i corresponds to input sample i with the filter group delay
+// removed). The len(x) outputs are written to dst[:len(x)] (reallocated
+// only when dst is too small), so a warm caller allocates nothing. dst
+// must not overlap x.
 //
 // Each output is gathered: output k is the full-convolution sample
 // n = k + (len(h)−1)/2, the sum of x[i]·h[n−i] over every valid i taken
@@ -81,7 +74,10 @@ func Convolve(x []complex128, h []float64) []complex128 {
 // is bit-identical to the textbook form without its len(x)+len(h)−1
 // intermediate. The interior outputs, whose taps all land inside x, are
 // a "valid" FIR (simd.FIRReal when dispatched, firRealGo otherwise);
-// the edges drop the taps that fall outside x.
+// the edges drop the taps that fall outside x. FIRReal leaves out the
+// Go multiply's ·0 cross terms, which only an Inf or NaN sample can
+// make visible; such a sample always yields a non-finite output, so
+// when the kernel reports one the block is recomputed with firRealGo.
 func ConvolveInto(dst, x []complex128, h []float64) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return dst[:0]
@@ -98,7 +94,9 @@ func ConvolveInto(dst, x []complex128, h []float64) []complex128 {
 	interior := dst[lo:hi]
 	if simd.AVX2Enabled() {
 		vec := len(interior) &^ 7
-		simd.FIRReal(interior[:vec], x, h)
+		if !simd.FIRReal(interior[:vec], x, h) {
+			firRealGo(interior[:vec], x, h)
+		}
 		firRealGo(interior[vec:], x[vec:], h)
 	} else {
 		firRealGo(interior, x, h)

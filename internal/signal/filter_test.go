@@ -8,6 +8,15 @@ import (
 	"repro/internal/simd"
 )
 
+// Convolve is ConvolveInto into a fresh slice, nil for empty input: the
+// allocating form the tests compare against.
+func Convolve(x []complex128, h []float64) []complex128 {
+	if len(x) == 0 || len(h) == 0 {
+		return nil
+	}
+	return ConvolveInto(make([]complex128, len(x)), x, h)
+}
+
 // convolveScatter is the textbook scatter form ConvolveInto replaced,
 // kept as the reference its gather order must reproduce: every input
 // sample adds its h-weighted copy into the full-length product, and the

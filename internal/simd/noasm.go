@@ -20,11 +20,11 @@ func fftPass(x *complex128, n int, tw *complex128, size int) {
 	panic("simd: fftPass called on a build without asm kernels")
 }
 
-func firReal(dst *complex128, n int, x *complex128, h *float64, m int) {
+func firReal(dst *complex128, n int, x *complex128, h *float64, m int) bool {
 	panic("simd: firReal called on a build without asm kernels")
 }
 
-func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, tpl *complex128, seg int, segs int) {
+func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, e *float64, tpl *complex128, seg int, segs int) {
 	panic("simd: preambleCorr called on a build without asm kernels")
 }
 

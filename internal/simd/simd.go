@@ -35,15 +35,20 @@
 //     float results are bit-identical to the Go loop.
 //
 //   - FIRReal vectorizes across outputs only; each output is summed
-//     from +0 in input-index order, and each term is Go's complex
-//     multiply by complex(h, 0) with its ·0 cross terms kept
-//     (re = xr·h − xi·0, im = xi·h + xr·0), so Inf samples, −0 and
-//     subnormals round exactly as in the scalar loop.
+//     from +0 in input-index order, and each term is x·h without Go's
+//     ·0 cross terms (re = xr·h − xi·0, im = xi·h + xr·0). On a finite
+//     sample a cross term is ±0 and changes the product only in the
+//     sign of a zero, which a sum started at +0 cannot see (under
+//     round-to-nearest it never becomes −0, so adding ±0 leaves it
+//     unchanged). A non-finite sample makes every output that reads it
+//     non-finite, so FIRReal reports whether all outputs are finite and
+//     the caller recomputes the block with its Go loop when they are
+//     not. Outputs it reports finite are bit-identical.
 //
 //   - PreambleCorr vectorizes across scan positions only; each
 //     segment sum and the running power keep the scalar order, the
-//     products use FFTPass's lowering, and VHADDPD forms xr² + xi²
-//     exactly as the scalar expression does.
+//     products use FFTPass's lowering, and the power adds the caller's
+//     per-sample energy xr² + xi², the scalar expression's own value.
 //
 //   - LagFill is 64-bit integer addition, exact by construction; it
 //     runs 16 values per pass, which the recurrence's shortest lag
@@ -178,20 +183,23 @@ func AVX2Enabled() bool { return hwMode == "avx2" && active.Load() }
 //	dst[q] = Σ_{t<len(h)} x[q+t] · complex(h[len(h)-1-t], 0)
 //
 // This is the "valid" part of a convolution: output q reads
-// x[q : q+len(h)]. len(dst) must be a multiple of 8, len(h) ≥ 1 and
-// len(x) ≥ len(dst)+len(h)−1; dst must not overlap x. Callers must
-// check AVX2Enabled().
-func FIRReal(dst, x []complex128, h []float64) {
+// x[q : q+len(h)]. It returns whether every output is finite; only then
+// are the outputs guaranteed bit-identical to the Go loop's (the kernel
+// drops the ·0 cross terms, which matter only for Inf or NaN samples,
+// and those always make an output non-finite). len(dst) must be a
+// multiple of 8, len(h) ≥ 1 and len(x) ≥ len(dst)+len(h)−1; dst must
+// not overlap x. Callers must check AVX2Enabled().
+func FIRReal(dst, x []complex128, h []float64) (finite bool) {
 	if len(dst)%8 != 0 {
 		panic("simd: FIRReal output count must be a multiple of 8")
 	}
 	if len(dst) == 0 {
-		return
+		return true
 	}
 	if len(h) == 0 || len(x) < len(dst)+len(h)-1 {
 		panic("simd: FIRReal input shorter than outputs + taps - 1")
 	}
-	firReal(&dst[0], len(dst), &x[0], &h[0], len(h))
+	return firReal(&dst[0], len(dst), &x[0], &h[0], len(h))
 }
 
 // PreambleCorr correlates npos = len(pow) adjacent scan positions of x
@@ -199,16 +207,18 @@ func FIRReal(dst, x []complex128, h []float64) {
 // segment s:
 //
 //	acc[s*stride+p] = Σ_{j<seg} x[p+s*seg+j] · tpl[s*seg+j]
-//	pow[p]          = Σ_{k<len(tpl)} real(x[p+k])² + imag(x[p+k])²
+//	pow[p]          = Σ_{k<len(tpl)} e[p+k]
 //
 // with each product lowered as (xr·cr − xi·ci, xr·ci + xi·cr), each
 // segment sum taken from +0 in j order and pow running over all
-// segments in k order. tpl is used as given (pass the conjugated
-// template for a matched filter). len(pow) must be a multiple of 8,
-// len(tpl) a positive multiple of seg, stride ≥ len(pow),
-// len(acc) ≥ (segments−1)·stride + len(pow) and
-// len(x) ≥ len(pow)−1+len(tpl). Callers must check AVX2Enabled().
-func PreambleCorr(acc []complex128, stride int, pow []float64, x, tpl []complex128, seg int) {
+// segments in k order. e is the energy of x, e[i] = real(x[i])² +
+// imag(x[i])², which the caller computes once per sample. tpl is used
+// as given (pass the conjugated template for a matched filter).
+// len(pow) must be a multiple of 8, len(tpl) a positive multiple of
+// seg, stride ≥ len(pow), len(acc) ≥ (segments−1)·stride + len(pow)
+// and len(x), len(e) ≥ len(pow)−1+len(tpl). Callers must check
+// AVX2Enabled().
+func PreambleCorr(acc []complex128, stride int, pow []float64, x []complex128, e []float64, tpl []complex128, seg int) {
 	npos := len(pow)
 	if npos%8 != 0 {
 		panic("simd: PreambleCorr position count must be a multiple of 8")
@@ -223,10 +233,10 @@ func PreambleCorr(acc []complex128, stride int, pow []float64, x, tpl []complex1
 	if stride < npos || len(acc) < (segs-1)*stride+npos {
 		panic("simd: PreambleCorr accumulator layout too small")
 	}
-	if len(x) < npos-1+len(tpl) {
+	if len(x) < npos-1+len(tpl) || len(e) < npos-1+len(tpl) {
 		panic("simd: PreambleCorr input shorter than positions + template")
 	}
-	preambleCorr(&acc[0], stride, &pow[0], npos, &x[0], &tpl[0], seg, segs)
+	preambleCorr(&acc[0], stride, &pow[0], npos, &x[0], &e[0], &tpl[0], seg, segs)
 }
 
 // The lags of math/rand's additive lagged-Fibonacci generator: its raw

@@ -99,8 +99,10 @@ func TestKernelContracts(t *testing.T) {
 	// Zero steps (outputs, positions) is a no-op regardless of dispatch
 	// mode or build.
 	ViterbiACS(&m, &s, nil, nil)
-	FIRReal(nil, nil, nil)
-	PreambleCorr(nil, 0, nil, nil, nil, 0)
+	if !FIRReal(nil, nil, nil) {
+		t.Fatal("FIRReal with no outputs reported a non-finite output")
+	}
+	PreambleCorr(nil, 0, nil, nil, nil, nil, 0)
 	LagFill(make([]uint64, FibLong))
 	var kn [128]uint32
 	var wn [128]float32
@@ -144,19 +146,23 @@ func TestKernelContracts(t *testing.T) {
 		NormAdd(make([]complex128, 4), make([]uint64, 7), &wn, 1)
 	})
 	tpl := make([]complex128, 64)
+	e := make([]float64, 128)
 	mustPanic("corr position count", func() {
-		PreambleCorr(make([]complex128, 64), 4, make([]float64, 4), make([]complex128, 128), tpl, 16)
+		PreambleCorr(make([]complex128, 64), 4, make([]float64, 4), make([]complex128, 128), e, tpl, 16)
 	})
 	mustPanic("corr ragged template", func() {
-		PreambleCorr(make([]complex128, 64), 8, make([]float64, 8), make([]complex128, 128), tpl, 24)
+		PreambleCorr(make([]complex128, 64), 8, make([]float64, 8), make([]complex128, 128), e, tpl, 24)
 	})
 	mustPanic("corr accumulator layout", func() {
-		PreambleCorr(make([]complex128, 31), 8, make([]float64, 8), make([]complex128, 128), tpl, 16)
+		PreambleCorr(make([]complex128, 31), 8, make([]float64, 8), make([]complex128, 128), e, tpl, 16)
 	})
 	mustPanic("corr stride", func() {
-		PreambleCorr(make([]complex128, 64), 4, make([]float64, 8), make([]complex128, 128), tpl, 16)
+		PreambleCorr(make([]complex128, 64), 4, make([]float64, 8), make([]complex128, 128), e, tpl, 16)
 	})
 	mustPanic("corr short input", func() {
-		PreambleCorr(make([]complex128, 32), 8, make([]float64, 8), make([]complex128, 70), tpl, 16)
+		PreambleCorr(make([]complex128, 32), 8, make([]float64, 8), make([]complex128, 70), e, tpl, 16)
+	})
+	mustPanic("corr short energy", func() {
+		PreambleCorr(make([]complex128, 32), 8, make([]float64, 8), make([]complex128, 128), e[:70], tpl, 16)
 	})
 }

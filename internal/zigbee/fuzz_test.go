@@ -130,6 +130,76 @@ func FuzzPreambleCorrDispatch(f *testing.F) {
 	})
 }
 
+// detectRef is detect as it was before the per-sample energy buffer:
+// one position at a time, each window's energy summed from its own
+// samples in k order. It keeps detect's quality, gain and early stop.
+func detectRef(x []complex128, from int) (int, complex128, float64) {
+	best, bestQ := -1, 0.0
+	var bestGain complex128
+	for i := from; i <= len(x)-len(preambleTemplate); i++ {
+		var pw, mag float64
+		var coh complex128
+		for s := 0; s < detectSegments; s++ {
+			var accR, accI float64
+			for j := s * detectSeg; j < (s+1)*detectSeg; j++ {
+				xr, xi := real(x[i+j]), imag(x[i+j])
+				cr, ci := real(preambleConjTemplate[j]), imag(preambleConjTemplate[j])
+				accR += xr*cr - xi*ci
+				accI += xr*ci + xi*cr
+				pw += xr*xr + xi*xi
+			}
+			mag += math.Hypot(accR, accI)
+			coh += complex(accR, accI)
+		}
+		if pw == 0 {
+			continue
+		}
+		if q := mag / math.Sqrt(pw*preamblePow); q > bestQ {
+			best, bestQ = i, q
+			bestGain = coh / complex(preamblePow, 0)
+		}
+		if bestQ > 0.4 && i > best+SymbolSamples {
+			break
+		}
+	}
+	return best, bestGain, bestQ
+}
+
+// TestDetectMatchesReferenceScan checks detect's energy window against
+// detectRef in both dispatch modes on captures long enough for the
+// window to move several times before the frame, from several scan
+// starts, including captures the scan crosses without stopping.
+func TestDetectMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct{ lead, tail int }{
+		{0, 40}, {3000, 0}, {9001, 700}, {20000, 5}, {-1, 13000}, // lead −1: noise only
+	} {
+		n := tc.lead + len(fuzzFrame.Samples) + tc.tail
+		if tc.lead < 0 {
+			n = tc.tail
+		}
+		cap := signal.New(SampleRate, n)
+		for i := range cap.Samples {
+			cap.Samples[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 0.05
+		}
+		if tc.lead >= 0 {
+			for i, v := range fuzzFrame.Samples {
+				cap.Samples[tc.lead+i] += v
+			}
+		}
+		for _, from := range []int{0, 5, max(0, tc.lead-4100), n - len(preambleTemplate) - 3, n} {
+			ws, wg, wq := detectRef(cap.Samples, from)
+			bothDispatchModes(func() {
+				s, g, q := NewReceiver().detect(cap, from)
+				if s != ws || !sameFloat(real(g), real(wg)) || !sameFloat(imag(g), imag(wg)) || !sameFloat(q, wq) {
+					t.Fatalf("lead %d from %d (%s): detect (%d, %v, %v), reference (%d, %v, %v)",
+						tc.lead, from, simd.Mode(), s, g, q, ws, wg, wq)
+				}
+			})
+		}
+	}
+}
+
 // FuzzZigBeeReceive feeds hostile captures to Receive and ReceiveAll.
 // Neither may panic; Receive returns a frame or one of the receiver's
 // sentinel errors, and both dispatch modes must agree exactly.

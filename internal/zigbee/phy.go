@@ -86,8 +86,8 @@ type RxFrame struct {
 	CorrMargin float64
 	// Flips is the per-symbol flip feature, aligned 1:1 with Symbols: 1
 	// when the chip window correlated better with the complemented
-	// codebook than the true one (see BestWorstSymbol), i.e. the tag was
-	// phase-inverting during that symbol. Collected only when
+	// codebook than the true one (bestC + worstC < 0, see bestSymbol),
+	// i.e. the tag was phase-inverting during that symbol. Collected only when
 	// Receiver.CollectFlips is set; the single-receiver differential
 	// decoder consumes it.
 	Flips []byte
@@ -237,6 +237,11 @@ const detectSeg = PreambleSymbols * SymbolSamples / detectSegments
 // pass. Positions a pass computes beyond an early stop are discarded.
 const detectBlock = 16
 
+// detectEnergyWindow bounds detect's per-sample energy buffer: four
+// template lengths, so the scan moves its unread tail to the front once
+// every ~190 blocks.
+const detectEnergyWindow = 4 * PreambleSymbols * SymbolSamples
+
 // preamblePow is the preamble template's energy, summed in index order.
 var preamblePow = func() float64 {
 	var p float64
@@ -254,11 +259,31 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 	last := len(x) - len(preambleTemplate) // final scan position
 	best, bestQ := -1, 0.0
 	var bestGain complex128
+	if from > last {
+		return best, bestGain, bestQ
+	}
+	// e[k] is the energy of x[base+k], computed once per sample for
+	// x[base:filled] as the scan reaches it; every window that covers a
+	// sample reads it. When a block's windows would run past e, the part
+	// still ahead of the scan moves to its front.
+	a := signal.GetArena()
+	defer a.Release()
+	e := a.FloatUninit(min(len(x)-from, detectEnergyWindow))
+	base, filled := from, from
 	var acc [detectSegments * detectBlock]complex128
 	var pow [detectBlock]float64
 	for i0 := from; i0 <= last; i0 += detectBlock {
 		npos := min(detectBlock, last-i0+1)
-		correlateBlock(acc[:], pow[:npos], x[i0:])
+		need := i0 + npos - 1 + len(preambleTemplate)
+		if need-base > len(e) {
+			copy(e, e[i0-base:filled-base])
+			base = i0
+		}
+		for ; filled < need; filled++ {
+			v := x[filled]
+			e[filled-base] = real(v)*real(v) + imag(v)*imag(v)
+		}
+		correlateBlock(acc[:], pow[:npos], x[i0:], e[i0-base:])
 		for p, pw := range pow[:npos] {
 			if pw == 0 {
 				continue
@@ -291,19 +316,19 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 
 // correlateBlock fills, for the len(pow) scan positions starting at
 // x[0], each slice's correlation against the conjugated preamble
-// (acc[s*detectBlock+p]) and the window energy (pow[p]): whole groups
-// of 8 positions through simd.PreambleCorr when dispatched, the rest in
-// Go. The Go loop is the kernel's definition: each slice sums from +0 in
-// sample order, the product is spelled in the real arithmetic
-// `x * cmplx.Conj(tpl)` lowers to, and the energy runs across slices.
-func correlateBlock(acc []complex128, pow []float64, x []complex128) {
+// (acc[s*detectBlock+p]) and the window energy (pow[p], summed from the
+// per-sample energies e of x): whole groups of 8 positions through
+// simd.PreambleCorr when dispatched, the rest in Go. The Go loop is the
+// kernel's definition: each slice sums from +0 in sample order, the
+// product is spelled in the real arithmetic `x * cmplx.Conj(tpl)` lowers
+// to, and the energy runs across slices.
+func correlateBlock(acc []complex128, pow []float64, x []complex128, e []float64) {
 	vec := 0
 	if simd.AVX2Enabled() {
 		vec = len(pow) &^ 7
-		simd.PreambleCorr(acc, detectBlock, pow[:vec], x, preambleConjTemplate, detectSeg)
+		simd.PreambleCorr(acc, detectBlock, pow[:vec], x, e, preambleConjTemplate, detectSeg)
 	}
 	for p := vec; p < len(pow); p++ {
-		var pw float64
 		for s := 0; s < detectSegments; s++ {
 			var accR, accI float64
 			cs := preambleConjTemplate[s*detectSeg : (s+1)*detectSeg : (s+1)*detectSeg]
@@ -315,12 +340,45 @@ func correlateBlock(acc []complex128, pow []float64, x []complex128) {
 				cr, ci := real(c), imag(c)
 				accR += xr*cr - xi*ci
 				accI += xr*ci + xi*cr
-				pw += xr*xr + xi*xi
 			}
 			acc[s*detectBlock+p] = complex(accR, accI)
 		}
+		var pw float64
+		for _, v := range e[p : p+len(preambleConjTemplate)] {
+			pw += v
+		}
 		pow[p] = pw
 	}
+}
+
+// chipWord packs the 32 chip decisions of the symbol whose chips start
+// at samples[symStart] into a word, chip k in bit k: chip k is 1 when
+// the real (even k) or imaginary (odd k) half of samples[idx]*inv is
+// ≥ 0, where chip k peaks at idx = symStart + (k+1)·SamplesPerChip.
+// Only the half a chip reads is computed, spelled as Go lowers the
+// complex multiply. ok is false when the capture ends before the last
+// chip's peak.
+func chipWord(samples []complex128, symStart int, inv complex128) (w uint32, ok bool) {
+	end := symStart + ChipsPerSymbol*SamplesPerChip
+	if end >= len(samples) {
+		return 0, false
+	}
+	ir, ii := real(inv), imag(inv)
+	win := samples[symStart+SamplesPerChip : end+1]
+	for k := 0; k < ChipsPerSymbol; k += 2 {
+		even, odd := win[k*SamplesPerChip], win[(k+1)*SamplesPerChip]
+		w |= chipBit(real(even)*ir-imag(even)*ii >= 0) << k
+		w |= chipBit(real(odd)*ii+imag(odd)*ir >= 0) << (k + 1)
+	}
+	return w, true
+}
+
+// chipBit is 1 for a chip decided as 1, 0 otherwise.
+func chipBit(one bool) uint32 {
+	if one {
+		return 1
+	}
+	return 0
 }
 
 // decodeFrom demodulates a frame whose preamble starts at sample start.
@@ -348,34 +406,16 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 	}
 	inv := 1 / gain
 	demodSymbol := func(symStart int) (byte, int, byte, error) {
-		chips := make([]byte, ChipsPerSymbol)
-		for k := 0; k < ChipsPerSymbol; k++ {
-			// Chip k peaks at (k+1)·Tc after its rail's start.
-			idx := symStart + (k+1)*SamplesPerChip
-			if idx >= len(samples) {
-				return 0, 0, 0, ErrTruncated
-			}
-			v := samples[idx] * inv
-			var level float64
-			if k%2 == 0 {
-				level = real(v)
-			} else {
-				level = imag(v)
-			}
-			if level >= 0 {
-				chips[k] = 1
-			}
+		w, ok := chipWord(samples, symStart, inv)
+		if !ok {
+			return 0, 0, 0, ErrTruncated
 		}
-		if rx.CollectFlips {
-			s, c, worst := BestWorstSymbol(chips)
-			var flip byte
-			if c+worst < 0 {
-				flip = 1
-			}
-			return s, c, flip, nil
+		s, c, worst := bestSymbol(w)
+		var flip byte
+		if rx.CollectFlips && c+worst < 0 {
+			flip = 1
 		}
-		s, c := BestSymbol(chips)
-		return s, c, 0, nil
+		return s, c, flip, nil
 	}
 
 	// Skip preamble, check SFD (2 symbols), read length, then payload+FCS.

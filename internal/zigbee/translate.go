@@ -12,12 +12,8 @@ var translatedSymbols = buildTranslated()
 
 func buildTranslated() [16]byte {
 	var out [16]byte
-	for s := 0; s < 16; s++ {
-		inv := make([]byte, ChipsPerSymbol)
-		for i := 0; i < ChipsPerSymbol; i++ {
-			inv[i] = ChipSequences[s][i] ^ 1
-		}
-		out[s], _ = BestSymbol(inv)
+	for s, seq := range chipWords {
+		out[s], _, _ = bestSymbol(^seq)
 	}
 	return out
 }

@@ -11,7 +11,10 @@
 // spreads one tag bit over N OQPSK symbols.
 package zigbee
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PHY constants for the 2.4 GHz O-QPSK PHY.
 const (
@@ -96,44 +99,32 @@ func SpreadSymbols(sym []byte) ([]byte, error) {
 	return out, nil
 }
 
-// CorrelateChips returns the correlation (agreements minus disagreements,
-// range [-32, 32]) between a 32-chip window and sequence s.
-func CorrelateChips(chips []byte, s int) int {
-	acc := 0
-	for i := 0; i < ChipsPerSymbol; i++ {
-		if chips[i]&1 == ChipSequences[s][i] {
-			acc++
-		} else {
-			acc--
+// chipWords packs each spreading sequence into a word, chip k in bit k,
+// so a correlation against all 16 is 16 XOR-popcounts.
+var chipWords = func() [16]uint32 {
+	var out [16]uint32
+	for s, seq := range ChipSequences {
+		for k, c := range seq {
+			out[s] |= uint32(c) << k
 		}
 	}
-	return acc
-}
+	return out
+}()
 
-// BestSymbol returns the data symbol whose sequence best matches the 32-chip
-// window, along with the winning correlation value.
-func BestSymbol(chips []byte) (byte, int) {
-	best, bestC := byte(0), -ChipsPerSymbol-1
-	for s := 0; s < 16; s++ {
-		if c := CorrelateChips(chips, s); c > bestC {
-			best, bestC = byte(s), c
-		}
-	}
-	return best, bestC
-}
-
-// BestWorstSymbol is BestSymbol extended with the codebook's worst (most
-// negative) correlation over the same window. Because complementing every
-// chip negates the correlation — corr(r, ~x) = −corr(r, x) — the best
-// match against the *complemented* codebook is exactly −worstC, so
+// bestSymbol decides one symbol from its 32 chip decisions w (chip k in
+// bit k). The correlation with sequence s, agreements minus
+// disagreements, is 32 − 2·popcount(w ^ chipWords[s]) in [−32, 32];
+// best is the first sequence with the highest one, bestC its value, and
+// worstC the lowest over the codebook. Complementing every chip negates
+// the correlation — corr(r, ~x) = −corr(r, x) — so the best match
+// against the *complemented* codebook is exactly −worstC, and
 // bestC + worstC < 0 means the window correlates better with a
-// complemented sequence than with any true one: the single-receiver flip
-// feature for a tag that phase-inverts chips.
-func BestWorstSymbol(chips []byte) (best byte, bestC, worstC int) {
-	best, bestC = byte(0), -ChipsPerSymbol-1
-	worstC = ChipsPerSymbol + 1
-	for s := 0; s < 16; s++ {
-		c := CorrelateChips(chips, s)
+// complemented sequence than with any true one: the single-receiver
+// flip feature for a tag that phase-inverts chips.
+func bestSymbol(w uint32) (best byte, bestC, worstC int) {
+	bestC, worstC = -ChipsPerSymbol-1, ChipsPerSymbol+1
+	for s, seq := range chipWords {
+		c := ChipsPerSymbol - 2*bits.OnesCount32(w^seq)
 		if c > bestC {
 			best, bestC = byte(s), c
 		}

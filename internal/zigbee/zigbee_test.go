@@ -10,6 +10,153 @@ import (
 	"repro/internal/signal"
 )
 
+// correlateChips, bestSymbolBytes and bestWorstSymbolBytes are the
+// byte-per-chip chip decision the receiver made before it packed chips
+// into words, kept as the reference bestSymbol must reproduce.
+
+// correlateChips returns the correlation (agreements minus
+// disagreements, range [-32, 32]) between a 32-chip window and sequence
+// s.
+func correlateChips(chips []byte, s int) int {
+	acc := 0
+	for i := 0; i < ChipsPerSymbol; i++ {
+		if chips[i]&1 == ChipSequences[s][i] {
+			acc++
+		} else {
+			acc--
+		}
+	}
+	return acc
+}
+
+// bestSymbolBytes returns the data symbol whose sequence best matches
+// the 32-chip window (the first on a tie), with the winning correlation.
+func bestSymbolBytes(chips []byte) (byte, int) {
+	best, bestC := byte(0), -ChipsPerSymbol-1
+	for s := 0; s < 16; s++ {
+		if c := correlateChips(chips, s); c > bestC {
+			best, bestC = byte(s), c
+		}
+	}
+	return best, bestC
+}
+
+// bestWorstSymbolBytes is bestSymbolBytes extended with the codebook's
+// worst (most negative) correlation over the same window.
+func bestWorstSymbolBytes(chips []byte) (best byte, bestC, worstC int) {
+	best, bestC = byte(0), -ChipsPerSymbol-1
+	worstC = ChipsPerSymbol + 1
+	for s := 0; s < 16; s++ {
+		c := correlateChips(chips, s)
+		if c > bestC {
+			best, bestC = byte(s), c
+		}
+		if c < worstC {
+			worstC = c
+		}
+	}
+	return best, bestC, worstC
+}
+
+// packChips packs a 32-chip window into bestSymbol's word, chip k in
+// bit k.
+func packChips(chips []byte) uint32 {
+	var w uint32
+	for k, c := range chips[:ChipsPerSymbol] {
+		w |= uint32(c&1) << k
+	}
+	return w
+}
+
+// TestBestSymbolMatchesByteReference checks the packed-word decision
+// against the byte reference, (best, bestC, worstC) all equal, on every
+// sequence and its complement, every 1- and 2-chip error of each, and
+// 2²⁰ seeded random words.
+func TestBestSymbolMatchesByteReference(t *testing.T) {
+	chips := make([]byte, ChipsPerSymbol)
+	check := func(w uint32) {
+		for k := range chips {
+			chips[k] = byte(w >> k & 1)
+		}
+		best, bestC, worstC := bestSymbol(w)
+		rb, rc, rw := bestWorstSymbolBytes(chips)
+		if best != rb || bestC != rc || worstC != rw {
+			t.Fatalf("word %#08x: bestSymbol (%d, %d, %d), byte reference (%d, %d, %d)",
+				w, best, bestC, worstC, rb, rc, rw)
+		}
+		if sb, sc := bestSymbolBytes(chips); best != sb || bestC != sc {
+			t.Fatalf("word %#08x: bestSymbol (%d, %d), bestSymbolBytes (%d, %d)", w, best, bestC, sb, sc)
+		}
+	}
+	var words []uint32
+	for s := range ChipSequences {
+		w := packChips(ChipSequences[s][:])
+		if w != chipWords[s] {
+			t.Fatalf("chipWords[%d] = %#08x, want %#08x", s, chipWords[s], w)
+		}
+		words = append(words, w, ^w)
+	}
+	for _, w := range words {
+		check(w)
+		for i := 0; i < ChipsPerSymbol; i++ {
+			check(w ^ 1<<i)
+			for j := i + 1; j < ChipsPerSymbol; j++ {
+				check(w ^ 1<<i ^ 1<<j)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 1<<20; i++ {
+		check(rng.Uint32())
+	}
+}
+
+// TestChipWordMatchesComplexMultiply checks chipWord's half products
+// against the full complex multiply the byte receiver took per chip,
+// `v := samples[idx]*inv` with real(v) or imag(v) ≥ 0, on samples and
+// gains that mix random values with ±0, subnormals, ±Inf and NaN, and
+// its truncation bound against the last chip's index.
+func TestChipWordMatchesComplexMultiply(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	specials := []float64{0, negZero, 5e-324, -5e-324, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	rng := rand.New(rand.NewSource(8))
+	pick := func() float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	samples := make([]complex128, 300)
+	for trial := 0; trial < 20000; trial++ {
+		for i := range samples {
+			samples[i] = complex(pick(), pick())
+		}
+		inv := complex(pick(), pick())
+		symStart := rng.Intn(len(samples) - SymbolSamples)
+		var want uint32
+		for k := 0; k < ChipsPerSymbol; k++ {
+			v := samples[symStart+(k+1)*SamplesPerChip] * inv
+			level := real(v)
+			if k%2 == 1 {
+				level = imag(v)
+			}
+			if level >= 0 {
+				want |= 1 << k
+			}
+		}
+		if got, ok := chipWord(samples, symStart, inv); !ok || got != want {
+			t.Fatalf("trial %d: chipWord %#08x (ok %v), want %#08x", trial, got, ok, want)
+		}
+	}
+	last := len(samples) - 1 - ChipsPerSymbol*SamplesPerChip // last start whose final chip fits
+	if _, ok := chipWord(samples, last, 1); !ok {
+		t.Fatal("symbol ending on the last sample reported truncated")
+	}
+	if _, ok := chipWord(samples, last+1, 1); ok {
+		t.Fatal("symbol past the capture end not reported truncated")
+	}
+}
+
 func TestChipSequenceProperties(t *testing.T) {
 	// All 16 sequences distinct.
 	for a := 0; a < 16; a++ {
@@ -21,14 +168,14 @@ func TestChipSequenceProperties(t *testing.T) {
 	}
 	// Autocorrelation 32, cross-correlation magnitude well below 32.
 	for a := 0; a < 16; a++ {
-		if c := CorrelateChips(ChipSequences[a][:], a); c != ChipsPerSymbol {
+		if c := correlateChips(ChipSequences[a][:], a); c != ChipsPerSymbol {
 			t.Fatalf("autocorrelation of %d = %d", a, c)
 		}
 		for b := 0; b < 16; b++ {
 			if a == b {
 				continue
 			}
-			if c := CorrelateChips(ChipSequences[a][:], b); c > 20 || c < -20 {
+			if c := correlateChips(ChipSequences[a][:], b); c > 20 || c < -20 {
 				t.Fatalf("cross-correlation %d/%d = %d, |c| too high", a, b, c)
 			}
 		}
@@ -89,7 +236,7 @@ func TestSpreadSymbolsValidation(t *testing.T) {
 
 func TestBestSymbolDecodesCleanChips(t *testing.T) {
 	for s := 0; s < 16; s++ {
-		got, c := BestSymbol(ChipSequences[s][:])
+		got, c, _ := bestSymbol(chipWords[s])
 		if got != byte(s) || c != ChipsPerSymbol {
 			t.Fatalf("symbol %d decoded as %d (corr %d)", s, got, c)
 		}
@@ -100,12 +247,12 @@ func TestBestSymbolToleratesChipErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		s := rng.Intn(16)
-		chips := append([]byte(nil), ChipSequences[s][:]...)
+		w := chipWords[s]
 		// Flip 5 random chips; min cross-distance is large enough to survive.
 		for _, i := range rng.Perm(ChipsPerSymbol)[:5] {
-			chips[i] ^= 1
+			w ^= 1 << i
 		}
-		if got, _ := BestSymbol(chips); got != byte(s) {
+		if got, _, _ := bestSymbol(w); got != byte(s) {
 			t.Fatalf("symbol %d with 5 chip errors decoded as %d", s, got)
 		}
 	}
@@ -118,12 +265,8 @@ func TestBestSymbolToleratesChipErrors(t *testing.T) {
 // elevated ZigBee BER.
 func TestInvertedChipsDecodeDeterministically(t *testing.T) {
 	for s := 0; s < 16; s++ {
-		chips := make([]byte, ChipsPerSymbol)
-		for i, c := range ChipSequences[s] {
-			chips[i] = c ^ 1
-		}
-		got1, c1 := BestSymbol(chips)
-		got2, c2 := BestSymbol(chips)
+		got1, c1, _ := bestSymbol(^chipWords[s])
+		got2, c2, _ := bestSymbol(^chipWords[s])
 		if got1 != got2 || c1 != c2 {
 			t.Fatal("inverted decode not deterministic")
 		}
