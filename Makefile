@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build cmd-smoke test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick ci
+.PHONY: build fmt-check cmd-smoke test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick ci
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when any Go file is not gofmt-clean, listing the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:" >&2; echo "$$out" >&2; exit 1; fi
 
 # cmd-smoke runs each command once at minimal effort, so a broken command
 # or flag fails CI instead of a user.
@@ -198,7 +202,7 @@ fuzz-decoder:
 # the ZigBee preamble-scan fuzzer identical (start, gain, quality), and
 # the three receiver fuzzers no panic, a frame or a sentinel error, and
 # identical results with the Go loops and the asm kernels (the WiFi one
-# also toggles soft decisions and pilot-phase collection). The AWGN
+# also toggles pilot-phase tracking and pilot-phase collection). The AWGN
 # fuzzer drives seed, length, stream offset and noise power (zero,
 # subnormal, huge, non-finite) through the block noise stream in both
 # dispatch modes and demands the samples and stream position of the
@@ -250,14 +254,14 @@ perfbench-quick:
 		if echo "$$out" | grep -Eq '"failed":[1-9]'; then echo "perfbench-quick: $$w: failed operations" >&2; exit 1; fi; \
 	done
 
-# ci is the gate: everything must build (natively and cross-compiled for
-# arm64, so the NEON kernels always assemble), every command must run,
-# pass vet (and staticcheck
-# and govulncheck where installed), pass the suite with the race detector
-# on (in shuffled order) and again with the asm kernels compiled out,
-# hold the service layer bit-identical under concurrent load, survive the
-# quick chaos soak, keep the fault-spec, RS-codec, window decoder, SIMD
-# differential, session-config and HTTP body and query fuzzers clean, pass the repository
-# benchmark's tests and quick runs, and stay within the DSP and serve
-# benchmark budgets.
-ci: build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick bench-dsp bench-serve
+# ci is the gate: every Go file must be gofmt-clean, everything must
+# build (natively and cross-compiled for arm64, so the NEON kernels always
+# assemble), every command must run, pass vet (and staticcheck and
+# govulncheck where installed), pass the suite with the race detector on
+# (in shuffled order) and again with the asm kernels compiled out, hold the
+# service layer bit-identical under concurrent load, survive the quick
+# chaos soak, keep the fault-spec, RS-codec, window decoder, SIMD
+# differential, session-config and HTTP body and query fuzzers clean, pass
+# the repository benchmark's tests and quick runs, and stay within the DSP
+# and serve benchmark budgets.
+ci: fmt-check build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick bench-dsp bench-serve

@@ -99,11 +99,6 @@ type Config struct {
 	// PilotPhaseTracking enables the receiver behaviour FreeRider must not
 	// have (ablation; see §3.2.1 on pilot tones).
 	PilotPhaseTracking bool
-	// SoftDecision upgrades the WiFi receiver to LLR-based Viterbi
-	// decoding (~2 dB coding gain), showing what a better-than-commodity
-	// decoder would buy the backscatter link. Off by default to keep the
-	// calibrated budgets comparable.
-	SoftDecision bool
 	// DetectionThreshold overrides the receiver's packet-detection
 	// threshold; zero selects the per-radio calibrated default, which
 	// mimics commodity-chip sensitivity (see EXPERIMENTS.md §calibration).

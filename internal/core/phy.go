@@ -220,7 +220,6 @@ func (p *wifiPHY) receiver() *wifi.Receiver {
 	rx := wifi.NewReceiver()
 	rx.DetectionThreshold = p.cfg.detectionThreshold(wifiDetectionThreshold)
 	rx.PilotPhaseTracking = p.cfg.PilotPhaseTracking
-	rx.SoftDecision = p.cfg.SoftDecision
 	rx.CollectPilotPhases = p.cfg.ReceiverMode == SingleReceiver
 	// The session reports the link budget's backscatter RSSI, never the
 	// capture measurement, so skip that full-packet power pass.

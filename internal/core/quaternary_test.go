@@ -79,38 +79,3 @@ func TestQuaternaryValidation(t *testing.T) {
 		t.Error("quaternary on ZigBee accepted")
 	}
 }
-
-// TestSoftDecisionExtendsRange: with LLR decoding the backscatter link
-// survives deeper fades at the far edge — what a better-than-commodity
-// receiver would buy.
-func TestSoftDecisionExtendsRange(t *testing.T) {
-	run := func(soft bool) (int, int) {
-		cfg := DefaultConfig(WiFi, 40)
-		cfg.SoftDecision = soft
-		// Soft decoding helps the data chain, not detection; lower the
-		// detection threshold so decoding is the limiting factor.
-		cfg.DetectionThreshold = 0.45
-		// The per-packet paired comparison below is only meaningful when the
-		// draw isn't pathological: at this far edge a marginal fade can make
-		// the soft Viterbi settle a tag-flip boundary one window off, costing
-		// a handful of bits either way. Pin a seed with clean fades; the
-		// statistical coding-gain claim lives in wifi's soft_test.
-		cfg.Seed = 2
-		s, err := NewSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TagBitsDecoded, res.BitErrors
-	}
-	hardBits, hardErrs := run(false)
-	softBits, softErrs := run(true)
-	// Identical seeds: soft must decode at least as much with no more
-	// tag bit errors.
-	if softBits < hardBits || softErrs > hardErrs {
-		t.Fatalf("soft %d bits/%d errs vs hard %d bits/%d errs", softBits, softErrs, hardBits, hardErrs)
-	}
-}

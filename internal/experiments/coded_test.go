@@ -90,7 +90,7 @@ func TestCodedBERvsSNRGain(t *testing.T) {
 // TestCodedBERvsSNRRejectsBadCode: config validation happens before any
 // session is built.
 func TestCodedBERvsSNRRejectsBadCode(t *testing.T) {
-	if _, err := CodedBERvsSNR(QuickOptions(), &fec.Config{N: 10, K: 10}); err == nil {
+	if _, err := CodedBERvsSNRChase(QuickOptions(), &fec.Config{N: 10, K: 10}, 1); err == nil {
 		t.Fatal("invalid code accepted")
 	}
 }

@@ -163,17 +163,12 @@ var codedSnrGridDB = []float64{
 	11.5, 12, 12.5, 13, 13.5, 14, 16, 18, 20, 22,
 }
 
-// CodedBERvsSNR runs the BER-vs-SNR sweep twice — uncoded and with the
-// given RS code (nil selects fec.DefaultConfig) — over the dense
+// CodedBERvsSNRChase runs the BER-vs-SNR sweep twice — uncoded and with
+// the given RS code (nil selects fec.DefaultConfig) — over the dense
 // transition-band grid, and reports the SNR each curve needs to hold
-// BER <= 1e-3, plus the dB gain between them.
-func CodedBERvsSNR(opt Options, coding *fec.Config) (CodedSNRResult, error) {
-	return CodedBERvsSNRChase(opt, coding, 1)
-}
-
-// CodedBERvsSNRChase is CodedBERvsSNR with a third arm when depth >= 2:
-// the full coded uplink with soft chase-combining at a retransmission
-// budget of depth. Per-packet RS alone cannot move the 1e-3 crossing on
+// BER <= 1e-3, plus the dB gain between them. Depth >= 2 adds a third
+// arm: the full coded uplink with soft chase-combining at a
+// retransmission budget of depth. Per-packet RS alone cannot move the 1e-3 crossing on
 // this decoder — residual failures are misalignment events that corrupt
 // about half the packet, far beyond any code's correction radius (see
 // DESIGN §9) — so the headline link margin is read off the chase arm,

@@ -62,7 +62,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if s.Count == 0 {
 		return s
 	}
-	s.MeanMs = time.Duration(h.sum.Load() / s.Count).Seconds() * 1e3
+	s.MeanMs = time.Duration(h.sum.Load()/s.Count).Seconds() * 1e3
 	counts := make([]int64, len(h.counts))
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()

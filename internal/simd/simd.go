@@ -1,6 +1,6 @@
 // Package simd provides runtime-dispatched vector kernels for the
 // hottest inner loops of the packet path: the int16 Viterbi
-// add-compare-select step (wifi.ViterbiDecodeSoftQ), the radix-2
+// add-compare-select step (wifi.ViterbiDecodeInto), the radix-2
 // complex FFT butterfly pass (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
 // Gaussian filter), the ZigBee preamble correlation scan

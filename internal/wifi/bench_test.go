@@ -12,30 +12,11 @@ func BenchmarkViterbiHard(b *testing.B) {
 		msg[i] = byte(rng.Intn(2))
 	}
 	coded := ConvEncode(append(msg, make([]byte, TailBits)...))
+	dst := make([]byte, len(coded)/2)
 	b.SetBytes(int64(len(msg)) / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ViterbiDecode(coded); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkViterbiSoft(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	msg := make([]byte, 1000)
-	for i := range msg {
-		msg[i] = byte(rng.Intn(2))
-	}
-	coded := ConvEncode(append(msg, make([]byte, TailBits)...))
-	llrs := make([]float64, len(coded))
-	for i, c := range coded {
-		llrs[i] = float64(2*int(c)-1) + 0.3*rng.NormFloat64()
-	}
-	b.SetBytes(int64(len(msg)) / 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ViterbiDecodeSoft(llrs); err != nil {
+		if _, err := ViterbiDecodeInto(dst, coded); err != nil {
 			b.Fatal(err)
 		}
 	}

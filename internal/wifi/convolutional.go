@@ -1,10 +1,6 @@
 package wifi
 
-import (
-	"fmt"
-
-	"repro/internal/signal"
-)
+import "fmt"
 
 // The 802.11 convolutional code: constraint length 7, generator polynomials
 // g0 = 133 (octal) and g1 = 171 (octal). FreeRider's equation 9 is exactly
@@ -146,71 +142,4 @@ func buildBFExpect() (t [numStates / 2]byte) {
 		t[k] = expectEAB[(2*k)<<1] & 3
 	}
 	return t
-}
-
-// ViterbiDecode performs hard-decision maximum-likelihood decoding of a
-// rate-1/2 coded stream (pairs A,B per information bit; bits may be the
-// erasure marker). It assumes the encoder started in the zero state and was
-// flushed with tail bits, and returns all decoded information bits
-// (including the tail). Decisions are bit-identical to the historical
-// int32 Hamming-cost decoder for every input (viterbi_ref_test.go
-// cross-checks against a verbatim copy of it).
-func ViterbiDecode(coded []byte) ([]byte, error) {
-	if len(coded)%2 != 0 {
-		return nil, fmt.Errorf("wifi: coded stream length %d is odd", len(coded))
-	}
-	n := len(coded) / 2
-	if n == 0 {
-		return nil, nil
-	}
-	return viterbiDecodeInto(make([]byte, n), coded), nil
-}
-
-// ViterbiDecodeInto is ViterbiDecode writing the n = len(coded)/2 decoded
-// bits into dst[:n] without allocating; dst must have room. It returns the
-// decoded slice aliasing dst.
-func ViterbiDecodeInto(dst, coded []byte) ([]byte, error) {
-	if len(coded)%2 != 0 {
-		return nil, fmt.Errorf("wifi: coded stream length %d is odd", len(coded))
-	}
-	n := len(coded) / 2
-	if n == 0 {
-		return nil, nil
-	}
-	if len(dst) < n {
-		return nil, fmt.Errorf("wifi: decode dst %d too short for %d bits", len(dst), n)
-	}
-	return viterbiDecodeInto(dst[:n], coded), nil
-}
-
-// hardGain maps a received hard/erasure bit onto its trellis gain value:
-// bit 0 → -1, bit 1 → +1, everything else (the erasure marker and any
-// stray byte, matching the historical switch default) → 0. A flat table
-// keeps the per-bit mapping branchless.
-var hardGain = func() (t [256]int16) {
-	t[0] = -1
-	t[1] = 1
-	return t
-}()
-
-// viterbiDecodeInto maps the hard/erasure bit stream onto the shared
-// int16 max-gain trellis kernel. A received bit r becomes the gain value
-// r' ∈ {-1, 0, +1} (0 for erasures), and the per-branch Hamming cost
-// satisfies cost = C_t − gain/2 where C_t = (#unerased bits)/2 depends
-// only on the step, not the state. Every compare the historical
-// min-cost decoder performs therefore maps to the same compare on
-// negated-and-shifted values in the max-gain kernel — including exact
-// ties, the t<6 unreachable-state guards, and the final best-state scan —
-// so the decoded bits are identical for every input, which
-// viterbi_ref_test.go verifies against a verbatim copy of the old
-// decoder.
-func viterbiDecodeInto(out, coded []byte) []byte {
-	arena := signal.GetArena()
-	defer arena.Release()
-	q := arena.Int16Uninit(len(coded))
-	for i, r := range coded {
-		q[i] = hardGain[r]
-	}
-	viterbiMaxKernel(out, q)
-	return out
 }

@@ -32,7 +32,7 @@ func FuzzViterbiDecode(f *testing.F) {
 		if len(coded)%2 != 0 {
 			coded = coded[:len(coded)-len(coded)%2]
 		}
-		out, err := ViterbiDecode(coded)
+		out, err := ViterbiDecodeInto(make([]byte, len(coded)/2), coded)
 		if err != nil {
 			t.Fatalf("even-length stream rejected: %v", err)
 		}

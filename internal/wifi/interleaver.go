@@ -69,16 +69,8 @@ func interleaveInto(out, in []byte, r Rate) error {
 	return nil
 }
 
-// Deinterleave inverts Interleave for one OFDM symbol.
-func Deinterleave(in []byte, r Rate) ([]byte, error) {
-	out := make([]byte, r.NCBPS)
-	if err := deinterleaveInto(out, in, r); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// deinterleaveInto is Deinterleave writing into caller storage (len NCBPS).
+// deinterleaveInto inverts Interleave for one OFDM symbol, writing into
+// caller storage (len NCBPS).
 func deinterleaveInto(out, in []byte, r Rate) error {
 	n := r.NCBPS
 	if len(in) != n {

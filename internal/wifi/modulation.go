@@ -43,20 +43,6 @@ func scaleLevels(levels []float64, k float64) []float64 {
 	return out
 }
 
-func levelsFor(m Modulation) ([]float64, int, error) {
-	switch m {
-	case BPSK:
-		return pam2, 1, nil
-	case QPSK:
-		return pam2, 1, nil // 1 bit per axis
-	case QAM16:
-		return pam4, 2, nil
-	case QAM64:
-		return pam8, 3, nil
-	}
-	return nil, 0, fmt.Errorf("wifi: unknown modulation %v", m)
-}
-
 // scaledLevelsFor returns the kmod-scaled per-axis levels and bits per
 // axis for a modulation.
 func scaledLevelsFor(m Modulation) ([]float64, int, error) {
@@ -101,16 +87,6 @@ func bitIndex(bs []byte) int {
 	return v
 }
 
-// Demap converts a (possibly noisy) constellation point back into NBPSC
-// hard-decision bits by nearest-level slicing per axis.
-func Demap(pt complex128, m Modulation) ([]byte, error) {
-	_, perAxis, err := levelsFor(m)
-	if err != nil {
-		return nil, err
-	}
-	return demapPointInto(make([]byte, 0, 2*perAxis), pt, m)
-}
-
 // nearestLevel returns the index of the scaled level closest to v. The
 // scan order and strict-< best comparison are exactly the historical
 // slicer's, so decisions — including ties, which keep the lowest index —
@@ -141,8 +117,9 @@ func nearest2(scaled []float64, v float64) byte {
 
 // demapPointInto appends pt's NBPSC hard-decision bits to dst without
 // allocating (given capacity). The nearest-level scan over the
-// init-time-scaled levels compares exactly the values Demap historically
-// recomputed per point, so decisions — and therefore bits — are identical.
+// init-time-scaled levels compares exactly the values the historical
+// per-point demapper recomputed, so decisions — and therefore bits — are
+// identical.
 func demapPointInto(dst []byte, pt complex128, m Modulation) ([]byte, error) {
 	// The one-bit-per-axis constellations dominate the decode profile
 	// (the calibrated links run 6 and 12 Mbps); slice them with the
@@ -168,28 +145,6 @@ func demapPointInto(dst []byte, pt complex128, m Modulation) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// MapSymbolBits maps NCBPS interleaved bits onto the 48 data subcarriers of
-// one OFDM symbol, in DataSubcarriers order.
-func MapSymbolBits(in []byte, r Rate) ([NumData]complex128, error) {
-	var out [NumData]complex128
-	if len(in) != r.NCBPS {
-		return out, fmt.Errorf("wifi: symbol mapper input %d bits, want %d", len(in), r.NCBPS)
-	}
-	for i := 0; i < NumData; i++ {
-		pt, err := Map(in[i*r.NBPSC:(i+1)*r.NBPSC], r.Modulation)
-		if err != nil {
-			return out, err
-		}
-		out[i] = pt
-	}
-	return out, nil
-}
-
-// DemapSymbol recovers NCBPS hard bits from 48 equalised data subcarriers.
-func DemapSymbol(pts [NumData]complex128, r Rate) ([]byte, error) {
-	return demapSymbolInto(make([]byte, 0, r.NCBPS), &pts, r)
 }
 
 // demapSymbolInto appends one symbol's NCBPS hard bits to dst. The points

@@ -7,23 +7,6 @@ import (
 	"repro/internal/signal"
 )
 
-// AssembleSymbol builds one time-domain OFDM symbol (cyclic prefix + 64
-// samples) from 48 data points and the pilot polarity index symIdx
-// (0 = SIGNAL symbol).
-func AssembleSymbol(data [NumData]complex128, symIdx int) ([]complex128, error) {
-	out := make([]complex128, SymbolLen)
-	a := signal.GetArena()
-	defer a.Release()
-	td := a.ComplexUninit(FFTSize)
-	for i, bin := range dataBins {
-		td[bin] = data[i]
-	}
-	if err := symbolInto(out, td, symIdx); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // symbolInto finishes one OFDM symbol whose 48 data bins the caller has
 // already written into td (FFTSize bins, clobbered): it sets the pilot
 // and null bins, runs the inverse transform, and writes the scaled body
@@ -80,25 +63,6 @@ func mustPlan(n int) *signal.Plan {
 	return p
 }
 
-// DisassembleSymbol strips the cyclic prefix of one received OFDM symbol,
-// FFTs it, equalises with the channel estimate h (indexed by FFT bin; nil
-// means no equalisation), and returns the 48 data points and 4 pilot points
-// (in PilotSubcarriers order).
-func DisassembleSymbol(td []complex128, h []complex128) ([NumData]complex128, [NumPilots]complex128, error) {
-	a := signal.GetArena()
-	defer a.Release()
-	var data [NumData]complex128
-	var pilots [NumPilots]complex128
-	var eqp *equalizer
-	if h != nil {
-		var eq equalizer
-		eq.init(h)
-		eqp = &eq
-	}
-	err := disassembleSymbolBuf(td, eqp, a.Complex(FFTSize), &data, &pilots)
-	return data, pilots, err
-}
-
 // equalizer caches the divisor-only terms of the runtime's Smith-algorithm
 // complex division for one channel estimate: the branch selection, ratio,
 // and denom of each bin depend only on h[i], so a packet's ~hundreds of
@@ -137,7 +101,9 @@ func (eq *equalizer) init(h []complex128) {
 	}
 }
 
-// disassembleSymbolBuf is DisassembleSymbol with caller-provided FFT
+// disassembleSymbolBuf strips the cyclic prefix of one received OFDM
+// symbol, FFTs it, equalises it, and writes the 48 data points and 4 pilot
+// points (in PilotSubcarriers order). It takes caller-provided FFT
 // scratch (FFTSize samples, fully overwritten), a prebuilt equalizer (nil
 // means no equalisation), and output arrays, so per-symbol loops can reuse
 // one buffer for a whole packet and skip the two 48/4-element array copies

@@ -70,14 +70,11 @@ func TestReceiveAllSkipsCorruptPackets(t *testing.T) {
 }
 
 func TestDemapRejectsUnknownModulation(t *testing.T) {
-	if _, err := Demap(0, Modulation(9)); err == nil {
+	if _, err := demapPointInto(nil, 0, Modulation(9)); err == nil {
 		t.Error("unknown modulation accepted")
 	}
 	if _, err := Map([]byte{0}, Modulation(9)); err == nil {
 		t.Error("unknown modulation accepted in Map")
-	}
-	if _, err := SoftDemap(0, Modulation(9)); err == nil {
-		t.Error("unknown modulation accepted in SoftDemap")
 	}
 }
 

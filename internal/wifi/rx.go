@@ -63,10 +63,6 @@ type Receiver struct {
 	// pilot-free and therefore transparent to the tag's modulation. On by
 	// default (commodity chips always correct CFO).
 	CFOCorrection bool
-	// SoftDecision switches the data decoder from hard slicing to
-	// LLR-based soft Viterbi decoding (~2 dB coding gain). Off by default
-	// to keep the calibrated link budgets comparable.
-	SoftDecision bool
 	// CollectPilotPhases records each data symbol's pilot-correlation
 	// phase on RxPacket.PilotPhases for the single-receiver differential
 	// decoder. Off by default so the dual-receiver path stays
@@ -488,10 +484,6 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	// covers all NCBPS positions per symbol) before the decoder reads it,
 	// so the scratch skips the arena's zeroing pass.
 	coded := arena.BytesUninit(nSym * rate.NCBPS)
-	var soft []float64
-	if rx.SoftDecision {
-		soft = make([]float64, 0, nSym*rate.NCBPS)
-	}
 	var pilotPhases []float64
 	if rx.CollectPilotPhases {
 		pilotPhases = make([]float64, 0, nSym)
@@ -518,61 +510,25 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		if err := deinterleaveInto(coded[i*rate.NCBPS:(i+1)*rate.NCBPS], demapped[i*rate.NCBPS:], rate); err != nil {
 			return nil, err
 		}
-		if rx.SoftDecision {
-			llrs, err := SoftDemapSymbol(pts, rate)
-			if err != nil {
-				return nil, err
-			}
-			ds, err := DeinterleaveSoft(llrs, rate)
-			if err != nil {
-				return nil, err
-			}
-			soft = append(soft, ds...)
-		}
 	}
 
+	// Rate 1/2 keeps every coded bit ({{true,true}} pattern), so
+	// depuncturing is the identity: reuse the coded stream directly instead
+	// of copying it. The short-stream guard mirrors Depuncture's error
+	// condition; aliasing is safe because ViterbiDecodeInto writes into a
+	// separate arena buffer.
 	nInfo := nSym * rate.NDBPS
-	var scrambled []byte
-	if rx.SoftDecision {
-		depunct, err := DepunctureSoft(soft, rate.Coding, nInfo)
-		if err != nil {
-			return nil, err
-		}
-		// Quantize this packet's LLRs onto the int16 grid and decode with
-		// the quantized trellis. The scale lives entirely inside this call
-		// (recomputed from the packet's own peak), so no state leaks from
-		// one packet to the next.
-		qs, err := QuantizeSoftInto(arena.Int16(len(depunct)), depunct)
-		if err != nil {
-			return nil, err
-		}
-		scrambled, err = ViterbiDecodeSoftQ(qs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Rate 1/2 keeps every coded bit ({{true,true}} pattern), so
-		// depuncturing is the identity: reuse the coded stream directly
-		// instead of copying it. The short-stream guard mirrors
-		// Depuncture's error condition; aliasing is safe because
-		// ViterbiDecodeInto writes into a separate arena buffer.
-		depunct := coded
-		if rate.Coding != Rate1_2 || len(coded) < nInfo*2 {
-			var err error
-			depunct, err = Depuncture(coded, rate.Coding, nInfo)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			depunct = coded[:nInfo*2]
-		}
-		var err error
-		// The traceback assigns every output bit, so the destination can
-		// skip the arena's zeroing pass too.
-		scrambled, err = ViterbiDecodeInto(arena.BytesUninit(nInfo), depunct)
-		if err != nil {
-			return nil, err
-		}
+	var depunct []byte
+	if rate.Coding == Rate1_2 && len(coded) >= nInfo*2 {
+		depunct = coded[:nInfo*2]
+	} else if depunct, err = Depuncture(coded, rate.Coding, nInfo); err != nil {
+		return nil, err
+	}
+	// The traceback assigns every output bit, so the destination can skip
+	// the arena's zeroing pass too.
+	scrambled, err := ViterbiDecodeInto(arena.BytesUninit(nInfo), depunct)
+	if err != nil {
+		return nil, err
 	}
 
 	// Descramble: recover the seed from the first 7 SERVICE bits.

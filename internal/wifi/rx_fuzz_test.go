@@ -63,7 +63,7 @@ func fuzzCapture(raw []byte, rawBits bool, ppdu []complex128, shift, keep uint16
 }
 
 // FuzzWiFiReceive feeds hostile captures to Receive and ReceiveAll, with
-// soft decisions and pilot-phase collection toggled by the input. Neither
+// pilot-phase tracking and pilot-phase collection toggled by the input. Neither
 // may panic; Receive returns a packet or one of the receiver's sentinel
 // errors, and the pure-Go and SIMD kernels (FFT, Viterbi) must agree
 // exactly.
@@ -73,9 +73,10 @@ func FuzzWiFiReceive(f *testing.F) {
 	noise := make([]byte, 2400)
 	rng.Read(noise)
 	n6, n54 := uint16(len(frames[0])), uint16(len(frames[3]))
-	// flags: bit 0 soft decisions, bit 1 pilot phases, bits 2-3 the rate.
+	// flags: bit 0 pilot-phase tracking, bit 1 pilot-phase collection,
+	// bits 2-3 the rate.
 	f.Add(noise, false, uint8(0), uint16(300), n6, int8(32))         // whole 6 Mbps PPDU over noise
-	f.Add(noise, false, uint8(15), uint16(40), n54, int8(32))        // 54 Mbps, soft, pilots
+	f.Add(noise, false, uint8(15), uint16(40), n54, int8(32))        // 54 Mbps, tracking, pilots
 	f.Add(noise, false, uint8(1), uint16(40), n6/2, int8(32))        // truncated mid-body
 	f.Add(noise, false, uint8(2), uint16(7), uint16(200), int8(-20)) // preamble cut short
 	f.Add(noise, true, uint8(4), uint16(0), n6, int8(32))            // PPDU over raw float bits
@@ -84,7 +85,7 @@ func FuzzWiFiReceive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, rawBits bool, flags uint8, shift, keep uint16, gain int8) {
 		cap := fuzzCapture(raw, rawBits, frames[flags>>2&3], shift, keep, gain)
 		rx := NewReceiver()
-		rx.SoftDecision = flags&1 == 1
+		rx.PilotPhaseTracking = flags&1 == 1
 		rx.CollectPilotPhases = flags&2 == 2
 		type result struct {
 			pkt *RxPacket

@@ -89,3 +89,33 @@ func TestDetectTimingScreenBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyScreenMatchesEager proves the incremental screen computes the
+// same survivor set as a full eager pass over the same region.
+func TestLazyScreenMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	tx := NewTransmitter()
+	psdu := AppendFCS(make([]byte, 300))
+	sig, err := tx.Transmit(psdu, Rates[24])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap := appendSilence(sig, 3000, 3000)
+	for i := range cap.Samples {
+		cap.Samples[i] += complex(1e-4*rng.NormFloat64(), 1e-4*rng.NormFloat64())
+	}
+	count := len(cap.Samples) - PreambleLen - SymbolLen - 192
+	a := signal.GetArena()
+	eager := append([]byte(nil), ltfScreen(cap.Samples, 192, count, a)...)
+	a.Release()
+
+	a2 := signal.GetArena()
+	defer a2.Release()
+	var sc ltfScreener
+	sc.init(cap.Samples, 192, count, a2)
+	for u := 0; u < count; u++ {
+		if got, want := sc.passAt(u), eager[u] != 0; got != want {
+			t.Fatalf("offset %d: lazy screen %v, eager %v", u, got, want)
+		}
+	}
+}

@@ -196,8 +196,8 @@ func (t *Transmitter) dataSymbolsInto(dst []complex128, psdu []byte, rate Rate, 
 // the mapper's bit order: bit b (MSB first, I axis then Q) of data
 // subcarrier i is in[src[i·NBPSC+b]], where the interleaver would have
 // put it. levels are the kmod-scaled per-axis PAM levels Map indexes, so
-// every point is the exact value MapSymbolBits produced from the
-// interleaved bits.
+// every point is the exact value Map produces from the interleaved bits
+// (tx_ref_test.go's unfused chain checks this sample for sample).
 type mapper struct {
 	src    []uint16
 	levels []float64
@@ -223,8 +223,8 @@ func buildMappers() (t [QAM64 + 1]mapper) {
 	return t
 }
 
-// mapperFor returns the fused mapper for a rate, rejecting the shapes
-// MapSymbolBits and Map would reject: an unknown modulation, or NBPSC and
+// mapperFor returns the fused mapper for a rate, rejecting the shapes the
+// unfused interleave-and-Map chain would reject: an unknown modulation, or NBPSC and
 // NCBPS that do not match the constellation.
 func mapperFor(r Rate) (*mapper, error) {
 	if r.Modulation < BPSK || r.Modulation > QAM64 {

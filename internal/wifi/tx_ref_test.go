@@ -2,6 +2,7 @@ package wifi
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -12,7 +13,7 @@ import (
 )
 
 // refTransmit is the pre-fusion transmit chain kept as a reference: per
-// symbol it interleaves into a scratch buffer, maps through MapSymbolBits
+// symbol it interleaves into a scratch buffer, maps through mapSymbolBits
 // and assembles the symbol through signal.IFFT (1/N division) and a
 // separate scale pass. The fused modulator in TransmitTo must reproduce
 // its samples bit for bit, at every rate, length and scrambler seed.
@@ -28,6 +29,25 @@ func refTransmit(psdu []byte, rate Rate, scramblerSeed byte) ([]complex128, erro
 	}
 	if err := refDataSymbolsInto(out[PreambleLen+SymbolLen:], psdu, rate, scramblerSeed, nSym, a); err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// mapSymbolBits maps NCBPS interleaved bits onto the 48 data subcarriers
+// of one OFDM symbol, in DataSubcarriers order, one Map call per point:
+// the unfused mapper the reference chain and the symbol round-trip test
+// run.
+func mapSymbolBits(in []byte, r Rate) ([NumData]complex128, error) {
+	var out [NumData]complex128
+	if len(in) != r.NCBPS {
+		return out, fmt.Errorf("wifi: symbol mapper input %d bits, want %d", len(in), r.NCBPS)
+	}
+	for i := 0; i < NumData; i++ {
+		pt, err := Map(in[i*r.NBPSC:(i+1)*r.NBPSC], r.Modulation)
+		if err != nil {
+			return out, err
+		}
+		out[i] = pt
 	}
 	return out, nil
 }
@@ -54,7 +74,7 @@ func refSignalSymbolInto(dst []complex128, rate Rate, length int, a *signal.Aren
 	if err := interleaveInto(inter, coded, r6); err != nil {
 		return err
 	}
-	pts, err := MapSymbolBits(inter, r6)
+	pts, err := mapSymbolBits(inter, r6)
 	if err != nil {
 		return err
 	}
@@ -84,7 +104,7 @@ func refDataSymbolsInto(dst []complex128, psdu []byte, rate Rate, scramblerSeed 
 		if err := interleaveInto(inter, punct[s*rate.NCBPS:(s+1)*rate.NCBPS], rate); err != nil {
 			return err
 		}
-		pts, err := MapSymbolBits(inter, rate)
+		pts, err := mapSymbolBits(inter, rate)
 		if err != nil {
 			return err
 		}

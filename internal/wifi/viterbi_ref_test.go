@@ -116,7 +116,7 @@ func TestViterbiDecodeMatchesLegacy(t *testing.T) {
 			}
 		}
 		want, _ := legacyViterbiDecode(coded)
-		got, err := ViterbiDecode(coded)
+		got, err := ViterbiDecodeInto(make([]byte, n), coded)
 		if err != nil {
 			t.Fatal(err)
 		}

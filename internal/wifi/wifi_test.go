@@ -194,7 +194,7 @@ func TestViterbiCleanRoundTrip(t *testing.T) {
 		}
 		// Append tail.
 		in := append(append([]byte(nil), msg...), make([]byte, TailBits)...)
-		dec, err := ViterbiDecode(ConvEncode(in))
+		dec, err := ViterbiDecodeInto(make([]byte, len(in)), ConvEncode(in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 	for i := 10; i < len(coded); i += 50 {
 		coded[i] ^= 1
 	}
-	dec, err := ViterbiDecode(coded)
+	dec, err := ViterbiDecodeInto(make([]byte, len(in)), coded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +226,43 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 }
 
 func TestViterbiOddLengthRejected(t *testing.T) {
-	if _, err := ViterbiDecode(make([]byte, 3)); err == nil {
+	dst := make([]byte, 2)
+	if _, err := ViterbiDecodeInto(dst, make([]byte, 3)); err == nil {
 		t.Error("odd coded length accepted")
 	}
-	out, err := ViterbiDecode(nil)
+	if _, err := ViterbiDecodeInto(dst[:1], make([]byte, 4)); err == nil {
+		t.Error("short destination accepted")
+	}
+	out, err := ViterbiDecodeInto(dst, nil)
 	if err != nil || out != nil {
 		t.Error("empty input should decode to nothing")
+	}
+}
+
+// TestViterbiDecodeIntoZeroAlloc pins the decode kernel allocation budget:
+// with a warm arena pool and a caller-supplied output buffer, an int16
+// Viterbi decode performs zero heap allocations.
+func TestViterbiDecodeIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(35))
+	msg := make([]byte, 500)
+	for i := range msg {
+		msg[i] = byte(rng.Intn(2))
+	}
+	coded := ConvEncode(append(msg, make([]byte, TailBits)...))
+	dst := make([]byte, len(coded)/2)
+	if _, err := ViterbiDecodeInto(dst, coded); err != nil {
+		t.Fatal(err) // warm the arena pool
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ViterbiDecodeInto(dst, coded); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ViterbiDecodeInto: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -283,7 +314,7 @@ func TestPuncturedViterbiRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := ViterbiDecode(d)
+		dec, err := ViterbiDecodeInto(make([]byte, len(in)), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,8 +335,8 @@ func TestInterleaverRoundTripAllRates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Deinterleave(il, r)
-		if err != nil {
+		out := make([]byte, r.NCBPS)
+		if err := deinterleaveInto(out, il, r); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out, in) {
@@ -365,7 +396,7 @@ func TestMapDemapAllModulations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := Demap(pt, mc.m)
+			out, err := demapPointInto(nil, pt, mc.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,16 +469,17 @@ func TestSymbolAssemblyRoundTrip(t *testing.T) {
 	for i := range in {
 		in[i] = byte(rng.Intn(2))
 	}
-	pts, err := MapSymbolBits(in, r)
+	pts, err := mapSymbolBits(in, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := AssembleSymbol(pts, 3)
-	if err != nil {
-		t.Fatal(err)
+	buf := make([]complex128, FFTSize)
+	for i, bin := range dataBins {
+		buf[bin] = pts[i]
 	}
-	if len(td) != SymbolLen {
-		t.Fatalf("symbol length %d, want %d", len(td), SymbolLen)
+	td := make([]complex128, SymbolLen)
+	if err := symbolInto(td, buf, 3); err != nil {
+		t.Fatal(err)
 	}
 	// CP must equal the symbol tail.
 	for i := 0; i < CPLen; i++ {
@@ -455,8 +487,9 @@ func TestSymbolAssemblyRoundTrip(t *testing.T) {
 			t.Fatal("cyclic prefix mismatch")
 		}
 	}
-	data, pilots, err := DisassembleSymbol(td, nil)
-	if err != nil {
+	var data [NumData]complex128
+	var pilots [NumPilots]complex128
+	if err := disassembleSymbolBuf(td, nil, buf, &data, &pilots); err != nil {
 		t.Fatal(err)
 	}
 	for i := range pts {
@@ -472,7 +505,7 @@ func TestSymbolAssemblyRoundTrip(t *testing.T) {
 			t.Fatalf("pilot %d = %v, want %v", i, pilots[i], want)
 		}
 	}
-	out, err := DemapSymbol(data, r)
+	out, err := demapSymbolInto(nil, &data, r)
 	if err != nil {
 		t.Fatal(err)
 	}
