@@ -175,7 +175,8 @@ fuzz-faults:
 	$(GO) test -run=^$$ -fuzz=FuzzFaultProfile -fuzztime=10s ./internal/faults
 
 # fuzz-fec smoke-fuzzes the RS codec: encode/corrupt/decode round-trip
-# inside the correction radius, then the soft-combiner slicing identity.
+# inside the correction radius, then the soft combiner: N identical
+# attempts must slice exactly as one attempt sliced alone.
 fuzz-fec:
 	$(GO) test -run=^$$ -fuzz=FuzzRSRoundTrip -fuzztime=10s ./internal/fec
 	$(GO) test -run=^$$ -fuzz=FuzzCombinerSlice -fuzztime=5s ./internal/fec
@@ -202,7 +203,9 @@ fuzz-decoder:
 # the ZigBee preamble-scan fuzzer identical (start, gain, quality), and
 # the three receiver fuzzers no panic, a frame or a sentinel error, and
 # identical results with the Go loops and the asm kernels (the WiFi one
-# also toggles pilot-phase tracking and pilot-phase collection). The AWGN
+# also toggles pilot-phase tracking and pilot-phase collection, and its
+# seed corpus holds crafted SIGNAL fields: every RATE code, both parities,
+# LENGTH 0, 1, 4095 and one past the capture). The AWGN
 # fuzzer drives seed, length, stream offset and noise power (zero,
 # subnormal, huge, non-finite) through the block noise stream in both
 # dispatch modes and demands the samples and stream position of the

@@ -65,7 +65,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			_, q := wifi.NewReceiver().DetectPreamble(cap, 0)
+			_, q := wifi.NewReceiver().DetectPreamble(cap)
 			*qSum += q
 			return nil
 		})

@@ -1,7 +1,7 @@
 // Package bits provides bit-stream primitives shared by the PHY layers:
-// packing between bytes and bit slices, XOR/majority operations used by the
-// backscatter decoder, pseudo-random binary sequences, and the CRC variants
-// used by 802.11 (CRC-32), 802.15.4 (CRC-16) and BLE (CRC-24).
+// packing between bytes and bit slices, the redundancy repetition a tag
+// applies, and the CRC variants used by 802.11 (CRC-32), 802.15.4 (CRC-16)
+// and BLE (CRC-24).
 //
 // Throughout the module a "bit slice" is a []byte whose elements are 0 or 1,
 // least-significant bit of each data byte first, matching the over-the-air
@@ -48,42 +48,6 @@ func ToBytes(bs []byte) ([]byte, error) {
 	return out, nil
 }
 
-// XOR returns the element-wise XOR of two equal-length bit slices.
-func XOR(a, b []byte) ([]byte, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("bits: XOR length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = (a[i] ^ b[i]) & 1
-	}
-	return out, nil
-}
-
-// MajorityVote collapses each window of n bits into one bit by majority.
-// A tie (possible only for even n) resolves to 1, matching a threshold of
-// n/2 set bits. Trailing bits that do not fill a window are ignored.
-func MajorityVote(bs []byte, n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]byte, 0, len(bs)/n)
-	for i := 0; i+n <= len(bs); i += n {
-		ones := 0
-		for _, b := range bs[i : i+n] {
-			if b&1 == 1 {
-				ones++
-			}
-		}
-		if 2*ones >= n {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out
-}
-
 // Repeat expands each bit n times, the redundancy mapping a FreeRider tag
 // applies before modulating (one tag bit spans several PHY symbols).
 func Repeat(bs []byte, n int) []byte {
@@ -95,91 +59,6 @@ func Repeat(bs []byte, n int) []byte {
 		for i := 0; i < n; i++ {
 			out = append(out, b&1)
 		}
-	}
-	return out
-}
-
-// HammingDistance counts positions where a and b differ. Slices must have
-// equal length.
-func HammingDistance(a, b []byte) (int, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("bits: Hamming length mismatch %d vs %d", len(a), len(b))
-	}
-	d := 0
-	for i := range a {
-		if a[i]&1 != b[i]&1 {
-			d++
-		}
-	}
-	return d, nil
-}
-
-// Ones counts set bits in a bit slice.
-func Ones(bs []byte) int {
-	n := 0
-	for _, b := range bs {
-		if b&1 == 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// PRBS is a Fibonacci linear-feedback shift register used to generate
-// deterministic pseudo-random payloads and whitening sequences.
-type PRBS struct {
-	state uint32
-	taps  uint32
-	bits  uint
-}
-
-// NewPRBS9 returns the CCITT O.153 PRBS9 generator (x^9 + x^5 + 1) with the
-// given nonzero 9-bit seed. PRBS9 is the BLE test payload sequence.
-func NewPRBS9(seed uint32) *PRBS {
-	if seed&0x1FF == 0 {
-		seed = 0x1FF
-	}
-	return &PRBS{state: seed & 0x1FF, taps: (1 << 8) | (1 << 4), bits: 9}
-}
-
-// NewPRBS15 returns a PRBS15 generator (x^15 + x^14 + 1).
-func NewPRBS15(seed uint32) *PRBS {
-	if seed&0x7FFF == 0 {
-		seed = 0x7FFF
-	}
-	return &PRBS{state: seed & 0x7FFF, taps: (1 << 14) | (1 << 13), bits: 15}
-}
-
-// Next returns the next pseudo-random bit.
-func (p *PRBS) Next() byte {
-	fb := byte(0)
-	for i := uint(0); i < p.bits; i++ {
-		if p.taps&(1<<i) != 0 {
-			fb ^= byte(p.state>>i) & 1
-		}
-	}
-	p.state = ((p.state << 1) | uint32(fb)) & ((1 << p.bits) - 1)
-	return fb
-}
-
-// Bits returns the next n bits of the sequence.
-func (p *PRBS) Bits(n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = p.Next()
-	}
-	return out
-}
-
-// Bytes returns the next n bytes of the sequence, LSB first per byte.
-func (p *PRBS) Bytes(n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		var b byte
-		for j := 0; j < 8; j++ {
-			b |= p.Next() << uint(j)
-		}
-		out[i] = b
 	}
 	return out
 }

@@ -54,153 +54,26 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestXOR(t *testing.T) {
-	a := []byte{0, 0, 1, 1}
-	b := []byte{0, 1, 0, 1}
-	got, err := XOR(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{0, 1, 1, 0}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("XOR = %v, want %v", got, want)
-	}
-	if _, err := XOR(a, b[:3]); err == nil {
-		t.Error("XOR accepted mismatched lengths")
-	}
-}
-
-func TestXORSelfInverseProperty(t *testing.T) {
-	f := func(data []byte) bool {
-		a := FromBytes(data)
-		b := make([]byte, len(a))
-		for i := range b {
-			b[i] = byte(i) & 1
-		}
-		x, err := XOR(a, b)
-		if err != nil {
-			return false
-		}
-		back, err := XOR(x, b)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMajorityVote(t *testing.T) {
-	in := []byte{1, 1, 0, 0, 0, 1, 1, 1, 0}
-	got := MajorityVote(in, 3)
-	want := []byte{1, 0, 1} // windows 110, 001, 110
-	if !bytes.Equal(got, want) {
-		t.Fatalf("MajorityVote = %v, want %v", got, want)
-	}
-	if out := MajorityVote(in, 0); out != nil {
-		t.Errorf("MajorityVote n=0 = %v, want nil", out)
-	}
-	// Even window tie resolves to 1.
-	if got := MajorityVote([]byte{1, 0}, 2); !bytes.Equal(got, []byte{1}) {
-		t.Errorf("tie vote = %v, want [1]", got)
-	}
-}
-
 func TestRepeatMajorityInverseProperty(t *testing.T) {
+	// The redundancy decoder's view of Repeat: a majority vote over each
+	// window of n repeated bits recovers the input.
 	f := func(data []byte, nRaw uint8) bool {
 		n := int(nRaw%7) + 1
 		bs := FromBytes(data)
-		return bytes.Equal(MajorityVote(Repeat(bs, n), n), bs)
+		rep := Repeat(bs, n)
+		if len(rep) != len(bs)*n {
+			return false
+		}
+		for i, b := range bs {
+			ones := bytes.Count(rep[i*n:(i+1)*n], []byte{1})
+			if (2*ones > n) != (b == 1) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	d, err := HammingDistance([]byte{0, 1, 1, 0}, []byte{1, 1, 0, 0})
-	if err != nil || d != 2 {
-		t.Fatalf("HammingDistance = %d, %v; want 2, nil", d, err)
-	}
-	if _, err := HammingDistance([]byte{0}, []byte{0, 1}); err == nil {
-		t.Error("accepted mismatched lengths")
-	}
-}
-
-func TestOnes(t *testing.T) {
-	if n := Ones([]byte{1, 0, 1, 1, 0}); n != 3 {
-		t.Fatalf("Ones = %d, want 3", n)
-	}
-}
-
-func TestPRBS9Period(t *testing.T) {
-	p := NewPRBS9(0x1FF)
-	seen := map[uint32]bool{}
-	period := 0
-	for {
-		if seen[p.state] {
-			break
-		}
-		seen[p.state] = true
-		p.Next()
-		period++
-		if period > 1000 {
-			break
-		}
-	}
-	if period != 511 {
-		t.Fatalf("PRBS9 period = %d, want 511", period)
-	}
-}
-
-func TestPRBS15Period(t *testing.T) {
-	p := NewPRBS15(1)
-	start := p.state
-	p.Next()
-	period := 1
-	for p.state != start && period < 40000 {
-		p.Next()
-		period++
-	}
-	if period != 1<<15-1 {
-		t.Fatalf("PRBS15 period = %d, want %d", period, 1<<15-1)
-	}
-}
-
-func TestPRBSZeroSeedCorrected(t *testing.T) {
-	if NewPRBS9(0).state == 0 {
-		t.Error("PRBS9 zero seed left state zero (would lock up)")
-	}
-	if NewPRBS15(0).state == 0 {
-		t.Error("PRBS15 zero seed left state zero")
-	}
-}
-
-func TestPRBSBalanceProperty(t *testing.T) {
-	// A maximal-length LFSR emits 2^(n-1) ones per period.
-	p := NewPRBS9(0x0AB)
-	ones := 0
-	for i := 0; i < 511; i++ {
-		ones += int(p.Next())
-	}
-	if ones != 256 {
-		t.Fatalf("PRBS9 ones per period = %d, want 256", ones)
-	}
-}
-
-func TestPRBSBytesMatchesBits(t *testing.T) {
-	a := NewPRBS9(0x55)
-	b := NewPRBS9(0x55)
-	byteOut := a.Bytes(16)
-	bitOut := b.Bits(128)
-	packed, err := ToBytes(bitOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(byteOut, packed) {
-		t.Fatal("Bytes and Bits disagree")
 	}
 }
 

@@ -28,21 +28,3 @@ func (p *AdvPDU) Marshal() ([]byte, error) {
 	out = append(out, p.AdvAddr[:]...)
 	return append(out, p.AdvData...), nil
 }
-
-// ParseAdvPDU decodes a PDU produced by Marshal (CRC already verified by
-// the PHY receiver).
-func ParseAdvPDU(b []byte) (*AdvPDU, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("bluetooth: PDU %d bytes too short", len(b))
-	}
-	if b[0]&0x0F != pduTypeNonConn {
-		return nil, fmt.Errorf("bluetooth: unsupported PDU type %#02x", b[0]&0x0F)
-	}
-	n := int(b[1])
-	if n < 6 || 2+n > len(b) {
-		return nil, fmt.Errorf("bluetooth: PDU length field %d inconsistent with %d bytes", n, len(b))
-	}
-	p := &AdvPDU{AdvData: append([]byte(nil), b[8:2+n]...)}
-	copy(p.AdvAddr[:], b[2:8])
-	return p, nil
-}

@@ -13,12 +13,10 @@ func TestAdvPDURoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseAdvPDU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AdvAddr != p.AdvAddr || !bytes.Equal(got.AdvData, p.AdvData) {
-		t.Fatalf("round trip mismatch: %+v", got)
+	// ADV_NONCONN_IND header, then the address and the data.
+	want := append([]byte{0x02, byte(6 + len(p.AdvData)), 1, 2, 3, 4, 5, 6}, p.AdvData...)
+	if !bytes.Equal(b, want) {
+		t.Fatalf("marshalled %x, want %x", b, want)
 	}
 }
 
@@ -27,18 +25,8 @@ func TestAdvPDUValidation(t *testing.T) {
 	if _, err := p.Marshal(); err == nil {
 		t.Error("oversized AdvData accepted")
 	}
-	if _, err := ParseAdvPDU(make([]byte, 3)); err == nil {
-		t.Error("short PDU accepted")
-	}
-	good, _ := (&AdvPDU{}).Marshal()
-	good[0] = 0x07
-	if _, err := ParseAdvPDU(good); err == nil {
-		t.Error("wrong PDU type accepted")
-	}
-	bad, _ := (&AdvPDU{AdvData: []byte{1, 2}}).Marshal()
-	bad[1] = 200
-	if _, err := ParseAdvPDU(bad); err == nil {
-		t.Error("inconsistent length accepted")
+	if b, err := (&AdvPDU{AdvData: make([]byte, MaxAdvData)}).Marshal(); err != nil || len(b) != 8+MaxAdvData {
+		t.Errorf("full AdvData: %d bytes, %v", len(b), err)
 	}
 }
 
@@ -62,11 +50,7 @@ func TestAdvPDUOverTheAir(t *testing.T) {
 	if !f.CRCOK {
 		t.Fatal("CRC failed")
 	}
-	got, err := ParseAdvPDU(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.AdvData, p.AdvData) {
-		t.Fatal("AdvData corrupted over the air")
+	if !bytes.Equal(f.Payload, b) {
+		t.Fatal("PDU corrupted over the air")
 	}
 }

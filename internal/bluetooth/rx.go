@@ -73,45 +73,23 @@ func buildSyncTemplate() []float64 {
 	return out
 }
 
-// Receive finds and decodes the first frame in the capture.
+// Receive finds and decodes the first frame in the capture: the first
+// sync at or above the detection threshold whose body reads out.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
-	frames := rx.receive(cap, true)
-	if len(frames) == 0 {
-		return nil, ErrNoFrame
-	}
-	return frames[0], nil
-}
-
-// ReceiveAll decodes every frame in the capture in time order.
-func (rx *Receiver) ReceiveAll(cap *signal.Signal) []*RxFrame {
-	return rx.receive(cap, false)
-}
-
-func (rx *Receiver) receive(cap *signal.Signal, firstOnly bool) []*RxFrame {
 	a := signal.GetArena()
 	defer a.Release()
 	disc := rx.DemodInto(cap, a).disc
-	var out []*RxFrame
-	from := 0
-	for {
+	for from := 0; ; {
 		start, q := rx.detect(disc, from)
 		if start < 0 {
-			return out
+			return nil, ErrNoFrame
 		}
-		if q < rx.DetectionThreshold {
-			from = start + SamplesPerBit
-			continue
+		if q >= rx.DetectionThreshold {
+			if f := rx.decodeFrom(cap, disc, start); f != nil {
+				return f, nil
+			}
 		}
-		f, end := rx.decodeFrom(cap, disc, start)
-		if f == nil {
-			from = start + SamplesPerBit
-			continue
-		}
-		out = append(out, f)
-		if firstOnly {
-			return out
-		}
-		from = end
+		from = start + SamplesPerBit
 	}
 }
 
@@ -288,8 +266,8 @@ func (rx *Receiver) detect(disc []float64, from int) (int, float64) {
 }
 
 // decodeFrom integrates-and-dumps bits starting at the sync position.
-// Returns the frame (nil on failure) and the sample index just past it.
-func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) (*RxFrame, int) {
+// Returns nil when the capture ends before the frame does.
+func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) *RxFrame {
 	bitAt := func(idx int) (byte, bool) {
 		lo := start + idx*SamplesPerBit
 		hi := lo + SamplesPerBit
@@ -323,25 +301,25 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) (*
 	// to read length first by de-whitening just 8 bits.
 	first8, ok := readBits(hdr, 8)
 	if !ok {
-		return nil, start + hdr*SamplesPerBit
+		return nil
 	}
 	lenBits := append([]byte(nil), first8...)
 	Whiten(lenBits, rx.WhitenSeed)
 	lb, err := bits.ToBytes(lenBits)
 	if err != nil {
-		return nil, start + hdr*SamplesPerBit
+		return nil
 	}
 	length := int(lb[0])
 
 	totalBodyBits := (1 + length + 3) * 8
 	bodyBits, ok := readBits(hdr, totalBodyBits)
 	if !ok {
-		return nil, start + hdr*SamplesPerBit
+		return nil
 	}
 	Whiten(bodyBits, rx.WhitenSeed)
 	body, err := bits.ToBytes(bodyBits)
 	if err != nil {
-		return nil, start + hdr*SamplesPerBit
+		return nil
 	}
 	payload := body[1 : 1+length]
 	gotCRC := uint32(body[1+length]) | uint32(body[2+length])<<8 | uint32(body[3+length])<<16
@@ -354,7 +332,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) (*
 		StartIdx: start,
 		RSSI:     seg.MeanPowerDBm(),
 		CRCOK:    bits.CRC24BLE(payload, 0x555555) == gotCRC,
-	}, end
+	}
 }
 
 // RawBitsAt channel-filters and FM-discriminates the capture, then slices

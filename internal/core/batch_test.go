@@ -1,11 +1,26 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/fec"
 )
+
+// runPacketAt runs packet idx alone, on generators checked out for it
+// only: the serial reference RunPacketBatch must reproduce element for
+// element.
+func (s *Session) runPacketAt(idx int) (PacketResult, error) {
+	rng := packetRNGPool.Get()
+	defer packetRNGPool.Put(rng)
+	var crng *rand.Rand
+	if s.cfg.ContentSeed != 0 {
+		crng = packetRNGPool.Get()
+		defer packetRNGPool.Put(crng)
+	}
+	return s.runPacketAtWith(idx, rng, crng)
+}
 
 // batchIdentityCases covers every decode mode the batch path must preserve:
 // all three radios, dual and single receiver, and the quaternary WiFi

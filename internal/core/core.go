@@ -420,9 +420,6 @@ func (s *Session) RunPacket(tagBits []byte) (PacketResult, error) {
 	return s.runPacket(tagBits, s.rng, s.rng, true, slot)
 }
 
-// Slot returns the next packet slot RunPacket will occupy.
-func (s *Session) Slot() int { return s.slot }
-
 // AdvanceSlots lets packet-time pass without transmitting: a sender backing
 // off for n slots skips that stretch of the fault timeline, which is how
 // exponential backoff actually escapes a burst fade. Non-positive n is a
@@ -639,28 +636,17 @@ func (r SessionResult) LossRate() float64 {
 	return float64(r.PacketsLost) / float64(r.Packets)
 }
 
-// runPacketAt runs packet idx of a multi-packet session on its own derived
-// RNG stream. The stream — tag data, payload, WiFi scrambler seed, fading
-// and noise — depends only on (Config.Seed, idx), never on which packets
-// ran before or on which worker this one lands, which is what makes Run,
-// RunPacketBatch and RunParallel bit-identical.
-func (s *Session) runPacketAt(idx int) (PacketResult, error) {
-	rng := packetRNGPool.Get()
-	defer packetRNGPool.Put(rng)
-	var crng *rand.Rand
-	if s.cfg.ContentSeed != 0 {
-		crng = packetRNGPool.Get()
-		defer packetRNGPool.Put(crng)
-	}
-	return s.runPacketAtWith(idx, rng, crng)
-}
-
-// runPacketAtWith is runPacketAt with caller-supplied scratch generators
-// (crng may be nil when no ContentSeed is set). Both are fully re-seeded
-// here — Seed re-initialises the whole source state, so a recycled
-// generator draws exactly what a fresh rand.New(rand.NewSource(seed))
-// would — which is what lets batch loops hoist the pool traffic out of
-// their per-packet loop without changing a single draw.
+// runPacketAtWith runs packet idx of a multi-packet session on its own
+// derived RNG stream. The stream — tag data, payload, WiFi scrambler seed,
+// fading and noise — depends only on (Config.Seed, idx), never on which
+// packets ran before or on which worker this one lands, which is what
+// makes Run, RunPacketBatch and RunParallel bit-identical. The caller
+// supplies the scratch generators (crng may be nil when no ContentSeed is
+// set). Both are fully re-seeded here — Seed re-initialises the whole
+// source state, so a recycled generator draws exactly what a fresh
+// rand.New(rand.NewSource(seed)) would — which is what lets batch loops
+// hoist the pool traffic out of their per-packet loop without changing a
+// single draw.
 func (s *Session) runPacketAtWith(idx int, rng, crng *rand.Rand) (PacketResult, error) {
 	rng.Seed(runner.DeriveSeed(s.cfg.Seed, "core.packet", idx))
 	// With a ContentSeed, packet content comes off its own derived stream so
@@ -741,8 +727,8 @@ const DefaultBatchSize = 8
 // runPacketRange runs packets [lo, hi) of the derived-stream timeline into
 // prs[0:hi-lo] with one set of pooled scratch generators for the whole
 // range. Each packet still re-seeds from (Config.Seed, idx) — see
-// runPacketAtWith — so the results are bit-identical to calling
-// runPacketAt per index.
+// runPacketAtWith — so the results are bit-identical to running each
+// index on freshly checked-out generators.
 func (s *Session) runPacketRange(lo, hi int, prs []PacketResult) error {
 	rng := packetRNGPool.Get()
 	defer packetRNGPool.Put(rng)
@@ -763,12 +749,12 @@ func (s *Session) runPacketRange(lo, hi int, prs []PacketResult) error {
 
 // RunPacketBatch synthesises, impairs and decodes the n packets at indices
 // start..start+n-1 of the session's derived-stream timeline and returns
-// their per-packet results. It is the batch counterpart of runPacketAt —
-// every packet draws from its own (Config.Seed, index) stream, so the
-// returned slice is bit-identical, element for element, to running the
-// serial per-packet loop over the same indices — while the batch amortises
-// RNG pool checkouts and keeps the scratch arenas, FFT plans and capture
-// buffers hot across consecutive packets. With a Waveforms cache attached,
+// their per-packet results. Every packet draws from its own
+// (Config.Seed, index) stream, so the returned slice is bit-identical,
+// element for element, to running the serial per-packet loop over the
+// same indices — while the batch amortises RNG pool checkouts and keeps
+// the scratch arenas, FFT plans and capture buffers hot across
+// consecutive packets. With a Waveforms cache attached,
 // consecutive identical packets (retransmissions, fixed-content sweeps)
 // decode against one cached synthesis.
 func (s *Session) RunPacketBatch(start, n int) ([]PacketResult, error) {

@@ -135,8 +135,8 @@ func TestAdvanceSlotsSkipsFaultTimeline(t *testing.T) {
 		t.Fatal("slot 0 should be an outage")
 	}
 	s.AdvanceSlots(9) // slots 1..9 pass in silence
-	if s.Slot() != 10 {
-		t.Fatalf("slot counter at %d, want 10", s.Slot())
+	if s.slot != 10 {
+		t.Fatalf("slot counter at %d, want 10", s.slot)
 	}
 	pr, err = s.RunPacket(tagBits)
 	if err != nil {

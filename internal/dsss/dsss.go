@@ -10,7 +10,6 @@
 package dsss
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -37,12 +36,6 @@ const (
 
 // Barker is the 11-chip Barker sequence used by 802.11b.
 var Barker = [ChipsPerBit]float64{1, -1, 1, 1, -1, 1, 1, 1, -1, -1, -1}
-
-// Errors returned by the receiver.
-var (
-	ErrNoFrame   = errors.New("dsss: no frame found")
-	ErrTruncated = errors.New("dsss: capture truncated before frame end")
-)
 
 // Transmitter synthesises 802.11b DSSS frames at complex baseband.
 type Transmitter struct{}
@@ -123,93 +116,9 @@ func ModulateBits(b []byte) *signal.Signal {
 	return s
 }
 
-// dqpskRotation maps a Gray-coded dibit to its differential phase step
-// (§16.4.6.5: {00:0°, 01:90°, 11:180°, 10:270°}).
-func dqpskRotation(b0, b1 byte) complex128 {
-	switch b0&1<<1 | b1&1 {
-	case 0b00:
-		return complex(1, 0)
-	case 0b01:
-		return complex(0, 1)
-	case 0b11:
-		return complex(-1, 0)
-	default: // 0b10
-		return complex(0, -1)
-	}
-}
-
-// ModulateBitsDQPSK produces the 2 Mbps DQPSK waveform: each *dibit*
-// rotates the Barker-spread symbol phase by a Gray-coded quadrant. An odd
-// trailing bit is zero-padded. HitchHike's higher-rate mode rides this
-// modulation the same way (a tag flip rotates the quadrant by 180°).
-func ModulateBitsDQPSK(b []byte) *signal.Signal {
-	if len(b)%2 != 0 {
-		b = append(append([]byte(nil), b...), 0)
-	}
-	nSym := len(b) / 2
-	s := signal.New(SampleRate, (nSym+1)*BitSamples)
-	phase := complex(1, 0)
-	pos := 0
-	writeSymbol := func() {
-		for c := 0; c < ChipsPerBit; c++ {
-			v := phase * complex(Barker[c], 0)
-			for k := 0; k < SamplesPerChip; k++ {
-				s.Samples[pos] = v
-				pos++
-			}
-		}
-	}
-	writeSymbol() // phase reference symbol
-	for i := 0; i < nSym; i++ {
-		phase *= dqpskRotation(b[2*i], b[2*i+1])
-		writeSymbol()
-	}
-	return s
-}
-
-// DemodulateDQPSK differentially decodes nDibits dibits starting at the
-// chip-aligned phase-reference symbol at start, quantising each symbol
-// pair's rotation to the nearest quadrant.
-func DemodulateDQPSK(cap *signal.Signal, start, nDibits int) []byte {
-	out := make([]byte, 0, 2*nDibits)
-	prev, ok := despread(cap.Samples, start)
-	if !ok {
-		return out
-	}
-	for i := 1; i <= nDibits; i++ {
-		cur, ok := despread(cap.Samples, start+i*BitSamples)
-		if !ok {
-			break
-		}
-		d := cur * cmplx.Conj(prev)
-		var b0, b1 byte
-		switch {
-		case real(d) >= 0 && math.Abs(real(d)) >= math.Abs(imag(d)):
-			b0, b1 = 0, 0 // ~0°
-		case imag(d) > 0 && math.Abs(imag(d)) > math.Abs(real(d)):
-			b0, b1 = 0, 1 // ~90°
-		case real(d) < 0 && math.Abs(real(d)) >= math.Abs(imag(d)):
-			b0, b1 = 1, 1 // ~180°
-		default:
-			b0, b1 = 1, 0 // ~270°
-		}
-		out = append(out, b0, b1)
-		prev = cur
-	}
-	return out
-}
-
-// RxFrame is one decoded 802.11b frame.
-type RxFrame struct {
-	Payload  []byte
-	RawBits  []byte // differential-decoded bit stream (SFD onward excluded)
-	StartIdx int
-	RSSI     float64
-	CRCOK    bool
-}
-
-// Receiver decodes DSSS frames by Barker correlation and differential
-// detection.
+// Receiver finds DSSS frames by Barker correlation and reads their raw
+// air bits by differential detection: what a HitchHike decoder compares
+// against the excitation's air bits.
 type Receiver struct {
 	// DetectionThreshold is the minimum normalised preamble correlation.
 	DetectionThreshold float64
@@ -292,56 +201,4 @@ func (rx *Receiver) RawBitsAt(cap *signal.Signal, start, nBits int) []byte {
 		prev = cur
 	}
 	return out
-}
-
-// Receive finds and decodes the first frame in the capture.
-func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
-	start, q := rx.Detect(cap)
-	if start < 0 || q < rx.DetectionThreshold {
-		return nil, ErrNoFrame
-	}
-	// Read preamble + SFD + length first, descrambling the raw air bits
-	// (the self-synchronising descrambler locks within the preamble).
-	hdr := Descramble(rx.RawBitsAt(cap, start, PreambleBits+32))
-	if len(hdr) < PreambleBits+32 {
-		return nil, ErrTruncated
-	}
-	var sfd, length int
-	for i := 0; i < 16; i++ {
-		sfd |= int(hdr[PreambleBits+i]) << uint(i)
-		length |= int(hdr[PreambleBits+16+i]) << uint(i)
-	}
-	if sfd != SFD || length < 0 || length > MaxPayload {
-		return nil, ErrNoFrame
-	}
-	total := PreambleBits + 32 + length*8 + 16
-	raw := rx.RawBitsAt(cap, start, total)
-	if len(raw) < total {
-		return nil, ErrTruncated
-	}
-	all := Descramble(raw)
-	payloadBits := all[PreambleBits+32 : PreambleBits+32+length*8]
-	payload, err := bits.ToBytes(payloadBits)
-	if err != nil {
-		return nil, err
-	}
-	var crc uint16
-	for i := 0; i < 16; i++ {
-		crc |= uint16(all[PreambleBits+32+length*8+i]) << uint(i)
-	}
-	seg := &signal.Signal{Rate: cap.Rate, Samples: cap.Samples[start:min(start+(total+1)*BitSamples, len(cap.Samples))]}
-	return &RxFrame{
-		Payload:  payload,
-		RawBits:  all,
-		StartIdx: start,
-		RSSI:     seg.MeanPowerDBm(),
-		CRCOK:    bits.CRC16CCITT(payload) == crc,
-	}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

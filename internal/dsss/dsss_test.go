@@ -55,6 +55,18 @@ func TestModulateDifferentialStructure(t *testing.T) {
 	}
 }
 
+// receiveAirBits finds the frame in cap and reads its raw air bits: the
+// Detect + RawBitsAt path a HitchHike decoder runs.
+func receiveAirBits(t *testing.T, cap *signal.Signal, n int) (start int, raw []byte) {
+	t.Helper()
+	rx := NewReceiver()
+	start, q := rx.Detect(cap)
+	if start < 0 || q < rx.DetectionThreshold {
+		t.Fatalf("frame not detected (start %d, quality %.2f)", start, q)
+	}
+	return start, rx.RawBitsAt(cap, start, n)
+}
+
 func TestTransmitReceiveClean(t *testing.T) {
 	payloads := [][]byte{
 		{0x01},
@@ -62,44 +74,45 @@ func TestTransmitReceiveClean(t *testing.T) {
 		bytes.Repeat([]byte{0x5A}, 64),
 	}
 	for _, p := range payloads {
-		sig, err := NewTransmitter().Transmit(p)
+		tx := NewTransmitter()
+		sig, err := tx.Transmit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		air, err := tx.AirBits(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cap := signal.New(SampleRate, len(sig.Samples)+300)
 		copy(cap.Samples[110:], sig.Samples)
-		f, err := NewReceiver().Receive(cap)
-		if err != nil {
-			t.Fatalf("payload %d bytes: %v", len(p), err)
-		}
-		if !bytes.Equal(f.Payload, p) || !f.CRCOK {
-			t.Fatalf("payload mismatch or CRC fail")
+		start, raw := receiveAirBits(t, cap, len(air))
+		if start != 110 || !bytes.Equal(raw, air) {
+			t.Fatalf("payload %d bytes: start %d, air bits match %v", len(p), start, bytes.Equal(raw, air))
 		}
 	}
 }
 
 func TestTransmitReceiveNoisyRotated(t *testing.T) {
 	p := []byte("differential survives rotation")
-	sig, _ := NewTransmitter().Transmit(p)
+	tx := NewTransmitter()
+	sig, _ := tx.Transmit(p)
+	air, _ := tx.AirBits(p)
 	cap := signal.New(SampleRate, len(sig.Samples)+400)
 	copy(cap.Samples[173:], sig.Samples)
 	cap.Scale(complex(0.03, 0))
 	cap.PhaseShift(1.9) // DBPSK is phase-reference free
 	cap.AddAWGN(6e-6, signal.NewNoise(5))
-	f, err := NewReceiver().Receive(cap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f.Payload, p) || !f.CRCOK {
-		t.Fatal("decode failed under noise and rotation")
+	if _, raw := receiveAirBits(t, cap, len(air)); !bytes.Equal(raw, air) {
+		t.Fatal("air bits wrong under noise and rotation")
 	}
 }
 
 func TestReceiverRejectsNoise(t *testing.T) {
 	cap := signal.New(SampleRate, 40000)
 	cap.AddAWGN(0.02, signal.NewNoise(9))
-	if _, err := NewReceiver().Receive(cap); err == nil {
-		t.Error("decoded a frame from pure noise")
+	rx := NewReceiver()
+	if start, q := rx.Detect(cap); start >= 0 && q >= rx.DetectionThreshold {
+		t.Errorf("detected a frame in pure noise (start %d, quality %.2f)", start, q)
 	}
 }
 
@@ -178,7 +191,7 @@ func TestScrambleDescrambleRoundTrip(t *testing.T) {
 		in[i] = byte((i * 5) % 2)
 	}
 	sc := Scramble(in, ScramblerSeed)
-	de := Descramble(sc)
+	de := descramble(sc)
 	// The descrambler self-synchronises after 7 bits.
 	for i := 7; i < len(in); i++ {
 		if de[i] != in[i] {
@@ -205,7 +218,7 @@ func TestDescramblerSelfSyncsFromAnySeed(t *testing.T) {
 		in[i] = byte(i) & 1
 	}
 	for _, seed := range []byte{0x00, 0x1B, 0x7F, 0x2A} {
-		de := Descramble(Scramble(in, seed))
+		de := descramble(Scramble(in, seed))
 		for i := 7; i < len(in); i++ {
 			if de[i] != in[i] {
 				t.Fatalf("seed %#x: bit %d wrong", seed, i)
@@ -214,61 +227,15 @@ func TestDescramblerSelfSyncsFromAnySeed(t *testing.T) {
 	}
 }
 
-func TestDQPSKRoundTrip(t *testing.T) {
-	bits := []byte{0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0}
-	sig := ModulateBitsDQPSK(bits)
-	cap := signal.New(SampleRate, len(sig.Samples)+100)
-	copy(cap.Samples[50:], sig.Samples)
-	got := DemodulateDQPSK(cap, 50, len(bits)/2)
-	if !bytes.Equal(got, bits) {
-		t.Fatalf("DQPSK round trip: got %v want %v", got, bits)
+// descramble inverts Scramble without knowing the seed, as a receiver
+// does: in[k] = rx[k] ⊕ rx[k-4] ⊕ rx[k-7]. The first 7 outputs are
+// register warm-up.
+func descramble(rx []byte) []byte {
+	reg := byte(0)
+	out := make([]byte, len(rx))
+	for k, b := range rx {
+		out[k] = (b ^ (reg >> 3) ^ (reg >> 6)) & 1
+		reg = (reg << 1) | b&1
 	}
-}
-
-func TestDQPSKOddLengthPads(t *testing.T) {
-	sig := ModulateBitsDQPSK([]byte{1, 0, 1})
-	// 3 bits -> 2 dibits -> reference + 2 symbols.
-	if len(sig.Samples) != 3*BitSamples {
-		t.Fatalf("samples %d, want %d", len(sig.Samples), 3*BitSamples)
-	}
-}
-
-func TestDQPSKSurvivesRotationAndNoise(t *testing.T) {
-	bits := make([]byte, 64)
-	for i := range bits {
-		bits[i] = byte((i / 3) % 2)
-	}
-	sig := ModulateBitsDQPSK(bits)
-	cap := signal.New(SampleRate, len(sig.Samples)+200)
-	copy(cap.Samples[100:], sig.Samples)
-	cap.PhaseShift(0.9)
-	cap.Scale(complex(0.1, 0))
-	cap.AddAWGN(2e-4, signal.NewNoise(6))
-	got := DemodulateDQPSK(cap, 100, len(bits)/2)
-	if !bytes.Equal(got, bits) {
-		t.Fatal("DQPSK failed under rotation and noise")
-	}
-}
-
-// TestDQPSKTagFlipIs180Rotation: HitchHike on 2 Mbps — a tag phase flip
-// during a symbol reads as a 180° extra rotation, i.e. the dibit XORed
-// with 11, at the flip edges only.
-func TestDQPSKTagFlipIs180Rotation(t *testing.T) {
-	bits := make([]byte, 40)
-	sig := ModulateBitsDQPSK(bits) // all-zero dibits: constant phase
-	// Flip symbols 5..10 (samples of symbols 5..10 inclusive).
-	for i := 5 * BitSamples; i < 11*BitSamples; i++ {
-		sig.Samples[i] = -sig.Samples[i]
-	}
-	cap := signal.New(SampleRate, len(sig.Samples)+100)
-	copy(cap.Samples[50:], sig.Samples)
-	got := DemodulateDQPSK(cap, 50, len(bits)/2)
-	for i := 0; i+1 < len(got); i += 2 {
-		sym := i/2 + 1 // dibit k rides on symbol k+1
-		wantFlip := sym == 5 || sym == 11
-		flipped := got[i] == 1 && got[i+1] == 1
-		if flipped != wantFlip {
-			t.Fatalf("dibit %d (symbol %d): 180°=%v, want %v", i/2, sym, flipped, wantFlip)
-		}
-	}
+	return out
 }

@@ -2,7 +2,7 @@ package dsss
 
 // The 802.11b self-synchronising scrambler (§16.2.4): G(z) = z⁻⁷ + z⁻⁴ + 1.
 // Unlike 802.11a/g's frame-synchronous whitener, the DSSS scrambler feeds
-// back *transmitted* bits, so the descrambler needs no seed exchange — it
+// back *transmitted* bits, so a descrambler needs no seed exchange — it
 // synchronises itself after 7 received bits (which land inside the
 // preamble).
 
@@ -18,19 +18,6 @@ func Scramble(in []byte, seed byte) []byte {
 		o := (b ^ (reg >> 3) ^ (reg >> 6)) & 1
 		out[k] = o
 		reg = (reg << 1) | o
-	}
-	return out
-}
-
-// Descramble inverts Scramble without knowing the seed: in[k] = rx[k] ⊕
-// rx[k-4] ⊕ rx[k-7]. The first 7 outputs are garbage (register warm-up),
-// which the 32-bit preamble absorbs.
-func Descramble(rx []byte) []byte {
-	reg := byte(0)
-	out := make([]byte, len(rx))
-	for k, b := range rx {
-		out[k] = (b ^ (reg >> 3) ^ (reg >> 6)) & 1
-		reg = (reg << 1) | b&1
 	}
 	return out
 }

@@ -217,8 +217,20 @@ func TestFig4Reproduction(t *testing.T) {
 }
 
 func TestPLMRateNear500(t *testing.T) {
-	if r := PLMRateBps(); r < 400 || r > 650 {
-		t.Fatalf("PLM rate %.0f bps, want ~500", r)
+	r, err := plmRate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.RateBps < 400 || r.RateBps > 650 {
+		t.Fatalf("PLM rate %.0f bps, want ~500", r.RateBps)
+	}
+	// §2.4.2: on a busy network the re-packetised message costs only the
+	// per-packet overhead; on an idle one every burst is padding.
+	if r.BusyEfficiency < 0.9 || r.BusyEfficiency > 1 {
+		t.Errorf("busy-queue efficiency %.3f, want >= 0.9", r.BusyEfficiency)
+	}
+	if r.IdleEfficiency != 0 {
+		t.Errorf("empty-queue efficiency %.3f, want 0", r.IdleEfficiency)
 	}
 }
 

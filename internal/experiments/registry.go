@@ -47,8 +47,8 @@ var Registry = []Experiment{
 		}},
 	{"power", "§3.3 — tag power budget",
 		func(Options, bool) (any, error) { return PowerBudget(), nil }},
-	{"plmrate", "§2.4.2 — PLM downlink rate",
-		func(Options, bool) (any, error) { return PLMRate{RateBps: PLMRateBps()}, nil }},
+	{"plmrate", "§2.4.2 — PLM downlink rate and re-packetisation overhead",
+		func(Options, bool) (any, error) { return plmRate() }},
 	{"redundancy", "§3.2.1 — OFDM symbols per tag bit (redundancy study)", fixed(RedundancySweep)},
 	{"pilots", "§3.2.1 — pilot phase tracking ablation", fixed(PilotTrackingAblation)},
 	{"baselines", "§1 motivation — FreeRider vs HitchHike [25] on mixed traffic", fixed(BaselineAvailability)},

@@ -65,16 +65,3 @@ func (c *Combiner) Slice(dst []byte) {
 		}
 	}
 }
-
-// SliceSoft slices a single soft vector without accumulation — the
-// degenerate one-attempt path, exposed so callers can check what a solo
-// decode of one attempt would have produced (combining-gain accounting).
-func SliceSoft(soft []int16, dst []byte) {
-	for i, s := range soft {
-		if s < 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-}

@@ -7,7 +7,7 @@ import (
 
 func TestGFTables(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if got := gfMul(byte(a), gfInv(byte(a))); got != 1 {
+		if got := gfMul(byte(a), gfDiv(1, byte(a))); got != 1 {
 			t.Fatalf("a * a^-1 = %d for a=%d", got, a)
 		}
 	}
@@ -277,10 +277,10 @@ func TestCombiner(t *testing.T) {
 		}
 	}
 	solo := make([]byte, len(soft))
-	SliceSoft(soft, solo)
+	sliceSoft(soft, solo)
 	for i := range want {
 		if solo[i] != want[i] {
-			t.Fatalf("SliceSoft[%d] = %d want %d", i, solo[i], want[i])
+			t.Fatalf("sliceSoft[%d] = %d want %d", i, solo[i], want[i])
 		}
 	}
 

@@ -70,7 +70,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 
 // FuzzCombinerSlice checks that slicing arbitrary soft-value streams never
 // panics and agrees with the sign convention, including the single-attempt
-// identity with SliceSoft.
+// identity with sliceSoft.
 func FuzzCombinerSlice(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(2))
 	f.Fuzz(func(t *testing.T, raw []byte, attempts uint8) {
@@ -91,11 +91,24 @@ func FuzzCombinerSlice(f *testing.F) {
 		combined := make([]byte, bits)
 		c.Slice(combined)
 		solo := make([]byte, bits)
-		SliceSoft(soft, solo)
+		sliceSoft(soft, solo)
 		for i := range combined {
 			if combined[i] != solo[i] {
 				t.Fatalf("N identical attempts sliced differently at %d", i)
 			}
 		}
 	})
+}
+
+// sliceSoft slices a single soft vector without accumulation: what a solo
+// decode of one attempt produces, the oracle for the combiner's
+// single-attempt identity.
+func sliceSoft(soft []int16, dst []byte) {
+	for i, s := range soft {
+		if s < 0 {
+			dst[i] = 1
+		} else {
+			dst[i] = 0
+		}
+	}
 }

@@ -56,8 +56,5 @@ func gfDiv(a, b byte) byte {
 	return expTab[int(logTab[a])-int(logTab[b])+255]
 }
 
-// gfInv returns the multiplicative inverse of a nonzero element.
-func gfInv(a byte) byte { return expTab[255-int(logTab[a])] }
-
 // gfPow returns α^n for n >= 0.
 func gfPow(n int) byte { return expTab[n%255] }

@@ -10,8 +10,6 @@ package plm
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tag"
 )
 
 // Scheme fixes the PLM alphabet.
@@ -90,17 +88,6 @@ func (s Scheme) Classify(duration float64) (bit byte, ok bool) {
 	return 0, false
 }
 
-// Decode classifies a pulse train, dropping unrecognised pulses.
-func (s Scheme) Decode(durations []float64) []byte {
-	out := make([]byte, 0, len(durations))
-	for _, d := range durations {
-		if b, ok := s.Classify(d); ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // TagReceiver is the tag-side message scanner: a circular bit buffer whose
 // head is matched against the preamble (§2.4.1, "determining when to
 // backscatter").
@@ -129,13 +116,6 @@ func (t *TagReceiver) Feed(duration float64) {
 	}
 }
 
-// FeedPulses pushes a batch of envelope-detector pulses.
-func (t *TagReceiver) FeedPulses(pulses []tag.Pulse) {
-	for _, p := range pulses {
-		t.Feed(p.Duration)
-	}
-}
-
 // Message scans the buffer for the preamble and returns the n payload bits
 // that follow it, consuming them. ok is false if no complete message is
 // buffered yet.
@@ -157,9 +137,6 @@ func (t *TagReceiver) Message(n int) ([]byte, bool) {
 	}
 	return nil, false
 }
-
-// BufferedBits reports how many classified bits are waiting.
-func (t *TagReceiver) BufferedBits() int { return len(t.buf) }
 
 // PulseSuccessProbability is the event-level model behind Fig 4: the
 // probability that one PLM pulse is received and classified correctly by a

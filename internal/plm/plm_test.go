@@ -45,7 +45,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		for i := range raw {
 			bits[i] = raw[i] & 1
 		}
-		return bytes.Equal(s.Decode(s.Encode(bits)), bits)
+		for i, d := range s.Encode(bits) {
+			if b, ok := s.Classify(d); !ok || b != bits[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -70,10 +75,16 @@ func TestClassifyBounds(t *testing.T) {
 
 func TestDecodeDropsAmbient(t *testing.T) {
 	s := DefaultScheme()
-	durations := []float64{s.L0, 300e-6, s.L1, 2000e-6, s.L1}
-	got := s.Decode(durations)
-	if !bytes.Equal(got, []byte{0, 1, 1}) {
-		t.Fatalf("decoded %v, want [0 1 1]", got)
+	rx, _ := NewTagReceiver(s)
+	for _, d := range s.Encode(s.Preamble) {
+		rx.Feed(d)
+	}
+	for _, d := range []float64{s.L0, 300e-6, s.L1, 2000e-6, s.L1} {
+		rx.Feed(d)
+	}
+	got, ok := rx.Message(3)
+	if !ok || !bytes.Equal(got, []byte{0, 1, 1}) {
+		t.Fatalf("decoded %v (%v), want [0 1 1]", got, ok)
 	}
 }
 
@@ -129,8 +140,8 @@ func TestTagReceiverBufferBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		rx.Feed(s.L0)
 	}
-	if rx.BufferedBits() > 1000 {
-		t.Fatalf("buffer grew to %d bits", rx.BufferedBits())
+	if len(rx.buf) > 1000 {
+		t.Fatalf("buffer grew to %d bits", len(rx.buf))
 	}
 }
 
@@ -173,7 +184,9 @@ func TestEndToEndWithEnvelopeDetector(t *testing.T) {
 		t.Fatalf("detected %d pulses, want %d", len(pulses), len(durations))
 	}
 	rx, _ := NewTagReceiver(s)
-	rx.FeedPulses(pulses)
+	for _, p := range pulses {
+		rx.Feed(p.Duration)
+	}
 	got, ok := rx.Message(len(payload))
 	if !ok {
 		t.Fatal("no message decoded end to end")

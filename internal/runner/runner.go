@@ -64,18 +64,6 @@ type Stats struct {
 	Busy    time.Duration
 }
 
-// Utilisation is the fraction of worker capacity spent inside jobs.
-func (s Stats) Utilisation() float64 {
-	if s.Wall <= 0 || s.Workers <= 0 {
-		return 0
-	}
-	u := float64(s.Busy) / (float64(s.Wall) * float64(s.Workers))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // DefaultWorkers is the pool width used when a caller passes workers <= 0.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 

@@ -113,8 +113,8 @@ func TestMapStatsAccounting(t *testing.T) {
 	if st.Wall <= 0 {
 		t.Fatal("wall time not recorded")
 	}
-	if u := st.Utilisation(); u < 0 || u > 1 {
-		t.Fatalf("utilisation %g outside [0,1]", u)
+	if st.Busy < 0 {
+		t.Fatalf("negative busy time %v", st.Busy)
 	}
 	// Workers are clamped to the job count.
 	st, err = MapStats(2, 16, func(int) error { return nil })

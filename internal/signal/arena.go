@@ -1,11 +1,11 @@
 package signal
 
 // Arena is a scratch-buffer allocator for the per-packet DSP kernels.
-// Buffers are checked out with Complex/Bytes/Int16 (or their Uninit
-// variants) and all returned at once by Release; the arena itself cycles
-// through a bounded FreeList (GC-stable, unlike a sync.Pool — see pool.go),
-// so a steady-state packet path performs a deterministic zero heap
-// allocations once the list is warm.
+// Buffers are checked out with Complex/Bytes or an Uninit variant (the
+// only kind for float64, int16 and uint64) and all returned at once by
+// Release; the arena itself cycles through a bounded FreeList (GC-stable,
+// unlike a sync.Pool — see pool.go), so a steady-state packet path
+// performs a deterministic zero heap allocations once the list is warm.
 //
 // Ownership rules (see DESIGN.md §8): an arena serves one goroutine at a
 // time; every buffer obtained from it is valid only until Release and must
@@ -13,11 +13,46 @@ package signal
 // allocation for anything that escapes. Release returns every outstanding
 // buffer, so callers never release individual buffers.
 type Arena struct {
-	cFree, cUsed [][]complex128
-	fFree, fUsed [][]float64
-	bFree, bUsed [][]byte
-	sFree, sUsed [][]int16
-	uFree, uUsed [][]uint64
+	c scratch[complex128]
+	f scratch[float64]
+	b scratch[byte]
+	s scratch[int16]
+	u scratch[uint64]
+}
+
+// scratch holds one element type's buffers: the free ones and those
+// checked out since the last Release.
+type scratch[T any] struct{ free, used [][]T }
+
+// take checks out a buffer of n elements with unspecified contents,
+// recycling the first free buffer large enough.
+func (s *scratch[T]) take(n int) []T {
+	for i, b := range s.free {
+		if cap(b) >= n {
+			last := len(s.free) - 1
+			s.free[i] = s.free[last]
+			s.free = s.free[:last]
+			b = b[:n]
+			s.used = append(s.used, b)
+			return b
+		}
+	}
+	b := make([]T, n)
+	s.used = append(s.used, b)
+	return b
+}
+
+// zeroed checks out a zeroed buffer of n elements.
+func (s *scratch[T]) zeroed(n int) []T {
+	b := s.take(n)
+	clear(b)
+	return b
+}
+
+// release returns every checked-out buffer to the free list.
+func (s *scratch[T]) release() {
+	s.free = append(s.free, s.used...)
+	s.used = s.used[:0]
 }
 
 // arenaPool retains up to one arena per plausible concurrent packet
@@ -33,27 +68,16 @@ func GetArena() *Arena { return arenaPool.Get() }
 // arena back into the pool. Using any previously returned buffer after
 // Release is a data race with the arena's next owner.
 func (a *Arena) Release() {
-	a.cFree = append(a.cFree, a.cUsed...)
-	a.fFree = append(a.fFree, a.fUsed...)
-	a.bFree = append(a.bFree, a.bUsed...)
-	a.sFree = append(a.sFree, a.sUsed...)
-	a.uFree = append(a.uFree, a.uUsed...)
-	a.cUsed = a.cUsed[:0]
-	a.fUsed = a.fUsed[:0]
-	a.bUsed = a.bUsed[:0]
-	a.sUsed = a.sUsed[:0]
-	a.uUsed = a.uUsed[:0]
+	a.c.release()
+	a.f.release()
+	a.b.release()
+	a.s.release()
+	a.u.release()
 	arenaPool.Put(a)
 }
 
 // Complex returns a zeroed scratch slice of n complex128 values.
-func (a *Arena) Complex(n int) []complex128 {
-	b := a.ComplexUninit(n)
-	for j := range b {
-		b[j] = 0
-	}
-	return b
-}
+func (a *Arena) Complex(n int) []complex128 { return a.c.zeroed(n) }
 
 // ComplexUninit returns a scratch slice of n complex128 values whose
 // contents are unspecified (recycled buffers keep their previous garbage).
@@ -61,135 +85,28 @@ func (a *Arena) Complex(n int) []complex128 {
 // memclr; callers that overwrite every element they later read — or never
 // read some region at all — use this variant. Anything else must take the
 // zeroed Complex.
-func (a *Arena) ComplexUninit(n int) []complex128 {
-	for i, b := range a.cFree {
-		if cap(b) >= n {
-			last := len(a.cFree) - 1
-			a.cFree[i] = a.cFree[last]
-			a.cFree = a.cFree[:last]
-			b = b[:n]
-			a.cUsed = append(a.cUsed, b)
-			return b
-		}
-	}
-	b := make([]complex128, n)
-	a.cUsed = append(a.cUsed, b)
-	return b
-}
+func (a *Arena) ComplexUninit(n int) []complex128 { return a.c.take(n) }
 
 // FloatUninit returns a scratch slice of n float64 values whose contents
 // are unspecified, for callers that assign every element before any read
 // (the matched-filter screen's prefix sums); there is no zeroed variant.
-func (a *Arena) FloatUninit(n int) []float64 {
-	for i, b := range a.fFree {
-		if cap(b) >= n {
-			last := len(a.fFree) - 1
-			a.fFree[i] = a.fFree[last]
-			a.fFree = a.fFree[:last]
-			b = b[:n]
-			a.fUsed = append(a.fUsed, b)
-			return b
-		}
-	}
-	b := make([]float64, n)
-	a.fUsed = append(a.fUsed, b)
-	return b
-}
+func (a *Arena) FloatUninit(n int) []float64 { return a.f.take(n) }
 
 // BytesUninit returns a scratch slice of n bytes whose contents are
 // unspecified, for callers that assign every element before any read (the
 // deinterleaved coded stream, the Viterbi output bits). Anything else must
 // take the zeroed Bytes.
-func (a *Arena) BytesUninit(n int) []byte {
-	for i, b := range a.bFree {
-		if cap(b) >= n {
-			last := len(a.bFree) - 1
-			a.bFree[i] = a.bFree[last]
-			a.bFree = a.bFree[:last]
-			b = b[:n]
-			a.bUsed = append(a.bUsed, b)
-			return b
-		}
-	}
-	b := make([]byte, n)
-	a.bUsed = append(a.bUsed, b)
-	return b
-}
+func (a *Arena) BytesUninit(n int) []byte { return a.b.take(n) }
 
 // Bytes returns a zeroed scratch slice of n bytes.
-func (a *Arena) Bytes(n int) []byte {
-	for i, b := range a.bFree {
-		if cap(b) >= n {
-			last := len(a.bFree) - 1
-			a.bFree[i] = a.bFree[last]
-			a.bFree = a.bFree[:last]
-			b = b[:n]
-			for j := range b {
-				b[j] = 0
-			}
-			a.bUsed = append(a.bUsed, b)
-			return b
-		}
-	}
-	b := make([]byte, n)
-	a.bUsed = append(a.bUsed, b)
-	return b
-}
+func (a *Arena) Bytes(n int) []byte { return a.b.zeroed(n) }
 
 // Int16Uninit returns a scratch slice of n int16 values whose contents are
 // unspecified, for callers that assign every element before any read (the
-// Viterbi gain stream). Anything else must take the zeroed Int16.
-func (a *Arena) Int16Uninit(n int) []int16 {
-	for i, b := range a.sFree {
-		if cap(b) >= n {
-			last := len(a.sFree) - 1
-			a.sFree[i] = a.sFree[last]
-			a.sFree = a.sFree[:last]
-			b = b[:n]
-			a.sUsed = append(a.sUsed, b)
-			return b
-		}
-	}
-	b := make([]int16, n)
-	a.sUsed = append(a.sUsed, b)
-	return b
-}
+// Viterbi gain stream); there is no zeroed variant.
+func (a *Arena) Int16Uninit(n int) []int16 { return a.s.take(n) }
 
 // Uint64Uninit returns a scratch slice of n uint64 values whose contents
 // are unspecified, for callers that assign every element before any read
 // (the Viterbi traceback words); there is no zeroed variant.
-func (a *Arena) Uint64Uninit(n int) []uint64 {
-	for i, b := range a.uFree {
-		if cap(b) >= n {
-			last := len(a.uFree) - 1
-			a.uFree[i] = a.uFree[last]
-			a.uFree = a.uFree[:last]
-			b = b[:n]
-			a.uUsed = append(a.uUsed, b)
-			return b
-		}
-	}
-	b := make([]uint64, n)
-	a.uUsed = append(a.uUsed, b)
-	return b
-}
-
-// Int16 returns a zeroed scratch slice of n int16 values.
-func (a *Arena) Int16(n int) []int16 {
-	for i, b := range a.sFree {
-		if cap(b) >= n {
-			last := len(a.sFree) - 1
-			a.sFree[i] = a.sFree[last]
-			a.sFree = a.sFree[:last]
-			b = b[:n]
-			for j := range b {
-				b[j] = 0
-			}
-			a.sUsed = append(a.sUsed, b)
-			return b
-		}
-	}
-	b := make([]int16, n)
-	a.sUsed = append(a.sUsed, b)
-	return b
-}
+func (a *Arena) Uint64Uninit(n int) []uint64 { return a.u.take(n) }

@@ -94,8 +94,8 @@ func TestPlanForRejectsBadSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 64 {
-		t.Fatalf("Size = %d", p.Size())
+	if p.n != 64 {
+		t.Fatalf("size = %d", p.n)
 	}
 	if err := p.FFT(make([]complex128, 32)); err == nil {
 		t.Error("plan accepted wrong-size input")

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the evaluation harness
-// reports: empirical CDFs, quantiles, histograms/PDFs, mean/stddev, and
-// Jain's fairness index (Fig 17b).
+// reports: empirical CDFs, quantiles, histograms/PDFs and Jain's fairness
+// index (Fig 17b).
 package stats
 
 import (
@@ -8,31 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation of
 // the sorted sample.
@@ -76,20 +51,6 @@ func CDF(xs []float64) []CDFPoint {
 		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
 	}
 	return out
-}
-
-// CDFAt evaluates the empirical CDF at x.
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Histogram bins the sample into nBins equal-width bins over [min, max],

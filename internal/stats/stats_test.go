@@ -7,19 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Fatalf("mean %g", m)
-	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("stddev %g, want 2", s)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty sample should give zeros")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4, 5}
 	med, err := Median(xs)
@@ -72,34 +59,18 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if p := CDFAt(xs, 2.5); p != 0.5 {
-		t.Fatalf("CDFAt(2.5) = %g", p)
-	}
-	if p := CDFAt(xs, 0); p != 0 {
-		t.Fatalf("CDFAt(0) = %g", p)
-	}
-	if p := CDFAt(xs, 10); p != 1 {
-		t.Fatalf("CDFAt(10) = %g", p)
-	}
-	if CDFAt(nil, 1) != 0 {
-		t.Fatal("empty CDFAt should be 0")
-	}
-}
-
 func TestCDFMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	f := func(a, b float64) bool {
-		a, b = math.Mod(a, 5), math.Mod(b, 5)
-		if a > b {
-			a, b = b, a
+	f := func(xs []float64) bool {
+		pts := CDF(xs)
+		if len(pts) != len(xs) {
+			return false
 		}
-		return CDFAt(xs, a) <= CDFAt(xs, b)
+		for i := 1; i < len(pts); i++ {
+			if pts[i].X < pts[i-1].X || pts[i].P <= pts[i-1].P {
+				return false
+			}
+		}
+		return len(pts) == 0 || pts[len(pts)-1].P == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

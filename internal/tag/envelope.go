@@ -67,26 +67,3 @@ func (e *EnvelopeDetector) Detect(s *signal.Signal) []Pulse {
 	}
 	return pulses
 }
-
-// DetectProbability returns the probability that the detector registers a
-// packet at the given input power, modelling comparator noise near the
-// threshold: a logistic transition 3 dB wide centred on the reference.
-// Used by the event-level MAC and PLM simulations (Fig 4) where running the
-// sample-level detector for millions of packets would be wasteful.
-func (e *EnvelopeDetector) DetectProbability(rssiDBm float64) float64 {
-	return 1 / (1 + math.Exp(-(rssiDBm-e.ReferenceDBm)/1.5))
-}
-
-// DurationErrorStd returns the standard deviation (seconds) of the measured
-// pulse duration at the given input power: edge jitter grows as the signal
-// approaches the reference threshold. Calibrated so PLM decoding accuracy
-// falls from near-certainty at strong signal to ~50% at the margins,
-// matching Fig 4's trend.
-func (e *EnvelopeDetector) DurationErrorStd(rssiDBm float64) float64 {
-	margin := rssiDBm - e.ReferenceDBm
-	if margin < 0 {
-		margin = 0
-	}
-	// 2 µs jitter at threshold, decaying 10x per 20 dB of margin.
-	return 2e-6 * math.Pow(10, -margin/20)
-}

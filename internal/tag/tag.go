@@ -2,8 +2,7 @@
 // (phase rotation for OFDM WiFi and OQPSK ZigBee, RF-switch frequency
 // toggling for Bluetooth FSK), the channel frequency shifter that moves the
 // backscattered signal onto an adjacent channel, the envelope detector that
-// times incoming packets, an impedance bank for amplitude control, and the
-// §3.3 power model (~30 µW total).
+// times incoming packets, and the §3.3 power model (~30 µW total).
 //
 // The tag never decodes the excitation signal — every behaviour here is
 // implementable with an envelope detector, a ring oscillator and an RF

@@ -304,39 +304,6 @@ func TestEnvelopeDetectorOpenEndedPulse(t *testing.T) {
 	}
 }
 
-func TestDetectProbabilityMonotone(t *testing.T) {
-	e := NewEnvelopeDetector()
-	if e.DetectProbability(-40) < 0.95 {
-		t.Error("strong signal should almost surely detect")
-	}
-	if e.DetectProbability(-90) > 0.05 {
-		t.Error("weak signal should almost never detect")
-	}
-	if p := e.DetectProbability(e.ReferenceDBm); math.Abs(p-0.5) > 1e-9 {
-		t.Errorf("probability at reference = %g, want 0.5", p)
-	}
-	f := func(a, b float64) bool {
-		a, b = math.Mod(a, 60)-90, math.Mod(b, 60)-90
-		if a > b {
-			a, b = b, a
-		}
-		return e.DetectProbability(a) <= e.DetectProbability(b)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDurationErrorShrinksWithMargin(t *testing.T) {
-	e := NewEnvelopeDetector()
-	if e.DurationErrorStd(-40) >= e.DurationErrorStd(-60) {
-		t.Error("stronger signal must time pulses more precisely")
-	}
-	if e.DurationErrorStd(-90) != e.DurationErrorStd(-60) {
-		t.Error("below threshold the error should saturate")
-	}
-}
-
 func TestPowerBudgetMatchesPaper(t *testing.T) {
 	// WiFi translator with a 20 MHz shift: ~19 + 12 + 3 = 34 uW, i.e.
 	// "around 30 uW" (§3.3).
@@ -368,39 +335,6 @@ func TestExcitationString(t *testing.T) {
 	}
 	if Excitation(99).String() != "unknown" {
 		t.Error("invalid excitation should be unknown")
-	}
-}
-
-func TestReflectionCoefficient(t *testing.T) {
-	// Matched load: no reflection.
-	g, err := ReflectionCoefficient(complex(50, 0), complex(50, 0))
-	if err != nil || cmplx.Abs(g) > 1e-12 {
-		t.Fatalf("matched gamma %v (%v)", g, err)
-	}
-	// Short: full reflection.
-	g, _ = ReflectionCoefficient(complex(0, 0), complex(50, 0))
-	if math.Abs(cmplx.Abs(g)-1) > 1e-12 {
-		t.Fatalf("short gamma magnitude %g, want 1", cmplx.Abs(g))
-	}
-	if _, err := ReflectionCoefficient(complex(-50, 0), complex(50, 0)); err == nil {
-		t.Error("degenerate sum accepted")
-	}
-}
-
-func TestImpedanceBankLevels(t *testing.T) {
-	b := NewDefaultBank()
-	levels, err := b.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0.5, 0.8, 1}
-	for i, w := range want {
-		if math.Abs(levels[i]-w) > 1e-9 {
-			t.Fatalf("level %d = %g, want %g", i, levels[i], w)
-		}
-	}
-	if _, err := b.Gamma(99); err == nil {
-		t.Error("out-of-range level accepted")
 	}
 }
 

@@ -82,23 +82,3 @@ func (m *AmbientModel) AliasProbability(pulses []float64, bound float64, n int) 
 	}
 	return float64(hits) / float64(n), nil
 }
-
-// BusyFraction returns the fraction of airtime occupied when packets with
-// the model's durations arrive as a Poisson process of the given rate
-// (packets/second), ignoring collisions (open-loop estimate used by the
-// coexistence experiments to set ambient load).
-func (m *AmbientModel) BusyFraction(packetsPerSecond float64, n int) float64 {
-	if packetsPerSecond <= 0 || n <= 0 {
-		return 0
-	}
-	var mean float64
-	for i := 0; i < n; i++ {
-		mean += m.Sample()
-	}
-	mean /= float64(n)
-	busy := packetsPerSecond * mean
-	if busy > 1 {
-		busy = 1
-	}
-	return busy
-}

@@ -83,19 +83,3 @@ func TestAliasProbabilityValidation(t *testing.T) {
 		t.Error("negative bound accepted")
 	}
 }
-
-func TestBusyFraction(t *testing.T) {
-	m := NewAmbientModel(2)
-	// Mean duration ~ 0.78*270us + 0.04*1ms + 0.18*2.1ms ~ 0.63 ms.
-	// 500 packets/s -> ~31% busy.
-	b := m.BusyFraction(500, 50000)
-	if b < 0.25 || b > 0.40 {
-		t.Fatalf("busy fraction %.3f, want ~0.31", b)
-	}
-	if m.BusyFraction(1e9, 1000) != 1 {
-		t.Fatal("busy fraction must cap at 1")
-	}
-	if m.BusyFraction(0, 10) != 0 {
-		t.Fatal("zero rate must be zero busy")
-	}
-}

@@ -331,13 +331,6 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Bytes returns the resident waveform bytes.
-func (c *Cache) Bytes() int64 {
-	c.lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Stats snapshots the cache for /metrics. It holds the cache lock while
 // reading both the sizes and the counters: all counter movement happens
 // inside the critical section (Coalesced excepted — it moves under the

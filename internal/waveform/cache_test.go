@@ -101,7 +101,7 @@ func TestCacheLRUEvictionBoundsMemory(t *testing.T) {
 	if n := c.Len(); n != 4 {
 		t.Fatalf("%d entries resident, want 4", n)
 	}
-	if b := c.Bytes(); b > perEntry*4 {
+	if b := c.Stats().Bytes; b > perEntry*4 {
 		t.Fatalf("%d bytes resident, cap %d", b, perEntry*4)
 	}
 	if ev := c.Stats().Evictions; ev != 28 {
@@ -122,8 +122,8 @@ func TestCacheLRUEvictionBoundsMemory(t *testing.T) {
 
 // TestCrossShardByteAccounting checks the byte budget across every view
 // of the cache: after eviction churn the resident bytes stay within the
-// requested capacity, the capacity is reported as requested, and Bytes,
-// Len and the Stats snapshot all agree.
+// requested capacity, the capacity is reported as requested, and the
+// resident byte count, Len and the Stats snapshot all agree.
 func TestCrossShardByteAccounting(t *testing.T) {
 	perEntry := testEntry(512, 0).sizeBytes()
 	total := perEntry * 24
@@ -134,15 +134,15 @@ func TestCrossShardByteAccounting(t *testing.T) {
 	if n := c.Len(); n != 24 {
 		t.Fatalf("%d entries resident, want 24", n)
 	}
-	if b := c.Bytes(); b > total {
+	if b := c.Stats().Bytes; b > total {
 		t.Fatalf("%d bytes resident, cap %d", b, total)
 	}
 	st := c.Stats()
 	if st.CapacityBytes != total {
 		t.Fatalf("capacity = %d, requested %d", st.CapacityBytes, total)
 	}
-	if st.Bytes != c.Bytes() || st.Entries != c.Len() {
-		t.Fatalf("stats %+v disagree with Bytes() = %d, Len() = %d", st, c.Bytes(), c.Len())
+	if st.Bytes != c.bytes || st.Entries != c.Len() {
+		t.Fatalf("stats %+v disagree with resident bytes %d, Len() = %d", st, c.bytes, c.Len())
 	}
 	if st.Evictions != 64-24 {
 		t.Fatalf("%d evictions, want %d", st.Evictions, 64-24)

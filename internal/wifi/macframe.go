@@ -1,9 +1,6 @@
 package wifi
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // DataFrame is a minimal IEEE 802.11 data MPDU: frame control, duration,
 // three addresses, sequence control, body, FCS. Enough structure for the
@@ -38,24 +35,4 @@ func (f *DataFrame) Marshal() []byte {
 	binary.LittleEndian.PutUint16(out[22:], f.SeqCtrl)
 	out = append(out, f.Body...)
 	return AppendFCS(out)
-}
-
-// ParseDataFrame decodes a PSDU into a data frame, verifying the FCS.
-func ParseDataFrame(psdu []byte) (*DataFrame, error) {
-	if len(psdu) < dataFrameHeaderLen+4 {
-		return nil, fmt.Errorf("wifi: PSDU %d bytes too short for a data frame", len(psdu))
-	}
-	if !checkFCS(psdu) {
-		return nil, fmt.Errorf("wifi: FCS check failed")
-	}
-	f := &DataFrame{
-		FrameControl: binary.LittleEndian.Uint16(psdu[0:]),
-		DurationID:   binary.LittleEndian.Uint16(psdu[2:]),
-		SeqCtrl:      binary.LittleEndian.Uint16(psdu[22:]),
-	}
-	copy(f.Addr1[:], psdu[4:])
-	copy(f.Addr2[:], psdu[10:])
-	copy(f.Addr3[:], psdu[16:])
-	f.Body = append([]byte(nil), psdu[dataFrameHeaderLen:len(psdu)-4]...)
-	return f, nil
 }

@@ -59,34 +59,6 @@ func scaledLevelsFor(m Modulation) ([]float64, int, error) {
 	return nil, 0, fmt.Errorf("wifi: unknown modulation %v", m)
 }
 
-// Map converts NBPSC coded bits into one constellation point.
-func Map(bitsIn []byte, m Modulation) (complex128, error) {
-	scaled, perAxis, err := scaledLevelsFor(m)
-	if err != nil {
-		return 0, err
-	}
-	want := perAxis
-	if m != BPSK {
-		want = 2 * perAxis
-	}
-	if len(bitsIn) != want {
-		return 0, fmt.Errorf("wifi: %v wants %d bits, got %d", m, want, len(bitsIn))
-	}
-	if m == BPSK {
-		return complex(scaled[bitsIn[0]&1], 0), nil
-	}
-	return complex(scaled[bitIndex(bitsIn[:perAxis])], scaled[bitIndex(bitsIn[perAxis:])]), nil
-}
-
-// bitIndex folds MSB-first bits into a level-table index.
-func bitIndex(bs []byte) int {
-	v := 0
-	for _, b := range bs {
-		v = v<<1 | int(b&1)
-	}
-	return v
-}
-
 // nearestLevel returns the index of the scaled level closest to v. The
 // scan order and strict-< best comparison are exactly the historical
 // slicer's, so decisions — including ties, which keep the lowest index —

@@ -64,15 +64,10 @@ func initTemplates() {
 	}
 }
 
-// Preamble synthesises the 320-sample legacy preamble: 10 repetitions of the
-// 16-sample short symbol (160 samples) followed by a 32-sample cyclic prefix
-// and two 64-sample long training symbols (160 samples). The caller owns the
-// returned copy.
-func Preamble() []complex128 {
-	templateOnce.Do(initTemplates)
-	return append([]complex128(nil), preambleTmpl...)
-}
-
+// buildPreamble synthesises the 320-sample legacy preamble: 10
+// repetitions of the 16-sample short symbol (160 samples) followed by a
+// 32-sample cyclic prefix and two 64-sample long training symbols (160
+// samples).
 func buildPreamble() []complex128 {
 	out := make([]complex128, 0, PreambleLen)
 

@@ -1,6 +1,8 @@
 package wifi
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,42 +41,9 @@ func TestReceiveCorruptedSignalField(t *testing.T) {
 	}
 }
 
-func TestReceiveAllSkipsCorruptPackets(t *testing.T) {
-	tx := NewTransmitter()
-	good1, _ := tx.Transmit(AppendFCS([]byte("first")), Rates[6])
-	bad, _ := tx.Transmit(AppendFCS([]byte("middle")), Rates[6])
-	good2, _ := tx.Transmit(AppendFCS([]byte("third")), Rates[6])
-
-	// Corrupt the middle packet's SIGNAL symbol.
-	rng := rand.New(rand.NewSource(2))
-	for i := PreambleLen; i < PreambleLen+SymbolLen; i++ {
-		bad.Samples[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-
-	cap := signal.New(SampleRate, len(good1.Samples)+len(bad.Samples)+len(good2.Samples)+3000)
-	pos := 200
-	for _, s := range []*signal.Signal{good1, bad, good2} {
-		copy(cap.Samples[pos:], s.Samples)
-		pos += len(s.Samples) + 800
-	}
-	pkts := NewReceiver().ReceiveAll(cap)
-	okCount := 0
-	for _, p := range pkts {
-		if p.FCSOK {
-			okCount++
-		}
-	}
-	if okCount != 2 {
-		t.Fatalf("decoded %d clean packets, want 2 around the corrupt one", okCount)
-	}
-}
-
 func TestDemapRejectsUnknownModulation(t *testing.T) {
 	if _, err := demapPointInto(nil, 0, Modulation(9)); err == nil {
 		t.Error("unknown modulation accepted")
-	}
-	if _, err := Map([]byte{0}, Modulation(9)); err == nil {
-		t.Error("unknown modulation accepted in Map")
 	}
 }
 
@@ -127,5 +96,137 @@ func TestTransmitSpectralContainment(t *testing.T) {
 	ratio := 10 * math.Log10(inDensity/outDensity)
 	if ratio < 15 {
 		t.Fatalf("in-band/out-of-band density ratio %.1f dB, want >= 15", ratio)
+	}
+}
+
+// craftedSignalCase is a capture whose SIGNAL symbol was built bit by bit,
+// with the outcome Receive must report (want nil: a packet).
+type craftedSignalCase struct {
+	name string
+	cap  *signal.Signal
+	want error
+}
+
+// craftedDataSymbols is the number of real data symbols behind each
+// crafted SIGNAL: enough for a one-byte PSDU at every rate.
+const craftedDataSymbols = 2
+
+// craftSignalSymbol encodes a SIGNAL field with the given 4-bit RATE code,
+// 12-bit LENGTH and parity (flipped from even when flipParity is set)
+// through the transmitter's BPSK rate-1/2 path.
+func craftSignalSymbol(rateCode byte, length int, flipParity bool) []complex128 {
+	b := make([]byte, 0, 24)
+	for i := 3; i >= 0; i-- {
+		b = append(b, rateCode>>uint(i)&1)
+	}
+	b = append(b, 0) // reserved
+	for i := 0; i < 12; i++ {
+		b = append(b, byte(length>>uint(i))&1)
+	}
+	parity := byte(0)
+	for _, v := range b {
+		parity ^= v
+	}
+	if flipParity {
+		parity ^= 1
+	}
+	b = append(b, parity, 0, 0, 0, 0, 0, 0)
+	td := make([]complex128, FFTSize)
+	mappers[BPSK].fill(td, ConvEncode(b))
+	out := make([]complex128, SymbolLen)
+	if err := symbolInto(out, td, 0); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// craftedSignalCases builds, for each of the 16 RATE codes, both parity
+// values and LENGTH 0, 1, 4095 and one past the capture, a capture
+// holding a real 6 Mbps preamble, the crafted SIGNAL symbol and
+// craftedDataSymbols real data symbols. "One past the capture" is the
+// shortest length whose data symbols overrun it (taken at 6 Mbps for the
+// codes that name no rate).
+func craftedSignalCases() []craftedSignalCase {
+	ppdu, err := NewTransmitter().Transmit(AppendFCS(make([]byte, 20)), Rates[6])
+	if err != nil {
+		panic(err)
+	}
+	n := PreambleLen + SymbolLen + craftedDataSymbols*SymbolLen
+	var out []craftedSignalCase
+	for code := byte(0); code < 16; code++ {
+		rate, valid := RateBySignalBits(code)
+		if !valid {
+			rate = Rates[6]
+		}
+		past := 1
+		for NumDataSymbols(past, rate) <= craftedDataSymbols {
+			past++
+		}
+		for _, flip := range []bool{false, true} {
+			for _, length := range []int{0, 1, 4095, past} {
+				cap := signal.New(SampleRate, n)
+				copy(cap.Samples, ppdu.Samples[:n])
+				copy(cap.Samples[PreambleLen:], craftSignalSymbol(code, length, flip))
+				var want error
+				switch {
+				case flip:
+					want = ErrBadSignal
+				case !valid:
+					want = ErrBadRate
+				case length == 0:
+					want = ErrBadSignal
+				case length != 1:
+					want = ErrTruncated
+				}
+				out = append(out, craftedSignalCase{
+					name: fmt.Sprintf("rate%#x/len%d/flip=%v", code, length, flip),
+					cap:  cap, want: want,
+				})
+			}
+		}
+	}
+	return out
+}
+
+// craftedRejectAllocs is the measured allocation count of Receive on a
+// capture it rejects after reading SIGNAL: the receiver's per-capture
+// allocation bound when no packet comes out.
+const craftedRejectAllocs = 0
+
+// TestCraftedSignalFields drives Receive with every RATE code, both parity
+// values and boundary LENGTH fields behind a real preamble. The checks run
+// in field order: a bad parity is ErrBadSignal, then an unknown rate
+// ErrBadRate, then a zero length ErrBadSignal, a length the capture cannot
+// hold ErrTruncated, and a one-byte PSDU a packet. Nothing panics, and a
+// rejected capture allocates no more than craftedRejectAllocs.
+func TestCraftedSignalFields(t *testing.T) {
+	// The crafting path reproduces the transmitter's own SIGNAL symbol.
+	ppdu, err := NewTransmitter().Transmit(AppendFCS(make([]byte, 20)), Rates[6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym := craftSignalSymbol(Rates[6].SignalBits, 24, false)
+	for i, v := range sym {
+		if ppdu.Samples[PreambleLen+i] != v {
+			t.Fatalf("crafted SIGNAL sample %d = %v, transmitter's %v", i, v, ppdu.Samples[PreambleLen+i])
+		}
+	}
+
+	rx := NewReceiver()
+	for _, c := range craftedSignalCases() {
+		pkt, err := rx.Receive(c.cap)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: Receive error %v, want %v", c.name, err, c.want)
+			continue
+		}
+		if err == nil && (pkt == nil || len(pkt.PSDU) != 1) {
+			t.Errorf("%s: packet %+v, want a one-byte PSDU", c.name, pkt)
+		}
+		if err == nil || raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(5, func() { rx.Receive(c.cap) }); allocs > craftedRejectAllocs {
+			t.Errorf("%s: rejected capture costs %v allocs, bound %d", c.name, allocs, craftedRejectAllocs)
+		}
 	}
 }

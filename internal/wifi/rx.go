@@ -2,7 +2,6 @@ package wifi
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -14,7 +13,7 @@ import (
 // Errors returned by the receiver.
 var (
 	ErrNoPacket      = errors.New("wifi: no packet found")
-	ErrBadSignal     = errors.New("wifi: SIGNAL field parity check failed")
+	ErrBadSignal     = errors.New("wifi: SIGNAL field fails its parity or length check")
 	ErrBadRate       = errors.New("wifi: SIGNAL field carries an unknown rate")
 	ErrTruncated     = errors.New("wifi: capture truncated before packet end")
 	ErrWeakDetection = errors.New("wifi: preamble correlation below threshold")
@@ -85,7 +84,7 @@ func NewReceiver() *Receiver {
 
 // Receive finds and decodes the first PPDU in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxPacket, error) {
-	start, quality := rx.DetectPreamble(cap, 0)
+	start, quality := rx.DetectPreamble(cap)
 	if start < 0 {
 		return nil, ErrNoPacket
 	}
@@ -95,39 +94,15 @@ func (rx *Receiver) Receive(cap *signal.Signal) (*RxPacket, error) {
 	return rx.decodeFrom(cap, start)
 }
 
-// ReceiveAll decodes every PPDU in the capture in time order.
-func (rx *Receiver) ReceiveAll(cap *signal.Signal) []*RxPacket {
-	var out []*RxPacket
-	from := 0
-	for {
-		start, quality := rx.DetectPreamble(cap, from)
-		if start < 0 {
-			return out
-		}
-		if quality < rx.DetectionThreshold {
-			from = start + SymbolLen
-			continue
-		}
-		pkt, err := rx.decodeFrom(cap, start)
-		if err != nil {
-			from = start + SymbolLen
-			continue
-		}
-		out = append(out, pkt)
-		from = start + PreambleLen +
-			(SignalSymbols+NumDataSymbols(len(pkt.PSDU), pkt.Rate))*SymbolLen
-	}
-}
-
-// DetectPreamble locates the next preamble at or after sample from by
+// DetectPreamble locates the first preamble in the capture by
 // cross-correlating with the known 64-sample LTF for timing, then scores
 // the candidate with the delay-64 *auto*-correlation of the two LTF copies
 // (Schmidl-Cox style). The autocorrelation is channel-independent — echoes
 // delay both copies identically — so detection quality measures SNR rather
 // than channel flatness, as in commodity chips. Returns the preamble start
 // index and the periodicity quality (≈ SNR/(SNR+1)), or (-1, 0).
-func (rx *Receiver) DetectPreamble(cap *signal.Signal, from int) (int, float64) {
-	start, _ := rx.detectTiming(cap, from)
+func (rx *Receiver) DetectPreamble(cap *signal.Signal) (int, float64) {
+	start, _ := rx.detectTiming(cap)
 	if start < 0 {
 		return -1, 0
 	}
@@ -155,7 +130,7 @@ func ltfPeriodicity(s []complex128, start int) float64 {
 }
 
 // detectTiming finds the best LTF matched-filter alignment.
-func (rx *Receiver) detectTiming(cap *signal.Signal, from int) (int, float64) {
+func (rx *Receiver) detectTiming(cap *signal.Signal) (int, float64) {
 	templateOnce.Do(initTemplates)
 	lt := ltfConjTmpl
 	ltPow := ltfTmplPower
@@ -175,13 +150,13 @@ func (rx *Receiver) detectTiming(cap *signal.Signal, from int) (int, float64) {
 	// in this loop, so the result is bit-identical to the plain scan.
 	last := n - PreambleLen - SymbolLen
 	var sc ltfScreener
-	useScreen := last-from+1 >= screenMinOffsets
+	useScreen := last+1 >= screenMinOffsets
 	if useScreen {
 		a := signal.GetArena()
 		defer a.Release()
-		sc.init(cap.Samples, from+192, last-from+1, a)
+		sc.init(cap.Samples, 192, last+1, a)
 	}
-	for i := from; i+PreambleLen+SymbolLen <= n; i++ {
+	for i := 0; i+PreambleLen+SymbolLen <= n; i++ {
 		// The LTF is 64-sample periodic, so misalignments by a whole FFT
 		// window also correlate; keep scanning a full symbol past the best
 		// candidate before accepting it. Checked before the screen so that
@@ -191,7 +166,7 @@ func (rx *Receiver) detectTiming(cap *signal.Signal, from int) (int, float64) {
 		if bestQ > 0.5 && i > best+SymbolLen {
 			break
 		}
-		if useScreen && !sc.passAt(i-from) {
+		if useScreen && !sc.passAt(i) {
 			continue
 		}
 		// Candidate position of first LTF symbol.
@@ -386,17 +361,6 @@ func (sc *ltfScreener) block() {
 		}
 	}
 	sc.done = base + lim
-}
-
-// ltfScreen screens all count offsets at once (the historical eager entry
-// point, kept for tests that exercise the screen in isolation).
-func ltfScreen(s []complex128, p0, count int, a *signal.Arena) []byte {
-	var sc ltfScreener
-	sc.init(s, p0, count, a)
-	for sc.done < sc.count {
-		sc.block()
-	}
-	return sc.pass
 }
 
 // decodeFrom decodes a PPDU whose preamble starts at sample start.
@@ -661,8 +625,8 @@ func parseSignal(b []byte) (Rate, int, error) {
 	for i := 0; i < 12; i++ {
 		length |= int(b[5+i]&1) << uint(i)
 	}
-	if length < 1 || length > 4095 {
-		return Rate{}, 0, fmt.Errorf("wifi: SIGNAL length %d out of range", length)
+	if length < 1 {
+		return Rate{}, 0, ErrBadSignal
 	}
 	return rate, length, nil
 }

@@ -11,13 +11,13 @@ import (
 
 // refDetectTiming is the pre-screen scan kept verbatim: the FFT
 // matched-filter screen must reproduce its result bit for bit.
-func refDetectTiming(cap *signal.Signal, from int) (int, float64) {
+func refDetectTiming(cap *signal.Signal) (int, float64) {
 	templateOnce.Do(initTemplates)
 	lt := ltfConjTmpl
 	ltPow := ltfTmplPower
 	n := len(cap.Samples)
 	best, bestQ := -1, 0.0
-	for i := from; i+PreambleLen+SymbolLen <= n; i++ {
+	for i := 0; i+PreambleLen+SymbolLen <= n; i++ {
 		p := i + 192
 		c1, p1 := corr64(cap.Samples[p:], lt)
 		if p1 == 0 {
@@ -80,8 +80,9 @@ func TestDetectTimingScreenBitIdentical(t *testing.T) {
 
 	for ci, cap := range caps {
 		for _, from := range []int{0, 100, len(cap.Samples) / 2} {
-			wantStart, wantQ := refDetectTiming(cap, from)
-			gotStart, gotQ := rx.detectTiming(cap, from)
+			tail := &signal.Signal{Rate: cap.Rate, Samples: cap.Samples[from:]}
+			wantStart, wantQ := refDetectTiming(tail)
+			gotStart, gotQ := rx.detectTiming(tail)
 			if gotStart != wantStart || gotQ != wantQ {
 				t.Fatalf("capture %d from %d: screen scan (%d, %v) != plain scan (%d, %v)",
 					ci, from, gotStart, gotQ, wantStart, wantQ)
@@ -118,4 +119,15 @@ func TestLazyScreenMatchesEager(t *testing.T) {
 			t.Fatalf("offset %d: lazy screen %v, eager %v", u, got, want)
 		}
 	}
+}
+
+// ltfScreen screens all count offsets at once: the eager pass the lazy
+// screener must reproduce.
+func ltfScreen(s []complex128, p0, count int, a *signal.Arena) []byte {
+	var sc ltfScreener
+	sc.init(s, p0, count, a)
+	for sc.done < sc.count {
+		sc.block()
+	}
+	return sc.pass
 }

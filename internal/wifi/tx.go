@@ -195,9 +195,10 @@ func (t *Transmitter) dataSymbolsInto(dst []complex128, psdu []byte, rate Rate, 
 // copy and no per-point call. src folds the §17.3.5.7 permutation into
 // the mapper's bit order: bit b (MSB first, I axis then Q) of data
 // subcarrier i is in[src[i·NBPSC+b]], where the interleaver would have
-// put it. levels are the kmod-scaled per-axis PAM levels Map indexes, so
-// every point is the exact value Map produces from the interleaved bits
-// (tx_ref_test.go's unfused chain checks this sample for sample).
+// put it. levels are the kmod-scaled per-axis PAM levels that
+// tx_ref_test.go's per-point mapPoint indexes, so every point is the
+// exact value mapPoint produces from the interleaved bits (the unfused
+// chain there checks this sample for sample).
 type mapper struct {
 	src    []uint16
 	levels []float64
@@ -224,7 +225,7 @@ func buildMappers() (t [QAM64 + 1]mapper) {
 }
 
 // mapperFor returns the fused mapper for a rate, rejecting the shapes the
-// unfused interleave-and-Map chain would reject: an unknown modulation, or NBPSC and
+// unfused interleave-and-map chain would reject: an unknown modulation, or NBPSC and
 // NCBPS that do not match the constellation.
 func mapperFor(r Rate) (*mapper, error) {
 	if r.Modulation < BPSK || r.Modulation > QAM64 {

@@ -34,7 +34,7 @@ func refTransmit(psdu []byte, rate Rate, scramblerSeed byte) ([]complex128, erro
 }
 
 // mapSymbolBits maps NCBPS interleaved bits onto the 48 data subcarriers
-// of one OFDM symbol, in DataSubcarriers order, one Map call per point:
+// of one OFDM symbol, in DataSubcarriers order, one mapPoint call per point:
 // the unfused mapper the reference chain and the symbol round-trip test
 // run.
 func mapSymbolBits(in []byte, r Rate) ([NumData]complex128, error) {
@@ -43,13 +43,42 @@ func mapSymbolBits(in []byte, r Rate) ([NumData]complex128, error) {
 		return out, fmt.Errorf("wifi: symbol mapper input %d bits, want %d", len(in), r.NCBPS)
 	}
 	for i := 0; i < NumData; i++ {
-		pt, err := Map(in[i*r.NBPSC:(i+1)*r.NBPSC], r.Modulation)
+		pt, err := mapPoint(in[i*r.NBPSC:(i+1)*r.NBPSC], r.Modulation)
 		if err != nil {
 			return out, err
 		}
 		out[i] = pt
 	}
 	return out, nil
+}
+
+// mapPoint converts NBPSC coded bits into one constellation point: the
+// per-point mapper the fused modulator's tables are checked against.
+func mapPoint(bitsIn []byte, m Modulation) (complex128, error) {
+	scaled, perAxis, err := scaledLevelsFor(m)
+	if err != nil {
+		return 0, err
+	}
+	want := perAxis
+	if m != BPSK {
+		want = 2 * perAxis
+	}
+	if len(bitsIn) != want {
+		return 0, fmt.Errorf("wifi: %v wants %d bits, got %d", m, want, len(bitsIn))
+	}
+	if m == BPSK {
+		return complex(scaled[bitsIn[0]&1], 0), nil
+	}
+	return complex(scaled[bitIndex(bitsIn[:perAxis])], scaled[bitIndex(bitsIn[perAxis:])]), nil
+}
+
+// bitIndex folds MSB-first bits into a level-table index.
+func bitIndex(bs []byte) int {
+	v := 0
+	for _, b := range bs {
+		v = v<<1 | int(b&1)
+	}
+	return v
 }
 
 func refSignalSymbolInto(dst []complex128, rate Rate, length int, a *signal.Arena) error {

@@ -343,7 +343,7 @@ func TestInterleaverRoundTripAllRates(t *testing.T) {
 			t.Fatalf("rate %d: interleaver round trip failed", mbps)
 		}
 		// The interleaver must be a permutation (no bit lost/duplicated).
-		if bits.Ones(il) != bits.Ones(in) {
+		if bytes.Count(il, []byte{1}) != bytes.Count(in, []byte{1}) {
 			t.Fatalf("rate %d: interleaver changed population count", mbps)
 		}
 	}
@@ -392,7 +392,7 @@ func TestMapDemapAllModulations(t *testing.T) {
 			for i := range in {
 				in[i] = byte(rng.Intn(2))
 			}
-			pt, err := Map(in, mc.m)
+			pt, err := mapPoint(in, mc.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -420,7 +420,7 @@ func TestConstellationUnitPower(t *testing.T) {
 			for i := range in {
 				in[i] = byte(v>>uint(mc.n-1-i)) & 1
 			}
-			pt, err := Map(in, mc.m)
+			pt, err := mapPoint(in, mc.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -439,7 +439,7 @@ func TestGrayMappingSingleBitNeighbours(t *testing.T) {
 	seen := map[float64][]byte{}
 	for v := 0; v < 4; v++ {
 		in := []byte{byte(v >> 1), byte(v & 1), 0, 0}
-		pt, err := Map(in, QAM16)
+		pt, err := mapPoint(in, QAM16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +515,8 @@ func TestSymbolAssemblyRoundTrip(t *testing.T) {
 }
 
 func TestPreambleStructure(t *testing.T) {
-	p := Preamble()
+	templateOnce.Do(initTemplates)
+	p := preambleTmpl
 	if len(p) != PreambleLen {
 		t.Fatalf("preamble length %d, want %d", len(p), PreambleLen)
 	}

@@ -1,9 +1,6 @@
 package zigbee
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // DataFrame is a minimal IEEE 802.15.4 data MPDU with short (16-bit)
 // addressing and PAN-ID compression: frame control, sequence number,
@@ -33,22 +30,4 @@ func (f *DataFrame) Marshal() []byte {
 	binary.LittleEndian.PutUint16(out[5:], f.DstAddr)
 	binary.LittleEndian.PutUint16(out[7:], f.SrcAddr)
 	return append(out, f.Payload...)
-}
-
-// ParseDataFrame decodes an MPDU produced by Marshal (the PHY layer has
-// already verified and stripped the FCS).
-func ParseDataFrame(mpdu []byte) (*DataFrame, error) {
-	if len(mpdu) < mhrLen {
-		return nil, fmt.Errorf("zigbee: MPDU %d bytes too short", len(mpdu))
-	}
-	if fc := binary.LittleEndian.Uint16(mpdu[0:]); fc != frameControlData {
-		return nil, fmt.Errorf("zigbee: unsupported frame control %#04x", fc)
-	}
-	return &DataFrame{
-		Seq:     mpdu[2],
-		DstPAN:  binary.LittleEndian.Uint16(mpdu[3:]),
-		DstAddr: binary.LittleEndian.Uint16(mpdu[5:]),
-		SrcAddr: binary.LittleEndian.Uint16(mpdu[7:]),
-		Payload: append([]byte(nil), mpdu[mhrLen:]...),
-	}, nil
 }

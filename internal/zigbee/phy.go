@@ -186,41 +186,18 @@ func buildPreambleTemplate() []complex128 {
 
 // Receive finds and decodes the first frame in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
-	start, gain, q := rx.detect(cap, 0)
+	start, gain, q := rx.detect(cap)
 	if start < 0 || q < rx.DetectionThreshold {
 		return nil, ErrNoFrame
 	}
 	return rx.decodeFrom(cap, start, gain)
 }
 
-// ReceiveAll decodes every frame in the capture in time order.
-func (rx *Receiver) ReceiveAll(cap *signal.Signal) []*RxFrame {
-	var out []*RxFrame
-	from := 0
-	for {
-		start, gain, q := rx.detect(cap, from)
-		if start < 0 {
-			return out
-		}
-		if q < rx.DetectionThreshold {
-			from = start + SymbolSamples
-			continue
-		}
-		f, err := rx.decodeFrom(cap, start, gain)
-		if err != nil {
-			from = start + SymbolSamples
-			continue
-		}
-		out = append(out, f)
-		from = start + (PreambleSymbols+2+2+len(f.Payload)*2+4)*SymbolSamples
-	}
-}
-
 // Detect locates the first preamble in the capture, returning its start
 // sample index and the normalised correlation quality ((-1, 0) if nothing
 // is found).
 func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
-	start, _, q := rx.detect(cap, 0)
+	start, _, q := rx.detect(cap)
 	return start, q
 }
 
@@ -254,12 +231,12 @@ var preamblePow = func() float64 {
 // detect correlates the preamble template slice-wise, returning the start
 // index, the complex channel gain estimate (coherent, so only valid after
 // CFO removal) and the normalised quality.
-func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float64) {
+func (rx *Receiver) detect(cap *signal.Signal) (int, complex128, float64) {
 	x := cap.Samples
 	last := len(x) - len(preambleTemplate) // final scan position
 	best, bestQ := -1, 0.0
 	var bestGain complex128
-	if from > last {
+	if last < 0 {
 		return best, bestGain, bestQ
 	}
 	// e[k] is the energy of x[base+k], computed once per sample for
@@ -268,11 +245,11 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 	// still ahead of the scan moves to its front.
 	a := signal.GetArena()
 	defer a.Release()
-	e := a.FloatUninit(min(len(x)-from, detectEnergyWindow))
-	base, filled := from, from
+	e := a.FloatUninit(min(len(x), detectEnergyWindow))
+	base, filled := 0, 0
 	var acc [detectSegments * detectBlock]complex128
 	var pow [detectBlock]float64
-	for i0 := from; i0 <= last; i0 += detectBlock {
+	for i0 := 0; i0 <= last; i0 += detectBlock {
 		npos := min(detectBlock, last-i0+1)
 		need := i0 + npos - 1 + len(preambleTemplate)
 		if need-base > len(e) {

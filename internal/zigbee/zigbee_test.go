@@ -377,18 +377,3 @@ func TestFrameDuration(t *testing.T) {
 		t.Fatalf("duration %g, want 896us", got)
 	}
 }
-
-func TestReceiveAllMultipleFrames(t *testing.T) {
-	a, _ := NewTransmitter().Transmit([]byte("frame one"))
-	b, _ := NewTransmitter().Transmit([]byte("frame two is longer"))
-	cap := signal.New(SampleRate, len(a.Samples)+len(b.Samples)+3000)
-	copy(cap.Samples[100:], a.Samples)
-	copy(cap.Samples[100+len(a.Samples)+1500:], b.Samples)
-	frames := NewReceiver().ReceiveAll(cap)
-	if len(frames) != 2 {
-		t.Fatalf("decoded %d frames, want 2", len(frames))
-	}
-	if string(frames[0].Payload) != "frame one" || string(frames[1].Payload) != "frame two is longer" {
-		t.Fatal("frame payloads wrong or out of order")
-	}
-}
