@@ -68,11 +68,11 @@ govulncheck:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-serve benchmarks the HTTP service path (inline decode, session
-# pool) plus the waveform-cache contention benchmark through the
-# same benchgate as the DSP suite: one JSONL trajectory point per run in
-# BENCH_SERVE.json (ns/op, allocs/op, plus the hit-rate, coalesced/s and
-# lockwait-ns/op custom metrics), gated against
+# bench-serve benchmarks the HTTP service path (inline decode, simulate
+# on a per-request session) plus the waveform-cache contention benchmark
+# through the same benchgate as the DSP suite: one JSONL trajectory point
+# per run in BENCH_SERVE.json (ns/op, allocs/op, plus the coalesced/s
+# and lockwait-ns/op custom metrics), gated against
 # BENCH_SERVE_BASELINE.json. The contention benchmark runs a fixed
 # iteration count so its ns/op and lock wait are comparable across runs.
 # The serve suite has no calibration probe, so ns/op budgets are compared
@@ -154,10 +154,11 @@ golden:
 # loadtest-quick is the service-layer race gate: 64 goroutines hammer
 # /v1/decode with mixed radio configs over real HTTP and every response
 # must be bit-identical to the serial baseline; concurrent simulates share
-# one pooled session; and a closed server answers 503 while every request
-# accepted before Close completes.
+# one waveform cache; a simulate holds its gate slot until its run ends;
+# and a closed server answers 503 while every request accepted before
+# Close completes.
 loadtest-quick:
-	$(GO) test -race -count=1 -run 'TestDecodeConcurrentMixedRadios|TestSimulateConcurrentSharedSession|TestShutdownDrains' ./internal/server
+	$(GO) test -race -count=1 -run 'TestDecodeConcurrentMixedRadios|TestSimulateConcurrentSharedWaveforms|TestSimulateGateHeldForRun|TestShutdownDrains' ./internal/server
 
 # soak runs the chaos fault-injection soak at full effort: the intensity
 # sweep across all three radios plus a 4 kB quaternary transfer through the

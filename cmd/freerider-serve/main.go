@@ -6,13 +6,13 @@
 // Usage:
 //
 //	freerider-serve [-addr :8080] [-workers N] [-max-inflight N]
-//	                [-pool-size N] [-max-body BYTES] [-request-timeout D]
-//	                [-admin-addr 127.0.0.1:6060]
+//	                [-max-body BYTES] [-admin-addr 127.0.0.1:6060]
 //
-// Each decode request is decoded on its own request goroutine;
-// responses are bit-identical to direct library calls. Each v1 endpoint
-// admits at most -max-inflight concurrent requests and sheds the excess
-// with 429 + Retry-After. SIGINT/SIGTERM trigger a graceful shutdown that
+// Each request does its work on its own request goroutine: decode
+// decodes the stream, simulate builds a session and runs it. Responses
+// are bit-identical to direct library calls. Each v1 endpoint admits at
+// most -max-inflight concurrent requests and sheds the excess with
+// 429 + Retry-After. SIGINT/SIGTERM trigger a graceful shutdown that
 // finishes in-flight requests before exiting.
 package main
 
@@ -68,9 +68,7 @@ func main() {
 	addr := flag.String("addr", server.DefaultAddr, "listen address")
 	workers := flag.Int("workers", 0, "worker pool for simulate and experiment sweeps (0 = all cores); results do not depend on it")
 	maxInflight := flag.Int("max-inflight", server.DefaultMaxInflight, "per-endpoint concurrent requests before 429 backpressure")
-	poolSize := flag.Int("pool-size", server.DefaultPoolSize, "session LRU capacity (distinct link configs kept warm)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes (413 beyond)")
-	requestTimeout := flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request compute deadline on /v1/simulate (504 beyond; negative disables)")
 	adminAddr := flag.String("admin-addr", "", "loopback-only admin listener serving /debug/pprof (disabled when empty)")
 	flag.Parse()
 
@@ -79,12 +77,10 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Addr:           *addr,
-		Workers:        *workers,
-		MaxInflight:    *maxInflight,
-		PoolSize:       *poolSize,
-		MaxBodyBytes:   *maxBody,
-		RequestTimeout: *requestTimeout,
+		Addr:         *addr,
+		Workers:      *workers,
+		MaxInflight:  *maxInflight,
+		MaxBodyBytes: *maxBody,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -296,17 +296,8 @@ type SendOptions struct {
 	// Quaternary starts the transfer on the eq. 5 scheme: 2 tag bits per
 	// window at the 12 Mbps QPSK rate. WiFi only. When the link degrades,
 	// Send falls back to binary translation and probes its way back up
-	// (see DegradationReport) unless DisableFallback is set.
+	// (see DegradationReport).
 	Quaternary bool
-	// DisableFallback pins the translation scheme for the whole transfer:
-	// a chunk that exhausts its attempt budget fails the transfer instead
-	// of degrading to binary.
-	DisableFallback bool
-	// RecoverAfter is how many consecutive first-attempt chunk deliveries
-	// a degraded transfer waits for before probing quaternary again; 0
-	// selects DefaultRecoverAfter. Negative values are rejected with a
-	// validation error, mirroring the Attempts check.
-	RecoverAfter int
 	// Faults attaches a fault-injection profile to the link (nil = benign
 	// channel, bit-identical to a profile-free session).
 	Faults *FaultProfile
@@ -332,15 +323,15 @@ type SendOptions struct {
 // (and DefaultSendOptions carries).
 const DefaultSendAttempts = 3
 
-// DefaultRecoverAfter is how many consecutive clean chunks a degraded
-// transfer observes before probing quaternary translation again.
-const DefaultRecoverAfter = 4
+// recoverAfter is how many consecutive first-attempt chunk deliveries a
+// degraded transfer observes before probing quaternary translation again.
+const recoverAfter = 4
 
 // DefaultSendOptions returns the options Send itself runs with; tweak
 // fields from here instead of building a SendOptions from zero (a zero
 // Attempts is rejected, not defaulted).
 func DefaultSendOptions() SendOptions {
-	return SendOptions{Attempts: DefaultSendAttempts, RecoverAfter: DefaultRecoverAfter}
+	return SendOptions{Attempts: DefaultSendAttempts}
 }
 
 // DegradationReport describes how hard a transfer had to fight the link:
@@ -413,7 +404,7 @@ func SendWithOptions(r Radio, tagToRxMetres float64, bits []byte, seed int64, op
 // evidence, so each retransmission adds link margin instead of starting
 // over. A quaternary transfer whose chunk exhausts its budget falls back
 // to binary translation — half the rate, twice the phase margin — and,
-// after RecoverAfter consecutive first-attempt deliveries, risks one probe
+// after recoverAfter consecutive first-attempt deliveries, risks one probe
 // chunk back at quaternary.
 func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts SendOptions) ([]byte, DegradationReport, error) {
 	var rep DegradationReport
@@ -424,13 +415,6 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 	}
 	if opts.Attempts <= 0 {
 		return nil, rep, fmt.Errorf("freerider: SendOptions.Attempts is %d, want > 0 (start from DefaultSendOptions)", opts.Attempts)
-	}
-	if opts.RecoverAfter < 0 {
-		return nil, rep, fmt.Errorf("freerider: SendOptions.RecoverAfter is %d, want >= 0 (0 selects DefaultRecoverAfter)", opts.RecoverAfter)
-	}
-	recoverAfter := opts.RecoverAfter
-	if recoverAfter <= 0 {
-		recoverAfter = DefaultRecoverAfter
 	}
 	cfg := DefaultConfig(r, tagToRxMetres)
 	cfg.Seed = seed
@@ -561,7 +545,7 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 				}
 				continue
 			}
-			if s.Config().Quaternary && !opts.DisableFallback {
+			if s.Config().Quaternary {
 				// Graceful degradation: halve the rate, double the phase
 				// margin, and give the chunk a fresh budget.
 				if err := s.SetQuaternary(false); err != nil {

@@ -99,10 +99,6 @@ type Config struct {
 	// PilotPhaseTracking enables the receiver behaviour FreeRider must not
 	// have (ablation; see §3.2.1 on pilot tones).
 	PilotPhaseTracking bool
-	// DetectionThreshold overrides the receiver's packet-detection
-	// threshold; zero selects the per-radio calibrated default, which
-	// mimics commodity-chip sensitivity (see EXPERIMENTS.md §calibration).
-	DetectionThreshold float64
 	// Faults attaches a fault-injection profile: each packet slot runs
 	// under faults.Profile.At(Seed, slot). Nil disables fault injection
 	// and leaves every code path bit-identical to a fault-free build.
@@ -150,7 +146,8 @@ type Config struct {
 }
 
 // Calibrated per-radio receiver detection thresholds: normalised preamble
-// correlation below which a commodity chip misses the packet.
+// correlation below which a commodity chip misses the packet (see
+// EXPERIMENTS.md §calibration).
 const (
 	wifiDetectionThreshold = 0.72 // periodicity metric; fails below ~4 dB instantaneous SNR
 	zbDetectionThreshold   = 0.85 // fails below ~4.3 dB
@@ -176,13 +173,6 @@ const (
 	// and the unflipped ratio of 1 on a linear scale.
 	btSinglePowerRatio = 0.7
 )
-
-func (c Config) detectionThreshold(def float64) float64 {
-	if c.DetectionThreshold > 0 {
-		return c.DetectionThreshold
-	}
-	return def
-}
 
 // DefaultConfig returns the calibrated defaults for a radio at the given
 // tag-to-receiver distance (TX-to-tag 1 m, LOS, as in §4.1).

@@ -218,7 +218,7 @@ func (p *wifiPHY) ref(psdu []byte) []byte {
 
 func (p *wifiPHY) receiver() *wifi.Receiver {
 	rx := wifi.NewReceiver()
-	rx.DetectionThreshold = p.cfg.detectionThreshold(wifiDetectionThreshold)
+	rx.DetectionThreshold = wifiDetectionThreshold
 	rx.PilotPhaseTracking = p.cfg.PilotPhaseTracking
 	rx.CollectPilotPhases = p.cfg.ReceiverMode == SingleReceiver
 	// The session reports the link budget's backscatter RSSI, never the
@@ -364,7 +364,7 @@ func (p *zigbeePHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.Entry
 
 func (p *zigbeePHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	rx := zigbee.NewReceiver()
-	rx.DetectionThreshold = p.cfg.detectionThreshold(zbDetectionThreshold)
+	rx.DetectionThreshold = zbDetectionThreshold
 	rx.CollectFlips = p.cfg.ReceiverMode == SingleReceiver
 	frame, err := rx.Receive(cap)
 	if err != nil {
@@ -439,7 +439,7 @@ func (p *bluetoothPHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.En
 
 func (p *bluetoothPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	rx := bluetooth.NewReceiver()
-	rx.DetectionThreshold = p.cfg.detectionThreshold(btDetectionThreshold)
+	rx.DetectionThreshold = btDetectionThreshold
 	rx.CollectPower = p.cfg.ReceiverMode == SingleReceiver
 	// One channel-filter + discriminator pass answers both the sync
 	// detection and the raw bit slicing; its buffers live until the

@@ -2,9 +2,8 @@ package obs
 
 import "sync/atomic"
 
-// CacheCounters is the shared lookup/admission instrumentation for the
-// process's content caches (the waveform TX cache, the server's session
-// pool). All methods are safe for concurrent use and the zero value is
+// CacheCounters is the lookup/admission instrumentation of the waveform
+// TX cache. All methods are safe for concurrent use and the zero value is
 // ready; embed it in a cache and surface Snapshot through /metrics.
 //
 // Beyond the classic hit/miss/eviction triple it distinguishes the two

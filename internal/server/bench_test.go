@@ -40,9 +40,10 @@ func BenchmarkDecodeEndpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulateEndpoint measures the simulate path over a small
-// rotating set of configs, reporting the session pool's hit rate — the
-// number BENCH_SERVE.json tracks across PRs.
+// BenchmarkSimulateEndpoint measures the simulate path — middleware,
+// JSON, session construction, the run, response — over a small rotating
+// set of configs; `make bench-serve` appends ns/op and allocs/op to
+// BENCH_SERVE.json.
 func BenchmarkSimulateEndpoint(b *testing.B) {
 	s := New(Config{MaxInflight: 1 << 20})
 	defer s.Close()
@@ -69,6 +70,4 @@ func BenchmarkSimulateEndpoint(b *testing.B) {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(s.pool.stats().HitRate, "hit-rate")
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // The body fuzzers post arbitrary bytes to one /v1 endpoint through the
@@ -20,10 +19,9 @@ import (
 // body stays cheap: two packets per simulate, 64 KiB bodies, one worker.
 func fuzzServer(f *testing.F) *Server {
 	s := New(Config{
-		Workers:        1,
-		MaxPackets:     2,
-		MaxBodyBytes:   64 << 10,
-		RequestTimeout: time.Minute,
+		Workers:      1,
+		MaxPackets:   2,
+		MaxBodyBytes: 64 << 10,
 	})
 	f.Cleanup(s.Close)
 	return s

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -333,8 +332,6 @@ type simulateRequest struct {
 type simulateResponse struct {
 	Radio          string             `json:"radio"`
 	Receiver       string             `json:"receiver"`
-	ConfigKey      string             `json:"config_key"`
-	CacheHit       bool               `json:"cache_hit"`
 	CapacityBits   int                `json:"capacity_bits"`
 	AirtimeSeconds float64            `json:"airtime_seconds"`
 	Result         core.SessionResult `json:"result"`
@@ -400,78 +397,43 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := configKey(freerider.RadioKey(radio), mode, req)
-	sess, hit, err := s.pool.get(key, func() (*core.Session, error) {
-		cfg := freerider.DefaultConfig(radio, req.Distance)
-		cfg.Seed = req.Seed
-		cfg.Faults = profile
-		cfg.Coding = req.Coding
-		cfg.ReceiverMode = mode
-		if req.TxDistance > 0 {
-			cfg.Link.TxToTag = req.TxDistance
-		}
-		if req.NLOS {
-			cfg.SetNLOS()
-		}
-		if req.PayloadSize > 0 {
-			cfg.PayloadSize = req.PayloadSize
-		}
-		if req.Redundancy > 0 {
-			cfg.Redundancy = req.Redundancy
-		}
-		if req.RateMbps > 0 {
-			cfg.WiFiRateMbps = req.RateMbps
-		}
-		cfg.Quaternary = req.Quaternary
-		cfg.Waveforms = s.waveforms
-		return freerider.NewSession(cfg)
-	})
+	cfg := freerider.DefaultConfig(radio, req.Distance)
+	cfg.Seed = req.Seed
+	cfg.Faults = profile
+	cfg.Coding = req.Coding
+	cfg.ReceiverMode = mode
+	if req.TxDistance > 0 {
+		cfg.Link.TxToTag = req.TxDistance
+	}
+	if req.NLOS {
+		cfg.SetNLOS()
+	}
+	if req.PayloadSize > 0 {
+		cfg.PayloadSize = req.PayloadSize
+	}
+	if req.Redundancy > 0 {
+		cfg.Redundancy = req.Redundancy
+	}
+	if req.RateMbps > 0 {
+		cfg.WiFiRateMbps = req.RateMbps
+	}
+	cfg.Quaternary = req.Quaternary
+	cfg.Waveforms = s.waveforms
+	sess, err := freerider.NewSession(cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The run happens off-handler so the request deadline can fire while a
-	// large sweep is still computing. The channel is buffered: on timeout
-	// the worker finishes into the buffer and is collected by GC — results
-	// from cached sessions stay deterministic either way.
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	type simOutcome struct {
-		res core.SessionResult
-		err error
-	}
-	outc := make(chan simOutcome, 1)
-	go func() {
-		if s.testSimHook != nil {
-			s.testSimHook()
-		}
-		res, err := sess.RunParallel(req.Packets, s.cfg.Workers)
-		outc <- simOutcome{res, err}
-	}()
-	var out simOutcome
-	select {
-	case out = <-outc:
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout,
-				"simulate exceeded the %s request deadline", s.cfg.RequestTimeout)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "%v", ctx.Err())
+	res, err := sess.RunParallel(req.Packets, s.cfg.Workers)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if out.err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", out.err)
-		return
-	}
-	res := out.res
 	s.modes.Simulate(mode == freerider.SingleReceiver)
 	s.modes.AddDropped(int64(res.DroppedElements))
 	resp := simulateResponse{
 		Radio:          freerider.RadioKey(radio),
 		Receiver:       mode.String(),
-		ConfigKey:      key,
-		CacheHit:       hit,
 		CapacityBits:   sess.Capacity(),
 		AirtimeSeconds: sess.PacketDuration(),
 		Result:         res,

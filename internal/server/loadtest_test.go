@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	freerider "repro"
 )
@@ -120,11 +121,12 @@ func TestDecodeConcurrentMixedRadios(t *testing.T) {
 	}
 }
 
-// TestSimulateConcurrentSharedSession hammers one cached session from
-// many goroutines: the pool hands the same *core.Session to all of them,
-// so this is the -race proof that pooled sessions are safe to share, and
-// every response must equal the serial baseline.
-func TestSimulateConcurrentSharedSession(t *testing.T) {
+// TestSimulateConcurrentSharedWaveforms sends one config from many
+// goroutines at once: each request builds its own session, but all of
+// them read and fill the server's one waveform cache, so this is the
+// -race proof that the cache is safe to share, and every response must
+// equal the serial baseline.
+func TestSimulateConcurrentSharedWaveforms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulate load test skipped in -short")
 	}
@@ -168,9 +170,79 @@ func TestSimulateConcurrentSharedSession(t *testing.T) {
 				return
 			}
 			if got.Result != want {
-				t.Errorf("goroutine %d: shared session diverged: %+v != %+v", g, got.Result, want)
+				t.Errorf("goroutine %d: simulate diverged: %+v != %+v", g, got.Result, want)
 			}
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSimulateGateHeldForRun pins that a simulate run holds its gate slot
+// until it has finished computing: with one slot, a second simulate sent
+// while the first is in its handler is shed with 429 + Retry-After, and
+// the first still answers with the result of a direct RunParallel.
+func TestSimulateGateHeldForRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInflight: 1, Workers: 1})
+	long := simulateRequest{Radio: "zigbee", Distance: 3, Packets: 100, Seed: 7}
+
+	type reply struct {
+		status int
+		body   []byte
+	}
+	first := make(chan reply, 1)
+	go func() {
+		raw, _ := json.Marshal(long)
+		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			first <- reply{status: -1, body: []byte(err.Error())}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		first <- reply{resp.StatusCode, body}
+	}()
+
+	// Wait until the first request is inside its handler.
+	for {
+		var m metricsResponse
+		getJSON(t, ts.URL+"/metrics", &m)
+		if m.Endpoints["simulate"].InFlight == 1 {
+			break
+		}
+		select {
+		case r := <-first:
+			t.Fatalf("first simulate finished before it was seen in flight: %d %s", r.status, r.body)
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Radio: "zigbee", Distance: 3, Packets: 1, Seed: 7})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second simulate while the first computes: got %d %s, want 429", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 response missing Retry-After")
+	}
+
+	r := <-first
+	if r.status != http.StatusOK {
+		t.Fatalf("first simulate: %d %s", r.status, r.body)
+	}
+	var got simulateResponse
+	if err := json.Unmarshal(r.body, &got); err != nil {
+		t.Fatal(err)
+	}
+	cfg := freerider.DefaultConfig(freerider.ZigBee, 3)
+	cfg.Seed = 7
+	sess, err := freerider.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.RunParallel(long.Packets, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Result != want {
+		t.Fatalf("simulate diverges from direct RunParallel:\n got %+v\nwant %+v", got.Result, want)
+	}
 }

@@ -6,20 +6,18 @@
 //
 // The middle layer is where the serving engineering lives:
 //
-//   - a session pool caching constructed PHY/codebook state keyed by a
-//     hash of the link configuration (LRU with a measured hit rate), so a
-//     hot config pays NewSession once;
 //   - per-endpoint concurrency gates that turn overload into 429 +
 //     Retry-After instead of unbounded goroutines;
 //   - graceful shutdown that stops accepting, lets in-flight handlers
 //     finish (http.Server.Shutdown) and then answers 503 to anything
 //     that still reaches a gated endpoint.
 //
-// Every response is bit-identical to the corresponding direct library
-// call: /v1/decode calls the stream decoder on the request's own
-// goroutine, and cached sessions are only used through the
-// Run/RunParallel paths, which derive all randomness from (seed, packet
-// index) and never mutate session state.
+// Every handler does its work on the request's own goroutine, so a gate
+// slot is held for as long as the work runs. Every response is
+// bit-identical to the corresponding direct library call: /v1/decode
+// calls the stream decoder, and /v1/simulate builds a session for the
+// request and calls RunParallel, which derives all randomness from
+// (seed, packet index). Only the TX waveform cache outlives a request.
 package server
 
 import (
@@ -37,13 +35,8 @@ import (
 const (
 	DefaultAddr         = ":8080"
 	DefaultMaxInflight  = 64
-	DefaultPoolSize     = 32
 	DefaultMaxBodyBytes = 8 << 20
 	DefaultMaxPackets   = 2000
-
-	// DefaultRequestTimeout bounds how long /v1/simulate may compute
-	// before the handler answers 504.
-	DefaultRequestTimeout = 30 * time.Second
 
 	// shutdownGrace bounds how long ListenAndServe waits for in-flight
 	// requests once its context is cancelled.
@@ -60,18 +53,10 @@ type Config struct {
 	// MaxInflight is the per-endpoint concurrency bound; a request
 	// arriving with the gate full is rejected with 429 + Retry-After.
 	MaxInflight int
-	// PoolSize is the session LRU capacity (distinct link configs kept
-	// constructed).
-	PoolSize int
 	// MaxBodyBytes caps request bodies; oversize requests get 413.
 	MaxBodyBytes int64
 	// MaxPackets caps the per-request packet count of /v1/simulate.
 	MaxPackets int
-	// RequestTimeout is the per-request compute deadline on /v1/simulate:
-	// a run still working when it expires is answered 504 Gateway
-	// Timeout. /v1/decode decodes inline in microseconds and has no
-	// deadline. 0 selects DefaultRequestTimeout; negative disables it.
-	RequestTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -81,32 +66,24 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = DefaultMaxInflight
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = DefaultPoolSize
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.MaxPackets <= 0 {
 		c.MaxPackets = DefaultMaxPackets
 	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = DefaultRequestTimeout
-	}
 	return c
 }
 
-// Server is the assembled service: handlers, session pool, gates and
+// Server is the assembled service: handlers, waveform cache, gates and
 // metrics. Create with New, serve via Handler or ListenAndServe, and
 // Close when done.
 type Server struct {
-	cfg  Config
-	mux  *http.ServeMux
-	pool *sessionPool
+	cfg Config
+	mux *http.ServeMux
 	// waveforms is the process-wide TX waveform cache: every simulate
-	// session the pool builds shares it, so repeated requests with the
-	// same seed replay synthesised excitations even across distinct link
-	// configurations (and across pool evictions).
+	// session shares it, so repeated requests with the same seed replay
+	// synthesised excitations even across distinct link configurations.
 	waveforms *waveform.Cache
 	endpoints *obs.EndpointSet
 	gates     map[string]*runner.Gate
@@ -115,11 +92,6 @@ type Server struct {
 	start     time.Time
 	// closed is set by Close; every gated endpoint then answers 503.
 	closed atomic.Bool
-
-	// testSimHook, when set by a test, runs inside the simulate worker
-	// goroutine before the session run — the injection point for a slow
-	// session when exercising the request deadline.
-	testSimHook func()
 }
 
 // New builds a server from the config (zero values take defaults).
@@ -128,7 +100,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
-		pool:      newSessionPool(cfg.PoolSize),
 		waveforms: waveform.New(0),
 		endpoints: obs.NewEndpointSet(),
 		gates:     map[string]*runner.Gate{},
@@ -179,13 +150,4 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	s.Close()
 	<-errCh // ListenAndServe returns ErrServerClosed after Shutdown
 	return err
-}
-
-// requestCtx derives the compute-deadline context for /v1/simulate
-// (RequestTimeout <= 0 disables the deadline).
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }

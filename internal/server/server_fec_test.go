@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 
 	freerider "repro"
 
@@ -134,25 +133,20 @@ func TestCodedRequestValidation(t *testing.T) {
 	}
 }
 
-// TestSimulateCoded runs the coded link end to end over HTTP and checks
-// the coded aggregates and pool keying: the coded and uncoded variants of
-// the same link must be distinct sessions.
+// TestSimulateCoded runs the coded link end to end over HTTP after the
+// uncoded run of the same link has filled the shared waveform cache, and
+// checks the coded response against a direct run of a coded session.
 func TestSimulateCoded(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := simulateRequest{Radio: "wifi", Distance: 8, Packets: 30, Seed: 3}
 
-	resp, body := postJSON(t, ts.URL+"/v1/simulate", base)
-	if resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/simulate", base); resp.StatusCode != http.StatusOK {
 		t.Fatalf("uncoded simulate: %d %s", resp.StatusCode, body)
-	}
-	var plain simulateResponse
-	if err := json.Unmarshal(body, &plain); err != nil {
-		t.Fatal(err)
 	}
 
 	coded := base
 	coded.Coding = &fec.Config{N: 15, K: 9}
-	resp, body = postJSON(t, ts.URL+"/v1/simulate", coded)
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", coded)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("coded simulate: %d %s", resp.StatusCode, body)
 	}
@@ -160,11 +154,19 @@ func TestSimulateCoded(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.ConfigKey == plain.ConfigKey {
-		t.Fatalf("coded and uncoded requests share config key %s", got.ConfigKey)
+	cfg := freerider.DefaultConfig(freerider.WiFi, 8)
+	cfg.Seed = 3
+	cfg.Coding = coded.Coding
+	sess, err := freerider.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.CacheHit {
-		t.Fatalf("coded first request reported a pool hit")
+	want, err := sess.Run(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Result != want {
+		t.Fatalf("coded simulate diverges from direct Run:\n got %+v\nwant %+v", got.Result, want)
 	}
 	if got.Result.DataBitsDecoded == 0 {
 		t.Fatalf("coded simulate decoded no payload bits: %+v", got.Result)
@@ -176,42 +178,5 @@ func TestSimulateCoded(t *testing.T) {
 	st := fecMetrics(t, ts.URL)
 	if st.ChunksDecoded == 0 {
 		t.Fatalf("simulate did not feed the fec decode counters: %+v", st)
-	}
-}
-
-// TestSimulateRequestTimeout pins the /v1/simulate deadline via the
-// injected slow session hook.
-func TestSimulateRequestTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{RequestTimeout: 25 * time.Millisecond})
-	release := make(chan struct{})
-	s.testSimHook = func() { <-release }
-	defer close(release)
-
-	resp, body := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
-		Radio: "wifi", Distance: 8, Packets: 2, Seed: 1,
-	})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("slow simulate = %d %s, want 504", resp.StatusCode, body)
-	}
-}
-
-// TestRequestTimeoutDisabled checks a negative RequestTimeout switches the
-// deadline off: a briefly-held simulate run still completes normally.
-func TestRequestTimeoutDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{RequestTimeout: -1})
-	s.testSimHook = func() { time.Sleep(40 * time.Millisecond) }
-
-	resp, body := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{
-		Radio: "wifi", Distance: 8, Packets: 2, Seed: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate with disabled deadline = %d %s, want 200", resp.StatusCode, body)
-	}
-}
-
-// TestRequestTimeoutDefault pins the zero-value default.
-func TestRequestTimeoutDefault(t *testing.T) {
-	if got := (Config{}).withDefaults().RequestTimeout; got != DefaultRequestTimeout {
-		t.Fatalf("default RequestTimeout = %v, want %v", got, DefaultRequestTimeout)
 	}
 }

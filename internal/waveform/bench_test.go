@@ -10,8 +10,8 @@ import (
 // BenchmarkWaveformCacheContention is the serve-path contention
 // benchmark: 16 goroutines hammer one shared cache with a mixed-radio
 // working set — warm Gets, an eviction-churning Put tail, and a rotating
-// singleflight synthesis — the access mix the session pool produces under
-// concurrent /v1/simulate load. `make bench-serve` records it in
+// singleflight synthesis — the access mix the per-request simulate
+// sessions produce under concurrent /v1/simulate load. `make bench-serve` records it in
 // BENCH_SERVE.json. Reported extras: coalesced/s (singleflight sharing
 // rate) and lockwait-ns/op (time goroutines spent blocked on the cache
 // lock per operation).

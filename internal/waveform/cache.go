@@ -28,7 +28,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"sync"
 	"time"
 
@@ -76,31 +75,11 @@ func (b *KeyBuilder) Uint64(v uint64) *KeyBuilder {
 	return b
 }
 
-// Int64 appends a fixed-width signed integer part.
-func (b *KeyBuilder) Int64(v int64) *KeyBuilder {
-	return b.Uint64(uint64(v))
-}
-
-// Float64 appends a float part by its exact bit pattern, so distinct
-// values never collide and equal values always agree (NaNs included,
-// which %v-style text rendering cannot promise).
-func (b *KeyBuilder) Float64(v float64) *KeyBuilder {
-	return b.Uint64(math.Float64bits(v))
-}
-
 // Bytes appends a length-prefixed variable-width part. The prefix keeps
 // adjacent variable parts (payload, tag bits) from aliasing each other.
 func (b *KeyBuilder) Bytes(p []byte) *KeyBuilder {
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(len(p)))
 	b.buf = append(b.buf, p...)
-	return b
-}
-
-// String appends a length-prefixed string part without copying it through
-// a byte slice.
-func (b *KeyBuilder) String(s string) *KeyBuilder {
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(len(s)))
-	b.buf = append(b.buf, s...)
 	return b
 }
 

@@ -1,34 +1,10 @@
 package freerider
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/fec"
 )
-
-// TestSendRecoverAfterValidation: negative RecoverAfter is a caller bug and
-// must be rejected up front, mirroring the Attempts check; zero selects the
-// default and must work.
-func TestSendRecoverAfterValidation(t *testing.T) {
-	opts := DefaultSendOptions()
-	opts.RecoverAfter = -1
-	_, _, err := SendDetailed(WiFi, 8, patternBits(16), 1, opts)
-	if err == nil {
-		t.Fatal("RecoverAfter=-1 accepted")
-	}
-	if !strings.Contains(err.Error(), "RecoverAfter") {
-		t.Fatalf("error %q does not name RecoverAfter", err)
-	}
-	opts.RecoverAfter = 0
-	out, _, err := SendDetailed(WiFi, 8, patternBits(16), 1, opts)
-	if err != nil {
-		t.Fatalf("RecoverAfter=0 (default) failed: %v", err)
-	}
-	if !bitsEqual(out, patternBits(16)) {
-		t.Fatal("payload corrupted")
-	}
-}
 
 // TestSendCodedRoundTrip: the coded ladder must deliver payloads intact on
 // a clean link for every radio, with the default code and a short one.
