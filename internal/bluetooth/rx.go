@@ -2,9 +2,11 @@ package bluetooth
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
 // RxFrame is one decoded GFSK frame.
@@ -235,34 +237,113 @@ var syncTemplatePow = func() float64 {
 	return p
 }()
 
-// detect slides the sync template over the discriminator output, returning
-// the best start index and normalised correlation quality.
+// syncBlock is the number of adjacent scan positions detect correlates
+// in one pass: two halves of syncBlock/2 ride in the real and imaginary
+// parts of one simd.FIRReal input. Work a pass does beyond an early stop
+// is discarded.
+const syncBlock = 32
+
+// syncLen is the length of syncTemplate: preamble byte and access
+// address, SamplesPerBit samples per bit.
+const syncLen = (1 + len(AccessAddress)) * 8 * SamplesPerBit
+
+// syncTaps is syncTemplate in FIRReal's tap order (reversed), so output
+// q of the FIR is Σ_j x[q+j]·syncTemplate[j].
+var syncTaps = func() []float64 {
+	if len(syncTemplate) != syncLen {
+		panic("bluetooth: sync template length")
+	}
+	h := slices.Clone(syncTemplate)
+	slices.Reverse(h)
+	return h
+}()
+
+// detect slides the sync template over the discriminator output from
+// sample from on, returning the best start index and normalised
+// correlation quality. Position i rates q = acc / sqrt(pow ·
+// syncTemplatePow), acc and pow summed in sample order; the first
+// position of highest q wins. The correlations run a block at a time
+// through correlateSync, and pow is summed only at positions
+// signal.EnergyScreen cannot rule out, so every value that reaches the
+// result is computed as by a scan that sums everything.
 func (rx *Receiver) detect(disc []float64, from int) (int, float64) {
-	tpl := syncTemplate
+	const tplLen = syncLen
+	last := len(disc) - tplLen // final scan position
 	best, bestQ := -1, 0.0
-	for i := from; i+len(tpl) <= len(disc); i++ {
-		var acc, pow float64
-		for j, r := range tpl {
-			x := disc[i+j]
-			acc += x * r
-			pow += x * x
-		}
-		if pow <= 0 {
-			continue
-		}
-		q := acc / math.Sqrt(pow*syncTemplatePow)
-		if q > bestQ {
-			best, bestQ = i, q
-		}
-		// The preamble alternates with a 2-bit period; scan a couple of bit
-		// times past the best before accepting. The early-stop gate is a
-		// fixed internal constant so ultra-low user thresholds cannot stop
-		// the scan on a noise blip before the real sync arrives.
-		if bestQ > 0.4 && i > best+2*SamplesPerBit {
-			break
+	if from > last {
+		return best, bestQ
+	}
+	// Scratch on the stack: detect runs while the caller's arena holds
+	// the discriminator output, and a second arena here would keep two
+	// checked out per receive.
+	var packed [syncBlock/2 + tplLen - 1]complex128
+	var acc [syncBlock]float64
+	screen := signal.NewEnergyScreen(len(disc)-from, syncTemplatePow)
+	for _, x := range disc[from : from+tplLen-1] {
+		screen.Enter(x * x)
+	}
+	for i0 := from; i0 <= last; i0 += syncBlock {
+		npos := min(syncBlock, last-i0+1)
+		correlateSync(acc[:npos], disc[i0:], &packed)
+		for p, ac := range acc[:npos] {
+			i := i0 + p
+			if i > from {
+				screen.Leave(disc[i-1] * disc[i-1])
+			}
+			screen.Enter(disc[i+tplLen-1] * disc[i+tplLen-1])
+			if screen.Empty() {
+				continue // pow == 0
+			}
+			if !screen.Beaten(ac, bestQ) {
+				var pow float64
+				for _, x := range disc[i : i+tplLen] {
+					pow += x * x
+				}
+				if q := ac / math.Sqrt(pow*syncTemplatePow); q > bestQ {
+					best, bestQ = i, q
+				}
+			}
+			// The preamble alternates with a 2-bit period; scan a couple of
+			// bit times past the best before accepting. The early-stop gate
+			// is a fixed internal constant so ultra-low user thresholds
+			// cannot stop the scan on a noise blip before the real sync
+			// arrives.
+			if bestQ > 0.4 && i > best+2*SamplesPerBit {
+				return best, bestQ
+			}
 		}
 	}
 	return best, bestQ
+}
+
+// correlateSync fills acc[p] with Σ_j disc[p+j]·syncTemplate[j], summed
+// from +0 in j order. A full block goes through simd.FIRReal when
+// dispatched: its halves ride in the real and imaginary parts of
+// packed, and FIRReal sums each part from +0 in input order, the Go
+// loop's sum, whenever it reports the outputs finite. The Go loop is
+// the definition and covers partial blocks, builds without the kernel
+// and non-finite blocks.
+func correlateSync(acc, disc []float64, packed *[syncBlock/2 + syncLen - 1]complex128) {
+	const half = syncBlock / 2
+	if len(acc) == syncBlock && simd.AVX2Enabled() {
+		for k := range packed {
+			packed[k] = complex(disc[k], disc[half+k])
+		}
+		var out [half]complex128
+		if simd.FIRReal(out[:], packed[:], syncTaps) {
+			for q, v := range out {
+				acc[q], acc[half+q] = real(v), imag(v)
+			}
+			return
+		}
+	}
+	for p := range acc {
+		var sum float64
+		for j, r := range syncTemplate {
+			sum += disc[p+j] * r
+		}
+		acc[p] = sum
+	}
 }
 
 // decodeFrom integrates-and-dumps bits starting at the sync position.

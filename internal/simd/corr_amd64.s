@@ -2,20 +2,14 @@
 
 #include "textflag.h"
 
-// func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, e *float64, tpl *complex128, seg int, segs int)
+// func preambleCorr(acc *complex128, npos int, x *complex128, tpl *complex128, m int)
 //
-// Segmented sliding correlation, bit-identical to the scalar scan in
-// zigbee.(*Receiver).detect. For scan position p < npos and segment
-// s < segs:
+// Sliding correlation of one template over npos consecutive positions,
+// bit-identical to the Go loop in zigbee's correlate:
 //
-//   acc[s·stride + p] = Σ_{j<seg} x[p+s·seg+j] · tpl[s·seg+j]
-//   pow[p]            = Σ_{k<seg·segs} e[p+k]
+//   acc[p] = Σ_{j<m} x[p+j] · tpl[j]
 //
-// each sum taken from +0 in j (k) ascending order, pow running across
-// segment boundaries. e is the caller's per-sample energy,
-// e[i] = xr[i]² + xi[i]², computed once per sample rather than once per
-// scan position whose window covers it; adding it here is the same
-// rounding sequence as squaring in the loop. Lanes run across
+// each sum taken from +0 in j ascending order. Lanes run across
 // positions: one ymm holds the (re, im) accumulators of two adjacent
 // positions, whose samples at offset j are adjacent in x, so one
 // 32-byte load feeds both. The complex multiply is fftPass's lowering
@@ -25,81 +19,55 @@
 //   t2 = [xi·ci, xi·cr]          VPERMILPD $15 (dup im), VMULPD by swapped c
 //   prod = [t1−t2, t1+t2]        VADDSUBPD
 //
-// The energy lanes need no shuffle: pow of 4 adjacent positions is one
-// unaligned load of e per sample. One pass covers 8 positions (npos
-// must be a multiple of 8).
+// One pass covers 8 positions (npos must be a multiple of 8).
 //
-// Register map: DI acc base of the pass, BX pow cursor, CX positions
-// left, SI x base of the pass, AX e base of the pass, DX tpl, R8 seg,
-// R9 segs, R10 8·k (k = sample offset within the template; x and tpl
-// are addressed at 2·R10, e at R10), R12 acc cursor, R13 segments left,
-// R14 samples left, R15 stride in bytes; Y0–Y3 correlation
-// accumulators, Y4/Y5 power accumulators, Y8 c, Y9 swapped c, Y11/Y12
+// Register map: DI acc cursor, CX positions left, SI x base of the
+// pass, DX tpl, R8 m, R10 16·j (byte offset of sample j in x and tpl),
+// R14 samples left; Y0–Y3 accumulators, Y8 c, Y9 swapped c, Y11/Y12
 // scratch.
 
 #define CORR(off, acc) \
-	VMOVDDUP  off(SI)(R10*2), Y11; \
-	VPERMILPD $15, off(SI)(R10*2), Y12; \
+	VMOVDDUP  off(SI)(R10*1), Y11; \
+	VPERMILPD $15, off(SI)(R10*1), Y12; \
 	VMULPD    Y8, Y11, Y11; \
 	VMULPD    Y9, Y12, Y12; \
 	VADDSUBPD Y12, Y11, Y11; \
 	VADDPD    Y11, acc, acc
 
-TEXT ·preambleCorr(SB), NOSPLIT, $0-72
+TEXT ·preambleCorr(SB), NOSPLIT, $0-40
 	MOVQ acc+0(FP), DI
-	MOVQ stride+8(FP), R15
-	SHLQ $4, R15
-	MOVQ pow+16(FP), BX
-	MOVQ npos+24(FP), CX
-	MOVQ x+32(FP), SI
-	MOVQ e+40(FP), AX
-	MOVQ tpl+48(FP), DX
-	MOVQ seg+56(FP), R8
-	MOVQ segs+64(FP), R9
+	MOVQ npos+8(FP), CX
+	MOVQ x+16(FP), SI
+	MOVQ tpl+24(FP), DX
+	MOVQ m+32(FP), R8
 	TESTQ CX, CX
 	JZ    done
 
 pass:
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	XORQ   R10, R10
-	MOVQ   DI, R12
-	MOVQ   R9, R13
-
-segment:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	XORQ   R10, R10
 	MOVQ   R8, R14
 
 sample:
-	VBROADCASTF128 (DX)(R10*2), Y8
+	VBROADCASTF128 (DX)(R10*1), Y8
 	VPERMILPD $5, Y8, Y9
 	CORR(0, Y0)
 	CORR(32, Y1)
 	CORR(64, Y2)
 	CORR(96, Y3)
-	VADDPD (AX)(R10*1), Y4, Y4
-	VADDPD 32(AX)(R10*1), Y5, Y5
-	ADDQ $8, R10
+	ADDQ $16, R10
 	DECQ R14
 	JNZ  sample
 
-	VMOVUPD Y0, (R12)
-	VMOVUPD Y1, 32(R12)
-	VMOVUPD Y2, 64(R12)
-	VMOVUPD Y3, 96(R12)
-	ADDQ    R15, R12
-	DECQ    R13
-	JNZ     segment
-
-	VMOVUPD Y4, (BX)
-	VMOVUPD Y5, 32(BX)
-	ADDQ    $64, BX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
 	ADDQ    $128, DI
 	ADDQ    $128, SI
-	ADDQ    $64, AX
 	SUBQ    $8, CX
 	JNZ     pass
 

@@ -50,10 +50,10 @@ func fftPass(x *complex128, n int, tw *complex128, size int)
 //go:noescape
 func firReal(dst *complex128, n int, x *complex128, h *float64, m int) (finite bool)
 
-// preambleCorr is the AVX2 segmented correlation kernel (corr_amd64.s).
+// preambleCorr is the AVX2 sliding correlation kernel (corr_amd64.s).
 //
 //go:noescape
-func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, e *float64, tpl *complex128, seg int, segs int)
+func preambleCorr(acc *complex128, npos int, x *complex128, tpl *complex128, m int)
 
 // lagFill is the AVX2 lagged-Fibonacci block fill (noise_amd64.s).
 //

@@ -24,7 +24,7 @@ func firReal(dst *complex128, n int, x *complex128, h *float64, m int) bool {
 	panic("simd: firReal called on a build without asm kernels")
 }
 
-func preambleCorr(acc *complex128, stride int, pow *float64, npos int, x *complex128, e *float64, tpl *complex128, seg int, segs int) {
+func preambleCorr(acc *complex128, npos int, x *complex128, tpl *complex128, m int) {
 	panic("simd: preambleCorr called on a build without asm kernels")
 }
 

@@ -181,33 +181,23 @@ func TestFIRRealFiniteEdgeValues(t *testing.T) {
 func TestPreambleCorrMatchesDefinition(t *testing.T) {
 	requireAVX2Kernels(t)
 	rng := rand.New(rand.NewSource(2))
-	for _, tc := range []struct{ npos, stride, seg, segs int }{
-		{8, 8, 1, 1}, {8, 11, 3, 5}, {16, 16, 64, 16}, {24, 40, 5, 2},
+	for _, tc := range []struct{ npos, m int }{
+		{8, 1}, {8, 3}, {16, 64}, {24, 5}, {40, 1024},
 	} {
-		tpl := randComplexes(rng, tc.seg*tc.segs)
-		x := randComplexes(rng, tc.npos-1+len(tpl))
-		e := make([]float64, len(x))
-		for i, v := range x {
-			e[i] = real(v)*real(v) + imag(v)*imag(v)
-		}
-		acc := make([]complex128, (tc.segs-1)*tc.stride+tc.npos)
-		pow := make([]float64, tc.npos)
-		PreambleCorr(acc, tc.stride, pow, x, e, tpl, tc.seg)
+		tpl := randComplexes(rng, tc.m)
+		x := randComplexes(rng, tc.npos-1+tc.m)
+		acc := make([]complex128, tc.npos)
+		PreambleCorr(acc, x, tpl)
 		for p := 0; p < tc.npos; p++ {
-			var pw float64
-			for s := 0; s < tc.segs; s++ {
-				var accR, accI float64
-				for j := 0; j < tc.seg; j++ {
-					xv, c := x[p+s*tc.seg+j], tpl[s*tc.seg+j]
-					xr, xi, cr, ci := real(xv), imag(xv), real(c), imag(c)
-					accR += xr*cr - xi*ci
-					accI += xr*ci + xi*cr
-					pw += xr*xr + xi*xi
-				}
-				requireBits(t, "accR", real(acc[s*tc.stride+p]), accR)
-				requireBits(t, "accI", imag(acc[s*tc.stride+p]), accI)
+			var accR, accI float64
+			for j, c := range tpl {
+				xv := x[p+j]
+				xr, xi, cr, ci := real(xv), imag(xv), real(c), imag(c)
+				accR += xr*cr - xi*ci
+				accI += xr*ci + xi*cr
 			}
-			requireBits(t, "pow", pow[p], pw)
+			requireBits(t, "accR", real(acc[p]), accR)
+			requireBits(t, "accI", imag(acc[p]), accI)
 		}
 	}
 }

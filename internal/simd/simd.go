@@ -3,11 +3,11 @@
 // add-compare-select step (wifi.ViterbiDecodeInto), the radix-2
 // complex FFT butterfly pass (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
-// Gaussian filter), the ZigBee preamble correlation scan
-// (zigbee.(*Receiver).detect), and the channel's Gaussian noise
-// (signal.Noise, signal.(*Signal).AddAWGN): the lagged-Fibonacci block
-// fill, the ziggurat's fast-path acceptance flags and the fast-path
-// add. Each kernel has a Go assembly implementation (AVX2 on amd64;
+// Gaussian filter) and the Bluetooth sync scan, the ZigBee preamble
+// slice correlations (zigbee.(*Receiver).detect), and the channel's
+// Gaussian noise (signal.Noise, signal.(*Signal).AddAWGN): the
+// lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
+// flags and the fast-path add. Each kernel has a Go assembly implementation (AVX2 on amd64;
 // NEON on arm64 for the first two) and the callers keep their pure-Go
 // loops as the always-available fallback and the semantic definition.
 //
@@ -45,10 +45,8 @@
 //     the caller recomputes the block with its Go loop when they are
 //     not. Outputs it reports finite are bit-identical.
 //
-//   - PreambleCorr vectorizes across scan positions only; each
-//     segment sum and the running power keep the scalar order, the
-//     products use FFTPass's lowering, and the power adds the caller's
-//     per-sample energy xr² + xi², the scalar expression's own value.
+//   - PreambleCorr vectorizes across scan positions only; each sum
+//     keeps the scalar order and the products use FFTPass's lowering.
 //
 //   - LagFill is 64-bit integer addition, exact by construction; it
 //     runs 16 values per pass, which the recurrence's shortest lag
@@ -202,41 +200,27 @@ func FIRReal(dst, x []complex128, h []float64) (finite bool) {
 	return firReal(&dst[0], len(dst), &x[0], &h[0], len(h))
 }
 
-// PreambleCorr correlates npos = len(pow) adjacent scan positions of x
-// against tpl cut into segments of seg samples. For position p and
-// segment s:
+// PreambleCorr correlates len(acc) consecutive positions of x against
+// one template:
 //
-//	acc[s*stride+p] = Σ_{j<seg} x[p+s*seg+j] · tpl[s*seg+j]
-//	pow[p]          = Σ_{k<len(tpl)} e[p+k]
+//	acc[p] = Σ_{j<len(tpl)} x[p+j] · tpl[j]
 //
-// with each product lowered as (xr·cr − xi·ci, xr·ci + xi·cr), each
-// segment sum taken from +0 in j order and pow running over all
-// segments in k order. e is the energy of x, e[i] = real(x[i])² +
-// imag(x[i])², which the caller computes once per sample. tpl is used
-// as given (pass the conjugated template for a matched filter).
-// len(pow) must be a multiple of 8, len(tpl) a positive multiple of
-// seg, stride ≥ len(pow), len(acc) ≥ (segments−1)·stride + len(pow)
-// and len(x), len(e) ≥ len(pow)−1+len(tpl). Callers must check
+// with each product lowered as (xr·cr − xi·ci, xr·ci + xi·cr) and each
+// sum taken from +0 in j order. tpl is used as given (pass a conjugated
+// template for a matched filter). len(acc) must be a multiple of 8,
+// len(tpl) ≥ 1 and len(x) ≥ len(acc)−1+len(tpl). Callers must check
 // AVX2Enabled().
-func PreambleCorr(acc []complex128, stride int, pow []float64, x []complex128, e []float64, tpl []complex128, seg int) {
-	npos := len(pow)
-	if npos%8 != 0 {
+func PreambleCorr(acc, x, tpl []complex128) {
+	if len(acc)%8 != 0 {
 		panic("simd: PreambleCorr position count must be a multiple of 8")
 	}
-	if npos == 0 {
+	if len(acc) == 0 {
 		return
 	}
-	if seg < 1 || len(tpl) == 0 || len(tpl)%seg != 0 {
-		panic("simd: PreambleCorr template must be whole segments")
+	if len(tpl) == 0 || len(x) < len(acc)-1+len(tpl) {
+		panic("simd: PreambleCorr input shorter than positions + template - 1")
 	}
-	segs := len(tpl) / seg
-	if stride < npos || len(acc) < (segs-1)*stride+npos {
-		panic("simd: PreambleCorr accumulator layout too small")
-	}
-	if len(x) < npos-1+len(tpl) || len(e) < npos-1+len(tpl) {
-		panic("simd: PreambleCorr input shorter than positions + template")
-	}
-	preambleCorr(&acc[0], stride, &pow[0], npos, &x[0], &e[0], &tpl[0], seg, segs)
+	preambleCorr(&acc[0], len(acc), &x[0], &tpl[0], len(tpl))
 }
 
 // The lags of math/rand's additive lagged-Fibonacci generator: its raw

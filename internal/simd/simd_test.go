@@ -102,7 +102,7 @@ func TestKernelContracts(t *testing.T) {
 	if !FIRReal(nil, nil, nil) {
 		t.Fatal("FIRReal with no outputs reported a non-finite output")
 	}
-	PreambleCorr(nil, 0, nil, nil, nil, nil, 0)
+	PreambleCorr(nil, nil, nil)
 	LagFill(make([]uint64, FibLong))
 	var kn [128]uint32
 	var wn [128]float32
@@ -146,23 +146,13 @@ func TestKernelContracts(t *testing.T) {
 		NormAdd(make([]complex128, 4), make([]uint64, 7), &wn, 1)
 	})
 	tpl := make([]complex128, 64)
-	e := make([]float64, 128)
 	mustPanic("corr position count", func() {
-		PreambleCorr(make([]complex128, 64), 4, make([]float64, 4), make([]complex128, 128), e, tpl, 16)
+		PreambleCorr(make([]complex128, 4), make([]complex128, 128), tpl)
 	})
-	mustPanic("corr ragged template", func() {
-		PreambleCorr(make([]complex128, 64), 8, make([]float64, 8), make([]complex128, 128), e, tpl, 24)
-	})
-	mustPanic("corr accumulator layout", func() {
-		PreambleCorr(make([]complex128, 31), 8, make([]float64, 8), make([]complex128, 128), e, tpl, 16)
-	})
-	mustPanic("corr stride", func() {
-		PreambleCorr(make([]complex128, 64), 4, make([]float64, 8), make([]complex128, 128), e, tpl, 16)
+	mustPanic("corr empty template", func() {
+		PreambleCorr(make([]complex128, 8), make([]complex128, 128), nil)
 	})
 	mustPanic("corr short input", func() {
-		PreambleCorr(make([]complex128, 32), 8, make([]float64, 8), make([]complex128, 70), e, tpl, 16)
-	})
-	mustPanic("corr short energy", func() {
-		PreambleCorr(make([]complex128, 32), 8, make([]float64, 8), make([]complex128, 128), e[:70], tpl, 16)
+		PreambleCorr(make([]complex128, 8), make([]complex128, 70), tpl)
 	})
 }

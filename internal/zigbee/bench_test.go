@@ -69,3 +69,33 @@ func BenchmarkDetectLeadIn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDetectNoFrame times the preamble scan over a capture too
+// weak for the early stop: a 100-byte frame 20 dB under the noise, so
+// the scan rates every position, the case that makes a few packets of
+// a link sweep cost many times the rest.
+func BenchmarkDetectNoFrame(b *testing.B) {
+	sig, err := NewTransmitter().Transmit(make([]byte, 100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	cap := signal.New(SampleRate, 400+len(sig.Samples))
+	for i := range cap.Samples {
+		cap.Samples[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	for i, v := range sig.Samples {
+		cap.Samples[400+i] += v * 0.1
+	}
+	rx := NewReceiver()
+	if _, q := rx.Detect(cap); q > 0.4 {
+		b.Fatalf("quality %v would stop the scan early", q)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		detectSink, _ = rx.Detect(cap)
+	}
+}
+
+// detectSink keeps BenchmarkDetectNoFrame's result live.
+var detectSink int

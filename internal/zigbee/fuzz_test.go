@@ -99,33 +99,29 @@ func addCaptureSeeds(f *testing.F) {
 }
 
 // FuzzPreambleCorrDispatch is the ZigBee half of `make fuzz-simd`: the
-// preamble scan must return the same start, gain and quality with the
+// preamble scan must return detectRef's start, gain and quality with the
 // Go correlation loop and with simd.PreambleCorr, over the capture and
 // over its tail from an offset inside it.
 func FuzzPreambleCorrDispatch(f *testing.F) {
 	addCaptureSeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte, rawBits bool, shift, keep uint16, gain int8) {
 		cap := fuzzCapture(raw, rawBits, shift, keep, gain)
-		rx := NewReceiver()
 		for _, from := range []int{0, int(shift) % 300} {
-			type result struct {
-				start int
-				gain  complex128
-				q     float64
-			}
-			var got []result
-			bothDispatchModes(func() {
-				s, g, q := rx.detect(tail(cap, from))
-				got = append(got, result{s, g, q})
-			})
-			if len(got) < 2 {
-				t.Skip("no receive kernels in this build")
-			}
-			a, b := got[0], got[1]
-			if a.start != b.start || !sameFloat(real(a.gain), real(b.gain)) ||
-				!sameFloat(imag(a.gain), imag(b.gain)) || !sameFloat(a.q, b.q) {
-				t.Fatalf("from %d: go detect %+v, kernel detect %+v", from, a, b)
-			}
+			requireDetectMatchesRef(t, tail(cap, from))
+		}
+	})
+}
+
+// requireDetectMatchesRef fails unless detect returns detectRef's start,
+// gain and quality on the capture in every dispatch mode the build has.
+func requireDetectMatchesRef(t *testing.T, cap *signal.Signal) {
+	t.Helper()
+	ws, wg, wq := detectRef(cap.Samples)
+	bothDispatchModes(func() {
+		s, g, q := NewReceiver().detect(cap)
+		if s != ws || !sameFloat(real(g), real(wg)) || !sameFloat(imag(g), imag(wg)) || !sameFloat(q, wq) {
+			t.Fatalf("%d samples (%s): detect (%d, %v, %v), reference (%d, %v, %v)",
+				len(cap.Samples), simd.Mode(), s, g, q, ws, wg, wq)
 		}
 	})
 }
@@ -135,9 +131,10 @@ func tail(cap *signal.Signal, from int) *signal.Signal {
 	return &signal.Signal{Rate: cap.Rate, Samples: cap.Samples[from:]}
 }
 
-// detectRef is detect as it was before the per-sample energy buffer:
-// one position at a time, each window's energy summed from its own
-// samples in k order. It keeps detect's quality, gain and early stop.
+// detectRef is the scan detect must reproduce: one position at a time,
+// all 16 slice correlations and the window's energy summed from the
+// position's own samples in sample order. It keeps detect's quality,
+// gain and early stop.
 func detectRef(x []complex128) (int, complex128, float64) {
 	best, bestQ := -1, 0.0
 	var bestGain complex128
@@ -170,10 +167,11 @@ func detectRef(x []complex128) (int, complex128, float64) {
 	return best, bestGain, bestQ
 }
 
-// TestDetectMatchesReferenceScan checks detect's energy window against
-// detectRef in both dispatch modes on captures long enough for the
-// window to move several times before the frame, over several tails of
-// each, including captures the scan crosses without stopping.
+// TestDetectMatchesReferenceScan checks detect against detectRef in both
+// dispatch modes on captures long enough for the correlation window to
+// move several times before the frame, over several tails of each,
+// including captures the scan crosses without stopping, and on captures
+// built to trip the energy screen.
 func TestDetectMatchesReferenceScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, tc := range []struct{ lead, tail int }{
@@ -193,21 +191,69 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 			}
 		}
 		for _, from := range []int{0, 5, max(0, tc.lead-4100), n - len(preambleTemplate) - 3, n} {
-			ws, wg, wq := detectRef(cap.Samples[from:])
-			bothDispatchModes(func() {
-				s, g, q := NewReceiver().detect(tail(cap, from))
-				if s != ws || !sameFloat(real(g), real(wg)) || !sameFloat(imag(g), imag(wg)) || !sameFloat(q, wq) {
-					t.Fatalf("lead %d from %d (%s): detect (%d, %v, %v), reference (%d, %v, %v)",
-						tc.lead, from, simd.Mode(), s, g, q, ws, wg, wq)
-				}
-			})
+			requireDetectMatchesRef(t, tail(cap, from))
 		}
+	}
+	// Captures aimed at the energy screen: windows of zero energy
+	// (all-zero captures, zero runs, samples whose energy underflows),
+	// exact ties (a constant capture), prefix sums that cancel (a 1e150
+	// lead-in before 1e-150 samples), a single ±Inf or NaN sample and a
+	// stronger frame after the one that stops the scan, each from the
+	// start and from several offsets inside it.
+	noisy := func(n int, scale float64) []complex128 {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(scale, 0)
+		}
+		return x
+	}
+	withFrame := func(x []complex128, at int, scale float64) []complex128 {
+		for i, v := range fuzzFrame.Samples {
+			x[at+i] += v * complex(scale, 0)
+		}
+		return x
+	}
+	frameLen := len(fuzzFrame.Samples)
+	cases := map[string][]complex128{
+		"zeros":     make([]complex128, 3000),
+		"constant":  make([]complex128, 2500),
+		"underflow": withFrame(make([]complex128, 1500+frameLen), 1500, 1e-170),
+	}
+	for i := range cases["constant"] {
+		cases["constant"][i] = complex(0.5, -0.25)
+	}
+	runs := withFrame(noisy(4000+frameLen, 0.05), 4000, 1)
+	clear(runs[300:1900])
+	clear(runs[2500:2700])
+	cases["zero runs"] = runs
+	cancel := withFrame(noisy(1500+frameLen+300, 1e-151), 1500, 1e-150)
+	for i := range cancel[:1500] {
+		cancel[i] = complex(1e150, -1e150)
+	}
+	cases["cancellation"] = cancel
+	// A noisy frame and a clean one after it: the scan must stop after
+	// the first, as the reference does, although later positions rate
+	// higher.
+	cases["two frames"] = withFrame(withFrame(noisy(2*frameLen+100, 0.3), 0, 1), frameLen+100, 1.5)
+	for name, v := range map[string]complex128{
+		"+Inf": complex(math.Inf(1), 0), "-Inf": complex(0, math.Inf(-1)), "NaN": complex(math.NaN(), 0),
+	} {
+		x := withFrame(noisy(2000+frameLen, 0.05), 2000, 1)
+		x[700] = v
+		cases[name] = x
+	}
+	for name, x := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, from := range []int{0, 1, 699, 701, len(x) / 2, len(x) - len(preambleTemplate) - 3} {
+				requireDetectMatchesRef(t, &signal.Signal{Rate: SampleRate, Samples: x[max(from, 0):]})
+			}
+		})
 	}
 }
 
 // FuzzZigBeeReceive feeds hostile captures to Receive. It may not panic;
-// it returns a frame or one of the receiver's sentinel errors, and both
-// dispatch modes must agree exactly.
+// it returns a frame or one of the receiver's sentinel errors, both
+// dispatch modes must agree exactly, and the scan must match detectRef.
 func FuzzZigBeeReceive(f *testing.F) {
 	addCaptureSeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte, rawBits bool, shift, keep uint16, gain int8) {
@@ -219,6 +265,7 @@ func FuzzZigBeeReceive(f *testing.F) {
 			err   error
 		}
 		var got []result
+		requireDetectMatchesRef(t, cap)
 		bothDispatchModes(func() {
 			fr, err := rx.Receive(cap)
 			if err == nil && fr == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/signal"
@@ -210,14 +211,25 @@ const detectSegments = PreambleSymbols * 2
 // detectSeg is the length in samples of one detection slice.
 const detectSeg = PreambleSymbols * SymbolSamples / detectSegments
 
-// detectBlock is the number of adjacent scan positions correlated in one
-// pass. Positions a pass computes beyond an early stop are discarded.
+// detectBlock is the number of adjacent scan positions rated in one
+// pass; each pass correlates detectBlock new sample indices. Work a
+// pass does beyond an early stop is discarded.
 const detectBlock = 16
 
-// detectEnergyWindow bounds detect's per-sample energy buffer: four
-// template lengths, so the scan moves its unread tail to the front once
-// every ~190 blocks.
-const detectEnergyWindow = 4 * PreambleSymbols * SymbolSamples
+// detectSpan is the number of sample indices whose slice correlations
+// one pass reads: from its first position's slice 0 to its last
+// position's final slice.
+const detectSpan = detectBlock + (detectSegments-1)*detectSeg
+
+// detectWindow bounds detect's per-sample magnitude buffers: one span
+// plus 24 passes, so the scan moves their unread tail to the front once
+// every 24 passes, the three templates' magnitudes fit in 32 KB, and
+// the scratch does not grow with the capture.
+const detectWindow = detectSpan + 24*detectBlock
+
+// detectChunk is the number of sample indices correlated into stack
+// scratch at a time before their magnitudes are stored.
+const detectChunk = 64
 
 // preamblePow is the preamble template's energy, summed in index order.
 var preamblePow = func() float64 {
@@ -228,55 +240,141 @@ var preamblePow = func() float64 {
 	return p
 }()
 
+// sliceTemplates are the distinct detection slices of the conjugated
+// preamble, and sliceType[s] is the index of the one slice s equals bit
+// for bit. The preamble repeats one symbol whose chips alternate rails,
+// so the 16 slices have three templates (slice 0, the odd slices, the
+// even slices from 2) and detect correlates each sample three times
+// rather than once per slice and position. The map is built by
+// comparison, so a template change cannot silently break it.
+var sliceTemplates, sliceType = buildSliceTypes()
+
+// sliceReach[t] is the offset of the last slice with template t: a pass
+// over positions [i0, i0+npos) reads that template's correlations up
+// to sample i0+npos−1+sliceReach[t], and detect computes no further.
+var sliceReach = func() (r [detectSegments]int) {
+	for s, t := range &sliceType {
+		r[t] = s * detectSeg
+	}
+	return r
+}()
+
+func buildSliceTypes() ([][]complex128, [detectSegments]int) {
+	var tpls [][]complex128
+	var typ [detectSegments]int
+	for s := range typ {
+		cs := preambleConjTemplate[s*detectSeg : (s+1)*detectSeg : (s+1)*detectSeg]
+		typ[s] = slices.IndexFunc(tpls, func(t []complex128) bool { return sameBits(t, cs) })
+		if typ[s] < 0 {
+			typ[s] = len(tpls)
+			tpls = append(tpls, cs)
+		}
+	}
+	return tpls, typ
+}
+
+// sameBits reports whether two equal-length slices hold the same bits.
+func sameBits(a, b []complex128) bool {
+	for i, v := range a {
+		w := b[i]
+		if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
+			math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// energy is one sample's energy, the term of a window's sum.
+func energy(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
+
 // detect correlates the preamble template slice-wise, returning the start
 // index, the complex channel gain estimate (coherent, so only valid after
-// CFO removal) and the normalised quality.
+// CFO removal) and the normalised quality. Position i rates
+//
+//	q = Σ_s |acc_s| / sqrt(pw · preamblePow)
+//
+// with acc_s slice s's correlation at x[i+s·detectSeg] and pw the
+// window's energy summed in sample order; the first position of highest
+// q wins, and the gain is Σ_s acc_s / preamblePow there. Every slice
+// correlation and its magnitude is computed once per sample index and
+// template, not once per position and slice; pw is summed only at
+// positions signal.EnergyScreen cannot rule out, and the gain only for
+// the winner. Every value that reaches the result is computed as by a
+// scan that sums everything.
 func (rx *Receiver) detect(cap *signal.Signal) (int, complex128, float64) {
 	x := cap.Samples
-	last := len(x) - len(preambleTemplate) // final scan position
-	best, bestQ := -1, 0.0
-	var bestGain complex128
+	const tplLen = PreambleSymbols * SymbolSamples
+	last := len(x) - tplLen // final scan position
 	if last < 0 {
-		return best, bestGain, bestQ
+		return -1, 0, 0
 	}
-	// e[k] is the energy of x[base+k], computed once per sample for
-	// x[base:filled] as the scan reaches it; every window that covers a
-	// sample reads it. When a block's windows would run past e, the part
-	// still ahead of the scan moves to its front.
+	// h[t][k-base] is the magnitude of sample k's correlation with
+	// sliceTemplates[t], filled for base ≤ k < filled[t] as far as the
+	// passes read; position i's slice s is sample i+s·detectSeg of its
+	// template, hs[s][i-base]. When a pass would read past the window,
+	// the part still ahead of the scan moves to its front.
+	nt := len(sliceTemplates)
+	win := min(len(x), detectWindow)
 	a := signal.GetArena()
 	defer a.Release()
-	e := a.FloatUninit(min(len(x), detectEnergyWindow))
-	base, filled := 0, 0
-	var acc [detectSegments * detectBlock]complex128
-	var pow [detectBlock]float64
+	hbuf := a.FloatUninit(nt * win)
+	var h, hs [detectSegments][]float64
+	for t := range nt {
+		h[t] = hbuf[t*win : (t+1)*win]
+	}
+	for s, t := range &sliceType {
+		hs[s] = h[t][s*detectSeg:]
+	}
+	base := 0
+	var filled [detectSegments]int
+	var corr [detectChunk]complex128
+	screen := signal.NewEnergyScreen(len(x), preamblePow)
+	for _, v := range x[:tplLen-1] {
+		screen.Enter(energy(v))
+	}
+	best, bestQ := -1, 0.0
+scan:
 	for i0 := 0; i0 <= last; i0 += detectBlock {
 		npos := min(detectBlock, last-i0+1)
-		need := i0 + npos - 1 + len(preambleTemplate)
-		if need-base > len(e) {
-			copy(e, e[i0-base:filled-base])
+		if i0+npos+(detectSegments-1)*detectSeg-base > win {
+			for t := range nt {
+				copy(h[t], h[t][i0-base:filled[t]-base])
+			}
 			base = i0
 		}
-		for ; filled < need; filled++ {
-			v := x[filled]
-			e[filled-base] = real(v)*real(v) + imag(v)*imag(v)
+		for t, tpl := range sliceTemplates {
+			need := i0 + npos + sliceReach[t]
+			for k := filled[t]; k < need; k += detectChunk {
+				c := corr[:min(detectChunk, need-k)]
+				correlate(c, x[k:], tpl)
+				ht := h[t][k-base:]
+				for j, v := range c {
+					ht[j] = math.Hypot(real(v), imag(v))
+				}
+			}
+			filled[t] = need
 		}
-		correlateBlock(acc[:], pow[:npos], x[i0:], e[i0-base:])
-		for p, pw := range pow[:npos] {
-			if pw == 0 {
-				continue
+		for i := i0; i < i0+npos; i++ {
+			if i > 0 {
+				screen.Leave(energy(x[i-1]))
+			}
+			screen.Enter(energy(x[i+tplLen-1]))
+			if screen.Empty() {
+				continue // pw == 0
 			}
 			var mag float64
-			var coh complex128
-			for s := 0; s < detectSegments; s++ {
-				a := acc[s*detectBlock+p]
-				mag += math.Hypot(real(a), imag(a))
-				coh += a
+			for _, hs := range &hs {
+				mag += hs[i-base]
 			}
-			i := i0 + p
-			q := mag / math.Sqrt(pw*preamblePow)
-			if q > bestQ {
-				best, bestQ = i, q
-				bestGain = coh / complex(preamblePow, 0)
+			if !screen.Beaten(mag, bestQ) {
+				var pw float64
+				for _, v := range x[i : i+tplLen] {
+					pw += energy(v)
+				}
+				if q := mag / math.Sqrt(pw*preamblePow); q > bestQ {
+					best, bestQ = i, q
+				}
 			}
 			// The preamble is symbol-periodic, so misalignments by a whole
 			// symbol also correlate strongly; keep scanning one full symbol
@@ -284,47 +382,52 @@ func (rx *Receiver) detect(cap *signal.Signal) (int, complex128, float64) {
 			// gate: a low user threshold must not stop the scan on a noise
 			// blip before the true preamble.
 			if bestQ > 0.4 && i > best+SymbolSamples {
-				return best, bestGain, bestQ
+				break scan
 			}
 		}
 	}
-	return best, bestGain, bestQ
+	if best < 0 {
+		return -1, 0, 0
+	}
+	return best, sliceGain(x, best), bestQ
 }
 
-// correlateBlock fills, for the len(pow) scan positions starting at
-// x[0], each slice's correlation against the conjugated preamble
-// (acc[s*detectBlock+p]) and the window energy (pow[p], summed from the
-// per-sample energies e of x): whole groups of 8 positions through
-// simd.PreambleCorr when dispatched, the rest in Go. The Go loop is the
-// kernel's definition: each slice sums from +0 in sample order, the
-// product is spelled in the real arithmetic `x * cmplx.Conj(tpl)` lowers
-// to, and the energy runs across slices.
-func correlateBlock(acc []complex128, pow []float64, x []complex128, e []float64) {
+// sliceGain is the coherent gain estimate at position i: the slice
+// correlations summed in slice order, over preamblePow. It recomputes
+// them with correlate's Go loop, which gives the values the scan rated.
+func sliceGain(x []complex128, i int) complex128 {
+	var coh complex128
+	var acc [1]complex128
+	for s, t := range &sliceType {
+		correlate(acc[:], x[i+s*detectSeg:], sliceTemplates[t])
+		coh += acc[0]
+	}
+	return coh / complex(preamblePow, 0)
+}
+
+// correlate fills dst[p] with the correlation of x[p:] against tpl:
+// whole groups of 8 positions through simd.PreambleCorr when
+// dispatched, the rest in Go. The Go loop is the kernel's definition:
+// each sum runs from +0 in sample order, and the product is spelled in
+// the real arithmetic `x * cmplx.Conj(r)` lowers to (tpl is the
+// conjugated template).
+func correlate(dst, x, tpl []complex128) {
 	vec := 0
 	if simd.AVX2Enabled() {
-		vec = len(pow) &^ 7
-		simd.PreambleCorr(acc, detectBlock, pow[:vec], x, e, preambleConjTemplate, detectSeg)
+		vec = len(dst) &^ 7
+		simd.PreambleCorr(dst[:vec], x, tpl)
 	}
-	for p := vec; p < len(pow); p++ {
-		for s := 0; s < detectSegments; s++ {
-			var accR, accI float64
-			cs := preambleConjTemplate[s*detectSeg : (s+1)*detectSeg : (s+1)*detectSeg]
-			xs := x[p+s*detectSeg:]
-			xs = xs[:len(cs):len(cs)]
-			for j, c := range cs {
-				x := xs[j]
-				xr, xi := real(x), imag(x)
-				cr, ci := real(c), imag(c)
-				accR += xr*cr - xi*ci
-				accI += xr*ci + xi*cr
-			}
-			acc[s*detectBlock+p] = complex(accR, accI)
+	for p := vec; p < len(dst); p++ {
+		var accR, accI float64
+		xs := x[p : p+len(tpl) : p+len(tpl)]
+		for j, c := range tpl {
+			x := xs[j]
+			xr, xi := real(x), imag(x)
+			cr, ci := real(c), imag(c)
+			accR += xr*cr - xi*ci
+			accI += xr*ci + xi*cr
 		}
-		var pw float64
-		for _, v := range e[p : p+len(preambleConjTemplate)] {
-			pw += v
-		}
-		pow[p] = pw
+		dst[p] = complex(accR, accI)
 	}
 }
 

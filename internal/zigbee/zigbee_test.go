@@ -377,3 +377,18 @@ func TestFrameDuration(t *testing.T) {
 		t.Fatalf("duration %g, want 896us", got)
 	}
 }
+
+// TestSliceTypes pins the detection slices' template sharing that the
+// scan's cost rests on: slice 0, the odd slices and the even slices from
+// 2 are three templates, and each slice equals its template bit for bit.
+func TestSliceTypes(t *testing.T) {
+	want := [detectSegments]int{0, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1}
+	if sliceType != want || len(sliceTemplates) != 3 {
+		t.Fatalf("slice types %v over %d templates, want %v over 3", sliceType, len(sliceTemplates), want)
+	}
+	for s, typ := range sliceType {
+		if !sameBits(preambleConjTemplate[s*detectSeg:(s+1)*detectSeg], sliceTemplates[typ]) {
+			t.Fatalf("slice %d differs from template %d", s, typ)
+		}
+	}
+}
