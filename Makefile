@@ -33,10 +33,9 @@ vet:
 test-noasm:
 	$(GO) test -tags noasm -shuffle=on ./...
 
-# cross-arm64 cross-compiles the full tree (NEON kernels included) and
-# vets it for arm64, so the asm that CI's amd64 host cannot execute at
-# least always assembles, typechecks against its Go declarations
-# (asmdecl), and links.
+# cross-arm64 cross-compiles the full tree for arm64 and vets it. arm64
+# carries no asm kernels (it builds as noasm does), so this checks that
+# the pure-Go build compiles and vets on an architecture CI cannot run.
 cross-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
@@ -261,8 +260,8 @@ perfbench-quick:
 	done
 
 # ci is the gate: every Go file must be gofmt-clean, everything must
-# build (natively and cross-compiled for arm64, so the NEON kernels always
-# assemble), every command must run, pass vet (and staticcheck and
+# build (natively and cross-compiled for arm64, which runs the pure-Go
+# kernels), every command must run, pass vet (and staticcheck and
 # govulncheck where installed), pass the suite with the race detector on
 # (in shuffled order) and again with the asm kernels compiled out, hold the
 # service layer bit-identical under concurrent load, survive the quick

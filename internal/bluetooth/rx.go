@@ -9,13 +9,11 @@ import (
 	"repro/internal/simd"
 )
 
-// RxFrame is one decoded GFSK frame.
+// RxFrame is one decoded GFSK frame. The backscatter decoder reads raw
+// bits through RawBitsAt instead, so a frame carries only its payload.
 type RxFrame struct {
-	Payload  []byte
-	RawBits  []byte  // de-whitened length+payload+CRC bits
-	StartIdx int     // sample index of the preamble start
-	RSSI     float64 // mean power over the frame, dBm scale
-	CRCOK    bool
+	Payload []byte
+	CRCOK   bool
 }
 
 // Receiver decodes GFSK frames via FM discrimination.
@@ -87,7 +85,7 @@ func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
 			return nil, ErrNoFrame
 		}
 		if q >= rx.DetectionThreshold {
-			if f := rx.decodeFrom(cap, disc, start); f != nil {
+			if f := rx.decodeFrom(disc, start); f != nil {
 				return f, nil
 			}
 		}
@@ -325,7 +323,7 @@ func (rx *Receiver) detect(disc []float64, from int) (int, float64) {
 // and non-finite blocks.
 func correlateSync(acc, disc []float64, packed *[syncBlock/2 + syncLen - 1]complex128) {
 	const half = syncBlock / 2
-	if len(acc) == syncBlock && simd.AVX2Enabled() {
+	if len(acc) == syncBlock && simd.Enabled() {
 		for k := range packed {
 			packed[k] = complex(disc[k], disc[half+k])
 		}
@@ -348,7 +346,7 @@ func correlateSync(acc, disc []float64, packed *[syncBlock/2 + syncLen - 1]compl
 
 // decodeFrom integrates-and-dumps bits starting at the sync position.
 // Returns nil when the capture ends before the frame does.
-func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) *RxFrame {
+func (rx *Receiver) decodeFrom(disc []float64, start int) *RxFrame {
 	bitAt := func(idx int) (byte, bool) {
 		lo := start + idx*SamplesPerBit
 		hi := lo + SamplesPerBit
@@ -405,14 +403,9 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, disc []float64, start int) *R
 	payload := body[1 : 1+length]
 	gotCRC := uint32(body[1+length]) | uint32(body[2+length])<<8 | uint32(body[3+length])<<16
 
-	end := start + (hdr+totalBodyBits)*SamplesPerBit
-	seg := &signal.Signal{Rate: cap.Rate, Samples: cap.Samples[start:min(end, len(cap.Samples))]}
 	return &RxFrame{
-		Payload:  payload,
-		RawBits:  bodyBits,
-		StartIdx: start,
-		RSSI:     seg.MeanPowerDBm(),
-		CRCOK:    bits.CRC24BLE(payload, 0x555555) == gotCRC,
+		Payload: payload,
+		CRCOK:   bits.CRC24BLE(payload, 0x555555) == gotCRC,
 	}
 }
 

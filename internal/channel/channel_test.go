@@ -135,7 +135,7 @@ func TestApplyExcludeTagLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := without.MeanPowerDBm() - with.MeanPowerDBm()
+	d := signal.PowerDB(without.MeanPower()) - signal.PowerDB(with.MeanPower())
 	if math.Abs(d-l.TagLossDB) > 0.1 {
 		t.Fatalf("excludeTagLoss difference %g dB, want %g", d, l.TagLossDB)
 	}
@@ -246,7 +246,7 @@ func TestFadeModelConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := out.MeanPowerDBm(), l.BackscatterRSSI(); math.Abs(got-want) > 1e-6 {
+	if got, want := signal.PowerDB(out.MeanPower()), l.BackscatterRSSI(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("FadeNone power %g, want exactly %g", got, want)
 	}
 
@@ -259,7 +259,7 @@ func TestFadeModelConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		powers = append(powers, out.MeanPowerDBm())
+		powers = append(powers, signal.PowerDB(out.MeanPower()))
 	}
 	varied := false
 	for _, p := range powers[1:] {
@@ -301,7 +301,7 @@ func TestImpairmentExtraLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := clean.MeanPowerDBm() - faded.MeanPowerDBm(); math.Abs(d-13) > 0.1 {
+	if d := signal.PowerDB(clean.MeanPower()) - signal.PowerDB(faded.MeanPower()); math.Abs(d-13) > 0.1 {
 		t.Fatalf("extra loss delivered %g dB, want 13", d)
 	}
 }

@@ -15,9 +15,6 @@ type MultiTagResult struct {
 	// as if that tag were alone (the comparison the MAC uses to declare a
 	// slot collided).
 	PerTagBER []float64
-	// MeanMismatch is the average window mismatch fraction of the decoded
-	// stream: near 0/1 for a single tag, near 0.5 under collision.
-	MeanMismatch float64
 }
 
 // RunCollision transmits one WiFi excitation packet and lets every tag in
@@ -85,13 +82,6 @@ func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
 		return MultiTagResult{}, err
 	}
 	res := MultiTagResult{Detected: true, PerTagBER: make([]float64, len(tagData))}
-	var mism float64
-	for _, w := range ws {
-		mism += w.MismatchFraction
-	}
-	if len(ws) > 0 {
-		res.MeanMismatch = mism / float64(len(ws))
-	}
 	decoded := decoder.Bits(ws)
 	for i, data := range tagData {
 		n := used[i]

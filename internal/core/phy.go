@@ -221,9 +221,6 @@ func (p *wifiPHY) receiver() *wifi.Receiver {
 	rx.DetectionThreshold = wifiDetectionThreshold
 	rx.PilotPhaseTracking = p.cfg.PilotPhaseTracking
 	rx.CollectPilotPhases = p.cfg.ReceiverMode == SingleReceiver
-	// The session reports the link budget's backscatter RSSI, never the
-	// capture measurement, so skip that full-packet power pass.
-	rx.SkipRSSI = true
 	return rx
 }
 

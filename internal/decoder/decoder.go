@@ -148,11 +148,7 @@ func rotateGrayPair(b0, b1 byte, k int) (byte, byte) {
 
 // QuaternaryWindowResult carries one decoded 2-bit tag symbol.
 type QuaternaryWindowResult struct {
-	Rotation int     // detected k (0..3)
-	Bits     [2]byte // eq. 5 tag bits for this window
-	// MatchFraction is the agreement of the winning hypothesis; values
-	// near 0.25 above the runner-up indicate a confident decision.
-	MatchFraction float64
+	Bits [2]byte // eq. 5 tag bits for this window: the detected k's bit pair
 	// Soft is the per-bit soft decision pair (see SoftScale). Each bit's
 	// margin is the winning hypothesis's match count against the best
 	// rotation hypothesis that decodes that bit to the opposite value —
@@ -213,10 +209,8 @@ func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]QuaternaryWindow
 			soft[b] = softFor(v, margin)
 		}
 		out = append(out, QuaternaryWindowResult{
-			Rotation:      best,
-			Bits:          [2]byte{bits[0], bits[1]},
-			MatchFraction: float64(matches[best]) / float64(windowBits/2),
-			Soft:          soft,
+			Bits: [2]byte{bits[0], bits[1]},
+			Soft: soft,
 		})
 	}
 	return out, nil

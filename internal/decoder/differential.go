@@ -123,12 +123,7 @@ func DecodeDifferentialQuaternaryWindows(rx []byte, window int) ([]QuaternaryWin
 			margin := float64(matches[best]-opp) / float64(window)
 			soft[b] = softFor(v, margin)
 		}
-		out = append(out, QuaternaryWindowResult{
-			Rotation:      k,
-			Bits:          bits,
-			MatchFraction: float64(matches[best]) / float64(window),
-			Soft:          soft,
-		})
+		out = append(out, QuaternaryWindowResult{Bits: bits, Soft: soft})
 	}
 	return out, nil
 }

@@ -47,12 +47,10 @@ func TestDecodeQuaternaryWindowsAllRotations(t *testing.T) {
 		t.Fatalf("windows %d, want 4", len(ws))
 	}
 	for w, k := range rotations {
-		if ws[w].Rotation != k {
-			t.Fatalf("window %d: rotation %d, want %d", w, ws[w].Rotation, k)
+		if got := rotation(ws[w]); got != k {
+			t.Fatalf("window %d: rotation %d, want %d", w, got, k)
 		}
-		if ws[w].MatchFraction != 1 {
-			t.Fatalf("window %d: match %g, want 1", w, ws[w].MatchFraction)
-		}
+		requireFullConfidence(t, w, ws[w])
 	}
 	bits := QuaternaryBits(ws)
 	want := []byte{0, 0, 0, 1, 1, 0, 1, 1}
@@ -82,8 +80,26 @@ func TestDecodeQuaternaryWindowsNoiseTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws[0].Rotation != 3 || ws[1].Rotation != 0 {
-		t.Fatalf("rotations %d,%d want 3,0", ws[0].Rotation, ws[1].Rotation)
+	if rotation(ws[0]) != 3 || rotation(ws[1]) != 0 {
+		t.Fatalf("rotations %d,%d want 3,0", rotation(ws[0]), rotation(ws[1]))
+	}
+}
+
+// rotation is the rotation index k a window decided: its 2-bit tag
+// symbol read back as a number, the inverse of QuaternaryDecode.
+func rotation(w QuaternaryWindowResult) int {
+	return int(w.Bits[0])<<1 | int(w.Bits[1])
+}
+
+// requireFullConfidence fails unless both of a clean window's soft values
+// are at full scale: every pair matched the winning hypothesis and none
+// matched one that decodes a bit the other way.
+func requireFullConfidence(t *testing.T, i int, w QuaternaryWindowResult) {
+	t.Helper()
+	for b := 0; b < 2; b++ {
+		if abs16(w.Soft[b]) != SoftScale {
+			t.Fatalf("window %d bit %d: clean window soft %d, want ±%d", i, b, w.Soft[b], SoftScale)
+		}
 	}
 }
 
@@ -122,7 +138,7 @@ func TestQuaternaryRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for w := 0; w < nWin; w++ {
-			if ws[w].Rotation != int(ks[w%len(ks)])%4 {
+			if rotation(ws[w]) != int(ks[w%len(ks)])%4 {
 				return false
 			}
 		}

@@ -123,9 +123,6 @@ func TestQuaternarySoftOppositeHypothesis(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := ws[0]
-		if w.Rotation != k {
-			t.Fatalf("k=%d: detected rotation %d", k, w.Rotation)
-		}
 		want := [2]byte{byte(k >> 1), byte(k & 1)}
 		for b := 0; b < 2; b++ {
 			if w.Bits[b] != want[b] {

@@ -14,7 +14,6 @@ import (
 type HitchHikeResult struct {
 	TagBitsPerPacket int
 	PacketSeconds    float64
-	TagRateKbps      float64
 	BitErrors        int
 }
 
@@ -100,7 +99,6 @@ func RunHitchHikePacket(payloadBytes int, tagBits []byte) (HitchHikeResult, erro
 	return HitchHikeResult{
 		TagBitsPerPacket: used,
 		PacketSeconds:    duration,
-		TagRateKbps:      float64(used) / duration / 1e3,
 		BitErrors:        errors,
 	}, nil
 }

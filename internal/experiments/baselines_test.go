@@ -20,8 +20,8 @@ func TestRunHitchHikePacketClean(t *testing.T) {
 	}
 	// 4 DBPSK bits per tag bit at 1 Mbps -> ~250 kbps in-packet rate
 	// (HitchHike's short-range regime).
-	if res.TagRateKbps < 150 || res.TagRateKbps > 260 {
-		t.Fatalf("hitchhike in-packet rate %.1f kbps, want ~250", res.TagRateKbps)
+	if kbps := float64(res.TagBitsPerPacket) / res.PacketSeconds / 1e3; kbps < 150 || kbps > 260 {
+		t.Fatalf("hitchhike in-packet rate %.1f kbps, want ~250", kbps)
 	}
 	if _, err := RunHitchHikePacket(0, tagBits); err == nil {
 		t.Error("zero payload accepted")

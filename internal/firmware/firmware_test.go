@@ -17,7 +17,7 @@ func pulsesFor(t *testing.T, scheme plm.Scheme, slots int) []tag.Pulse {
 	durations := scheme.EncodeMessage(payload)
 	out := make([]tag.Pulse, len(durations))
 	for i, d := range durations {
-		out[i] = tag.Pulse{Start: float64(i), Duration: d}
+		out[i] = tag.Pulse{Duration: d}
 	}
 	return out
 }

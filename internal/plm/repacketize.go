@@ -5,20 +5,14 @@ import (
 	"math"
 )
 
-// PacketPlan is one planned transmission burst of the PLM downlink when it
-// rides on real traffic (§2.4.2: "a better way is to buffer existing
-// traffic before sending it to the NIC, and then re-order or re-packetize
-// to get the necessary sequence of L0s and L1s").
-type PacketPlan struct {
-	Bit          byte    // the PLM bit this burst encodes
-	Duration     float64 // burst airtime: exactly L0 or L1
-	PayloadBytes int     // buffered user traffic carried in this burst
-	PadBytes     int     // dummy bytes added to hit the target duration
-}
-
-// RepacketizePlan summarises a planned message transmission.
+// RepacketizePlan summarises a planned transmission of the PLM downlink
+// when it rides on real traffic (§2.4.2: "a better way is to buffer
+// existing traffic before sending it to the NIC, and then re-order or
+// re-packetize to get the necessary sequence of L0s and L1s"). Each
+// preamble and message bit is one burst of airtime exactly L0 or L1 (the
+// durations EncodeMessage gives), filled with buffered user traffic first
+// and padded with dummy bytes to the target.
 type RepacketizePlan struct {
-	Packets []PacketPlan
 	// LeftoverBytes is buffered traffic that did not fit the message's
 	// bursts and stays queued for normal transmission.
 	LeftoverBytes int
@@ -47,26 +41,15 @@ func (s Scheme) Repacketize(pendingBytes int, message []byte, rateBps, overheadT
 		return RepacketizePlan{}, fmt.Errorf("plm: negative pending bytes")
 	}
 
-	bits := append(append([]byte(nil), s.Preamble...), message...)
-	plan := RepacketizePlan{Packets: make([]PacketPlan, 0, len(bits)), LeftoverBytes: pendingBytes}
+	plan := RepacketizePlan{LeftoverBytes: pendingBytes}
 	var usefulTime, totalTime float64
-	for _, b := range bits {
-		target := s.L0
-		if b&1 == 1 {
-			target = s.L1
-		}
+	for _, target := range s.EncodeMessage(message) {
 		capacityBytes := int(math.Floor((target - overheadTime) * rateBps / 8))
 		take := plan.LeftoverBytes
 		if take > capacityBytes {
 			take = capacityBytes
 		}
 		plan.LeftoverBytes -= take
-		plan.Packets = append(plan.Packets, PacketPlan{
-			Bit:          b & 1,
-			Duration:     target,
-			PayloadBytes: take,
-			PadBytes:     capacityBytes - take,
-		})
 		usefulTime += float64(take) * 8 / rateBps
 		totalTime += target
 	}

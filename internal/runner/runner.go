@@ -55,12 +55,10 @@ func DeriveSeed(base int64, domain string, idx ...int) int64 {
 	return int64(h)
 }
 
-// Stats reports one pool run: job count, workers used, wall-clock time and
-// summed per-job busy time (Busy/Wall·Workers is the pool utilisation).
+// Stats reports one pool run: the workers used and the summed per-job
+// busy time, from which the metrics layer derives pool utilisation.
 type Stats struct {
-	Jobs    int
 	Workers int
-	Wall    time.Duration
 	Busy    time.Duration
 }
 
@@ -116,11 +114,10 @@ func MapStats(n, workers int, fn func(i int) error) (Stats, error) {
 	if workers > n {
 		workers = n
 	}
-	st := Stats{Jobs: n, Workers: workers}
+	st := Stats{Workers: workers}
 	if n == 0 {
 		return st, nil
 	}
-	start := time.Now()
 	errs := make([]error, n)
 	var next, busy atomic.Int64
 	var wg sync.WaitGroup
@@ -140,7 +137,6 @@ func MapStats(n, workers int, fn func(i int) error) (Stats, error) {
 		}()
 	}
 	wg.Wait()
-	st.Wall = time.Since(start)
 	st.Busy = time.Duration(busy.Load())
 	for _, err := range errs {
 		if err != nil {

@@ -92,7 +92,7 @@ func ConvolveInto(dst, x []complex128, h []float64) []complex128 {
 	lo := min(m-1-delay, len(x))
 	hi := max(lo, len(x)-delay)
 	interior := dst[lo:hi]
-	if simd.AVX2Enabled() {
+	if simd.Enabled() {
 		vec := len(interior) &^ 7
 		if !simd.FIRReal(interior[:vec], x, h) {
 			firRealGo(interior[:vec], x, h)

@@ -45,7 +45,7 @@ func eachDispatchMode(t testing.TB, fn func(mode string)) {
 	defer simd.SetEnabled(prev)
 	simd.SetEnabled(false)
 	fn("go")
-	if simd.SetEnabled(true); simd.AVX2Enabled() {
+	if simd.SetEnabled(true); simd.Enabled() {
 		fn(simd.Mode())
 	}
 }

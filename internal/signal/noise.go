@@ -86,7 +86,7 @@ func (n *Noise) refill() {
 		copy(n.rej[:noiseHead/64], n.rej[noiseBlock/64:])
 		n.pos -= noiseBlock
 	}
-	if simd.AVX2Enabled() {
+	if simd.Enabled() {
 		simd.LagFill(n.y[noiseBase:])
 	} else {
 		lagFillGo(n.y[noiseBase:])
@@ -104,7 +104,7 @@ func lagFillGo(y []uint64) {
 
 // zigReject flags the values of u that leave the ziggurat's fast path.
 func zigReject(flags, u []uint64) {
-	if simd.AVX2Enabled() {
+	if simd.Enabled() {
 		simd.ZigReject(flags, u, &zigK)
 		return
 	}
@@ -263,7 +263,7 @@ func (s *Signal) AddAWGN(noisePower float64, n *Noise) *Signal {
 // normAdd adds the fast-path normals of a run of accepted samples (see
 // simd.NormAdd).
 func normAdd(x []complex128, u []uint64, sigma float64) {
-	if simd.AVX2Enabled() {
+	if simd.Enabled() {
 		simd.NormAdd(x, u, &zigW, sigma)
 		return
 	}

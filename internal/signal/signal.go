@@ -128,8 +128,3 @@ func DBToPower(db float64) float64 {
 func AmplitudeForPowerDBm(dbm float64) float64 {
 	return math.Sqrt(DBToPower(dbm))
 }
-
-// MeanPowerDBm reports the signal's mean power on the 1.0 == 0 dBm scale.
-func (s *Signal) MeanPowerDBm() float64 {
-	return PowerDB(s.MeanPower())
-}

@@ -13,7 +13,7 @@ import (
 // than the pass, several passes per call.
 
 func requireAVX2Kernels(t *testing.T) {
-	if !AVX2Enabled() {
+	if !Enabled() {
 		t.Skip("AVX2 kernels not dispatched on this build")
 	}
 }

@@ -7,9 +7,10 @@
 // slice correlations (zigbee.(*Receiver).detect), and the channel's
 // Gaussian noise (signal.Noise, signal.(*Signal).AddAWGN): the
 // lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
-// flags and the fast-path add. Each kernel has a Go assembly implementation (AVX2 on amd64;
-// NEON on arm64 for the first two) and the callers keep their pure-Go
-// loops as the always-available fallback and the semantic definition.
+// flags and the fast-path add. Each kernel has an AVX2 assembly
+// implementation on amd64, and the callers keep their pure-Go loops as
+// the always-available fallback and the semantic definition. Every other
+// architecture builds as noasm does and runs the Go loops.
 //
 // Exactness contract: every kernel is bit-identical to the pure-Go
 // reference for every input, not just typical ones. The one exception
@@ -62,9 +63,8 @@
 //
 // On amd64 the Go compiler never fuses a multiply into an add (at any
 // GOAMD64 level; only math.FMA fuses), so the Go twins round every
-// product and the kernels match them. On arm64 it does fuse, which is
-// why only the Viterbi and FFT kernels have NEON twins and the others'
-// callers keep their Go loops there.
+// product and the kernels match them. On arm64 it does fuse, so no
+// kernel written to the amd64 contract could match the Go loops there.
 //
 // Dispatch is decided once at init from CPU features, can be disabled
 // at build time with the `noasm` build tag, at process start with the
@@ -84,8 +84,8 @@ import (
 const NoSIMDEnv = "FREERIDER_NOSIMD"
 
 // hwMode is the vector ISA this binary+CPU combination supports:
-// "avx2", "neon", or "" when the build has no asm kernels (noasm tag,
-// other GOARCH) or the CPU lacks the features. Fixed at init.
+// "avx2", or "" when the build has no asm kernels (noasm tag, other
+// GOARCH) or the CPU lacks the features. Fixed at init.
 var hwMode = hwDetect()
 
 // active gates dispatch. It starts true only when hwMode is non-empty
@@ -101,9 +101,9 @@ func init() {
 // kernels below with Enabled()==false panics on noasm builds.
 func Enabled() bool { return active.Load() }
 
-// Mode names the dispatch path current callers get: "avx2", "neon",
-// or "go". Benchmark tooling records this next to each trajectory
-// point so perf history is attributable to a code path.
+// Mode names the dispatch path current callers get: "avx2" or "go".
+// Benchmark tooling records this next to each trajectory point so perf
+// history is attributable to a code path.
 func Mode() string {
 	if !active.Load() {
 		return "go"
@@ -169,12 +169,6 @@ func FFTPass(x []complex128, tw []complex128, size int) {
 	fftPass(&x[0], len(x), &tw[0], size)
 }
 
-// AVX2Enabled reports whether the amd64-only kernels (FIRReal,
-// PreambleCorr, LagFill, ZigReject and NormAdd) are dispatched. arm64
-// has no NEON twins of these, so its callers stay on their Go loops
-// even while Enabled() is true for ViterbiACS and FFTPass.
-func AVX2Enabled() bool { return hwMode == "avx2" && active.Load() }
-
 // FIRReal computes len(dst) outputs of a real-tap FIR over complex
 // samples, each summed from +0 in input order:
 //
@@ -186,7 +180,7 @@ func AVX2Enabled() bool { return hwMode == "avx2" && active.Load() }
 // drops the ·0 cross terms, which matter only for Inf or NaN samples,
 // and those always make an output non-finite). len(dst) must be a
 // multiple of 8, len(h) ≥ 1 and len(x) ≥ len(dst)+len(h)−1; dst must
-// not overlap x. Callers must check AVX2Enabled().
+// not overlap x. Callers must check Enabled().
 func FIRReal(dst, x []complex128, h []float64) (finite bool) {
 	if len(dst)%8 != 0 {
 		panic("simd: FIRReal output count must be a multiple of 8")
@@ -209,7 +203,7 @@ func FIRReal(dst, x []complex128, h []float64) (finite bool) {
 // sum taken from +0 in j order. tpl is used as given (pass a conjugated
 // template for a matched filter). len(acc) must be a multiple of 8,
 // len(tpl) ≥ 1 and len(x) ≥ len(acc)−1+len(tpl). Callers must check
-// AVX2Enabled().
+// Enabled().
 func PreambleCorr(acc, x, tpl []complex128) {
 	if len(acc)%8 != 0 {
 		panic("simd: PreambleCorr position count must be a multiple of 8")
@@ -236,7 +230,7 @@ const (
 //	y[k] = y[k-FibLong] + y[k-FibShort]   for FibLong ≤ k < len(y)
 //
 // len(y) − FibLong must be a non-negative multiple of 16. Callers must
-// check AVX2Enabled().
+// check Enabled().
 func LagFill(y []uint64) {
 	n := len(y) - FibLong
 	if n < 0 || n%16 != 0 {
@@ -252,7 +246,7 @@ func LagFill(y []uint64) {
 // math/rand's NormFloat64: each raw generator output u gives
 // j = int32(u>>31), and bit b of flags[w] is set exactly when draw
 // u[64w+b] has |j| ≥ kn[j&127] as unsigned integers (|−2³¹| = 2³¹).
-// len(u) must be 64·len(flags). Callers must check AVX2Enabled().
+// len(u) must be 64·len(flags). Callers must check Enabled().
 func ZigReject(flags, u []uint64, kn *[128]uint32) {
 	if len(u) != 64*len(flags) {
 		panic("simd: ZigReject needs 64 draws per flag word")
@@ -271,7 +265,7 @@ func ZigReject(flags, u []uint64, kn *[128]uint32) {
 // for draws u[2q], u[2q+1], each product rounded in that order. It is
 // NormFloat64's value only for draws ZigReject leaves unflagged; the
 // caller hands it runs of those. len(u) must be at least 2·len(x).
-// Callers must check AVX2Enabled().
+// Callers must check Enabled().
 func NormAdd(x []complex128, u []uint64, wn *[128]float32, sigma float64) {
 	if len(u) < 2*len(x) {
 		panic("simd: NormAdd needs two draws per sample")

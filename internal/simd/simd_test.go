@@ -25,7 +25,7 @@ func TestDispatchSelection(t *testing.T) {
 		if SetEnabled(true); Enabled() {
 			t.Fatal("SetEnabled(true) enabled dispatch on a kernel-less build")
 		}
-	case "avx2", "neon":
+	case "avx2":
 		if (hw == "avx2") != (runtime.GOARCH == "amd64") {
 			t.Fatalf("HWMode %q on %s", hw, runtime.GOARCH)
 		}

@@ -27,7 +27,6 @@ func NewEnvelopeDetector() *EnvelopeDetector {
 
 // Pulse is one detected on-air burst.
 type Pulse struct {
-	Start    float64 // seconds from capture start (includes latency)
 	Duration float64 // seconds
 }
 
@@ -53,17 +52,11 @@ func (e *EnvelopeDetector) Detect(s *signal.Signal) []Pulse {
 			onStart = i
 		} else if on && env < threshold/2 { // hysteresis
 			on = false
-			pulses = append(pulses, Pulse{
-				Start:    float64(onStart)/s.Rate + EnvelopeLatency,
-				Duration: float64(i-onStart) / s.Rate,
-			})
+			pulses = append(pulses, Pulse{Duration: float64(i-onStart) / s.Rate})
 		}
 	}
 	if on {
-		pulses = append(pulses, Pulse{
-			Start:    float64(onStart)/s.Rate + EnvelopeLatency,
-			Duration: float64(len(s.Samples)-onStart) / s.Rate,
-		})
+		pulses = append(pulses, Pulse{Duration: float64(len(s.Samples)-onStart) / s.Rate})
 	}
 	return pulses
 }

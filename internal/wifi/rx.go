@@ -19,15 +19,12 @@ var (
 	ErrWeakDetection = errors.New("wifi: preamble correlation below threshold")
 )
 
-// RxPacket is one decoded PPDU.
+// RxPacket is one decoded PPDU: the bit and feature streams the
+// backscatter decoders compare against the excitation, and the payload.
 type RxPacket struct {
-	Rate     Rate
-	PSDU     []byte  // decoded payload bytes (may be corrupt; check FCSOK)
-	RawBits  []byte  // descrambled SERVICE+PSDU+tail bit stream
-	StartIdx int     // sample index of the preamble start
-	RSSI     float64 // mean received power over the packet, dBm scale
-	FCSOK    bool    // true if the last 4 PSDU bytes are a valid CRC-32 FCS
-	SNRdB    float64 // LTF-based SNR estimate
+	PSDU    []byte // decoded payload bytes (may be corrupt; check FCSOK)
+	RawBits []byte // descrambled SERVICE+PSDU+tail bit stream
+	FCSOK   bool   // true if the last 4 PSDU bytes are a valid CRC-32 FCS
 	// DemappedBits is the hard-decision coded bit stream straight off the
 	// constellation (NCBPS bits per data symbol, before deinterleaving and
 	// Viterbi decoding). A monitor-mode decoder uses it to detect the
@@ -44,7 +41,9 @@ type RxPacket struct {
 	PilotPhases []float64
 }
 
-// Receiver decodes 802.11a/g PPDUs from complex baseband captures.
+// Receiver decodes 802.11a/g PPDUs from complex baseband captures into
+// the streams an RxPacket carries. It measures neither power nor SNR: the
+// backscatter session reports the link budget's RSSI, not the capture's.
 type Receiver struct {
 	// DetectionThreshold is the minimum LTF periodicity quality
 	// (≈ SNR/(SNR+1), 0..1) to accept a packet; packets below it are
@@ -68,11 +67,9 @@ type Receiver struct {
 	// allocation-identical. Unlike PilotPhaseTracking this only observes
 	// the pilots — the data subcarriers are never corrected.
 	CollectPilotPhases bool
-	// SkipRSSI leaves RxPacket.RSSI at zero instead of measuring the mean
-	// packet power. Strictly opt-in: callers that derive their own power
-	// figure (the backscatter session reports the link budget's RSSI, not
-	// the capture's) set it to drop a full-packet power pass per decode.
-	// Every other field of the packet is unaffected.
+	// SkipRSSI has no effect: the receiver measures no packet power. It
+	// stays declared because perfbench/replay.go, the benchmark's mirror
+	// of the session, still sets it.
 	SkipRSSI bool
 }
 
@@ -378,9 +375,9 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		// Work on a corrected copy of the packet region: coarse estimate
 		// from the LTF copies, then (after SIGNAL tells us the length) a
 		// cyclic-prefix refinement over the whole data region. Every read of
-		// the copy below is at an index ≥ start (preamble, SIGNAL, data
-		// symbols, and the RSSI window all begin there), so the [0, start)
-		// prefix can stay uninitialised.
+		// the copy below is at an index ≥ start (preamble, SIGNAL and data
+		// symbols all begin there), so the [0, start) prefix can stay
+		// uninitialised.
 		buf := arena.ComplexUninit(len(s))
 		copy(buf[start:], s[start:])
 		cfo := estimateCFOFromLTF(buf[start+160 : start+320])
@@ -388,7 +385,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		s = buf
 	}
 
-	h, snr := estimateChannel(s[start+160:start+320], arena)
+	h := estimateChannel(s[start+160:start+320], arena)
 	var eq equalizer
 	eq.init(h)
 
@@ -435,7 +432,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 			// derotate it in place instead of copying to a second buffer.
 			end := dataStart + nSym*SymbolLen
 			derotate(s[start:end], residual)
-			h, snr = estimateChannel(s[start+160:start+320], arena)
+			h = estimateChannel(s[start+160:start+320], arena)
 			eq.init(h)
 		}
 	}
@@ -505,18 +502,9 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		return nil, err
 	}
 
-	var rssi float64
-	if !rx.SkipRSSI {
-		pktSamples := &signal.Signal{Rate: cap.Rate, Samples: s[start : dataStart+nSym*SymbolLen]}
-		rssi = pktSamples.MeanPowerDBm()
-	}
 	pkt := &RxPacket{
-		Rate:         rate,
 		PSDU:         psdu,
 		RawBits:      descrambled,
-		StartIdx:     start,
-		RSSI:         rssi,
-		SNRdB:        snr,
 		FCSOK:        checkFCS(psdu),
 		DemappedBits: demapped,
 		PilotPhases:  pilotPhases,
@@ -544,16 +532,14 @@ func pilotPhase(pilots [NumPilots]complex128, symIdx int) float64 {
 // LTF copies (samples are the 160-sample LTF portion: 32 CP + 2×64). The
 // returned estimate lives on the caller's arena and is only valid until its
 // Release.
-func estimateChannel(ltf []complex128, a *signal.Arena) ([]complex128, float64) {
+func estimateChannel(ltf []complex128, a *signal.Arena) []complex128 {
 	h := a.Complex(FFTSize)
 	sum := a.Complex(FFTSize)
-	var noise float64
-	first := a.Complex(FFTSize)
 	buf := a.Complex(FFTSize)
 	for rep := 0; rep < 2; rep++ {
 		copy(buf, ltf[32+rep*FFTSize:32+(rep+1)*FFTSize])
 		if err := fftPlan64.FFT(buf); err != nil {
-			return nil, 0
+			return nil
 		}
 		inv := complex(sqrtNused/float64(FFTSize), 0)
 		for i := range buf {
@@ -561,27 +547,16 @@ func estimateChannel(ltf []complex128, a *signal.Arena) ([]complex128, float64) 
 		}
 		for _, bin := range usedBins {
 			sum[bin] += buf[bin]
-			if rep == 0 {
-				first[bin] = buf[bin]
-			} else {
-				d := buf[bin] - first[bin]
-				noise += real(d)*real(d) + imag(d)*imag(d)
-			}
 		}
 	}
-	var sigPow float64
 	for k := -26; k <= 26; k++ {
 		if k == 0 {
 			continue
 		}
 		bin := binFor(k)
 		h[bin] = sum[bin] / (2 * LTFValue(k))
-		sigPow += real(h[bin])*real(h[bin]) + imag(h[bin])*imag(h[bin])
 	}
-	// Noise per bin from the copy difference: var(d) = 2·var(n).
-	noise /= 2
-	snr := 10 * math.Log10(sigPow/math.Max(noise, 1e-30))
-	return h, snr
+	return h
 }
 
 // correctPhase applies pilot-based common phase error correction (the

@@ -75,16 +75,14 @@ func ModulateChips(chips []byte) *signal.Signal {
 	return s
 }
 
-// RxFrame is one decoded 802.15.4 frame.
+// RxFrame is one decoded 802.15.4 frame: the symbol and flip streams the
+// backscatter decoders compare against the excitation, and the payload.
+// The receiver measures no frame power; the backscatter session reports the
+// link budget's RSSI.
 type RxFrame struct {
-	Payload  []byte
-	Symbols  []byte  // decoded data symbols including length field onward
-	StartIdx int     // sample index of the preamble start
-	RSSI     float64 // mean power over the frame, dBm scale
-	FCSOK    bool
-	// CorrMargin is the mean winning correlation (0..32) across the frame's
-	// symbols — a quality indicator that collapses when a tag flips phase.
-	CorrMargin float64
+	Payload []byte
+	Symbols []byte // decoded PSDU symbols, the ones after the length field
+	FCSOK   bool
 	// Flips is the per-symbol flip feature, aligned 1:1 with Symbols: 1
 	// when the chip window correlated better with the complemented
 	// codebook than the true one (bestC + worstC < 0, see bestSymbol),
@@ -413,7 +411,7 @@ func sliceGain(x []complex128, i int) complex128 {
 // conjugated template).
 func correlate(dst, x, tpl []complex128) {
 	vec := 0
-	if simd.AVX2Enabled() {
+	if simd.Enabled() {
 		vec = len(dst) &^ 7
 		simd.PreambleCorr(dst[:vec], x, tpl)
 	}
@@ -485,31 +483,28 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 		return nil, ErrNoFrame
 	}
 	inv := 1 / gain
-	demodSymbol := func(symStart int) (byte, int, byte, error) {
+	demodSymbol := func(symStart int) (byte, byte, error) {
 		w, ok := chipWord(samples, symStart, inv)
 		if !ok {
-			return 0, 0, 0, ErrTruncated
+			return 0, 0, ErrTruncated
 		}
 		s, c, worst := bestSymbol(w)
 		var flip byte
 		if rx.CollectFlips && c+worst < 0 {
 			flip = 1
 		}
-		return s, c, flip, nil
+		return s, flip, nil
 	}
 
 	// Skip preamble, check SFD (2 symbols), read length, then payload+FCS.
 	pos := PreambleSymbols * SymbolSamples
 	var hdr [4]byte // SFD low, SFD high, len low, len high nibbles
-	var corrSum, corrN float64
 	for i := 0; i < 4; i++ {
-		s, c, _, err := demodSymbol(pos)
+		s, _, err := demodSymbol(pos)
 		if err != nil {
 			return nil, err
 		}
 		hdr[i] = s
-		corrSum += float64(c)
-		corrN++
 		pos += SymbolSamples
 	}
 	if hdr[0]|hdr[1]<<4 != SFD {
@@ -526,7 +521,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 		flips = make([]byte, 0, length*2)
 	}
 	for i := 0; i < length*2; i++ {
-		s, c, flip, err := demodSymbol(pos)
+		s, flip, err := demodSymbol(pos)
 		if err != nil {
 			return nil, err
 		}
@@ -534,8 +529,6 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 		if rx.CollectFlips {
 			flips = append(flips, flip)
 		}
-		corrSum += float64(c)
-		corrN++
 		pos += SymbolSamples
 	}
 	body, err := BytesFromSymbols(syms)
@@ -545,14 +538,10 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 	payload := body[:length-2]
 	fcs := uint16(body[length-2]) | uint16(body[length-1])<<8
 
-	frameSamples := &signal.Signal{Rate: cap.Rate, Samples: samples[:min(pos, len(samples))]}
 	return &RxFrame{
-		Payload:    payload,
-		Symbols:    syms,
-		StartIdx:   start,
-		RSSI:       frameSamples.MeanPowerDBm(),
-		FCSOK:      bits.CRC16CCITT(payload) == fcs,
-		CorrMargin: corrSum / corrN,
-		Flips:      flips,
+		Payload: payload,
+		Symbols: syms,
+		FCSOK:   bits.CRC16CCITT(payload) == fcs,
+		Flips:   flips,
 	}, nil
 }

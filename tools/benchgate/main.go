@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -70,7 +71,7 @@ type point struct {
 
 // baseline is the checked-in gate reference. ProbeNsOp records how fast
 // the machine ran the calibration probe when the baseline was taken;
-// Dispatch records which SIMD kernel path (avx2/neon/go, or a "+"
+// Dispatch records which SIMD kernel path (avx2/go, or a "+"
 // join if packages disagreed) produced the numbers.
 type baseline struct {
 	Recorded   string           `json:"recorded"`
@@ -128,23 +129,46 @@ func main() {
 	if err != nil {
 		fatal("read %s: %v (run `make bench-dsp-baseline` to record one)", *basePath, err)
 	}
-	scale := 1.0
+	scale, ok := speedScale(base, probe, haveProbe)
+	if !ok {
+		fatal("baseline was recorded with probe %s but this run did not produce it", *probeName)
+	}
 	if base.ProbeNsOp > 0 {
-		if !haveProbe {
-			fatal("baseline was recorded with probe %s but this run did not produce it", *probeName)
-		}
-		scale = probe.NsOp / base.ProbeNsOp
 		fmt.Printf("benchgate: machine-speed scale %.3f (probe %.0f ns/op now vs %.0f at baseline)\n",
 			scale, probe.NsOp, base.ProbeNsOp)
 	}
-	if base.Dispatch != "" && dispatch != "" && base.Dispatch != dispatch {
-		fmt.Printf("benchgate: WARNING: this run used SIMD dispatch %q but the baseline was recorded under %q — "+
-			"ns/op comparisons mix kernel sets; re-record with `make bench-dsp-baseline` on matching hardware\n",
-			dispatch, base.Dispatch)
+	if w := dispatchWarning(base.Dispatch, dispatch); w != "" {
+		fmt.Println(w)
 	}
-	if gate(base, names, cur, scale) {
+	if gate(os.Stdout, base, names, cur, scale) {
 		os.Exit(1)
 	}
+}
+
+// speedScale is the factor baseline ns/op budgets are multiplied by:
+// probe ns/op now over probe ns/op at baseline, or 1 when the baseline
+// recorded no probe. ok is false when the baseline has a probe and the
+// run does not.
+func speedScale(base *baseline, probe point, haveProbe bool) (scale float64, ok bool) {
+	if base.ProbeNsOp <= 0 {
+		return 1, true
+	}
+	if !haveProbe {
+		return 0, false
+	}
+	return probe.NsOp / base.ProbeNsOp, true
+}
+
+// dispatchWarning returns the warning for a run whose SIMD dispatch
+// differs from the baseline's, or "" when they agree or either is
+// unknown. A mismatch warns and does not fail the gate.
+func dispatchWarning(base, run string) string {
+	if base == "" || run == "" || base == run {
+		return ""
+	}
+	return fmt.Sprintf("benchgate: WARNING: this run used SIMD dispatch %q but the baseline was recorded under %q — "+
+		"ns/op comparisons mix kernel sets; re-record with `make bench-dsp-baseline` on matching hardware",
+		run, base)
 }
 
 // parseBench folds `go test -bench` stdout into per-benchmark minima.
@@ -164,7 +188,7 @@ func main() {
 // mode when every package agrees, or a "+"-joined sorted set when a run
 // somehow mixes kernel paths — a mixed value in the trajectory is
 // itself a signal worth seeing.
-func parseBench(r *os.File) (map[string]point, map[string]map[string]float64, string, error) {
+func parseBench(r io.Reader) (map[string]point, map[string]map[string]float64, string, error) {
 	out := map[string]point{}
 	extras := map[string]map[string]float64{}
 	modes := map[string]bool{}
@@ -312,11 +336,11 @@ func writeBaseline(path string, names []string, cur map[string]point, probeNs fl
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// gate compares the run against the baseline and reports true when any
-// benchmark regressed or disappeared. scale is the machine-speed ratio
-// from the calibration probe; baseline ns/op budgets are multiplied by it
-// before comparison.
-func gate(base *baseline, names []string, cur map[string]point, scale float64) bool {
+// gate compares the run against the baseline, writing its verdicts to w,
+// and reports true when any benchmark regressed or disappeared. scale is
+// the machine-speed ratio from the calibration probe; baseline ns/op
+// budgets are multiplied by it before comparison.
+func gate(w io.Writer, base *baseline, names []string, cur map[string]point, scale float64) bool {
 	bad := false
 	baseNames := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -327,12 +351,12 @@ func gate(base *baseline, names []string, cur map[string]point, scale float64) b
 		old := base.Benchmarks[name]
 		now, ok := cur[name]
 		if !ok {
-			fmt.Printf("benchgate: FAIL %s: in baseline but absent from this run\n", name)
+			fmt.Fprintf(w, "benchgate: FAIL %s: in baseline but absent from this run\n", name)
 			bad = true
 			continue
 		}
 		if budget := old.NsOp * scale; now.NsOp > budget*1.15 {
-			fmt.Printf("benchgate: FAIL %s: %.0f ns/op vs speed-adjusted baseline %.0f (+%.1f%% > 15%% budget)\n",
+			fmt.Fprintf(w, "benchgate: FAIL %s: %.0f ns/op vs speed-adjusted baseline %.0f (+%.1f%% > 15%% budget)\n",
 				name, now.NsOp, budget, 100*(now.NsOp/budget-1))
 			bad = true
 		}
@@ -341,18 +365,18 @@ func gate(base *baseline, names []string, cur map[string]point, scale float64) b
 			allocCap = add
 		}
 		if now.AllocsOp > allocCap {
-			fmt.Printf("benchgate: FAIL %s: %.0f allocs/op vs baseline %.0f (cap %.0f)\n",
+			fmt.Fprintf(w, "benchgate: FAIL %s: %.0f allocs/op vs baseline %.0f (cap %.0f)\n",
 				name, now.AllocsOp, old.AllocsOp, allocCap)
 			bad = true
 		}
 	}
 	for _, name := range names {
 		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("benchgate: note: %s not in baseline (gated after next bench-dsp-baseline)\n", name)
+			fmt.Fprintf(w, "benchgate: note: %s not in baseline (gated after next bench-dsp-baseline)\n", name)
 		}
 	}
 	if !bad {
-		fmt.Printf("benchgate: OK — %d benchmarks within budget of %s baseline\n", len(baseNames), base.Recorded)
+		fmt.Fprintf(w, "benchgate: OK — %d benchmarks within budget of %s baseline\n", len(baseNames), base.Recorded)
 	}
 	return bad
 }
