@@ -430,8 +430,9 @@ func (s *Session) AdvanceSlots(n int) {
 var capturePool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal { return signal.New(0, 0) }, Cap: 32}
 
 // packetRNGPool recycles the per-packet RNGs RunParallel's derived streams
-// use (the default source carries a ~5 KB state table).
-var packetRNGPool = signal.FreeList[*rand.Rand]{New: func() *rand.Rand { return rand.New(rand.NewSource(0)) }}
+// use (the source carries a ~5 KB state table). signal.RandSource draws
+// exactly what rand.NewSource does and seeds faster.
+var packetRNGPool = signal.FreeList[*rand.Rand]{New: func() *rand.Rand { return rand.New(signal.NewRandSource(0)) }}
 
 // excitationPool recycles the waveform of an uncached WiFi entry (~650 KB
 // for a 1500 B packet): nothing outside the packet ever sees such an

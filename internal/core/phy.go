@@ -84,8 +84,10 @@ func checkFrame(cfg Config, lo, hi int, quaternary bool) error {
 	return nil
 }
 
-func newEntry(wave *signal.Signal, used int, airtime float64, ref []byte) *waveform.Entry {
-	return &waveform.Entry{Wave: wave, MeanPower: wave.MeanPower(), Used: used, Airtime: airtime, Ref: ref}
+// newEntry wraps a synthesised waveform and its mean power (the
+// shifter's, or Signal.MeanPower's where there is none).
+func newEntry(wave *signal.Signal, meanPower float64, used int, airtime float64, ref []byte) *waveform.Entry {
+	return &waveform.Entry{Wave: wave, MeanPower: meanPower, Used: used, Airtime: airtime, Ref: ref}
 }
 
 func randomPayload(rng *rand.Rand, n int) []byte {
@@ -193,10 +195,11 @@ func (p *wifiPHY) synthesize(psdu, tagBits []byte, seed byte) (*waveform.Entry, 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := wifiShifter.Shift(exc); err != nil {
+	power, err := wifiShifter.Shift(exc)
+	if err != nil {
 		return nil, err
 	}
-	e := newEntry(exc, used, exc.Duration(), p.ref(psdu))
+	e := newEntry(exc, power, used, exc.Duration(), p.ref(psdu))
 	if p.cfg.Quaternary {
 		// eq. 5 needs the interleaved coded stream; rebuild it once at
 		// synthesis time so cache hits skip it along with the TX chain.
@@ -351,12 +354,13 @@ func (p *zigbeePHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.Entry
 	if err != nil {
 		return nil, err
 	}
-	if _, err := zbShifter.Shift(backscattered); err != nil {
+	power, err := zbShifter.Shift(backscattered)
+	if err != nil {
 		return nil, err
 	}
 	fcs := bits.CRC16CCITT(payload)
 	body := append(append([]byte(nil), payload...), byte(fcs), byte(fcs>>8))
-	return newEntry(backscattered, used, exc.Duration(), zigbee.SymbolsFromBytes(body)), nil
+	return newEntry(backscattered, power, used, exc.Duration(), zigbee.SymbolsFromBytes(body)), nil
 }
 
 func (p *zigbeePHY) receive(cap *signal.Signal, e *waveform.Entry) received {
@@ -431,7 +435,7 @@ func (p *bluetoothPHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.En
 	if err != nil {
 		return nil, err
 	}
-	return newEntry(backscattered, used, exc.Duration(), ref), nil
+	return newEntry(backscattered, backscattered.MeanPower(), used, exc.Duration(), ref), nil
 }
 
 func (p *bluetoothPHY) receive(cap *signal.Signal, e *waveform.Entry) received {

@@ -129,11 +129,11 @@ func Soft(ws []WindowResult) []int16 {
 // QuaternaryDecode recovers 2-bit tag symbols from the eq. 5 scheme, where
 // the tag applies k·Δθ (k = 0..3) per window: k's binary expansion is the
 // tag bit pair.
-func QuaternaryDecode(k int) ([]byte, error) {
+func QuaternaryDecode(k int) ([2]byte, error) {
 	if k < 0 || k > 3 {
-		return nil, fmt.Errorf("decoder: rotation index %d outside 0..3", k)
+		return [2]byte{}, fmt.Errorf("decoder: rotation index %d outside 0..3", k)
 	}
-	return []byte{byte(k >> 1), byte(k & 1)}, nil
+	return [2]byte{byte(k >> 1), byte(k & 1)}, nil
 }
 
 // rotateGrayPair applies a 90°·k constellation rotation to a Gray-mapped
@@ -208,10 +208,7 @@ func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]QuaternaryWindow
 			margin := float64(matches[best]-opp) / float64(pairs)
 			soft[b] = softFor(v, margin)
 		}
-		out = append(out, QuaternaryWindowResult{
-			Bits: [2]byte{bits[0], bits[1]},
-			Soft: soft,
-		})
+		out = append(out, QuaternaryWindowResult{Bits: bits, Soft: soft})
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -196,18 +197,40 @@ func TestDecodeWindowsRoundTripProperty(t *testing.T) {
 }
 
 func TestQuaternaryDecode(t *testing.T) {
-	want := [][]byte{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	want := [][2]byte{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	for k := 0; k <= 3; k++ {
 		got, err := QuaternaryDecode(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want[k]) {
+		if got != want[k] {
 			t.Errorf("k=%d -> %v, want %v", k, got, want[k])
 		}
 	}
-	if _, err := QuaternaryDecode(4); err == nil {
-		t.Error("k=4 accepted")
+	for _, k := range []int{-1, 4} {
+		if _, err := QuaternaryDecode(k); err == nil {
+			t.Errorf("k=%d accepted", k)
+		}
+	}
+}
+
+// TestDecodeQuaternaryWindowsAllocs pins the quaternary decoder to one
+// allocation, its result slice: nothing per window.
+func TestDecodeQuaternaryWindowsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ref := make([]byte, 480)
+	rx := make([]byte, len(ref))
+	for i := range ref {
+		ref[i] = byte(rng.Intn(2))
+		rx[i] = byte(rng.Intn(2))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := DecodeQuaternaryWindows(ref, rx, 24); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("DecodeQuaternaryWindows: %v allocations per call, want 1", allocs)
 	}
 }
 

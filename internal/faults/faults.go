@@ -42,7 +42,7 @@ import (
 // warm, is deterministically allocation-free. The list is bounded so a
 // transient burst of concurrent At calls cannot pin generators forever.
 var faultRNGPool = signal.FreeList[*rand.Rand]{
-	New: func() *rand.Rand { return rand.New(rand.NewSource(0)) },
+	New: func() *rand.Rand { return rand.New(signal.NewRandSource(0)) },
 	Cap: 32,
 }
 

@@ -131,3 +131,26 @@ func BenchmarkCalibrationProbe(b *testing.B) {
 		benchProbeSink = acc
 	}
 }
+
+// BenchmarkSeed times seeding math/rand's source, RandSource (the same
+// state, by independent products) and restarting a Noise stream.
+func BenchmarkSeed(b *testing.B) {
+	b.Run("math-rand", func(b *testing.B) {
+		src := rand.NewSource(0)
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+		}
+	})
+	b.Run("RandSource", func(b *testing.B) {
+		src := NewRandSource(0)
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+		}
+	})
+	b.Run("Noise", func(b *testing.B) {
+		n := NewNoise(0)
+		for i := 0; i < b.N; i++ {
+			n.Seed(int64(i))
+		}
+	})
+}

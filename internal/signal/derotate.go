@@ -5,16 +5,20 @@ import (
 	"math/cmplx"
 )
 
-// Derotate removes a frequency offset of cfo Hz from samples in place, with
-// the phase reference at index 0. The rotation phasor is advanced by a
-// single complex multiply per sample (all trig hoisted out of the loop) and
-// renormalised every 1024 samples against magnitude drift.
+// Derotate writes src with a frequency offset of cfo Hz removed into
+// dst[:len(src)], with the phase reference at index 0. dst may be src
+// itself (in place) but must not otherwise overlap it. The rotation
+// phasor is advanced by a single complex multiply per sample (all trig
+// hoisted out of the loop) and renormalised every 1024 samples against
+// magnitude drift; a zero offset copies.
 //
 // Bit-identity: this is the exact recurrence the wifi and zigbee receivers
 // historically inlined; both now call it, so CFO correction stays
-// bit-for-bit identical across radios.
-func Derotate(samples []complex128, cfo, rate float64) {
+// bit-for-bit identical across radios. Writing to a separate dst keeps
+// every product: dst[i] = src[i]·rot is the in-place x[i] *= rot.
+func Derotate(dst, src []complex128, cfo, rate float64) {
 	if cfo == 0 {
+		copy(dst, src)
 		return
 	}
 	step := cmplx.Exp(complex(0, -2*math.Pi*cfo/rate))
@@ -24,16 +28,17 @@ func Derotate(samples []complex128, cfo, rate float64) {
 	// multiply/advance sequence with the boundary test hoisted out of the
 	// inner loop. Operations and their order are unchanged — the renorm
 	// still happens right after the boundary sample's rot advance.
-	n := len(samples)
+	n := len(src)
+	dst = dst[:n]
 	for i := 0; i < n; {
 		end := (i | 0x3FF) + 1
 		boundary := end <= n
 		if !boundary {
 			end = n
 		}
-		blk := samples[i:end]
-		for j := range blk {
-			blk[j] *= rot
+		in, out := src[i:end], dst[i:end]
+		for j, v := range in {
+			out[j] = v * rot
 			rot *= step
 		}
 		i = end

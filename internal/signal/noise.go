@@ -3,7 +3,7 @@ package signal
 import (
 	"math"
 	"math/bits"
-	"math/rand"
+	"slices"
 
 	"repro/internal/simd"
 )
@@ -26,21 +26,20 @@ const (
 // stream a loop of NormFloat64 calls would draw.
 //
 // math/rand's source is an additive lagged-Fibonacci generator, so its
-// last FibLong outputs are its whole state. Seed takes the first FibLong
-// outputs from a real rand.Source (its seeding is math/rand's own), and
-// every later value comes from the recurrence, a block at a time
-// (simd.LagFill). Normal draws use the same Marsaglia–Tsang ziggurat
-// with tables built at init by the paper's setup recurrence. Each block
-// also gets one flag bit per value marking the draws the ziggurat's
-// fast path rejects (simd.ZigReject), so AddAWGN knows every run of
-// fast-path samples before it reaches it: it adds a run in bulk
-// (simd.NormAdd) and hands the sample that ends it to the scalar
-// NormFloat64.
+// last FibLong outputs are its whole state. Seed writes the state
+// rand.NewSource(seed) starts from (RandSource's seeding) into the
+// window in stream order, and every value from the first on comes from
+// the recurrence, a block at a time (simd.LagFill). Normal draws use
+// the same Marsaglia–Tsang ziggurat with tables built at init by the
+// paper's setup recurrence. Each block also gets one flag bit per value
+// marking the draws the ziggurat's fast path rejects (simd.ZigReject),
+// so AddAWGN knows every run of fast-path samples before it reaches it:
+// it adds a run in bulk (simd.NormAdd) and hands the sample that ends it
+// to the scalar NormFloat64.
 //
 // A Noise is not safe for concurrent use. GetNoise and PutNoise recycle
 // them.
 type Noise struct {
-	src rand.Source64
 	y   [noiseHead + noiseBlock]uint64
 	rej [(noiseHead + noiseBlock) / 64]uint64 // bit k%64 of rej[k/64]: y[k] leaves the fast path
 	pos int                                   // next unread value in y
@@ -49,7 +48,7 @@ type Noise struct {
 
 // NewNoise returns a stream seeded with seed.
 func NewNoise(seed int64) *Noise {
-	n := &Noise{src: rand.NewSource(0).(rand.Source64)}
+	n := new(Noise)
 	n.Seed(seed)
 	return n
 }
@@ -67,14 +66,19 @@ func GetNoise(seed int64) *Noise {
 // PutNoise returns a stream from GetNoise for reuse.
 func PutNoise(n *Noise) { noisePool.Put(n) }
 
-// Seed restarts the stream at rand.NewSource(seed)'s first output.
+// Seed restarts the stream at rand.NewSource(seed)'s first output. The
+// window takes the seeded state in stream order: output k is
+// y[k−FibLong] + y[k−FibShort] from k = 0 on, with y[m] = state word
+// fed(FibLong+m) for m < 0 (see randCooked), so the first refill draws
+// output 0 onward.
 func (n *Noise) Seed(seed int64) {
-	n.src.Seed(seed)
-	for i := noiseBase; i < noiseHead; i++ {
-		n.y[i] = n.src.Uint64()
-	}
-	zigReject(n.rej[:noiseHead/64], n.y[:noiseHead])
-	n.pos, n.end = noiseBase, noiseHead
+	w := n.y[noiseBase:noiseHead]
+	seedState((*[simd.FibLong]uint64)(w), seed)
+	// y[m] for m = −FibLong..−1 is word fed(FibLong+m): words
+	// 333, 332, ..., 0, then 606, ..., 334.
+	slices.Reverse(w[:simd.FibLong-simd.FibShort])
+	slices.Reverse(w[simd.FibLong-simd.FibShort:])
+	n.pos, n.end = noiseHead, noiseHead
 }
 
 // refill fills and flags a fresh block behind the last FibLong values,

@@ -229,15 +229,31 @@ func TestDerotateRemovesTone(t *testing.T) {
 		phase := 2 * math.Pi * cfo * float64(i) / rate
 		x[i] = complex(math.Cos(phase), math.Sin(phase))
 	}
-	Derotate(x, cfo, rate)
+	// Out of place first (x unchanged), then in place: every sample must
+	// match bitwise across the renormalisation boundaries.
+	out := make([]complex128, n+3)
+	Derotate(out, x, cfo, rate)
+	Derotate(x, x, cfo, rate)
 	for i, v := range x {
 		if math.Abs(real(v)-1) > 1e-6 || math.Abs(imag(v)) > 1e-6 {
 			t.Fatalf("sample %d not derotated to DC: %v", i, v)
 		}
+		if math.Float64bits(real(v)) != math.Float64bits(real(out[i])) ||
+			math.Float64bits(imag(v)) != math.Float64bits(imag(out[i])) {
+			t.Fatalf("sample %d: in place %v, into dst %v", i, v, out[i])
+		}
+	}
+	if out[n] != 0 || out[n+1] != 0 || out[n+2] != 0 {
+		t.Fatal("Derotate wrote past len(src)")
 	}
 	y := []complex128{1, 2, 3}
-	Derotate(y, 0, rate)
+	Derotate(y, y, 0, rate)
 	if y[0] != 1 || y[1] != 2 || y[2] != 3 {
 		t.Fatal("zero-CFO derotate modified samples")
+	}
+	z := make([]complex128, 3)
+	Derotate(z, y, 0, rate)
+	if z[0] != 1 || z[1] != 2 || z[2] != 3 {
+		t.Fatal("zero-CFO derotate did not copy")
 	}
 }

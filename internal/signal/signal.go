@@ -92,6 +92,23 @@ func (s *Signal) PhaseShift(theta float64) *Signal {
 	return s.Scale(r)
 }
 
+// ScalePower multiplies every sample by g in place, as Scale does, and
+// returns the scaled signal's MeanPower, summed in the same loop: the
+// same products added in the same order, so the value is bit-identical
+// to calling MeanPower afterwards, without a second pass.
+func (s *Signal) ScalePower(g complex128) float64 {
+	if len(s.Samples) == 0 {
+		return 0
+	}
+	var p float64
+	for i := range s.Samples {
+		v := s.Samples[i] * g
+		s.Samples[i] = v
+		p += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return p / float64(len(s.Samples))
+}
+
 // DelaySamples prepends n zero samples (a pure time delay of n/Rate).
 func (s *Signal) DelaySamples(n int) *Signal {
 	if n <= 0 {

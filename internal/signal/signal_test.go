@@ -379,3 +379,28 @@ func TestSquareWaveMixImages(t *testing.T) {
 		t.Errorf("DC leakage %g", spec[0])
 	}
 }
+
+// TestScalePowerMatchesScaleThenMeanPower pins ScalePower to the two
+// passes it replaces: the same samples and the same power, bitwise, on
+// samples whose sum depends on its order.
+func TestScalePowerMatchesScaleThenMeanPower(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 1, 7, 10000} {
+		a := New(20e6, n)
+		for i := range a.Samples {
+			a.Samples[i] = complex(rng.NormFloat64()*math.Exp(4*rng.NormFloat64()), rng.NormFloat64())
+		}
+		b := a.Clone()
+		g := complex(SSBShiftGain, 0)
+		got := a.ScalePower(g)
+		want := b.Scale(g).MeanPower()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: ScalePower %v, Scale then MeanPower %v", n, got, want)
+		}
+		for i := range a.Samples {
+			if a.Samples[i] != b.Samples[i] {
+				t.Fatalf("n=%d: sample %d: %v vs %v", n, i, a.Samples[i], b.Samples[i])
+			}
+		}
+	}
+}

@@ -12,8 +12,9 @@
 // each sum taken from +0 in j ascending order. Lanes run across
 // positions: one ymm holds the (re, im) accumulators of two adjacent
 // positions, whose samples at offset j are adjacent in x, so one
-// 32-byte load feeds both. The complex multiply is fftPass's lowering
-// of Go's `xr*cr - xi*ci, xr*ci + xi*cr`:
+// 32-byte load feeds both. The complex multiply lowers Go's
+// `xr*cr - xi*ci, xr*ci + xi*cr` with one VADDSUBPD, as the FFT
+// kernel's butterflies do:
 //
 //   t1 = [xr·cr, xr·ci]          VMOVDDUP (dup re, a pure load), VMULPD
 //   t2 = [xi·ci, xi·cr]          VPERMILPD $15 (dup im), VMULPD by swapped c

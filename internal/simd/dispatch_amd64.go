@@ -40,10 +40,10 @@ func xgetbv0() uint64
 //go:noescape
 func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps int)
 
-// fftPass is the AVX2 radix-2 butterfly pass (fft_amd64.s).
+// fft is the AVX2 whole-transform FFT kernel (fft_amd64.s).
 //
 //go:noescape
-func fftPass(x *complex128, n int, tw *complex128, size int)
+func fft(x *complex128, n int, tw *float64, cols *uint32)
 
 // firReal is the AVX2 real-tap FIR kernel (fir_amd64.s).
 //

@@ -16,8 +16,8 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 	panic("simd: viterbiACS called on a build without asm kernels")
 }
 
-func fftPass(x *complex128, n int, tw *complex128, size int) {
-	panic("simd: fftPass called on a build without asm kernels")
+func fft(x *complex128, n int, tw *float64, cols *uint32) {
+	panic("simd: fft called on a build without asm kernels")
 }
 
 func firReal(dst *complex128, n int, x *complex128, h *float64, m int) bool {

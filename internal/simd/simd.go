@@ -1,7 +1,7 @@
 // Package simd provides runtime-dispatched vector kernels for the
 // hottest inner loops of the packet path: the int16 Viterbi
-// add-compare-select step (wifi.ViterbiDecodeInto), the radix-2
-// complex FFT butterfly pass (signal.Plan), the real-tap FIR behind
+// add-compare-select step (wifi.ViterbiDecodeInto), the whole radix-2
+// complex FFT of 16 to 1024 points (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
 // Gaussian filter) and the Bluetooth sync scan, the ZigBee preamble
 // slice correlations (zigbee.(*Receiver).detect), and the channel's
@@ -28,12 +28,15 @@
 //     candidate, reproducing the scalar "higher predecessor wins only
 //     when strictly better" tie order.
 //
-//   - FFTPass vectorizes across independent butterflies only; within a
-//     butterfly the operation order is exactly the scalar
-//     complex-multiply-then-add/sub sequence (re = br·wr − bi·wi,
-//     im = br·wi + bi·wr; lo' = a+prod, hi' = a−prod), with no
-//     reassociation, fused multiply-add, or extended precision, so
-//     float results are bit-identical to the Go loop.
+//   - FFT vectorizes across independent butterflies only, two per
+//     ymm, three stages per pass with the points in registers; within a
+//     butterfly the operations are the scalar complex multiply (re =
+//     br·wr − bi·wi, im = br·wi + bi·wr, each product rounded, unit
+//     twiddles multiplied too) and then lo' = a+prod, hi' = a−prod,
+//     with no reassociation, fused multiply-add, or extended precision.
+//     The imaginary part adds the same two products in the other order,
+//     which IEEE addition makes exact. The bit-reversal permutation is
+//     in the addresses the first pass loads from; no point is swapped.
 //
 //   - FIRReal vectorizes across outputs only; each output is summed
 //     from +0 in input-index order, and each term is x·h without Go's
@@ -47,7 +50,10 @@
 //     not. Outputs it reports finite are bit-identical.
 //
 //   - PreambleCorr vectorizes across scan positions only; each sum
-//     keeps the scalar order and the products use FFTPass's lowering.
+//     keeps the scalar order and each product is xr·cr − xi·ci,
+//     xr·ci + xi·cr: the sample's duplicated real part times the
+//     template, its duplicated imaginary part times the swapped
+//     template, and one VADDSUBPD.
 //
 //   - LagFill is 64-bit integer addition, exact by construction; it
 //     runs 16 values per pass, which the recurrence's shortest lag
@@ -73,6 +79,7 @@
 package simd
 
 import (
+	"math/bits"
 	"os"
 	"sync/atomic"
 )
@@ -151,22 +158,110 @@ func ViterbiACS(metric *[64]int16, signs *[64]int32, q []int16, tb []uint64) {
 	viterbiACS(metric, signs, &q[0], &tb[0], steps)
 }
 
-// FFTPass applies one radix-2 DIT stage to x in place: for every block
-// of `size` elements, butterflies pair element k with element
-// k+size/2 using twiddle tw[k]. len(tw) must be size/2 and len(x) a
-// multiple of size. Operation order per butterfly matches the scalar
-// loop exactly (see package comment). Callers must check Enabled().
-func FFTPass(x []complex128, tw []complex128, size int) {
-	if size < 2 || size&(size-1) != 0 {
-		panic("simd: FFTPass size must be a power of two >= 2")
+// FFTMinSize and FFTMaxSize bound the transforms FFT takes: its first
+// pass holds two 8-point groups per block, and its scratch copy of the
+// data lives in a fixed stack frame.
+const (
+	FFTMinSize = 16
+	FFTMaxSize = 1024
+)
+
+// FFTTwiddles lays out a transform's per-stage twiddle tables in the
+// order FFT reads them. stages[s] holds the 2^s twiddles of the stage
+// with blocks of 2^(s+1) points, so len(stages) is log2 of the size.
+// Each entry the kernel multiplies by is stored as a "pair": the real
+// parts of the twiddles of its two lanes, each duplicated
+// (w0r w0r w1r w1r), then the imaginary parts the same way, so a
+// product needs one shuffle of the data and none of the twiddles. A
+// pass over stages s..s+k−1 (k ≤ 3, d = 2^s) stores, for every lane
+// position r, stage s's pair (r), stage s+1's (r) and (r+d), and stage
+// s+2's (r+m·d) for m = 0..3. The first pass's two lanes hold the same
+// position of two groups, so it stores each twiddle in both lanes, for
+// r = 0 only; a later pass's lanes hold positions r and r+1, for every
+// even r < d.
+//
+// The values are copied, never recomputed, so the kernel multiplies by
+// exactly the numbers the Go loops do.
+func FFTTwiddles(stages [][]complex128) []float64 {
+	n := 1 << len(stages)
+	if n < FFTMinSize || n > FFTMaxSize {
+		panic("simd: FFTTwiddles size out of range")
 	}
-	if len(tw) != size/2 || len(x)%size != 0 {
-		panic("simd: FFTPass twiddle/input length mismatch")
+	for s, tw := range stages {
+		if len(tw) != 1<<s {
+			panic("simd: FFTTwiddles stage table length mismatch")
+		}
 	}
-	if len(x) == 0 {
-		return
+	out := make([]float64, 0, fftTableLen(n))
+	for s := 0; s < len(stages); s += 3 {
+		k := min(3, len(stages)-s)
+		d, lane, step := 1<<s, 1, 2
+		if s == 0 {
+			lane, step = 0, d
+		}
+		for r := 0; r < d; r += step {
+			for j := 0; j < k; j++ {
+				for m := 0; m < 1<<j; m++ {
+					w0, w1 := stages[s+j][r+m*d], stages[s+j][r+m*d+lane]
+					out = append(out, real(w0), real(w0), real(w1), real(w1), imag(w0), imag(w0), imag(w1), imag(w1))
+				}
+			}
+		}
 	}
-	fftPass(&x[0], len(x), &tw[0], size)
+	return out
+}
+
+// fftTableLen is the length of FFTTwiddles' layout for n points: 7
+// pairs for the first pass, then 2^k − 1 pairs per even r < d = 2^s for
+// a later pass over k stages from s; a pair is 8 values.
+func fftTableLen(n int) int {
+	l := bits.Len(uint(n)) - 1
+	pairs := 7
+	for s := 3; s < l; s += 3 {
+		pairs += (1<<min(3, l-s) - 1) << (s - 1)
+	}
+	return 8 * pairs
+}
+
+// fftCols holds, per log2 size, the first pass's byte offsets: for
+// each block, where its loads start in x and where its first lane's
+// points go. Block i = 2c + h reads rows 2·rev3(j) + h of columns 2c
+// and 2c+1 of x seen as 16 rows of n/16 points; its lanes are the
+// logical groups g = rev(2c) and g + n/32 (rev in log2(n)−4 bits), and
+// it holds their points 8h..8h+7. At 16 points the two lanes are
+// rows h = 0 and 1 of the only column, which the same offsets give.
+var fftCols = func() (t [11][]uint32) {
+	for l := 4; l < len(t); l++ {
+		n := 1 << l
+		for i := 0; i < n/16; i++ {
+			c, h := i>>1, i&1
+			g := 0
+			if l > 4 {
+				g = int(bits.Reverse32(uint32(2*c)) >> (32 - (l - 4)))
+			}
+			t[l] = append(t[l], uint32(32*c+h*n), uint32(256*g+128*h))
+		}
+	}
+	return t
+}()
+
+// FFT runs a whole radix-2 decimation-in-time transform of x in place:
+// the bit-reversal permutation, then every butterfly stage, three
+// stages per pass over memory, with the twiddles tw built by
+// FFTTwiddles from the transform's stage tables. Each butterfly is the
+// scalar loop's: p = b·w as (br·wr − bi·wi, br·wi + bi·wr), each
+// product rounded and unit twiddles multiplied too, then a+p and a−p
+// (see the package comment). len(x) must be a power of two from
+// FFTMinSize to FFTMaxSize. Callers must check Enabled().
+func FFT(x []complex128, tw []float64) {
+	n := len(x)
+	if n < FFTMinSize || n > FFTMaxSize || n&(n-1) != 0 {
+		panic("simd: FFT size must be a power of two in [16, 1024]")
+	}
+	if len(tw) != fftTableLen(n) {
+		panic("simd: FFT twiddle table does not match the size")
+	}
+	fft(&x[0], n, &tw[0], &fftCols[bits.Len(uint(n))-1][0])
 }
 
 // FIRReal computes len(dst) outputs of a real-tap FIR over complex

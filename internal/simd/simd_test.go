@@ -121,14 +121,23 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("short q", func() {
 		ViterbiACS(&m, &s, make([]int16, 1), make([]uint64, 1))
 	})
-	mustPanic("non-power-of-two size", func() {
-		FFTPass(make([]complex128, 6), make([]complex128, 3), 6)
+	mustPanic("FFT below the minimum size", func() {
+		FFT(make([]complex128, 8), make([]float64, 56))
 	})
-	mustPanic("twiddle length", func() {
-		FFTPass(make([]complex128, 4), make([]complex128, 3), 4)
+	mustPanic("FFT above the maximum size", func() {
+		FFT(make([]complex128, 2048), make([]float64, fftTableLen(2048)))
 	})
-	mustPanic("ragged input", func() {
-		FFTPass(make([]complex128, 6), make([]complex128, 2), 4)
+	mustPanic("FFT non-power-of-two size", func() {
+		FFT(make([]complex128, 24), make([]float64, 88))
+	})
+	mustPanic("FFT twiddle length", func() {
+		FFT(make([]complex128, 16), make([]float64, 56))
+	})
+	mustPanic("FFTTwiddles too few stages", func() {
+		FFTTwiddles(make([][]complex128, 3))
+	})
+	mustPanic("FFTTwiddles stage length", func() {
+		FFTTwiddles([][]complex128{make([]complex128, 1), make([]complex128, 2), make([]complex128, 4), make([]complex128, 7)})
 	})
 	mustPanic("FIR output count", func() {
 		FIRReal(make([]complex128, 6), make([]complex128, 8), make([]float64, 3))

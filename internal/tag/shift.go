@@ -32,22 +32,23 @@ type ChannelShifter struct {
 	Mode     ShiftMode
 }
 
-// Shift applies the channel shift to the waveform in place and returns it.
-// In equivalent-baseband mode the output stays centred on the *new* channel
-// (i.e. the shift itself is absorbed into the retuned receiver) and only the
-// 2/π conversion gain is applied; in square-wave mode the spectrum really
-// moves within the simulated band.
-func (c ChannelShifter) Shift(s *signal.Signal) (*signal.Signal, error) {
+// Shift applies the channel shift to the waveform in place and returns
+// the shifted waveform's mean power (Signal.MeanPower's value). In
+// equivalent-baseband mode the output stays centred on the *new* channel
+// (i.e. the shift itself is absorbed into the retuned receiver) and only
+// the 2/π conversion gain is applied, with the power summed in the same
+// pass; in square-wave mode the spectrum really moves within the
+// simulated band.
+func (c ChannelShifter) Shift(s *signal.Signal) (meanPower float64, err error) {
 	switch c.Mode {
 	case ShiftEquivalentBaseband:
 		if c.OffsetHz < s.Rate/2 {
-			return nil, fmt.Errorf("tag: equivalent-baseband shift needs offset %g >= half the sample rate %g", c.OffsetHz, s.Rate)
+			return 0, fmt.Errorf("tag: equivalent-baseband shift needs offset %g >= half the sample rate %g", c.OffsetHz, s.Rate)
 		}
-		s.Scale(complex(signal.SSBShiftGain, 0))
-		return s, nil
+		return s.ScalePower(complex(signal.SSBShiftGain, 0)), nil
 	case ShiftSquareWave:
 		s.SquareWaveMix(c.OffsetHz, 0)
-		return s, nil
+		return s.MeanPower(), nil
 	}
-	return nil, fmt.Errorf("tag: unknown shift mode %d", c.Mode)
+	return 0, fmt.Errorf("tag: unknown shift mode %d", c.Mode)
 }

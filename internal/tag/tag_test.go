@@ -213,13 +213,16 @@ func TestFreqTranslatorCapacityAndValidation(t *testing.T) {
 func TestChannelShifterEquivalentBaseband(t *testing.T) {
 	s := constSignal(20e6, 1000)
 	sh := ChannelShifter{OffsetHz: 20e6, Mode: ShiftEquivalentBaseband}
-	out, err := sh.Shift(s)
+	got, err := sh.Shift(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantP := signal.SSBShiftGain * signal.SSBShiftGain
-	if p := out.MeanPower(); math.Abs(p-wantP) > 1e-9 {
+	if p := s.MeanPower(); math.Abs(p-wantP) > 1e-9 {
 		t.Fatalf("power %g, want %g (2/pi)^2", p, wantP)
+	}
+	if math.Float64bits(got) != math.Float64bits(s.MeanPower()) {
+		t.Fatalf("Shift returned power %v, MeanPower of its output %v", got, s.MeanPower())
 	}
 	// Offset below Nyquist must be rejected in this mode.
 	bad := ChannelShifter{OffsetHz: 5e6, Mode: ShiftEquivalentBaseband}
@@ -239,11 +242,14 @@ func TestChannelShifterSquareWaveMatchesEquivalentGain(t *testing.T) {
 		s.Samples[i] = 1
 	}
 	sh := ChannelShifter{OffsetHz: 5e6, Mode: ShiftSquareWave}
-	out, err := sh.Shift(s)
+	got, err := sh.Shift(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := out.Spectrum(n)
+	if got != s.MeanPower() {
+		t.Fatalf("Shift returned power %v, MeanPower of its output %v", got, s.MeanPower())
+	}
+	spec, err := s.Spectrum(n)
 	if err != nil {
 		t.Fatal(err)
 	}

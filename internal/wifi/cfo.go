@@ -106,8 +106,8 @@ func (t *phaseTracker) correct(pts *[NumData]complex128, m Modulation) {
 	}
 }
 
-// derotate removes a frequency offset of cfo Hz from samples in place,
-// with the phase reference at index 0.
-func derotate(samples []complex128, cfo float64) {
-	signal.Derotate(samples, cfo, SampleRate)
+// derotate writes src with a frequency offset of cfo Hz removed into dst
+// (which may be src), with the phase reference at index 0.
+func derotate(dst, src []complex128, cfo float64) {
+	signal.Derotate(dst, src, cfo, SampleRate)
 }

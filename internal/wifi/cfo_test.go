@@ -155,7 +155,7 @@ func TestDerotateInverse(t *testing.T) {
 		s.Samples[i] = 1
 	}
 	s.FrequencyShift(12e3)
-	derotate(s.Samples, 12e3)
+	derotate(s.Samples, s.Samples, 12e3)
 	for i, v := range s.Samples {
 		if math.Abs(real(v)-1) > 1e-6 || math.Abs(imag(v)) > 1e-6 {
 			t.Fatalf("sample %d = %v after derotation", i, v)
@@ -163,7 +163,7 @@ func TestDerotateInverse(t *testing.T) {
 	}
 	// Zero-CFO derotation is a no-op.
 	before := s.Clone()
-	derotate(s.Samples, 0)
+	derotate(s.Samples, s.Samples, 0)
 	for i := range s.Samples {
 		if s.Samples[i] != before.Samples[i] {
 			t.Fatal("zero derotation modified samples")

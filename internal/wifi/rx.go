@@ -379,9 +379,8 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		// symbols all begin there), so the [0, start) prefix can stay
 		// uninitialised.
 		buf := arena.ComplexUninit(len(s))
-		copy(buf[start:], s[start:])
-		cfo := estimateCFOFromLTF(buf[start+160 : start+320])
-		derotate(buf[start:], cfo)
+		cfo := estimateCFOFromLTF(s[start+160 : start+320])
+		derotate(buf[start:], s[start:], cfo)
 		s = buf
 	}
 
@@ -431,7 +430,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 			// correction above always runs first), so the residual can
 			// derotate it in place instead of copying to a second buffer.
 			end := dataStart + nSym*SymbolLen
-			derotate(s[start:end], residual)
+			derotate(s[start:end], s[start:end], residual)
 			h = estimateChannel(s[start+160:start+320], arena)
 			eq.init(h)
 		}

@@ -470,8 +470,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 		a := signal.GetArena()
 		defer a.Release()
 		work := a.ComplexUninit(len(samples))
-		copy(work, samples)
-		signal.Derotate(work, cfo, cap.Rate)
+		signal.Derotate(work, samples, cfo, cap.Rate)
 		samples = work
 		var acc complex128
 		for j, r := range preambleTemplate {
