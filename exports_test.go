@@ -1,16 +1,10 @@
 package freerider_test
 
-// Dead-export guard: every exported function and method under internal/
-// must be referenced by some program, not only by tests. The reference set
-// is every non-test .go file of this module plus the separate perfbench
-// module, parsed with go/parser (no type checking), so the test is cheap
-// and needs nothing outside the standard library.
-//
-// A name counts as referenced when it appears outside its own declaration
-// as pkg.Name from another package, as a bare Name inside its own package,
-// or, for methods, as any .Name selector. A method whose name is a method
-// of a standard-library or in-repo interface counts as used, since a call
-// through the interface names no concrete type.
+// Dead-export guards over the program: the non-test files of this module
+// and of the separate perfbench module, type-checked with go/types as the
+// host would build them. TestNoUncalledExports keeps every exported
+// function, method and type under internal/ in use by some program, not
+// only by tests; TestNoUnreadFields does the same for struct fields.
 
 import (
 	"errors"
@@ -23,14 +17,14 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// exportAllowlist names exported functions that no program calls but that
-// stay in production code, each with its reason. Keys are "pkg.Func" or
-// "pkg.Type.Method", pkg being the path below internal/.
+// exportAllowlist names exported functions, methods and types that no
+// program uses but that stay in production code, each with its reason.
+// Keys are "pkg.Name" or "pkg.Type.Method", pkg being the path below
+// internal/.
 var exportAllowlist = map[string]string{
 	"simd.SetEnabled":            "test dispatch control: tests toggle the asm kernels off to compare them with the Go twins",
 	"simd.HWMode":                "test dispatch control: restores the hardware dispatch mode after SetEnabled",
@@ -40,217 +34,20 @@ var exportAllowlist = map[string]string{
 	"bits.Repeat":                "redundancy fixture used by the tests of six packages",
 }
 
-// stdInterfaceMethods are methods of standard-library interfaces a type in
-// this module may satisfy (error, fmt.Stringer, io.*, sort.Interface,
-// encoding.*, http.Handler, flag.Value, heap.Interface, errors.Is/As).
-var stdInterfaceMethods = map[string]bool{
+// dynamicMethods are the methods the standard library finds by type
+// assertion or reflection on a value it was handed as any (fmt, errors,
+// encoding/json, encoding): no program converts to an interface that
+// declares them, yet they run.
+var dynamicMethods = map[string]bool{
 	"Error": true, "String": true, "GoString": true, "Format": true,
-	"Read": true, "Write": true, "Close": true, "Seek": true,
-	"ReadFrom": true, "WriteTo": true, "WriteString": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 	"MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true, "Set": true, "Unwrap": true, "Is": true, "As": true,
+	"Unwrap": true, "Is": true, "As": true,
 }
 
-type exportDecl struct {
-	key string // "pkg.Func" or "pkg.Type.Method"
-	pos token.Position
-}
-
-func TestNoUncalledExports(t *testing.T) {
-	fset := token.NewFileSet()
-	var decls []exportDecl
-	used := map[string]bool{}    // "importpath.Name": function references
-	methods := map[string]bool{} // "Name": selectors and interface methods
-	for name := range stdInterfaceMethods {
-		methods[name] = true
-	}
-
-	parseModule := func(root, module string) {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				name := d.Name()
-				if path != root && (strings.HasPrefix(name, ".") || name == "testdata" ||
-					(root == "." && name == "perfbench")) {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			rel, err := filepath.Rel(root, filepath.Dir(path))
-			if err != nil {
-				return err
-			}
-			pkg := module
-			if rel != "." {
-				pkg += "/" + filepath.ToSlash(rel)
-			}
-			decls = append(decls, scanFile(fset, f, pkg, used, methods)...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	parseModule(".", "repro")
-	parseModule("perfbench", "repro/perfbench")
-
-	var dead []string
-	unused := map[string]bool{}
-	for _, d := range decls {
-		if unused[d.key] {
-			continue // declared again in another build-tagged file
-		}
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		isMethod := strings.Count(d.key, ".") == 2
-		if (isMethod && methods[name]) ||
-			(!isMethod && used["repro/internal/"+d.key]) {
-			continue
-		}
-		unused[d.key] = true
-		if _, ok := exportAllowlist[d.key]; !ok {
-			dead = append(dead, d.pos.String()+": "+d.key)
-		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s: exported but called by no program; delete it, move it into the test that uses it, or allowlist it with a reason", d)
-	}
-	for key, reason := range exportAllowlist {
-		if !unused[key] {
-			t.Errorf("allowlist entry %s is called by a program or no longer exists; drop the entry", key)
-		}
-		if reason == "" {
-			t.Errorf("allowlist entry %s has no reason", key)
-		}
-	}
-}
-
-// scanFile records in used and methods every reference file f makes, and
-// returns the exported functions and methods it declares under internal/.
-func scanFile(fset *token.FileSet, f *ast.File, pkg string, used, methods map[string]bool) []exportDecl {
-	imports := map[string]string{} // local name -> import path
-	for _, imp := range f.Imports {
-		path, _ := strconv.Unquote(imp.Path.Value)
-		name := path[strings.LastIndex(path, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		imports[name] = path
-	}
-	internal := strings.HasPrefix(pkg, "repro/internal/")
-	var decls []exportDecl
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			walkRefs(decl, imports, pkg, "", "", used, methods)
-			continue
-		}
-		// The declaration's own name, and a recursive call to it, are
-		// not references.
-		self, selfMethod := fd.Name.Name, ""
-		if fd.Recv != nil {
-			self, selfMethod = "", fd.Name.Name
-			walkRefs(fd.Recv, imports, pkg, "", "", used, methods)
-		}
-		walkRefs(fd.Type, imports, pkg, self, selfMethod, used, methods)
-		if fd.Body != nil {
-			walkRefs(fd.Body, imports, pkg, self, selfMethod, used, methods)
-		}
-		if internal && fd.Name.IsExported() {
-			key := strings.TrimPrefix(pkg, "repro/internal/") + "."
-			if fd.Recv != nil {
-				key += recvTypeName(fd.Recv.List[0].Type) + "."
-			}
-			decls = append(decls, exportDecl{key + fd.Name.Name, fset.Position(fd.Pos())})
-		}
-	}
-	return decls
-}
-
-// walkRefs records the references under n: x.Name where x names an import
-// as a function of that package, any other .Name as a method, a bare
-// identifier as a name of pkg, and the methods of interface types.
-func walkRefs(n ast.Node, imports map[string]string, pkg, self, selfMethod string, used, methods map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if path, ok := imports[x.Name]; ok {
-					used[path+"."+n.Sel.Name] = true
-					return false
-				}
-			}
-			if n.Sel.Name != selfMethod {
-				methods[n.Sel.Name] = true
-			}
-			walkRefs(n.X, imports, pkg, self, selfMethod, used, methods)
-			return false
-		case *ast.InterfaceType:
-			for _, field := range n.Methods.List {
-				for _, name := range field.Names {
-					methods[name.Name] = true
-				}
-			}
-		case *ast.Ident:
-			if n.Name != self {
-				used[pkg+"."+n.Name] = true
-			}
-		}
-		return true
-	})
-}
-
-// recvTypeName returns the base type name of a method receiver.
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
-	}
-}
-
-// fieldAllowlist names exported struct fields under internal/ that no
-// program reads but that stay, each with its reason. Keys are
-// "pkg.Type.Field", pkg being the path below internal/.
-var fieldAllowlist = map[string]string{
-	"wifi.Receiver.SkipRSSI": "perfbench/replay.go sets it, and the benchmark's sources change only with a re-recorded benchmark; it has no effect",
-}
-
-// TestNoUnreadFields is the field twin of TestNoUncalledExports: every
-// exported field of a struct type declared under internal/ must be read by
-// some program. The non-test files of this module and of perfbench are
-// type-checked with go/types as the host would build them (go/build's
-// default context), standard-library imports coming from go/importer. A
-// field counts as read when
-//   - a program selects it anywhere but as the left operand of =;
-//   - its struct type is reachable from an exported name of the root
-//     package, which is library API; or
-//   - its struct type is reachable from a value a program converts to an
-//     interface type (json, fmt and reflection read every field they are
-//     handed), or is compared with == or hashed as a map key.
-//
-// The rule over-approximates reads, so a field it reports is unread.
-func TestNoUnreadFields(t *testing.T) {
+// loadProgram type-checks every package of the program.
+func loadProgram(t *testing.T) *progLoader {
+	t.Helper()
 	l := &progLoader{
 		fset: token.NewFileSet(),
 		std:  importer.Default(),
@@ -280,7 +77,194 @@ func TestNoUnreadFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
 
+// TestNoUncalledExports: every exported function, method and type
+// declared under internal/ must be used by some program. A use is
+// counted by type, not by name:
+//   - a function when a program refers to it;
+//   - a type when a program names it;
+//   - a method when a program selects it on its own receiver type (or on
+//     a type embedding it), or converts a value of that type to an
+//     interface type or type-parameter constraint that declares the
+//     method, or when it is one of dynamicMethods.
+//
+// A declaration naming itself — a recursive call, a type's own methods
+// and their receivers — is not a use.
+func TestNoUncalledExports(t *testing.T) {
+	l := loadProgram(t)
+	used := map[types.Object]bool{}
+	for _, f := range l.files {
+		for _, decl := range f.Decls {
+			// self holds what the declaration declares: its function or
+			// method and a method's receiver type, or its types.
+			var self []types.Object
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				fn := l.info.Defs[d.Name].(*types.Func)
+				self = append(self, fn)
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+					self = append(self, namedOf(recv.Type()).Obj())
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						self = append(self, l.info.Defs[ts.Name])
+					}
+				}
+			}
+			isSelf := func(obj types.Object) bool {
+				for _, s := range self {
+					if s == obj {
+						return true
+					}
+				}
+				return false
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					switch obj := l.info.Uses[n].(type) {
+					case *types.Func:
+						if !isSelf(obj.Origin()) {
+							used[obj.Origin()] = true
+						}
+					case *types.TypeName:
+						if !isSelf(obj) {
+							used[obj] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if sel, ok := l.info.Selections[n]; ok && sel.Kind() != types.FieldVal {
+						if fn := sel.Obj().(*types.Func).Origin(); !isSelf(fn) {
+							used[fn] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	// Interface conversions and constraint satisfaction.
+	implement := func(concrete, iface types.Type) {
+		it, ok := iface.Underlying().(*types.Interface)
+		if !ok {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			if obj, _, _ := types.LookupFieldOrMethod(concrete, true, m.Pkg(), m.Name()); obj != nil {
+				if fn, ok := obj.(*types.Func); ok {
+					used[fn.Origin()] = true
+				}
+			}
+		}
+	}
+	r := newFieldReads(l.info)
+	for _, f := range l.files {
+		r.walk(f)
+	}
+	for _, c := range r.converts {
+		implement(c[0], c[1])
+	}
+	for id, inst := range l.info.Instances {
+		var tps *types.TypeParamList
+		switch obj := l.info.Uses[id].(type) {
+		case *types.Func:
+			tps = obj.Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			if named, ok := obj.Type().(*types.Named); ok {
+				tps = named.TypeParams()
+			}
+		}
+		for i := 0; i < tps.Len() && i < inst.TypeArgs.Len(); i++ {
+			implement(inst.TypeArgs.At(i), tps.At(i).Constraint())
+		}
+	}
+
+	unused := map[string]bool{}
+	var dead []string
+	report := func(key string, obj types.Object) {
+		unused[key] = true
+		if _, ok := exportAllowlist[key]; !ok {
+			dead = append(dead, l.fset.Position(obj.Pos()).String()+": "+key)
+		}
+	}
+	for path, pkg := range l.pkgs {
+		rel, ok := strings.CutPrefix(path, "repro/internal/")
+		if !ok || pkg == nil {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			switch obj := obj.(type) {
+			case *types.Func:
+				if obj.Exported() && !used[obj] {
+					report(rel+"."+name, obj)
+				}
+			case *types.TypeName:
+				if obj.Exported() && !used[obj] {
+					report(rel+"."+name, obj)
+				}
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !used[m] && !dynamicMethods[m.Name()] {
+						report(rel+"."+name+"."+m.Name(), m)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s: exported but used by no program; delete it, move it into the test that uses it, or allowlist it with a reason", d)
+	}
+	for key, reason := range exportAllowlist {
+		if !unused[key] {
+			t.Errorf("allowlist entry %s is used by a program or no longer exists; drop the entry", key)
+		}
+		if reason == "" {
+			t.Errorf("allowlist entry %s has no reason", key)
+		}
+	}
+}
+
+// namedOf returns the named type of a method receiver, through a pointer.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// fieldAllowlist names exported struct fields under internal/ that no
+// program reads but that stay, each with its reason. Keys are
+// "pkg.Type.Field", pkg being the path below internal/.
+var fieldAllowlist = map[string]string{
+	"wifi.Receiver.SkipRSSI": "perfbench/replay.go sets it, and the benchmark's sources change only with a re-recorded benchmark; it has no effect",
+}
+
+// TestNoUnreadFields is the field twin of TestNoUncalledExports: every
+// exported field of a struct type declared under internal/ must be read by
+// some program. The non-test files of this module and of perfbench are
+// type-checked with go/types as the host would build them (go/build's
+// default context), standard-library imports coming from go/importer. A
+// field counts as read when
+//   - a program selects it anywhere but as the left operand of =;
+//   - its struct type is reachable from an exported name of the root
+//     package, which is library API; or
+//   - its struct type is reachable from a value a program converts to an
+//     interface type (json, fmt and reflection read every field they are
+//     handed), or is compared with == or hashed as a map key.
+//
+// The rule over-approximates reads, so a field it reports is unread.
+func TestNoUnreadFields(t *testing.T) {
+	l := loadProgram(t)
 	r := newFieldReads(l.info)
 	for _, f := range l.files {
 		r.walk(f)
@@ -387,11 +371,15 @@ type reachKey struct {
 	api bool
 }
 
-// fieldReads accumulates the struct fields programs read.
+// fieldReads accumulates the struct fields programs read, and the
+// interface conversions that read them.
 type fieldReads struct {
 	info *types.Info
 	read map[*types.Var]bool
 	seen map[reachKey]bool
+	// converts lists each {concrete, interface} type pair a program
+	// converts a value between.
+	converts [][2]types.Type
 	// params are the type parameters whose values a program converts to
 	// an interface; recv maps a method's receiver type parameters to its
 	// type's.
@@ -496,6 +484,7 @@ func isInterface(t types.Type) bool {
 func (r *fieldReads) flow(to, from types.Type) {
 	if to != nil && from != nil && isInterface(to) && !isInterface(from) {
 		r.reach(from, false)
+		r.converts = append(r.converts, [2]types.Type{from, to})
 	}
 }
 

@@ -289,7 +289,8 @@ type SendOptions struct {
 	// decoded attempt's per-bit soft decisions are accumulated, and each
 	// retry re-slices the running sum before re-running RS decode — so
 	// attempt n decodes from the combined evidence of all n transmissions,
-	// not from its own packet alone. Attempts=1 leaves exactly one soft
+	// and, when that fails, from its own packet alone (a misaligned earlier
+	// copy can outvote a clean retry). Attempts=1 leaves exactly one soft
 	// vector in the combiner, whose slicing is bit-identical to the plain
 	// hard-decision decode path.
 	Attempts int
@@ -303,7 +304,8 @@ type SendOptions struct {
 	Faults *FaultProfile
 	// Coding enables the Reed-Solomon coded uplink with soft
 	// chase-combining: chunks shrink to the post-FEC payload capacity, the
-	// ladder becomes combine → RS-correct → retransmit → scheme fallback,
+	// ladder becomes combine → RS-correct (combined, then the attempt
+	// alone) → retransmit → scheme fallback,
 	// and DegradationReport gains corrected-symbol and combining-gain
 	// counts. Nil keeps the uncoded ladder bit-identical to earlier
 	// builds. The combiner is reset on every scheme change (fallback or
@@ -506,13 +508,23 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 			rep.Packets++
 			attemptsUsed++
 			if opts.Coding != nil {
+				// Combined decode first, then this attempt alone: a
+				// misaligned earlier copy can fill the combiner with
+				// confident wrong votes that outvote a clean retry.
 				data, corrected, ok := combineAndDecode(&comb, lay, pr)
-				if ok && bitsEqual(data[:len(chunk)], chunk) {
+				solo := false
+				if !ok || !bitsEqual(data[:len(chunk)], chunk) {
+					data, corrected, ok = soloDecode(lay, pr, chunk)
+					solo = true
+				}
+				if ok {
 					decoded = data[:len(chunk)]
 					delivered = true
 					rep.CorrectedSymbols += corrected
-					if comb.Attempts() > 1 && !soloDecodeOK(lay, pr, chunk) {
-						rep.CombiningGains++
+					if !solo && comb.Attempts() > 1 {
+						if _, _, soloOK := soloDecode(lay, pr, chunk); !soloOK {
+							rep.CombiningGains++
+						}
 					}
 					break
 				}
@@ -595,15 +607,15 @@ func combineAndDecode(comb *fec.Combiner, lay fec.Layout, pr PacketResult) ([]by
 	return lay.DecodeBits(combined)
 }
 
-// soloDecodeOK reports whether this attempt's packet alone — hard
-// decisions, no combining — would have delivered the chunk. Used to credit
-// DegradationReport.CombiningGains.
-func soloDecodeOK(lay fec.Layout, pr PacketResult, chunk []byte) bool {
+// soloDecode RS-decodes this attempt's packet alone — hard decisions, no
+// combining — returning the data and corrected symbol count, with ok set
+// only when that delivers the chunk.
+func soloDecode(lay fec.Layout, pr PacketResult, chunk []byte) ([]byte, int, bool) {
 	if len(pr.DecodedTag) < lay.CodedBits() {
-		return false
+		return nil, 0, false
 	}
-	data, _, ok := lay.DecodeBits(pr.DecodedTag)
-	return ok && bitsEqual(data[:len(chunk)], chunk)
+	data, corrected, ok := lay.DecodeBits(pr.DecodedTag)
+	return data, corrected, ok && bitsEqual(data[:len(chunk)], chunk)
 }
 
 func bitsEqual(a, b []byte) bool {

@@ -162,7 +162,7 @@ func TestSSBShiftOnlyFlipsHalf(t *testing.T) {
 	capSh := signal.New(SampleRate, len(shifted.Samples)+200)
 	copy(capSh.Samples[100:], shifted.Samples)
 
-	got := NewReceiver().RawBitsAt(capSh, 100, len(txBits))
+	got := NewReceiver().Demod(capSh).RawBitsAt(100, len(txBits))
 	// Bits transmitted as 1 sit at +250 kHz and translate in-band to
 	// -250 kHz: they must decode flipped (to 0). Count only those.
 	ones, onesFlipped := 0, 0
@@ -213,7 +213,7 @@ func TestSquareWaveMirrorFlipsBits(t *testing.T) {
 	capM := signal.New(SampleRate, len(mixed.Samples)+200)
 	copy(capM.Samples[100:], mixed.Samples)
 
-	got := NewReceiver().RawBitsAt(capM, 100, len(txBits))
+	got := NewReceiver().Demod(capM).RawBitsAt(100, len(txBits))
 	flipped, runFlipped, runTotal := 0, 0, 0
 	for i := range got {
 		if got[i] != txBits[i] {
@@ -244,7 +244,7 @@ func TestRawBitsMatchTransmitted(t *testing.T) {
 	txBits, _ := tx.FrameBits(p)
 	cap := signal.New(SampleRate, len(sig.Samples)+200)
 	copy(cap.Samples[100:], sig.Samples)
-	got := NewReceiver().RawBitsAt(cap, 100, len(txBits))
+	got := NewReceiver().Demod(cap).RawBitsAt(100, len(txBits))
 	if !bytes.Equal(got, txBits) {
 		t.Fatal("raw bits differ from transmitted bits on a clean channel")
 	}

@@ -122,8 +122,8 @@ type Demodulated struct {
 
 // Demod channel-filters and FM-discriminates the capture once, returning a
 // pass that answers Detect and RawBitsAt queries against the shared
-// discriminator output. The results are bit-identical to the one-shot
-// methods, which perform exactly this pass internally.
+// discriminator output. Receiver.Detect performs exactly this pass
+// internally, so its results are bit-identical.
 func (rx *Receiver) Demod(cap *signal.Signal) *Demodulated {
 	a := signal.GetArena()
 	defer a.Release()
@@ -169,7 +169,12 @@ func (d *Demodulated) Detect() (int, float64) {
 	return d.rx.detect(d.disc, 0)
 }
 
-// RawBitsAt is Receiver.RawBitsAt against the shared discriminator pass.
+// RawBitsAt slices nBits hard bit decisions from the discriminator
+// output starting at sample index start, with no framing, sync or
+// de-whitening applied. This is what FreeRider's backscatter decoder
+// consumes: it already knows the excitation bit stream (receiver 1 reports
+// it over the backhaul) and extracts tag data by comparing streams, so it
+// does not depend on the translated frame parsing cleanly.
 func (d *Demodulated) RawBitsAt(start, nBits int) []byte {
 	return rawBitsFrom(d.disc, start, nBits)
 }
@@ -407,18 +412,6 @@ func (rx *Receiver) decodeFrom(disc []float64, start int) *RxFrame {
 		Payload: payload,
 		CRCOK:   bits.CRC24BLE(payload, 0x555555) == gotCRC,
 	}
-}
-
-// RawBitsAt channel-filters and FM-discriminates the capture, then slices
-// nBits hard bit decisions starting at sample index start, with no framing,
-// sync or de-whitening applied. This is what FreeRider's backscatter decoder
-// consumes: it already knows the excitation bit stream (receiver 1 reports
-// it over the backhaul) and extracts tag data by comparing streams, so it
-// does not depend on the translated frame parsing cleanly.
-func (rx *Receiver) RawBitsAt(cap *signal.Signal, start, nBits int) []byte {
-	a := signal.GetArena()
-	defer a.Release()
-	return rawBitsFrom(rx.DemodInto(cap, a).disc, start, nBits)
 }
 
 func rawBitsFrom(disc []float64, start, nBits int) []byte {

@@ -106,8 +106,10 @@ type CodedSNRResult struct {
 	GainDB       float64
 
 	// Chase is the full coded uplink — RS plus soft chase-combining with a
-	// retransmission budget of ChaseDepth, the same ladder freerider.Send
-	// runs — populated only by CodedBERvsSNRChase with depth >= 2.
+	// retransmission budget of ChaseDepth, each copy decoded from the
+	// combined sum and then alone, as freerider.Send does, but keeping the
+	// first RS-valid decode (no payload check, no scheme fallback) —
+	// populated only by CodedBERvsSNRChase with depth >= 2.
 	// ChaseGainDB is the link margin that uplink holds over the uncoded
 	// single-shot link at the target BER.
 	ChaseDepth  int
@@ -224,8 +226,7 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 // chase-combined soft evidence first, then RS on the copy alone — a
 // misaligned earlier copy fills the accumulator with confident wrong
 // votes, so a clean retransmission must be able to stand on its own
-// (freerider.Send escapes the same trap by resetting its combiner on
-// scheme change). A copy that never reached the decoder contributes
+// (freerider.Send runs the same two decodes). A copy that never reached the decoder contributes
 // nothing; a payload with no received copy in the whole budget counts as
 // lost, not errored, matching Session.Run's accounting.
 func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]SNRPoint, error) {

@@ -94,8 +94,7 @@ func (a *Arena) FloatUninit(n int) []float64 { return a.f.take(n) }
 
 // BytesUninit returns a scratch slice of n bytes whose contents are
 // unspecified, for callers that assign every element before any read (the
-// deinterleaved coded stream, the Viterbi output bits). Anything else must
-// take the zeroed Bytes.
+// Viterbi output bits). Anything else must take the zeroed Bytes.
 func (a *Arena) BytesUninit(n int) []byte { return a.b.take(n) }
 
 // Bytes returns a zeroed scratch slice of n bytes.

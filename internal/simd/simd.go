@@ -1,10 +1,10 @@
 // Package simd provides runtime-dispatched vector kernels for the
 // hottest inner loops of the packet path: the int16 Viterbi
-// add-compare-select step (wifi.ViterbiDecodeInto), the whole radix-2
+// add-compare-select step (the WiFi Viterbi decoder), the whole radix-2
 // complex FFT of 16 to 1024 points (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
 // Gaussian filter) and the Bluetooth sync scan, the ZigBee preamble
-// slice correlations (zigbee.(*Receiver).detect), and the channel's
+// slice correlations (zigbee.(*Receiver).Detect), and the channel's
 // Gaussian noise (signal.Noise, signal.(*Signal).AddAWGN): the
 // lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
 // flags and the fast-path add. Each kernel has an AVX2 assembly
@@ -73,34 +73,26 @@
 // kernel written to the amd64 contract could match the Go loops there.
 //
 // Dispatch is decided once at init from CPU features, can be disabled
-// at build time with the `noasm` build tag, at process start with the
-// FREERIDER_NOSIMD environment variable, and at runtime (tests, ops)
-// with SetEnabled.
+// at build time with the `noasm` build tag, and at runtime (tests) with
+// SetEnabled.
 package simd
 
 import (
 	"math/bits"
-	"os"
 	"sync/atomic"
 )
-
-// NoSIMDEnv names the environment variable that, when set to any
-// non-empty value, forces the pure-Go kernels without a rebuild. Ops
-// escape hatch: if a machine misreports CPU features or an asm kernel
-// is suspected, FREERIDER_NOSIMD=1 restores the reference path.
-const NoSIMDEnv = "FREERIDER_NOSIMD"
 
 // hwMode is the vector ISA this binary+CPU combination supports:
 // "avx2", or "" when the build has no asm kernels (noasm tag, other
 // GOARCH) or the CPU lacks the features. Fixed at init.
 var hwMode = hwDetect()
 
-// active gates dispatch. It starts true only when hwMode is non-empty
-// and the env override is absent; SetEnabled flips it at runtime.
+// active gates dispatch. It starts true exactly when hwMode is
+// non-empty; SetEnabled flips it at runtime.
 var active atomic.Bool
 
 func init() {
-	active.Store(hwMode != "" && os.Getenv(NoSIMDEnv) == "")
+	active.Store(hwMode != "")
 }
 
 // Enabled reports whether the asm kernels are currently dispatched.

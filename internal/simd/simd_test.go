@@ -1,10 +1,7 @@
 package simd
 
 import (
-	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -29,10 +26,7 @@ func TestDispatchSelection(t *testing.T) {
 		if (hw == "avx2") != (runtime.GOARCH == "amd64") {
 			t.Fatalf("HWMode %q on %s", hw, runtime.GOARCH)
 		}
-		// The env override is exercised in-process below and end-to-end in
-		// TestEnvOverrideSubprocess; here init ran without it (the test
-		// harness never sets it), so dispatch must be on.
-		if os.Getenv(NoSIMDEnv) == "" && !Enabled() {
+		if !Enabled() {
 			t.Fatal("asm kernels available but dispatch off after init")
 		}
 	default:
@@ -60,34 +54,6 @@ func TestSetEnabledRoundTrip(t *testing.T) {
 		}
 	} else if !Enabled() || Mode() != HWMode() {
 		t.Fatalf("after SetEnabled(true): Enabled=%v Mode=%q HW=%q", Enabled(), Mode(), HWMode())
-	}
-}
-
-// TestEnvOverrideSubprocess re-executes this test binary with
-// FREERIDER_NOSIMD=1 and checks that init latched dispatch off — the
-// ops escape hatch must work from the environment alone, before any
-// code gets a chance to call SetEnabled.
-func TestEnvOverrideSubprocess(t *testing.T) {
-	if os.Getenv("SIMD_ENV_HELPER") == "1" {
-		if Enabled() {
-			t.Fatal("dispatch enabled despite " + NoSIMDEnv)
-		}
-		if Mode() != "go" {
-			t.Fatalf("Mode() = %q under %s, want go", Mode(), NoSIMDEnv)
-		}
-		return
-	}
-	if HWMode() == "" {
-		t.Skip("no asm kernels to disable on this build")
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=TestEnvOverrideSubprocess$", "-test.v")
-	cmd.Env = append(os.Environ(), "SIMD_ENV_HELPER=1", NoSIMDEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("helper process failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "PASS") {
-		t.Fatalf("helper process did not pass:\n%s", out)
 	}
 }
 

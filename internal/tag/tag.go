@@ -122,77 +122,6 @@ func (p *PhaseTranslator) validate() error {
 	return nil
 }
 
-// AmplitudeTranslator scales the reflected amplitude per window using two
-// levels of the impedance bank (§2.1: the tag "switches across multiple
-// impedances to fine tune the amplitude"). The paper's Figure 2 argument —
-// and TestAmplitudeModulationFigure2 — show why this dimension is unusable
-// on OFDM: the frequency-agnostic amplitude change lands on every
-// subcarrier at once and turns valid QAM codewords into invalid ones.
-type AmplitudeTranslator struct {
-	// DataStart, SymbolPeriod, SymbolsPerBit define the modulation grid as
-	// in PhaseTranslator.
-	DataStart     float64
-	SymbolPeriod  float64
-	SymbolsPerBit int
-	// HighGamma and LowGamma are the |Γ| reflection magnitudes encoding
-	// tag bits 0 and 1 respectively.
-	HighGamma, LowGamma float64
-	// Latency shifts the grid by the envelope detector delay.
-	Latency float64
-}
-
-// Translate implements Translator.
-func (a *AmplitudeTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error) {
-	if err := a.validate(); err != nil {
-		return nil, 0, err
-	}
-	out := exc.Clone()
-	// Bit-0 regions (and everything outside the grid) reflect at HighGamma.
-	out.Scale(complex(a.HighGamma, 0))
-	blockSamples := int(math.Round(a.SymbolPeriod * float64(a.SymbolsPerBit) * exc.Rate))
-	start := int(math.Round((a.DataStart + a.Latency) * exc.Rate))
-	ratio := complex(a.LowGamma/a.HighGamma, 0)
-	used := 0
-	for i := 0; ; i++ {
-		lo := start + i*blockSamples
-		hi := lo + blockSamples
-		if hi > len(out.Samples) || used >= len(tagBits) {
-			break
-		}
-		bit := tagBits[used] & 1
-		used++
-		if bit == 0 {
-			continue
-		}
-		for j := lo; j < hi; j++ {
-			out.Samples[j] *= ratio
-		}
-	}
-	return out, used, nil
-}
-
-// Capacity implements Translator.
-func (a *AmplitudeTranslator) Capacity(packetDuration float64) int {
-	if err := a.validate(); err != nil {
-		return 0
-	}
-	usable := packetDuration - a.DataStart - a.Latency
-	if usable <= 0 {
-		return 0
-	}
-	return int(usable / (a.SymbolPeriod * float64(a.SymbolsPerBit)))
-}
-
-func (a *AmplitudeTranslator) validate() error {
-	if a.SymbolPeriod <= 0 || a.SymbolsPerBit <= 0 {
-		return fmt.Errorf("tag: invalid amplitude translator timing")
-	}
-	if a.HighGamma <= 0 || a.LowGamma <= 0 || a.LowGamma >= a.HighGamma {
-		return fmt.Errorf("tag: amplitude levels need 0 < low < high, got %g/%g", a.LowGamma, a.HighGamma)
-	}
-	return nil
-}
-
 // FreqTranslator toggles the RF switch at ToggleHz during tag-bit-1 windows
 // (eq. 6), translating one FSK codeword into the other. The toggle is a real
 // ±1 square wave, so both sidebands are produced — the receiver's channel

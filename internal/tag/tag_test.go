@@ -339,36 +339,3 @@ func TestExcitationString(t *testing.T) {
 		t.Error("invalid excitation should be unknown")
 	}
 }
-
-func TestAmplitudeTranslatorLevels(t *testing.T) {
-	a := &AmplitudeTranslator{
-		SymbolPeriod:  10e-6,
-		SymbolsPerBit: 1,
-		HighGamma:     0.8,
-		LowGamma:      0.4,
-	}
-	out, used, err := a.Translate(constSignal(1e6, 30), []byte{0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != 3 {
-		t.Fatalf("used %d", used)
-	}
-	if real(out.Samples[5]) != 0.8 || real(out.Samples[15]) != 0.4 || real(out.Samples[25]) != 0.8 {
-		t.Fatalf("levels wrong: %v %v %v", out.Samples[5], out.Samples[15], out.Samples[25])
-	}
-}
-
-func TestAmplitudeTranslatorValidation(t *testing.T) {
-	bad := &AmplitudeTranslator{SymbolPeriod: 1e-6, SymbolsPerBit: 1, HighGamma: 0.4, LowGamma: 0.8}
-	if _, _, err := bad.Translate(constSignal(1e6, 10), []byte{1}); err == nil {
-		t.Error("low >= high accepted")
-	}
-	if bad.Capacity(1) != 0 {
-		t.Error("invalid translator reported capacity")
-	}
-	good := &AmplitudeTranslator{SymbolPeriod: 4e-6, SymbolsPerBit: 4, HighGamma: 1, LowGamma: 0.5, DataStart: 20e-6}
-	if c := good.Capacity(180e-6); c != 10 {
-		t.Fatalf("capacity %d, want 10", c)
-	}
-}

@@ -303,13 +303,6 @@ func (c *Cache) GetOrSynthesize(k Key, fn func() (*Entry, error)) (*Entry, bool,
 	return e, ran && err == nil, err
 }
 
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	c.lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats snapshots the cache for /metrics. It holds the cache lock while
 // reading both the sizes and the counters: all counter movement happens
 // inside the critical section (Coalesced excepted — it moves under the

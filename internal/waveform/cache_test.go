@@ -12,6 +12,13 @@ import (
 	"repro/internal/signal"
 )
 
+// Len returns the number of resident entries.
+func (c *Cache) Len() int {
+	c.lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
 func testEntry(samples int, tag byte) *Entry {
 	s := signal.New(20e6, samples)
 	for i := range s.Samples {

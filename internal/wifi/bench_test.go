@@ -49,14 +49,3 @@ func BenchmarkReceive1500B(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkInterleaveSymbol(b *testing.B) {
-	r := Rates[54]
-	in := make([]byte, r.NCBPS)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Interleave(in, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

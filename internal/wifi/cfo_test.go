@@ -47,19 +47,6 @@ func TestDecodeUnderCFO(t *testing.T) {
 	}
 }
 
-func TestCFOBreaksDecodingWithoutCorrection(t *testing.T) {
-	// 30 kHz rotates BPSK by 90° in ~8.3 µs: without correction even the
-	// SIGNAL field is hopeless.
-	psdu := AppendFCS(make([]byte, 200))
-	cap := cfoCapture(t, psdu, 30e3, 0, 3)
-	rx := NewReceiver()
-	rx.CFOCorrection = false
-	pkt, err := rx.Receive(cap)
-	if err == nil && pkt.FCSOK {
-		t.Fatal("30 kHz CFO decoded cleanly without any correction")
-	}
-}
-
 func TestBlindTrackerSurvivesResidualDrift(t *testing.T) {
 	// Long packet (1500 B ≈ 2 ms) with a small residual offset the
 	// LTF/CP estimators are deliberately denied (inject after their

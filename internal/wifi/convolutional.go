@@ -6,10 +6,9 @@ import "fmt"
 // g0 = 133 (octal) and g1 = 171 (octal). FreeRider's equation 9 is exactly
 // this code at rate 1/2; higher rates puncture the 1/2 stream.
 const (
-	genA           = 0o133
-	genB           = 0o171
-	numStates      = 64
-	erasure   byte = 2 // marker for punctured (unknown) coded bits
+	genA      = 0o133
+	genB      = 0o171
+	numStates = 64
 )
 
 // parity7 returns the parity of the low 7 bits of x.
@@ -21,14 +20,10 @@ func parity7(x int) byte {
 	return byte(x & 1)
 }
 
-// ConvEncode encodes the bit slice with the rate-1/2 mother code. The caller
-// is responsible for appending the 6 zero tail bits before encoding. Output
-// is A0 B0 A1 B1 ... (interleaved coded streams, as 802.11 transmits them).
-func ConvEncode(in []byte) []byte {
-	return convEncodeInto(make([]byte, 0, len(in)*2), in)
-}
-
-// convEncodeInto appends the rate-1/2 encoding of in to dst.
+// convEncodeInto appends the rate-1/2 encoding of in to dst. The caller
+// is responsible for appending the 6 zero tail bits before encoding.
+// Output is A0 B0 A1 B1 ... (interleaved coded streams, as 802.11
+// transmits them).
 func convEncodeInto(dst, in []byte) []byte {
 	state := 0 // 6-bit shift register of previous inputs
 	for _, b := range in {
@@ -59,59 +54,24 @@ func puncturePattern(r CodingRate) [][2]bool {
 	return punctureKeep[r]
 }
 
-// Puncture removes coded bits from the rate-1/2 stream (pairs A,B per input
-// bit) according to the 802.11 puncturing pattern for rate r.
-func Puncture(coded []byte, r CodingRate) ([]byte, error) {
-	return punctureInto(make([]byte, 0, len(coded)), coded, r)
-}
-
-// punctureInto appends the punctured stream to dst.
+// punctureInto appends to dst the bits of the rate-1/2 stream coded
+// (pairs A,B per input bit) that the 802.11 puncturing pattern for rate r
+// keeps.
 func punctureInto(dst, coded []byte, r CodingRate) ([]byte, error) {
-	if len(coded)%2 != 0 {
-		return nil, fmt.Errorf("wifi: coded stream length %d is odd", len(coded))
-	}
 	pattern := puncturePattern(r)
 	if pattern == nil {
 		return nil, fmt.Errorf("wifi: unknown coding rate %v", r)
 	}
-	out := dst
 	for i := 0; i*2 < len(coded); i++ {
 		keep := pattern[i%len(pattern)]
 		if keep[0] {
-			out = append(out, coded[2*i])
+			dst = append(dst, coded[2*i])
 		}
 		if keep[1] {
-			out = append(out, coded[2*i+1])
+			dst = append(dst, coded[2*i+1])
 		}
 	}
-	return out, nil
-}
-
-// Depuncture restores a punctured stream to rate-1/2 layout, inserting
-// erasure markers where bits were dropped. nInfoBits is the number of
-// information bits the stream encodes (including tail).
-func Depuncture(punctured []byte, r CodingRate, nInfoBits int) ([]byte, error) {
-	pattern := puncturePattern(r)
-	if pattern == nil {
-		return nil, fmt.Errorf("wifi: unknown coding rate %v", r)
-	}
-	out := make([]byte, 0, nInfoBits*2)
-	pi := 0
-	for i := 0; i < nInfoBits; i++ {
-		keep := pattern[i%len(pattern)]
-		for j := 0; j < 2; j++ {
-			if keep[j] {
-				if pi >= len(punctured) {
-					return nil, fmt.Errorf("wifi: punctured stream too short: need bit %d of %d", pi, len(punctured))
-				}
-				out = append(out, punctured[pi])
-				pi++
-			} else {
-				out = append(out, erasure)
-			}
-		}
-	}
-	return out, nil
+	return dst, nil
 }
 
 // expectEAB[s<<1|in] packs the expected coded pair (A<<1 | B) for the

@@ -1,23 +1,17 @@
 package wifi
 
-import "fmt"
-
-// standardPerms holds the §17.3.5.7 permutation for the four standard
-// modulation orders (NBPSC 1, 2, 4, 6; NCBPS is always 48×NBPSC),
-// indexed by NBPSC and built at package init. perm[k] is the output
-// position of input bit k. The table is pure index arithmetic, so
-// precomputing it cannot change a single bit of the interleaved stream;
-// serving it from a fixed array keeps the per-symbol lookup a bounds
-// check instead of a map load with interface-key hashing, which showed
-// up at ~3% of the batch WiFi packet profile.
-var standardPerms [7][]int32
-
-func init() {
-	for _, nbpsc := range []int{1, 2, 4, 6} {
-		standardPerms[nbpsc] = computePerm(48*nbpsc, nbpsc)
-	}
-}
-
+// computePerm returns the 802.11a/g per-symbol block interleaver
+// permutation (§17.3.5.7) for n coded bits at nbpsc bits per subcarrier:
+// perm[k] is the output position of input bit k. The two permutations
+// ensure adjacent coded bits land on non-adjacent subcarriers and
+// alternate between constellation bit significances. Interleaving never
+// crosses a symbol boundary — the property FreeRider relies on when it
+// spreads one tag bit over whole OFDM symbols.
+//
+// No stream is interleaved or deinterleaved as a pass of its own: the
+// transmitter's fused mappers read their bits through the inverse table
+// (mapper.src), and the receiver's slot tables are built from that same
+// table.
 func computePerm(n, nbpsc int) []int32 {
 	s := nbpsc / 2
 	if s < 1 {
@@ -32,70 +26,35 @@ func computePerm(n, nbpsc int) []int32 {
 	return perm
 }
 
-func permFor(r Rate) []int32 {
-	if r.NBPSC >= 1 && r.NBPSC <= 6 && r.NCBPS == 48*r.NBPSC {
-		if p := standardPerms[r.NBPSC]; p != nil {
-			return p
+// rxSlots[mod][coding] maps bit j of one demapped symbol (NCBPS bits in
+// constellation order) to its slot in that symbol's rate-1/2 coded stream
+// of 2·NDBPS bits (pairs A,B per information bit), undoing the
+// interleaver through the transmitter's mapper.src table and the
+// puncturing through puncturePattern. The slots no bit maps to are the
+// punctured ones. Every NCBPS is a whole number of puncturing periods, so
+// the table repeats exactly from symbol to symbol.
+var rxSlots = buildRxSlots()
+
+func buildRxSlots() (t [QAM64 + 1][Rate3_4 + 1][]uint16) {
+	for mod := range t {
+		src := mappers[mod].src
+		for cr := range t[mod] {
+			pattern := puncturePattern(CodingRate(cr))
+			// kept[p] is the rate-1/2 slot of punctured bit p.
+			kept := make([]uint16, 0, len(src))
+			for i := 0; len(kept) < len(src); i++ {
+				for ab, keep := range pattern[i%len(pattern)] {
+					if keep {
+						kept = append(kept, uint16(2*i+ab))
+					}
+				}
+			}
+			slots := make([]uint16, len(src))
+			for j, p := range src {
+				slots[j] = kept[p]
+			}
+			t[mod][cr] = slots
 		}
 	}
-	// Non-standard shapes (none among Rates) compute fresh per call.
-	return computePerm(r.NCBPS, r.NBPSC)
-}
-
-// Interleave applies the 802.11a/g per-symbol block interleaver
-// (§17.3.5.7) to one OFDM symbol's worth of coded bits. The two
-// permutations ensure adjacent coded bits land on non-adjacent subcarriers
-// and alternate between constellation bit significances. Interleaving never
-// crosses a symbol boundary — the property FreeRider relies on when it
-// spreads one tag bit over whole OFDM symbols.
-func Interleave(in []byte, r Rate) ([]byte, error) {
-	out := make([]byte, r.NCBPS)
-	if err := interleaveInto(out, in, r); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// interleaveInto is Interleave writing into caller storage (len NCBPS).
-func interleaveInto(out, in []byte, r Rate) error {
-	n := r.NCBPS
-	if len(in) != n {
-		return fmt.Errorf("wifi: interleaver input %d bits, want NCBPS=%d", len(in), n)
-	}
-	perm := permFor(r)
-	for k, j := range perm {
-		out[j] = in[k]
-	}
-	return nil
-}
-
-// deinterleaveInto inverts Interleave for one OFDM symbol, writing into
-// caller storage (len NCBPS).
-func deinterleaveInto(out, in []byte, r Rate) error {
-	n := r.NCBPS
-	if len(in) != n {
-		return fmt.Errorf("wifi: deinterleaver input %d bits, want NCBPS=%d", len(in), n)
-	}
-	perm := permFor(r)
-	for k, j := range perm {
-		out[k] = in[j]
-	}
-	return nil
-}
-
-// InterleaveSymbols applies the interleaver across a multi-symbol stream
-// whose length must be a multiple of NCBPS.
-func InterleaveSymbols(in []byte, r Rate) ([]byte, error) {
-	if len(in)%r.NCBPS != 0 {
-		return nil, fmt.Errorf("wifi: stream length %d not a multiple of NCBPS=%d", len(in), r.NCBPS)
-	}
-	out := make([]byte, 0, len(in))
-	for off := 0; off < len(in); off += r.NCBPS {
-		sym, err := Interleave(in[off:off+r.NCBPS], r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sym...)
-	}
-	return out, nil
+	return t
 }

@@ -93,15 +93,6 @@ func nearest2(scaled []float64, v float64) byte {
 // per-point demapper recomputed, so decisions — and therefore bits — are
 // identical.
 func demapPointInto(dst []byte, pt complex128, m Modulation) ([]byte, error) {
-	// The one-bit-per-axis constellations dominate the decode profile
-	// (the calibrated links run 6 and 12 Mbps); slice them with the
-	// specialised two-level comparison instead of the general scan.
-	switch m {
-	case BPSK:
-		return append(dst, nearest2(pam2BPSK, real(pt))), nil
-	case QPSK:
-		return append(dst, nearest2(pam2QPSK, real(pt)), nearest2(pam2QPSK, imag(pt))), nil
-	}
 	scaled, perAxis, err := scaledLevelsFor(m)
 	if err != nil {
 		return nil, err
@@ -123,9 +114,11 @@ func demapPointInto(dst []byte, pt complex128, m Modulation) ([]byte, error) {
 // pass by pointer — per-symbol 48-element array copies were a visible
 // slice of the decode profile — and are only read.
 func demapSymbolInto(dst []byte, pts *[NumData]complex128, r Rate) ([]byte, error) {
-	// Whole-symbol loops for the one-bit-per-axis constellations: the same
-	// nearest2 slicing demapPointInto's fast path performs, without a call
-	// per point (48 per symbol, hundreds of symbols per packet).
+	// The one-bit-per-axis constellations dominate the decode profile
+	// (the calibrated links run 6 and 12 Mbps); slice them with the
+	// two-level comparison in whole-symbol loops instead of the general
+	// scan, without a call per point (48 per symbol, hundreds of symbols
+	// per packet).
 	switch r.Modulation {
 	case BPSK:
 		for i := range pts {

@@ -2,9 +2,18 @@
 // the full transmit chain (scrambler, convolutional encoder with puncturing,
 // block interleaver, BPSK/QPSK/16-QAM/64-QAM mapping, pilot insertion,
 // 64-point IFFT with cyclic prefix, L-STF/L-LTF preamble and SIGNAL field)
-// and the matching receive chain (preamble detection, LTF channel
-// estimation, equalisation, hard demapping, deinterleaving, Viterbi
-// decoding, descrambling and FCS check).
+// and the matching receive chain (preamble detection, CFO correction, LTF
+// channel estimation, equalisation, hard demapping, Viterbi decoding,
+// descrambling and FCS check).
+//
+// Each bit stage has one implementation that both directions share: the
+// transmitter's mappers read the punctured stream through the
+// interleaver's inverse table (mapper.src); the receiver writes each
+// demapped bit's trellis gain straight into its rate-1/2 slot through a
+// table composed from that same table and the puncture pattern, so no
+// stream is ever deinterleaved or depunctured as a pass of its own; and
+// the scrambler and the descrambler's seed recovery both run from one
+// table of the LFSR's 127-step cycle.
 //
 // FreeRider's codeword translation lives and dies inside this chain (§3.2.1
 // of the paper), which is why it is reproduced bit-exactly rather than

@@ -26,10 +26,11 @@ type RxPacket struct {
 	RawBits []byte // descrambled SERVICE+PSDU+tail bit stream
 	FCSOK   bool   // true if the last 4 PSDU bytes are a valid CRC-32 FCS
 	// DemappedBits is the hard-decision coded bit stream straight off the
-	// constellation (NCBPS bits per data symbol, before deinterleaving and
-	// Viterbi decoding). A monitor-mode decoder uses it to detect the
-	// quaternary (eq. 5) codeword rotations, which are invisible after
-	// convolutional decoding.
+	// constellation, in demap order: NCBPS bits per data symbol, still
+	// interleaved, the order CodedBits rebuilds. The decoder reads each
+	// bit's trellis gain from here through its slot table. A monitor-mode
+	// decoder uses it to detect the quaternary (eq. 5) codeword rotations,
+	// which are invisible after convolutional decoding.
 	DemappedBits []byte
 	// PilotPhases is one pilot-correlation phase per data symbol (radians,
 	// in (-π, π]): the phase of Σ pilots·conj(expected), the same
@@ -44,6 +45,11 @@ type RxPacket struct {
 // Receiver decodes 802.11a/g PPDUs from complex baseband captures into
 // the streams an RxPacket carries. It measures neither power nor SNR: the
 // backscatter session reports the link budget's RSSI, not the capture's.
+// Like every commodity chip it removes carrier frequency offset: coarse
+// from the two LTF copies, refined by averaging every data symbol's
+// cyclic-prefix correlation, with blind constellation-squaring phase
+// tracking on BPSK and QPSK. All three are pilot-free and therefore
+// transparent to the tag's modulation.
 type Receiver struct {
 	// DetectionThreshold is the minimum LTF periodicity quality
 	// (≈ SNR/(SNR+1), 0..1) to accept a packet; packets below it are
@@ -55,12 +61,6 @@ type Receiver struct {
 	// and FreeRider depends on its absence: with tracking on, the tag's
 	// phase modulation is corrected away. Off by default.
 	PilotPhaseTracking bool
-	// CFOCorrection enables carrier-frequency-offset estimation and
-	// removal: coarse from the two LTF copies, refined by averaging every
-	// data symbol's cyclic-prefix correlation. Both trackers are
-	// pilot-free and therefore transparent to the tag's modulation. On by
-	// default (commodity chips always correct CFO).
-	CFOCorrection bool
 	// CollectPilotPhases records each data symbol's pilot-correlation
 	// phase on RxPacket.PilotPhases for the single-receiver differential
 	// decoder. Off by default so the dual-receiver path stays
@@ -73,10 +73,9 @@ type Receiver struct {
 	SkipRSSI bool
 }
 
-// NewReceiver returns a receiver with the default detection threshold and
-// CFO correction enabled.
+// NewReceiver returns a receiver with the default detection threshold.
 func NewReceiver() *Receiver {
-	return &Receiver{DetectionThreshold: 0.30, CFOCorrection: true}
+	return &Receiver{DetectionThreshold: 0.30}
 }
 
 // Receive finds and decodes the first PPDU in the capture.
@@ -371,18 +370,15 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	// and byte slices), so releasing on return is safe.
 	arena := signal.GetArena()
 	defer arena.Release()
-	if rx.CFOCorrection {
-		// Work on a corrected copy of the packet region: coarse estimate
-		// from the LTF copies, then (after SIGNAL tells us the length) a
-		// cyclic-prefix refinement over the whole data region. Every read of
-		// the copy below is at an index ≥ start (preamble, SIGNAL and data
-		// symbols all begin there), so the [0, start) prefix can stay
-		// uninitialised.
-		buf := arena.ComplexUninit(len(s))
-		cfo := estimateCFOFromLTF(s[start+160 : start+320])
-		derotate(buf[start:], s[start:], cfo)
-		s = buf
-	}
+	// Work on a CFO-corrected copy of the packet region: coarse estimate
+	// from the LTF copies, then (after SIGNAL tells us the length) a
+	// cyclic-prefix refinement over the whole data region. Every read of
+	// the copy below is at an index ≥ start (preamble, SIGNAL and data
+	// symbols all begin there), so the [0, start) prefix can stay
+	// uninitialised.
+	buf := arena.ComplexUninit(len(s))
+	derotate(buf[start:], s[start:], estimateCFOFromLTF(s[start+160:start+320]))
+	s = buf
 
 	h := estimateChannel(s[start+160:start+320], arena)
 	var eq equalizer
@@ -402,14 +398,10 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	if err != nil {
 		return nil, err
 	}
-	deinter := arena.Bytes(r6.NCBPS)
-	if err := deinterleaveInto(deinter, sigBits, r6); err != nil {
-		return nil, err
-	}
-	decoded, err := ViterbiDecodeInto(arena.Bytes(r6.NCBPS/2), deinter)
-	if err != nil {
-		return nil, err
-	}
+	sigGains := arena.Int16Uninit(r6.NCBPS)
+	putGains(sigGains, sigBits, rxSlots[BPSK][Rate1_2])
+	decoded := arena.Bytes(r6.NCBPS / 2)
+	viterbiMaxKernel(decoded, sigGains)
 	rate, length, err := parseSignal(decoded)
 	if err != nil {
 		return nil, err
@@ -421,29 +413,29 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		return nil, ErrTruncated
 	}
 
-	if rx.CFOCorrection {
-		// Residual-CFO refinement over all data symbols' cyclic prefixes,
-		// then re-estimate the channel on the re-corrected samples.
-		residual := refineCFOFromCP(s[dataStart:], nSym)
-		if residual != 0 {
-			// s is already this decode's private arena copy (the coarse
-			// correction above always runs first), so the residual can
-			// derotate it in place instead of copying to a second buffer.
-			end := dataStart + nSym*SymbolLen
-			derotate(s[start:end], s[start:end], residual)
-			h = estimateChannel(s[start+160:start+320], arena)
-			eq.init(h)
-		}
+	// Residual-CFO refinement over all data symbols' cyclic prefixes, then
+	// re-estimate the channel on the re-corrected samples. s is this
+	// decode's private arena copy, so the residual derotates it in place.
+	if residual := refineCFOFromCP(s[dataStart:], nSym); residual != 0 {
+		end := dataStart + nSym*SymbolLen
+		derotate(s[start:end], s[start:end], residual)
+		h = estimateChannel(s[start+160:start+320], arena)
+		eq.init(h)
 	}
 
 	// Data symbols. demapped escapes into the packet, so it is a real
-	// allocation; the deinterleaved coded stream stays on the arena.
+	// allocation. Each symbol's bits also land, as trellis gains, in their
+	// slots of the rate-1/2 stream the Viterbi kernel reads: every slot
+	// when nothing is punctured, else the stream starts zeroed and the
+	// punctured slots stay 0, the erasure gain.
 	var tracker phaseTracker
 	demapped := make([]byte, 0, nSym*rate.NCBPS)
-	// Every byte of coded is assigned by deinterleaveInto (the permutation
-	// covers all NCBPS positions per symbol) before the decoder reads it,
-	// so the scratch skips the arena's zeroing pass.
-	coded := arena.BytesUninit(nSym * rate.NCBPS)
+	slots := rxSlots[rate.Modulation][rate.Coding]
+	span := 2 * rate.NDBPS // rate-1/2 slots per symbol
+	gains := arena.Int16Uninit(nSym * span)
+	if rate.Coding != Rate1_2 {
+		clear(gains)
+	}
 	var pilotPhases []float64
 	if rx.CollectPilotPhases {
 		pilotPhases = make([]float64, 0, nSym)
@@ -454,42 +446,24 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 			return nil, err
 		}
 		if rx.CollectPilotPhases {
-			pilotPhases = append(pilotPhases, pilotPhase(pilots, i+1))
+			pilotPhases = append(pilotPhases, cmplx.Phase(pilotCorrelation(pilots, i+1)))
 		}
 		if rx.PilotPhaseTracking {
 			correctPhase(&pts, pilots, i+1)
 		}
-		if rx.CFOCorrection {
-			tracker.correct(&pts, rate.Modulation)
-		}
+		tracker.correct(&pts, rate.Modulation)
 		var err error
 		demapped, err = demapSymbolInto(demapped, &pts, rate)
 		if err != nil {
 			return nil, err
 		}
-		if err := deinterleaveInto(coded[i*rate.NCBPS:(i+1)*rate.NCBPS], demapped[i*rate.NCBPS:], rate); err != nil {
-			return nil, err
-		}
+		putGains(gains[i*span:(i+1)*span], demapped[i*rate.NCBPS:], slots)
 	}
 
-	// Rate 1/2 keeps every coded bit ({{true,true}} pattern), so
-	// depuncturing is the identity: reuse the coded stream directly instead
-	// of copying it. The short-stream guard mirrors Depuncture's error
-	// condition; aliasing is safe because ViterbiDecodeInto writes into a
-	// separate arena buffer.
-	nInfo := nSym * rate.NDBPS
-	var depunct []byte
-	if rate.Coding == Rate1_2 && len(coded) >= nInfo*2 {
-		depunct = coded[:nInfo*2]
-	} else if depunct, err = Depuncture(coded, rate.Coding, nInfo); err != nil {
-		return nil, err
-	}
 	// The traceback assigns every output bit, so the destination can skip
-	// the arena's zeroing pass too.
-	scrambled, err := ViterbiDecodeInto(arena.BytesUninit(nInfo), depunct)
-	if err != nil {
-		return nil, err
-	}
+	// the arena's zeroing pass.
+	scrambled := arena.BytesUninit(nSym * rate.NDBPS)
+	viterbiMaxKernel(scrambled, gains)
 
 	// Descramble: recover the seed from the first 7 SERVICE bits.
 	seed := RecoverScramblerSeed(scrambled[:7])
@@ -511,20 +485,29 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	return pkt, nil
 }
 
-// pilotPhase returns the phase of the pilot correlation against the
-// expected 802.11 pilot pattern for data symbol symIdx — the quantity
-// correctPhase would rotate away. With phase tracking off (FreeRider's
+// putGains writes the trellis gain of each hard bit of one demapped symbol
+// (0 → −1, 1 → +1) into its rate-1/2 slot of q.
+func putGains(q []int16, sym []byte, slots []uint16) {
+	sym = sym[:len(slots)]
+	for j, k := range slots {
+		q[k] = int16(sym[j])*2 - 1
+	}
+}
+
+// pilotCorrelation returns Σ pilots·conj(expected) against the 802.11
+// pilot pattern of data symbol symIdx. Its phase is the common rotation
+// pilot phase tracking corrects away; with tracking off (FreeRider's
 // required receiver behaviour) it directly observes the tag's applied
 // rotation plus slowly-varying common phase error, which the differential
 // window compare cancels.
-func pilotPhase(pilots [NumPilots]complex128, symIdx int) float64 {
+func pilotCorrelation(pilots [NumPilots]complex128, symIdx int) complex128 {
 	p := PilotPolarity(symIdx)
 	var acc complex128
 	for i, pl := range PilotSubcarriers {
 		expected := complex(pl.Polarity*p, 0)
 		acc += pilots[i] * cmplx.Conj(expected)
 	}
-	return cmplx.Phase(acc)
+	return acc
 }
 
 // estimateChannel least-squares estimates H on each used bin from the two
@@ -561,12 +544,7 @@ func estimateChannel(ltf []complex128, a *signal.Arena) []complex128 {
 // correctPhase applies pilot-based common phase error correction (the
 // behaviour FreeRider needs receivers NOT to have).
 func correctPhase(pts *[NumData]complex128, pilots [NumPilots]complex128, symIdx int) {
-	p := PilotPolarity(symIdx)
-	var acc complex128
-	for i, pl := range PilotSubcarriers {
-		expected := complex(pl.Polarity*p, 0)
-		acc += pilots[i] * cmplx.Conj(expected)
-	}
+	acc := pilotCorrelation(pilots, symIdx)
 	if acc == 0 {
 		return
 	}

@@ -65,7 +65,8 @@ func fuzzCapture(raw []byte, rawBits bool, ppdu []complex128, shift, keep uint16
 // FuzzWiFiReceive feeds hostile captures to Receive, with pilot-phase
 // tracking and pilot-phase collection toggled by the input. It may not
 // panic; it returns a packet or one of the receiver's sentinel errors,
-// and the pure-Go and SIMD kernels (FFT, Viterbi) must agree exactly. The
+// equal to the unfused reference chain's (refReceive), and the pure-Go
+// and SIMD kernels (FFT, Viterbi) must agree exactly. The
 // seed corpus includes every crafted SIGNAL capture of
 // TestCraftedSignalFields, as raw float bits.
 func FuzzWiFiReceive(f *testing.F) {
@@ -115,6 +116,11 @@ func FuzzWiFiReceive(f *testing.F) {
 		prev := simd.SetEnabled(false)
 		defer simd.SetEnabled(prev)
 		run()
+		want, werr := refReceive(rx, cap)
+		if got[0].err != werr {
+			t.Fatalf("errors differ: fused %v, unfused reference %v", got[0].err, werr)
+		}
+		requireSamePacket(t, got[0].pkt, want)
 		if simd.HWMode() == "" {
 			return
 		}
@@ -128,10 +134,12 @@ func FuzzWiFiReceive(f *testing.F) {
 	})
 }
 
+// requireSamePacket fails unless a and b are both nil or carry equal
+// streams.
 func requireSamePacket(t *testing.T, a, b *RxPacket) {
 	t.Helper()
 	if (a == nil) != (b == nil) {
-		t.Fatalf("packet presence differs: go %v, kernel %v", a, b)
+		t.Fatalf("packet presence differs: %v, %v", a, b)
 	}
 	if a == nil {
 		return
@@ -144,7 +152,7 @@ func requireSamePacket(t *testing.T, a, b *RxPacket) {
 		same = sameFloat(a.PilotPhases[i], b.PilotPhases[i])
 	}
 	if !same {
-		t.Fatalf("packets differ:\ngo     %+v\nkernel %+v", a, b)
+		t.Fatalf("packets differ:\n%+v\n%+v", a, b)
 	}
 }
 

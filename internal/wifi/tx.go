@@ -3,7 +3,6 @@ package wifi
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/signal"
 )
 
@@ -103,27 +102,53 @@ func PacketDuration(n int, rate Rate) float64 {
 // constellation mapper consumed, NCBPS bits per data symbol) for a PSDU
 // transmitted with the given scrambler seed. Receiver 1 can rebuild this
 // from its decoded packet, which is how the quaternary (eq. 5) backscatter
-// decoder obtains its reference stream.
+// decoder obtains its reference stream. It runs the transmitter's coding
+// pass and interleaves through the fused mapper's table.
 func CodedBits(psdu []byte, rate Rate, scramblerSeed byte) ([]byte, error) {
-	t := &Transmitter{ScramblerSeed: scramblerSeed, FixedSeed: true}
-	nSym := NumDataSymbols(len(psdu), rate)
-	nBits := nSym * rate.NDBPS
-	raw := make([]byte, 0, nBits)
-	raw = append(raw, make([]byte, ServiceBits)...)
-	raw = append(raw, bits.FromBytes(psdu)...)
-	raw = append(raw, make([]byte, nBits-len(raw))...)
-	sc := NewScrambler(t.ScramblerSeed)
-	scrambled := sc.Scramble(raw)
+	m, err := mapperFor(rate)
+	if err != nil {
+		return nil, err
+	}
+	a := signal.GetArena()
+	defer a.Release()
+	punct, err := codeDataField(psdu, rate, scramblerSeed, a)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(punct))
+	for off := 0; off < len(out); off += rate.NCBPS {
+		sym := punct[off : off+rate.NCBPS]
+		for j, k := range m.src {
+			out[off+j] = sym[k]
+		}
+	}
+	return out, nil
+}
+
+// codeDataField runs the DATA field's bit chain up to the interleaver:
+// SERVICE + PSDU + tail + pad, scrambled from seed, tail re-zeroed,
+// convolutionally encoded and punctured. The result (NCBPS bits per data
+// symbol, in encoder order) lives on a.
+func codeDataField(psdu []byte, rate Rate, seed byte, a *signal.Arena) ([]byte, error) {
+	nBits := NumDataSymbols(len(psdu), rate) * rate.NDBPS
+	raw := a.Bytes(nBits) // zeroed: SERVICE, tail and pad stay 0
+	for i, by := range psdu {
+		for j := 0; j < 8; j++ {
+			raw[ServiceBits+8*i+j] = (by >> uint(j)) & 1
+		}
+	}
+	scrambled := NewScrambler(seed).Scramble(raw)
+	// Force the 6 tail bits (immediately after the PSDU) back to zero so the
+	// convolutional encoder is flushed to the zero state (§17.3.5.3).
 	tailStart := ServiceBits + 8*len(psdu)
 	for i := 0; i < TailBits; i++ {
 		scrambled[tailStart+i] = 0
 	}
-	coded := ConvEncode(scrambled)
-	punct, err := Puncture(coded, rate.Coding)
-	if err != nil {
-		return nil, err
+	coded := convEncodeInto(a.Bytes(2 * nBits)[:0], scrambled)
+	if rate.Coding == Rate1_2 { // rate 1/2 puncturing is the identity
+		return coded, nil
 	}
-	return InterleaveSymbols(punct, rate)
+	return punctureInto(a.Bytes(2 * nBits)[:0], coded, rate.Coding)
 }
 
 // signalSymbolInto encodes the 24-bit SIGNAL field (always BPSK rate 1/2,
@@ -154,30 +179,9 @@ func signalSymbolInto(dst []complex128, rate Rate, length int, td []complex128, 
 // (nSym·SymbolLen samples), mapping each symbol's punctured bits with m
 // into the frequency-domain scratch td.
 func (t *Transmitter) dataSymbolsInto(dst []complex128, psdu []byte, rate Rate, m *mapper, nSym int, td []complex128, a *signal.Arena) error {
-	nBits := nSym * rate.NDBPS
-
-	raw := a.Bytes(nBits) // zeroed: SERVICE, tail and pad stay 0
-	for i, by := range psdu {
-		for j := 0; j < 8; j++ {
-			raw[ServiceBits+8*i+j] = (by >> uint(j)) & 1
-		}
-	}
-
-	sc := NewScrambler(t.ScramblerSeed)
-	scrambled := sc.Scramble(raw)
-	// Force the 6 tail bits (immediately after the PSDU) back to zero so the
-	// convolutional encoder is flushed to the zero state (§17.3.5.3).
-	tailStart := ServiceBits + 8*len(psdu)
-	for i := 0; i < TailBits; i++ {
-		scrambled[tailStart+i] = 0
-	}
-
-	punct := convEncodeInto(a.Bytes(2 * nBits)[:0], scrambled)
-	if rate.Coding != Rate1_2 { // rate 1/2 puncturing is the identity
-		var err error
-		if punct, err = punctureInto(a.Bytes(2 * nBits)[:0], punct, rate.Coding); err != nil {
-			return err
-		}
+	punct, err := codeDataField(psdu, rate, t.ScramblerSeed, a)
+	if err != nil {
+		return err
 	}
 	for s := 0; s < nSym; s++ {
 		m.fill(td, punct[s*rate.NCBPS:(s+1)*rate.NCBPS])
@@ -212,8 +216,6 @@ var mappers = buildMappers()
 func buildMappers() (t [QAM64 + 1]mapper) {
 	for mod, nbpsc := range [...]int{BPSK: 1, QPSK: 2, QAM16: 4, QAM64: 6} {
 		levels, _, _ := scaledLevelsFor(Modulation(mod))
-		// computePerm, not standardPerms: package variables initialise
-		// before init functions run.
 		perm := computePerm(NumData*nbpsc, nbpsc)
 		src := make([]uint16, len(perm))
 		for k, j := range perm {

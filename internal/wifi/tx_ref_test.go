@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/signal"
@@ -212,11 +211,7 @@ func TestTransmitFusedMatchesReference(t *testing.T) {
 	if raceEnabled {
 		seedStep = 9
 	}
-	mbps := make([]int, 0, len(Rates))
-	for m := range Rates {
-		mbps = append(mbps, m)
-	}
-	sort.Ints(mbps)
+	mbps := sortedMbps()
 	rng := rand.New(rand.NewSource(13))
 	psdus := make([][]byte, 0, 4)
 	for _, n := range []int{1, 2, 1500, 4095} {

@@ -8,8 +8,7 @@ import (
 )
 
 // hardGain maps a received hard/erasure bit onto its trellis gain value:
-// bit 0 → -1, bit 1 → +1, everything else (the erasure marker and any
-// stray byte, matching the historical switch default) → 0. A flat table
+// bit 0 → -1, bit 1 → +1, everything else (an erasure) → 0. A flat table
 // keeps the per-bit mapping branchless.
 var hardGain = func() (t [256]int16) {
 	t[0] = -1
@@ -18,7 +17,7 @@ var hardGain = func() (t [256]int16) {
 }()
 
 // ViterbiDecodeInto decodes a rate-1/2 coded stream (pairs A,B per
-// information bit; bits may be the erasure marker) by hard-decision
+// information bit; a byte other than 0 or 1 is an erasure) by hard-decision
 // maximum likelihood, writing the n = len(coded)/2 decoded bits into
 // dst[:n] without allocating; dst must have room. It assumes the encoder
 // started in the zero state and was flushed with tail bits, and returns

@@ -99,7 +99,7 @@ func addCaptureSeeds(f *testing.F) {
 }
 
 // FuzzPreambleCorrDispatch is the ZigBee half of `make fuzz-simd`: the
-// preamble scan must return detectRef's start, gain and quality with the
+// preamble scan must return detectRef's start and quality with the
 // Go correlation loop and with simd.PreambleCorr, over the capture and
 // over its tail from an offset inside it.
 func FuzzPreambleCorrDispatch(f *testing.F) {
@@ -112,16 +112,16 @@ func FuzzPreambleCorrDispatch(f *testing.F) {
 	})
 }
 
-// requireDetectMatchesRef fails unless detect returns detectRef's start,
-// gain and quality on the capture in every dispatch mode the build has.
+// requireDetectMatchesRef fails unless Detect returns detectRef's start
+// and quality on the capture in every dispatch mode the build has.
 func requireDetectMatchesRef(t *testing.T, cap *signal.Signal) {
 	t.Helper()
-	ws, wg, wq := detectRef(cap.Samples)
+	ws, wq := detectRef(cap.Samples)
 	bothDispatchModes(func() {
-		s, g, q := NewReceiver().detect(cap)
-		if s != ws || !sameFloat(real(g), real(wg)) || !sameFloat(imag(g), imag(wg)) || !sameFloat(q, wq) {
-			t.Fatalf("%d samples (%s): detect (%d, %v, %v), reference (%d, %v, %v)",
-				len(cap.Samples), simd.Mode(), s, g, q, ws, wg, wq)
+		s, q := NewReceiver().Detect(cap)
+		if s != ws || !sameFloat(q, wq) {
+			t.Fatalf("%d samples (%s): Detect (%d, %v), reference (%d, %v)",
+				len(cap.Samples), simd.Mode(), s, q, ws, wq)
 		}
 	})
 }
@@ -131,16 +131,14 @@ func tail(cap *signal.Signal, from int) *signal.Signal {
 	return &signal.Signal{Rate: cap.Rate, Samples: cap.Samples[from:]}
 }
 
-// detectRef is the scan detect must reproduce: one position at a time,
+// detectRef is the scan Detect must reproduce: one position at a time,
 // all 16 slice correlations and the window's energy summed from the
-// position's own samples in sample order. It keeps detect's quality,
-// gain and early stop.
-func detectRef(x []complex128) (int, complex128, float64) {
+// position's own samples in sample order. It keeps Detect's quality and
+// early stop.
+func detectRef(x []complex128) (int, float64) {
 	best, bestQ := -1, 0.0
-	var bestGain complex128
 	for i := 0; i <= len(x)-len(preambleTemplate); i++ {
 		var pw, mag float64
-		var coh complex128
 		for s := 0; s < detectSegments; s++ {
 			var accR, accI float64
 			for j := s * detectSeg; j < (s+1)*detectSeg; j++ {
@@ -151,20 +149,18 @@ func detectRef(x []complex128) (int, complex128, float64) {
 				pw += xr*xr + xi*xi
 			}
 			mag += math.Hypot(accR, accI)
-			coh += complex(accR, accI)
 		}
 		if pw == 0 {
 			continue
 		}
 		if q := mag / math.Sqrt(pw*preamblePow); q > bestQ {
 			best, bestQ = i, q
-			bestGain = coh / complex(preamblePow, 0)
 		}
 		if bestQ > 0.4 && i > best+SymbolSamples {
 			break
 		}
 	}
-	return best, bestGain, bestQ
+	return best, bestQ
 }
 
 // TestDetectMatchesReferenceScan checks detect against detectRef in both

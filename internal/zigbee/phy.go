@@ -92,16 +92,15 @@ type RxFrame struct {
 	Flips []byte
 }
 
-// Receiver decodes 802.15.4 frames from complex baseband captures.
+// Receiver decodes 802.15.4 frames from complex baseband captures. It
+// always removes carrier frequency offset: the offset is estimated from
+// the symbol-periodic preamble (delay-one-symbol autocorrelation) and
+// derotated before coherent demodulation. The estimate reads only the
+// preamble, hence is transparent to the tag's data-region phase
+// modulation.
 type Receiver struct {
 	// DetectionThreshold is the minimum normalised preamble correlation.
 	DetectionThreshold float64
-	// CFOCorrection estimates residual carrier offset from the symbol-
-	// periodic preamble (delay-one-symbol autocorrelation) and derotates
-	// the frame before coherent demodulation. Preamble-only, hence
-	// transparent to the tag's data-region phase modulation. On by
-	// default.
-	CFOCorrection bool
 	// CollectFlips records each data symbol's complemented-codebook flip
 	// feature on RxFrame.Flips for the single-receiver differential
 	// decoder. Off by default so the dual-receiver path's work and
@@ -109,9 +108,8 @@ type Receiver struct {
 	CollectFlips bool
 }
 
-// NewReceiver returns a receiver with the default threshold and CFO
-// correction enabled.
-func NewReceiver() *Receiver { return &Receiver{DetectionThreshold: 0.5, CFOCorrection: true} }
+// NewReceiver returns a receiver with the default threshold.
+func NewReceiver() *Receiver { return &Receiver{DetectionThreshold: 0.5} }
 
 // estimateCFO reads the frequency offset from the preamble's symbol
 // periodicity in two stages: the lag-1 autocorrelation gives a coarse,
@@ -185,19 +183,11 @@ func buildPreambleTemplate() []complex128 {
 
 // Receive finds and decodes the first frame in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
-	start, gain, q := rx.detect(cap)
+	start, q := rx.Detect(cap)
 	if start < 0 || q < rx.DetectionThreshold {
 		return nil, ErrNoFrame
 	}
-	return rx.decodeFrom(cap, start, gain)
-}
-
-// Detect locates the first preamble in the capture, returning its start
-// sample index and the normalised correlation quality ((-1, 0) if nothing
-// is found).
-func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
-	start, _, q := rx.detect(cap)
-	return start, q
+	return rx.decodeFrom(cap, start)
 }
 
 // detectSegments is the number of preamble slices correlated separately:
@@ -242,14 +232,14 @@ var preamblePow = func() float64 {
 // preamble, and sliceType[s] is the index of the one slice s equals bit
 // for bit. The preamble repeats one symbol whose chips alternate rails,
 // so the 16 slices have three templates (slice 0, the odd slices, the
-// even slices from 2) and detect correlates each sample three times
+// even slices from 2) and Detect correlates each sample three times
 // rather than once per slice and position. The map is built by
 // comparison, so a template change cannot silently break it.
 var sliceTemplates, sliceType = buildSliceTypes()
 
 // sliceReach[t] is the offset of the last slice with template t: a pass
 // over positions [i0, i0+npos) reads that template's correlations up
-// to sample i0+npos−1+sliceReach[t], and detect computes no further.
+// to sample i0+npos−1+sliceReach[t], and Detect computes no further.
 var sliceReach = func() (r [detectSegments]int) {
 	for s, t := range &sliceType {
 		r[t] = s * detectSeg
@@ -286,26 +276,26 @@ func sameBits(a, b []complex128) bool {
 // energy is one sample's energy, the term of a window's sum.
 func energy(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
 
-// detect correlates the preamble template slice-wise, returning the start
-// index, the complex channel gain estimate (coherent, so only valid after
-// CFO removal) and the normalised quality. Position i rates
+// Detect locates the first preamble in the capture, returning its start
+// sample index and the normalised correlation quality ((-1, 0) if nothing
+// is found). It correlates the preamble template slice-wise; position i
+// rates
 //
 //	q = Σ_s |acc_s| / sqrt(pw · preamblePow)
 //
 // with acc_s slice s's correlation at x[i+s·detectSeg] and pw the
 // window's energy summed in sample order; the first position of highest
-// q wins, and the gain is Σ_s acc_s / preamblePow there. Every slice
-// correlation and its magnitude is computed once per sample index and
-// template, not once per position and slice; pw is summed only at
-// positions signal.EnergyScreen cannot rule out, and the gain only for
-// the winner. Every value that reaches the result is computed as by a
-// scan that sums everything.
-func (rx *Receiver) detect(cap *signal.Signal) (int, complex128, float64) {
+// q wins. Every slice correlation and its magnitude is computed once per
+// sample index and template, not once per position and slice; pw is
+// summed only at positions signal.EnergyScreen cannot rule out. Every
+// value that reaches the result is computed as by a scan that sums
+// everything.
+func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 	x := cap.Samples
 	const tplLen = PreambleSymbols * SymbolSamples
 	last := len(x) - tplLen // final scan position
 	if last < 0 {
-		return -1, 0, 0
+		return -1, 0
 	}
 	// h[t][k-base] is the magnitude of sample k's correlation with
 	// sliceTemplates[t], filled for base ≤ k < filled[t] as far as the
@@ -385,22 +375,9 @@ scan:
 		}
 	}
 	if best < 0 {
-		return -1, 0, 0
+		return -1, 0
 	}
-	return best, sliceGain(x, best), bestQ
-}
-
-// sliceGain is the coherent gain estimate at position i: the slice
-// correlations summed in slice order, over preamblePow. It recomputes
-// them with correlate's Go loop, which gives the values the scan rated.
-func sliceGain(x []complex128, i int) complex128 {
-	var coh complex128
-	var acc [1]complex128
-	for s, t := range &sliceType {
-		correlate(acc[:], x[i+s*detectSeg:], sliceTemplates[t])
-		coh += acc[0]
-	}
-	return coh / complex(preamblePow, 0)
+	return best, bestQ
 }
 
 // correlate fills dst[p] with the correlation of x[p:] against tpl:
@@ -461,23 +438,19 @@ func chipBit(one bool) uint32 {
 
 // decodeFrom demodulates a frame whose preamble starts at sample start.
 // Indices below are relative to start.
-func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (*RxFrame, error) {
-	samples := cap.Samples[start:]
-	if rx.CFOCorrection {
-		// Derotate the frame region into scratch using the preamble-derived
-		// offset, then re-estimate the channel gain coherently.
-		cfo := estimateCFO(cap.Samples, start, cap.Rate)
-		a := signal.GetArena()
-		defer a.Release()
-		work := a.ComplexUninit(len(samples))
-		signal.Derotate(work, samples, cfo, cap.Rate)
-		samples = work
-		var acc complex128
-		for j, r := range preambleTemplate {
-			acc += samples[j] * cmplx.Conj(r)
-		}
-		gain = acc / complex(preamblePow, 0)
+func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxFrame, error) {
+	// Derotate the frame region into scratch using the preamble-derived
+	// offset, then estimate the channel gain coherently.
+	cfo := estimateCFO(cap.Samples, start, cap.Rate)
+	a := signal.GetArena()
+	defer a.Release()
+	samples := a.ComplexUninit(len(cap.Samples) - start)
+	signal.Derotate(samples, cap.Samples[start:], cfo, cap.Rate)
+	var acc complex128
+	for j, r := range preambleTemplate {
+		acc += samples[j] * cmplx.Conj(r)
 	}
+	gain := acc / complex(preamblePow, 0)
 	if gain == 0 {
 		return nil, ErrNoFrame
 	}

@@ -79,18 +79,3 @@ func TestDecodeUnderCFO(t *testing.T) {
 		}
 	}
 }
-
-func TestCFOBreaksCoherentDecodeWithoutCorrection(t *testing.T) {
-	sig, err := NewTransmitter().Transmit([]byte("uncorrected"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap := signal.New(SampleRate, len(sig.Samples)+300)
-	copy(cap.Samples[100:], sig.Samples)
-	cap.FrequencyShift(15e3)
-	rx := NewReceiver()
-	rx.CFOCorrection = false
-	if f, err := rx.Receive(cap); err == nil && f.FCSOK {
-		t.Fatal("15 kHz CFO decoded cleanly without correction")
-	}
-}

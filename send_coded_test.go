@@ -127,10 +127,10 @@ func TestSendCodedSingleAttemptMatchesHardPath(t *testing.T) {
 
 // TestSendCodedCombiningGain: a deterministic operating point (impulse
 // noise over a weak t=1 code) where at least one chunk is delivered by the
-// accumulated soft history when the delivering attempt alone would have
-// failed. Pins that CombiningGains actually fires, not just compiles.
+// accumulated soft history when every attempt alone failed. Pins that
+// CombiningGains actually fires, not just compiles.
 func TestSendCodedCombiningGain(t *testing.T) {
-	fp, err := ParseFaultProfile("impulse:prob=0.003,power=-51")
+	fp, err := ParseFaultProfile("impulse:prob=0.01,power=-55")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSendCodedCombiningGain(t *testing.T) {
 	cc := CodingConfig{N: 15, K: 13}
 	opts.Coding = &cc
 	payload := patternBits(160)
-	out, rep, err := SendDetailed(WiFi, 8, payload, 5, opts)
+	out, rep, err := SendDetailed(WiFi, 8, payload, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,4 +179,24 @@ func TestSendCodedQuaternaryFallback(t *testing.T) {
 		t.Fatal("payload corrupted")
 	}
 	_ = rep
+}
+
+// TestSendCodedDeliversOnSoloDecode pins a transfer whose chunk is saved
+// by a retry that decodes on its own while the chase-combined sum does
+// not: earlier, misaligned copies filled the combiner with confident
+// wrong votes. ZigBee at 18 m, seed 6, RS(15,9), four attempts per chunk
+// loses that chunk when only the combined decode may deliver.
+func TestSendCodedDeliversOnSoloDecode(t *testing.T) {
+	cc := CodingConfig{N: 15, K: 9}
+	opts := DefaultSendOptions()
+	opts.Attempts = 4
+	opts.Coding = &cc
+	payload := patternBits(400)
+	out, _, err := SendDetailed(ZigBee, 18, payload, 6, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(out, payload) {
+		t.Fatal("payload corrupted")
+	}
 }
