@@ -291,8 +291,8 @@ type SendOptions struct {
 	// attempt n decodes from the combined evidence of all n transmissions,
 	// and, when that fails, from its own packet alone (a misaligned earlier
 	// copy can outvote a clean retry). Attempts=1 leaves exactly one soft
-	// vector in the combiner, whose slicing is bit-identical to the plain
-	// hard-decision decode path.
+	// vector in the chase ladder, whose slicing is bit-identical to the
+	// plain hard-decision decode path.
 	Attempts int
 	// Quaternary starts the transfer on the eq. 5 scheme: 2 tag bits per
 	// window at the 12 Mbps QPSK rate. WiFi only. When the link degrades,
@@ -308,8 +308,8 @@ type SendOptions struct {
 	// alone) → retransmit → scheme fallback,
 	// and DegradationReport gains corrected-symbol and combining-gain
 	// counts. Nil keeps the uncoded ladder bit-identical to earlier
-	// builds. The combiner is reset on every scheme change (fallback or
-	// probe): soft values do not align across layouts.
+	// builds. The chase ladder is reset on every scheme change (fallback
+	// or probe): soft values do not align across layouts.
 	Coding *CodingConfig
 	// Receiver selects the decode deployment: DualReceiver (the zero
 	// value, the paper's two-receiver setup) or SingleReceiver, which
@@ -401,13 +401,13 @@ func SendWithOptions(r Radio, tagToRxMetres float64, bits []byte, seed int64, op
 // Degradation model: a chunk that fails an attempt backs off exponentially
 // (in packet slots, with seed-derived jitter) before retrying, so
 // retransmissions escape burst fades instead of hammering into them. With
-// coding enabled, every decoded attempt first feeds its soft decisions
-// into the chunk's chase combiner and the retry decodes from the combined
-// evidence, so each retransmission adds link margin instead of starting
-// over. A quaternary transfer whose chunk exhausts its budget falls back
-// to binary translation — half the rate, twice the phase margin — and,
-// after recoverAfter consecutive first-attempt deliveries, risks one probe
-// chunk back at quaternary.
+// coding enabled, every decoded attempt feeds its soft decisions into the
+// chunk's chase ladder (fec.Chase), and the chunk is delivered by the
+// combined evidence's decode or, failing that, the attempt's own — the
+// first whose payload matches. A quaternary transfer whose chunk exhausts
+// its budget falls back to binary translation — half the rate, twice the
+// phase margin — and, after recoverAfter consecutive first-attempt
+// deliveries, risks one probe chunk back at quaternary.
 func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts SendOptions) ([]byte, DegradationReport, error) {
 	var rep DegradationReport
 	for i, b := range bits {
@@ -443,7 +443,7 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 	out := make([]byte, 0, len(bits))
 	fellBack := false // currently degraded to binary
 	streak := 0       // consecutive first-attempt deliveries while degraded
-	var comb fec.Combiner
+	var chase fec.Chase
 	for off, chunkIdx := 0, 0; off < len(bits); chunkIdx++ {
 		probing := false
 		if fellBack && streak >= recoverAfter {
@@ -459,33 +459,23 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 		}
 		// Chunk planning. Uncoded: raw bits fill the packet. Coded: the
 		// chunk shrinks to the layout's payload capacity and its RS
-		// encoding is what the tag transmits; the combiner starts empty
-		// here and again after any scheme change (the `continue`s below
-		// re-enter this planning step), because soft values from different
-		// layouts do not align bit-for-bit.
+		// encoding is what the tag transmits; the chase ladder starts
+		// empty here and again after any scheme change (the `continue`s
+		// below re-enter this planning step), because soft values from
+		// different layouts do not align bit-for-bit.
 		hi := off + s.DataCapacity()
 		if hi > len(bits) {
 			hi = len(bits)
 		}
 		chunk := bits[off:hi]
 		txBits := chunk
-		var lay fec.Layout
 		if opts.Coding != nil {
-			lay, _ = s.Layout()
-			data := chunk
-			if len(data) < lay.DataBits() {
-				// Final partial chunk: pad with zeros to the layout's
-				// payload size; the pad is dropped after decode.
-				padded := make([]byte, lay.DataBits())
-				copy(padded, data)
-				data = padded
-			}
+			lay, _ := s.Layout()
 			var err error
-			txBits, err = lay.EncodeBits(data)
-			if err != nil {
+			if txBits, err = lay.EncodeBits(chunk); err != nil {
 				return nil, rep, err
 			}
-			comb.Reset(lay.CodedBits())
+			chase.Reset(lay)
 		}
 		budget := opts.Attempts
 		if probing {
@@ -508,24 +498,25 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 			rep.Packets++
 			attemptsUsed++
 			if opts.Coding != nil {
-				// Combined decode first, then this attempt alone: a
-				// misaligned earlier copy can fill the combiner with
-				// confident wrong votes that outvote a clean retry.
-				data, corrected, ok := combineAndDecode(&comb, lay, pr)
-				solo := false
-				if !ok || !bitsEqual(data[:len(chunk)], chunk) {
-					data, corrected, ok = soloDecode(lay, pr, chunk)
-					solo = true
-				}
-				if ok {
-					decoded = data[:len(chunk)]
-					delivered = true
-					rep.CorrectedSymbols += corrected
-					if !solo && comb.Attempts() > 1 {
-						if _, _, soloOK := soloDecode(lay, pr, chunk); !soloOK {
+				// The combined decode delivers first, then this attempt
+				// alone: a misaligned earlier copy can fill the
+				// accumulator with confident wrong votes that outvote a
+				// clean retry. The payload compare stands in for a chunk
+				// CRC.
+				combined, alone, ok := chase.Add(pr.DecodedTag, pr.SoftTag)
+				combinedOK := ok && combined.OK && bitsEqual(combined.Data[:len(chunk)], chunk)
+				aloneOK := ok && alone.OK && bitsEqual(alone.Data[:len(chunk)], chunk)
+				if combinedOK || aloneOK {
+					got := alone
+					if combinedOK {
+						got = combined
+						if chase.Copies() > 1 && !aloneOK {
 							rep.CombiningGains++
 						}
 					}
+					decoded = got.Data[:len(chunk)]
+					delivered = true
+					rep.CorrectedSymbols += got.Corrected
 					break
 				}
 				if pr.Decoded {
@@ -589,33 +580,6 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 	}
 	rep.FinalQuaternary = s.Config().Quaternary
 	return out, rep, nil
-}
-
-// combineAndDecode folds one attempt's soft decisions into the chunk's
-// chase combiner, re-slices the running sum and runs RS decode on the
-// result. A lost packet (nothing decoded, or a decode too short to cover
-// the coded region) contributes nothing to the combiner and fails the
-// attempt. The returned ok means RS produced a valid codeword — the caller
-// still compares against the payload (the stand-in for a chunk CRC).
-func combineAndDecode(comb *fec.Combiner, lay fec.Layout, pr PacketResult) ([]byte, int, bool) {
-	if !pr.Decoded || len(pr.SoftTag) < lay.CodedBits() {
-		return nil, 0, false
-	}
-	comb.Add(pr.SoftTag[:lay.CodedBits()])
-	combined := make([]byte, lay.CodedBits())
-	comb.Slice(combined)
-	return lay.DecodeBits(combined)
-}
-
-// soloDecode RS-decodes this attempt's packet alone — hard decisions, no
-// combining — returning the data and corrected symbol count, with ok set
-// only when that delivers the chunk.
-func soloDecode(lay fec.Layout, pr PacketResult, chunk []byte) ([]byte, int, bool) {
-	if len(pr.DecodedTag) < lay.CodedBits() {
-		return nil, 0, false
-	}
-	data, corrected, ok := lay.DecodeBits(pr.DecodedTag)
-	return data, corrected, ok && bitsEqual(data[:len(chunk)], chunk)
 }
 
 func bitsEqual(a, b []byte) bool {

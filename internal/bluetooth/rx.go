@@ -352,42 +352,15 @@ func correlateSync(acc, disc []float64, packed *[syncBlock/2 + syncLen - 1]compl
 // decodeFrom integrates-and-dumps bits starting at the sync position.
 // Returns nil when the capture ends before the frame does.
 func (rx *Receiver) decodeFrom(disc []float64, start int) *RxFrame {
-	bitAt := func(idx int) (byte, bool) {
-		lo := start + idx*SamplesPerBit
-		hi := lo + SamplesPerBit
-		if hi > len(disc) {
-			return 0, false
-		}
-		var acc float64
-		for _, v := range disc[lo:hi] {
-			acc += v
-		}
-		if acc >= 0 {
-			return 1, true
-		}
-		return 0, true
-	}
-	// Skip preamble + AA (40 bits), read length byte.
+	// Skip preamble + AA (40 bits). The length byte is whitened together
+	// with the body, so de-whiten its 8 bits alone first to learn how many
+	// body bits to read.
 	const hdr = 40
-	readBits := func(off, n int) ([]byte, bool) {
-		out := make([]byte, n)
-		for i := 0; i < n; i++ {
-			b, ok := bitAt(off + i)
-			if !ok {
-				return nil, false
-			}
-			out[i] = b
-		}
-		return out, true
-	}
-	// Length is whitened together with the body; de-whiten incrementally:
-	// grab the max frame worth of bits lazily — simplest correct approach is
-	// to read length first by de-whitening just 8 bits.
-	first8, ok := readBits(hdr, 8)
-	if !ok {
+	bodyStart := start + hdr*SamplesPerBit
+	lenBits := rawBitsFrom(disc, bodyStart, 8)
+	if len(lenBits) < 8 {
 		return nil
 	}
-	lenBits := append([]byte(nil), first8...)
 	Whiten(lenBits, rx.WhitenSeed)
 	lb, err := bits.ToBytes(lenBits)
 	if err != nil {
@@ -396,8 +369,8 @@ func (rx *Receiver) decodeFrom(disc []float64, start int) *RxFrame {
 	length := int(lb[0])
 
 	totalBodyBits := (1 + length + 3) * 8
-	bodyBits, ok := readBits(hdr, totalBodyBits)
-	if !ok {
+	bodyBits := rawBitsFrom(disc, bodyStart, totalBodyBits)
+	if len(bodyBits) < totalBodyBits {
 		return nil
 	}
 	Whiten(bodyBits, rx.WhitenSeed)
@@ -414,6 +387,8 @@ func (rx *Receiver) decodeFrom(disc []float64, start int) *RxFrame {
 	}
 }
 
+// rawBitsFrom integrates-and-dumps up to nBits bits from sample start of
+// the discriminator output, stopping early where the capture ends.
 func rawBitsFrom(disc []float64, start, nBits int) []byte {
 	out := make([]byte, 0, nBits)
 	for i := 0; i < nBits; i++ {

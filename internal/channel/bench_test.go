@@ -49,7 +49,7 @@ func BenchmarkLinkApply(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := l.ApplyTo(dst, in, 400, false); err != nil {
+				if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -58,39 +58,40 @@ func BenchmarkLinkApply(b *testing.B) {
 }
 
 // TestApplyToZeroAllocs pins the pooled fast path: once the destination
-// capacity and the RNG pool are warm, ApplyTo must not touch the heap.
+// capacity and the RNG pool are warm, ApplyToWithPower must not touch the
+// heap.
 func TestApplyToZeroAllocs(t *testing.T) {
 	l := benchLink(FadeRician)
 	in := benchInput(4096)
 	dst := signal.New(0, 0)
-	if err := l.ApplyTo(dst, in, 400, false); err != nil {
+	if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := l.ApplyTo(dst, in, 400, false); err != nil {
+		if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ApplyTo allocated %v times per run, want 0", allocs)
+		t.Fatalf("warm ApplyToWithPower allocated %v times per run, want 0", allocs)
 	}
 }
 
-// TestApplyToMatchesApply pins that the buffer-reusing path is
-// bit-identical to the allocating one, including on a dirty reused
-// destination.
+// TestApplyToMatchesApply pins that a reused destination, dirty from an
+// earlier capture, receives exactly what a fresh one does, and that
+// passing the source's own mean power is bit-identical to passing 0.
 func TestApplyToMatchesApply(t *testing.T) {
 	l := benchLink(FadeRayleigh)
 	l.Multipath = []Tap{{Delay: 250e-9, GainDB: -6}}
 	l.CFOHz = 11e3
 	in := benchInput(2048)
-	want, err := l.Apply(in, 400, false)
+	want, err := apply(l, in, 400, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := signal.New(0, 0)
-	for round := 0; round < 2; round++ { // round 2 reuses a dirty buffer
-		if err := l.ApplyTo(dst, in, 400, false); err != nil {
+	for round, power := range []float64{0, in.MeanPower()} { // round 1 reuses a dirty buffer
+		if err := l.ApplyToWithPower(dst, in, 400, false, power); err != nil {
 			t.Fatal(err)
 		}
 		if len(dst.Samples) != len(want.Samples) || dst.Rate != want.Rate {

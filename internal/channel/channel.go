@@ -108,7 +108,7 @@ type Tap struct {
 }
 
 // FadeModel selects the per-packet small-scale fading distribution drawn
-// by Apply. The zero value keeps the historical behaviour (Rician with
+// by ApplyToWithPower. The zero value keeps the historical behaviour (Rician with
 // FadingK, no fading when K <= 0), so existing configurations and the
 // calibration are unchanged; fault profiles reference the same enum so the
 // baseline fading model and the injected impairments never disagree.
@@ -141,9 +141,10 @@ func (m FadeModel) String() string {
 }
 
 // Impairment is one packet's worth of time-varying channel faults, computed
-// by a fault process (internal/faults) and applied by Link.Apply on top of
-// the static link model. A nil Impairment is the benign stationary channel;
-// Apply's sample output and RNG draw sequence are unchanged in that case.
+// by a fault process (internal/faults) and applied by
+// Link.ApplyToWithPower on top of the static link model. A nil Impairment
+// is the benign stationary channel; the sample output and RNG draw
+// sequence are unchanged in that case.
 type Impairment struct {
 	// ExtraLossDB is excess attenuation (deep fade or interference-
 	// equivalent SINR degradation) applied to the backscatter RSSI.
@@ -190,31 +191,18 @@ func (l Link) ExcitationRSSIAtTag() float64 {
 // SNRdB returns the backscatter link SNR at the receiver.
 func (l Link) SNRdB() float64 { return l.BackscatterRSSI() - l.NoiseFloor }
 
-// Apply scales a unit-power baseband signal to the link's receive power and
-// adds thermal noise, returning a new capture with headroom samples of
-// leading and trailing noise. The tag-side losses must already be embedded
-// in the waveform (the tag model applies its own mixer), so callers pass
-// excludeTagLoss=true when the waveform was produced by the tag model.
-func (l Link) Apply(s *signal.Signal, headroom int, excludeTagLoss bool) (*signal.Signal, error) {
-	out := signal.New(0, 0)
-	if err := l.ApplyTo(out, s, headroom, excludeTagLoss); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ApplyTo is Apply writing into dst, reusing dst's sample capacity when
-// large enough so per-packet callers can recycle one capture buffer. dst
-// must not alias s. Steady state allocates nothing.
-func (l Link) ApplyTo(dst *signal.Signal, s *signal.Signal, headroom int, excludeTagLoss bool) error {
-	return l.ApplyToWithPower(dst, s, headroom, excludeTagLoss, 0)
-}
-
-// ApplyToWithPower is ApplyTo with the source's mean |x|² supplied by the
-// caller (<= 0 means "compute it here"). The waveform cache stores each
-// entry's mean power at synthesis time; passing it back skips the full
-// re-scan of an immutable source on every packet. Passing exactly
-// s.MeanPower() is bit-identical to ApplyTo by substitution.
+// ApplyToWithPower scales a baseband signal to the link's receive power
+// and adds thermal noise, writing a capture with headroom samples of
+// leading and trailing noise into dst. It reuses dst's sample capacity when
+// large enough, so per-packet callers can recycle one capture buffer; dst
+// must not alias s, and steady state allocates nothing. meanPower is the
+// source's mean |x|² when the caller already knows it (<= 0 means "compute
+// it here"): the waveform cache stores each entry's mean power at synthesis
+// time, and passing it back skips a full re-scan of an immutable source on
+// every packet. Passing exactly s.MeanPower() is bit-identical to passing
+// 0. The tag-side losses must already be embedded in the waveform (the tag
+// model applies its own mixer), so callers pass excludeTagLoss=true when
+// the waveform was produced by the tag model.
 func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom int, excludeTagLoss bool, meanPower float64) error {
 	if s == nil || len(s.Samples) == 0 {
 		return fmt.Errorf("channel: empty input signal")
@@ -335,7 +323,7 @@ func (l Link) fadeGain(rng *signal.Noise) complex128 {
 // ApplySNR is a convenience that places the signal at an explicit SNR above
 // the unit noise floor: signal power is set to DBToPower(snrDB) and noise
 // power to 1. Useful for BER sweeps decoupled from geometry. Like
-// Link.Apply it rejects empty and zero-power inputs — silently returning a
+// Link.ApplyToWithPower it rejects empty and zero-power inputs — silently returning a
 // noise-only capture would make every downstream decode fail while looking
 // like an ordinary low-SNR loss.
 func ApplySNR(s *signal.Signal, snrDB float64, headroom int, seed int64) (*signal.Signal, error) {

@@ -93,13 +93,20 @@ func TestSNRPositiveInsideRange(t *testing.T) {
 	}
 }
 
+// apply runs ApplyToWithPower into a fresh capture, letting it measure
+// the source's power.
+func apply(l Link, s *signal.Signal, headroom int, excludeTagLoss bool) (*signal.Signal, error) {
+	out := signal.New(0, 0)
+	return out, l.ApplyToWithPower(out, s, headroom, excludeTagLoss, 0)
+}
+
 func TestApplySetsPowerAndNoise(t *testing.T) {
 	s := signal.New(1e6, 20000)
 	for i := range s.Samples {
 		s.Samples[i] = 2 // power 4, must be normalised away
 	}
 	l := wifiLOSLink(10)
-	out, err := l.Apply(s, 500, false)
+	out, err := apply(l, s, 500, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +134,11 @@ func TestApplyExcludeTagLoss(t *testing.T) {
 	}
 	l := wifiLOSLink(5)
 	l.NoiseFloor = -200 // effectively none, isolate the gain path
-	with, err := l.Apply(s, 0, false)
+	with, err := apply(l, s, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := l.Apply(s, 0, true)
+	without, err := apply(l, s, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +150,10 @@ func TestApplyExcludeTagLoss(t *testing.T) {
 
 func TestApplyRejectsEmpty(t *testing.T) {
 	l := wifiLOSLink(5)
-	if _, err := l.Apply(signal.New(1e6, 0), 10, false); err == nil {
+	if _, err := apply(l, signal.New(1e6, 0), 10, false); err == nil {
 		t.Error("empty signal accepted")
 	}
-	if _, err := l.Apply(signal.New(1e6, 100), 10, false); err == nil {
+	if _, err := apply(l, signal.New(1e6, 100), 10, false); err == nil {
 		t.Error("zero-power signal accepted")
 	}
 }
@@ -195,8 +202,8 @@ func TestDeterministicNoise(t *testing.T) {
 		s.Samples[i] = 1
 	}
 	l := wifiLOSLink(5)
-	a, _ := l.Apply(s, 10, false)
-	b, _ := l.Apply(s, 10, false)
+	a, _ := apply(l, s, 10, false)
+	b, _ := apply(l, s, 10, false)
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatal("same seed gave different captures")
@@ -212,7 +219,7 @@ func TestMultipathAddsEchoEnergy(t *testing.T) {
 	l := wifiLOSLink(5)
 	l.NoiseFloor = -200
 	l.Multipath = []Tap{{Delay: 400e-9, GainDB: -6}}
-	out, err := l.Apply(s, 100, false)
+	out, err := apply(l, s, 100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +249,7 @@ func TestFadeModelConfig(t *testing.T) {
 
 	// FadeNone pins the gain to 1 even with K set.
 	l.FadeModel = FadeNone
-	out, err := l.Apply(s, 0, false)
+	out, err := apply(l, s, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +262,7 @@ func TestFadeModelConfig(t *testing.T) {
 	var powers []float64
 	for seed := int64(1); seed <= 6; seed++ {
 		l.Seed = seed
-		out, err := l.Apply(s, 0, false)
+		out, err := apply(l, s, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,8 +283,8 @@ func TestFadeModelConfig(t *testing.T) {
 	a.FadingK = 4
 	b := a
 	b.FadeModel = FadeRician
-	ca, _ := a.Apply(s, 10, false)
-	cb, _ := b.Apply(s, 10, false)
+	ca, _ := apply(a, s, 10, false)
+	cb, _ := apply(b, s, 10, false)
 	for i := range ca.Samples {
 		if ca.Samples[i] != cb.Samples[i] {
 			t.Fatal("zero-value FadeModel changed the Rician capture")
@@ -292,12 +299,12 @@ func TestImpairmentExtraLoss(t *testing.T) {
 	}
 	l := wifiLOSLink(5)
 	l.NoiseFloor = -200
-	clean, err := l.Apply(s, 0, false)
+	clean, err := apply(l, s, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Impairment = &Impairment{ExtraLossDB: 13}
-	faded, err := l.Apply(s, 0, false)
+	faded, err := apply(l, s, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +321,7 @@ func TestImpairmentTruncationZeroesTail(t *testing.T) {
 	l := wifiLOSLink(5)
 	l.NoiseFloor = -300 // isolate the reflected signal
 	l.Impairment = &Impairment{Truncate: 0.5}
-	out, err := l.Apply(s, 100, false)
+	out, err := apply(l, s, 100, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +343,12 @@ func TestImpairmentImpulsesAndCFO(t *testing.T) {
 		s.Samples[i] = 1
 	}
 	l := wifiLOSLink(5)
-	clean, err := l.Apply(s, 0, false)
+	clean, err := apply(l, s, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Impairment = &Impairment{ImpulseProb: 0.01, ImpulsePowerDBm: -40}
-	noisy, err := l.Apply(s, 0, false)
+	noisy, err := apply(l, s, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +363,8 @@ func TestImpairmentImpulsesAndCFO(t *testing.T) {
 	a.Impairment = &Impairment{CFOHz: 500}
 	b := wifiLOSLink(5)
 	b.CFOHz = 1500
-	ca, _ := a.Apply(s, 0, false)
-	cb, _ := b.Apply(s, 0, false)
+	ca, _ := apply(a, s, 0, false)
+	cb, _ := apply(b, s, 0, false)
 	for i := range ca.Samples {
 		if ca.Samples[i] != cb.Samples[i] {
 			t.Fatal("drift CFO not additive with static CFO")
@@ -373,12 +380,12 @@ func TestNilImpairmentBitIdentical(t *testing.T) {
 	l := wifiLOSLink(8)
 	l.FadingK = 4
 	l.Multipath = []Tap{{Delay: 300e-9, GainDB: -6}}
-	base, err := l.Apply(s, 50, false)
+	base, err := apply(l, s, 50, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Impairment = nil // explicit: the benign path must not change at all
-	again, err := l.Apply(s, 50, false)
+	again, err := apply(l, s, 50, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +403,11 @@ func TestMultipathDeterministic(t *testing.T) {
 	}
 	l := wifiLOSLink(5)
 	l.Multipath = []Tap{{Delay: 200e-9, GainDB: -3}, {Delay: 600e-9, GainDB: -9}}
-	a, err := l.Apply(s, 50, false)
+	a, err := apply(l, s, 50, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Apply(s, 50, false)
+	b, err := apply(l, s, 50, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +498,7 @@ func fadeGainRef(l Link, rng *rand.Rand) complex128 {
 
 // TestApplyMatchesRandReference runs every fading model with multipath,
 // brownout truncation, static and drifting CFO and impulsive noise
-// through ApplyTo (into a dirty, reused buffer) in both dispatch modes
+// through ApplyToWithPower (into a dirty, reused buffer) in both dispatch modes
 // and requires applyRef's capture bit for bit, so the stream reaches the
 // impulse loop exactly where the old generator did.
 func TestApplyMatchesRandReference(t *testing.T) {
@@ -522,7 +529,7 @@ func TestApplyMatchesRandReference(t *testing.T) {
 						for i := range dst.Samples {
 							dst.Samples[i] = complex(math.NaN(), 1)
 						}
-						if err := l.ApplyTo(dst, in, 400, false); err != nil {
+						if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
 							t.Fatal(err)
 						}
 						if len(dst.Samples) != len(want.Samples) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bits"
 	"repro/internal/decoder"
 	"repro/internal/faults"
+	"repro/internal/signal"
 	"repro/internal/tag"
 	"repro/internal/wifi"
 )
@@ -58,8 +59,8 @@ func TestMisalignedFlipsDestroyDecoding(t *testing.T) {
 		if _, err := sh.Shift(mod); err != nil {
 			t.Fatal(err)
 		}
-		cap, err := s.link(s.rng, faults.Packet{}).Apply(mod, 400, false)
-		if err != nil {
+		cap := signal.New(0, 0)
+		if err := s.link(s.rng, faults.Packet{}).ApplyToWithPower(cap, mod, captureHeadroom, false, 0); err != nil {
 			t.Fatal(err)
 		}
 		pkt, err := wifi.NewReceiver().Receive(cap)

@@ -3,18 +3,8 @@ package core
 import (
 	"testing"
 
-	"repro/internal/decoder"
 	"repro/internal/fec"
 )
-
-// TestCodedSoftScaleAgreement pins the cross-package soft-decision
-// contract: the decoder's emit scale and the combiner's slicing scale are
-// the same number.
-func TestCodedSoftScaleAgreement(t *testing.T) {
-	if decoder.SoftScale != fec.SoftScale {
-		t.Fatalf("decoder.SoftScale %d != fec.SoftScale %d", decoder.SoftScale, fec.SoftScale)
-	}
-}
 
 // TestCodedRunMatchesRunParallel: with coding enabled the aggregate result
 // must stay bit-identical across worker counts.

@@ -122,9 +122,10 @@ type Config struct {
 	// PHY config, payload, scrambler seed, tag bits — so identical packets
 	// replay one cached waveform instead of re-synthesising it. Cached
 	// entries are immutable; the channel applies fading and noise into a
-	// separate capture buffer (Link.ApplyTo never writes its source), which
-	// is what makes sharing across sessions and goroutines safe. Nil
-	// disables caching and leaves every result bit-identical either way.
+	// separate capture buffer (Link.ApplyToWithPower never writes its
+	// source), which is what makes sharing across sessions and goroutines
+	// safe. Nil disables caching and leaves every result bit-identical
+	// either way.
 	Waveforms *waveform.Cache
 	// ReceiverMode selects dual-receiver (window-compare against the
 	// clean reference stream; the default) or single-receiver decode
@@ -349,7 +350,8 @@ func (s *Session) configure(cfg Config) error {
 	if cfg.Coding != nil {
 		// Capacity changes with the scheme, so the coded layout is
 		// re-planned with it; soft values accumulated under the old scheme
-		// no longer align (callers reset their combiners — see fec.Combiner).
+		// no longer align (callers reset their chase ladders — see
+		// fec.Chase.Reset).
 		lay, err := fec.LayoutFor(capacity, *cfg.Coding)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
@@ -444,7 +446,7 @@ var excitationPool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal 
 
 // link instantiates the configured link for one packet, seeding it from the
 // packet's RNG stream and attaching the slot's channel-level faults (nil
-// impairment for a clean slot, which keeps Apply on its benign path).
+// impairment for a clean slot, which keeps the channel on its benign path).
 func (s *Session) link(rng *rand.Rand, pf faults.Packet) channel.Link {
 	l := s.cfg.Link
 	l.Seed = rng.Int63()
@@ -475,19 +477,11 @@ func (s *Session) runPacket(tagBits []byte, content, chanRng *rand.Rand, sequent
 	}
 	res := PacketResult{AirTime: entry.Airtime, TagBits: entry.Used, Fault: pf}
 
-	cap := capturePool.Get()
-	defer capturePool.Put(cap)
-	err = s.link(chanRng, pf).ApplyToWithPower(cap, entry.Wave, 400, false, entry.MeanPower)
-	if s.cfg.Waveforms == nil {
-		// The capture holds its own copy now; the uncached entry is dead.
-		s.phy.release(entry)
-	}
+	rx, samples, err := s.transmit(entry, chanRng, pf)
 	if err != nil {
 		return PacketResult{}, err
 	}
-	res.Samples = len(cap.Samples)
-
-	rx := s.phy.receive(cap, entry)
+	res.Samples = samples
 	if !rx.detected {
 		return res, nil
 	}
@@ -497,6 +491,28 @@ func (s *Session) runPacket(tagBits []byte, content, chanRng *rand.Rand, sequent
 		return res, nil
 	}
 	return s.decode(res, rx, tagBits)
+}
+
+// captureHeadroom is the noise-only margin, in samples, the channel puts
+// before and after each packet's waveform in the receiver capture.
+const captureHeadroom = 400
+
+// transmit sends one packet's clean waveform through the slot's link into
+// a pooled capture and hands that to the phy's receiver, returning what it
+// received and the capture's length. An uncached entry is dead once the
+// capture holds its copy, so its buffer goes back to the phy. The received
+// streams are the receiver's own, so the capture is recycled on return.
+func (s *Session) transmit(e *waveform.Entry, chanRng *rand.Rand, pf faults.Packet) (received, int, error) {
+	cap := capturePool.Get()
+	defer capturePool.Put(cap)
+	err := s.link(chanRng, pf).ApplyToWithPower(cap, e.Wave, captureHeadroom, false, e.MeanPower)
+	if s.cfg.Waveforms == nil {
+		s.phy.release(e)
+	}
+	if err != nil {
+		return received{}, 0, err
+	}
+	return s.phy.receive(cap, e), len(cap.Samples), nil
 }
 
 // entry returns the clean backscattered waveform plus decode references for

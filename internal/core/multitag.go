@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/decoder"
-	"repro/internal/wifi"
+	"repro/internal/signal"
+	"repro/internal/waveform"
 )
 
 // MultiTagResult reports a sample-level collision experiment: several tags
@@ -21,12 +21,14 @@ type MultiTagResult struct {
 // tagData backscatter it simultaneously (as happens when Aloha tags pick
 // the same slot). The superposed reflections reach the receiver; the
 // decoder then tries to extract each tag's bits. With a single tag this
-// reduces to the normal pipeline; with two or more the phase sum destroys
-// the codeword structure and every tag's BER collapses toward 0.5 — the
-// physical justification for the MAC treating shared slots as lost.
+// is exactly RunPacket; with two or more the phase sum destroys the
+// codeword structure and every tag's BER collapses toward 0.5 — the
+// physical justification for the MAC treating shared slots as lost. Each
+// tag's reflection is synthesised, and the sum received and decoded, by
+// the packet pipeline RunPacket runs, so the receiver mode, the quaternary
+// scheme and the window threshold apply here too.
 func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
-	p, ok := s.phy.(*wifiPHY)
-	if !ok {
+	if s.cfg.Radio != WiFi {
 		return MultiTagResult{}, fmt.Errorf("core: collision study implemented for WiFi excitation")
 	}
 	if len(tagData) == 0 {
@@ -40,60 +42,50 @@ func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
 	if pf.Outage {
 		return MultiTagResult{PerTagBER: ones(len(tagData))}, nil
 	}
-	psdu, seed := p.draw(s.rng, true)
-	tx := wifi.Transmitter{ScramblerSeed: seed, FixedSeed: true}
-	exc, err := tx.Transmit(psdu, p.rate)
-	if err != nil {
-		return MultiTagResult{}, err
-	}
+	psdu, seed := s.phy.draw(s.rng, true)
 
 	// Each tag modulates its own copy; reflections sum at the receiver
 	// (equal path gains: the worst-case collision).
-	var sum = exc.Clone()
-	sum.Scale(0) // start from silence at the excitation's length
+	var sum *waveform.Entry
 	used := make([]int, len(tagData))
 	for i, data := range tagData {
-		mod, u, err := p.tr.Translate(exc, data)
+		e, err := s.phy.synthesize(psdu, data, seed)
 		if err != nil {
 			return MultiTagResult{}, err
 		}
-		used[i] = u
-		if _, err := wifiShifter.Shift(mod); err != nil {
-			return MultiTagResult{}, err
+		used[i] = e.Used
+		e.Wave.Scale(complex(1/float64(len(tagData)), 0))
+		if sum == nil {
+			// Silence at the excitation's length. The decode references
+			// depend only on the excitation, so the first tag's serve all.
+			sum = &waveform.Entry{Wave: signal.New(e.Wave.Rate, len(e.Wave.Samples)), Ref: e.Ref, CodedRef: e.CodedRef}
 		}
-		mod.Scale(complex(1/float64(len(tagData)), 0))
-		if err := sum.Add(mod, 0); err != nil {
-			return MultiTagResult{}, err
+		for j, v := range e.Wave.Samples {
+			sum.Wave.Samples[j] += v
+		}
+		if s.cfg.Waveforms == nil {
+			s.phy.release(e)
 		}
 	}
+	sum.MeanPower = sum.Wave.MeanPower()
 
-	cap, err := s.link(s.rng, pf).Apply(sum, 400, false)
+	rx, _, err := s.transmit(sum, s.rng, pf)
 	if err != nil {
 		return MultiTagResult{}, err
 	}
-	pkt, err := p.receiver().Receive(cap)
-	if err != nil || len(pkt.PSDU) != len(psdu) {
+	if rx.obs == nil {
 		return MultiTagResult{PerTagBER: ones(len(tagData))}, nil
 	}
-
-	nd := p.rate.NDBPS
-	ws, _, err := decoder.DecodeWindows(p.ref(psdu)[nd:], pkt.RawBits[nd:], s.cfg.Redundancy*nd, 0.5)
-	if err != nil {
-		return MultiTagResult{}, err
-	}
 	res := MultiTagResult{Detected: true, PerTagBER: make([]float64, len(tagData))}
-	decoded := decoder.Bits(ws)
 	for i, data := range tagData {
-		n := used[i]
-		if len(decoded) < n {
-			n = len(decoded)
+		pr, err := s.decode(PacketResult{TagBits: used[i]}, rx, data)
+		if err != nil {
+			return MultiTagResult{}, err
 		}
-		if n == 0 {
-			res.PerTagBER[i] = 1
-			continue
+		res.PerTagBER[i] = 1
+		if n := len(pr.DecodedTag); n > 0 {
+			res.PerTagBER[i] = float64(pr.BitErrors) / float64(n)
 		}
-		e, _, _ := decoder.BER(data[:n], decoded[:n])
-		res.PerTagBER[i] = float64(e) / float64(n)
 	}
 	return res, nil
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/waveform"
 )
 
 func collisionSession(t *testing.T) *Session {
@@ -68,5 +71,70 @@ func TestCollisionValidation(t *testing.T) {
 	}
 	if _, err := zb.RunCollision([][]byte{{1}}); err == nil {
 		t.Error("non-WiFi collision accepted")
+	}
+}
+
+// TestCollisionOneTagIsRunPacket: a single tag's collision run is one
+// packet of the pipeline RunPacket runs — the same draws, capture and
+// decode — so twin sessions on one seed, fed one tag stream, score the
+// same BER packet after packet, in either receiver mode, in the
+// quaternary scheme, with a waveform cache and under channel faults.
+func TestCollisionOneTagIsRunPacket(t *testing.T) {
+	impulsive, err := faults.Parse("impulsive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"dual", func(*Config) {}},
+		{"single", func(c *Config) { c.ReceiverMode = SingleReceiver }},
+		{"quaternary", func(c *Config) { c.WiFiRateMbps, c.Quaternary = 12, true }},
+		{"cached", func(c *Config) { c.Waveforms = waveform.New(0) }},
+		{"impulsive", func(c *Config) { c.Faults = impulsive }},
+	}
+	erred := 0
+	for _, tc := range cases {
+		for _, snr := range []float64{5, 12} { // in the detection wall, above it
+			cfg := DefaultConfig(WiFi, 8)
+			cfg.PayloadSize = 400
+			cfg.Seed = 7
+			cfg.Link.NoiseFloor = cfg.Link.BackscatterRSSI() - snr
+			tc.set(&cfg)
+			coll, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkt, err := NewSession(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				data := randomTagBits(coll.Capacity(), int64(i))
+				res, err := coll.RunCollision([][]byte{data})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr, err := pkt.RunPacket(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 1.0
+				if n := len(pr.DecodedTag); pr.Decoded && n > 0 {
+					want = float64(pr.BitErrors) / float64(n)
+				}
+				if res.Detected != pr.Decoded || res.PerTagBER[0] != want {
+					t.Fatalf("%s at %g dB, packet %d: collision detected=%v BER %g, RunPacket decoded=%v BER %g",
+						tc.name, snr, i, res.Detected, res.PerTagBER[0], pr.Decoded, want)
+				}
+				if want > 0 && want < 1 {
+					erred++
+				}
+			}
+		}
+	}
+	if erred == 0 {
+		t.Fatal("no packet decoded with a partial BER: the comparison never saw a bit error")
 	}
 }

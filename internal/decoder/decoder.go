@@ -22,9 +22,10 @@ func XORDecode(excitation, backscattered byte) byte {
 
 // SoftScale is the magnitude of a full-confidence soft decision: Soft
 // values live in [-SoftScale, SoftScale], positive meaning tag bit 0 and
-// negative tag bit 1, with |Soft| the normalized decision margin. It must
-// match fec.SoftScale — the chase combiner in internal/fec accumulates
-// these values directly.
+// negative tag bit 1, with |Soft| the normalized decision margin. The
+// chase ladder in internal/fec (fec.Chase) accumulates these values
+// directly and slices their sum by sign, so only the sign convention binds
+// it; the scale sets the int32 accumulator's headroom.
 const SoftScale = 1024
 
 // softFor converts a decision (bit, normalized margin in [0,1]) to the

@@ -35,7 +35,7 @@ import "fmt"
 // WindowResult.MismatchFraction is the window's disagreement fraction
 // against its predecessor. Soft carries the *local* transition margin
 // signed by the accumulated bit — re-slicing Soft (negative → 1)
-// reproduces Bit exactly, which is what lets fec.Combiner chase-combine
+// reproduces Bit exactly, which is what lets fec.Chase chase-combine
 // single-receiver attempts unchanged.
 func DecodeDifferentialWindows(rx []byte, window int, threshold float64) ([]WindowResult, error) {
 	if window <= 0 {

@@ -128,7 +128,7 @@ func TestDifferentialErrorPropagation(t *testing.T) {
 }
 
 // TestDifferentialSoftCoherence: re-slicing Soft must reproduce Bit for
-// random feature streams — the invariant that lets fec.Combiner
+// random feature streams — the invariant that lets fec.Chase
 // chase-combine single-receiver attempts.
 func TestDifferentialSoftCoherence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// sliceSoft mirrors the fec combiner's slicing rule (negative → 1, ties →
+// sliceSoft mirrors the fec chase ladder's slicing rule (negative → 1, ties →
 // 0) without importing internal/fec; the convention is pinned by these
 // tests on both sides.
 func sliceSoft(s int16) byte {

@@ -71,7 +71,7 @@ func TestCodedBERvsSNRGain(t *testing.T) {
 		t.Fatalf("curve lengths diverge: %d / %d / %d",
 			len(res.Uncoded), len(res.Coded), len(res.Chase))
 	}
-	if math.IsInf(res.UncodedSNRdB, 1) || math.IsInf(res.ChaseSNRdB, 1) {
+	if res.UncodedSNRdB.never() || res.ChaseSNRdB.never() {
 		t.Fatalf("a curve never reached BER <= %g: uncoded %g, chase %g",
 			res.TargetBER, res.UncodedSNRdB, res.ChaseSNRdB)
 	}
@@ -79,7 +79,7 @@ func TestCodedBERvsSNRGain(t *testing.T) {
 		t.Fatalf("coded uplink link-margin gain collapsed: uncoded %.2f dB, chase-combined %.2f dB (gain %.2f dB, want >= 2)",
 			res.UncodedSNRdB, res.ChaseSNRdB, res.ChaseGainDB)
 	}
-	if math.Abs(res.GainDB) > 1 {
+	if math.Abs(float64(res.GainDB)) > 1 {
 		t.Fatalf("per-packet RS moved the crossing by %.2f dB on the clean channel; DESIGN §9 says it cannot — recalibrate or rewrite §9",
 			res.GainDB)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -101,9 +102,9 @@ type CodedSNRResult struct {
 	// curve never holds the target). GainDB is their difference: how many
 	// dB of link margin the code buys at that operating point.
 	TargetBER    float64
-	UncodedSNRdB float64
-	CodedSNRdB   float64
-	GainDB       float64
+	UncodedSNRdB Crossing
+	CodedSNRdB   Crossing
+	GainDB       Crossing
 
 	// Chase is the full coded uplink — RS plus soft chase-combining with a
 	// retransmission budget of ChaseDepth, each copy decoded from the
@@ -114,8 +115,8 @@ type CodedSNRResult struct {
 	// single-shot link at the target BER.
 	ChaseDepth  int
 	Chase       []SNRPoint
-	ChaseSNRdB  float64
-	ChaseGainDB float64
+	ChaseSNRdB  Crossing
+	ChaseGainDB Crossing
 }
 
 // String renders the paired sweeps and their margins as the bench log's
@@ -170,11 +171,13 @@ var codedSnrGridDB = []float64{
 // transition-band grid, and reports the SNR each curve needs to hold
 // BER <= 1e-3, plus the dB gain between them. Depth >= 2 adds a third
 // arm: the full coded uplink with soft chase-combining at a
-// retransmission budget of depth. Per-packet RS alone cannot move the 1e-3 crossing on
-// this decoder — residual failures are misalignment events that corrupt
-// about half the packet, far beyond any code's correction radius (see
-// DESIGN §9) — so the headline link margin is read off the chase arm,
-// which recovers those packets from retransmitted evidence instead.
+// retransmission budget of depth. Per-packet RS alone cannot move the
+// 1e-3 crossing on this decoder — residual failures are misalignment
+// events that corrupt about half the packet, far beyond any code's
+// correction radius (see DESIGN §9) — so the headline link margin is read
+// off the chase arm. On the clean channel that margin is the
+// retransmission budget's: decoding each copy alone gives the same rows
+// (seeds 1–8). Under faults combining moves the crossing either way.
 func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRResult, error) {
 	cc := fec.DefaultConfig()
 	if coding != nil {
@@ -196,11 +199,11 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 		Uncoded:      uncoded,
 		Coded:        coded,
 		TargetBER:    codedTargetBER,
-		UncodedSNRdB: SNRAtBER(uncoded, codedTargetBER),
-		CodedSNRdB:   SNRAtBER(coded, codedTargetBER),
+		UncodedSNRdB: Crossing(SNRAtBER(uncoded, codedTargetBER)),
+		CodedSNRdB:   Crossing(SNRAtBER(coded, codedTargetBER)),
 	}
 	res.GainDB = res.UncodedSNRdB - res.CodedSNRdB
-	if math.IsInf(res.UncodedSNRdB, 1) && math.IsInf(res.CodedSNRdB, 1) {
+	if res.UncodedSNRdB.never() && res.CodedSNRdB.never() {
 		res.GainDB = 0 // neither curve reaches the target: no margin to compare
 	}
 	if depth >= 2 {
@@ -210,9 +213,9 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 		}
 		res.ChaseDepth = depth
 		res.Chase = chase
-		res.ChaseSNRdB = SNRAtBER(chase, codedTargetBER)
+		res.ChaseSNRdB = Crossing(SNRAtBER(chase, codedTargetBER))
 		res.ChaseGainDB = res.UncodedSNRdB - res.ChaseSNRdB
-		if math.IsInf(res.UncodedSNRdB, 1) && math.IsInf(res.ChaseSNRdB, 1) {
+		if res.UncodedSNRdB.never() && res.ChaseSNRdB.never() {
 			res.ChaseGainDB = 0
 		}
 	}
@@ -221,14 +224,12 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 
 // chaseBERvsSNROn sweeps the chase-combined coded uplink: each payload is
 // RS-encoded once and transmitted up to depth times through the session's
-// sequential stream, stopping early when a decode clears. After each
-// received copy the ladder mirrors a type-II HARQ receiver: RS on the
-// chase-combined soft evidence first, then RS on the copy alone — a
-// misaligned earlier copy fills the accumulator with confident wrong
-// votes, so a clean retransmission must be able to stand on its own
-// (freerider.Send runs the same two decodes). A copy that never reached the decoder contributes
-// nothing; a payload with no received copy in the whole budget counts as
-// lost, not errored, matching Session.Run's accounting.
+// sequential stream, stopping early when a decode clears. Every received
+// copy goes through fec.Chase, the ladder freerider.Send runs; this sweep
+// keeps the first RS-valid decode, combined before alone, and falls back
+// to the combined hard pass-through. A copy that never reached the decoder
+// contributes nothing; a payload with no received copy in the whole budget
+// counts as lost, not errored, matching Session.Run's accounting.
 func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]SNRPoint, error) {
 	return sweep(opt, "snr.chase", len(grid), func(i int, sp *obs.Span) (SNRPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 8)
@@ -243,8 +244,7 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 		lay, _ := sess.Layout()
 		data := rand.New(rand.NewSource(runner.DeriveSeed(opt.Seed, "snr.chase.data", i)))
 		payload := make([]byte, lay.DataBits())
-		combined := make([]byte, lay.CodedBits())
-		var comb fec.Combiner
+		var chase fec.Chase
 		var bitErrs, dataBits, lost, packets int
 		var airTime float64
 		var samples int64
@@ -256,7 +256,7 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 			if err != nil {
 				return SNRPoint{}, err
 			}
-			comb.Reset(lay.CodedBits())
+			chase.Reset(lay)
 			var final []byte
 			for t := 0; t < depth; t++ {
 				pr, err := sess.RunPacket(coded)
@@ -266,19 +266,16 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 				packets++
 				airTime += pr.AirTime
 				samples += int64(pr.Samples)
-				if !pr.Decoded || len(pr.SoftTag) < lay.CodedBits() {
+				combined, alone, ok := chase.Add(pr.DecodedTag, pr.SoftTag)
+				if !ok {
 					continue // copy never reached the decoder: retransmit
 				}
-				comb.Add(pr.SoftTag[:lay.CodedBits()])
-				comb.Slice(combined)
-				if dec, _, ok := lay.DecodeBits(combined); ok {
-					final = dec
+				final = combined.Data // best effort so far: combined hard pass-through
+				if combined.OK {
 					break
-				} else {
-					final = dec // best effort so far: combined hard pass-through
 				}
-				if dec, _, ok := lay.DecodeBits(pr.DecodedTag[:lay.CodedBits()]); ok {
-					final = dec
+				if alone.OK {
+					final = alone.Data
 					break
 				}
 			}
@@ -330,9 +327,9 @@ type SingleReceiverSNRResult struct {
 	// window (vs Redundancy·NDBPS codeword elements) compounded by
 	// transition-error propagation through the cumulative XOR.
 	TargetBER   float64
-	DualSNRdB   float64
-	SingleSNRdB float64
-	DeltaDB     float64
+	DualSNRdB   Crossing
+	SingleSNRdB Crossing
+	DeltaDB     Crossing
 }
 
 // String renders both curves and the sensitivity cost as the bench log's
@@ -372,15 +369,32 @@ func SingleReceiverBERvsSNR(opt Options) (SingleReceiverSNRResult, error) {
 		Dual:        dual,
 		Single:      single,
 		TargetBER:   singleTargetBER,
-		DualSNRdB:   SNRAtBER(dual, singleTargetBER),
-		SingleSNRdB: SNRAtBER(single, singleTargetBER),
+		DualSNRdB:   Crossing(SNRAtBER(dual, singleTargetBER)),
+		SingleSNRdB: Crossing(SNRAtBER(single, singleTargetBER)),
 	}
 	res.DeltaDB = res.SingleSNRdB - res.DualSNRdB
-	if math.IsInf(res.DualSNRdB, 1) && math.IsInf(res.SingleSNRdB, 1) {
+	if res.DualSNRdB.never() && res.SingleSNRdB.never() {
 		res.DeltaDB = 0 // neither mode reaches the target: no delta to report
 	}
 	return res, nil
 }
+
+// Crossing is an SNR in dB read off a BER curve by SNRAtBER, or the
+// difference of two. A curve that never holds its target crosses at +Inf,
+// and a margin against it is infinite too; JSON has no infinities, so a
+// non-finite Crossing encodes as null. Text output prints it as it is.
+type Crossing float64
+
+// MarshalJSON encodes a finite crossing as the plain number, else null.
+func (c Crossing) MarshalJSON() ([]byte, error) {
+	if f := float64(c); !math.IsInf(f, 0) && !math.IsNaN(f) {
+		return json.Marshal(f)
+	}
+	return []byte("null"), nil
+}
+
+// never reports a curve that never holds its target.
+func (c Crossing) never() bool { return math.IsInf(float64(c), 1) }
 
 // SNRAtBER reads the SNR (dB) where the curve last crosses down through
 // the target BER and stays under it, interpolating in log-BER between grid

@@ -52,7 +52,7 @@ func BenchmarkImpairedApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.ApplyTo(dst, in, 400, false); err != nil {
+		if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,8 +177,9 @@ func (f Packet) IsZero() bool {
 }
 
 // Impairment converts the channel-level part of the packet's faults into
-// the perturbation channel.Link.Apply consumes, or nil when the channel
-// path is clean (so a clean slot takes exactly the benign code path).
+// the perturbation channel.Link.ApplyToWithPower consumes, or nil when the
+// channel path is clean (so a clean slot takes exactly the benign code
+// path).
 func (f Packet) Impairment() *channel.Impairment {
 	if f.ExtraLossDB == 0 && f.CFOHz == 0 && f.Truncate == 0 && f.ImpulseProb == 0 {
 		return nil

@@ -119,11 +119,12 @@ func (l Layout) CodedBits() int { return l.TotalSyms * 8 }
 func (l Layout) cwFor(s int) (cw, idx int) { return s % l.Depth, s / l.Depth }
 
 // packSymbols packs bits (0/1 bytes, LSB-first within each symbol, the
-// same order bits.FromBytes uses) into out[:len(bits)/8].
+// same order bits.FromBytes uses) into out; bits past the end of bits
+// pack as 0.
 func packSymbols(bits []byte, out []byte) {
 	for i := range out {
 		var b byte
-		for j := 0; j < 8; j++ {
+		for j := 0; j < 8 && i*8+j < len(bits); j++ {
 			b |= (bits[i*8+j] & 1) << uint(j)
 		}
 		out[i] = b
@@ -139,13 +140,14 @@ func unpackSymbols(syms []byte, out []byte) {
 	}
 }
 
-// EncodeBits encodes data (0/1 tag bits, exactly l.DataBits() of them)
+// EncodeBits encodes data (0/1 tag bits, at most l.DataBits() of them)
 // into a coded chunk of l.CodedBits() 0/1 bits: each codeword's data
 // symbols followed by its parity, the codewords interleaved symbol-by-
-// symbol across the chunk.
+// symbol across the chunk. Short data — a transfer's final partial chunk —
+// is zero-padded to l.DataBits(); the receiver drops the pad.
 func (l Layout) EncodeBits(data []byte) ([]byte, error) {
-	if len(data) != l.DataBits() {
-		return nil, fmt.Errorf("fec: encode wants %d data bits, got %d", l.DataBits(), len(data))
+	if len(data) > l.DataBits() {
+		return nil, fmt.Errorf("fec: encode takes at most %d data bits, got %d", l.DataBits(), len(data))
 	}
 	dataSyms := make([]byte, l.dataSyms)
 	packSymbols(data, dataSyms)

@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -262,47 +263,114 @@ func TestInterleaveSpreadsBursts(t *testing.T) {
 	}
 }
 
-func TestCombiner(t *testing.T) {
-	// Single attempt: slicing must reproduce the hard decision.
-	soft := []int16{5, -3, 1, -1, SoftScale, -SoftScale}
-	var c Combiner
-	c.Reset(len(soft))
-	c.Add(soft)
-	got := make([]byte, len(soft))
-	c.Slice(got)
-	want := []byte{0, 1, 0, 1, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("single-attempt slice[%d] = %d want %d", i, got[i], want[i])
-		}
+// TestEncodeBitsPadsShortData pins the final-partial-chunk rule: data
+// shorter than the layout's payload encodes as if zero-padded to it, and
+// data longer than it is rejected.
+func TestEncodeBitsPadsShortData(t *testing.T) {
+	lay, err := LayoutFor(120, Config{N: 15, K: 9, Interleave: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	solo := make([]byte, len(soft))
-	sliceSoft(soft, solo)
-	for i := range want {
-		if solo[i] != want[i] {
-			t.Fatalf("sliceSoft[%d] = %d want %d", i, solo[i], want[i])
+	short := []byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1}
+	padded := make([]byte, lay.DataBits())
+	copy(padded, short)
+	got, err := lay.EncodeBits(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lay.EncodeBits(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("short data encodes differently from its zero-padded form")
+	}
+	if _, err := lay.EncodeBits(make([]byte, lay.DataBits()+1)); err == nil {
+		t.Fatal("oversize data accepted")
+	}
+}
+
+// TestCombiner drives the chase ladder: one copy's combined decode is its
+// hard decode, a strong copy outvotes a weak wrong one so the combined
+// evidence decodes where neither copy alone does, ties slice to 0, and a
+// copy too short for the coded region changes nothing.
+func TestCombiner(t *testing.T) {
+	lay, err := LayoutFor(120, Config{N: 15, K: 9, Interleave: 1}) // 15 symbols, t = 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, lay.DataBits())
+	for i := range data {
+		data[i] = byte(i*5%7) & 1
+	}
+	coded, err := lay.EncodeBits(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// copyWith flips symbols [lo, hi) with weak votes; every other bit is
+	// a strong correct vote.
+	copyWith := func(lo, hi int) ([]byte, []int16) {
+		hard := append([]byte(nil), coded...)
+		soft := make([]int16, len(coded))
+		for i, b := range coded {
+			mag := int16(300)
+			if i >= lo*8 && i < hi*8 {
+				b ^= 1
+				hard[i] = b
+				mag = 10
+			}
+			soft[i] = mag
+			if b == 1 {
+				soft[i] = -mag
+			}
 		}
+		return hard, soft
+	}
+	var c Chase
+	c.Reset(lay)
+
+	// Single copy: the combined decode is the hard decode.
+	hard, soft := copyWith(0, 2)
+	combined, alone, ok := c.Add(hard, soft)
+	if !ok || !combined.OK || !alone.OK || combined.Corrected != 2 || alone.Corrected != 2 {
+		t.Fatalf("first copy: ok=%v combined=%+v alone=%+v", ok, combined, alone)
+	}
+	if !bytes.Equal(combined.Data, data) || !bytes.Equal(alone.Data, data) {
+		t.Fatal("first copy: decode differs from the payload")
 	}
 
-	// Combining: a strong correct attempt outvotes a weak wrong one.
-	c.Reset(2)
-	c.Add([]int16{-10, 20})  // weak: bit0=1, bit1=0
-	c.Add([]int16{300, -90}) // strong: bit0=0, bit1=1
-	out := make([]byte, 2)
-	c.Slice(out)
-	if out[0] != 0 || out[1] != 1 {
-		t.Fatalf("combined slice = %v, want [0 1]", out)
+	// Combining: two copies each beyond the code's radius, damaged in
+	// different symbols, decode together.
+	c.Reset(lay)
+	hard, soft = copyWith(0, 5)
+	if combined, alone, ok = c.Add(hard, soft); !ok || combined.OK || alone.OK {
+		t.Fatalf("5 damaged symbols decoded: combined=%v alone=%v", combined.OK, alone.OK)
 	}
-	if c.Attempts() != 2 {
-		t.Fatalf("attempts = %d", c.Attempts())
+	hard, soft = copyWith(10, 15)
+	combined, alone, ok = c.Add(hard, soft)
+	if !ok || !combined.OK || alone.OK || combined.Corrected != 0 || !bytes.Equal(combined.Data, data) {
+		t.Fatalf("combined decode: ok=%v combined=%+v alone.OK=%v", ok, combined, alone.OK)
+	}
+	if c.Copies() != 2 {
+		t.Fatalf("copies = %d", c.Copies())
+	}
+
+	// A short copy adds nothing.
+	if _, _, ok := c.Add(hard[:len(hard)-1], soft); ok || c.Copies() != 2 {
+		t.Fatalf("short copy: ok=%v copies=%d", ok, c.Copies())
+	}
+	if _, _, ok := c.Add(hard, soft[:len(soft)-1]); ok || c.Copies() != 2 {
+		t.Fatalf("short soft values: ok=%v copies=%d", ok, c.Copies())
 	}
 
 	// Tie slices to 0.
-	c.Reset(1)
-	c.Add([]int16{7})
-	c.Add([]int16{-7})
-	c.Slice(out[:1])
-	if out[0] != 0 {
-		t.Fatalf("tie sliced to %d, want 0", out[0])
+	c.Reset(lay)
+	soft = make([]int16, lay.CodedBits())
+	soft[0] = 7
+	c.Add(coded, soft)
+	soft[0] = -7
+	c.Add(coded, soft)
+	if c.sliced[0] != 0 {
+		t.Fatalf("tie sliced to %d, want 0", c.sliced[0])
 	}
 }

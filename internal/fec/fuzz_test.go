@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -68,33 +69,43 @@ func FuzzRSRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCombinerSlice checks that slicing arbitrary soft-value streams never
-// panics and agrees with the sign convention, including the single-attempt
-// identity with sliceSoft.
+// FuzzCombinerSlice checks that chase-combining arbitrary soft-value
+// streams never panics and agrees with the sign convention: N identical
+// copies slice like one, and the first copy's combined decode is the hard
+// decode of its own slicing.
 func FuzzCombinerSlice(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(2))
+	wide := make([]byte, 512)
+	for i := range wide {
+		wide[i] = byte(i * 37)
+	}
+	f.Add(wide, uint8(7))
 	f.Fuzz(func(t *testing.T, raw []byte, attempts uint8) {
-		if len(raw) < 2 {
+		lay, err := LayoutFor(len(raw)/2, Config{N: 15, K: 11, Interleave: 1 + int(attempts)%3})
+		if err != nil {
 			return
 		}
-		bits := len(raw) / 2
-		soft := make([]int16, bits)
-		for i := 0; i < bits; i++ {
+		soft := make([]int16, lay.CodedBits())
+		for i := range soft {
 			soft[i] = int16(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8)
 		}
-		var c Combiner
-		c.Reset(bits)
+		hard := make([]byte, len(soft))
+		sliceSoft(soft, hard)
+		var c Chase
+		c.Reset(lay)
 		n := 1 + int(attempts)%4
 		for a := 0; a < n; a++ {
-			c.Add(soft)
+			combined, alone, ok := c.Add(hard, soft)
+			if !ok {
+				t.Fatal("full-length copy rejected")
+			}
+			if a == 0 && (!bytes.Equal(combined.Data, alone.Data) || combined.OK != alone.OK || combined.Corrected != alone.Corrected) {
+				t.Fatalf("first copy: combined %+v, alone %+v", combined, alone)
+			}
 		}
-		combined := make([]byte, bits)
-		c.Slice(combined)
-		solo := make([]byte, bits)
-		sliceSoft(soft, solo)
-		for i := range combined {
-			if combined[i] != solo[i] {
-				t.Fatalf("N identical attempts sliced differently at %d", i)
+		for i := range hard {
+			if c.sliced[i] != hard[i] {
+				t.Fatalf("%d identical copies sliced differently at %d", n, i)
 			}
 		}
 	})

@@ -1,5 +1,5 @@
 // Package fec is the coded tag uplink: a Reed-Solomon code over GF(2^8)
-// applied to tag payload chunks, plus the soft chase-combiner that merges
+// applied to tag payload chunks, plus the chase ladder (Chase) that merges
 // the per-bit soft decisions of failed chunk attempts across
 // retransmissions. GuardRider (arXiv:1912.06493) measured raw codeword-
 // translation uplinks to be unusable in the wild without FEC; this package

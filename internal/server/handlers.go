@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,12 +19,21 @@ import (
 
 // ---- JSON plumbing ----------------------------------------------------
 
+// writeJSON encodes v before it commits the status line, so a value JSON
+// cannot carry answers 500 with an error body instead of code with an
+// empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(errorResponse{Error: fmt.Sprintf("encoding response: %v", err)}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
 }
 
 type errorResponse struct {
@@ -152,9 +162,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 				len(tagBits), lay.DataBits(), lay.CodedBits())
 			return
 		}
-		data := make([]byte, lay.DataBits())
-		copy(data, tagBits)
-		coded, err := lay.EncodeBits(data)
+		coded, err := lay.EncodeBits(tagBits)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "coding: %v", err)
 			return

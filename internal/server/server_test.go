@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -329,6 +330,41 @@ func TestExperimentEndpoint(t *testing.T) {
 	resp = getJSON(t, ts.URL+"/v1/experiments/power?full=yes", &e)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "full") {
 		t.Fatalf("full=yes: got %d %q, want 400 naming full", resp.StatusCode, e.Error)
+	}
+}
+
+// TestExperimentNeverCrossing: under impulsive faults neither quick
+// snr-single curve holds its target BER, so both crossings are +Inf. They
+// must arrive as JSON nulls in a 200, not as a 200 with an empty body.
+func TestExperimentNeverCrossing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var got struct {
+		Rows struct {
+			DualSNRdB, SingleSNRdB *float64
+			DeltaDB                float64
+		} `json:"rows"`
+	}
+	resp := getJSON(t, ts.URL+"/v1/experiments/snr-single?faults=impulsive&seed=1", &got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snr-single: status %d", resp.StatusCode)
+	}
+	if got.Rows.DualSNRdB != nil || got.Rows.SingleSNRdB != nil || got.Rows.DeltaDB != 0 {
+		t.Fatalf("never-crossing curves: dual %v single %v delta %g, want null null 0",
+			got.Rows.DualSNRdB, got.Rows.SingleSNRdB, got.Rows.DeltaDB)
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot carry answers 500 with an
+// error body; the status line is not committed before encoding succeeds.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("got %d %q, want 500 naming the encoding failure", rec.Code, e.Error)
 	}
 }
 

@@ -81,8 +81,8 @@ func BenchmarkConvolveCapture129Taps(b *testing.B) {
 
 // BenchmarkAddAWGN is one packet's noise at the wifi-fresh capture
 // length (1500 B at 6 Mbps plus 400 samples of headroom each side): a
-// reseeded stream, as channel.Link.ApplyTo draws it, filling 41,440
-// samples.
+// reseeded stream, as channel.Link.ApplyToWithPower draws it, filling
+// 41,440 samples.
 func BenchmarkAddAWGN(b *testing.B) {
 	s := benchSignal(41440)
 	n := NewNoise(2)

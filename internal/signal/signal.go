@@ -10,7 +10,6 @@
 package signal
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -48,23 +47,6 @@ func (s *Signal) Scale(g complex128) *Signal {
 		s.Samples[i] *= g
 	}
 	return s
-}
-
-// Add sums other into the receiver starting at sample offset off. Samples
-// of other that fall outside the receiver are dropped. Sample rates must
-// match.
-func (s *Signal) Add(other *Signal, off int) error {
-	if s.Rate != other.Rate {
-		return fmt.Errorf("signal: rate mismatch %g vs %g", s.Rate, other.Rate)
-	}
-	for i, v := range other.Samples {
-		j := off + i
-		if j < 0 || j >= len(s.Samples) {
-			continue
-		}
-		s.Samples[j] += v
-	}
-	return nil
 }
 
 // FrequencyShift mixes the signal with exp(j·2π·df·t) in place, moving its

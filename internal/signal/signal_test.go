@@ -38,37 +38,6 @@ func TestScaleAndMeanPower(t *testing.T) {
 	}
 }
 
-func TestAddOffsetsAndRateMismatch(t *testing.T) {
-	a := New(1e6, 10)
-	b := New(1e6, 3)
-	for i := range b.Samples {
-		b.Samples[i] = 1
-	}
-	if err := a.Add(b, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.Samples {
-		want := complex128(0)
-		if i >= 4 && i < 7 {
-			want = 1
-		}
-		if v != want {
-			t.Fatalf("sample %d = %v, want %v", i, v, want)
-		}
-	}
-	// Out-of-range contributions silently dropped.
-	if err := a.Add(b, -2); err != nil {
-		t.Fatal(err)
-	}
-	if a.Samples[0] != 1 { // b[2] lands at index 0
-		t.Fatalf("negative-offset add wrong: %v", a.Samples[0])
-	}
-	c := New(2e6, 3)
-	if err := a.Add(c, 0); err == nil {
-		t.Error("rate mismatch not detected")
-	}
-}
-
 func TestFrequencyShiftMovesTone(t *testing.T) {
 	const rate = 1e6
 	const n = 4096

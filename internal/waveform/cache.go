@@ -11,8 +11,8 @@
 // Ownership rules (see DESIGN.md §8): entries are immutable once Put.
 // Every consumer reads the cached samples and reference streams without
 // modification — the channel layer already copies on apply
-// (channel.Link.ApplyTo writes into a caller destination and never touches
-// its source) — and the synthesizing caller must hand over buffers it will
+// (channel.Link.ApplyToWithPower writes into a caller destination and never
+// touches its source) — and the synthesizing caller must hand over buffers it will
 // never write again. That makes a cache shared by concurrent sessions safe
 // with no per-sample locking; the -race cache tests pin this.
 //
