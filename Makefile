@@ -184,12 +184,16 @@ fuzz-fec:
 	$(GO) test -run=^$$ -fuzz=FuzzRSRoundTrip -fuzztime=10s ./internal/fec
 	$(GO) test -run=^$$ -fuzz=FuzzCombinerSlice -fuzztime=5s ./internal/fec
 
-# fuzz-decoder smoke-fuzzes both window decoders (dual-receiver compare
-# and single-receiver differential) against truncated, mismatched and
-# degenerate inputs, checking the structural invariants on every success.
+# fuzz-decoder smoke-fuzzes all four window rules (dual-receiver compare
+# and single-receiver differential, binary and quaternary) against
+# truncated, mismatched and degenerate inputs, checking the structural
+# invariants on every success; the quaternary rules must also ignore the
+# element bits they do not use.
 fuzz-decoder:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeWindows$$ -fuzztime=10s ./internal/decoder
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeDifferentialWindows -fuzztime=10s ./internal/decoder
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeDifferentialWindows$$ -fuzztime=10s ./internal/decoder
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeQuaternaryWindows$$ -fuzztime=10s ./internal/decoder
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeDifferentialQuaternaryWindows$$ -fuzztime=10s ./internal/decoder
 
 # fuzz-simd smoke-fuzzes the SIMD kernels differentially against their
 # pure-Go twins: the Viterbi ACS fuzzer demands strict byte equality of

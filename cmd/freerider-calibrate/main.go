@@ -19,9 +19,31 @@ import (
 	"repro/internal/bluetooth"
 	"repro/internal/channel"
 	"repro/internal/runner"
+	"repro/internal/signal"
 	"repro/internal/wifi"
 	"repro/internal/zigbee"
 )
+
+// radios lists the sweeps in print order: each radio's title, its
+// DeriveSeed domain, one native frame, and the receiver's detection
+// quality on a noisy capture of it.
+var radios = []struct {
+	title, domain string
+	transmit      func() (*signal.Signal, error)
+	detect        func(cap *signal.Signal) float64
+}{
+	{"WiFi (LTF periodicity quality)", "calibrate.wifi",
+		func() (*signal.Signal, error) {
+			return wifi.NewTransmitter().Transmit(wifi.AppendFCS(make([]byte, 300)), wifi.Rates[6])
+		},
+		func(cap *signal.Signal) float64 { _, q := wifi.NewReceiver().DetectPreamble(cap); return q }},
+	{"ZigBee (preamble correlation quality)", "calibrate.zigbee",
+		func() (*signal.Signal, error) { return zigbee.NewTransmitter().Transmit(make([]byte, 60)) },
+		func(cap *signal.Signal) float64 { _, q := zigbee.NewReceiver().Detect(cap); return q }},
+	{"Bluetooth (sync-word correlation quality)", "calibrate.bluetooth",
+		func() (*signal.Signal, error) { return bluetooth.NewTransmitter().Transmit(make([]byte, 60)) },
+		func(cap *signal.Signal) float64 { _, q := bluetooth.NewReceiver().Detect(cap); return q }},
+}
 
 func main() {
 	trials := flag.Int("trials", 20, "frames per SNR point")
@@ -30,16 +52,24 @@ func main() {
 	flag.Parse()
 
 	snrs := []float64{0, 2, 4, 6, 8, 10, 14, 20}
-
-	runSweep := func(title, domain string, frame func(q *float64, snr float64, s int64) error) map[float64]float64 {
-		fmt.Println(title + ":")
+	for ri, r := range radios {
+		if ri > 0 {
+			fmt.Println()
+		}
+		fmt.Println(r.title + ":")
 		q := make([]float64, len(snrs))
 		err := runner.Map(len(snrs), 0, func(i int) error {
 			var qSum float64
 			for tr := 0; tr < *trials; tr++ {
-				if err := frame(&qSum, snrs[i], runner.DeriveSeed(*seed, domain, i, tr)); err != nil {
+				sig, err := r.transmit()
+				if err != nil {
 					return err
 				}
+				cap, err := channel.ApplySNR(sig, snrs[i], 300, runner.DeriveSeed(*seed, r.domain, i, tr))
+				if err != nil {
+					return err
+				}
+				qSum += r.detect(cap)
 			}
 			q[i] = qSum / float64(*trials)
 			return nil
@@ -47,61 +77,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out := map[float64]float64{}
+		curve := map[float64]float64{}
 		for i, snr := range snrs {
-			out[snr] = q[i]
+			curve[snr] = q[i]
 			fmt.Printf("  snr=%5.1f dB  meanQ=%.3f\n", snr, q[i])
 		}
-		return out
+		fmt.Printf("  -> threshold for failure below %.1f dB: %.2f\n", *failSNR, interp(curve, snrs, *failSNR))
 	}
-
-	wifiQ := runSweep("WiFi (LTF periodicity quality)", "calibrate.wifi",
-		func(qSum *float64, snr float64, s int64) error {
-			sig, err := wifi.NewTransmitter().Transmit(wifi.AppendFCS(make([]byte, 300)), wifi.Rates[6])
-			if err != nil {
-				return err
-			}
-			cap, err := channel.ApplySNR(sig, snr, 300, s)
-			if err != nil {
-				return err
-			}
-			_, q := wifi.NewReceiver().DetectPreamble(cap)
-			*qSum += q
-			return nil
-		})
-	fmt.Printf("  -> threshold for failure below %.1f dB: %.2f\n\n", *failSNR, interp(wifiQ, snrs, *failSNR))
-
-	zbQ := runSweep("ZigBee (preamble correlation quality)", "calibrate.zigbee",
-		func(qSum *float64, snr float64, s int64) error {
-			sig, err := zigbee.NewTransmitter().Transmit(make([]byte, 60))
-			if err != nil {
-				return err
-			}
-			cap, err := channel.ApplySNR(sig, snr, 300, s)
-			if err != nil {
-				return err
-			}
-			_, q := zigbee.NewReceiver().Detect(cap)
-			*qSum += q
-			return nil
-		})
-	fmt.Printf("  -> threshold for failure below %.1f dB: %.2f\n\n", *failSNR, interp(zbQ, snrs, *failSNR))
-
-	btQ := runSweep("Bluetooth (sync-word correlation quality)", "calibrate.bluetooth",
-		func(qSum *float64, snr float64, s int64) error {
-			sig, err := bluetooth.NewTransmitter().Transmit(make([]byte, 60))
-			if err != nil {
-				return err
-			}
-			cap, err := channel.ApplySNR(sig, snr, 300, s)
-			if err != nil {
-				return err
-			}
-			_, q := bluetooth.NewReceiver().Detect(cap)
-			*qSum += q
-			return nil
-		})
-	fmt.Printf("  -> threshold for failure below %.1f dB: %.2f\n", *failSNR, interp(btQ, snrs, *failSNR))
 }
 
 // interp linearly interpolates the measured quality curve at snr.

@@ -206,7 +206,7 @@ func DecodeStream(r Radio, ref, rx []byte, window int) ([]WindowDecision, int, e
 // anchored to the untranslated header state. No reference stream is
 // needed; the radio argument is validated and kept for wire-surface
 // symmetry with DecodeStream (the feature alphabet is binary for every
-// radio, and all three slice at the 0.5 midpoint).
+// radio, and all three slice at core.SingleThreshold, the midpoint).
 func DecodeDifferentialStream(r Radio, features []byte, window int) ([]WindowDecision, error) {
 	if err := checkRadio(r); err != nil {
 		return nil, err
@@ -216,7 +216,7 @@ func DecodeDifferentialStream(r Radio, features []byte, window int) ([]WindowDec
 			return nil, fmt.Errorf("freerider: feature element %d is %d, want 0 or 1", i, v)
 		}
 	}
-	return decoder.DecodeDifferentialWindows(features, window, 0.5)
+	return decoder.DecodeDifferentialWindows(features, window, core.SingleThreshold)
 }
 
 // DecisionBits extracts just the tag bits from a DecodeStream result.

@@ -157,13 +157,13 @@ const (
 
 // Single-receiver (differential) decision constants.
 const (
-	// singleThreshold slices the window-to-window disagreement fraction.
+	// SingleThreshold slices the window-to-window disagreement fraction.
 	// All three flip features are symmetric binary estimates (a flipped
 	// unit looks like the complement of an unflipped one), so the midpoint
 	// is the maximum-likelihood threshold for every radio — unlike the
 	// dual ZigBee path, whose mismatch fraction saturates at the
 	// codebook's confusion floor rather than 1.
-	singleThreshold = 0.5
+	SingleThreshold = 0.5
 	// cpeGain is the EWMA gain of the single-receiver WiFi feature
 	// extractor's common-phase-error tracker (see decodeWiFiSingle).
 	cpeGain = 0.25
@@ -244,7 +244,8 @@ type PacketResult struct {
 	AirTime    float64 // excitation packet duration, seconds
 	Samples    int     // complex-baseband samples in the receiver capture
 	DecodedTag []byte  // the decoded tag bits (nil when not decoded)
-	// SoftTag carries the decoder's per-bit int16 soft decisions aligned
+	// SoftTag carries the decoder's per-bit int16 soft decisions
+	// (WindowResult.Soft, one per decoded tag bit in every scheme) aligned
 	// with DecodedTag (positive → 0, negative → 1, |s| the margin; see
 	// decoder.SoftScale). Populated when Config.Coding is set, and always
 	// in single-receiver mode (a new path with no allocation pins to
@@ -539,42 +540,25 @@ func (s *Session) decode(res PacketResult, rx received, tagBits []byte) (PacketR
 	used := res.TagBits
 	single := s.cfg.ReceiverMode == SingleReceiver
 	var ws []decoder.WindowResult
-	var qws []decoder.QuaternaryWindowResult
 	var dropped int
 	var err error
 	switch {
 	case s.cfg.Quaternary && single:
-		qws, err = decoder.DecodeDifferentialQuaternaryWindows(rx.obs, rx.window)
+		ws, err = decoder.DecodeDifferentialQuaternaryWindows(rx.obs, rx.window)
 	case s.cfg.Quaternary:
-		qws, err = decoder.DecodeQuaternaryWindows(rx.ref, rx.obs, rx.window)
+		ws, err = decoder.DecodeQuaternaryWindows(rx.ref, rx.obs, rx.window)
 	case single:
-		ws, err = decoder.DecodeDifferentialWindows(rx.obs, rx.window, singleThreshold)
+		ws, err = decoder.DecodeDifferentialWindows(rx.obs, rx.window, SingleThreshold)
 	default:
 		ws, dropped, err = decoder.DecodeWindows(rx.ref, rx.obs, rx.window, WindowThreshold(s.cfg.Radio))
 	}
 	if err != nil {
 		return PacketResult{}, err
 	}
-	if len(ws) > used {
-		ws = ws[:used]
-	}
-	soft := single || s.cfg.Coding != nil
-	if s.cfg.Quaternary {
-		res.DecodedTag = decoder.QuaternaryBits(qws)
-		if soft {
-			res.SoftTag = decoder.QuaternarySoft(qws)
-		}
-	} else {
-		res.DecodedTag = decoder.Bits(ws)
-		if soft {
-			res.SoftTag = decoder.Soft(ws)
-		}
-	}
-	if len(res.DecodedTag) > used { // a quaternary window's second bit
-		res.DecodedTag = res.DecodedTag[:used]
-		if soft {
-			res.SoftTag = res.SoftTag[:used]
-		}
+	ws = ws[:min(len(ws), used)]
+	res.DecodedTag = decoder.Bits(ws)
+	if single || s.cfg.Coding != nil {
+		res.SoftTag = decoder.Soft(ws)
 	}
 	res.Decoded = true
 	var berDropped int

@@ -35,11 +35,12 @@ func (s *Session) RunCollision(tagData [][]byte) (MultiTagResult, error) {
 		return MultiTagResult{}, fmt.Errorf("core: need at least one tag")
 	}
 	// A collision run occupies a packet slot of the fault timeline like any
-	// other transmission.
+	// other transmission, and is lost before any draw where runPacket's is:
+	// no excitation (outage) or no charge to reflect with (brownout).
 	slot := s.slot
 	s.slot++
 	pf := s.cfg.Faults.At(s.cfg.Seed, slot)
-	if pf.Outage {
+	if pf.Outage || pf.SkipReflection {
 		return MultiTagResult{PerTagBER: ones(len(tagData))}, nil
 	}
 	psdu, seed := s.phy.draw(s.rng, true)

@@ -138,3 +138,67 @@ func TestCollisionOneTagIsRunPacket(t *testing.T) {
 		t.Fatal("no packet decoded with a partial BER: the comparison never saw a bit error")
 	}
 }
+
+// TestCollisionBrownoutIsLost: on a browned-out slot the tag has no charge
+// to reflect, so a collision run, like RunPacket, loses it before any
+// draw — undetected, every tag at BER 1 — and the twin sessions' later
+// packets stay identical.
+func TestCollisionBrownoutIsLost(t *testing.T) {
+	brownout, err := faults.Parse("brownout-tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(WiFi, 8)
+	cfg.PayloadSize = 400
+	cfg.Seed = 7
+	cfg.Faults = brownout
+	var sessions [3]*Session // one-tag collision, packet twin, two-tag collision
+	for i := range sessions {
+		if sessions[i], err = NewSession(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coll, pkt, pair := sessions[0], sessions[1], sessions[2]
+	browned, decodedAfter := 0, 0
+	for i := 0; i < 30; i++ {
+		data := randomTagBits(coll.Capacity(), int64(i))
+		res, err := coll.RunCollision([][]byte{data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		two, err := pair.RunCollision([][]byte{data, randomTagBits(coll.Capacity(), int64(100+i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := pkt.RunPacket(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Fault.SkipReflection {
+			browned++
+			for _, r := range []MultiTagResult{res, two} {
+				if r.Detected {
+					t.Fatalf("slot %d: browned-out collision detected", i)
+				}
+				for j, ber := range r.PerTagBER {
+					if ber != 1 {
+						t.Fatalf("slot %d: browned-out tag %d of %d at BER %g, want 1", i, j, len(r.PerTagBER), ber)
+					}
+				}
+			}
+		} else if browned > 0 && pr.Decoded {
+			decodedAfter++
+		}
+		want := 1.0
+		if n := len(pr.DecodedTag); pr.Decoded && n > 0 {
+			want = float64(pr.BitErrors) / float64(n)
+		}
+		if res.Detected != pr.Decoded || res.PerTagBER[0] != want {
+			t.Fatalf("slot %d: collision detected=%v BER %g, RunPacket decoded=%v BER %g",
+				i, res.Detected, res.PerTagBER[0], pr.Decoded, want)
+		}
+	}
+	if browned == 0 || decodedAfter == 0 {
+		t.Fatalf("%d browned-out slots, %d decoded packets after the first: the run tests nothing", browned, decodedAfter)
+	}
+}

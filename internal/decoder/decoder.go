@@ -46,19 +46,35 @@ func softFor(bit byte, margin float64) int16 {
 	return -s
 }
 
-// WindowResult carries one decoded tag bit and its decision quality.
+// WindowResult carries one decoded tag bit and its decision quality. Every
+// window rule returns one WindowResult per decoded tag bit: one per window
+// for the binary rules, two per window (the rotation index's bit pair) for
+// the quaternary ones.
 type WindowResult struct {
 	Bit byte
-	// MismatchFraction is the fraction of positions in the window where the
-	// streams disagree: near 0 for tag bit 0, near 1 for tag bit 1 (WiFi/
-	// Bluetooth) or near the codebook's confusion floor (ZigBee). Values
-	// near 0.5 indicate an unreliable decision.
+	// MismatchFraction is the fraction of the window's units that disagree
+	// with the no-change hypothesis: for the binary rules the positions
+	// where the streams (or a window and its predecessor) differ — near 0
+	// for tag bit 0, near 1 for tag bit 1 (WiFi/Bluetooth) or near the
+	// codebook's confusion floor (ZigBee), with values near the threshold
+	// marking an unreliable decision. For the quaternary rules it is the
+	// fraction of units (subcarrier bit pairs, or rotation features) that
+	// do not match rotation step 0, shared by the window's two bits.
 	MismatchFraction float64
-	// Soft is the int16 soft decision (see SoftScale): the signed distance
-	// of MismatchFraction from the slicing threshold, normalized to the
-	// span on the decided side. Re-slicing Soft alone (negative → 1)
-	// reproduces Bit exactly.
+	// Soft is the int16 soft decision (see SoftScale): the bit's
+	// normalized decision margin, signed by the bit. Re-slicing Soft alone
+	// (negative → 1) reproduces Bit exactly.
 	Soft int16
+}
+
+// slice is the binary rules' threshold decision: a mismatch fraction above
+// threshold decodes as 1, and the margin is the fraction's distance from
+// the threshold normalized to the span on the decided side.
+func slice(frac, threshold float64) (byte, float64) {
+	if frac > threshold {
+		return 1, (frac - threshold) / (1 - threshold)
+	}
+	return 0, (threshold - frac) / threshold
 }
 
 // DecodeWindows compares two aligned streams element-wise in windows of the
@@ -98,12 +114,7 @@ func DecodeWindows(ref, rx []byte, window int, threshold float64) ([]WindowResul
 			}
 		}
 		frac := float64(mism) / float64(window)
-		bit := byte(0)
-		margin := (threshold - frac) / threshold
-		if frac > threshold {
-			bit = 1
-			margin = (frac - threshold) / (1 - threshold)
-		}
+		bit, margin := slice(frac, threshold)
 		out = append(out, WindowResult{Bit: bit, MismatchFraction: frac, Soft: softFor(bit, margin)})
 	}
 	return out, dropped, nil
@@ -127,16 +138,6 @@ func Soft(ws []WindowResult) []int16 {
 	return out
 }
 
-// QuaternaryDecode recovers 2-bit tag symbols from the eq. 5 scheme, where
-// the tag applies k·Δθ (k = 0..3) per window: k's binary expansion is the
-// tag bit pair.
-func QuaternaryDecode(k int) ([2]byte, error) {
-	if k < 0 || k > 3 {
-		return [2]byte{}, fmt.Errorf("decoder: rotation index %d outside 0..3", k)
-	}
-	return [2]byte{byte(k >> 1), byte(k & 1)}, nil
-}
-
 // rotateGrayPair applies a 90°·k constellation rotation to a Gray-mapped
 // QPSK bit pair (b0 → I sign, b1 → Q sign): multiplying the point by j maps
 // (b0, b1) → (¬b1, b0).
@@ -147,23 +148,14 @@ func rotateGrayPair(b0, b1 byte, k int) (byte, byte) {
 	return b0, b1
 }
 
-// QuaternaryWindowResult carries one decoded 2-bit tag symbol.
-type QuaternaryWindowResult struct {
-	Bits [2]byte // eq. 5 tag bits for this window: the detected k's bit pair
-	// Soft is the per-bit soft decision pair (see SoftScale). Each bit's
-	// margin is the winning hypothesis's match count against the best
-	// rotation hypothesis that decodes that bit to the opposite value —
-	// NOT the overall runner-up, which may agree on the bit.
-	Soft [2]int16
-}
-
 // DecodeQuaternaryWindows implements the eq. 5 decoder for QPSK excitation:
 // ref and rx are *demapped coded* bit streams (subcarrier bit pairs, before
 // Viterbi decoding — convolutional decoding scrambles 90° rotations beyond
 // recognition, so this decoder needs monitor-mode access to raw coded
 // bits). For each window it tests the four rotation hypotheses against the
-// reference and emits the 2-bit tag symbol of the best match.
-func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]QuaternaryWindowResult, error) {
+// reference and emits the two tag bits of the best match (see
+// appendRotation).
+func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]WindowResult, error) {
 	if windowBits <= 0 || windowBits%2 != 0 {
 		return nil, fmt.Errorf("decoder: window %d must be positive and even", windowBits)
 	}
@@ -171,7 +163,7 @@ func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]QuaternaryWindow
 	if len(rx) < n {
 		n = len(rx)
 	}
-	out := make([]QuaternaryWindowResult, 0, n/windowBits)
+	out := make([]WindowResult, 0, 2*(n/windowBits))
 	for lo := 0; lo+windowBits <= n; lo += windowBits {
 		var matches [4]int
 		for i := lo; i+1 < lo+windowBits; i += 2 {
@@ -182,55 +174,43 @@ func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]QuaternaryWindow
 				}
 			}
 		}
-		best := 0
-		for k := 1; k < 4; k++ {
-			if matches[k] > matches[best] {
-				best = k
-			}
-		}
-		bits, err := QuaternaryDecode(best)
-		if err != nil {
-			return nil, err
-		}
-		// Per-bit soft: margin against the strongest hypothesis that
-		// decodes this bit position to the opposite value. An exact tie
-		// (margin 0) keeps its decided value via the ±1 clamp in softFor.
-		var soft [2]int16
-		pairs := windowBits / 2
-		for b := 0; b < 2; b++ {
-			v := bits[b]
-			opp := 0
-			for k := 0; k < 4; k++ {
-				kb := byte(k>>uint(1-b)) & 1
-				if kb != v && matches[k] > opp {
-					opp = matches[k]
-				}
-			}
-			margin := float64(matches[best]-opp) / float64(pairs)
-			soft[b] = softFor(v, margin)
-		}
-		out = append(out, QuaternaryWindowResult{Bits: bits, Soft: soft})
+		out, _ = appendRotation(out, &matches, 0, windowBits/2)
 	}
 	return out, nil
 }
 
-// QuaternaryBits flattens window results into the tag bit stream.
-func QuaternaryBits(ws []QuaternaryWindowResult) []byte {
-	out := make([]byte, 0, 2*len(ws))
-	for _, w := range ws {
-		out = append(out, w.Bits[0], w.Bits[1])
+// appendRotation is the quaternary rules' decision: matches counts the
+// window's units that agree with each rotation step d, k0 is the rotation
+// the window's steps start from (0 for the dual rule, the accumulated
+// rotation for the differential one), and units is the window's unit
+// count. The winning step d moves the rotation to k = (k0+d) mod 4, whose
+// binary expansion is the window's tag bit pair (k>>1, k&1): one
+// WindowResult per bit is appended, and k is returned. Each bit's soft
+// margin is the winning step's match count against the best step whose
+// rotation decodes that bit to the opposite value — NOT the overall
+// runner-up, which may agree on the bit — over units; an exact tie keeps
+// its decided value via the ±1 clamp in softFor.
+func appendRotation(out []WindowResult, matches *[4]int, k0, units int) ([]WindowResult, int) {
+	best := 0
+	for d := 1; d < 4; d++ {
+		if matches[d] > matches[best] {
+			best = d
+		}
 	}
-	return out
-}
-
-// QuaternarySoft flattens window results into the per-bit soft stream,
-// aligned index-for-index with QuaternaryBits.
-func QuaternarySoft(ws []QuaternaryWindowResult) []int16 {
-	out := make([]int16, 0, 2*len(ws))
-	for _, w := range ws {
-		out = append(out, w.Soft[0], w.Soft[1])
+	k := (k0 + best) & 3
+	frac := float64(units-matches[0]) / float64(units)
+	for b := 1; b >= 0; b-- { // b is the bit's place in k: k>>1 first, then k&1
+		v := byte(k>>b) & 1
+		opp := 0
+		for d := 0; d < 4; d++ {
+			if byte((k0+d)&3>>b)&1 != v && matches[d] > opp {
+				opp = matches[d]
+			}
+		}
+		margin := float64(matches[best]-opp) / float64(units)
+		out = append(out, WindowResult{Bit: v, MismatchFraction: frac, Soft: softFor(v, margin)})
 	}
-	return out
+	return out, k
 }
 
 // BER compares sent and decoded tag bits, returning errors, total

@@ -196,41 +196,52 @@ func TestDecodeWindowsRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestQuaternaryDecode pins appendRotation's rotation → bit-pair mapping
+// (eq. 5: the tag applies k·Δθ per window and k's binary expansion is the
+// tag bit pair) from every starting rotation k0, and its returned k.
 func TestQuaternaryDecode(t *testing.T) {
 	want := [][2]byte{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	for k := 0; k <= 3; k++ {
-		got, err := QuaternaryDecode(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want[k] {
-			t.Errorf("k=%d -> %v, want %v", k, got, want[k])
-		}
-	}
-	for _, k := range []int{-1, 4} {
-		if _, err := QuaternaryDecode(k); err == nil {
-			t.Errorf("k=%d accepted", k)
+	for k0 := 0; k0 < 4; k0++ {
+		for d := 0; d < 4; d++ {
+			var matches [4]int
+			matches[d] = 6
+			ws, k := appendRotation(nil, &matches, k0, 6)
+			wantK := (k0 + d) & 3
+			if k != wantK || len(ws) != 2 {
+				t.Fatalf("k0=%d d=%d: k=%d with %d results, want k=%d with 2", k0, d, k, len(ws), wantK)
+			}
+			if got := [2]byte{ws[0].Bit, ws[1].Bit}; got != want[wantK] {
+				t.Errorf("k0=%d d=%d: bits %v, want %v", k0, d, got, want[wantK])
+			}
 		}
 	}
 }
 
-// TestDecodeQuaternaryWindowsAllocs pins the quaternary decoder to one
-// allocation, its result slice: nothing per window.
+// TestDecodeQuaternaryWindowsAllocs pins both quaternary rules to one
+// allocation, their result slice: nothing per window or per bit.
 func TestDecodeQuaternaryWindowsAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ref := make([]byte, 480)
 	rx := make([]byte, len(ref))
 	for i := range ref {
 		ref[i] = byte(rng.Intn(2))
-		rx[i] = byte(rng.Intn(2))
+		rx[i] = byte(rng.Intn(4))
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DecodeQuaternaryWindows(ref, rx, 24); err != nil {
-			t.Fatal(err)
+	for _, rule := range []struct {
+		name   string
+		decode func() ([]WindowResult, error)
+	}{
+		{"DecodeQuaternaryWindows", func() ([]WindowResult, error) { return DecodeQuaternaryWindows(ref, rx, 24) }},
+		{"DecodeDifferentialQuaternaryWindows", func() ([]WindowResult, error) { return DecodeDifferentialQuaternaryWindows(rx, 4) }},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := rule.decode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%s: %v allocations per call, want 1", rule.name, allocs)
 		}
-	})
-	if allocs != 1 {
-		t.Fatalf("DecodeQuaternaryWindows: %v allocations per call, want 1", allocs)
 	}
 }
 

@@ -58,12 +58,7 @@ func DecodeDifferentialWindows(rx []byte, window int, threshold float64) ([]Wind
 			}
 		}
 		frac := float64(diff) / float64(window)
-		trans := byte(0)
-		margin := (threshold - frac) / threshold
-		if frac > threshold {
-			trans = 1
-			margin = (frac - threshold) / (1 - threshold)
-		}
+		trans, margin := slice(frac, threshold)
 		bit ^= trans
 		out = append(out, WindowResult{Bit: bit, MismatchFraction: frac, Soft: softFor(bit, margin)})
 	}
@@ -76,13 +71,13 @@ func DecodeDifferentialWindows(rx []byte, window int, threshold float64) ([]Wind
 // window of `window` features is tested against the four rotation-delta
 // hypotheses relative to its predecessor (window 0 against the implicit
 // all-zero header state). The winning delta advances the accumulated
-// rotation k, whose binary expansion is the window's 2-bit tag symbol,
-// exactly as in the dual-receiver DecodeQuaternaryWindows.
-func DecodeDifferentialQuaternaryWindows(rx []byte, window int) ([]QuaternaryWindowResult, error) {
+// rotation k, whose binary expansion is the window's two tag bits, exactly
+// as in the dual-receiver DecodeQuaternaryWindows (see appendRotation).
+func DecodeDifferentialQuaternaryWindows(rx []byte, window int) ([]WindowResult, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("decoder: window %d must be positive", window)
 	}
-	out := make([]QuaternaryWindowResult, 0, len(rx)/window)
+	out := make([]WindowResult, 0, 2*(len(rx)/window))
 	k := 0
 	for lo := 0; lo+window <= len(rx); lo += window {
 		var matches [4]int
@@ -97,33 +92,7 @@ func DecodeDifferentialQuaternaryWindows(rx []byte, window int) ([]QuaternaryWin
 				}
 			}
 		}
-		best := 0
-		for d := 1; d < 4; d++ {
-			if matches[d] > matches[best] {
-				best = d
-			}
-		}
-		k = (k + best) & 3
-		bits := [2]byte{byte(k >> 1), byte(k & 1)}
-		// Per-bit soft: the winning delta's margin against the strongest
-		// delta hypothesis whose accumulated rotation decodes this bit to
-		// the opposite value. Exact ties keep their decided value via the
-		// ±1 clamp in softFor.
-		prevK := (k - best + 4) & 3
-		var soft [2]int16
-		for b := 0; b < 2; b++ {
-			v := bits[b]
-			opp := 0
-			for d := 0; d < 4; d++ {
-				kb := byte((prevK+d)&3) >> uint(1-b) & 1
-				if kb != v && matches[d] > opp {
-					opp = matches[d]
-				}
-			}
-			margin := float64(matches[best]-opp) / float64(window)
-			soft[b] = softFor(v, margin)
-		}
-		out = append(out, QuaternaryWindowResult{Bits: bits, Soft: soft})
+		out, k = appendRotation(out, &matches, k, window)
 	}
 	return out, nil
 }

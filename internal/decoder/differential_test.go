@@ -165,15 +165,14 @@ func TestDifferentialQuaternaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != len(ks) {
-		t.Fatalf("windows %d, want %d", len(ws), len(ks))
+	if len(ws) != 2*len(ks) {
+		t.Fatalf("results %d, want %d (two per window)", len(ws), 2*len(ks))
 	}
-	for i, w := range ws {
-		want := [2]byte{byte(ks[i] >> 1), byte(ks[i] & 1)}
-		if w.Bits != want {
-			t.Fatalf("window %d: bits %v, want %v", i, w.Bits, want)
+	for i, k := range ks {
+		if got := rotation(ws, i); got != k {
+			t.Fatalf("window %d: rotation %d, want %d", i, got, k)
 		}
-		requireFullConfidence(t, i, w)
+		requireFullConfidence(t, ws, i)
 	}
 }
 
@@ -191,12 +190,13 @@ func TestDifferentialQuaternarySoftCoherence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(ws) != 2*(len(feat)/window) {
+			t.Fatalf("trial %d: %d results, want two per window", trial, len(ws))
+		}
 		for i, w := range ws {
-			for b := 0; b < 2; b++ {
-				if got := sliceSoft(w.Soft[b]); got != w.Bits[b] {
-					t.Fatalf("trial %d window %d bit %d: soft %d slices to %d, hard %d",
-						trial, i, b, w.Soft[b], got, w.Bits[b])
-				}
+			if got := sliceSoft(w.Soft); got != w.Bit {
+				t.Fatalf("trial %d window %d bit %d: soft %d slices to %d, hard %d",
+					trial, i/2, i%2, w.Soft, got, w.Bit)
 			}
 		}
 	}

@@ -43,16 +43,27 @@ func TestDecodeQuaternaryWindowsAllRotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != 4 {
-		t.Fatalf("windows %d, want 4", len(ws))
+	if len(ws) != 8 {
+		t.Fatalf("results %d, want 8 (two per window)", len(ws))
 	}
 	for w, k := range rotations {
-		if got := rotation(ws[w]); got != k {
+		if got := rotation(ws, w); got != k {
 			t.Fatalf("window %d: rotation %d, want %d", w, got, k)
 		}
-		requireFullConfidence(t, w, ws[w])
+		requireFullConfidence(t, ws, w)
+		// No pair is its own 90°, 180° or 270° rotation, so every pair of
+		// a rotated window disagrees with step 0 and none of an unrotated.
+		want := 1.0
+		if k == 0 {
+			want = 0
+		}
+		for b := 0; b < 2; b++ {
+			if got := ws[2*w+b].MismatchFraction; got != want {
+				t.Fatalf("window %d bit %d: mismatch fraction %g, want %g", w, b, got, want)
+			}
+		}
 	}
-	bits := QuaternaryBits(ws)
+	bits := Bits(ws)
 	want := []byte{0, 0, 0, 1, 1, 0, 1, 1}
 	if !bytes.Equal(bits, want) {
 		t.Fatalf("bits %v, want %v", bits, want)
@@ -80,25 +91,25 @@ func TestDecodeQuaternaryWindowsNoiseTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rotation(ws[0]) != 3 || rotation(ws[1]) != 0 {
-		t.Fatalf("rotations %d,%d want 3,0", rotation(ws[0]), rotation(ws[1]))
+	if rotation(ws, 0) != 3 || rotation(ws, 1) != 0 {
+		t.Fatalf("rotations %d,%d want 3,0", rotation(ws, 0), rotation(ws, 1))
 	}
 }
 
-// rotation is the rotation index k a window decided: its 2-bit tag
-// symbol read back as a number, the inverse of QuaternaryDecode.
-func rotation(w QuaternaryWindowResult) int {
-	return int(w.Bits[0])<<1 | int(w.Bits[1])
+// rotation is the rotation index k window i decided: its two tag bits
+// (results 2i and 2i+1) read back as a number.
+func rotation(ws []WindowResult, i int) int {
+	return int(ws[2*i].Bit)<<1 | int(ws[2*i+1].Bit)
 }
 
-// requireFullConfidence fails unless both of a clean window's soft values
+// requireFullConfidence fails unless both of clean window i's soft values
 // are at full scale: every pair matched the winning hypothesis and none
 // matched one that decodes a bit the other way.
-func requireFullConfidence(t *testing.T, i int, w QuaternaryWindowResult) {
+func requireFullConfidence(t *testing.T, ws []WindowResult, i int) {
 	t.Helper()
 	for b := 0; b < 2; b++ {
-		if abs16(w.Soft[b]) != SoftScale {
-			t.Fatalf("window %d bit %d: clean window soft %d, want ±%d", i, b, w.Soft[b], SoftScale)
+		if s := ws[2*i+b].Soft; abs16(s) != SoftScale {
+			t.Fatalf("window %d bit %d: clean window soft %d, want ±%d", i, b, s, SoftScale)
 		}
 	}
 }
@@ -134,11 +145,11 @@ func TestQuaternaryRoundTripProperty(t *testing.T) {
 			}
 		}
 		ws, err := DecodeQuaternaryWindows(ref, rx, window)
-		if err != nil || len(ws) != nWin {
+		if err != nil || len(ws) != 2*nWin {
 			return false
 		}
 		for w := 0; w < nWin; w++ {
-			if rotation(ws[w]) != int(ks[w%len(ks)])%4 {
+			if rotation(ws, w) != int(ks[w%len(ks)])%4 {
 				return false
 			}
 		}

@@ -86,22 +86,13 @@ func TestSoftHardCoherenceQuaternary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for wi, w := range ws {
-			for b := 0; b < 2; b++ {
-				if got := sliceSoft(w.Soft[b]); got != w.Bits[b] {
-					t.Fatalf("trial %d window %d bit %d: soft %d slices to %d, hard %d",
-						trial, wi, b, w.Soft[b], got, w.Bits[b])
-				}
-			}
+		if len(ws) != 2*n/windowBits {
+			t.Fatalf("trial %d: %d results, want two per window", trial, len(ws))
 		}
-		soft := QuaternarySoft(ws)
-		bits := QuaternaryBits(ws)
-		if len(soft) != len(bits) {
-			t.Fatalf("soft/bits length mismatch: %d vs %d", len(soft), len(bits))
-		}
-		for i := range soft {
-			if sliceSoft(soft[i]) != bits[i] {
-				t.Fatalf("flattened stream diverges at %d", i)
+		for i, w := range ws {
+			if got := sliceSoft(w.Soft); got != w.Bit {
+				t.Fatalf("trial %d window %d bit %d: soft %d slices to %d, hard %d",
+					trial, i/2, i%2, w.Soft, got, w.Bit)
 			}
 		}
 	}
@@ -122,14 +113,13 @@ func TestQuaternarySoftOppositeHypothesis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := ws[0]
 		want := [2]byte{byte(k >> 1), byte(k & 1)}
-		for b := 0; b < 2; b++ {
-			if w.Bits[b] != want[b] {
-				t.Fatalf("k=%d bit %d: got %d", k, b, w.Bits[b])
+		for b, w := range ws {
+			if w.Bit != want[b] {
+				t.Fatalf("k=%d bit %d: got %d", k, b, w.Bit)
 			}
-			if mag := abs16(w.Soft[b]); mag < SoftScale/2 {
-				t.Fatalf("k=%d bit %d: clean window soft %d not confident", k, b, w.Soft[b])
+			if mag := abs16(w.Soft); mag < SoftScale/2 {
+				t.Fatalf("k=%d bit %d: clean window soft %d not confident", k, b, w.Soft)
 			}
 		}
 	}
