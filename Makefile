@@ -12,13 +12,17 @@ fmt-check:
 # cmd-smoke runs each command once at minimal effort, so a broken command
 # or flag fails CI instead of a user. The impulsive snr-single run leaves
 # both curves short of their target BER, so it holds the JSON encoding of
-# a crossing that never comes (a null, not a failed encode).
+# a crossing that never comes (a null, not a failed encode). The
+# coexistence example and the power, fig15, fig16 and waterfall runs
+# exercise the per-radio tables: core.TagPower, the coexistence link
+# budget and experiments.NativeLinks.
 cmd-smoke:
 	$(GO) run ./cmd/freerider-sim -packets 2 >/dev/null
 	$(GO) run ./cmd/freerider-trace -samples 10000 >/dev/null
 	$(GO) run ./cmd/freerider-calibrate -trials 1 >/dev/null
-	$(GO) run ./cmd/freerider-bench -quick -json table1 power plmrate snr-single >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick -json table1 power fig15 fig16 waterfall plmrate snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -json -faults impulsive snr-single >/dev/null
+	$(GO) run ./examples/coexistence >/dev/null
 
 # -shuffle=on randomises test order every run so accidental inter-test
 # coupling (shared caches, package-level state) surfaces in CI instead of

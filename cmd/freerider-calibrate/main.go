@@ -16,33 +16,22 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bluetooth"
 	"repro/internal/channel"
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/signal"
-	"repro/internal/wifi"
-	"repro/internal/zigbee"
 )
 
-// radios lists the sweeps in print order: each radio's title, its
-// DeriveSeed domain, one native frame, and the receiver's detection
-// quality on a noisy capture of it.
-var radios = []struct {
+// radios holds each radio's sweep, indexed by core.Radio and printed in
+// that order: its title, its DeriveSeed domain and the payload size of its
+// native frame.
+var radios = [...]struct {
 	title, domain string
-	transmit      func() (*signal.Signal, error)
-	detect        func(cap *signal.Signal) float64
+	size          int
 }{
-	{"WiFi (LTF periodicity quality)", "calibrate.wifi",
-		func() (*signal.Signal, error) {
-			return wifi.NewTransmitter().Transmit(wifi.AppendFCS(make([]byte, 300)), wifi.Rates[6])
-		},
-		func(cap *signal.Signal) float64 { _, q := wifi.NewReceiver().DetectPreamble(cap); return q }},
-	{"ZigBee (preamble correlation quality)", "calibrate.zigbee",
-		func() (*signal.Signal, error) { return zigbee.NewTransmitter().Transmit(make([]byte, 60)) },
-		func(cap *signal.Signal) float64 { _, q := zigbee.NewReceiver().Detect(cap); return q }},
-	{"Bluetooth (sync-word correlation quality)", "calibrate.bluetooth",
-		func() (*signal.Signal, error) { return bluetooth.NewTransmitter().Transmit(make([]byte, 60)) },
-		func(cap *signal.Signal) float64 { _, q := bluetooth.NewReceiver().Detect(cap); return q }},
+	core.WiFi:      {"WiFi (LTF periodicity quality)", "calibrate.wifi", 300},
+	core.ZigBee:    {"ZigBee (preamble correlation quality)", "calibrate.zigbee", 60},
+	core.Bluetooth: {"Bluetooth (sync-word correlation quality)", "calibrate.bluetooth", 60},
 }
 
 func main() {
@@ -56,12 +45,13 @@ func main() {
 		if ri > 0 {
 			fmt.Println()
 		}
+		link := experiments.NativeLinks[ri]
 		fmt.Println(r.title + ":")
 		q := make([]float64, len(snrs))
 		err := runner.Map(len(snrs), 0, func(i int) error {
 			var qSum float64
 			for tr := 0; tr < *trials; tr++ {
-				sig, err := r.transmit()
+				sig, err := link.Transmit(make([]byte, r.size))
 				if err != nil {
 					return err
 				}
@@ -69,7 +59,7 @@ func main() {
 				if err != nil {
 					return err
 				}
-				qSum += r.detect(cap)
+				qSum += link.Detect(cap)
 			}
 			q[i] = qSum / float64(*trials)
 			return nil

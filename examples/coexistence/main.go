@@ -10,14 +10,12 @@ import (
 	"log"
 
 	"repro/internal/coexist"
+	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/tag"
 )
 
 func main() {
-	excitations := []tag.Excitation{
-		tag.ExcitationWiFi, tag.ExcitationZigBee, tag.ExcitationBluetooth,
-	}
+	excitations := []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth}
 
 	fmt.Println("does backscatter hurt the WiFi network? (Fig 15)")
 	for _, exc := range excitations {

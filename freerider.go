@@ -40,7 +40,6 @@ import (
 	"repro/internal/plm"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/tag"
 	"repro/internal/zigbee"
 )
 
@@ -517,19 +516,12 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 					decoded = got.Data[:len(chunk)]
 					delivered = true
 					rep.CorrectedSymbols += got.Corrected
-					break
 				}
-				if pr.Decoded {
-					rep.CorruptPackets++
-				}
-				if !pr.Fault.IsZero() {
-					rep.FaultedLosses++
-				}
-				continue
-			}
-			if pr.Decoded && pr.BitErrors == 0 {
+			} else if pr.Decoded && pr.BitErrors == 0 {
 				decoded = pr.DecodedTag
 				delivered = true
+			}
+			if delivered {
 				break
 			}
 			if pr.Decoded {
@@ -662,17 +654,8 @@ func BitsFromBytes(data []byte) []byte { return bits.FromBytes(data) }
 func BytesFromBits(bs []byte) ([]byte, error) { return bits.ToBytes(bs) }
 
 // TagPowerProfile itemises the tag's microwatt budget (§3.3).
-type TagPowerProfile = tag.PowerProfile
+type TagPowerProfile = core.TagPowerProfile
 
 // TagPower returns the §3.3 power budget for a radio's translator with the
 // given channel-shift toggle frequency.
-func TagPower(r Radio, shiftHz float64) TagPowerProfile {
-	switch r {
-	case ZigBee:
-		return tag.PowerFor(tag.ExcitationZigBee, shiftHz)
-	case Bluetooth:
-		return tag.PowerFor(tag.ExcitationBluetooth, shiftHz)
-	default:
-		return tag.PowerFor(tag.ExcitationWiFi, shiftHz)
-	}
-}
+func TagPower(r Radio, shiftHz float64) TagPowerProfile { return core.TagPower(r, shiftHz) }

@@ -110,8 +110,7 @@ type Tap struct {
 // FadeModel selects the per-packet small-scale fading distribution drawn
 // by ApplyToWithPower. The zero value keeps the historical behaviour (Rician with
 // FadingK, no fading when K <= 0), so existing configurations and the
-// calibration are unchanged; fault profiles reference the same enum so the
-// baseline fading model and the injected impairments never disagree.
+// calibration are unchanged.
 type FadeModel int
 
 // Available fading distributions.
@@ -200,9 +199,10 @@ func (l Link) SNRdB() float64 { return l.BackscatterRSSI() - l.NoiseFloor }
 // it here"): the waveform cache stores each entry's mean power at synthesis
 // time, and passing it back skips a full re-scan of an immutable source on
 // every packet. Passing exactly s.MeanPower() is bit-identical to passing
-// 0. The tag-side losses must already be embedded in the waveform (the tag
-// model applies its own mixer), so callers pass excludeTagLoss=true when
-// the waveform was produced by the tag model.
+// 0. The source is normalised to unit power, so no gain inside the
+// waveform (the tag model's mixer included) reaches the capture: the
+// link's TagLossDB is the only tag loss applied, and callers pass
+// excludeTagLoss=false. True drops TagLossDB from the receive power.
 func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom int, excludeTagLoss bool, meanPower float64) error {
 	if s == nil || len(s.Samples) == 0 {
 		return fmt.Errorf("channel: empty input signal")

@@ -15,8 +15,8 @@ import (
 	"math/rand"
 
 	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/signal"
-	"repro/internal/tag"
 )
 
 // wifiRateStep is one entry of the SINR→goodput staircase: the minimum SINR
@@ -60,8 +60,10 @@ type Config struct {
 	// WiFiBusyFraction is the channel-6 airtime occupancy of the transfer.
 	WiFiBusyFraction float64
 
-	// Excitation selects the backscatter excitation radio.
-	Excitation tag.Excitation
+	// Excitation selects the backscatter excitation radio. Its transmit
+	// power and its receiver's noise floor are core.DefaultConfig's link
+	// budget, the one the packet-level sessions run on.
+	Excitation core.Radio
 	// TagToWiFiRx is the distance from the tag to the WiFi receiver (1 m in
 	// §4.4.1); TagToBackscatterRx from the tag to its own receiver;
 	// WiFiToBackscatterRx from the WiFi transmitter to the backscatter
@@ -77,7 +79,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the §4.4 experimental topology for one excitation.
-func DefaultConfig(exc tag.Excitation) Config {
+func DefaultConfig(exc core.Radio) Config {
 	cfg := Config{
 		WindowSeconds:       0.1,
 		Windows:             200,
@@ -93,15 +95,15 @@ func DefaultConfig(exc tag.Excitation) Config {
 		BackscatterReqSNRdB: 4,
 	}
 	switch exc {
-	case tag.ExcitationWiFi:
+	case core.WiFi:
 		// Backscatter on channel 13, 35 MHz from channel 6: TX spectral mask
 		// leakage plus receive filtering give ~55 dB, the least rejection of
 		// the three because the 20 MHz receiver is wideband.
 		cfg.BackscatterACIRdB = 55
-	case tag.ExcitationZigBee:
+	case core.ZigBee:
 		// 2.48 GHz, 43 MHz away, 2 MHz receiver: strong rejection.
 		cfg.BackscatterACIRdB = 65
-	case tag.ExcitationBluetooth:
+	case core.Bluetooth:
 		cfg.BackscatterACIRdB = 68
 	}
 	return cfg
@@ -109,29 +111,16 @@ func DefaultConfig(exc tag.Excitation) Config {
 
 // backscatterPlateauKbps returns the single-link plateau rate and packet
 // airtime for each excitation (calibrated by the core sessions).
-func backscatterPlateau(exc tag.Excitation) (kbps, packetSeconds float64) {
+func backscatterPlateau(exc core.Radio) (kbps, packetSeconds float64) {
 	switch exc {
-	case tag.ExcitationWiFi:
+	case core.WiFi:
 		return 61.8, 2.13e-3
-	case tag.ExcitationZigBee:
+	case core.ZigBee:
 		return 14.8, 3.65e-3
-	case tag.ExcitationBluetooth:
+	case core.Bluetooth:
 		return 58.0, 2.26e-3
 	}
 	return 0, 0
-}
-
-// excitationPowerDBm is each excitation radio's transmit power in §4.4.
-func excitationPowerDBm(exc tag.Excitation) float64 {
-	switch exc {
-	case tag.ExcitationWiFi:
-		return 11
-	case tag.ExcitationZigBee:
-		return 5
-	case tag.ExcitationBluetooth:
-		return 0
-	}
-	return 0
 }
 
 // WiFiThroughput samples per-window WiFi goodput in Mbps with or without
@@ -145,14 +134,14 @@ func WiFiThroughput(cfg Config, backscatterPresent bool) ([]float64, error) {
 
 	// Desired WiFi signal at its receiver.
 	sig := cfg.WiFiTxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(cfg.WiFiLinkDistance)
-	floor := channel.NoiseFloorFor(20e6, 6)
+	floor := core.DefaultConfig(core.WiFi, cfg.WiFiLinkDistance).Link.NoiseFloor
 
 	// Tag re-radiated power arriving at the WiFi receiver, after
 	// excitation path, tag losses, tag→WiFi-RX path, and adjacent-channel
 	// rejection at the WiFi receiver.
 	var interf float64 = math.Inf(-1)
 	if backscatterPresent {
-		excAtTag := excitationPowerDBm(cfg.Excitation) + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
+		excAtTag := core.DefaultConfig(cfg.Excitation, cfg.TagToWiFiRx).Link.TxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
 		interf = excAtTag - channel.DefaultTagLossDB -
 			dep.PathLossDB(cfg.TagToWiFiRx) - cfg.WiFiRxACIRdB
 	}
@@ -181,18 +170,11 @@ func BackscatterThroughput(cfg Config, wifiPresent bool) ([]float64, error) {
 	pktsPerWindow := int(cfg.WindowSeconds / (pktTime / 0.95))
 
 	// Backscatter signal at its own receiver.
-	excAtTag := excitationPowerDBm(cfg.Excitation) + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
+	link := core.DefaultConfig(cfg.Excitation, cfg.TagToBackscatterRx).Link
+	excAtTag := link.TxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
 	bsSig := excAtTag - channel.DefaultTagLossDB + channel.DefaultSystemGainDB/2 -
 		dep.PathLossDB(cfg.TagToBackscatterRx)
-	var floor float64
-	switch cfg.Excitation {
-	case tag.ExcitationWiFi:
-		floor = channel.NoiseFloorFor(20e6, 6)
-	case tag.ExcitationZigBee:
-		floor = channel.NoiseFloorFor(2e6, 10)
-	case tag.ExcitationBluetooth:
-		floor = channel.NoiseFloorFor(1e6, 12)
-	}
+	floor := link.NoiseFloor
 
 	// WiFi leakage into the backscatter channel.
 	var interf float64 = math.Inf(-1)
@@ -247,7 +229,7 @@ func validate(cfg Config) error {
 		return fmt.Errorf("coexist: distances must be positive")
 	}
 	switch cfg.Excitation {
-	case tag.ExcitationWiFi, tag.ExcitationZigBee, tag.ExcitationBluetooth:
+	case core.WiFi, core.ZigBee, core.Bluetooth:
 	default:
 		return fmt.Errorf("coexist: unknown excitation %v", cfg.Excitation)
 	}

@@ -3,28 +3,28 @@ package coexist
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/tag"
 )
 
 func TestValidate(t *testing.T) {
-	bad := DefaultConfig(tag.ExcitationWiFi)
+	bad := DefaultConfig(core.WiFi)
 	bad.Windows = 0
 	if _, err := WiFiThroughput(bad, true); err == nil {
 		t.Error("zero windows accepted")
 	}
-	bad = DefaultConfig(tag.ExcitationWiFi)
+	bad = DefaultConfig(core.WiFi)
 	bad.WiFiBusyFraction = 1.5
 	if _, err := BackscatterThroughput(bad, true); err == nil {
 		t.Error("busy fraction 1.5 accepted")
 	}
-	bad = DefaultConfig(tag.ExcitationWiFi)
+	bad = DefaultConfig(core.WiFi)
 	bad.TagToWiFiRx = 0
 	if _, err := WiFiThroughput(bad, true); err == nil {
 		t.Error("zero distance accepted")
 	}
-	bad = DefaultConfig(tag.ExcitationWiFi)
-	bad.Excitation = tag.Excitation(9)
+	bad = DefaultConfig(core.WiFi)
+	bad.Excitation = core.Radio(9)
 	if _, err := WiFiThroughput(bad, true); err == nil {
 		t.Error("unknown excitation accepted")
 	}
@@ -34,7 +34,7 @@ func TestValidate(t *testing.T) {
 // running must be within a whisker of the tag-free median, for every
 // excitation type (§4.4.1: 37.0/37.9/36.8 vs 37.4 Mbps).
 func TestFig15BackscatterDoesNotHurtWiFi(t *testing.T) {
-	for _, exc := range []tag.Excitation{tag.ExcitationWiFi, tag.ExcitationZigBee, tag.ExcitationBluetooth} {
+	for _, exc := range []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth} {
 		cfg := DefaultConfig(exc)
 		without, err := WiFiThroughput(cfg, false)
 		if err != nil {
@@ -59,7 +59,7 @@ func TestFig15BackscatterDoesNotHurtWiFi(t *testing.T) {
 // CDF tail; ZigBee and Bluetooth barely move (§4.4.2).
 func TestFig16WiFiImpactOnBackscatter(t *testing.T) {
 	// WiFi excitation: median preserved, low quantile degraded.
-	cfg := DefaultConfig(tag.ExcitationWiFi)
+	cfg := DefaultConfig(core.WiFi)
 	absent, err := BackscatterThroughput(cfg, false)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFig16WiFiImpactOnBackscatter(t *testing.T) {
 	}
 
 	// ZigBee and Bluetooth: medians move by at most ~2 kbps.
-	for _, exc := range []tag.Excitation{tag.ExcitationZigBee, tag.ExcitationBluetooth} {
+	for _, exc := range []core.Radio{core.ZigBee, core.Bluetooth} {
 		cfg := DefaultConfig(exc)
 		absent, err := BackscatterThroughput(cfg, false)
 		if err != nil {
@@ -114,7 +114,7 @@ func TestGoodputStaircase(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := DefaultConfig(tag.ExcitationWiFi)
+	cfg := DefaultConfig(core.WiFi)
 	a, _ := BackscatterThroughput(cfg, true)
 	b, _ := BackscatterThroughput(cfg, true)
 	for i := range a {
@@ -125,7 +125,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestPlateauValues(t *testing.T) {
-	for _, exc := range []tag.Excitation{tag.ExcitationWiFi, tag.ExcitationZigBee, tag.ExcitationBluetooth} {
+	for _, exc := range []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth} {
 		kbps, pkt := backscatterPlateau(exc)
 		if kbps <= 0 || pkt <= 0 {
 			t.Fatalf("%v: missing plateau calibration", exc)

@@ -7,13 +7,37 @@ import (
 )
 
 func TestRadioString(t *testing.T) {
-	for _, r := range []Radio{WiFi, ZigBee, Bluetooth} {
-		if strings.HasPrefix(r.String(), "Radio(") {
-			t.Errorf("radio %d unnamed", r)
+	// The bench tables and the fig15/fig16 rows print these names.
+	for r, want := range map[Radio]string{WiFi: "802.11g/n WiFi", ZigBee: "ZigBee", Bluetooth: "Bluetooth"} {
+		if got := r.String(); got != want {
+			t.Errorf("radio %d named %q, want %q", int(r), got, want)
 		}
 	}
 	if !strings.HasPrefix(Radio(9).String(), "Radio(") {
 		t.Error("invalid radio should print numerically")
+	}
+}
+
+func TestPowerBudgetMatchesPaper(t *testing.T) {
+	// WiFi translator with a 20 MHz shift: ~19 + 12 + 3 = 34 uW, i.e.
+	// "around 30 uW" (§3.3).
+	p := TagPower(WiFi, 20e6)
+	if math.Abs(p.ClockUW-19) > 0.1 {
+		t.Fatalf("clock power %g, want 19", p.ClockUW)
+	}
+	if p.SwitchUW != 12 {
+		t.Fatalf("switch power %g, want 12", p.SwitchUW)
+	}
+	if total := p.TotalUW(); total < 28 || total > 36 {
+		t.Fatalf("total %g uW, want around 30", total)
+	}
+	// Bluetooth toggles far slower so the clock draw collapses.
+	bt := TagPower(Bluetooth, 500e3)
+	if bt.ClockUW > 1 {
+		t.Fatalf("bluetooth clock power %g, want < 1", bt.ClockUW)
+	}
+	if bt.LogicUW >= p.LogicUW {
+		t.Error("bluetooth control logic should be simpler than wifi's")
 	}
 }
 

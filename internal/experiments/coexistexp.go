@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/coexist"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/tag"
 )
 
 // CDFSummary condenses a throughput CDF into the quantiles the paper
@@ -35,11 +35,11 @@ func summarise(xs []float64) (CDFSummary, error) {
 	return CDFSummary{Median: med, P10: p10, P90: p90, Points: stats.CDF(xs)}, nil
 }
 
-var coexistExcitations = []tag.Excitation{tag.ExcitationWiFi, tag.ExcitationZigBee, tag.ExcitationBluetooth}
+var coexistExcitations = []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth}
 
 // Fig15Row compares WiFi goodput with and without one backscatter type.
 type Fig15Row struct {
-	Excitation  tag.Excitation
+	Excitation  core.Radio
 	WithoutMbps CDFSummary // backscatter absent
 	WithMbps    CDFSummary // backscatter present
 }
@@ -85,7 +85,7 @@ func Fig15WiFiCoexistence(windows int, opt Options) ([]Fig15Row, error) {
 
 // Fig16Row compares backscatter goodput with WiFi traffic present/absent.
 type Fig16Row struct {
-	Excitation  tag.Excitation
+	Excitation  core.Radio
 	AbsentKbps  CDFSummary // WiFi traffic absent
 	PresentKbps CDFSummary
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -110,5 +112,32 @@ func TestWaterfallMonotone(t *testing.T) {
 	}
 	if _, err := Waterfall(core.WiFi, []float64{0}, 0, Options{Seed: 1}); err == nil {
 		t.Error("zero frames accepted")
+	}
+	if _, err := Waterfall(core.Radio(9), []float64{0}, 1, Options{Seed: 1}); err == nil {
+		t.Error("unknown radio accepted")
+	}
+}
+
+// TestWaterfallWorkerCountInvariant holds Waterfall, which is not in the
+// registry, to TestRegistryWorkerCountInvariant's contract: identical
+// rows and point/packet/sample counters on one worker and on three.
+func TestWaterfallWorkerCountInvariant(t *testing.T) {
+	for _, radio := range []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth} {
+		e := Experiment{Name: radio.String(), Run: func(opt Options, _ bool) (any, error) {
+			return Waterfall(radio, []float64{-2, 2, 6, 12}, 3, opt)
+		}}
+		t.Run(e.Name, func(t *testing.T) {
+			opt := QuickOptions()
+			opt.Workers = 1
+			rows1, reps1 := meteredRun(t, e, opt)
+			opt.Workers = 3
+			rows3, reps3 := meteredRun(t, e, opt)
+			if !bytes.Equal(rows1, rows3) {
+				t.Errorf("rows differ between 1 and 3 workers:\n%s\n%s", rows1, rows3)
+			}
+			if !reflect.DeepEqual(reps1, reps3) {
+				t.Errorf("spans %+v on 1 worker, %+v on 3", reps1, reps3)
+			}
+		})
 	}
 }

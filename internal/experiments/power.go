@@ -6,14 +6,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/tag"
 )
 
 // PowerRow itemises one translator configuration's power budget (§3.3).
 type PowerRow struct {
-	Excitation tag.Excitation
+	Excitation core.Radio
 	ShiftHz    float64
-	Profile    tag.PowerProfile
+	Profile    core.TagPowerProfile
 }
 
 // String renders the row.
@@ -27,19 +26,19 @@ func (r PowerRow) String() string {
 // the 20 MHz ring-oscillator clock.
 func PowerBudget() []PowerRow {
 	cases := []struct {
-		exc   tag.Excitation
+		exc   core.Radio
 		shift float64
 	}{
-		{tag.ExcitationWiFi, 20e6},      // hop to channel 13
-		{tag.ExcitationZigBee, 16e6},    // hop toward 2.48 GHz
-		{tag.ExcitationBluetooth, 20e6}, // hop plus the 500 kHz codeword toggle
+		{core.WiFi, 20e6},      // hop to channel 13
+		{core.ZigBee, 16e6},    // hop toward 2.48 GHz
+		{core.Bluetooth, 20e6}, // hop plus the 500 kHz codeword toggle
 	}
 	out := make([]PowerRow, 0, len(cases))
 	for _, c := range cases {
 		out = append(out, PowerRow{
 			Excitation: c.exc,
 			ShiftHz:    c.shift,
-			Profile:    tag.PowerFor(c.exc, c.shift),
+			Profile:    core.TagPower(c.exc, c.shift),
 		})
 	}
 	return out

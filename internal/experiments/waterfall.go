@@ -6,7 +6,9 @@ import (
 	"repro/internal/bluetooth"
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/signal"
 	"repro/internal/wifi"
 	"repro/internal/zigbee"
 )
@@ -26,125 +28,112 @@ func (p WaterfallPoint) String() string {
 		p.SNRdB, p.PacketRate, p.PayloadBER, p.Frames-p.FrameErrors, p.Frames)
 }
 
+// NativeLink is one radio's native PHY chain (no backscatter) at its
+// default settings: the transmitter, the receiver and the receiver's
+// preamble detector.
+type NativeLink struct {
+	// Transmit synthesises one frame carrying payload (WiFi appends the
+	// FCS and sends at 6 Mbps).
+	Transmit func(payload []byte) (*signal.Signal, error)
+	// Receive decodes a capture, returning the payload (without the WiFi
+	// FCS) and whether its checksum held.
+	Receive func(cap *signal.Signal) (payload []byte, checksumOK bool, err error)
+	// Detect returns the preamble detection quality on a capture.
+	Detect func(cap *signal.Signal) float64
+}
+
+// NativeLinks holds each radio's native link, indexed by core.Radio.
+var NativeLinks = [...]NativeLink{
+	core.WiFi: {
+		Transmit: func(payload []byte) (*signal.Signal, error) {
+			return wifi.NewTransmitter().Transmit(wifi.AppendFCS(payload), wifi.Rates[6])
+		},
+		Receive: func(cap *signal.Signal) ([]byte, bool, error) {
+			pkt, err := wifi.NewReceiver().Receive(cap)
+			if err != nil || len(pkt.PSDU) < 4 {
+				return nil, false, err
+			}
+			return pkt.PSDU[:len(pkt.PSDU)-4], pkt.FCSOK, nil
+		},
+		Detect: func(cap *signal.Signal) float64 { _, q := wifi.NewReceiver().DetectPreamble(cap); return q },
+	},
+	core.ZigBee: {
+		Transmit: func(payload []byte) (*signal.Signal, error) { return zigbee.NewTransmitter().Transmit(payload) },
+		Receive: func(cap *signal.Signal) ([]byte, bool, error) {
+			f, err := zigbee.NewReceiver().Receive(cap)
+			if err != nil {
+				return nil, false, err
+			}
+			return f.Payload, f.FCSOK, nil
+		},
+		Detect: func(cap *signal.Signal) float64 { _, q := zigbee.NewReceiver().Detect(cap); return q },
+	},
+	core.Bluetooth: {
+		Transmit: func(payload []byte) (*signal.Signal, error) { return bluetooth.NewTransmitter().Transmit(payload) },
+		Receive: func(cap *signal.Signal) ([]byte, bool, error) {
+			f, err := bluetooth.NewReceiver().Receive(cap)
+			if err != nil {
+				return nil, false, err
+			}
+			return f.Payload, f.CRCOK, nil
+		},
+		Detect: func(cap *signal.Signal) float64 { _, q := bluetooth.NewReceiver().Detect(cap); return q },
+	},
+}
+
+// waterfallPayload is each radio's waterfall frame payload in bytes.
+var waterfallPayload = [...]int{core.WiFi: 200, core.ZigBee: 90, core.Bluetooth: 120}
+
 // Waterfall sweeps packet success and payload BER against SNR for one
 // excitation PHY's native link (no backscatter), using each receiver's
 // default detection settings: the sensitivity curves the link-budget
 // calibration rests on. Frames per point controls the resolution.
 //
-// Every (SNR point, frame) pair is an independent job on the worker pool,
-// seeded by runner.DeriveSeed(seed, "waterfall.<radio>", point, frame), so
-// frames within a point run concurrently yet the per-point tallies reduce
-// in frame order and match a serial sweep exactly.
+// Each SNR point is one job on the worker pool and runs its frames in
+// frame order, frame f of point i seeded by
+// runner.DeriveSeed(seed, "waterfall.<radio>", i, f).
 func Waterfall(radio core.Radio, snrsDB []float64, framesPerPoint int, opt Options) ([]WaterfallPoint, error) {
 	if framesPerPoint <= 0 {
 		return nil, fmt.Errorf("experiments: frames per point %d must be positive", framesPerPoint)
 	}
+	if radio < 0 || int(radio) >= len(NativeLinks) {
+		return nil, fmt.Errorf("experiments: unknown radio %v", radio)
+	}
+	link, size := NativeLinks[radio], waterfallPayload[radio]
 	domain := fmt.Sprintf("waterfall.%v", radio)
-	sp := opt.Obs.Start(domain)
-	type frameResult struct {
-		ok               bool
-		bitErrs, bitTot  int
-		samplesProcessed int64
-	}
-	frames := make([]frameResult, len(snrsDB)*framesPerPoint)
-	st, err := runner.MapStats(len(frames), opt.Workers, func(k int) error {
-		i, f := k/framesPerPoint, k%framesPerPoint
-		s := runner.DeriveSeed(opt.Seed, domain, i, f)
-		ok, be, bt, ns, err := oneFrame(radio, snrsDB[i], s)
-		if err != nil {
-			return err
-		}
-		frames[k] = frameResult{ok: ok, bitErrs: be, bitTot: bt, samplesProcessed: ns}
-		return nil
-	})
-	sp.RecordPool(st.Workers, st.Busy)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	out := make([]WaterfallPoint, 0, len(snrsDB))
-	for i, snr := range snrsDB {
-		pt := WaterfallPoint{SNRdB: snr, Frames: framesPerPoint}
+	return sweep(opt, domain, len(snrsDB), func(i int, sp *obs.Span) (WaterfallPoint, error) {
+		pt := WaterfallPoint{SNRdB: snrsDB[i], Frames: framesPerPoint}
 		bitErr, bitTot := 0, 0
 		for f := 0; f < framesPerPoint; f++ {
-			fr := frames[i*framesPerPoint+f]
+			seed := runner.DeriveSeed(opt.Seed, domain, i, f)
+			payload := make([]byte, size)
+			for j := range payload {
+				payload[j] = byte(j*31 + int(seed))
+			}
+			sig, err := link.Transmit(payload)
+			if err != nil {
+				return WaterfallPoint{}, err
+			}
+			cap, err := channel.ApplySNR(sig, snrsDB[i], 300, seed)
+			if err != nil {
+				return WaterfallPoint{}, err
+			}
 			sp.AddPackets(1)
-			sp.AddSamples(fr.samplesProcessed)
-			if !fr.ok {
+			sp.AddSamples(int64(len(cap.Samples)))
+			got, ok, err := link.Receive(cap)
+			if err != nil || !ok || len(got) != size {
 				pt.FrameErrors++
 				continue
 			}
-			bitErr += fr.bitErrs
-			bitTot += fr.bitTot
+			bitErr += byteErrors(got, payload)
+			bitTot += size * 8
 		}
 		pt.PacketRate = float64(framesPerPoint-pt.FrameErrors) / float64(framesPerPoint)
 		if bitTot > 0 {
 			pt.PayloadBER = float64(bitErr) / float64(bitTot)
 		}
-		out = append(out, pt)
-	}
-	sp.AddPoints(int64(len(out)))
-	sp.End()
-	return out, nil
-}
-
-// oneFrame runs a single native-PHY frame at the given SNR, returning
-// whether the frame passed its checksum plus payload bit-error counts and
-// the number of baseband samples in the noisy capture.
-func oneFrame(radio core.Radio, snrDB float64, seed int64) (ok bool, bitErrs, bits int, samples int64, err error) {
-	payload := make([]byte, 200)
-	for i := range payload {
-		payload[i] = byte(i*31 + int(seed))
-	}
-	switch radio {
-	case core.WiFi:
-		psdu := wifi.AppendFCS(payload)
-		sig, terr := wifi.NewTransmitter().Transmit(psdu, wifi.Rates[6])
-		if terr != nil {
-			return false, 0, 0, 0, terr
-		}
-		cap, cerr := channel.ApplySNR(sig, snrDB, 300, seed)
-		if cerr != nil {
-			return false, 0, 0, 0, cerr
-		}
-		samples = int64(len(cap.Samples))
-		pkt, rerr := wifi.NewReceiver().Receive(cap)
-		if rerr != nil || len(pkt.PSDU) != len(psdu) {
-			return false, 0, 0, samples, nil
-		}
-		return pkt.FCSOK, byteErrors(pkt.PSDU[:len(payload)], payload), len(payload) * 8, samples, nil
-	case core.ZigBee:
-		sig, terr := zigbee.NewTransmitter().Transmit(payload[:90])
-		if terr != nil {
-			return false, 0, 0, 0, terr
-		}
-		cap, cerr := channel.ApplySNR(sig, snrDB, 300, seed)
-		if cerr != nil {
-			return false, 0, 0, 0, cerr
-		}
-		samples = int64(len(cap.Samples))
-		f, rerr := zigbee.NewReceiver().Receive(cap)
-		if rerr != nil || len(f.Payload) != 90 {
-			return false, 0, 0, samples, nil
-		}
-		return f.FCSOK, byteErrors(f.Payload, payload[:90]), 90 * 8, samples, nil
-	case core.Bluetooth:
-		sig, terr := bluetooth.NewTransmitter().Transmit(payload[:120])
-		if terr != nil {
-			return false, 0, 0, 0, terr
-		}
-		cap, cerr := channel.ApplySNR(sig, snrDB, 300, seed)
-		if cerr != nil {
-			return false, 0, 0, 0, cerr
-		}
-		samples = int64(len(cap.Samples))
-		f, rerr := bluetooth.NewReceiver().Receive(cap)
-		if rerr != nil || len(f.Payload) != 120 {
-			return false, 0, 0, samples, nil
-		}
-		return f.CRCOK, byteErrors(f.Payload, payload[:120]), 120 * 8, samples, nil
-	}
-	return false, 0, 0, 0, fmt.Errorf("experiments: unknown radio %v", radio)
+		return pt, nil
+	})
 }
 
 func byteErrors(got, want []byte) int {

@@ -226,7 +226,7 @@ func Run(cfg Config, rounds int) (Result, error) {
 			for _, i := range desynced {
 				occupancy[(i+1)%slots] = append(occupancy[(i+1)%slots], -1-i)
 			}
-			countSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
+			CountSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
 		case FramedSlottedAloha:
 			occupancy := make([][]int, slots)
 			for _, i := range active {
@@ -244,22 +244,22 @@ func Run(cfg Config, rounds int) (Result, error) {
 				}
 				occupancy[s] = append(occupancy[s], -1-i)
 			}
-			countSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
+			CountSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
 		}
 		res.Rounds = append(res.Rounds, st)
 		res.Duration += ctrlTime + float64(slots)*cfg.SlotTime + cfg.InterRoundDelay
 
 		if cfg.Scheme == FramedSlottedAloha && cfg.Adaptive {
-			slots = nextSlotCount(st)
+			slots = NextSlotCount(st)
 		}
 	}
 	return res, nil
 }
 
-// countSlots tallies slot outcomes. Synced transmitters appear as their tag
+// CountSlots tallies slot outcomes. Synced transmitters appear as their tag
 // index and deliver when alone in a slot; stale transmissions are encoded
 // as -1-index and only ever corrupt the slot they land in.
-func countSlots(st *RoundStats, occupancy [][]int, perTag []int, bitsPerSlot int) {
+func CountSlots(st *RoundStats, occupancy [][]int, perTag []int, bitsPerSlot int) {
 	for _, tagsIn := range occupancy {
 		switch {
 		case len(tagsIn) == 0:
@@ -273,10 +273,10 @@ func countSlots(st *RoundStats, occupancy [][]int, perTag []int, bitsPerSlot int
 	}
 }
 
-// nextSlotCount applies Schoute's backlog estimate: each collision hides
+// NextSlotCount applies Schoute's backlog estimate: each collision hides
 // ~2.39 tags on average, so the next frame sizes itself to the estimated
 // number of contenders.
-func nextSlotCount(st RoundStats) int {
+func NextSlotCount(st RoundStats) int {
 	est := int(math.Round(2.39*float64(st.Collisions) + float64(st.Successes)))
 	if est < 2 {
 		est = 2

@@ -30,7 +30,6 @@ func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.Ha
 	var gate *runner.Gate
 	if gated {
 		gate = runner.NewGate(s.cfg.MaxInflight)
-		s.gates[name] = gate
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if gate != nil {

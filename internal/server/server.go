@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/waveform"
 )
 
@@ -86,7 +85,6 @@ type Server struct {
 	// synthesised excitations even across distinct link configurations.
 	waveforms *waveform.Cache
 	endpoints *obs.EndpointSet
-	gates     map[string]*runner.Gate
 	fec       obs.FECCounters
 	modes     obs.ModeCounters
 	start     time.Time
@@ -102,7 +100,6 @@ func New(cfg Config) *Server {
 		mux:       http.NewServeMux(),
 		waveforms: waveform.New(0),
 		endpoints: obs.NewEndpointSet(),
-		gates:     map[string]*runner.Gate{},
 		start:     time.Now(),
 	}
 	s.routes()

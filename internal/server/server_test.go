@@ -202,20 +202,43 @@ func TestOversizeBody(t *testing.T) {
 	}
 }
 
-// TestBackpressure fills an endpoint's gate and checks the next request
-// is shed with 429 + Retry-After rather than queued.
+// stalledBody is a request body whose first Read reports on entered and
+// then blocks until release closes, holding its request inside the
+// handler and so inside the endpoint's gate.
+type stalledBody struct {
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (b stalledBody) Read([]byte) (int, error) {
+	select {
+	case <-b.release:
+	default:
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	return 0, io.EOF
+}
+
+// TestBackpressure fills an endpoint's gate with stalled requests and
+// checks the next request is shed with 429 + Retry-After rather than
+// queued.
 func TestBackpressure(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 2})
-	gate := s.gates["decode"]
-	for i := 0; i < gate.Capacity(); i++ {
-		if !gate.TryEnter() {
-			t.Fatalf("gate refused slot %d of %d", i, gate.Capacity())
-		}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := httptest.NewRequest("POST", "/v1/decode", stalledBody{entered, release})
+			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		}()
+		<-entered
 	}
 	defer func() {
-		for i := 0; i < gate.Capacity(); i++ {
-			gate.Leave()
-		}
+		close(release)
+		wg.Wait()
 	}()
 	resp, body := postJSON(t, ts.URL+"/v1/decode", decodeRequest{Radio: "wifi", Ref: "0101", RX: "0101", Window: 2})
 	if resp.StatusCode != http.StatusTooManyRequests {

@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/firmware"
@@ -58,7 +57,8 @@ func DefaultConfig(n int) Config {
 }
 
 // Run simulates the configured number of rounds, reusing the mac package's
-// result type so the two models are directly comparable.
+// result type and round accounting (mac.CountSlots, mac.NextSlotCount) so
+// the two models are directly comparable.
 func Run(cfg Config, rounds int) (mac.Result, error) {
 	if cfg.Tags <= 0 || rounds <= 0 {
 		return mac.Result{}, fmt.Errorf("sim: tags %d and rounds %d must be positive", cfg.Tags, rounds)
@@ -133,26 +133,12 @@ func Run(cfg Config, rounds int) (mac.Result, error) {
 				}
 			}
 		}
-		for _, who := range occupancy {
-			switch len(who) {
-			case 0:
-				st.Idle++
-			case 1:
-				st.Successes++
-				res.PerTagBits[who[0]] += cfg.BitsPerSlot
-			default:
-				st.Collisions++
-			}
-		}
+		mac.CountSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
 		res.Rounds = append(res.Rounds, st)
 		res.Duration += announceTime + float64(slots)*cfg.SlotTime + cfg.InterRoundDelay
 
 		if cfg.Adaptive {
-			est := int(math.Round(2.39*float64(st.Collisions) + float64(st.Successes)))
-			if est < 2 {
-				est = 2
-			}
-			slots = est
+			slots = mac.NextSlotCount(st)
 		}
 	}
 	return res, nil

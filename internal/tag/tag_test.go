@@ -305,37 +305,3 @@ func TestEnvelopeDetectorOpenEndedPulse(t *testing.T) {
 		t.Fatalf("found %d pulses, want 1 (truncated)", len(pulses))
 	}
 }
-
-func TestPowerBudgetMatchesPaper(t *testing.T) {
-	// WiFi translator with a 20 MHz shift: ~19 + 12 + 3 = 34 uW, i.e.
-	// "around 30 uW" (§3.3).
-	p := PowerFor(ExcitationWiFi, 20e6)
-	if math.Abs(p.ClockUW-19) > 0.1 {
-		t.Fatalf("clock power %g, want 19", p.ClockUW)
-	}
-	if p.SwitchUW != 12 {
-		t.Fatalf("switch power %g, want 12", p.SwitchUW)
-	}
-	if total := p.TotalUW(); total < 28 || total > 36 {
-		t.Fatalf("total %g uW, want around 30", total)
-	}
-	// Bluetooth toggles far slower so the clock draw collapses.
-	bt := PowerFor(ExcitationBluetooth, 500e3)
-	if bt.ClockUW > 1 {
-		t.Fatalf("bluetooth clock power %g, want < 1", bt.ClockUW)
-	}
-	if bt.LogicUW >= PowerFor(ExcitationWiFi, 20e6).LogicUW {
-		t.Error("bluetooth control logic should be simpler than wifi's")
-	}
-}
-
-func TestExcitationString(t *testing.T) {
-	for _, e := range []Excitation{ExcitationWiFi, ExcitationZigBee, ExcitationBluetooth} {
-		if e.String() == "unknown" {
-			t.Errorf("excitation %d has no name", e)
-		}
-	}
-	if Excitation(99).String() != "unknown" {
-		t.Error("invalid excitation should be unknown")
-	}
-}
