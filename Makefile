@@ -15,14 +15,20 @@ fmt-check:
 # a crossing that never comes (a null, not a failed encode). The
 # coexistence example and the power, fig15, fig16 and waterfall runs
 # exercise the per-radio tables: core.TagPower, the coexistence link
-# budget and experiments.NativeLinks.
+# budget and experiments.NativeLinks. The fig4, fig17, fig17sim and
+# baselines runs, the chaos fig17 run and the multitag and tagloop
+# examples drive the envelope detector, both multi-tag models (mac with
+# and without round corruption, and sim) and the DSSS receive functions.
 cmd-smoke:
 	$(GO) run ./cmd/freerider-sim -packets 2 >/dev/null
 	$(GO) run ./cmd/freerider-trace -samples 10000 >/dev/null
 	$(GO) run ./cmd/freerider-calibrate -trials 1 >/dev/null
-	$(GO) run ./cmd/freerider-bench -quick -json table1 power fig15 fig16 waterfall plmrate snr-single >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick -json table1 power fig4 fig15 fig16 fig17 fig17sim waterfall baselines plmrate snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -json -faults impulsive snr-single >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick -faults chaos fig17 >/dev/null
 	$(GO) run ./examples/coexistence >/dev/null
+	$(GO) run ./examples/multitag >/dev/null
+	$(GO) run ./examples/tagloop >/dev/null
 
 # -shuffle=on randomises test order every run so accidental inter-test
 # coupling (shared caches, package-level state) surfaces in CI instead of
@@ -98,7 +104,7 @@ bench-serve-baseline:
 # bench-dsp is the DSP-hot-path regression gate. It benchmarks the FFT
 # plans, convolution (the 101-tap filter and the Bluetooth receive
 # shape), the per-radio end-to-end packet (core
-# BenchmarkSessionRunPacket), the channel application per fading model and
+# BenchmarkSessionRunPacket), the channel application on a Rician link and
 # the fault layer, the 1500 B WiFi PPDU synthesis (wifi
 # BenchmarkTransmit1500B), appends one JSONL trajectory point to BENCH_DSP.json,
 # and fails if any benchmark regresses past the checked-in

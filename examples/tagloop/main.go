@@ -44,8 +44,7 @@ func main() {
 	}
 
 	// --- The tag hears it through its envelope detector. ---
-	det := tag.NewEnvelopeDetector()
-	pulses := det.Detect(rf)
+	pulses := tag.DetectEnvelope(rf)
 	fmt.Printf("tag: envelope detector timed %d pulses\n", len(pulses))
 
 	fw, err := firmware.New(scheme, 99)

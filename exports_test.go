@@ -4,7 +4,8 @@ package freerider_test
 // and of the separate perfbench module, type-checked with go/types as the
 // host would build them. TestNoUncalledExports keeps every exported
 // function, method and type under internal/ in use by some program, not
-// only by tests; TestNoUnreadFields does the same for struct fields.
+// only by tests; TestNoUnreadFields does the same for struct fields, and
+// TestNoUnsetFields keeps every such field written by some program.
 
 import (
 	"errors"
@@ -272,12 +273,50 @@ func TestNoUnreadFields(t *testing.T) {
 	root := l.pkgs["repro"].Scope()
 	for _, name := range root.Names() {
 		if obj := root.Lookup(name); obj.Exported() {
-			r.reach(obj.Type(), true)
+			r.reach(obj.Type(), readAPI)
 		}
 	}
 	r.instantiate()
+	checkFields(t, l, r.read, fieldAllowlist, "read")
+}
 
-	unread := map[string]bool{}
+// unsetAllowlist names exported struct fields under internal/ that no
+// program writes but that stay, each with its reason. Keys are
+// "pkg.Type.Field", pkg being the path below internal/.
+var unsetAllowlist = map[string]string{
+	"channel.Link.Multipath": "EXPERIMENTS.md validation row `TestWiFiBackscatterSurvivesMultipath`",
+	"channel.Tap.Delay":      "EXPERIMENTS.md validation row `TestWiFiBackscatterSurvivesMultipath`",
+	"channel.Tap.GainDB":     "EXPERIMENTS.md validation row `TestWiFiBackscatterSurvivesMultipath`",
+}
+
+// TestNoUnsetFields is the write twin of TestNoUnreadFields: every
+// exported field of a struct type declared under internal/ must be
+// written by some program, or it is an option only tests set and its
+// zero value is a constant. A field counts as written when a program
+//   - assigns it (=, op=) or increments or decrements it;
+//   - names it in a keyed or positional composite literal;
+//   - takes its address, or calls a pointer-receiver method on it; or
+//   - its struct type is reachable from a value converted to the empty
+//     interface, which is how encoding/json fills request types.
+//
+// The rule over-approximates writes, so a field it reports is unset.
+func TestNoUnsetFields(t *testing.T) {
+	l := loadProgram(t)
+	r := newFieldReads(l.info)
+	for _, f := range l.files {
+		r.walk(f)
+	}
+	r.instantiate()
+	checkFields(t, l, r.written, unsetAllowlist, "written")
+}
+
+// checkFields fails for each exported field of a struct type declared
+// under internal/ that is not in done and not allowlisted, and for each
+// allowlist entry that names a field in done, names no field or has no
+// reason.
+func checkFields(t *testing.T, l *progLoader, done map[*types.Var]bool, allow map[string]string, verb string) {
+	t.Helper()
+	missing := map[string]bool{}
 	var dead []string
 	for path, pkg := range l.pkgs {
 		rel, ok := strings.CutPrefix(path, "repro/internal/")
@@ -295,12 +334,12 @@ func TestNoUnreadFields(t *testing.T) {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if !f.Exported() || r.read[f] {
+				if !f.Exported() || done[f] {
 					continue
 				}
 				key := rel + "." + name + "." + f.Name()
-				unread[key] = true
-				if _, ok := fieldAllowlist[key]; !ok {
+				missing[key] = true
+				if _, ok := allow[key]; !ok {
 					dead = append(dead, l.fset.Position(f.Pos()).String()+": "+key)
 				}
 			}
@@ -308,11 +347,11 @@ func TestNoUnreadFields(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s: exported field read by no program; delete it with what only feeds it, or allowlist it with a reason", d)
+		t.Errorf("%s: exported field %s by no program; delete it or make it a constant, or allowlist it with a reason", d, verb)
 	}
-	for key, reason := range fieldAllowlist {
-		if !unread[key] {
-			t.Errorf("allowlist entry %s is read by a program or no longer exists; drop the entry", key)
+	for key, reason := range allow {
+		if !missing[key] {
+			t.Errorf("allowlist entry %s is %s by a program or no longer exists; drop the entry", key, verb)
 		}
 		if reason == "" {
 			t.Errorf("allowlist entry %s has no reason", key)
@@ -365,35 +404,53 @@ func (l *progLoader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// reachKey is a type reach has walked, as data or as API.
+// reachMode is what reach marks on the fields it walks.
+type reachMode int
+
+const (
+	readData reachMode = iota // read, as data reflection can read
+	readAPI                   // read, as library API: also through signatures
+	written                   // written, as data reflection can fill
+)
+
+// reachKey is a type reach has walked in one mode.
 type reachKey struct {
-	t   types.Type
-	api bool
+	t types.Type
+	m reachMode
 }
 
-// fieldReads accumulates the struct fields programs read, and the
-// interface conversions that read them.
+// paramKey is a type parameter whose values a program converts to an
+// interface: to any interface (readData) or to the empty one (written).
+type paramKey struct {
+	tp *types.TypeParam
+	m  reachMode
+}
+
+// fieldReads accumulates the struct fields programs read and write, and
+// the interface conversions that read them.
 type fieldReads struct {
-	info *types.Info
-	read map[*types.Var]bool
-	seen map[reachKey]bool
+	info    *types.Info
+	read    map[*types.Var]bool
+	written map[*types.Var]bool
+	seen    map[reachKey]bool
 	// converts lists each {concrete, interface} type pair a program
 	// converts a value between.
 	converts [][2]types.Type
 	// params are the type parameters whose values a program converts to
 	// an interface; recv maps a method's receiver type parameters to its
 	// type's.
-	params map[*types.TypeParam]bool
+	params map[paramKey]bool
 	recv   map[*types.TypeParam]*types.TypeParam
 }
 
 func newFieldReads(info *types.Info) *fieldReads {
 	r := &fieldReads{
-		info:   info,
-		read:   map[*types.Var]bool{},
-		seen:   map[reachKey]bool{},
-		params: map[*types.TypeParam]bool{},
-		recv:   map[*types.TypeParam]*types.TypeParam{},
+		info:    info,
+		read:    map[*types.Var]bool{},
+		written: map[*types.Var]bool{},
+		seen:    map[reachKey]bool{},
+		params:  map[paramKey]bool{},
+		recv:    map[*types.TypeParam]*types.TypeParam{},
 	}
 	for _, obj := range info.Defs {
 		fn, ok := obj.(*types.Func)
@@ -415,59 +472,67 @@ func newFieldReads(info *types.Info) *fieldReads {
 	return r
 }
 
-// reach marks every field of every struct type reachable from t as read:
-// through pointers, containers, type arguments and struct fields, and
-// when api is set also through function signatures and interface methods.
-// Methods of named types are not followed: a method is a name of the
-// package that declares it, so what it returns is read only where a
-// program reads it.
-func (r *fieldReads) reach(t types.Type, api bool) {
-	if t == nil || r.seen[reachKey{t, api}] {
+// reach marks every field of every struct type reachable from t as read
+// or, in mode written, as written: through pointers, containers, type
+// arguments and struct fields, and in mode readAPI also through function
+// signatures and interface methods. Methods of named types are not
+// followed: a method is a name of the package that declares it, so what
+// it returns is read only where a program reads it.
+func (r *fieldReads) reach(t types.Type, m reachMode) {
+	if t == nil || r.seen[reachKey{t, m}] {
 		return
 	}
-	r.seen[reachKey{t, api}] = true
+	r.seen[reachKey{t, m}] = true
+	api := m == readAPI
 	switch t := t.(type) {
 	case *types.Alias:
-		r.reach(types.Unalias(t), api)
+		r.reach(types.Unalias(t), m)
 	case *types.Named:
 		for i := 0; i < t.TypeArgs().Len(); i++ {
-			r.reach(t.TypeArgs().At(i), api)
+			r.reach(t.TypeArgs().At(i), m)
 		}
-		r.reach(t.Underlying(), api)
+		r.reach(t.Underlying(), m)
 	case *types.Pointer:
-		r.reach(t.Elem(), api)
+		r.reach(t.Elem(), m)
 	case *types.Slice:
-		r.reach(t.Elem(), api)
+		r.reach(t.Elem(), m)
 	case *types.Array:
-		r.reach(t.Elem(), api)
+		r.reach(t.Elem(), m)
 	case *types.Chan:
-		r.reach(t.Elem(), api)
+		r.reach(t.Elem(), m)
 	case *types.Map:
-		r.reach(t.Key(), api)
-		r.reach(t.Elem(), api)
+		r.reach(t.Key(), m)
+		r.reach(t.Elem(), m)
 	case *types.Struct:
+		marks := r.read
+		if m == written {
+			marks = r.written
+		}
 		for i := 0; i < t.NumFields(); i++ {
-			r.read[t.Field(i).Origin()] = true
-			r.reach(t.Field(i).Type(), api)
+			marks[t.Field(i).Origin()] = true
+			r.reach(t.Field(i).Type(), m)
 		}
 	case *types.Tuple:
 		for i := 0; i < t.Len(); i++ {
-			r.reach(t.At(i).Type(), api)
+			r.reach(t.At(i).Type(), m)
 		}
 	case *types.Signature:
 		if api {
-			r.reach(t.Params(), api)
-			r.reach(t.Results(), api)
+			r.reach(t.Params(), m)
+			r.reach(t.Results(), m)
 		}
 	case *types.Interface:
 		for i := 0; api && i < t.NumMethods(); i++ {
-			r.reach(t.Method(i).Type(), api)
+			r.reach(t.Method(i).Type(), m)
 		}
 	case *types.TypeParam:
 		if tp, ok := r.recv[t]; ok {
 			t = tp
 		}
-		r.params[t] = true
+		if m == readAPI {
+			m = readData
+		}
+		r.params[paramKey{t, m}] = true
 	}
 }
 
@@ -480,10 +545,13 @@ func isInterface(t types.Type) bool {
 
 // flow records a value of type from stored into a slot of type to: a
 // non-interface value converted to an interface is data reflection can
-// read.
+// read, and converted to the empty interface data it can also fill.
 func (r *fieldReads) flow(to, from types.Type) {
 	if to != nil && from != nil && isInterface(to) && !isInterface(from) {
-		r.reach(from, false)
+		r.reach(from, readData)
+		if to.Underlying().(*types.Interface).Empty() {
+			r.reach(from, written)
+		}
 		r.converts = append(r.converts, [2]types.Type{from, to})
 	}
 }
@@ -507,8 +575,9 @@ func (r *fieldReads) sources(exprs []ast.Expr) []types.Type {
 	return out
 }
 
-// walk records the field selections of f and every place it converts a
-// value to an interface, compares structs or keys a map by one.
+// walk records the field selections and field writes of f and every
+// place it converts a value to an interface, compares structs or keys a
+// map by one.
 func (r *fieldReads) walk(f *ast.File) {
 	info := r.info
 	assigned := map[*ast.SelectorExpr]bool{} // left operands of =
@@ -523,8 +592,12 @@ func (r *fieldReads) walk(f *ast.File) {
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[n]; ok {
 				r.selection(sel, assigned[n])
+				r.pointerCall(sel, n.X)
 			}
 		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				r.write(e)
+			}
 			if n.Tok != token.ASSIGN {
 				break
 			}
@@ -558,6 +631,12 @@ func (r *fieldReads) walk(f *ast.File) {
 					r.flow(sig.Results().At(i).Type(), s)
 				}
 			}
+		case *ast.IncDecStmt:
+			r.write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				r.write(n.X)
+			}
 		case *ast.CallExpr:
 			r.call(n)
 		case *ast.CompositeLit:
@@ -584,7 +663,7 @@ func (r *fieldReads) walk(f *ast.File) {
 			}
 		case *ast.MapType:
 			if k := info.TypeOf(n.Key); k != nil && !isInterface(k) {
-				r.reach(k, false)
+				r.reach(k, readData)
 			}
 		}
 		return true
@@ -616,6 +695,30 @@ func (r *fieldReads) selection(sel *types.Selection, assigned bool) {
 	}
 }
 
+// write marks the field e selects, if it selects one, as written.
+func (r *fieldReads) write(e ast.Expr) {
+	if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if sel, ok := r.info.Selections[s]; ok && sel.Kind() == types.FieldVal {
+			r.written[sel.Obj().(*types.Var).Origin()] = true
+		}
+	}
+}
+
+// pointerCall marks x written when sel selects a pointer-receiver method
+// on it and x is not itself a pointer: the call takes x's address.
+func (r *fieldReads) pointerCall(sel *types.Selection, x ast.Expr) {
+	if sel.Kind() != types.MethodVal {
+		return
+	}
+	recv := sel.Obj().Type().(*types.Signature).Recv().Type()
+	if _, ok := recv.(*types.Pointer); !ok {
+		return
+	}
+	if _, ok := r.info.TypeOf(x).Underlying().(*types.Pointer); !ok {
+		r.write(x)
+	}
+}
+
 // compare records an == between values of types x and y: it converts a
 // non-interface operand to the other's interface type, and compares every
 // field of a struct operand.
@@ -628,7 +731,7 @@ func (r *fieldReads) compare(x, y types.Type) {
 		}
 		switch t.Underlying().(type) {
 		case *types.Struct, *types.Array:
-			r.reach(t, false)
+			r.reach(t, readData)
 		}
 	}
 }
@@ -682,8 +785,9 @@ func (r *fieldReads) call(n *ast.CallExpr) {
 	}
 }
 
-// composite records the interface conversions of a composite literal's
-// elements into its field, element, key and value types.
+// composite records the fields a composite literal names, and the
+// interface conversions of its elements into its field, element, key and
+// value types.
 func (r *fieldReads) composite(n *ast.CompositeLit) {
 	t := r.info.TypeOf(n)
 	if p, ok := t.Underlying().(*types.Pointer); ok {
@@ -699,6 +803,7 @@ func (r *fieldReads) composite(n *ast.CompositeLit) {
 			for j := 0; j < u.NumFields(); j++ {
 				f := u.Field(j)
 				if (key == nil && j == i) || (key != nil && key.(*ast.Ident).Name == f.Name()) {
+					r.written[f.Origin()] = true
 					r.flow(f.Type(), r.info.TypeOf(val))
 				}
 			}
@@ -716,7 +821,7 @@ func (r *fieldReads) composite(n *ast.CompositeLit) {
 // instantiate marks the type arguments bound to converted type parameters
 // as converted, until no instantiation adds one.
 func (r *fieldReads) instantiate() {
-	done := map[types.Type]bool{}
+	done := map[reachKey]bool{}
 	for changed := true; changed; {
 		changed = false
 		for id, inst := range r.info.Instances {
@@ -730,11 +835,13 @@ func (r *fieldReads) instantiate() {
 				}
 			}
 			for i := 0; i < tps.Len() && i < inst.TypeArgs.Len(); i++ {
-				arg := inst.TypeArgs.At(i)
-				if r.params[tps.At(i)] && !done[arg] {
-					done[arg] = true
-					changed = true
-					r.reach(arg, false)
+				for _, m := range []reachMode{readData, written} {
+					k := reachKey{inst.TypeArgs.At(i), m}
+					if r.params[paramKey{tps.At(i), m}] && !done[k] {
+						done[k] = true
+						changed = true
+						r.reach(k.t, m)
+					}
 				}
 			}
 		}

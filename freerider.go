@@ -634,9 +634,7 @@ func RunNetwork(cfg NetworkConfig, rounds int) (NetworkResult, error) {
 // envelope detector, so control losses emerge from the mechanism rather
 // than from an analytic probability. Use it to cross-validate RunNetwork.
 func RunNetworkFirmwareLevel(n, rounds int, seed int64) (NetworkResult, error) {
-	cfg := sim.DefaultConfig(n)
-	cfg.Seed = seed
-	return sim.Run(cfg, rounds)
+	return sim.Run(n, rounds, seed)
 }
 
 // PLMScheme is the packet-length-modulation downlink alphabet (§2.4.2).

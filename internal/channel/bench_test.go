@@ -7,7 +7,7 @@ import (
 	"repro/internal/signal"
 )
 
-func benchLink(fm FadeModel) Link {
+func benchLink() Link {
 	return Link{
 		Deployment: LOS,
 		TxPowerDBm: 20,
@@ -17,7 +17,6 @@ func benchLink(fm FadeModel) Link {
 		TagToRx:    5,
 		NoiseFloor: -90,
 		FadingK:    3,
-		FadeModel:  fm,
 		Seed:       42,
 	}
 }
@@ -31,37 +30,28 @@ func benchInput(n int) *signal.Signal {
 	return s
 }
 
-// BenchmarkLinkApply times the per-packet channel application for each
-// fading model; bench-dsp tracks its ns/op and allocs/op.
+// BenchmarkLinkApply times the per-packet channel application on a
+// Rician-faded link; bench-dsp tracks its ns/op and allocs/op.
 func BenchmarkLinkApply(b *testing.B) {
 	in := benchInput(8192)
-	for _, tc := range []struct {
-		name string
-		fm   FadeModel
-	}{
-		{"Rician", FadeRician},
-		{"None", FadeNone},
-		{"Rayleigh", FadeRayleigh},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			l := benchLink(tc.fm)
-			dst := signal.New(0, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("Rician", func(b *testing.B) {
+		l := benchLink()
+		dst := signal.New(0, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestApplyToZeroAllocs pins the pooled fast path: once the destination
 // capacity and the RNG pool are warm, ApplyToWithPower must not touch the
 // heap.
 func TestApplyToZeroAllocs(t *testing.T) {
-	l := benchLink(FadeRician)
+	l := benchLink()
 	in := benchInput(4096)
 	dst := signal.New(0, 0)
 	if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
@@ -81,7 +71,7 @@ func TestApplyToZeroAllocs(t *testing.T) {
 // earlier capture, receives exactly what a fresh one does, and that
 // passing the source's own mean power is bit-identical to passing 0.
 func TestApplyToMatchesApply(t *testing.T) {
-	l := benchLink(FadeRayleigh)
+	l := benchLink()
 	l.Multipath = []Tap{{Delay: 250e-9, GainDB: -6}}
 	l.CFOHz = 11e3
 	in := benchInput(2048)

@@ -91,9 +91,6 @@ type Link struct {
 	// 800 ns OFDM cyclic prefix, where the LTF equaliser absorbs them —
 	// one reason wideband OFDM WiFi is the most robust excitation.
 	Multipath []Tap
-	// FadeModel selects the small-scale fading distribution; the zero
-	// value is FadeRician parameterised by FadingK.
-	FadeModel FadeModel
 	// Impairment, when non-nil, layers one packet's time-varying faults
 	// (burst loss, CFO drift, brownout truncation, impulsive noise) on top
 	// of the static model above.
@@ -105,38 +102,6 @@ type Link struct {
 type Tap struct {
 	Delay  float64 // seconds after the direct path
 	GainDB float64 // relative to the direct path (negative)
-}
-
-// FadeModel selects the per-packet small-scale fading distribution drawn
-// by ApplyToWithPower. The zero value keeps the historical behaviour (Rician with
-// FadingK, no fading when K <= 0), so existing configurations and the
-// calibration are unchanged.
-type FadeModel int
-
-// Available fading distributions.
-const (
-	// FadeRician draws sqrt(K/(K+1)) + CN(0, 1/(K+1)) using Link.FadingK;
-	// K <= 0 disables fading. This is the default.
-	FadeRician FadeModel = iota
-	// FadeRayleigh draws a pure CN(0, 1) gain; FadingK is ignored. The
-	// worst-case NLOS model GuardRider-style deployments assume.
-	FadeRayleigh
-	// FadeNone pins the channel gain to 1 regardless of FadingK — the
-	// deterministic baseline calibration sweeps use.
-	FadeNone
-)
-
-// String names the model.
-func (m FadeModel) String() string {
-	switch m {
-	case FadeRician:
-		return "rician"
-	case FadeRayleigh:
-		return "rayleigh"
-	case FadeNone:
-		return "none"
-	}
-	return fmt.Sprintf("FadeModel(%d)", int(m))
 }
 
 // Impairment is one packet's worth of time-varying channel faults, computed
@@ -301,16 +266,9 @@ func (l Link) truncateFraction() float64 {
 	return 0
 }
 
-// fadeGain draws one packet's small-scale fading gain (complex, mean
-// square 1) from the link's configured FadeModel.
+// fadeGain draws one packet's Rician small-scale fading gain (complex,
+// mean square 1) with the link's FadingK; K <= 0 disables fading.
 func (l Link) fadeGain(rng *signal.Noise) complex128 {
-	switch l.FadeModel {
-	case FadeNone:
-		return 1
-	case FadeRayleigh:
-		s := math.Sqrt(0.5) // per real dimension, mean square 1 total
-		return complex(rng.NormFloat64()*s, rng.NormFloat64()*s)
-	}
 	if l.FadingK <= 0 {
 		return 1
 	}

@@ -238,6 +238,9 @@ func TestMultipathAddsEchoEnergy(t *testing.T) {
 	}
 }
 
+// TestFadeModelConfig: FadingK is the fading model's one setting. K <= 0
+// pins the gain to 1; a small K (near-Rayleigh) varies the packet power
+// across seeds.
 func TestFadeModelConfig(t *testing.T) {
 	s := signal.New(1e6, 2000)
 	for i := range s.Samples {
@@ -245,20 +248,19 @@ func TestFadeModelConfig(t *testing.T) {
 	}
 	l := wifiLOSLink(5)
 	l.NoiseFloor = -200
-	l.FadingK = 4
 
-	// FadeNone pins the gain to 1 even with K set.
-	l.FadeModel = FadeNone
-	out, err := apply(l, s, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := signal.PowerDB(out.MeanPower()), l.BackscatterRSSI(); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("FadeNone power %g, want exactly %g", got, want)
+	for _, k := range []float64{0, -1} {
+		l.FadingK = k
+		out, err := apply(l, s, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := signal.PowerDB(out.MeanPower()), l.BackscatterRSSI(); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("K=%g power %g, want exactly %g", k, got, want)
+		}
 	}
 
-	// Rayleigh ignores K and actually varies across seeds.
-	l.FadeModel = FadeRayleigh
+	l.FadingK = 0.01
 	var powers []float64
 	for seed := int64(1); seed <= 6; seed++ {
 		l.Seed = seed
@@ -275,20 +277,7 @@ func TestFadeModelConfig(t *testing.T) {
 		}
 	}
 	if !varied {
-		t.Fatalf("Rayleigh fading produced constant power %v", powers)
-	}
-
-	// The zero value keeps the historical Rician behaviour bit for bit.
-	a := wifiLOSLink(5)
-	a.FadingK = 4
-	b := a
-	b.FadeModel = FadeRician
-	ca, _ := apply(a, s, 10, false)
-	cb, _ := apply(b, s, 10, false)
-	for i := range ca.Samples {
-		if ca.Samples[i] != cb.Samples[i] {
-			t.Fatal("zero-value FadeModel changed the Rician capture")
-		}
+		t.Fatalf("near-Rayleigh fading produced constant power %v", powers)
 	}
 }
 
@@ -480,13 +469,6 @@ func applyRef(l Link, s *signal.Signal, headroom int, excludeTagLoss bool) *sign
 
 // fadeGainRef is Link.fadeGain drawing from a *rand.Rand.
 func fadeGainRef(l Link, rng *rand.Rand) complex128 {
-	switch l.FadeModel {
-	case FadeNone:
-		return 1
-	case FadeRayleigh:
-		s := math.Sqrt(0.5)
-		return complex(rng.NormFloat64()*s, rng.NormFloat64()*s)
-	}
 	if l.FadingK <= 0 {
 		return 1
 	}
@@ -496,7 +478,7 @@ func fadeGainRef(l Link, rng *rand.Rand) complex128 {
 	return complex(los+rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
 }
 
-// TestApplyMatchesRandReference runs every fading model with multipath,
+// TestApplyMatchesRandReference runs faded and unfaded links with multipath,
 // brownout truncation, static and drifting CFO and impulsive noise
 // through ApplyToWithPower (into a dirty, reused buffer) in both dispatch modes
 // and requires applyRef's capture bit for bit, so the stream reaches the
@@ -510,38 +492,36 @@ func TestApplyMatchesRandReference(t *testing.T) {
 	prev := simd.Enabled()
 	defer simd.SetEnabled(prev)
 	dst := signal.New(0, 0)
-	for _, fm := range []FadeModel{FadeRician, FadeRayleigh, FadeNone} {
-		for _, k := range []float64{0, 4} {
-			for _, imp := range []*Impairment{
-				nil,
-				{Truncate: 0.6},
-				{CFOHz: 700, ImpulseProb: 0.02, ImpulsePowerDBm: -50},
-				{ExtraLossDB: 3, Truncate: 0.3, ImpulseProb: 0.5, ImpulsePowerDBm: -60},
-			} {
-				for _, taps := range [][]Tap{nil, {{Delay: 200e-9, GainDB: -3}, {Delay: 650e-9, GainDB: -9}}} {
-					l := wifiLOSLink(7)
-					l.FadeModel, l.FadingK, l.Impairment, l.Multipath = fm, k, imp, taps
-					l.CFOHz = 1200
-					l.Seed = int64(fm)*1000 + int64(k)*10 + int64(len(taps))
-					want := applyRef(l, in, 400, false)
-					for _, on := range []bool{false, true} {
-						simd.SetEnabled(on)
-						for i := range dst.Samples {
-							dst.Samples[i] = complex(math.NaN(), 1)
-						}
-						if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
-							t.Fatal(err)
-						}
-						if len(dst.Samples) != len(want.Samples) {
-							t.Fatalf("length %d, want %d", len(dst.Samples), len(want.Samples))
-						}
-						for i := range want.Samples {
-							a, b := dst.Samples[i], want.Samples[i]
-							if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
-								math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
-								t.Fatalf("%v K=%g imp=%+v taps=%d simd=%s: sample %d = %v, want %v",
-									fm, k, imp, len(taps), simd.Mode(), i, a, b)
-							}
+	for _, k := range []float64{0, 4} {
+		for _, imp := range []*Impairment{
+			nil,
+			{Truncate: 0.6},
+			{CFOHz: 700, ImpulseProb: 0.02, ImpulsePowerDBm: -50},
+			{ExtraLossDB: 3, Truncate: 0.3, ImpulseProb: 0.5, ImpulsePowerDBm: -60},
+		} {
+			for _, taps := range [][]Tap{nil, {{Delay: 200e-9, GainDB: -3}, {Delay: 650e-9, GainDB: -9}}} {
+				l := wifiLOSLink(7)
+				l.FadingK, l.Impairment, l.Multipath = k, imp, taps
+				l.CFOHz = 1200
+				l.Seed = int64(k)*10 + int64(len(taps))
+				want := applyRef(l, in, 400, false)
+				for _, on := range []bool{false, true} {
+					simd.SetEnabled(on)
+					for i := range dst.Samples {
+						dst.Samples[i] = complex(math.NaN(), 1)
+					}
+					if err := l.ApplyToWithPower(dst, in, 400, false, 0); err != nil {
+						t.Fatal(err)
+					}
+					if len(dst.Samples) != len(want.Samples) {
+						t.Fatalf("length %d, want %d", len(dst.Samples), len(want.Samples))
+					}
+					for i := range want.Samples {
+						a, b := dst.Samples[i], want.Samples[i]
+						if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
+							math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+							t.Fatalf("K=%g imp=%+v taps=%d simd=%s: sample %d = %v, want %v",
+								k, imp, len(taps), simd.Mode(), i, a, b)
 						}
 					}
 				}

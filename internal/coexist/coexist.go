@@ -47,53 +47,46 @@ func goodputForSINR(sinr float64) float64 {
 	return 0
 }
 
-// Config describes the §4.4 topology.
+// The §4.4 topology and receiver calibration.
+const (
+	// windowSeconds is the throughput-sampling window.
+	windowSeconds = 0.1
+	// wifiTxPowerDBm and wifiLinkDistance describe the file-transfer pair;
+	// wifiBusyFraction is the transfer's channel-6 airtime occupancy.
+	wifiTxPowerDBm   = 15
+	wifiLinkDistance = 3
+	wifiBusyFraction = 0.75
+	// tagToWiFiRx is the distance from the tag to the WiFi receiver (1 m
+	// in §4.4.1), tagToBackscatterRx from the tag to its own receiver and
+	// wifiToBackscatterRx from the WiFi transmitter to the backscatter
+	// receiver, metres.
+	tagToWiFiRx         = 1
+	tagToBackscatterRx  = 2
+	wifiToBackscatterRx = 3
+	// wifiRxACIRdB is the WiFi receiver's adjacent-channel interference
+	// rejection of the backscatter channel.
+	wifiRxACIRdB = 35
+	// backscatterReqSNRdB is the SINR a backscatter packet needs.
+	backscatterReqSNRdB = 4
+)
+
+// Config selects one run of the §4.4 study.
 type Config struct {
-	// WindowSeconds is the throughput-sampling window; Windows the count.
-	WindowSeconds float64
-	Windows       int
-	Seed          int64
-
-	// WiFiTxPowerDBm and WiFiLinkDistance describe the file-transfer pair.
-	WiFiTxPowerDBm   float64
-	WiFiLinkDistance float64
-	// WiFiBusyFraction is the channel-6 airtime occupancy of the transfer.
-	WiFiBusyFraction float64
-
+	// Windows is the number of throughput-sampling windows.
+	Windows int
+	Seed    int64
 	// Excitation selects the backscatter excitation radio. Its transmit
 	// power and its receiver's noise floor are core.DefaultConfig's link
 	// budget, the one the packet-level sessions run on.
 	Excitation core.Radio
-	// TagToWiFiRx is the distance from the tag to the WiFi receiver (1 m in
-	// §4.4.1); TagToBackscatterRx from the tag to its own receiver;
-	// WiFiToBackscatterRx from the WiFi transmitter to the backscatter
-	// receiver.
-	TagToWiFiRx         float64
-	TagToBackscatterRx  float64
-	WiFiToBackscatterRx float64
-	// ACIRdB is the adjacent-channel interference rejection between the
-	// WiFi channel and the backscatter channel for each receiver class.
-	WiFiRxACIRdB        float64
-	BackscatterACIRdB   float64
-	BackscatterReqSNRdB float64
+	// BackscatterACIRdB is the backscatter receiver's adjacent-channel
+	// interference rejection of the WiFi channel.
+	BackscatterACIRdB float64
 }
 
-// DefaultConfig returns the §4.4 experimental topology for one excitation.
+// DefaultConfig returns the §4.4 experimental setup for one excitation.
 func DefaultConfig(exc core.Radio) Config {
-	cfg := Config{
-		WindowSeconds:       0.1,
-		Windows:             200,
-		Seed:                1,
-		WiFiTxPowerDBm:      15,
-		WiFiLinkDistance:    3,
-		WiFiBusyFraction:    0.75,
-		Excitation:          exc,
-		TagToWiFiRx:         1,
-		TagToBackscatterRx:  2,
-		WiFiToBackscatterRx: 3,
-		WiFiRxACIRdB:        35,
-		BackscatterReqSNRdB: 4,
-	}
+	cfg := Config{Windows: 200, Seed: 1, Excitation: exc}
 	switch exc {
 	case core.WiFi:
 		// Backscatter on channel 13, 35 MHz from channel 6: TX spectral mask
@@ -133,17 +126,17 @@ func WiFiThroughput(cfg Config, backscatterPresent bool) ([]float64, error) {
 	dep := channel.LOS
 
 	// Desired WiFi signal at its receiver.
-	sig := cfg.WiFiTxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(cfg.WiFiLinkDistance)
-	floor := core.DefaultConfig(core.WiFi, cfg.WiFiLinkDistance).Link.NoiseFloor
+	sig := wifiTxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(wifiLinkDistance)
+	floor := core.DefaultConfig(core.WiFi, wifiLinkDistance).Link.NoiseFloor
 
 	// Tag re-radiated power arriving at the WiFi receiver, after
 	// excitation path, tag losses, tag→WiFi-RX path, and adjacent-channel
 	// rejection at the WiFi receiver.
 	var interf float64 = math.Inf(-1)
 	if backscatterPresent {
-		excAtTag := core.DefaultConfig(cfg.Excitation, cfg.TagToWiFiRx).Link.TxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
+		excAtTag := core.DefaultConfig(cfg.Excitation, tagToWiFiRx).Link.TxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
 		interf = excAtTag - channel.DefaultTagLossDB -
-			dep.PathLossDB(cfg.TagToWiFiRx) - cfg.WiFiRxACIRdB
+			dep.PathLossDB(tagToWiFiRx) - wifiRxACIRdB
 	}
 
 	out := make([]float64, cfg.Windows)
@@ -167,20 +160,20 @@ func BackscatterThroughput(cfg Config, wifiPresent bool) ([]float64, error) {
 
 	plateau, pktTime := backscatterPlateau(cfg.Excitation)
 	bitsPerPacket := plateau * 1e3 * pktTime / 0.95 // ~5% idle between packets
-	pktsPerWindow := int(cfg.WindowSeconds / (pktTime / 0.95))
+	pktsPerWindow := int(windowSeconds / (pktTime / 0.95))
 
 	// Backscatter signal at its own receiver.
-	link := core.DefaultConfig(cfg.Excitation, cfg.TagToBackscatterRx).Link
+	link := core.DefaultConfig(cfg.Excitation, tagToBackscatterRx).Link
 	excAtTag := link.TxPowerDBm + channel.DefaultSystemGainDB/2 - dep.PathLossDB(1)
 	bsSig := excAtTag - channel.DefaultTagLossDB + channel.DefaultSystemGainDB/2 -
-		dep.PathLossDB(cfg.TagToBackscatterRx)
+		dep.PathLossDB(tagToBackscatterRx)
 	floor := link.NoiseFloor
 
 	// WiFi leakage into the backscatter channel.
 	var interf float64 = math.Inf(-1)
 	if wifiPresent {
-		interf = cfg.WiFiTxPowerDBm + channel.DefaultSystemGainDB/2 -
-			dep.PathLossDB(cfg.WiFiToBackscatterRx) - cfg.BackscatterACIRdB
+		interf = wifiTxPowerDBm + channel.DefaultSystemGainDB/2 -
+			dep.PathLossDB(wifiToBackscatterRx) - cfg.BackscatterACIRdB
 	}
 
 	out := make([]float64, cfg.Windows)
@@ -191,16 +184,16 @@ func BackscatterThroughput(cfg Config, wifiPresent bool) ([]float64, error) {
 		fade := ricianFadeDB(rng, 2.5)
 		for p := 0; p < pktsPerWindow; p++ {
 			noise := signal.DBToPower(floor)
-			if wifiPresent && rng.Float64() < cfg.WiFiBusyFraction {
+			if wifiPresent && rng.Float64() < wifiBusyFraction {
 				// Packet overlaps a WiFi burst; the leakage fades too.
 				noise += signal.DBToPower(interf + ricianFadeDB(rng, 3))
 			}
 			sinr := bsSig + fade - signal.PowerDB(noise)
-			if sinr >= cfg.BackscatterReqSNRdB {
+			if sinr >= backscatterReqSNRdB {
 				delivered += bitsPerPacket
 			}
 		}
-		out[w] = delivered / cfg.WindowSeconds / 1e3 // kbps
+		out[w] = delivered / windowSeconds / 1e3 // kbps
 	}
 	return out, nil
 }
@@ -219,14 +212,8 @@ func ricianFadeDB(rng *rand.Rand, k float64) float64 {
 }
 
 func validate(cfg Config) error {
-	if cfg.Windows <= 0 || cfg.WindowSeconds <= 0 {
-		return fmt.Errorf("coexist: window parameters must be positive")
-	}
-	if cfg.WiFiBusyFraction < 0 || cfg.WiFiBusyFraction > 1 {
-		return fmt.Errorf("coexist: busy fraction %g outside [0,1]", cfg.WiFiBusyFraction)
-	}
-	if cfg.TagToWiFiRx <= 0 || cfg.TagToBackscatterRx <= 0 || cfg.WiFiToBackscatterRx <= 0 || cfg.WiFiLinkDistance <= 0 {
-		return fmt.Errorf("coexist: distances must be positive")
+	if cfg.Windows <= 0 {
+		return fmt.Errorf("coexist: window count %d must be positive", cfg.Windows)
 	}
 	switch cfg.Excitation {
 	case core.WiFi, core.ZigBee, core.Bluetooth:

@@ -240,7 +240,6 @@ type PacketResult struct {
 	Decoded    bool    // tag windows were extracted
 	TagBits    int     // tag bits embedded by the tag
 	BitErrors  int     // decoded tag bits differing from the sent bits
-	RSSI       float64 // backscatter RSSI at the receiver, dBm
 	AirTime    float64 // excitation packet duration, seconds
 	Samples    int     // complex-baseband samples in the receiver capture
 	DecodedTag []byte  // the decoded tag bits (nil when not decoded)
@@ -487,7 +486,6 @@ func (s *Session) runPacket(tagBits []byte, content, chanRng *rand.Rand, sequent
 		return res, nil
 	}
 	res.Detected = true
-	res.RSSI = s.cfg.Link.BackscatterRSSI()
 	if rx.obs == nil {
 		return res, nil
 	}

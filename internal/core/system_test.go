@@ -43,8 +43,7 @@ func TestFullSystemDownlinkToUplink(t *testing.T) {
 		pos += n + int(scheme.Gap*rate)
 	}
 
-	det := tag.NewEnvelopeDetector()
-	pulses := det.Detect(rf)
+	pulses := tag.DetectEnvelope(rf)
 	if len(pulses) != len(durations) {
 		t.Fatalf("envelope detector found %d pulses, want %d", len(pulses), len(durations))
 	}

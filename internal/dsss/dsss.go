@@ -116,16 +116,12 @@ func ModulateBits(b []byte) *signal.Signal {
 	return s
 }
 
-// Receiver finds DSSS frames by Barker correlation and reads their raw
-// air bits by differential detection: what a HitchHike decoder compares
-// against the excitation's air bits.
-type Receiver struct {
-	// DetectionThreshold is the minimum normalised preamble correlation.
-	DetectionThreshold float64
-}
-
-// NewReceiver returns a receiver with the default threshold.
-func NewReceiver() *Receiver { return &Receiver{DetectionThreshold: 0.5} }
+// DetectionThreshold is the minimum normalised preamble correlation at
+// which a frame Detect finds is accepted. Detect finds DSSS frames by
+// Barker correlation and RawBitsAt reads their raw air bits by
+// differential detection: what a HitchHike decoder compares against the
+// excitation's air bits.
+const DetectionThreshold = 0.5
 
 // despread correlates one Barker symbol starting at sample idx, returning
 // the complex symbol value.
@@ -143,7 +139,7 @@ func despread(samples []complex128, idx int) (complex128, bool) {
 // Detect finds the chip-aligned start of the first frame: it searches for
 // the alternating-phase preamble (all-ones data = phase toggles every
 // symbol) by maximising Barker correlation energy over a symbol of offsets.
-func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
+func Detect(cap *signal.Signal) (int, float64) {
 	n := len(cap.Samples)
 	best, bestQ := -1, 0.0
 	for start := 0; start+8*BitSamples <= n; start++ {
@@ -170,7 +166,7 @@ func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 		if q > bestQ {
 			best, bestQ = start, q
 		}
-		// Fixed internal gate, independent of the user's accept threshold.
+		// Fixed internal gate, independent of DetectionThreshold.
 		if bestQ > 0.4 && start > best+BitSamples {
 			break
 		}
@@ -181,7 +177,7 @@ func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 // RawBitsAt differentially decodes nBits starting at the symbol boundary
 // given by start (the detected frame start, i.e. the phase-reference
 // symbol).
-func (rx *Receiver) RawBitsAt(cap *signal.Signal, start, nBits int) []byte {
+func RawBitsAt(cap *signal.Signal, start, nBits int) []byte {
 	out := make([]byte, 0, nBits)
 	prev, ok := despread(cap.Samples, start)
 	if !ok {

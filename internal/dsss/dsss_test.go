@@ -59,12 +59,11 @@ func TestModulateDifferentialStructure(t *testing.T) {
 // Detect + RawBitsAt path a HitchHike decoder runs.
 func receiveAirBits(t *testing.T, cap *signal.Signal, n int) (start int, raw []byte) {
 	t.Helper()
-	rx := NewReceiver()
-	start, q := rx.Detect(cap)
-	if start < 0 || q < rx.DetectionThreshold {
+	start, q := Detect(cap)
+	if start < 0 || q < DetectionThreshold {
 		t.Fatalf("frame not detected (start %d, quality %.2f)", start, q)
 	}
-	return start, rx.RawBitsAt(cap, start, n)
+	return start, RawBitsAt(cap, start, n)
 }
 
 func TestTransmitReceiveClean(t *testing.T) {
@@ -110,8 +109,7 @@ func TestTransmitReceiveNoisyRotated(t *testing.T) {
 func TestReceiverRejectsNoise(t *testing.T) {
 	cap := signal.New(SampleRate, 40000)
 	cap.AddAWGN(0.02, signal.NewNoise(9))
-	rx := NewReceiver()
-	if start, q := rx.Detect(cap); start >= 0 && q >= rx.DetectionThreshold {
+	if start, q := Detect(cap); start >= 0 && q >= DetectionThreshold {
 		t.Errorf("detected a frame in pure noise (start %d, quality %.2f)", start, q)
 	}
 }
@@ -145,12 +143,11 @@ func TestHitchHikeCodewordTranslation(t *testing.T) {
 
 	cap := signal.New(SampleRate, len(mod.Samples)+200)
 	copy(cap.Samples[100:], mod.Samples)
-	rx := NewReceiver()
-	start, q := rx.Detect(cap)
-	if start < 0 || q < rx.DetectionThreshold {
+	start, q := Detect(cap)
+	if start < 0 || q < DetectionThreshold {
 		t.Fatal("backscattered 11b frame not detected")
 	}
-	raw := rx.RawBitsAt(cap, start, len(fb))
+	raw := RawBitsAt(cap, start, len(fb))
 	if len(raw) != len(fb) {
 		t.Fatalf("raw bits %d, want %d", len(raw), len(fb))
 	}
@@ -167,8 +164,7 @@ func TestDetectChipAlignment(t *testing.T) {
 	sig, _ := NewTransmitter().Transmit([]byte{0x42, 0x99})
 	cap := signal.New(SampleRate, len(sig.Samples)+500)
 	copy(cap.Samples[237:], sig.Samples)
-	rx := NewReceiver()
-	start, _ := rx.Detect(cap)
+	start, _ := Detect(cap)
 	if start != 237 {
 		t.Fatalf("detected start %d, want 237", start)
 	}
@@ -178,8 +174,7 @@ func TestRawBitsTruncationSafe(t *testing.T) {
 	sig, _ := NewTransmitter().Transmit([]byte{1})
 	cap := signal.New(SampleRate, len(sig.Samples))
 	copy(cap.Samples, sig.Samples)
-	rx := NewReceiver()
-	raw := rx.RawBitsAt(cap, 0, 100000)
+	raw := RawBitsAt(cap, 0, 100000)
 	if len(raw) >= 100000 {
 		t.Fatal("raw bits exceeded capture")
 	}

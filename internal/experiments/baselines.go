@@ -71,12 +71,11 @@ func RunHitchHikePacket(payloadBytes int, tagBits []byte) (HitchHikeResult, erro
 
 	cap := signal.New(dsss.SampleRate, len(mod.Samples)+200)
 	copy(cap.Samples[100:], mod.Samples)
-	rx := dsss.NewReceiver()
-	start, q := rx.Detect(cap)
-	if start < 0 || q < rx.DetectionThreshold {
+	start, q := dsss.Detect(cap)
+	if start < 0 || q < dsss.DetectionThreshold {
 		return HitchHikeResult{}, fmt.Errorf("experiments: hitchhike packet not detected")
 	}
-	raw := rx.RawBitsAt(cap, start, len(ref))
+	raw := dsss.RawBitsAt(cap, start, len(ref))
 	if len(raw) < len(ref) {
 		return HitchHikeResult{}, fmt.Errorf("experiments: hitchhike capture truncated")
 	}

@@ -40,9 +40,7 @@ func Fig17FirmwareLevel(rounds int, opt Options) ([]MultiTagPoint, error) {
 	}
 	return sweep(opt, "fig17-firmware", len(fig17Populations), func(i int, sp *obs.Span) (MultiTagPoint, error) {
 		n := fig17Populations[i]
-		cfg := sim.DefaultConfig(n)
-		cfg.Seed = runner.DeriveSeed(opt.Seed, "mac.fig17.firmware", i)
-		res, err := sim.Run(cfg, rounds)
+		res, err := sim.Run(n, rounds, runner.DeriveSeed(opt.Seed, "mac.fig17.firmware", i))
 		if err != nil {
 			return MultiTagPoint{}, err
 		}

@@ -112,7 +112,6 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 		return nil, fmt.Errorf("experiments: message count %d must be positive", messages)
 	}
 	const msgBits = 8
-	det := tag.NewEnvelopeDetector()
 	distances := []float64{1, 2, 4, 8, 12, 16, 20, 25, 30, 35, 40, 45, 50}
 	return sweep(opt, "fig4", len(distances), func(i int, sp *obs.Span) (PLMPoint, error) {
 		d := distances[i]
@@ -123,7 +122,7 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 			SystemGain: channel.DefaultSystemGainDB,
 			TxToTag:    d,
 		}
-		margin := l.ExcitationRSSIAtTag() - det.ReferenceDBm
+		margin := l.ExcitationRSSIAtTag() - tag.EnvelopeReferenceDBm
 		ok := 0
 		for m := 0; m < messages; m++ {
 			good := true

@@ -197,7 +197,11 @@ func (p CollisionPoint) String() string {
 // other's data (§2.4.1: "if two tags choose the same slot, there is a
 // collision and no data is successfully transmitted"). Each population
 // size gets its own session and derived seed, so the points run
-// concurrently instead of sharing one session's RNG stream.
+// concurrently instead of sharing one session's RNG stream. Every point
+// runs slot 0 of a fresh session, so an attached fault profile acts only
+// through what it does at slot 0: impulsive noise and a burst fade can
+// land there, while an excitation outage window opening later and a
+// brownout (the reservoir starts full) never do.
 func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 	populations := []int{1, 2, 3}
 	return sweep(opt, "collision", len(populations), func(k int, sp *obs.Span) (CollisionPoint, error) {

@@ -7,9 +7,8 @@ import (
 )
 
 // TestRoundCorruptionBlanksRounds: a corrupted PLM announcement silences
-// the whole population for that round — and with the default desync
-// recovery the tags simply rejoin on the next clean announcement instead
-// of stalling.
+// the whole population for that round, and the tags rejoin on the next
+// clean announcement.
 func TestRoundCorruptionBlanksRounds(t *testing.T) {
 	cfg := DefaultConfig(TDM, 8)
 	cfg.RoundCorruption = func(round int) float64 {
@@ -34,54 +33,6 @@ func TestRoundCorruptionBlanksRounds(t *testing.T) {
 			if st.Successes != cfg.Tags {
 				t.Fatalf("round %d: tags did not rejoin after the corruption burst: %+v", r, st)
 			}
-		}
-	}
-}
-
-// TestDesyncStallUnderperformsRecovery is the ablation the recovery
-// behaviour justifies itself against: tags that replay stale frame
-// parameters collide into the live frame (and trample announcements),
-// delivering less than tags that sit a round out and resync.
-func TestDesyncStallUnderperformsRecovery(t *testing.T) {
-	margins := make([]float64, 12)
-	for i := range margins {
-		margins[i] = 50
-		if i%2 == 0 {
-			margins[i] = 3 // lossy downlink: frequent missed announcements
-		}
-	}
-	base := DefaultConfig(FramedSlottedAloha, 12)
-	base.TagMarginsDB = margins
-
-	recover := base
-	res, err := Run(recover, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stallCfg := base
-	stallCfg.DesyncStall = true
-	stalled, err := Run(stallCfg, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sawDesync := false
-	for _, st := range stalled.Rounds {
-		if st.Desynced > 0 {
-			sawDesync = true
-			break
-		}
-	}
-	if !sawDesync {
-		t.Fatal("stall ablation never produced a desynced transmission")
-	}
-	if stalled.TotalBits() >= res.TotalBits() {
-		t.Fatalf("stalling (%d bits) should underperform desync recovery (%d bits)",
-			stalled.TotalBits(), res.TotalBits())
-	}
-	for _, st := range res.Rounds {
-		if st.Desynced != 0 {
-			t.Fatal("recovery mode reported desynced transmissions")
 		}
 	}
 }
@@ -118,7 +69,6 @@ func TestFaultedMACDeterministic(t *testing.T) {
 	mk := func() Config {
 		cfg := DefaultConfig(FramedSlottedAloha, 6)
 		cfg.RoundCorruption = profile.RoundCorruption(cfg.Seed)
-		cfg.DesyncStall = true
 		return cfg
 	}
 	a, err := Run(mk(), 50)

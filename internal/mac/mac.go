@@ -38,65 +38,49 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
+// The calibrated Fig 17 slot and control-channel timing, shared with the
+// firmware-level model in internal/sim.
+const (
+	// BitsPerSlot is the tag payload carried by one successful slot: one
+	// 1500-byte 6 Mbps WiFi packet at 4 symbols per tag bit.
+	BitsPerSlot = 125
+	// SlotTime is the airtime of one slot: the 2.03 ms excitation packet
+	// plus 0.9 ms of turnaround and guard, seconds.
+	SlotTime = 2.93e-3
+	// CtrlBits is the scheduling message's length in PLM bits, preamble
+	// included.
+	CtrlBits = 16
+	// CtrlRateBps is the PLM signalling rate, plm.DefaultScheme().RateBps():
+	// a 1 ms mean pulse plus its 0.8 ms gap per bit.
+	CtrlRateBps float64 = 1 / 1.8e-3
+	// InterRoundDelay is the idle time the coordinator leaves between
+	// rounds so the backscatter system does not hog the channel (§2.4.1),
+	// seconds.
+	InterRoundDelay = 5e-3
+)
+
+// TagMarginDB is every tag's PLM envelope margin: Fig 17's tags sit
+// directly in front of the transmitter, so the downlink margin is large.
+const TagMarginDB = 50
+
 // Config parameterises a multi-tag run.
 type Config struct {
 	Scheme Scheme
-	// Tags is the population size.
+	// Tags is the population size, and the first Aloha round's slot count.
 	Tags int
-	// InitialSlots is the first round's slot count (Aloha only).
-	InitialSlots int
-	// BitsPerSlot is the tag payload carried by one successful slot (one
-	// excitation packet's capacity, ~125 bits for 6 Mbps WiFi).
-	BitsPerSlot int
-	// SlotTime is the airtime of one slot: excitation packet plus guard.
-	SlotTime float64
-	// CtrlBits is the scheduling-message length in PLM bits (preamble
-	// included) and CtrlRateBps the PLM signalling rate.
-	CtrlBits    int
-	CtrlRateBps float64
-	// InterRoundDelay is idle time the coordinator leaves between rounds so
-	// the backscatter system does not hog the channel (§2.4.1).
-	InterRoundDelay float64
-	// TagMarginsDB is each tag's PLM envelope margin; tags miss rounds they
-	// fail to decode. Nil means every tag has a strong margin (50 dB).
-	TagMarginsDB []float64
-	// Adaptive enables slot-count adaptation between rounds (Aloha only).
-	Adaptive bool
 	// RoundCorruption gives, per round, the probability that the PLM
 	// downlink announcement is corrupted for every tag at once — an
-	// excitation outage or a burst fade over the control channel rather
-	// than one tag's weak envelope margin. Nil means announcements are only
-	// lost per-tag via TagMarginsDB. Wire a fault profile in with
-	// faults.Profile.RoundCorruption.
+	// excitation outage or a burst fade over the control channel. Nil
+	// means announcements are only lost per tag, through the envelope
+	// margin. Wire a fault profile in with faults.Profile.RoundCorruption.
 	RoundCorruption func(round int) float64
-	// DesyncStall ablates the desync recovery that is the default: a tag
-	// that missed the announcement normally stays silent and rejoins the
-	// next round it decodes, costing only its own airtime. With DesyncStall
-	// the tag instead replays its stale frame parameters — transmitting in
-	// a slot drawn from the slot count it last heard. The coordinator
-	// cannot attribute such a transmission to the announced round, so it
-	// never delivers: it only corrupts whatever slot it lands in, and a
-	// stale slot index past the current frame's end tramples the next
-	// round's announcement, desynchronising everyone.
-	DesyncStall bool
 	// Seed drives slot choices and message losses.
 	Seed int64
 }
 
 // DefaultConfig returns the calibrated Fig 17 configuration for n tags.
 func DefaultConfig(scheme Scheme, n int) Config {
-	return Config{
-		Scheme:          scheme,
-		Tags:            n,
-		InitialSlots:    n,
-		BitsPerSlot:     125,     // one 1500-byte 6 Mbps packet, 4 symbols/bit
-		SlotTime:        2.93e-3, // 2.03 ms packet + 0.9 ms turnaround/guard
-		CtrlBits:        16,
-		CtrlRateBps:     plm.DefaultScheme().RateBps(),
-		InterRoundDelay: 5e-3,
-		Adaptive:        true,
-		Seed:            1,
-	}
+	return Config{Scheme: scheme, Tags: n, Seed: 1}
 }
 
 // RoundStats reports one round's slot outcomes.
@@ -106,11 +90,8 @@ type RoundStats struct {
 	Collisions int
 	Idle       int
 	// Corrupted marks a round whose PLM announcement no tag received
-	// (RoundCorruption fired, or a stale transmission trampled it).
+	// (RoundCorruption fired).
 	Corrupted bool
-	// Desynced counts tags that transmitted on stale frame parameters this
-	// round (only under the DesyncStall ablation).
-	Desynced int
 }
 
 // Result aggregates a run.
@@ -146,7 +127,8 @@ func (r Result) FairnessIndex() (float64, error) {
 	return stats.JainIndex(xs)
 }
 
-// Run simulates the configured number of rounds.
+// Run simulates the configured number of rounds. A tag that misses an
+// announcement stays silent and rejoins the next round it decodes.
 func Run(cfg Config, rounds int) (Result, error) {
 	if err := validate(cfg); err != nil {
 		return Result{}, err
@@ -155,34 +137,12 @@ func Run(cfg Config, rounds int) (Result, error) {
 		return Result{}, fmt.Errorf("mac: rounds %d must be positive", rounds)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	margins := cfg.TagMarginsDB
-	if margins == nil {
-		// Fig 17's tags sit directly in front of the transmitter, so the
-		// PLM downlink margin is large.
-		margins = make([]float64, cfg.Tags)
-		for i := range margins {
-			margins[i] = 50
-		}
-	}
-	ctrlTime := float64(cfg.CtrlBits) / cfg.CtrlRateBps
+	heard := plm.MessageSuccessProbability(TagMarginDB, CtrlBits)
 
 	res := Result{PerTagBits: make([]int, cfg.Tags)}
-	slots := cfg.InitialSlots
-	if cfg.Scheme == TDM {
-		slots = cfg.Tags
-	}
-	// lastSlots is each tag's view of the frame size — what it transmits
-	// against when it missed the announcement under the DesyncStall
-	// ablation. With recovery (the default) a desynced tag stays silent and
-	// simply resyncs from the next announcement it decodes.
-	lastSlots := make([]int, cfg.Tags)
-	for i := range lastSlots {
-		lastSlots[i] = slots
-	}
-	jamNext := false
+	slots := cfg.Tags
 	for r := 0; r < rounds; r++ {
-		corrupted := jamNext
-		jamNext = false
+		corrupted := false
 		if cfg.RoundCorruption != nil {
 			if p := cfg.RoundCorruption(r); p > 0 && rng.Float64() < p {
 				corrupted = true
@@ -191,82 +151,49 @@ func Run(cfg Config, rounds int) (Result, error) {
 
 		// Tags must decode the PLM announcement to participate.
 		active := make([]int, 0, cfg.Tags)
-		var desynced []int
 		for i := 0; i < cfg.Tags; i++ {
-			p := plm.MessageSuccessProbability(margins[i], cfg.CtrlBits)
-			if !corrupted && rng.Float64() < p {
+			if !corrupted && rng.Float64() < heard {
 				active = append(active, i)
-				lastSlots[i] = slots
-			} else if cfg.DesyncStall {
-				desynced = append(desynced, i)
 			}
 		}
 
-		var st RoundStats
-		st.Slots = slots
-		st.Corrupted = corrupted
-		st.Desynced = len(desynced)
+		st := RoundStats{Slots: slots, Corrupted: corrupted}
 		switch cfg.Scheme {
 		case TDM:
-			if len(desynced) == 0 {
-				// Every active tag owns its dedicated slot.
-				st.Successes = len(active)
-				st.Idle = slots - len(active)
-				for _, i := range active {
-					res.PerTagBits[i] += cfg.BitsPerSlot
-				}
-				break
-			}
-			// A stalled TDM tag replays a stale schedule: its transmission
-			// lands one slot late, on top of its neighbour's.
-			occupancy := make([][]int, slots)
+			// Every active tag owns its dedicated slot.
+			st.Successes = len(active)
+			st.Idle = slots - len(active)
 			for _, i := range active {
-				occupancy[i] = append(occupancy[i], i)
+				res.PerTagBits[i] += BitsPerSlot
 			}
-			for _, i := range desynced {
-				occupancy[(i+1)%slots] = append(occupancy[(i+1)%slots], -1-i)
-			}
-			CountSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
 		case FramedSlottedAloha:
 			occupancy := make([][]int, slots)
 			for _, i := range active {
 				s := rng.Intn(slots)
 				occupancy[s] = append(occupancy[s], i)
 			}
-			for _, i := range desynced {
-				s := rng.Intn(lastSlots[i])
-				if s >= slots {
-					// The stale frame was longer than the live one: the
-					// transmission spills past the frame's end and tramples
-					// the next round's announcement.
-					jamNext = true
-					continue
-				}
-				occupancy[s] = append(occupancy[s], -1-i)
-			}
-			CountSlots(&st, occupancy, res.PerTagBits, cfg.BitsPerSlot)
+			CountSlots(&st, occupancy, res.PerTagBits)
 		}
 		res.Rounds = append(res.Rounds, st)
-		res.Duration += ctrlTime + float64(slots)*cfg.SlotTime + cfg.InterRoundDelay
+		res.Duration += CtrlBits/CtrlRateBps + float64(slots)*SlotTime + InterRoundDelay
 
-		if cfg.Scheme == FramedSlottedAloha && cfg.Adaptive {
+		if cfg.Scheme == FramedSlottedAloha {
 			slots = NextSlotCount(st)
 		}
 	}
 	return res, nil
 }
 
-// CountSlots tallies slot outcomes. Synced transmitters appear as their tag
-// index and deliver when alone in a slot; stale transmissions are encoded
-// as -1-index and only ever corrupt the slot they land in.
-func CountSlots(st *RoundStats, occupancy [][]int, perTag []int, bitsPerSlot int) {
+// CountSlots tallies slot outcomes from each slot's transmitting tags: a
+// tag alone in its slot delivers BitsPerSlot.
+func CountSlots(st *RoundStats, occupancy [][]int, perTag []int) {
 	for _, tagsIn := range occupancy {
-		switch {
-		case len(tagsIn) == 0:
+		switch len(tagsIn) {
+		case 0:
 			st.Idle++
-		case len(tagsIn) == 1 && tagsIn[0] >= 0:
+		case 1:
 			st.Successes++
-			perTag[tagsIn[0]] += bitsPerSlot
+			perTag[tagsIn[0]] += BitsPerSlot
 		default:
 			st.Collisions++
 		}
@@ -290,21 +217,6 @@ func NextSlotCount(st RoundStats) int {
 func validate(cfg Config) error {
 	if cfg.Tags <= 0 {
 		return fmt.Errorf("mac: tags %d must be positive", cfg.Tags)
-	}
-	if cfg.Scheme == FramedSlottedAloha && cfg.InitialSlots <= 0 {
-		return fmt.Errorf("mac: initial slots %d must be positive", cfg.InitialSlots)
-	}
-	if cfg.BitsPerSlot <= 0 || cfg.SlotTime <= 0 {
-		return fmt.Errorf("mac: slot parameters must be positive")
-	}
-	if cfg.CtrlBits <= 0 || cfg.CtrlRateBps <= 0 {
-		return fmt.Errorf("mac: control channel parameters must be positive")
-	}
-	if cfg.InterRoundDelay < 0 {
-		return fmt.Errorf("mac: negative inter-round delay")
-	}
-	if cfg.TagMarginsDB != nil && len(cfg.TagMarginsDB) != cfg.Tags {
-		return fmt.Errorf("mac: %d margins for %d tags", len(cfg.TagMarginsDB), cfg.Tags)
 	}
 	if cfg.Scheme != FramedSlottedAloha && cfg.Scheme != TDM {
 		return fmt.Errorf("mac: unknown scheme %v", cfg.Scheme)

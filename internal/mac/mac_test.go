@@ -1,22 +1,16 @@
 package mac
 
 import (
+	"math"
 	"testing"
+
+	"repro/internal/plm"
 )
 
 func TestValidation(t *testing.T) {
 	bad := []Config{
 		{},
 		func() Config { c := DefaultConfig(FramedSlottedAloha, 4); c.Tags = 0; return c }(),
-		func() Config { c := DefaultConfig(FramedSlottedAloha, 4); c.InitialSlots = 0; return c }(),
-		func() Config { c := DefaultConfig(FramedSlottedAloha, 4); c.BitsPerSlot = 0; return c }(),
-		func() Config { c := DefaultConfig(FramedSlottedAloha, 4); c.CtrlRateBps = 0; return c }(),
-		func() Config { c := DefaultConfig(FramedSlottedAloha, 4); c.InterRoundDelay = -1; return c }(),
-		func() Config {
-			c := DefaultConfig(FramedSlottedAloha, 4)
-			c.TagMarginsDB = []float64{20}
-			return c
-		}(),
 		func() Config { c := DefaultConfig(FramedSlottedAloha, 4); c.Scheme = Scheme(9); return c }(),
 	}
 	for i, cfg := range bad {
@@ -26,6 +20,14 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(DefaultConfig(TDM, 4), 0); err == nil {
 		t.Error("zero rounds accepted")
+	}
+}
+
+// TestControlRateIsDefaultPLM: the announcement airtime is priced at the
+// default PLM scheme's signalling rate.
+func TestControlRateIsDefaultPLM(t *testing.T) {
+	if got, want := CtrlRateBps, plm.DefaultScheme().RateBps(); got != want {
+		t.Fatalf("CtrlRateBps %v, want plm.DefaultScheme().RateBps() = %v", got, want)
 	}
 }
 
@@ -43,7 +45,7 @@ func TestTDMDeliversEverySlot(t *testing.T) {
 			t.Fatalf("TDM slots %d, want 8", st.Slots)
 		}
 	}
-	// With 25 dB margins nearly all rounds decode; every tag gets data.
+	// With 50 dB margins nearly all rounds decode; every tag gets data.
 	for i, b := range res.PerTagBits {
 		if b == 0 {
 			t.Fatalf("tag %d starved under TDM", i)
@@ -152,43 +154,48 @@ func TestFairnessNearPaperValue(t *testing.T) {
 }
 
 func TestAdaptiveTracksPopulation(t *testing.T) {
-	// Starting far under-provisioned, the adaptive coordinator must grow
-	// the frame toward the population size.
-	cfg := DefaultConfig(FramedSlottedAloha, 30)
-	cfg.InitialSlots = 2
-	res, err := Run(cfg, 30)
-	if err != nil {
-		t.Fatal(err)
+	// Starting far under-provisioned, Schoute's estimate must grow the
+	// frame toward the population size: feed it each frame's expected
+	// outcome for 30 contending tags.
+	const n = 30
+	slots := 2
+	for r := 0; r < 10; r++ {
+		l := float64(slots)
+		st := RoundStats{
+			Slots:     slots,
+			Successes: int(math.Round(n * math.Pow(1-1/l, n-1))),
+			Idle:      int(math.Round(l * math.Pow(1-1/l, n))),
+		}
+		st.Collisions = slots - st.Successes - st.Idle
+		slots = NextSlotCount(st)
 	}
-	last := res.Rounds[len(res.Rounds)-1].Slots
-	if last < 15 {
-		t.Fatalf("adaptive frame stuck at %d slots for 30 tags", last)
+	if slots < 20 || slots > 40 {
+		t.Fatalf("adaptive frame settled at %d slots for %d tags", slots, n)
 	}
-	// Non-adaptive control stays pinned.
-	cfg.Adaptive = false
-	res, err = Run(cfg, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range res.Rounds {
-		if st.Slots != 2 {
-			t.Fatal("non-adaptive run changed slot count")
+	for _, tc := range []struct {
+		st   RoundStats
+		want int
+	}{
+		{RoundStats{Slots: 8, Idle: 8}, 2},
+		{RoundStats{Slots: 256, Collisions: 200}, 256},
+		{RoundStats{Slots: 10, Successes: 3, Collisions: 2, Idle: 5}, 8},
+	} {
+		if got := NextSlotCount(tc.st); got != tc.want {
+			t.Errorf("NextSlotCount(%+v) = %d, want %d", tc.st, got, tc.want)
 		}
 	}
-}
-
-func TestWeakTagsMissRounds(t *testing.T) {
-	cfg := DefaultConfig(FramedSlottedAloha, 2)
-	cfg.TagMarginsDB = []float64{25, -30} // tag 1 cannot hear the downlink
-	res, err := Run(cfg, 100)
+	// Run resizes every Aloha frame by NextSlotCount of the round before.
+	res, err := Run(DefaultConfig(FramedSlottedAloha, n), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerTagBits[1] != 0 {
-		t.Fatalf("deaf tag delivered %d bits", res.PerTagBits[1])
+	if res.Rounds[0].Slots != n {
+		t.Fatalf("first frame %d slots, want one per tag (%d)", res.Rounds[0].Slots, n)
 	}
-	if res.PerTagBits[0] == 0 {
-		t.Fatal("healthy tag starved")
+	for r := 1; r < len(res.Rounds); r++ {
+		if got, want := res.Rounds[r].Slots, NextSlotCount(res.Rounds[r-1]); got != want {
+			t.Fatalf("round %d: %d slots, want %d", r, got, want)
+		}
 	}
 }
 

@@ -178,8 +178,7 @@ func TestEndToEndWithEnvelopeDetector(t *testing.T) {
 		pos += n + int(s.Gap*rate)
 	}
 
-	det := tag.NewEnvelopeDetector()
-	pulses := det.Detect(cap)
+	pulses := tag.DetectEnvelope(cap)
 	if len(pulses) != len(durations) {
 		t.Fatalf("detected %d pulses, want %d", len(pulses), len(durations))
 	}

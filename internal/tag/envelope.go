@@ -6,40 +6,31 @@ import (
 	"repro/internal/signal"
 )
 
-// EnvelopeDetector models the LT5534-based packet timer: it rectifies the
-// incoming waveform, low-pass filters it, compares against a reference and
-// reports packet edges with the detector's latency. It consumes < 1 µW and
-// is the only receive capability a FreeRider tag has.
-type EnvelopeDetector struct {
-	// ReferenceDBm is the comparator threshold in dBm (the paper tunes the
-	// reference voltage, 1.8 V nominal, to trade sensitivity for noise
-	// rejection; we express it directly as an equivalent input power).
-	ReferenceDBm float64
-	// SmoothingTime is the RC constant of the detector output, seconds.
-	SmoothingTime float64
-}
-
-// NewEnvelopeDetector returns a detector with the defaults used by the
-// prototype.
-func NewEnvelopeDetector() *EnvelopeDetector {
-	return &EnvelopeDetector{ReferenceDBm: -60, SmoothingTime: 1e-6}
-}
+// The LT5534-based envelope detector's settings on the prototype.
+const (
+	// EnvelopeReferenceDBm is the comparator threshold as an equivalent
+	// input power (the paper tunes the reference voltage, 1.8 V nominal,
+	// to trade sensitivity for noise rejection).
+	EnvelopeReferenceDBm = -60
+	// envelopeSmoothing is the RC constant of the detector output, seconds.
+	envelopeSmoothing = 1e-6
+)
 
 // Pulse is one detected on-air burst.
 type Pulse struct {
 	Duration float64 // seconds
 }
 
-// Detect returns the pulses present in a capture seen at the tag antenna.
-func (e *EnvelopeDetector) Detect(s *signal.Signal) []Pulse {
+// DetectEnvelope models the tag's packet timer, the only receive
+// capability a FreeRider tag has (it consumes < 1 µW): it rectifies a
+// capture seen at the tag antenna, low-pass filters it, compares it with
+// EnvelopeReferenceDBm and returns the bursts it finds.
+func DetectEnvelope(s *signal.Signal) []Pulse {
 	if len(s.Samples) == 0 {
 		return nil
 	}
-	threshold := signal.DBToPower(e.ReferenceDBm)
-	alpha := 1.0
-	if e.SmoothingTime > 0 {
-		alpha = 1 - math.Exp(-1/(e.SmoothingTime*s.Rate))
-	}
+	threshold := signal.DBToPower(EnvelopeReferenceDBm)
+	alpha := 1 - math.Exp(-1/(envelopeSmoothing*s.Rate))
 	var pulses []Pulse
 	env := 0.0
 	on := false

@@ -271,7 +271,7 @@ func TestEnvelopeDetectorFindsPulses(t *testing.T) {
 	for i := 10000; i < 11000; i++ {
 		s.Samples[i] = complex(amp, 0)
 	}
-	pulses := NewEnvelopeDetector().Detect(s)
+	pulses := DetectEnvelope(s)
 	if len(pulses) != 2 {
 		t.Fatalf("found %d pulses, want 2", len(pulses))
 	}
@@ -289,7 +289,7 @@ func TestEnvelopeDetectorIgnoresWeakSignal(t *testing.T) {
 	for i := 1000; i < 9000; i++ {
 		s.Samples[i] = complex(amp, 0)
 	}
-	if pulses := NewEnvelopeDetector().Detect(s); len(pulses) != 0 {
+	if pulses := DetectEnvelope(s); len(pulses) != 0 {
 		t.Fatalf("detected %d pulses below threshold", len(pulses))
 	}
 }
@@ -300,7 +300,7 @@ func TestEnvelopeDetectorOpenEndedPulse(t *testing.T) {
 	for i := 1000; i < 5000; i++ {
 		s.Samples[i] = complex(amp, 0)
 	}
-	pulses := NewEnvelopeDetector().Detect(s)
+	pulses := DetectEnvelope(s)
 	if len(pulses) != 1 {
 		t.Fatalf("found %d pulses, want 1 (truncated)", len(pulses))
 	}
