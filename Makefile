@@ -19,6 +19,8 @@ fmt-check:
 # baselines runs, the chaos fig17 run and the multitag and tagloop
 # examples drive the envelope detector, both multi-tag models (mac with
 # and without round corruption, and sim) and the DSSS receive functions.
+# The coded snr run is the one path through a subcommand's own flags
+# (-coded, -chase) and the coded link-margin study README quotes.
 cmd-smoke:
 	$(GO) run ./cmd/freerider-sim -packets 2 >/dev/null
 	$(GO) run ./cmd/freerider-trace -samples 10000 >/dev/null
@@ -26,6 +28,7 @@ cmd-smoke:
 	$(GO) run ./cmd/freerider-bench -quick -json table1 power fig4 fig15 fig16 fig17 fig17sim waterfall baselines plmrate snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -json -faults impulsive snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -faults chaos fig17 >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick snr -coded -chase 2 >/dev/null
 	$(GO) run ./examples/coexistence >/dev/null
 	$(GO) run ./examples/multitag >/dev/null
 	$(GO) run ./examples/tagloop >/dev/null

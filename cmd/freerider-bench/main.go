@@ -43,7 +43,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fec"
-	"repro/internal/obs"
 )
 
 // cliOnly lists the experiments the HTTP service does not serve: the
@@ -57,9 +56,9 @@ var cliOnly = []experiments.Experiment{
 // result is one experiment's output: a title plus its data rows and run
 // metrics.
 type result struct {
-	Title   string       `json:"title"`
-	Rows    any          `json:"rows"`
-	Metrics []obs.Report `json:"metrics,omitempty"`
+	Title   string               `json:"title"`
+	Rows    any                  `json:"rows"`
+	Metrics []experiments.Report `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -119,7 +118,7 @@ func main() {
 	opt.Seed = *seed
 	opt.Workers = *workers
 	opt.Faults = profile
-	collector := obs.NewCollector()
+	collector := &experiments.Collector{}
 	opt.Obs = collector
 
 	catalogue := slices.Concat(experiments.Registry, cliOnly)

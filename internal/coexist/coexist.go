@@ -7,6 +7,12 @@
 // WiFi hurts backscatter (slightly for WiFi excitation, whose wideband
 // receiver admits more adjacent-channel leakage; barely for the narrowband
 // ZigBee and Bluetooth receivers).
+//
+// Every excitation's backscatter link here uses the WiFi rig's antenna
+// and calibration gain, channel.DefaultSystemGainDB, although
+// core.DefaultConfig sets ZigBee's 4 dB and Bluetooth's 7 dB lower. Fig
+// 16's ZigBee and Bluetooth backscatter signals therefore sit 4 and 7 dB
+// above what a session at the same distance would see.
 package coexist
 
 import (

@@ -37,15 +37,9 @@ const (
 // Barker is the 11-chip Barker sequence used by 802.11b.
 var Barker = [ChipsPerBit]float64{1, -1, 1, 1, -1, 1, 1, 1, -1, -1, -1}
 
-// Transmitter synthesises 802.11b DSSS frames at complex baseband.
-type Transmitter struct{}
-
-// NewTransmitter returns a DSSS transmitter.
-func NewTransmitter() *Transmitter { return &Transmitter{} }
-
 // FrameBits builds the over-the-air bit stream: preamble ones, SFD, 16-bit
 // length (bytes, LSB first), payload, CRC-16.
-func (t *Transmitter) FrameBits(payload []byte) ([]byte, error) {
+func FrameBits(payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("dsss: payload %d exceeds %d", len(payload), MaxPayload)
 	}
@@ -72,8 +66,8 @@ func (t *Transmitter) FrameBits(payload []byte) ([]byte, error) {
 // logical FrameBits passed through the 802.11b self-synchronising
 // scrambler. This is the reference stream a HitchHike-style decoder
 // compares raw receptions against.
-func (t *Transmitter) AirBits(payload []byte) ([]byte, error) {
-	fb, err := t.FrameBits(payload)
+func AirBits(payload []byte) ([]byte, error) {
+	fb, err := FrameBits(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -82,8 +76,8 @@ func (t *Transmitter) AirBits(payload []byte) ([]byte, error) {
 
 // Transmit builds the DBPSK/Barker waveform of one frame (scrambled per
 // §16.2.4). Unit power.
-func (t *Transmitter) Transmit(payload []byte) (*signal.Signal, error) {
-	ab, err := t.AirBits(payload)
+func Transmit(payload []byte) (*signal.Signal, error) {
+	ab, err := AirBits(payload)
 	if err != nil {
 		return nil, err
 	}

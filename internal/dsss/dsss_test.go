@@ -23,8 +23,7 @@ func TestBarkerAutocorrelation(t *testing.T) {
 }
 
 func TestFrameBitsLayout(t *testing.T) {
-	tx := NewTransmitter()
-	fb, err := tx.FrameBits([]byte{0xAB})
+	fb, err := FrameBits([]byte{0xAB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func TestFrameBitsLayout(t *testing.T) {
 			t.Fatal("preamble must be all ones")
 		}
 	}
-	if _, err := tx.FrameBits(make([]byte, MaxPayload+1)); err == nil {
+	if _, err := FrameBits(make([]byte, MaxPayload+1)); err == nil {
 		t.Error("oversized payload accepted")
 	}
 }
@@ -73,12 +72,11 @@ func TestTransmitReceiveClean(t *testing.T) {
 		bytes.Repeat([]byte{0x5A}, 64),
 	}
 	for _, p := range payloads {
-		tx := NewTransmitter()
-		sig, err := tx.Transmit(p)
+		sig, err := Transmit(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		air, err := tx.AirBits(p)
+		air, err := AirBits(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,9 +91,8 @@ func TestTransmitReceiveClean(t *testing.T) {
 
 func TestTransmitReceiveNoisyRotated(t *testing.T) {
 	p := []byte("differential survives rotation")
-	tx := NewTransmitter()
-	sig, _ := tx.Transmit(p)
-	air, _ := tx.AirBits(p)
+	sig, _ := Transmit(p)
+	air, _ := AirBits(p)
 	cap := signal.New(SampleRate, len(sig.Samples)+400)
 	copy(cap.Samples[173:], sig.Samples)
 	cap.Scale(complex(0.03, 0))
@@ -121,12 +118,11 @@ func TestReceiverRejectsNoise(t *testing.T) {
 // marks the tag's flip edges.
 func TestHitchHikeCodewordTranslation(t *testing.T) {
 	p := []byte{0xC4, 0x21, 0x7E}
-	tx := NewTransmitter()
-	sig, err := tx.Transmit(p)
+	sig, err := Transmit(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := tx.AirBits(p)
+	fb, err := AirBits(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +157,7 @@ func TestHitchHikeCodewordTranslation(t *testing.T) {
 }
 
 func TestDetectChipAlignment(t *testing.T) {
-	sig, _ := NewTransmitter().Transmit([]byte{0x42, 0x99})
+	sig, _ := Transmit([]byte{0x42, 0x99})
 	cap := signal.New(SampleRate, len(sig.Samples)+500)
 	copy(cap.Samples[237:], sig.Samples)
 	start, _ := Detect(cap)
@@ -171,7 +167,7 @@ func TestDetectChipAlignment(t *testing.T) {
 }
 
 func TestRawBitsTruncationSafe(t *testing.T) {
-	sig, _ := NewTransmitter().Transmit([]byte{1})
+	sig, _ := Transmit([]byte{1})
 	cap := signal.New(SampleRate, len(sig.Samples))
 	copy(cap.Samples, sig.Samples)
 	raw := RawBitsAt(cap, 0, 100000)

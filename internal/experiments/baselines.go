@@ -30,19 +30,18 @@ func RunHitchHikePacket(payloadBytes int, tagBits []byte) (HitchHikeResult, erro
 	if payloadBytes <= 0 {
 		return HitchHikeResult{}, fmt.Errorf("experiments: payload %d must be positive", payloadBytes)
 	}
-	tx := dsss.NewTransmitter()
 	payload := make([]byte, payloadBytes)
 	for i := range payload {
 		payload[i] = byte(i*37 + 11)
 	}
-	exc, err := tx.Transmit(payload)
+	exc, err := dsss.Transmit(payload)
 	if err != nil {
 		return HitchHikeResult{}, err
 	}
 	// The reference is the scrambled over-the-air stream; the backhaul can
 	// reconstruct it from receiver 1's decode because the 802.11b
 	// scrambler is self-synchronising.
-	ref, err := tx.AirBits(payload)
+	ref, err := dsss.AirBits(payload)
 	if err != nil {
 		return HitchHikeResult{}, err
 	}
@@ -124,8 +123,8 @@ func (p BaselinePoint) String() string {
 // airtime. FreeRider wins whenever less than ~1/5 of airtime is legacy
 // 802.11b — i.e. essentially everywhere today.
 func BaselineAvailability(opt Options) ([]BaselinePoint, error) {
-	sp := opt.Obs.Start("baseline")
-	defer sp.End()
+	sp := opt.Obs.start("baseline")
+	defer sp.end()
 	// FreeRider's in-packet tag rate from a close-range session.
 	cfg := core.DefaultConfig(core.WiFi, 3)
 	cfg.Link.FadingK = 0
@@ -154,7 +153,7 @@ func BaselineAvailability(opt Options) ([]BaselinePoint, error) {
 	const busy = 0.8 // overall channel airtime occupancy
 	var out []BaselinePoint
 	legacyShares := []float64{1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.0}
-	sp.AddPoints(int64(len(legacyShares)))
+	sp.points = int64(len(legacyShares))
 	for _, legacy := range legacyShares {
 		fr := busy * (1 - legacy) * frPerPacket / frPacketTime / 1e3
 		hhKbps := busy * legacy * float64(hh.TagBitsPerPacket) / hh.PacketSeconds / 1e3

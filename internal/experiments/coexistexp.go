@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/coexist"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -55,7 +54,7 @@ func (r Fig15Row) String() string {
 // The three excitation rows run concurrently; the with/without arms of one
 // row intentionally share a derived seed so the comparison stays paired.
 func Fig15WiFiCoexistence(windows int, opt Options) ([]Fig15Row, error) {
-	return sweep(opt, "fig15", len(coexistExcitations), func(i int, sp *obs.Span) (Fig15Row, error) {
+	return sweep(opt, "fig15", len(coexistExcitations), func(i int, sp *span) (Fig15Row, error) {
 		exc := coexistExcitations[i]
 		cfg := coexist.DefaultConfig(exc)
 		if windows > 0 {
@@ -78,7 +77,7 @@ func Fig15WiFiCoexistence(windows int, opt Options) ([]Fig15Row, error) {
 		if err != nil {
 			return Fig15Row{}, err
 		}
-		sp.AddPackets(int64(len(without) + len(with)))
+		sp.packets.Add(int64(len(without) + len(with)))
 		return Fig15Row{Excitation: exc, WithoutMbps: sw, WithMbps: spres}, nil
 	})
 }
@@ -101,7 +100,7 @@ func (r Fig16Row) String() string {
 // Rows run concurrently with per-row derived seeds; the on/off arms stay
 // paired on one seed.
 func Fig16BackscatterUnderWiFi(windows int, opt Options) ([]Fig16Row, error) {
-	return sweep(opt, "fig16", len(coexistExcitations), func(i int, sp *obs.Span) (Fig16Row, error) {
+	return sweep(opt, "fig16", len(coexistExcitations), func(i int, sp *span) (Fig16Row, error) {
 		exc := coexistExcitations[i]
 		cfg := coexist.DefaultConfig(exc)
 		if windows > 0 {
@@ -124,7 +123,7 @@ func Fig16BackscatterUnderWiFi(windows int, opt Options) ([]Fig16Row, error) {
 		if err != nil {
 			return Fig16Row{}, err
 		}
-		sp.AddPackets(int64(len(absent) + len(present)))
+		sp.packets.Add(int64(len(absent) + len(present)))
 		return Fig16Row{Excitation: exc, AbsentKbps: sa, PresentKbps: spres}, nil
 	})
 }

@@ -20,7 +20,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -40,7 +39,7 @@ type Options struct {
 	Faults *faults.Profile
 	// Obs, when non-nil, receives per-experiment run metrics (wall time,
 	// packets, samples, pool utilisation).
-	Obs *obs.Collector
+	Obs *Collector
 }
 
 // DefaultOptions returns publication-effort settings.
@@ -61,17 +60,16 @@ func (o Options) packets() int {
 // all cores) under a metrics span named name, records the pool's busy time
 // and n points on it, and returns the points in index order, or the
 // lowest-index error.
-func sweep[T any](opt Options, name string, n int, point func(i int, sp *obs.Span) (T, error)) ([]T, error) {
-	sp := opt.Obs.Start(name)
+func sweep[T any](opt Options, name string, n int, point func(i int, sp *span) (T, error)) ([]T, error) {
+	sp := opt.Obs.start(name)
 	out := make([]T, n)
 	st, err := runner.MapStats(n, opt.Workers, func(i int) error {
 		var err error
 		out[i], err = point(i, sp)
 		return err
 	})
-	sp.RecordPool(st.Workers, st.Busy)
-	sp.AddPoints(int64(n))
-	sp.End()
+	sp.workers, sp.busy, sp.points = st.Workers, st.Busy, int64(n)
+	sp.end()
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +79,7 @@ func sweep[T any](opt Options, name string, n int, point func(i int, sp *obs.Spa
 // runSession builds a session for cfg with the options' fault profile
 // attached, runs opt.packets() packets through it and counts them and
 // their samples on sp.
-func runSession(cfg core.Config, opt Options, sp *obs.Span) (core.SessionResult, error) {
+func runSession(cfg core.Config, opt Options, sp *span) (core.SessionResult, error) {
 	cfg.Faults = opt.Faults
 	s, err := core.NewSession(cfg)
 	if err != nil {
@@ -91,7 +89,7 @@ func runSession(cfg core.Config, opt Options, sp *obs.Span) (core.SessionResult,
 	if err != nil {
 		return core.SessionResult{}, err
 	}
-	sp.AddPackets(int64(res.Packets))
-	sp.AddSamples(res.SamplesProcessed)
+	sp.packets.Add(int64(res.Packets))
+	sp.samples.Add(res.SamplesProcessed)
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/waveform"
 )
@@ -37,7 +36,7 @@ func linkSweep(domain string, radio core.Radio, distances []float64, opt Options
 	mutate func(*core.Config)) ([]LinkPoint, error) {
 	waves := waveform.New(0)
 	contentSeed := runner.DeriveSeed(opt.Seed, "links."+domain+".content")
-	return sweep(opt, domain, len(distances), func(i int, sp *obs.Span) (LinkPoint, error) {
+	return sweep(opt, domain, len(distances), func(i int, sp *span) (LinkPoint, error) {
 		cfg := core.DefaultConfig(radio, distances[i])
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "links."+domain, i)
 		cfg.ContentSeed = contentSeed
@@ -126,7 +125,7 @@ func Fig14OperatingRegime(opt Options) ([]RegimePoint, error) {
 			jobs = append(jobs, job{radio, i, txd})
 		}
 	}
-	return sweep(opt, "fig14", len(jobs), func(k int, sp *obs.Span) (RegimePoint, error) {
+	return sweep(opt, "fig14", len(jobs), func(k int, sp *span) (RegimePoint, error) {
 		jb := jobs[k]
 		maxRx := 0.0
 		for j, rxd := range grids[jb.radio] {

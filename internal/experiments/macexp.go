@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mac"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -38,7 +37,7 @@ func Fig17FirmwareLevel(rounds int, opt Options) ([]MultiTagPoint, error) {
 	if rounds <= 0 {
 		rounds = 12
 	}
-	return sweep(opt, "fig17-firmware", len(fig17Populations), func(i int, sp *obs.Span) (MultiTagPoint, error) {
+	return sweep(opt, "fig17-firmware", len(fig17Populations), func(i int, sp *span) (MultiTagPoint, error) {
 		n := fig17Populations[i]
 		res, err := sim.Run(n, rounds, runner.DeriveSeed(opt.Seed, "mac.fig17.firmware", i))
 		if err != nil {
@@ -52,7 +51,7 @@ func Fig17FirmwareLevel(rounds int, opt Options) ([]MultiTagPoint, error) {
 		for _, r := range res.Rounds {
 			slots += float64(r.Slots)
 		}
-		sp.AddPackets(int64(rounds * n))
+		sp.packets.Add(int64(rounds * n))
 		return MultiTagPoint{
 			Tags:              n,
 			AlohaKbps:         res.AggregateThroughputBps() / 1e3,
@@ -71,7 +70,7 @@ func Fig17MultiTag(rounds int, opt Options) ([]MultiTagPoint, error) {
 	if rounds <= 0 {
 		rounds = 12 // a measurement-sized run, matching Fig 17b's variance
 	}
-	return sweep(opt, "fig17", len(fig17Populations), func(i int, sp *obs.Span) (MultiTagPoint, error) {
+	return sweep(opt, "fig17", len(fig17Populations), func(i int, sp *span) (MultiTagPoint, error) {
 		n := fig17Populations[i]
 		seed := runner.DeriveSeed(opt.Seed, "mac.fig17", i)
 		aCfg := mac.DefaultConfig(mac.FramedSlottedAloha, n)
@@ -96,7 +95,7 @@ func Fig17MultiTag(rounds int, opt Options) ([]MultiTagPoint, error) {
 		for _, r := range aloha.Rounds {
 			slots += float64(r.Slots)
 		}
-		sp.AddPackets(int64(rounds * n))
+		sp.packets.Add(int64(rounds * n))
 		return MultiTagPoint{
 			Tags:              n,
 			AlohaKbps:         aloha.AggregateThroughputBps() / 1e3,

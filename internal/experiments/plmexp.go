@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/channel"
-	"repro/internal/obs"
 	"repro/internal/plm"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -49,8 +48,8 @@ func Fig3AmbientDurations(samples int, opt Options) (Fig3Result, error) {
 	if samples <= 0 {
 		return Fig3Result{}, fmt.Errorf("experiments: sample count %d must be positive", samples)
 	}
-	sp := opt.Obs.Start("fig3")
-	defer sp.End()
+	sp := opt.Obs.start("fig3")
+	defer sp.end()
 	m := trace.NewAmbientModel(runner.DeriveSeed(opt.Seed, "plm.fig3.durations"))
 	durations := m.Samples(samples)
 
@@ -83,8 +82,8 @@ func Fig3AmbientDurations(samples int, opt Options) (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	sp.AddPoints(int64(len(res.BinCentresMs)))
-	sp.AddSamples(int64(samples) * 2)
+	sp.points = int64(len(res.BinCentresMs))
+	sp.samples.Add(int64(samples) * 2)
 	return res, nil
 }
 
@@ -113,7 +112,7 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 	}
 	const msgBits = 8
 	distances := []float64{1, 2, 4, 8, 12, 16, 20, 25, 30, 35, 40, 45, 50}
-	return sweep(opt, "fig4", len(distances), func(i int, sp *obs.Span) (PLMPoint, error) {
+	return sweep(opt, "fig4", len(distances), func(i int, sp *span) (PLMPoint, error) {
 		d := distances[i]
 		rng := rand.New(rand.NewSource(runner.DeriveSeed(opt.Seed, "plm.fig4", i)))
 		l := channel.Link{
@@ -136,7 +135,7 @@ func Fig4PLMAccuracy(messages int, opt Options) ([]PLMPoint, error) {
 				ok++
 			}
 		}
-		sp.AddPackets(int64(messages))
+		sp.packets.Add(int64(messages))
 		return PLMPoint{
 			DistanceM: d,
 			Accuracy:  float64(ok) / float64(messages),

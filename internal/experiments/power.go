@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -64,7 +63,7 @@ func (p RedundancyPoint) String() string {
 // four redundancy settings run concurrently on derived seed streams.
 func RedundancySweep(opt Options) ([]RedundancyPoint, error) {
 	spbs := []int{1, 2, 4, 8}
-	return sweep(opt, "redundancy", len(spbs), func(i int, sp *obs.Span) (RedundancyPoint, error) {
+	return sweep(opt, "redundancy", len(spbs), func(i int, sp *span) (RedundancyPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 20)
 		cfg.Redundancy = spbs[i]
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "power.redundancy", i)
@@ -103,7 +102,7 @@ func QuaternaryStudy(opt Options) ([]QuaternaryPoint, error) {
 		quaternary bool
 	}{{"binary", false}, {"quaternary", true}}
 	seed := runner.DeriveSeed(opt.Seed, "power.quaternary")
-	return sweep(opt, "quaternary", len(schemes), func(i int, sp *obs.Span) (QuaternaryPoint, error) {
+	return sweep(opt, "quaternary", len(schemes), func(i int, sp *span) (QuaternaryPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 5)
 		cfg.WiFiRateMbps = 12
 		cfg.Quaternary = schemes[i].quaternary
@@ -160,7 +159,7 @@ func CFOStudy(opt Options) ([]CFOPoint, error) {
 			jobs = append(jobs, job{si, ci})
 		}
 	}
-	return sweep(opt, "cfo", len(jobs), func(k int, sp *obs.Span) (CFOPoint, error) {
+	return sweep(opt, "cfo", len(jobs), func(k int, sp *span) (CFOPoint, error) {
 		sw := sweeps[jobs[k].swIdx]
 		cfo := sw.cfos[jobs[k].cfoIdx]
 		cfg := core.DefaultConfig(sw.radio, sw.dist)
@@ -204,7 +203,7 @@ func (p CollisionPoint) String() string {
 // brownout (the reservoir starts full) never do.
 func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 	populations := []int{1, 2, 3}
-	return sweep(opt, "collision", len(populations), func(k int, sp *obs.Span) (CollisionPoint, error) {
+	return sweep(opt, "collision", len(populations), func(k int, sp *span) (CollisionPoint, error) {
 		n := populations[k]
 		cfg := core.DefaultConfig(core.WiFi, 5)
 		cfg.Link.FadingK = 0
@@ -226,7 +225,7 @@ func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 		if err != nil {
 			return CollisionPoint{}, err
 		}
-		sp.AddPackets(int64(n))
+		sp.packets.Add(int64(n))
 		worst := 0.0
 		for _, b := range res.PerTagBER {
 			if b > worst {
@@ -243,7 +242,7 @@ func CollisionStudy(opt Options) ([]CollisionPoint, error) {
 // ablation paired.
 func PilotTrackingAblation(opt Options) (PilotAblation, error) {
 	seed := runner.DeriveSeed(opt.Seed, "power.pilot")
-	bers, err := sweep(opt, "pilot", 2, func(i int, sp *obs.Span) (float64, error) {
+	bers, err := sweep(opt, "pilot", 2, func(i int, sp *span) (float64, error) {
 		cfg := core.DefaultConfig(core.WiFi, 5)
 		cfg.Link.FadingK = 0
 		cfg.PilotPhaseTracking = i == 1

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // meteredRun runs one registry entry at quick effort and returns its rows
 // as JSON plus the span reports it recorded, with the timing fields (wall,
 // busy, rates) dropped: those are the only parts allowed to vary.
-func meteredRun(t *testing.T, e Experiment, opt Options) ([]byte, []obs.Report) {
+func meteredRun(t *testing.T, e Experiment, opt Options) ([]byte, []Report) {
 	t.Helper()
-	opt.Obs = obs.NewCollector()
+	opt.Obs = &Collector{}
 	res, err := e.Run(opt, false)
 	if err != nil {
 		t.Fatalf("%s: %v", e.Name, err)
@@ -23,9 +22,9 @@ func meteredRun(t *testing.T, e Experiment, opt Options) ([]byte, []obs.Report) 
 	if err != nil {
 		t.Fatalf("%s: marshal rows: %v", e.Name, err)
 	}
-	var reps []obs.Report
+	var reps []Report
 	for _, r := range opt.Obs.Reports() {
-		reps = append(reps, obs.Report{Name: r.Name, Points: r.Points, Packets: r.Packets, Samples: r.Samples})
+		reps = append(reps, Report{Name: r.Name, Points: r.Points, Packets: r.Packets, Samples: r.Samples})
 	}
 	return rows, reps
 }

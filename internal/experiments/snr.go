@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fec"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/waveform"
 )
@@ -62,7 +61,7 @@ func berVsSNROn(grid []float64, opt Options, waves *waveform.Cache, coding *fec.
 	if waves != nil {
 		contentSeed = runner.DeriveSeed(opt.Seed, "snr.content")
 	}
-	return sweep(opt, "snr", len(grid), func(i int, sp *obs.Span) (SNRPoint, error) {
+	return sweep(opt, "snr", len(grid), func(i int, sp *span) (SNRPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 8)
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "snr", i)
 		cfg.ContentSeed = contentSeed
@@ -231,7 +230,7 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 // contributes nothing; a payload with no received copy in the whole budget
 // counts as lost, not errored, matching Session.Run's accounting.
 func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]SNRPoint, error) {
-	return sweep(opt, "snr.chase", len(grid), func(i int, sp *obs.Span) (SNRPoint, error) {
+	return sweep(opt, "snr.chase", len(grid), func(i int, sp *span) (SNRPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 8)
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "snr.chase", i)
 		cfg.Faults = opt.Faults
@@ -290,8 +289,8 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 				}
 			}
 		}
-		sp.AddPackets(int64(packets))
-		sp.AddSamples(samples)
+		sp.packets.Add(int64(packets))
+		sp.samples.Add(samples)
 		ber := 1.0
 		if dataBits > 0 {
 			ber = float64(bitErrs) / float64(dataBits)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fec"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -107,7 +106,7 @@ func Soak(profile *faults.Profile, opt Options) (SoakResult, error) {
 		cell      SoakCell
 		violation string
 	}
-	cells, err := sweep(opt, "soak", len(radios)*len(soakIntensities), func(k int, sp *obs.Span) (cellOut, error) {
+	cells, err := sweep(opt, "soak", len(radios)*len(soakIntensities), func(k int, sp *span) (cellOut, error) {
 		radio := radios[k/len(soakIntensities)]
 		lam := soakIntensities[k%len(soakIntensities)]
 		cell, violation, err := soakCell(radio, profile, lam,
@@ -115,7 +114,7 @@ func Soak(profile *faults.Profile, opt Options) (SoakResult, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		sp.AddPackets(int64(cell.Packets))
+		sp.packets.Add(int64(cell.Packets))
 		return cellOut{cell, violation}, nil
 	})
 	if err != nil {

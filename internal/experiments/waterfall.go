@@ -6,7 +6,6 @@ import (
 	"repro/internal/bluetooth"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/signal"
 	"repro/internal/wifi"
@@ -101,7 +100,7 @@ func Waterfall(radio core.Radio, snrsDB []float64, framesPerPoint int, opt Optio
 	}
 	link, size := NativeLinks[radio], waterfallPayload[radio]
 	domain := fmt.Sprintf("waterfall.%v", radio)
-	return sweep(opt, domain, len(snrsDB), func(i int, sp *obs.Span) (WaterfallPoint, error) {
+	return sweep(opt, domain, len(snrsDB), func(i int, sp *span) (WaterfallPoint, error) {
 		pt := WaterfallPoint{SNRdB: snrsDB[i], Frames: framesPerPoint}
 		bitErr, bitTot := 0, 0
 		for f := 0; f < framesPerPoint; f++ {
@@ -118,8 +117,8 @@ func Waterfall(radio core.Radio, snrsDB []float64, framesPerPoint int, opt Optio
 			if err != nil {
 				return WaterfallPoint{}, err
 			}
-			sp.AddPackets(1)
-			sp.AddSamples(int64(len(cap.Samples)))
+			sp.packets.Add(1)
+			sp.samples.Add(int64(len(cap.Samples)))
 			got, ok, err := link.Receive(cap)
 			if err != nil || !ok || len(got) != size {
 				pt.FrameErrors++

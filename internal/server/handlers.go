@@ -8,13 +8,13 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	freerider "repro"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fec"
-	"repro/internal/obs"
 )
 
 // ---- JSON plumbing ----------------------------------------------------
@@ -167,7 +167,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "coding: %v", err)
 			return
 		}
-		s.fec.Encode()
+		s.tally(func(t *tallies) { t.FEC.ChunksEncoded++ })
 		tagBits = coded
 		resp.DataBits = lay.DataBits()
 		resp.CodedBits = lay.CodedBits()
@@ -285,8 +285,14 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.modes.Decode(single)
-	s.modes.AddDropped(int64(dropped))
+	s.tally(func(t *tallies) {
+		if single {
+			t.ReceiverModes.SingleDecodes++
+		} else {
+			t.ReceiverModes.DualDecodes++
+		}
+		t.ReceiverModes.DroppedElements += int64(dropped)
+	})
 	hard := freerider.DecisionBits(windows)
 	resp := decodeResponse{
 		Radio:           freerider.RadioKey(radio),
@@ -306,7 +312,13 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 				"coding: stream yields %d bits, layout needs %d coded bits", len(hard), lay.CodedBits())
 			return
 		}
-		s.fec.Decode(corrected, ok)
+		s.tally(func(t *tallies) {
+			t.FEC.ChunksDecoded++
+			t.FEC.SymbolsCorrected += int64(corrected)
+			if !ok {
+				t.FEC.DecodeFailures++
+			}
+		})
 		resp.Coded = &decodedCoding{
 			DataBits:         formatStream(data),
 			CorrectedSymbols: corrected,
@@ -437,8 +449,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.modes.Simulate(mode == freerider.SingleReceiver)
-	s.modes.AddDropped(int64(res.DroppedElements))
+	s.tally(func(t *tallies) {
+		if mode == freerider.SingleReceiver {
+			t.ReceiverModes.SingleSimulates++
+		} else {
+			t.ReceiverModes.DualSimulates++
+		}
+		t.ReceiverModes.DroppedElements += int64(res.DroppedElements)
+	})
 	resp := simulateResponse{
 		Radio:          freerider.RadioKey(radio),
 		Receiver:       mode.String(),
@@ -451,8 +469,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Coding != nil {
 		resp.CodedBER = res.CodedBER()
-		s.fec.AddDecodes(int64(res.Packets-res.PacketsLost),
-			int64(res.CorrectedSymbols), int64(res.RSFailures))
+		s.tally(func(t *tallies) {
+			t.FEC.ChunksDecoded += int64(res.Packets - res.PacketsLost)
+			t.FEC.SymbolsCorrected += int64(res.CorrectedSymbols)
+			t.FEC.DecodeFailures += int64(res.RSFailures)
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -464,12 +485,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // The long-running chaos soak and waterfalls stay CLI-only.
 
 type experimentResponse struct {
-	Name    string       `json:"name"`
-	Title   string       `json:"title"`
-	Full    bool         `json:"full"`
-	Seed    int64        `json:"seed"`
-	Rows    any          `json:"rows"`
-	Metrics []obs.Report `json:"metrics,omitempty"`
+	Name    string               `json:"name"`
+	Title   string               `json:"title"`
+	Full    bool                 `json:"full"`
+	Seed    int64                `json:"seed"`
+	Rows    any                  `json:"rows"`
+	Metrics []experiments.Report `json:"metrics,omitempty"`
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -511,7 +532,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	opt.Seed = seed
 	opt.Workers = s.cfg.Workers
 	opt.Faults = profile
-	collector := obs.NewCollector()
+	collector := &experiments.Collector{}
 	opt.Obs = collector
 
 	rows, err := exp.Run(opt, full)
@@ -549,6 +570,6 @@ func valueOr(v, def string) string {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
-		"uptime_seconds": timeSince(s.start),
+		"uptime_seconds": time.Since(s.start).Seconds(),
 	})
 }

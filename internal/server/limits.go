@@ -26,7 +26,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // flood of simulate requests cannot starve decode, and vice versa. Once
 // the server is closed, gated endpoints answer 503.
 func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.HandlerFunc {
-	ep := s.endpoints.Get(name)
+	ep := &endpoint{}
+	s.endpoints[name] = ep
 	var gate *runner.Gate
 	if gated {
 		gate = runner.NewGate(s.cfg.MaxInflight)
@@ -34,12 +35,12 @@ func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.Ha
 	return func(w http.ResponseWriter, r *http.Request) {
 		if gate != nil {
 			if s.closed.Load() {
-				ep.Rejected.Add(1)
+				ep.rejected.Add(1)
 				writeError(w, http.StatusServiceUnavailable, "server closed; not accepting %s requests", name)
 				return
 			}
 			if !gate.TryEnter() {
-				ep.Rejected.Add(1)
+				ep.rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusTooManyRequests,
 					"%s over capacity (%d in flight); retry shortly", name, gate.Capacity())
@@ -47,16 +48,15 @@ func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.Ha
 			}
 			defer gate.Leave()
 		}
-		ep.InFlight.Add(1)
-		defer ep.InFlight.Add(-1)
+		ep.inFlight.Add(1)
+		defer ep.inFlight.Add(-1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		h(sw, r)
-		ep.Requests.Add(1)
 		if sw.status >= 400 {
-			ep.Errors.Add(1)
+			ep.errors.Add(1)
 		}
-		ep.Latency.Observe(time.Since(start))
+		ep.observe(time.Since(start))
 	}
 }

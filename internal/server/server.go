@@ -23,10 +23,10 @@ package server
 import (
 	"context"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/waveform"
 )
 
@@ -84,9 +84,10 @@ type Server struct {
 	// session shares it, so repeated requests with the same seed replay
 	// synthesised excitations even across distinct link configurations.
 	waveforms *waveform.Cache
-	endpoints *obs.EndpointSet
-	fec       obs.FECCounters
-	modes     obs.ModeCounters
+	// endpoints is filled by routes and read-only after New.
+	endpoints map[string]*endpoint
+	mu        sync.Mutex // guards tallies
+	tallies   tallies
 	start     time.Time
 	// closed is set by Close; every gated endpoint then answers 503.
 	closed atomic.Bool
@@ -99,7 +100,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		waveforms: waveform.New(0),
-		endpoints: obs.NewEndpointSet(),
+		endpoints: map[string]*endpoint{},
 		start:     time.Now(),
 	}
 	s.routes()

@@ -8,19 +8,17 @@ import (
 	freerider "repro"
 
 	"repro/internal/fec"
-	"repro/internal/obs"
 )
 
-// fecMetrics pulls just the FEC block out of /metrics.
-func fecMetrics(t *testing.T, url string) obs.FECStats {
+// fecMetrics pulls the handler tallies, whose FEC block the tests read,
+// out of /metrics.
+func fecMetrics(t *testing.T, url string) tallies {
 	t.Helper()
-	var m struct {
-		FEC obs.FECStats `json:"fec"`
-	}
+	var m metricsResponse
 	if resp := getJSON(t, url+"/metrics", &m); resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	return m.FEC
+	return m.tallies
 }
 
 // TestCodedEncodeDecodeRoundTrip RS-encodes a payload through /v1/encode,
@@ -87,7 +85,7 @@ func TestCodedEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("payload lost: got %s want %s", dec.Coded.DataBits, streamString(padded))
 	}
 
-	st := fecMetrics(t, ts.URL)
+	st := fecMetrics(t, ts.URL).FEC
 	if st.ChunksEncoded < 1 || st.ChunksDecoded < 1 || st.SymbolsCorrected < 1 {
 		t.Fatalf("fec metrics = %+v, want encode/decode/correction counted", st)
 	}
@@ -175,7 +173,7 @@ func TestSimulateCoded(t *testing.T) {
 		t.Fatalf("coded BER %g worse than raw %g on a clean link", got.CodedBER, got.BER)
 	}
 
-	st := fecMetrics(t, ts.URL)
+	st := fecMetrics(t, ts.URL).FEC
 	if st.ChunksDecoded == 0 {
 		t.Fatalf("simulate did not feed the fec decode counters: %+v", st)
 	}

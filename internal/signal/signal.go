@@ -1,6 +1,6 @@
 // Package signal provides the complex-baseband substrate every PHY in this
 // repository is built on: a sampled Signal type, FFT/IFFT, FIR filtering,
-// mixing and frequency shifting, resampling, power measurement in dBm, and
+// mixing and frequency shifting, power measurement in dBm, and
 // deterministic AWGN injection.
 //
 // Conventions: signals are complex128 sample slices at an explicit sample

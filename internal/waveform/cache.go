@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/signal"
 )
 
@@ -127,24 +126,44 @@ func (e *Entry) sizeBytes() int64 {
 // roughly a hundred full-size WiFi excitation packets.
 const DefaultMaxBytes = 64 << 20
 
+// CacheStats is the /metrics JSON view of a cache: its size, lookup and
+// admission counters, and the time callers spent blocked on its lock.
+// Beyond the classic hit/miss/eviction triple it distinguishes the two
+// silent-admission outcomes — oversize rejections and duplicate puts —
+// plus singleflight coalescing, so a scrape can tell "never cached" from
+// "always evicted" from "synthesized once, shared by many".
+type CacheStats struct {
+	Entries       int     `json:"entries"`
+	Bytes         int64   `json:"bytes,omitempty"`
+	CapacityBytes int64   `json:"capacity_bytes,omitempty"`
+	Hits          int64   `json:"hits"`
+	Misses        int64   `json:"misses"`
+	Evictions     int64   `json:"evictions"`
+	Rejected      int64   `json:"rejected"`   // entry larger than the byte cap
+	Duplicates    int64   `json:"duplicates"` // put whose key was already resident
+	Coalesced     int64   `json:"coalesced"`  // lookup that joined an in-flight synthesis
+	LockWaitNs    int64   `json:"lock_wait_ns,omitempty"`
+	HitRate       float64 `json:"hit_rate"`
+}
+
 // Cache is a byte-capped LRU of waveform entries behind one mutex, safe
 // for concurrent use by any number of sessions. Lookups on the warm path
 // (Get with a pooled KeyBuilder) perform zero heap allocations.
 type Cache struct {
-	counters obs.CacheCounters
-
 	mu    sync.Mutex
 	max   int64
 	bytes int64
 	ll    *list.List // front = most recently used
 	byKey map[Key]*list.Element
-	// lockWaitNs is guarded by mu (it is only written after Lock returns,
-	// so the write is inside the critical section even though the wait
-	// itself was not).
-	lockWaitNs int64
+	// stats holds the counters, guarded by mu. Lock wait is only written
+	// after Lock returns, so the write is inside the critical section even
+	// though the wait itself was not. Coalesced is the exception: it is
+	// counted in coalesced, under sfMu.
+	stats CacheStats
 
-	sfMu     sync.Mutex
-	inFlight map[Key]*sfCall
+	sfMu      sync.Mutex
+	inFlight  map[Key]*sfCall
+	coalesced int64 // guarded by sfMu
 }
 
 type cacheItem struct {
@@ -186,7 +205,7 @@ func (c *Cache) lock() {
 	}
 	t0 := time.Now()
 	c.mu.Lock()
-	c.lockWaitNs += time.Since(t0).Nanoseconds()
+	c.stats.LockWaitNs += time.Since(t0).Nanoseconds()
 }
 
 // Get returns the entry stored under k, or nil on a miss. The hit/miss
@@ -196,13 +215,13 @@ func (c *Cache) Get(k Key) *Entry {
 	c.lock()
 	el, ok := c.byKey[k]
 	if !ok {
-		c.counters.Miss()
+		c.stats.Misses++
 		c.mu.Unlock()
 		return nil
 	}
 	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheItem).entry
-	c.counters.Hit()
+	c.stats.Hits++
 	c.mu.Unlock()
 	return e
 }
@@ -232,12 +251,12 @@ func (c *Cache) Put(k Key, e *Entry) bool {
 	c.lock()
 	defer c.mu.Unlock()
 	if size > c.max {
-		c.counters.Reject()
+		c.stats.Rejected++
 		return false
 	}
 	if el, ok := c.byKey[k]; ok {
 		c.ll.MoveToFront(el)
-		c.counters.Duplicate()
+		c.stats.Duplicates++
 		return false
 	}
 	c.byKey[k] = c.ll.PushFront(&cacheItem{key: k, entry: e, size: size})
@@ -248,7 +267,7 @@ func (c *Cache) Put(k Key, e *Entry) bool {
 		c.ll.Remove(oldest)
 		delete(c.byKey, it.key)
 		c.bytes -= it.size
-		c.counters.Evict()
+		c.stats.Evictions++
 	}
 	return true
 }
@@ -273,7 +292,7 @@ func (c *Cache) GetOrSynthesize(k Key, fn func() (*Entry, error)) (*Entry, bool,
 	}
 	c.sfMu.Lock()
 	if call, ok := c.inFlight[k]; ok {
-		c.counters.Coalesce()
+		c.coalesced++
 		c.sfMu.Unlock()
 		call.wg.Wait()
 		return call.entry, false, call.err
@@ -306,15 +325,22 @@ func (c *Cache) GetOrSynthesize(k Key, fn func() (*Entry, error)) (*Entry, bool,
 // Stats snapshots the cache for /metrics. It holds the cache lock while
 // reading both the sizes and the counters: all counter movement happens
 // inside the critical section (Coalesced excepted — it moves under the
-// singleflight mutex), so the snapshot is one consistent cut and a scrape
-// can never report entries that its own miss count has not paid for.
-func (c *Cache) Stats() obs.CacheStats {
+// singleflight mutex, and is read under it), so the snapshot is one
+// consistent cut and a scrape can never report entries that its own miss
+// count has not paid for.
+func (c *Cache) Stats() CacheStats {
+	c.sfMu.Lock()
+	coalesced := c.coalesced
+	c.sfMu.Unlock()
 	c.lock()
 	defer c.mu.Unlock()
-	st := c.counters.Snapshot()
+	st := c.stats
 	st.Entries = c.ll.Len()
 	st.Bytes = c.bytes
 	st.CapacityBytes = c.max
-	st.LockWaitNs = c.lockWaitNs
+	st.Coalesced = coalesced
+	if total := st.Hits + st.Misses; total > 0 {
+		st.HitRate = float64(st.Hits) / float64(total)
+	}
 	return st
 }
