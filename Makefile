@@ -20,7 +20,9 @@ fmt-check:
 # examples drive the envelope detector, both multi-tag models (mac with
 # and without round corruption, and sim) and the DSSS receive functions.
 # The coded snr run is the one path through a subcommand's own flags
-# (-coded, -chase) and the coded link-margin study README quotes.
+# (-coded, -chase) and the coded link-margin study README quotes. The
+# quickstart and sensornet examples run the public facade's Send over
+# WiFi and ZigBee, so all five examples run here.
 cmd-smoke:
 	$(GO) run ./cmd/freerider-sim -packets 2 >/dev/null
 	$(GO) run ./cmd/freerider-trace -samples 10000 >/dev/null
@@ -29,6 +31,8 @@ cmd-smoke:
 	$(GO) run ./cmd/freerider-bench -quick -json -faults impulsive snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -faults chaos fig17 >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick snr -coded -chase 2 >/dev/null
+	$(GO) run ./examples/quickstart >/dev/null
+	$(GO) run ./examples/sensornet >/dev/null
 	$(GO) run ./examples/coexistence >/dev/null
 	$(GO) run ./examples/multitag >/dev/null
 	$(GO) run ./examples/tagloop >/dev/null

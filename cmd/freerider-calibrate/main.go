@@ -48,7 +48,7 @@ func main() {
 		link := experiments.NativeLinks[ri]
 		fmt.Println(r.title + ":")
 		q := make([]float64, len(snrs))
-		err := runner.Map(len(snrs), 0, func(i int) error {
+		_, err := runner.Map(len(snrs), 0, func(i int) error {
 			var qSum float64
 			for tr := 0; tr < *trials; tr++ {
 				sig, err := link.Transmit(make([]byte, r.size))

@@ -84,7 +84,7 @@ func TestRunPacketAllocs(t *testing.T) {
 }
 
 // TestRunPacketBatchAllocs pins the batch pipeline the same way: one
-// RunPacketBatch call of DefaultBatchSize packets over a warm waveform
+// RunPacketBatch call of batchSize packets over a warm waveform
 // cache, exact equality per call so any increase fails. The benchgate
 // alloc budget alone allows +2 per benchmark, which is how the ZigBee
 // alloc drift in the BENCH_DSP trajectory stayed invisible — only an
@@ -100,7 +100,7 @@ func TestRunPacketBatchAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		radio Radio
-		want  float64 // allocations per RunPacketBatch(0, DefaultBatchSize) call
+		want  float64 // allocations per RunPacketBatch(0, batchSize) call
 	}{
 		{WiFi, 81},
 		{ZigBee, 65},
@@ -116,11 +116,11 @@ func TestRunPacketBatchAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Warm pools and populate the waveform cache for the batch.
-				if _, err := s.RunPacketBatch(0, DefaultBatchSize); err != nil {
+				if _, err := s.RunPacketBatch(0, batchSize); err != nil {
 					t.Fatal(err)
 				}
 				got := testing.AllocsPerRun(10, func() {
-					if _, err := s.RunPacketBatch(0, DefaultBatchSize); err != nil {
+					if _, err := s.RunPacketBatch(0, batchSize); err != nil {
 						t.Fatal(err)
 					}
 				})

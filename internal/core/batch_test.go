@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/fec"
+	"repro/internal/signal"
 )
 
 // runPacketAt runs packet idx alone, on generators checked out for it
 // only: the serial reference RunPacketBatch must reproduce element for
 // element.
 func (s *Session) runPacketAt(idx int) (PacketResult, error) {
-	rng := packetRNGPool.Get()
-	defer packetRNGPool.Put(rng)
+	rng := signal.RandPool.Get()
+	defer signal.RandPool.Put(rng)
 	var crng *rand.Rand
 	if s.cfg.ContentSeed != 0 {
-		crng = packetRNGPool.Get()
-		defer packetRNGPool.Put(crng)
+		crng = signal.RandPool.Get()
+		defer signal.RandPool.Put(crng)
 	}
 	return s.runPacketAtWith(idx, rng, crng)
 }
@@ -180,13 +181,23 @@ func TestRunPacketBatchCoded(t *testing.T) {
 	}
 }
 
+// TestRunPacketBatchRejectsNegative holds all three session runners to
+// one rule: a negative packet count is an error, not an empty run or a
+// panic.
 func TestRunPacketBatchRejectsNegative(t *testing.T) {
-	cfg := DefaultConfig(ZigBee, 6)
-	s, err := NewSession(cfg)
+	s, err := NewSession(DefaultConfig(ZigBee, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RunPacketBatch(0, -1); err == nil {
 		t.Fatal("negative batch size must error")
+	}
+	if res, err := s.Run(-1); err == nil {
+		t.Fatalf("Run(-1) = %+v, nil; want an error", res)
+	}
+	for _, workers := range []int{1, 2} {
+		if res, err := s.RunParallel(-1, workers); err == nil {
+			t.Fatalf("RunParallel(-1, %d) = %+v, nil; want an error", workers, res)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func BenchmarkSessionRunPacket(b *testing.B) {
 }
 
 // BenchmarkSessionRunPacketBatch is the batch pipeline's per-packet cost:
-// DefaultBatchSize packets per RunPacketBatch call over a warm waveform
+// batchSize packets per RunPacketBatch call over a warm waveform
 // cache and a fixed ContentSeed, so every iteration replays the same
 // packet indices with cache-hit synthesis and the number measures the
 // receive-side DSP the batch path amortises — channel, receiver, decode.
@@ -59,13 +59,13 @@ func BenchmarkSessionRunPacketBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Warm pools and populate the waveform cache for the batch.
-			if _, err := s.RunPacketBatch(0, DefaultBatchSize); err != nil {
+			if _, err := s.RunPacketBatch(0, batchSize); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i += DefaultBatchSize {
-				if _, err := s.RunPacketBatch(0, DefaultBatchSize); err != nil {
+			for i := 0; i < b.N; i += batchSize {
+				if _, err := s.RunPacketBatch(0, batchSize); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -342,7 +342,7 @@ func (s *Session) configure(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	capacity := p.translator().Capacity(p.airtime())
+	capacity := p.capacity()
 	if capacity == 0 {
 		return fmt.Errorf("core: redundancy %d leaves no room for a tag bit in a packet", cfg.Redundancy)
 	}
@@ -431,11 +431,6 @@ func (s *Session) AdvanceSlots(n int) {
 // pinned capture memory to one buffer per plausible worker.
 var capturePool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal { return signal.New(0, 0) }, Cap: 32}
 
-// packetRNGPool recycles the per-packet RNGs RunParallel's derived streams
-// use (the source carries a ~5 KB state table). signal.RandSource draws
-// exactly what rand.NewSource does and seeds faster.
-var packetRNGPool = signal.FreeList[*rand.Rand]{New: func() *rand.Rand { return rand.New(signal.NewRandSource(0)) }}
-
 // excitationPool recycles the waveform of an uncached WiFi entry (~650 KB
 // for a 1500 B packet): nothing outside the packet ever sees such an
 // entry, so runPacket releases its waveform here as soon as the channel
@@ -450,7 +445,7 @@ var excitationPool = signal.FreeList[*signal.Signal]{New: func() *signal.Signal 
 func (s *Session) link(rng *rand.Rand, pf faults.Packet) channel.Link {
 	l := s.cfg.Link
 	l.Seed = rng.Int63()
-	l.Impairment = pf.Impairment()
+	l.Impairment = pf.ChannelImpairment()
 	return l
 }
 
@@ -706,12 +701,11 @@ func (r *SessionResult) accumulate(pr PacketResult, gap float64) {
 	}
 }
 
-// DefaultBatchSize is the packet count per batch dispatch used by Run,
-// RunParallel and the serve layer when the caller does not choose one.
-// Large enough to amortise per-dispatch setup (RNG pool checkout, scratch
-// warm-up, plan lookups), small enough that RunParallel still load-balances
-// across workers on modest packet counts.
-const DefaultBatchSize = 8
+// batchSize is the packet count per batch dispatch in Run and
+// RunParallel. Large enough to amortise per-dispatch setup (RNG pool
+// checkout, scratch warm-up, plan lookups), small enough that RunParallel
+// still load-balances across workers on modest packet counts.
+const batchSize = 8
 
 // runPacketRange runs packets [lo, hi) of the derived-stream timeline into
 // prs[0:hi-lo] with one set of pooled scratch generators for the whole
@@ -719,12 +713,12 @@ const DefaultBatchSize = 8
 // runPacketAtWith — so the results are bit-identical to running each
 // index on freshly checked-out generators.
 func (s *Session) runPacketRange(lo, hi int, prs []PacketResult) error {
-	rng := packetRNGPool.Get()
-	defer packetRNGPool.Put(rng)
+	rng := signal.RandPool.Get()
+	defer signal.RandPool.Put(rng)
 	var crng *rand.Rand
 	if s.cfg.ContentSeed != 0 {
-		crng = packetRNGPool.Get()
-		defer packetRNGPool.Put(crng)
+		crng = signal.RandPool.Get()
+		defer signal.RandPool.Put(crng)
 	}
 	for i := lo; i < hi; i++ {
 		pr, err := s.runPacketAtWith(i, rng, crng)
@@ -758,15 +752,18 @@ func (s *Session) RunPacketBatch(start, n int) ([]PacketResult, error) {
 }
 
 // Run executes n excitation packets with fresh random tag data on each and
-// aggregates the results. Packets run in contiguous DefaultBatchSize
-// ranges through RunPacketBatch's amortised loop, each on its own RNG
-// stream derived from (Config.Seed, packet index), so the result is
-// exactly what RunParallel produces with any worker count.
+// aggregates the results. Packets run in contiguous batchSize ranges
+// through RunPacketBatch's amortised loop, each on its own RNG stream
+// derived from (Config.Seed, packet index), so the result is exactly what
+// RunParallel produces with any worker count.
 func (s *Session) Run(n int) (SessionResult, error) {
+	if n < 0 {
+		return SessionResult{}, fmt.Errorf("core: negative packet count %d", n)
+	}
 	var out SessionResult
-	prs := make([]PacketResult, DefaultBatchSize)
-	for lo := 0; lo < n; lo += DefaultBatchSize {
-		hi := min(lo+DefaultBatchSize, n)
+	prs := make([]PacketResult, batchSize)
+	for lo := 0; lo < n; lo += batchSize {
+		hi := min(lo+batchSize, n)
 		if err := s.runPacketRange(lo, hi, prs[:hi-lo]); err != nil {
 			return SessionResult{}, err
 		}
@@ -778,16 +775,21 @@ func (s *Session) Run(n int) (SessionResult, error) {
 }
 
 // RunParallel is Run spread over a bounded worker pool (all cores when
-// workers <= 0), sharding DefaultBatchSize-packet batches across the pool
-// rather than single packets so each dispatch amortises its setup.
-// Per-packet seed derivation makes the aggregate SessionResult
-// bit-identical to the serial Run for every worker count and batch
-// sharding; on error it returns a zero result plus the error the serial
-// loop would have hit first (batches are contiguous index ranges, so the
-// lowest failing batch's first error is the serial loop's first error).
+// workers <= 0). The pool's jobs are Run's batches: batch b covers packets
+// [b·batchSize, min((b+1)·batchSize, n)), ranges fixed by n alone, so each
+// dispatch amortises its setup and the aggregate SessionResult is
+// bit-identical to the serial Run for every worker count. On error it
+// returns a zero result plus the error the serial loop would have hit
+// first (batches are contiguous and the pool reports the lowest failing
+// batch, whose first error is the serial loop's first error).
 func (s *Session) RunParallel(n, workers int) (SessionResult, error) {
+	if n < 0 {
+		return SessionResult{}, fmt.Errorf("core: negative packet count %d", n)
+	}
 	prs := make([]PacketResult, n)
-	if err := runner.MapBatches(n, DefaultBatchSize, workers, func(lo, hi int) error {
+	if _, err := runner.Map((n+batchSize-1)/batchSize, workers, func(b int) error {
+		lo := b * batchSize
+		hi := min(lo+batchSize, n)
 		return s.runPacketRange(lo, hi, prs[lo:hi])
 	}); err != nil {
 		return SessionResult{}, err

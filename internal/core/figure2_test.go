@@ -30,7 +30,8 @@ type amplitudeTranslator struct {
 	Latency float64
 }
 
-// Translate has tag.Translator's signature.
+// Translate has tag.PhaseTranslator.Translate's signature: a modified copy
+// of exc and the number of tag bits embedded.
 func (a *amplitudeTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error) {
 	if err := a.validate(); err != nil {
 		return nil, 0, err
@@ -60,7 +61,7 @@ func (a *amplitudeTranslator) Translate(exc *signal.Signal, tagBits []byte) (*si
 	return out, used, nil
 }
 
-// Capacity has tag.Translator's signature.
+// Capacity has tag.PhaseTranslator.Capacity's signature.
 func (a *amplitudeTranslator) Capacity(packetDuration float64) int {
 	if err := a.validate(); err != nil {
 		return 0

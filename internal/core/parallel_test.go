@@ -18,7 +18,7 @@ import (
 // race`. Dual, single-receiver and quaternary decodes read the entry
 // differently after the channel step, so all three run.
 func TestRunParallelMatchesRun(t *testing.T) {
-	const wifiPackets = 4 * DefaultBatchSize
+	const wifiPackets = 4 * batchSize
 	cases := []struct {
 		name    string
 		radio   Radio

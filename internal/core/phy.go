@@ -22,7 +22,7 @@ import (
 // workers share it.
 type phy interface {
 	airtime() float64 // excitation packet duration, seconds
-	translator() tag.Translator
+	capacity() int    // tag bits that fit on one excitation packet
 	// draw draws one packet's payload from rng plus its transmitter state
 	// (the WiFi scrambler seed, zero elsewhere): rotated on the sequential
 	// RunPacket stream, drawn from rng on derived streams.
@@ -143,9 +143,9 @@ func newWiFiPHY(cfg Config, prev phy) (phy, error) {
 	return p, nil
 }
 
-func (p *wifiPHY) airtime() float64           { return wifi.PacketDuration(p.cfg.PayloadSize+4, p.rate) }
-func (p *wifiPHY) translator() tag.Translator { return p.tr }
-func (p *wifiPHY) release(e *waveform.Entry)  { excitationPool.Put(e.Wave); e.Wave = nil }
+func (p *wifiPHY) airtime() float64          { return wifi.PacketDuration(p.cfg.PayloadSize+4, p.rate) }
+func (p *wifiPHY) capacity() int             { return p.tr.Capacity(p.airtime()) }
+func (p *wifiPHY) release(e *waveform.Entry) { excitationPool.Put(e.Wave); e.Wave = nil }
 
 // draw: commodity cards rotate the scrambler seed per packet; a derived-
 // stream packet draws its own nonzero seed instead.
@@ -326,9 +326,9 @@ func newZigBeePHY(cfg Config) (phy, error) {
 	}}, nil
 }
 
-func (p *zigbeePHY) airtime() float64           { return zigbee.FrameDuration(p.cfg.PayloadSize) }
-func (p *zigbeePHY) translator() tag.Translator { return p.tr }
-func (p *zigbeePHY) release(*waveform.Entry)    {}
+func (p *zigbeePHY) airtime() float64        { return zigbee.FrameDuration(p.cfg.PayloadSize) }
+func (p *zigbeePHY) capacity() int           { return p.tr.Capacity(p.airtime()) }
+func (p *zigbeePHY) release(*waveform.Entry) {}
 
 // draw builds a genuine 802.15.4 data MPDU (MHR + body) of PayloadSize
 // total bytes, carrying productive traffic.
@@ -407,9 +407,9 @@ func newBluetoothPHY(cfg Config) (phy, error) {
 	}}, nil
 }
 
-func (p *bluetoothPHY) airtime() float64           { return bluetooth.FrameDuration(p.cfg.PayloadSize) }
-func (p *bluetoothPHY) translator() tag.Translator { return p.tr }
-func (p *bluetoothPHY) release(*waveform.Entry)    {}
+func (p *bluetoothPHY) airtime() float64        { return bluetooth.FrameDuration(p.cfg.PayloadSize) }
+func (p *bluetoothPHY) capacity() int           { return p.tr.Capacity(p.airtime()) }
+func (p *bluetoothPHY) release(*waveform.Entry) {}
 
 func (p *bluetoothPHY) draw(rng *rand.Rand, _ bool) ([]byte, byte) {
 	return randomPayload(rng, p.cfg.PayloadSize), 0

@@ -63,7 +63,7 @@ func (o Options) packets() int {
 func sweep[T any](opt Options, name string, n int, point func(i int, sp *span) (T, error)) ([]T, error) {
 	sp := opt.Obs.start(name)
 	out := make([]T, n)
-	st, err := runner.MapStats(n, opt.Workers, func(i int) error {
+	st, err := runner.Map(n, opt.Workers, func(i int) error {
 		var err error
 		out[i], err = point(i, sp)
 		return err

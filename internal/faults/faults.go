@@ -33,19 +33,6 @@ import (
 	"repro/internal/signal"
 )
 
-// faultRNGPool recycles the generators At replays the burst and drift
-// processes on; At runs once per packet slot, so without the pool those
-// two sources dominate the fault layer's steady-state allocations. It is
-// a GC-stable free list rather than a sync.Pool: the pool's GC-driven
-// eviction made At's allocation count flicker (0↔2 in the BENCH_DSP
-// trajectory) depending on collection timing, while the free list, once
-// warm, is deterministically allocation-free. The list is bounded so a
-// transient burst of concurrent At calls cannot pin generators forever.
-var faultRNGPool = signal.FreeList[*rand.Rand]{
-	New: func() *rand.Rand { return rand.New(signal.NewRandSource(0)) },
-	Cap: 32,
-}
-
 // Burst is a Gilbert–Elliott burst-interference / deep-fade process: a
 // two-state Markov chain stepped once per slot. In the bad state the link
 // pays ExtraLossDB of interference-equivalent attenuation, and the tag's
@@ -154,43 +141,37 @@ type Packet struct {
 	Outage bool
 	// SkipReflection: the tag's reservoir was too low to reflect at all.
 	SkipReflection bool
-	// Truncate in (0,1): the tag browned out that fraction of the way
-	// through the packet and stopped reflecting. 0 means a full packet.
-	Truncate float64
-	// BurstBad reports the Gilbert–Elliott state; ExtraLossDB the
+	// BurstBad reports the Gilbert–Elliott state; ExtraLossDB holds the
 	// resulting excess attenuation.
-	BurstBad    bool
-	ExtraLossDB float64
-	// CFOHz is the drift process's current offset.
-	CFOHz float64
-	// Impulse noise parameters for the receiver capture.
-	ImpulseProb     float64
-	ImpulsePowerDBm float64
+	BurstBad bool
+	// Impairment is the slot's channel-level part: burst loss, the drift
+	// process's CFOHz, the brownout Truncate fraction (0 means a full
+	// packet) and the impulse noise parameters for the receiver capture.
+	channel.Impairment
 	// Energy is the tag reservoir level after this slot (reporting).
 	Energy float64
 }
 
 // IsZero reports whether the slot is entirely clean.
 func (f Packet) IsZero() bool {
-	return !f.Outage && !f.SkipReflection && f.Truncate == 0 &&
-		!f.BurstBad && f.ExtraLossDB == 0 && f.CFOHz == 0 && f.ImpulseProb == 0
+	return !f.Outage && !f.SkipReflection && !f.BurstBad && f.channelClean()
 }
 
-// Impairment converts the channel-level part of the packet's faults into
-// the perturbation channel.Link.ApplyToWithPower consumes, or nil when the
-// channel path is clean (so a clean slot takes exactly the benign code
-// path).
-func (f Packet) Impairment() *channel.Impairment {
-	if f.ExtraLossDB == 0 && f.CFOHz == 0 && f.Truncate == 0 && f.ImpulseProb == 0 {
+// channelClean reports whether the slot leaves the channel untouched. An
+// impulse power without an impulse probability draws no impulse.
+func (f Packet) channelClean() bool {
+	return f.ExtraLossDB == 0 && f.CFOHz == 0 && f.Truncate == 0 && f.ImpulseProb == 0
+}
+
+// ChannelImpairment returns a copy of the packet's channel-level faults
+// for channel.Link.ApplyToWithPower, or nil when the channel path is clean
+// (so a clean slot takes exactly the benign code path).
+func (f Packet) ChannelImpairment() *channel.Impairment {
+	if f.channelClean() {
 		return nil
 	}
-	return &channel.Impairment{
-		ExtraLossDB:     f.ExtraLossDB,
-		CFOHz:           f.CFOHz,
-		Truncate:        f.Truncate,
-		ImpulseProb:     f.ImpulseProb,
-		ImpulsePowerDBm: f.ImpulsePowerDBm,
-	}
+	imp := f.Impairment
+	return &imp
 }
 
 // defaultDriftMax and defaultBrownoutCap back the <= 0 struct fields.
@@ -241,13 +222,13 @@ func (p *Profile) At(seed int64, slot int) Packet {
 	// pool keeps the ~5 KB source state out of the per-packet heap traffic.
 	var burstRng, driftRng *rand.Rand
 	if p.Burst != nil {
-		burstRng = faultRNGPool.Get()
-		defer faultRNGPool.Put(burstRng)
+		burstRng = signal.RandPool.Get()
+		defer signal.RandPool.Put(burstRng)
 		burstRng.Seed(runner.DeriveSeed(seed, "faults.burst"))
 	}
 	if p.Drift != nil {
-		driftRng = faultRNGPool.Get()
-		defer faultRNGPool.Put(driftRng)
+		driftRng = signal.RandPool.Get()
+		defer signal.RandPool.Put(driftRng)
 		driftRng.Seed(runner.DeriveSeed(seed, "faults.drift"))
 	}
 
@@ -263,6 +244,7 @@ func (p *Profile) At(seed int64, slot int) Packet {
 	}
 	energy := cap // the tag wakes with a full reservoir
 	charging := false
+	truncate := 0.0
 
 	bad := false
 	cfo := 0.0
@@ -305,12 +287,9 @@ func (p *Profile) At(seed int64, slot int) Packet {
 				case energy >= 1:
 					charging = false
 					energy--
-					if i == slot {
-						pkt.Truncate = 0
-					}
 				case energy >= truncateFloor:
 					if i == slot {
-						pkt.Truncate = energy
+						truncate = energy
 					}
 					energy = 0
 					charging = true
@@ -324,21 +303,19 @@ func (p *Profile) At(seed int64, slot int) Packet {
 		}
 	}
 	pkt.Energy = energy
-	if p.Burst != nil && bad {
-		pkt.BurstBad = true
-		pkt.ExtraLossDB = lam * p.Burst.ExtraLossDB
+	pkt.BurstBad = bad
+	if pkt.Outage {
+		// An outage slot sends nothing; channel-level effects are moot.
+		truncate = 0
+		pkt.SkipReflection = false
 	}
-	if p.Drift != nil {
-		pkt.CFOHz = cfo
+	pkt.Impairment = channel.Impairment{CFOHz: cfo, Truncate: truncate}
+	if bad {
+		pkt.ExtraLossDB = lam * p.Burst.ExtraLossDB
 	}
 	if p.Impulse != nil {
 		pkt.ImpulseProb = lam * p.Impulse.Prob
 		pkt.ImpulsePowerDBm = p.Impulse.PowerDBm
-	}
-	if pkt.Outage {
-		// An outage slot sends nothing; channel-level effects are moot.
-		pkt.Truncate = 0
-		pkt.SkipReflection = false
 	}
 	return pkt
 }

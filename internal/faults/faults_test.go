@@ -3,6 +3,8 @@ package faults
 import (
 	"math"
 	"testing"
+
+	"repro/internal/channel"
 )
 
 func TestNilProfileIsClean(t *testing.T) {
@@ -162,11 +164,15 @@ func TestIntensityScalesSeverity(t *testing.T) {
 }
 
 func TestImpairmentBridgesOnlyChannelFaults(t *testing.T) {
-	if (Packet{}).Impairment() != nil {
+	if (Packet{}).ChannelImpairment() != nil {
 		t.Fatal("clean packet produced an impairment")
 	}
-	pkt := Packet{ExtraLossDB: 9, CFOHz: 120, Truncate: 0.5, ImpulseProb: 0.001, ImpulsePowerDBm: -50}
-	imp := pkt.Impairment()
+	// An impulse power without an impulse probability draws no impulse.
+	if quiet := (Packet{Impairment: channel.Impairment{ImpulsePowerDBm: -50}}); quiet.ChannelImpairment() != nil || !quiet.IsZero() {
+		t.Fatal("impulse power without probability counted as a fault")
+	}
+	pkt := Packet{Impairment: channel.Impairment{ExtraLossDB: 9, CFOHz: 120, Truncate: 0.5, ImpulseProb: 0.001, ImpulsePowerDBm: -50}}
+	imp := pkt.ChannelImpairment()
 	if imp == nil || imp.ExtraLossDB != 9 || imp.CFOHz != 120 || imp.Truncate != 0.5 ||
 		imp.ImpulseProb != 0.001 || imp.ImpulsePowerDBm != -50 {
 		t.Fatalf("impairment mistranslated: %+v", imp)

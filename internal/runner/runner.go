@@ -1,11 +1,13 @@
-// Package runner is the shared deterministic-parallel execution engine of
-// the experiment harness. It provides a bounded worker pool whose results
+// Package runner is the shared deterministic-parallel execution engine:
+// seed derivation plus one pool call. DeriveSeed gives every (experiment,
+// point, repetition) tuple its own collision-free RNG stream by hashing,
+// and Map runs n independent jobs on a bounded worker pool whose results
 // are independent of the worker count (jobs write into caller-owned slots
-// by index, errors are reported lowest-index first) and a hash-based seed
-// derivation that gives every (experiment, point, repetition) tuple its own
-// collision-free RNG stream. Together they make "run it on all cores" a
-// pure performance decision: the numbers that come out are bit-identical
-// to a serial run.
+// by index, errors are reported lowest-index first). The experiment
+// sweeps, the calibration CLI and core.Session.RunParallel's packet
+// batches all run on Map. Together they make "run it on all cores" a pure
+// performance decision: the numbers that come out are bit-identical to a
+// serial run.
 package runner
 
 import (
@@ -62,54 +64,19 @@ type Stats struct {
 	Busy    time.Duration
 }
 
-// DefaultWorkers is the pool width used when a caller passes workers <= 0.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Map runs fn(i) for every i in [0, n) on at most `workers` goroutines
-// (all cores when workers <= 0). Job i writes its output into the caller's
-// own slice at index i, so results are ordered by construction. If any
-// jobs fail, the error of the lowest failing index is returned — the same
-// error a serial loop would have hit first — and the remaining jobs are
-// still drained, keeping behaviour deterministic.
-func Map(n, workers int, fn func(i int) error) error {
-	_, err := MapStats(n, workers, fn)
-	return err
-}
-
-// MapBatches runs fn(lo, hi) over contiguous index ranges covering [0, n)
-// in steps of `batch` (the last range may be short) on the same bounded
-// pool as Map. Batch b covers [b·batch, min((b+1)·batch, n)). Because every
-// index still lands in exactly one call and ranges are fixed by (n, batch)
-// alone — never by worker count or scheduling — a caller whose fn(lo, hi)
-// is equivalent to the serial loop over [lo, hi) gets results bit-identical
-// to Map(n, workers, perIndexFn) while amortising per-dispatch setup
-// (scratch checkout, RNG seeding, plan lookups) across each range. Errors
-// report lowest batch first, matching the serial order.
-func MapBatches(n, batch, workers int, fn func(lo, hi int) error) error {
-	if n < 0 {
-		return fmt.Errorf("runner: negative job count %d", n)
-	}
-	if batch <= 0 {
-		batch = 1
-	}
-	nb := (n + batch - 1) / batch
-	return Map(nb, workers, func(b int) error {
-		lo := b * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	})
-}
-
-// MapStats is Map plus pool statistics for the metrics layer.
-func MapStats(n, workers int, fn func(i int) error) (Stats, error) {
+// (all cores when workers <= 0) and reports the pool's width and summed
+// busy time. Job i writes its output into the caller's own slice at index
+// i, so results are ordered by construction. If any jobs fail, the error
+// of the lowest failing index is returned — the same error a serial loop
+// would have hit first — and the remaining jobs are still drained,
+// keeping behaviour deterministic.
+func Map(n, workers int, fn func(i int) error) (Stats, error) {
 	if n < 0 {
 		return Stats{}, fmt.Errorf("runner: negative job count %d", n)
 	}
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

@@ -41,7 +41,7 @@ func TestDeriveSeedMultiIndexAndBase(t *testing.T) {
 func TestMapOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		out := make([]int, 50)
-		err := Map(len(out), workers, func(i int) error {
+		_, err := Map(len(out), workers, func(i int) error {
 			out[i] = i * i
 			return nil
 		})
@@ -60,7 +60,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	// Whatever the scheduling, the reported error must be the lowest
 	// failing index — what a serial loop would have returned.
 	for _, workers := range []int{1, 3, 16} {
-		err := Map(40, workers, func(i int) error {
+		_, err := Map(40, workers, func(i int) error {
 			if i == 7 || i == 31 {
 				return fmt.Errorf("job %d failed", i)
 			}
@@ -74,7 +74,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 
 func TestMapRunsEveryJobDespiteErrors(t *testing.T) {
 	var ran atomic.Int64
-	err := Map(20, 4, func(i int) error {
+	_, err := Map(20, 4, func(i int) error {
 		ran.Add(1)
 		if i%2 == 0 {
 			return errors.New("boom")
@@ -90,20 +90,21 @@ func TestMapRunsEveryJobDespiteErrors(t *testing.T) {
 }
 
 func TestMapEdgeCases(t *testing.T) {
-	if err := Map(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if _, err := Map(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("empty map: %v", err)
 	}
-	if err := Map(-1, 4, func(int) error { return nil }); err == nil {
+	if _, err := Map(-1, 4, func(int) error { return nil }); err == nil {
 		t.Fatal("negative job count accepted")
 	}
 	// workers <= 0 falls back to all cores.
-	if err := Map(3, 0, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
+	st, err := Map(3, 0, func(int) error { return nil })
+	if err != nil || st.Workers < 1 {
+		t.Fatalf("workers<=0: %+v, %v", st, err)
 	}
 }
 
-func TestMapStatsAccounting(t *testing.T) {
-	st, err := MapStats(8, 2, func(int) error { return nil })
+func TestMapPoolStats(t *testing.T) {
+	st, err := Map(8, 2, func(int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestMapStatsAccounting(t *testing.T) {
 		t.Fatalf("negative busy time %v", st.Busy)
 	}
 	// Workers are clamped to the job count.
-	st, err = MapStats(2, 16, func(int) error { return nil })
+	st, err = Map(2, 16, func(int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package server
 import (
 	"net/http"
 	"time"
-
-	"repro/internal/runner"
 )
 
 // statusWriter records the status code a handler wrote so the middleware
@@ -21,16 +19,18 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // instrument wraps a handler with the server's serving discipline:
 // request/latency/error metrics always, and — when gated — a per-endpoint
-// concurrency gate that converts overload into 429 + Retry-After rather
-// than parking goroutines. Each endpoint owns an independent gate, so a
-// flood of simulate requests cannot starve decode, and vice versa. Once
-// the server is closed, gated endpoints answer 503.
+// admission gate of MaxInflight slots that converts overload into 429 +
+// Retry-After rather than parking goroutines: a request claims a slot
+// without waiting or is turned away, so load cannot accumulate unbounded
+// state. Each endpoint owns an independent gate, so a flood of simulate
+// requests cannot starve decode, and vice versa. Once the server is
+// closed, gated endpoints answer 503.
 func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.HandlerFunc {
 	ep := &endpoint{}
 	s.endpoints[name] = ep
-	var gate *runner.Gate
+	var gate chan struct{}
 	if gated {
-		gate = runner.NewGate(s.cfg.MaxInflight)
+		gate = make(chan struct{}, s.cfg.MaxInflight)
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if gate != nil {
@@ -39,14 +39,16 @@ func (s *Server) instrument(name string, gated bool, h http.HandlerFunc) http.Ha
 				writeError(w, http.StatusServiceUnavailable, "server closed; not accepting %s requests", name)
 				return
 			}
-			if !gate.TryEnter() {
+			select {
+			case gate <- struct{}{}:
+				defer func() { <-gate }()
+			default:
 				ep.rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusTooManyRequests,
-					"%s over capacity (%d in flight); retry shortly", name, gate.Capacity())
+					"%s over capacity (%d in flight); retry shortly", name, cap(gate))
 				return
 			}
-			defer gate.Leave()
 		}
 		ep.inFlight.Add(1)
 		defer ep.inFlight.Add(-1)

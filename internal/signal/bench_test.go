@@ -142,7 +142,7 @@ func BenchmarkSeed(b *testing.B) {
 		}
 	})
 	b.Run("RandSource", func(b *testing.B) {
-		src := NewRandSource(0)
+		src := newRandSource(0)
 		for i := 0; i < b.N; i++ {
 			src.Seed(int64(i))
 		}

@@ -26,8 +26,18 @@ type RandSource struct {
 	vec       [simd.FibLong]uint64
 }
 
-// NewRandSource returns a source seeded with seed.
-func NewRandSource(seed int64) *RandSource {
+// RandPool recycles the rand.Rand generators over a RandSource that the
+// per-packet pipelines reseed for every use: core's derived packet
+// streams and the fault layer's burst and drift replays. A source carries
+// a ~5 KB state table, so without the pool those generators dominate the
+// steady-state allocations. It is a FreeList, not a sync.Pool, so that
+// once warm it is deterministically allocation-free (see FreeList); Cap
+// bounds the pinned generators while covering both users' concurrent
+// checkouts on a wide worker pool.
+var RandPool = FreeList[*rand.Rand]{New: func() *rand.Rand { return rand.New(newRandSource(0)) }, Cap: 48}
+
+// newRandSource returns a source seeded with seed.
+func newRandSource(seed int64) *RandSource {
 	r := new(RandSource)
 	r.Seed(seed)
 	return r

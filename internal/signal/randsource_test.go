@@ -19,10 +19,10 @@ func TestRandSourceMatchesMathRand(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		seeds = append(seeds, int64(rng.Uint64()))
 	}
-	reused := NewRandSource(12345)
+	reused := newRandSource(12345)
 	for _, seed := range seeds {
 		want := rand.NewSource(seed).(rand.Source64)
-		fresh := NewRandSource(seed)
+		fresh := newRandSource(seed)
 		reused.Seed(seed)
 		for k := 0; k < 2000; k++ {
 			var w, f, r uint64

@@ -20,19 +20,6 @@ import (
 // the envelope detector's indication (§3.1: 0.35 µs for the LT5534).
 const EnvelopeLatency = 0.35e-6
 
-// Translator embeds tag bits into an excitation waveform by codeword
-// translation, returning the backscattered baseband waveform (before the
-// channel-shift mixer and reflection losses are applied).
-type Translator interface {
-	// Translate modifies a copy of the excitation waveform according to the
-	// tag bits. It returns the modified waveform and the number of tag bits
-	// actually embedded (the packet may be shorter than the data).
-	Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error)
-	// Capacity returns how many tag bits fit on one excitation packet of
-	// the given duration in seconds.
-	Capacity(packetDuration float64) int
-}
-
 // PhaseTranslator rotates the reflected signal's phase in per-symbol
 // blocks: Δθ for tag bit 1, 0 for tag bit 0 (eq. 4), or multi-level Δθ
 // steps when BitsPerStep is 2 (eq. 5). It serves both OFDM WiFi and OQPSK
@@ -57,7 +44,10 @@ type PhaseTranslator struct {
 	Latency float64
 }
 
-// Translate implements Translator: TranslateInPlace on a copy of exc.
+// Translate is TranslateInPlace on a copy of exc: it returns the
+// backscattered baseband waveform (before the channel-shift mixer and
+// reflection losses) and the number of tag bits embedded, which is short
+// of len(tagBits) when the packet ends first.
 func (p *PhaseTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error) {
 	out := exc.Clone()
 	used, err := p.TranslateInPlace(out, tagBits)
@@ -99,7 +89,8 @@ func (p *PhaseTranslator) TranslateInPlace(s *signal.Signal, tagBits []byte) (in
 	return used, nil
 }
 
-// Capacity implements Translator.
+// Capacity returns how many tag bits fit on one excitation packet of the
+// given duration in seconds.
 func (p *PhaseTranslator) Capacity(packetDuration float64) int {
 	if err := p.validate(); err != nil {
 		return 0
@@ -138,7 +129,9 @@ type FreqTranslator struct {
 	Latency float64
 }
 
-// Translate implements Translator.
+// Translate returns a modified copy of exc (before the channel-shift mixer
+// and reflection losses) and the number of tag bits embedded, which is
+// short of len(tagBits) when the packet ends first.
 func (f *FreqTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error) {
 	if err := f.validate(); err != nil {
 		return nil, 0, err
@@ -168,7 +161,8 @@ func (f *FreqTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.
 	return out, used, nil
 }
 
-// Capacity implements Translator.
+// Capacity returns how many tag bits fit on one excitation packet of the
+// given duration in seconds.
 func (f *FreqTranslator) Capacity(packetDuration float64) int {
 	if err := f.validate(); err != nil {
 		return 0

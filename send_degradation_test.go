@@ -118,7 +118,7 @@ func TestSendRetryDeterminism(t *testing.T) {
 		const transfers = 3
 		outs := make([][]byte, transfers)
 		reps := make([]DegradationReport, transfers)
-		if err := runner.Map(transfers, workers, func(i int) error {
+		if _, err := runner.Map(transfers, workers, func(i int) error {
 			outs[i], reps[i] = run()
 			return nil
 		}); err != nil {
