@@ -235,7 +235,11 @@ fuzz-decoder:
 # fuzzer drives seed, length, stream offset and noise power (zero,
 # subnormal, huge, non-finite) through the block noise stream in both
 # dispatch modes and demands the samples and stream position of the
-# rand.NormFloat64 loop it replaced.
+# rand.NormFloat64 loop it replaced. FuzzScaleDispatch feeds raw float
+# bits (gain, divisor, samples) through the elementwise complex kernels
+# (Scale, ScalePower, DivScale) at every length and start phase, in place
+# and into a separate buffer, and demands their Go definitions' bits,
+# power sum and NaN report.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
@@ -246,6 +250,7 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzBluetoothReceive$$ -fuzztime=10s ./internal/bluetooth
 	$(GO) test -run=^$$ -fuzz=FuzzWiFiReceive$$ -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzAWGN$$ -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzScaleDispatch$$ -fuzztime=10s ./internal/simd
 
 # fuzz-core smoke-fuzzes session configuration: random radio, rate,
 # payload size, redundancy, receiver mode, quaternary flag and coding must

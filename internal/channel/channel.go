@@ -210,9 +210,7 @@ func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom in
 	rng := signal.GetNoise(l.Seed)
 	defer signal.PutNoise(rng)
 	g := complex(amp/math.Sqrt(p), 0) * l.fadeGain(rng)
-	for i, v := range s.Samples {
-		out.Samples[headroom+i] = v * g
-	}
+	signal.ScaleInto(out.Samples[headroom:], s.Samples, g)
 	for _, tap := range l.Multipath {
 		d := int(math.Round(tap.Delay * s.Rate))
 		tapGain := complex(signal.AmplitudeForPowerDBm(tap.GainDB), 0) *
@@ -294,9 +292,7 @@ func ApplySNR(s *signal.Signal, snrDB float64, headroom int, seed int64) (*signa
 	}
 	out := signal.New(s.Rate, len(s.Samples)+2*headroom)
 	g := complex(math.Sqrt(signal.DBToPower(snrDB)/p), 0)
-	for i, v := range s.Samples {
-		out.Samples[headroom+i] = v * g
-	}
+	signal.ScaleInto(out.Samples[headroom:], s.Samples, g)
 	noise := signal.GetNoise(seed)
 	out.AddAWGN(1, noise)
 	signal.PutNoise(noise)

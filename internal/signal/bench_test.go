@@ -94,6 +94,19 @@ func BenchmarkAddAWGN(b *testing.B) {
 	}
 }
 
+// BenchmarkScalePower is the channel shift's 2/π gain plus power sum
+// over one wifi-fresh capture's length (41,440 samples), alternating the
+// gain with its reciprocal so the samples stay in range.
+func BenchmarkScalePower(b *testing.B) {
+	s := benchSignal(41440)
+	gains := [2]complex128{complex(SSBShiftGain, 0), complex(1/SSBShiftGain, 0)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ScalePower(gains[i&1])
+	}
+}
+
 func BenchmarkSquareWaveMix(b *testing.B) {
 	s := benchSignal(4096)
 	b.ResetTimer()

@@ -13,9 +13,11 @@ import (
 // magnitude drift; a zero offset copies.
 //
 // Bit-identity: this is the exact recurrence the wifi and zigbee receivers
-// historically inlined; both now call it, so CFO correction stays
-// bit-for-bit identical across radios. Writing to a separate dst keeps
-// every product: dst[i] = src[i]·rot is the in-place x[i] *= rot.
+// historically inlined; both now call it, as does the channel's
+// Signal.FrequencyShift (with the offset negated), so CFO correction and
+// injection stay bit-for-bit identical across radios. Writing to a
+// separate dst keeps every product: dst[i] = src[i]·rot is the in-place
+// x[i] *= rot.
 func Derotate(dst, src []complex128, cfo, rate float64) {
 	if cfo == 0 {
 		copy(dst, src)

@@ -186,10 +186,67 @@ func (n *Noise) NormFloat64() float64 {
 			}
 			return -zigR - x
 		}
-		if zigF[i]+float32(n.Float64())*(zigF[i-1]-zigF[i]) < float32(math.Exp(-.5*x*x)) {
+		if wedgeAccepts(i, x, zigF[i]+float32(n.Float64())*(zigF[i-1]-zigF[i])) {
 			return x
 		}
 	}
+}
+
+// wedgeAccepts is the ziggurat's wedge test for a draw x of strip i,
+// lhs < float32(math.Exp(-.5*x*x)), decided without math.Exp when the
+// strip's bounds lo ≤ math.Exp(-.5*x*x) ≤ hi settle it: float32
+// rounding is monotone, so float32(lo) > lhs accepts and
+// float32(hi) ≤ lhs rejects exactly as the exact test would. Only the
+// draws between the two rounded bounds (under 1% of wedge tests) call
+// math.Exp.
+func wedgeAccepts(i int32, x float64, lhs float32) bool {
+	t, w := x*x, &zigWedge[i]
+	if float32(w.lo0+w.lo1*t) > lhs {
+		return true
+	}
+	return float32(w.hi0+w.hi1*t) > lhs && lhs < float32(math.Exp(-.5*x*x))
+}
+
+// wedgeBound holds one strip's bounds on math.Exp(-t/2) as lines in
+// t = x·x: lo0 + lo1·t below, hi0 + hi1·t above.
+type wedgeBound struct{ lo0, lo1, hi0, hi1 float64 }
+
+// wedgeMargin widens every bound. The lines are exact bounds on
+// g(t) = exp(−t/2) in real arithmetic; what separates them from the
+// computed values stays under 2⁻⁴⁷: math.Exp's error (within one ulp of
+// g ≤ 1) at the nodes and at the tested t, the slope's rounding (a slope
+// off by δ moves the chord by at most δ·(tb − ta), the rounding of
+// g(tb) − g(ta)), and the few roundings that build and evaluate each
+// line from values below 8. The margin, 2⁻⁴⁰, sits far below float32's
+// spacing near the test's left side (lhs ≥ fn[127] > 2⁻⁹, so at least
+// 2⁻³²), so it costs no decisions.
+const wedgeMargin = 0x1p-40
+
+// zigWedge holds the wedge bounds of strips 1–127 (entry 0 is unused:
+// the base strip has a tail, not a wedge).
+var zigWedge = wedgeBounds()
+
+// wedgeBounds builds each strip's lines over the t = x·x its wedge
+// draws can reach, |x| from kn[i]·wn[i] to 2³¹·wn[i] as the draw computes
+// x. g(t) = exp(−t/2) is convex in t, so on [ta, tb] its chord lies
+// above it and any tangent below it; the tangent is taken where g's
+// slope equals the chord's, which minimises the gap between the two.
+func wedgeBounds() (b [128]wedgeBound) {
+	g := func(t float64) float64 { return math.Exp(-.5 * t) }
+	for i := 1; i < len(b); i++ {
+		xa := float64(zigK[i]) * float64(zigW[i])
+		xb := float64(1<<31) * float64(zigW[i])
+		ta, tb := xa*xa, xb*xb
+		slope := (g(tb) - g(ta)) / (tb - ta)
+		tm := -2 * math.Log(-2*slope) // g'(tm) = −g(tm)/2 = slope
+		b[i] = wedgeBound{
+			lo0: g(tm)*(1+tm/2) - wedgeMargin,
+			lo1: -g(tm) / 2,
+			hi0: g(ta) - slope*ta + wedgeMargin,
+			hi1: slope,
+		}
+	}
+	return b
 }
 
 func absInt32(i int32) uint32 {

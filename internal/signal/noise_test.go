@@ -222,3 +222,75 @@ func FuzzAWGN(f *testing.F) {
 		checkAWGN(t, x, power, seed, int(skip)%4096)
 	})
 }
+
+// wedgeGrid returns the draws x of strip i the bound tests walk: |j|
+// every step from kn[i] to 2³¹ (j of both signs), plus the two wedge
+// edges and the float64 neighbours of each.
+func wedgeGrid(i int, step int64) []float64 {
+	w := float64(zigW[i])
+	var xs []float64
+	for a := int64(zigK[i]); a <= 1<<31; a += step {
+		xs = append(xs, float64(a)*w, -float64(a)*w)
+	}
+	for _, e := range []float64{float64(zigK[i]) * w, float64(1<<31) * w} {
+		xs = append(xs, e, math.Nextafter(e, 0), math.Nextafter(e, 4), -e)
+	}
+	return xs
+}
+
+// TestWedgeBoundsHold checks lo ≤ math.Exp(-.5*x*x) ≤ hi, each side
+// evaluated as wedgeAccepts evaluates it, for every strip on a dense
+// grid of its wedge plus the edges and their float neighbours.
+func TestWedgeBoundsHold(t *testing.T) {
+	for i := 1; i < 128; i++ {
+		step := max(1, (int64(1<<31)-int64(zigK[i]))/4000)
+		for _, x := range wedgeGrid(i, step) {
+			tt, w := x*x, &zigWedge[i]
+			e := math.Exp(-.5 * x * x)
+			if lo, hi := w.lo0+w.lo1*tt, w.hi0+w.hi1*tt; !(lo <= e && e <= hi) {
+				t.Fatalf("strip %d, x = %v: bounds [%v, %v] miss math.Exp = %v", i, x, lo, hi, e)
+			}
+		}
+	}
+}
+
+// TestWedgeDecisionExact holds wedgeAccepts to the test it replaces,
+// lhs < float32(math.Exp(-.5*x*x)), with lhs on, just below and just
+// above the rounded exponential and on and around each rounded bound,
+// so all three branches (bound accepts, bound rejects, math.Exp
+// decides) meet the cases where a decision is closest. It also holds
+// the bounds to their purpose: over lhs spread across each strip's
+// height, under 2% of decisions may reach math.Exp.
+func TestWedgeDecisionExact(t *testing.T) {
+	next := func(f float32, dir float32) float32 { return math.Nextafter32(f, dir) }
+	var undecided, total int
+	for i := 1; i < 128; i++ {
+		w := &zigWedge[i]
+		step := max(1, (int64(1<<31)-int64(zigK[i]))/500)
+		for _, x := range wedgeGrid(i, step) {
+			tt := x * x
+			e := float32(math.Exp(-.5 * x * x))
+			lo, hi := float32(w.lo0+w.lo1*tt), float32(w.hi0+w.hi1*tt)
+			for _, ref := range []float32{e, lo, hi} {
+				for _, lhs := range []float32{ref, next(ref, 0), next(ref, 2), next(next(ref, 0), 0), next(next(ref, 2), 2)} {
+					if got, want := wedgeAccepts(int32(i), x, lhs), lhs < e; got != want {
+						t.Fatalf("strip %d, x = %v, lhs = %v: wedgeAccepts = %v, math.Exp test = %v", i, x, lhs, got, want)
+					}
+				}
+			}
+			for k := 0; k < 64; k++ {
+				lhs := zigF[i] + (float32(k)+0.5)/64*(zigF[i-1]-zigF[i])
+				if got, want := wedgeAccepts(int32(i), x, lhs), lhs < e; got != want {
+					t.Fatalf("strip %d, x = %v, lhs = %v: wedgeAccepts = %v, math.Exp test = %v", i, x, lhs, got, want)
+				}
+				if lo <= lhs && lhs < hi {
+					undecided++
+				}
+				total++
+			}
+		}
+	}
+	if frac := float64(undecided) / float64(total); frac > 0.02 {
+		t.Fatalf("the bounds leave %.2f%% of wedge decisions to math.Exp, want under 2%%", 100*frac)
+	}
+}

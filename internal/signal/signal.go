@@ -12,6 +12,8 @@ package signal
 import (
 	"math"
 	"math/cmplx"
+
+	"repro/internal/simd"
 )
 
 // Signal is a block of complex baseband samples at a fixed sample rate.
@@ -43,28 +45,28 @@ func (s *Signal) Clone() *Signal {
 // Scale multiplies every sample by the (possibly complex) gain g in place
 // and returns the receiver for chaining.
 func (s *Signal) Scale(g complex128) *Signal {
-	for i := range s.Samples {
-		s.Samples[i] *= g
-	}
+	ScaleInto(s.Samples, s.Samples, g)
 	return s
 }
 
+// ScaleInto writes src·g into dst[:len(src)], sample for sample: the one
+// dispatch point of the elementwise complex scale (simd.Scale when
+// dispatched). dst may be src itself but must not otherwise overlap it.
+func ScaleInto(dst, src []complex128, g complex128) {
+	dst = dst[:len(src)]
+	if simd.Enabled() {
+		simd.Scale(dst, src, g)
+		return
+	}
+	for i, v := range src {
+		dst[i] = v * g
+	}
+}
+
 // FrequencyShift mixes the signal with exp(j·2π·df·t) in place, moving its
-// spectrum up by df Hz.
+// spectrum up by df Hz: Derotate by −df, the same rotor.
 func (s *Signal) FrequencyShift(df float64) *Signal {
-	if df == 0 {
-		return s
-	}
-	// Incremental rotation avoids a sin/cos per sample.
-	step := cmplx.Exp(complex(0, 2*math.Pi*df/s.Rate))
-	rot := complex(1, 0)
-	for i := range s.Samples {
-		s.Samples[i] *= rot
-		rot *= step
-		if i&0x3FF == 0x3FF { // renormalise periodically against drift
-			rot /= complex(cmplx.Abs(rot), 0)
-		}
-	}
+	Derotate(s.Samples, s.Samples, -df, s.Rate)
 	return s
 }
 
@@ -77,16 +79,21 @@ func (s *Signal) PhaseShift(theta float64) *Signal {
 // ScalePower multiplies every sample by g in place, as Scale does, and
 // returns the scaled signal's MeanPower, summed in the same loop: the
 // same products added in the same order, so the value is bit-identical
-// to calling MeanPower afterwards, without a second pass.
+// to calling MeanPower afterwards, without a second pass. Dispatched, it
+// is simd.ScalePower, which keeps that order.
 func (s *Signal) ScalePower(g complex128) float64 {
 	if len(s.Samples) == 0 {
 		return 0
 	}
 	var p float64
-	for i := range s.Samples {
-		v := s.Samples[i] * g
-		s.Samples[i] = v
-		p += real(v)*real(v) + imag(v)*imag(v)
+	if simd.Enabled() {
+		p = simd.ScalePower(s.Samples, g)
+	} else {
+		for i := range s.Samples {
+			v := s.Samples[i] * g
+			s.Samples[i] = v
+			p += real(v)*real(v) + imag(v)*imag(v)
+		}
 	}
 	return p / float64(len(s.Samples))
 }

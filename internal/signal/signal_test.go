@@ -351,7 +351,7 @@ func TestSquareWaveMixImages(t *testing.T) {
 
 // TestScalePowerMatchesScaleThenMeanPower pins ScalePower to the two
 // passes it replaces: the same samples and the same power, bitwise, on
-// samples whose sum depends on its order.
+// samples whose sum depends on its order, in every dispatch mode.
 func TestScalePowerMatchesScaleThenMeanPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{0, 1, 7, 10000} {
@@ -359,17 +359,19 @@ func TestScalePowerMatchesScaleThenMeanPower(t *testing.T) {
 		for i := range a.Samples {
 			a.Samples[i] = complex(rng.NormFloat64()*math.Exp(4*rng.NormFloat64()), rng.NormFloat64())
 		}
-		b := a.Clone()
-		g := complex(SSBShiftGain, 0)
-		got := a.ScalePower(g)
-		want := b.Scale(g).MeanPower()
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: ScalePower %v, Scale then MeanPower %v", n, got, want)
-		}
-		for i := range a.Samples {
-			if a.Samples[i] != b.Samples[i] {
-				t.Fatalf("n=%d: sample %d: %v vs %v", n, i, a.Samples[i], b.Samples[i])
+		eachDispatchMode(t, func(mode string) {
+			a, b := a.Clone(), a.Clone()
+			g := complex(SSBShiftGain, 0)
+			got := a.ScalePower(g)
+			want := b.Scale(g).MeanPower()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: n=%d: ScalePower %v, Scale then MeanPower %v", mode, n, got, want)
 			}
-		}
+			for i := range a.Samples {
+				if a.Samples[i] != b.Samples[i] {
+					t.Fatalf("%s: n=%d: sample %d: %v vs %v", mode, n, i, a.Samples[i], b.Samples[i])
+				}
+			}
+		})
 	}
 }

@@ -69,3 +69,18 @@ func zigReject(flags *uint64, u *uint64, words int, kn *uint32)
 //
 //go:noescape
 func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64)
+
+// scale is the AVX2 complex scale (scale_amd64.s).
+//
+//go:noescape
+func scale(dst, x *complex128, n int, gr, gi float64)
+
+// scalePower is the AVX2 in-place scale plus power sum (scale_amd64.s).
+//
+//go:noescape
+func scalePower(x *complex128, n int, gr, gi float64) (p float64)
+
+// divScale is the AVX2 real-divisor quotient and scale (scale_amd64.s).
+//
+//go:noescape
+func divScale(dst, x *complex128, n int, inv, gr, gi float64) (ok bool)

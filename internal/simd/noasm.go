@@ -39,3 +39,15 @@ func zigReject(flags *uint64, u *uint64, words int, kn *uint32) {
 func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64) {
 	panic("simd: normAdd called on a build without asm kernels")
 }
+
+func scale(dst, x *complex128, n int, gr, gi float64) {
+	panic("simd: scale called on a build without asm kernels")
+}
+
+func scalePower(x *complex128, n int, gr, gi float64) float64 {
+	panic("simd: scalePower called on a build without asm kernels")
+}
+
+func divScale(dst, x *complex128, n int, inv, gr, gi float64) bool {
+	panic("simd: divScale called on a build without asm kernels")
+}

@@ -4,10 +4,13 @@
 // complex FFT of 16 to 1024 points (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
 // Gaussian filter) and the Bluetooth sync scan, the ZigBee preamble
-// slice correlations (zigbee.(*Receiver).Detect), and the channel's
+// slice correlations (zigbee.(*Receiver).Detect), the channel's
 // Gaussian noise (signal.Noise, signal.(*Signal).AddAWGN): the
 // lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
-// flags and the fast-path add. Each kernel has an AVX2 assembly
+// flags and the fast-path add, and the elementwise complex passes of
+// the packet path (signal.ScaleInto and Signal.ScalePower under the
+// tag's rotation, the sideband gain and the channel's receive gain, and
+// the WiFi symbol scaling). Each kernel has an AVX2 assembly
 // implementation on amd64, and the callers keep their pure-Go loops as
 // the always-available fallback and the semantic definition. Every other
 // architecture builds as noasm does and runs the Go loops.
@@ -66,6 +69,24 @@
 //   - NormAdd vectorizes across draws only; each lane is the scalar
 //     fast path's float64(j)·float64(w), then ·sigma, then the add into
 //     the sample, each rounded once (no FMA).
+//
+//   - Scale vectorizes across samples only; each product is Go's
+//     complex product with all four real products (a real gain's ·0
+//     cross terms included): the sample times the broadcast real part,
+//     the swapped sample times the broadcast imaginary part, and one
+//     VADDSUBPD, xr·gr − xi·gi and xi·gr + xr·gi, each rounded once.
+//
+//   - ScalePower is Scale plus the power sum: each term re² + im² is
+//     rounded once (VMULPD, VHADDPD), and the terms are added one
+//     scalar add at a time, from +0 in index order, so the sum is the
+//     Go loop's; that serial add chain bounds its speed.
+//
+//   - DivScale is the runtime's Smith division by a real divisor
+//     (re + im·0, im − re·0 as im + re·(−0), which IEEE makes the same
+//     value, then ·inv) followed by Scale's product. Where both quotient
+//     parts are NaN the runtime takes a C99 fallback the kernel does not
+//     have, so it reports any such sample and the caller redoes the
+//     block in Go; a clean report certifies bit-identical outputs.
 //
 // On amd64 the Go compiler never fuses a multiply into an add (at any
 // GOAMD64 level; only math.FMA fuses), so the Go twins round every
@@ -361,4 +382,58 @@ func NormAdd(x []complex128, u []uint64, wn *[128]float32, sigma float64) {
 		return
 	}
 	normAdd(&x[0], len(x), &u[0], &wn[0], sigma)
+}
+
+// Scale writes x·g into dst, element for element:
+//
+//	dst[i] = x[i] · g
+//
+// with Go's complex product, all four real products kept (a real gain's
+// ·0 cross terms included). dst may be x itself but must not otherwise
+// overlap it; len(dst) must equal len(x). Callers must check Enabled().
+func Scale(dst, x []complex128, g complex128) {
+	if len(dst) != len(x) {
+		panic("simd: Scale needs len(dst) == len(x)")
+	}
+	if len(x) == 0 {
+		return
+	}
+	scale(&dst[0], &x[0], len(x), real(g), imag(g))
+}
+
+// ScalePower scales x in place by g, as Scale does, and returns the sum
+// of the scaled samples' |x[i]|² taken from +0 in index order:
+//
+//	p += real(v)·real(v) + imag(v)·imag(v)   for v = x[i]·g, i ascending
+//
+// each square, each term and each partial sum rounded once. Callers
+// must check Enabled().
+func ScalePower(x []complex128, g complex128) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	return scalePower(&x[0], len(x), real(g), imag(g))
+}
+
+// DivScale writes into dst each sample of x divided by a real divisor
+// in the runtime's Smith form and then multiplied by g:
+//
+//	e = (real(x[i]) + imag(x[i])·0) · inv
+//	f = (imag(x[i]) − real(x[i])·0) · inv
+//	dst[i] = complex(e, f) · g
+//
+// each operation rounded once in that order. For inv = 1/d with d a
+// positive power of two this is x[i]/complex(d, 0) · g, except where e
+// and f are both NaN: there the runtime division takes its fallback,
+// so DivScale returns false and the caller must recompute the samples
+// in Go. dst may be x itself but must not otherwise overlap it;
+// len(dst) must equal len(x). Callers must check Enabled().
+func DivScale(dst, x []complex128, inv float64, g complex128) (ok bool) {
+	if len(dst) != len(x) {
+		panic("simd: DivScale needs len(dst) == len(x)")
+	}
+	if len(x) == 0 {
+		return true
+	}
+	return divScale(&dst[0], &x[0], len(x), inv, real(g), imag(g))
 }

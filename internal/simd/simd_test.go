@@ -74,6 +74,13 @@ func TestKernelContracts(t *testing.T) {
 	var wn [128]float32
 	ZigReject(nil, nil, &kn)
 	NormAdd(nil, nil, &wn, 1)
+	Scale(nil, nil, 2)
+	if ScalePower(nil, 2) != 0 {
+		t.Fatal("ScalePower of no samples is not 0")
+	}
+	if !DivScale(nil, nil, 1, 2) {
+		t.Fatal("DivScale of no samples reported a NaN quotient")
+	}
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -119,6 +126,12 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("ZigReject ragged draws", func() { ZigReject(make([]uint64, 1), make([]uint64, 65), &kn) })
 	mustPanic("NormAdd short draws", func() {
 		NormAdd(make([]complex128, 4), make([]uint64, 7), &wn, 1)
+	})
+	mustPanic("Scale length mismatch", func() {
+		Scale(make([]complex128, 3), make([]complex128, 4), 2)
+	})
+	mustPanic("DivScale length mismatch", func() {
+		DivScale(make([]complex128, 5), make([]complex128, 4), 1, 2)
 	})
 	tpl := make([]complex128, 64)
 	mustPanic("corr position count", func() {

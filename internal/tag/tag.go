@@ -82,9 +82,7 @@ func (p *PhaseTranslator) TranslateInPlace(s *signal.Signal, tagBits []byte) (in
 			continue
 		}
 		rot := complex(math.Cos(p.DeltaTheta*sym), math.Sin(p.DeltaTheta*sym))
-		for j := lo; j < hi; j++ {
-			s.Samples[j] *= rot
-		}
+		signal.ScaleInto(s.Samples[lo:hi], s.Samples[lo:hi], rot)
 	}
 	return used, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
 // symbolInto finishes one OFDM symbol whose 48 data bins the caller has
@@ -18,7 +19,8 @@ import (
 // term for term — (re + im·0) and (im − re·0), ratio being +0 — with the
 // runtime fallback on NaN. Only the final ÷N becomes ×2⁻⁶: N is a power
 // of two, so both are the correctly rounded value of the same real
-// number.
+// number. Dispatched, the tail is one simd.DivScale pass, which reports
+// the bins that need the fallback; the Go loop then redoes the symbol.
 func symbolInto(dst, td []complex128, symIdx int) error {
 	p := PilotPolarity(symIdx)
 	for i, pl := range PilotSubcarriers {
@@ -30,10 +32,21 @@ func symbolInto(dst, td []complex128, symIdx int) error {
 	if err := fftPlan64.InverseRaw(td); err != nil {
 		return err
 	}
-	const invN = 0x1p-6 // 1/FFTSize, exact
 	scale := complex(float64(FFTSize)/sqrtNused, 0)
 	body := dst[CPLen:SymbolLen]
-	for i, v := range td[:FFTSize] {
+	if !simd.Enabled() || !simd.DivScale(body, td[:FFTSize], invN, scale) {
+		symbolScaleGo(body, td[:FFTSize], scale)
+	}
+	copy(dst[:CPLen], body[FFTSize-CPLen:])
+	return nil
+}
+
+// symbolScaleGo is symbolInto's per-bin tail and simd.DivScale's
+// definition at inv = 2⁻⁶, with the runtime's fallback where both
+// quotient parts are NaN (the kernel reports those and the caller
+// reruns this loop).
+func symbolScaleGo(body, td []complex128, scale complex128) {
+	for i, v := range td {
 		re, im := real(v), imag(v)
 		e := (re + im*0) * invN
 		f := (im - re*0) * invN
@@ -44,9 +57,10 @@ func symbolInto(dst, td []complex128, symIdx int) error {
 		}
 		body[i] = v * scale
 	}
-	copy(dst[:CPLen], body[FFTSize-CPLen:])
-	return nil
 }
+
+// invN is 1/FFTSize, exact.
+const invN = 0x1p-6
 
 // sqrtNused normalises symbol power to the 52 used subcarriers.
 var sqrtNused = math.Sqrt(52)

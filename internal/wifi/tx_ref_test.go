@@ -260,3 +260,55 @@ func FuzzTransmitFused(f *testing.F) {
 		checkTransmitFused(t, signal.New(SampleRate, 0), psdu, Rates[mbps[int(rateIdx)%len(mbps)]], s)
 	})
 }
+
+// TestSymbolIntoNonFinite feeds data bins holding Inf, NaN and values
+// that overflow inside the transform through symbolInto and the
+// reference chain (signal.IFFT, then the scale) in each dispatch mode,
+// so the symbol tail sees samples with one or two infinite parts, NaN
+// parts, and quotients whose parts are both NaN (where the runtime
+// division takes its C99 fallback and the kernel pass reports the
+// sample). Samples compare bit for bit, NaN as a class.
+func TestSymbolIntoNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	specials := []complex128{
+		complex(math.Inf(1), 0), complex(0, math.Inf(-1)), complex(math.Inf(1), math.Inf(1)),
+		complex(math.NaN(), 0), complex(math.Copysign(0, -1), 1e-310),
+		complex(math.MaxFloat64, math.MaxFloat64), complex(-math.MaxFloat64, math.MaxFloat64),
+	}
+	sameFloat := func(a, b float64) bool {
+		return math.IsNaN(a) && math.IsNaN(b) || math.Float64bits(a) == math.Float64bits(b)
+	}
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	a := signal.GetArena()
+	defer a.Release()
+	for trial := 0; trial < 40; trial++ {
+		var data [NumData]complex128
+		for i := range data {
+			data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		for k := 1 + trial%3; k > 0; k-- {
+			data[rng.Intn(NumData)] = specials[rng.Intn(len(specials))]
+		}
+		want := make([]complex128, SymbolLen)
+		if err := refAssembleSymbolInto(want, data, trial, a); err != nil {
+			t.Fatal(err)
+		}
+		for _, on := range []bool{false, true} {
+			simd.SetEnabled(on)
+			td := make([]complex128, FFTSize)
+			for i, k := range DataSubcarriers {
+				td[binFor(k)] = data[i]
+			}
+			got := make([]complex128, SymbolLen)
+			if err := symbolInto(got, td, trial); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !sameFloat(real(got[i]), real(want[i])) || !sameFloat(imag(got[i]), imag(want[i])) {
+					t.Fatalf("trial %d, dispatch %s: sample %d = %v, reference %v", trial, simd.Mode(), i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
