@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check cmd-smoke test test-noasm cross-arm64 race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick ci
+.PHONY: build fmt-check cmd-smoke test test-noasm cross-arm64 fma-check fma-check-update race vet staticcheck govulncheck bench bench-serve bench-serve-baseline bench-dsp bench-dsp-quick bench-dsp-baseline bench-compare golden loadtest-quick soak soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick ci
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,22 @@ test-noasm:
 cross-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
+
+# fma-check cross-compiles the packet-path packages for arm64 with
+# -gcflags=-S and fails when a function there has more fused
+# multiply-add instructions (FMADDD and kin) than
+# tools/fmacheck/fma_sites.txt allows, or one the list does not name.
+# arm64 fuses where amd64 never does, so each site is a place where the
+# arm64 build's floats differ from the amd64 build's; the list may only
+# shrink. Sites are keyed by package and function with a count, not by
+# source line, so an unrelated edit cannot trip it.
+# fma-check-update rewrites the list; review its diff like a golden.
+FMA_PACKAGES = ./internal/signal ./internal/wifi ./internal/zigbee ./internal/channel ./internal/bluetooth ./internal/core ./internal/tag ./internal/decoder ./internal/fec ./internal/simd
+fma-check:
+	$(GO) run ./tools/fmacheck -list tools/fmacheck/fma_sites.txt $(FMA_PACKAGES)
+
+fma-check-update:
+	$(GO) run ./tools/fmacheck -list tools/fmacheck/fma_sites.txt -update $(FMA_PACKAGES)
 
 # race runs the full suite under the race detector; the parallel run
 # engine (internal/runner, core.RunParallel, the experiment sweeps) is the
@@ -213,10 +229,17 @@ fuzz-decoder:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeDifferentialQuaternaryWindows$$ -fuzztime=10s ./internal/decoder
 
 # fuzz-simd smoke-fuzzes the SIMD kernels differentially against their
-# pure-Go twins: the Viterbi ACS fuzzer demands strict byte equality of
-# metrics and traceback words (saturation boundaries ±32767 included);
+# pure-Go twins: the Viterbi ACS fuzzer drives the dispatching call over
+# the full int16 domain (saturation stripes ±32767 included, where the
+# int16 kernel declines and the Go loop runs) and demands strict byte
+# equality of metrics and traceback words; FuzzViterbiACSInRange maps
+# its input into the kernel's range and fails if the kernel declines
+# any of it or differs from the Go loop; FuzzEqualiseDispatch feeds raw
+# float bits (±0, ±Inf, NaN, subnormals) as symbol bins and channel
+# estimates through the WiFi equaliser and demands the Go loops' bits,
+# NaN compared as a class;
 # the FFT fuzzer feeds raw float bits (NaN, Inf, subnormals) and demands
-# bitwise identity on every non-NaN bin. Both skip cleanly on builds
+# bitwise identity on every non-NaN bin. These skip cleanly on builds
 # without asm kernels. The fused-modulator fuzzer transmits random PSDUs
 # at random rates and scrambler seeds and demands bitwise sample equality
 # with the reference interleave → map → IFFT chain, over whichever FFT
@@ -241,7 +264,9 @@ fuzz-decoder:
 # and into a separate buffer, and demands their Go definitions' bits,
 # power sum and NaN report.
 fuzz-simd:
-	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
+	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS$$ -fuzztime=10s ./internal/wifi
+	$(GO) test -run=^$$ -fuzz=FuzzViterbiACSInRange$$ -fuzztime=10s ./internal/wifi
+	$(GO) test -run=^$$ -fuzz=FuzzEqualiseDispatch$$ -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzTransmitFused -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzConvolveDispatch$$ -fuzztime=10s ./internal/signal
@@ -290,7 +315,8 @@ perfbench-quick:
 
 # ci is the gate: every Go file must be gofmt-clean, everything must
 # build (natively and cross-compiled for arm64, which runs the pure-Go
-# kernels), every command must run, pass vet (and staticcheck and
+# kernels, with no new fused multiply-add in the packet path), every
+# command must run, pass vet (and staticcheck and
 # govulncheck where installed), pass the suite with the race detector on
 # (in shuffled order) and again with the asm kernels compiled out, hold the
 # service layer bit-identical under concurrent load, survive the quick
@@ -298,4 +324,4 @@ perfbench-quick:
 # differential, session-config and HTTP body and query fuzzers clean, pass
 # the repository benchmark's tests and quick runs, and stay within the DSP
 # and serve benchmark budgets.
-ci: fmt-check build cmd-smoke cross-arm64 vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick bench-dsp bench-serve
+ci: fmt-check build cmd-smoke cross-arm64 fma-check vet staticcheck govulncheck race test-noasm loadtest-quick soak-quick fuzz-faults fuzz-fec fuzz-decoder fuzz-simd fuzz-core fuzz-server perfbench-test perfbench-quick bench-dsp bench-serve

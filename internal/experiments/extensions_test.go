@@ -141,3 +141,29 @@ func TestWaterfallWorkerCountInvariant(t *testing.T) {
 		})
 	}
 }
+
+// TestWaterfallBERSeesBadFrames pins that PayloadBER counts the bit
+// errors of frames whose checksum failed: near each radio's
+// sensitivity some frames come back at full length with a bad checksum,
+// so some point must report a nonzero BER, and every point must have
+// lost no more frames than it counted as errors.
+func TestWaterfallBERSeesBadFrames(t *testing.T) {
+	for _, radio := range []core.Radio{core.WiFi, core.ZigBee, core.Bluetooth} {
+		pts, err := Waterfall(radio, []float64{-2, 0, 2, 4}, 8, Options{Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonzero := false
+		for _, p := range pts {
+			if p.PayloadBER > 0 {
+				nonzero = true
+			}
+			if p.Lost > p.FrameErrors || p.FrameErrors > p.Frames {
+				t.Errorf("%v at %g dB: %d lost, %d frame errors of %d", radio, p.SNRdB, p.Lost, p.FrameErrors, p.Frames)
+			}
+		}
+		if !nonzero {
+			t.Errorf("%v: every low-SNR point reports payload BER 0: %v", radio, pts)
+		}
+	}
+}

@@ -14,17 +14,20 @@ import (
 
 // WaterfallPoint is one SNR sample of a PHY characterisation curve.
 type WaterfallPoint struct {
-	SNRdB       float64
-	PacketRate  float64 // fraction of packets decoded with a valid checksum
-	PayloadBER  float64 // bit error rate over decoded payloads
-	FrameErrors int
+	SNRdB      float64
+	PacketRate float64 // fraction of packets decoded with a valid checksum
+	// PayloadBER is the bit error rate over every payload the receiver
+	// returned at the sent length, its checksum valid or not.
+	PayloadBER  float64
+	FrameErrors int // frames lost or decoded with a failed checksum
+	Lost        int // frames the receiver returned no payload of the sent length for
 	Frames      int
 }
 
 // String renders the point as a bench-log row.
 func (p WaterfallPoint) String() string {
-	return fmt.Sprintf("snr=%5.1fdB packetRate=%4.2f payloadBER=%7.1e (%d/%d frames)",
-		p.SNRdB, p.PacketRate, p.PayloadBER, p.Frames-p.FrameErrors, p.Frames)
+	return fmt.Sprintf("snr=%5.1fdB packetRate=%4.2f payloadBER=%7.1e (%d/%d frames, %d lost)",
+		p.SNRdB, p.PacketRate, p.PayloadBER, p.Frames-p.FrameErrors, p.Frames, p.Lost)
 }
 
 // NativeLink is one radio's native PHY chain (no backscatter) at its
@@ -120,9 +123,13 @@ func Waterfall(radio core.Radio, snrsDB []float64, framesPerPoint int, opt Optio
 			sp.packets.Add(1)
 			sp.samples.Add(int64(len(cap.Samples)))
 			got, ok, err := link.Receive(cap)
-			if err != nil || !ok || len(got) != size {
+			if err != nil || len(got) != size {
 				pt.FrameErrors++
+				pt.Lost++
 				continue
+			}
+			if !ok {
+				pt.FrameErrors++
 			}
 			bitErr += byteErrors(got, payload)
 			bitTot += size * 8

@@ -38,7 +38,7 @@ func xgetbv0() uint64
 // viterbiACS is the AVX2 ACS kernel (viterbi_amd64.s).
 //
 //go:noescape
-func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps int)
+func viterbiACS(metric *[64]int16, signs *ViterbiSigns, q *int16, tb *uint64, steps, renormAt int) (ok bool)
 
 // fft is the AVX2 whole-transform FFT kernel (fft_amd64.s).
 //
@@ -84,3 +84,8 @@ func scalePower(x *complex128, n int, gr, gi float64) (p float64)
 //
 //go:noescape
 func divScale(dst, x *complex128, n int, inv, gr, gi float64) (ok bool)
+
+// equalise is the AVX2 gather, scale and Smith division (equalise_amd64.s).
+//
+//go:noescape
+func equalise(dst, x *complex128, n int, bins *int32, coef *EqualiseCoef, pairs int, inv float64) (status int)

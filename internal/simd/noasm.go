@@ -12,7 +12,7 @@ func hwDetect() string { return "" }
 // SetEnabled(true) refuses to turn it on, so a call here is a caller
 // bug (dispatching without checking Enabled).
 
-func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps int) {
+func viterbiACS(metric *[64]int16, signs *ViterbiSigns, q *int16, tb *uint64, steps, renormAt int) bool {
 	panic("simd: viterbiACS called on a build without asm kernels")
 }
 
@@ -50,4 +50,8 @@ func scalePower(x *complex128, n int, gr, gi float64) float64 {
 
 func divScale(dst, x *complex128, n int, inv, gr, gi float64) bool {
 	panic("simd: divScale called on a build without asm kernels")
+}
+
+func equalise(dst, x *complex128, n int, bins *int32, coef *EqualiseCoef, pairs int, inv float64) int {
+	panic("simd: equalise called on a build without asm kernels")
 }

@@ -1,6 +1,7 @@
 // Package simd provides runtime-dispatched vector kernels for the
 // hottest inner loops of the packet path: the int16 Viterbi
-// add-compare-select step (the WiFi Viterbi decoder), the whole radix-2
+// add-compare-select trellis (the WiFi Viterbi decoder's steady state,
+// renormalisation included), the whole radix-2
 // complex FFT of 16 to 1024 points (signal.Plan), the real-tap FIR behind
 // signal.ConvolveInto (the Bluetooth channel filter and the GFSK
 // Gaussian filter) and the Bluetooth sync scan, the ZigBee preamble
@@ -9,8 +10,10 @@
 // lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
 // flags and the fast-path add, and the elementwise complex passes of
 // the packet path (signal.ScaleInto and Signal.ScalePower under the
-// tag's rotation, the sideband gain and the channel's receive gain, and
-// the WiFi symbol scaling). Each kernel has an AVX2 assembly
+// tag's rotation, the sideband gain, the channel's receive gain and the
+// WiFi receiver's phase trackers, and the WiFi symbol scaling), and the
+// WiFi receiver's equaliser (wifi's equalizer.apply: the per-bin Smith
+// division by the channel estimate). Each kernel has an AVX2 assembly
 // implementation on amd64, and the callers keep their pure-Go loops as
 // the always-available fallback and the semantic definition. Every other
 // architecture builds as noasm does and runs the Go loops.
@@ -23,13 +26,14 @@
 // (two Go spellings of the same loop already disagree). NaN-ness itself
 // is always identical, as is every non-NaN bit (±Inf, −0, subnormals).
 //
-//   - ViterbiACS does its arithmetic in 32-bit lanes (sign-extended
-//     from the int16 metrics) exactly like the Go kernel's plain-int
-//     arithmetic, then truncates to int16 on store, so even
-//     saturation-boundary metrics (±32767) wrap identically. Survivor
-//     selection uses a strict greater-than against the low-predecessor
-//     candidate, reproducing the scalar "higher predecessor wins only
-//     when strictly better" tie order.
+//   - ViterbiACS does its arithmetic in int16 lanes with all 64 metrics
+//     in registers, renormalising inside. It first checks, by a vector
+//     scan, that its metrics and symbols are in the range where no lane
+//     can overflow; there int16 arithmetic is the Go kernel's plain-int
+//     arithmetic exactly, and elsewhere it declines and the caller runs
+//     the Go loop. Survivor selection uses a strict greater-than against
+//     the low-predecessor candidate, reproducing the scalar "higher
+//     predecessor wins only when strictly better" tie order.
 //
 //   - FFT vectorizes across independent butterflies only, two per
 //     ymm, three stages per pass with the points in registers; within a
@@ -88,6 +92,14 @@
 //     have, so it reports any such sample and the caller redoes the
 //     block in Go; a clean report certifies bit-identical outputs.
 //
+//   - Equalise gathers each output's bin, scales it as Scale does by a
+//     real gain, and divides it by a fixed divisor in the runtime's
+//     Smith form: both branches' numerators as v·A + swap(v)·B (x·1 is
+//     x, x·(−r) is −(x·r), a − b is a + (−b)), one VDIVPD per two
+//     outputs, and a per-output mask passing zero-divisor bins through.
+//     Like DivScale it reports any output whose two quotient parts are
+//     both NaN, where the runtime takes its C99 fallback.
+//
 // On amd64 the Go compiler never fuses a multiply into an add (at any
 // GOAMD64 level; only math.FMA fuses), so the Go twins round every
 // product and the kernels match them. On arm64 it does fuse, so no
@@ -99,6 +111,7 @@
 package simd
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -149,26 +162,87 @@ func SetEnabled(on bool) bool {
 	return prev
 }
 
+// ViterbiRenorm is the period, in trellis steps, at which ViterbiACS
+// renormalises the path metrics.
+const ViterbiRenorm = 64
+
+// The range ViterbiACS accepts: every path metric and every symbol
+// within these bounds keeps each lane of its int16 arithmetic exact
+// (see ViterbiACS).
+const (
+	ViterbiMaxMetric = 4096
+	ViterbiMaxSymbol = 63
+)
+
+// ViterbiSigns is the branch-gain sign table laid out for ViterbiACS.
+type ViterbiSigns struct{ t [64]int16 }
+
+// NewViterbiSigns lays out a per-butterfly sign table for ViterbiACS:
+// signs[k] is the sign (±1) the first symbol qa carries in butterfly
+// k's branch gain (states 2k, 2k+1 → k, k+32), signs[32+k] the second
+// symbol qb's. The kernel keeps butterflies 0..7, 16..23 in one
+// register and 8..15, 24..31 in another, and forms each gain from the
+// dword pair (qa, qb) and its swap (qb, qa), so for each register it
+// stores S1 (qa's sign in even words, qb's in odd words) and S2 (the
+// other symbol's).
+func NewViterbiSigns(signs *[64]int16) ViterbiSigns {
+	var v ViterbiSigns
+	for r := 0; r < 2; r++ {
+		for p := 0; p < 16; p++ {
+			k := 8*r + p
+			if p >= 8 {
+				k += 8
+			}
+			sa, sb := signs[k], signs[32+k]
+			if p%2 == 1 {
+				sa, sb = sb, sa
+			}
+			v.t[32*r+p], v.t[32*r+16+p] = sa, sb
+		}
+	}
+	return v
+}
+
 // ViterbiACS runs len(tb) add-compare-select trellis steps over the 64
-// de Bruijn states of the K=7 802.11 code. metric holds the int16 path
-// metrics on entry and the updated metrics on return. signs is the
-// per-butterfly branch-gain sign table: signs[k] is the first-symbol
-// sign (±1) for butterfly k (states 2k/2k+1 → k), signs[32+k] the
-// second-symbol sign. q holds the quantized symbol pairs, 2 per step.
-// tb[t] receives the 64 survivor-selection bits for step t (bit s set
-// ⇔ new state s chose the higher predecessor).
+// de Bruijn states of the K=7 802.11 code, subtracting the largest path
+// metric from all 64 before step renormAt and every ViterbiRenorm steps
+// after it. metric holds the int16 path metrics on entry and the
+// updated metrics on return. signs is a sign table NewViterbiSigns laid
+// out: butterfly k (states 2k/2k+1 → k, k+32) has gain g = sa·qa + sb·qb
+// with sa, sb the signs given for it, new state k the candidates
+// m[2k]+g and m[2k+1]−g, new state k+32 the candidates m[2k]−g and
+// m[2k+1]+g. q holds the symbol pairs (qa, qb), 2 per step. tb[t]
+// receives the 64 survivor-selection bits of step t: bit s set ⇔ new
+// state s took its odd predecessor, which it does only when that
+// candidate is strictly larger.
 //
-// Callers must check Enabled() first; no renormalization happens
-// inside, so steps must not cross a renorm boundary.
-func ViterbiACS(metric *[64]int16, signs *[64]int32, q []int16, tb []uint64) {
+// The kernel computes in int16 lanes, so it takes only inputs for which
+// no lane can overflow: every metric within ±ViterbiMaxMetric and every
+// symbol within ±ViterbiMaxSymbol (|g| ≤ G = 126). Before the first
+// renormalisation (at most 63 steps) every value then stays within
+// ±(4096 + 63·G) = ±12034. The first one leaves the metrics in
+// [−(8192 + 2·63·G), 0] = [−24068, 0], and the 64 steps after it stay
+// within [−24068 − 64·G, 64·G] = [−32132, 8064]. From the second one on
+// (at least 64 ≥ 6 steps in, when every state is reachable from every
+// other, so the metrics span at most 12·G) they stay within
+// [−76·G, 64·G] = [−9576, 8064]. On any other input ViterbiACS returns
+// false and leaves metric and tb untouched; the caller then runs its Go
+// loop, whose plain-int arithmetic wraps only on the int16 stores.
+//
+// renormAt must be in [0, ViterbiRenorm), and len(q) ≥ 2·len(tb).
+// Callers must check Enabled().
+func ViterbiACS(metric *[64]int16, signs *ViterbiSigns, q []int16, tb []uint64, renormAt int) (ok bool) {
 	steps := len(tb)
 	if steps == 0 {
-		return
+		return true
 	}
 	if len(q) < 2*steps {
 		panic("simd: ViterbiACS needs 2 symbols per step")
 	}
-	viterbiACS(metric, signs, &q[0], &tb[0], steps)
+	if renormAt < 0 || renormAt >= ViterbiRenorm {
+		panic("simd: ViterbiACS renormAt out of range")
+	}
+	return viterbiACS(metric, signs, &q[0], &tb[0], steps, renormAt)
 }
 
 // FFTMinSize and FFTMaxSize bound the transforms FFT takes: its first
@@ -436,4 +510,72 @@ func DivScale(dst, x []complex128, inv float64, g complex128) (ok bool) {
 		return true
 	}
 	return divScale(&dst[0], &x[0], len(x), inv, real(g), imag(g))
+}
+
+// EqualiseCoef holds the coefficients of one pair of Equalise outputs,
+// as rows of four lanes (output 0's real and imaginary lanes, then
+// output 1's): A, B, D and the pass-through mask M. Set fills one
+// output's half of each row.
+type EqualiseCoef [16]float64
+
+// Set lays out output lane (0 or 1) of the pair for division by a
+// divisor d in the runtime's Smith form, given the divisor-only terms
+// the runtime computes: mode 1 (|real(d)| ≥ |imag(d)|) with
+// ratio = imag(d)/real(d) and denom = real(d) + ratio·imag(d), mode 2
+// with ratio = real(d)/imag(d) and denom = imag(d) + ratio·real(d), and
+// mode 0 to pass the scaled sample through (d = 0, no division). The
+// numerators become v·A + swap(v)·B:
+//
+//	mode 1: A = (1, 1),         B = (ratio, −ratio)  → (re + im·ratio, im − re·ratio)
+//	mode 2: A = (ratio, ratio), B = (1, −1)          → (re·ratio + im, im·ratio − re)
+//
+// Each is the runtime's numerator bit for bit: x·1 is x, x·(−r) is
+// −(x·r), and a − b is a + (−b) in IEEE arithmetic.
+func (c *EqualiseCoef) Set(lane, mode int, ratio, denom float64) {
+	a, b, d, m := [2]float64{1, 1}, [2]float64{0, 0}, 1.0, 0.0
+	switch mode {
+	case 0:
+		m = math.Float64frombits(1 << 63)
+	case 1:
+		b = [2]float64{ratio, -ratio}
+		d = denom
+	case 2:
+		a, b = [2]float64{ratio, ratio}, [2]float64{1, -1}
+		d = denom
+	default:
+		panic("simd: EqualiseCoef mode must be 0, 1 or 2")
+	}
+	o := 2 * lane
+	c[o], c[o+1] = a[0], a[1]
+	c[4+o], c[4+o+1] = b[0], b[1]
+	c[8+o], c[8+o+1] = d, d
+	c[12+o], c[12+o+1] = m, m
+}
+
+// Equalise writes len(dst) equalised samples, output i read from
+// x[bins[i]] with the coefficients coef[i/2] laid out by Set:
+//
+//	v = x[bins[i]] · complex(inv, 0)     (all four real products)
+//	dst[i] = v                           for mode 0
+//	dst[i] = complex(e, f)               otherwise, (e, f) the Smith quotient
+//
+// each operation rounded once. Where e and f are both NaN the runtime
+// division takes its fallback, so Equalise returns false and the caller
+// must recompute the outputs in Go. len(dst) must be even and equal
+// len(bins) and 2·len(coef), and every bin index must be inside x; dst
+// must not overlap x. Callers must check Enabled().
+func Equalise(dst, x []complex128, bins []int32, coef []EqualiseCoef, inv float64) (ok bool) {
+	if len(dst)%2 != 0 || len(bins) != len(dst) || 2*len(coef) != len(dst) {
+		panic("simd: Equalise needs an even output count matching its bins and coefficient pairs")
+	}
+	if len(dst) == 0 {
+		return true
+	}
+	switch equalise(&dst[0], &x[0], len(x), &bins[0], &coef[0], len(coef), inv) {
+	case 0:
+		return true
+	case 1:
+		return false
+	}
+	panic("simd: Equalise bin outside the input")
 }

@@ -34,6 +34,63 @@ func TestDispatchSelection(t *testing.T) {
 	}
 }
 
+// TestViterbiACSRange pins the range ViterbiACS takes: a metric or
+// symbol one past ±ViterbiMaxMetric or ±ViterbiMaxSymbol, in any
+// position (the symbol scan has a 16-wide vector body and a scalar
+// tail), makes it decline and leave its outputs untouched; the bounds
+// themselves are taken.
+func TestViterbiACSRange(t *testing.T) {
+	if HWMode() == "" {
+		t.Skip("no asm kernels in this build")
+	}
+	var plus [64]int16
+	for i := range plus {
+		plus[i] = 1
+	}
+	signs := NewViterbiSigns(&plus)
+	const steps = 9 // 18 symbols: one vector block and a two-symbol tail
+	try := func(m [64]int16, q []int16) bool {
+		t.Helper()
+		tb := make([]uint64, steps)
+		for i := range tb {
+			tb[i] = 0xA5A5
+		}
+		before := m
+		ok := ViterbiACS(&m, &signs, q, tb, 5)
+		if !ok && (m != before || tb[0] != 0xA5A5 || tb[steps-1] != 0xA5A5) {
+			t.Fatal("ViterbiACS declined but wrote its outputs")
+		}
+		return ok
+	}
+	for _, bound := range []int16{ViterbiMaxMetric, -ViterbiMaxMetric} {
+		for _, pos := range []int{0, 17, 63} {
+			var m [64]int16
+			m[pos] = bound
+			if !try(m, make([]int16, 2*steps)) {
+				t.Errorf("metric %d at state %d declined", bound, pos)
+			}
+			m[pos] += bound / ViterbiMaxMetric
+			if try(m, make([]int16, 2*steps)) {
+				t.Errorf("metric %d at state %d taken", m[pos], pos)
+			}
+		}
+	}
+	for _, bound := range []int16{ViterbiMaxSymbol, -ViterbiMaxSymbol} {
+		for _, pos := range []int{0, 15, 16, 2*steps - 1} {
+			var m [64]int16
+			q := make([]int16, 2*steps)
+			q[pos] = bound
+			if !try(m, q) {
+				t.Errorf("symbol %d at %d declined", bound, pos)
+			}
+			q[pos] += bound / ViterbiMaxSymbol
+			if try(m, q) {
+				t.Errorf("symbol %d at %d taken", q[pos], pos)
+			}
+		}
+	}
+}
+
 // TestSetEnabledRoundTrip checks the runtime toggle and that Mode
 // tracks it, restoring the ambient state on exit.
 func TestSetEnabledRoundTrip(t *testing.T) {
@@ -61,10 +118,12 @@ func TestSetEnabledRoundTrip(t *testing.T) {
 // kernels inside their preconditions.
 func TestKernelContracts(t *testing.T) {
 	var m [64]int16
-	var s [64]int32
+	var s ViterbiSigns
 	// Zero steps (outputs, positions) is a no-op regardless of dispatch
 	// mode or build.
-	ViterbiACS(&m, &s, nil, nil)
+	if !ViterbiACS(&m, &s, nil, nil, 0) {
+		t.Fatal("ViterbiACS of no steps declined")
+	}
 	if !FIRReal(nil, nil, nil) {
 		t.Fatal("FIRReal with no outputs reported a non-finite output")
 	}
@@ -81,6 +140,9 @@ func TestKernelContracts(t *testing.T) {
 	if !DivScale(nil, nil, 1, 2) {
 		t.Fatal("DivScale of no samples reported a NaN quotient")
 	}
+	if !Equalise(nil, nil, nil, nil, 1) {
+		t.Fatal("Equalise of no outputs reported a NaN quotient")
+	}
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -92,7 +154,13 @@ func TestKernelContracts(t *testing.T) {
 		fn()
 	}
 	mustPanic("short q", func() {
-		ViterbiACS(&m, &s, make([]int16, 1), make([]uint64, 1))
+		ViterbiACS(&m, &s, make([]int16, 1), make([]uint64, 1), 0)
+	})
+	mustPanic("ViterbiACS renormAt past the period", func() {
+		ViterbiACS(&m, &s, make([]int16, 2), make([]uint64, 1), ViterbiRenorm)
+	})
+	mustPanic("ViterbiACS negative renormAt", func() {
+		ViterbiACS(&m, &s, make([]int16, 2), make([]uint64, 1), -1)
 	})
 	mustPanic("FFT below the minimum size", func() {
 		FFT(make([]complex128, 8), make([]float64, 56))
@@ -133,6 +201,28 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("DivScale length mismatch", func() {
 		DivScale(make([]complex128, 5), make([]complex128, 4), 1, 2)
 	})
+	var coef [2]EqualiseCoef
+	bins := []int32{0, 1, 2, 3}
+	mustPanic("Equalise odd output count", func() {
+		Equalise(make([]complex128, 3), make([]complex128, 8), bins[:3], coef[:1], 1)
+	})
+	mustPanic("Equalise bins mismatch", func() {
+		Equalise(make([]complex128, 4), make([]complex128, 8), bins[:2], coef[:2], 1)
+	})
+	mustPanic("Equalise coefficient pairs mismatch", func() {
+		Equalise(make([]complex128, 4), make([]complex128, 8), bins, coef[:1], 1)
+	})
+	mustPanic("EqualiseCoef mode", func() { coef[0].Set(0, 3, 1, 1) })
+	if HWMode() != "" {
+		// The kernel checks each bin index before reading it.
+		prev := SetEnabled(true)
+		for _, bad := range []int32{8, -1} {
+			mustPanic("Equalise bin outside the input", func() {
+				Equalise(make([]complex128, 4), make([]complex128, 8), []int32{0, 1, 2, bad}, coef[:], 1)
+			})
+		}
+		SetEnabled(prev)
+	}
 	tpl := make([]complex128, 64)
 	mustPanic("corr position count", func() {
 		PreambleCorr(make([]complex128, 4), make([]complex128, 128), tpl)

@@ -100,10 +100,7 @@ func (t *phaseTracker) correct(pts *[NumData]complex128, m Modulation) {
 	// exact — so calling Sincos directly skips a wasted math.Exp per symbol
 	// with a bit-identical rotor.
 	sin, cos := math.Sincos(-theta)
-	rot := complex(cos, sin)
-	for i := range pts {
-		pts[i] *= rot
-	}
+	signal.ScaleInto(pts[:], pts[:], complex(cos, sin))
 }
 
 // derotate writes src with a frequency offset of cfo Hz removed into dst

@@ -3,6 +3,7 @@ package wifi
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Constellation normalisation factors (§17.3.5.8): scale so every
@@ -139,4 +140,50 @@ func demapSymbolInto(dst []byte, pts *[NumData]complex128, r Rate) ([]byte, erro
 		}
 	}
 	return dst, nil
+}
+
+// demapGainsInto appends one symbol's NCBPS hard bits to dst, as
+// demapSymbolInto does, and writes each bit's trellis gain (0 → −1,
+// 1 → +1) into its rate-1/2 slot of q, as putGains does. BPSK and QPSK
+// do both in one pass over the points, with nearest2's decisions;
+// QAM demaps, then writes the gains.
+func demapGainsInto(dst []byte, q []int16, pts *[NumData]complex128, r Rate, slots []uint16) ([]byte, error) {
+	n := len(dst)
+	switch r.Modulation {
+	case BPSK:
+		dst = slices.Grow(dst, NumData)[:n+NumData]
+		out, slots := dst[n:], slots[:NumData]
+		for i := range pts {
+			b := nearest2(pam2BPSK, real(pts[i]))
+			out[i] = b
+			q[slots[i]] = int16(b)*2 - 1
+		}
+		return dst, nil
+	case QPSK:
+		dst = slices.Grow(dst, 2*NumData)[:n+2*NumData]
+		out, slots := dst[n:], slots[:2*NumData]
+		for i := range pts {
+			b0 := nearest2(pam2QPSK, real(pts[i]))
+			b1 := nearest2(pam2QPSK, imag(pts[i]))
+			out[2*i], out[2*i+1] = b0, b1
+			q[slots[2*i]] = int16(b0)*2 - 1
+			q[slots[2*i+1]] = int16(b1)*2 - 1
+		}
+		return dst, nil
+	}
+	dst, err := demapSymbolInto(dst, pts, r)
+	if err != nil {
+		return nil, err
+	}
+	putGains(q, dst[n:], slots)
+	return dst, nil
+}
+
+// putGains writes the trellis gain of each hard bit of one demapped symbol
+// (0 → −1, 1 → +1) into its rate-1/2 slot of q.
+func putGains(q []int16, sym []byte, slots []uint16) {
+	sym = sym[:len(slots)]
+	for j, k := range slots {
+		q[k] = int16(sym[j])*2 - 1
+	}
 }

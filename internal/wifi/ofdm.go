@@ -84,11 +84,16 @@ func mustPlan(n int) *signal.Plan {
 // the exact numerator operations of the runtime division (plan.go's IFFT
 // uses the same inlining for its constant divisor), so equalised points are
 // bit-identical to the historical per-symbol `buf[i] /= h[i]`.
+//
+// coef lays the same terms out for simd.Equalise, in output order (the
+// data bins, then the pilot bins: eqBins), so a dispatched symbol is one
+// vector pass over the 52 used bins.
 type equalizer struct {
 	h     []complex128 // original estimate, for the NaN fallback
 	ratio [FFTSize]float64
 	denom [FFTSize]float64
 	mode  [FFTSize]byte // 0: h[i]==0 (skip), 1: |re|≥|im| branch, 2: other
+	coef  [(NumData + NumPilots) / 2]simd.EqualiseCoef
 }
 
 func (eq *equalizer) init(h []complex128) {
@@ -112,6 +117,9 @@ func (eq *equalizer) init(h []complex128) {
 			r := dr / di
 			eq.ratio[i], eq.denom[i], eq.mode[i] = r, di+r*dr, 2
 		}
+	}
+	for j, bin := range eqBins {
+		eq.coef[j/2].Set(j%2, int(eq.mode[bin]), eq.ratio[bin], eq.denom[bin])
 	}
 }
 
@@ -150,6 +158,30 @@ func disassembleSymbolBuf(td []complex128, eq *equalizer, buf []complex128, data
 		}
 		return nil
 	}
+	eq.apply(buf, inv, data, pilots)
+	return nil
+}
+
+// apply equalises the used bins of one transformed symbol: each bin
+// scaled by inv, then divided by its channel estimate, into the data
+// and pilot arrays. Dispatched, it is one simd.Equalise pass per output
+// array; the kernel reports any bin that needs the runtime division's
+// NaN fallback, and applyGo then redoes the symbol. A nil estimate
+// leaves eq zeroed (every bin mode 0 but no coefficients laid out), so
+// it takes applyGo too.
+func (eq *equalizer) apply(buf []complex128, inv complex128, data *[NumData]complex128, pilots *[NumPilots]complex128) {
+	if eq.h != nil && simd.Enabled() &&
+		simd.Equalise(data[:], buf, eqBins[:NumData], eq.coef[:NumData/2], real(inv)) &&
+		simd.Equalise(pilots[:], buf, eqBins[NumData:], eq.coef[NumData/2:], real(inv)) {
+		return
+	}
+	eq.applyGo(buf, inv, data, pilots)
+}
+
+// applyGo is apply's Go loops and simd.Equalise's definition: every
+// value goes through the exact historical operation sequence per bin,
+// the runtime's Smith division with the divisor-only terms hoisted.
+func (eq *equalizer) applyGo(buf []complex128, inv complex128, data *[NumData]complex128, pilots *[NumPilots]complex128) {
 	for i, bin := range dataBins {
 		v := buf[bin] * inv
 		switch eq.mode[bin] {
@@ -198,7 +230,6 @@ func disassembleSymbolBuf(td []complex128, eq *equalizer, buf []complex128, data
 		}
 		pilots[i] = v
 	}
-	return nil
 }
 
 // dataBins and pilotBins cache the binFor mapping of the data and pilot
@@ -211,6 +242,18 @@ var (
 	// symbol transform.
 	nullBins = [FFTSize - NumData - NumPilots]int{0, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37}
 )
+
+// eqBins lists the data bins, then the pilot bins: the equaliser's
+// output order.
+var eqBins = func() (t [NumData + NumPilots]int32) {
+	for i, bin := range dataBins {
+		t[i] = int32(bin)
+	}
+	for i, bin := range pilotBins {
+		t[NumData+i] = int32(bin)
+	}
+	return t
+}()
 
 func buildDataBins() (t [NumData]int) {
 	for i, k := range DataSubcarriers {

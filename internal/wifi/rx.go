@@ -71,6 +71,28 @@ type Receiver struct {
 	// stays declared because perfbench/replay.go, the benchmark's mirror
 	// of the session, still sets it.
 	SkipRSSI bool
+
+	// observe, when set, sees each stage's output as decodeFrom produces
+	// it (see rxStage); nil, it costs one check per stage. The receiver
+	// pin test hashes the float bits it is shown.
+	observe func(stage rxStage, pts []complex128, bits []byte)
+}
+
+// rxStage names an intermediate output of decodeFrom, in decode order.
+type rxStage int
+
+const (
+	stageChannel   rxStage = iota // a channel estimate (64 bins; twice when the CP refinement re-estimates)
+	stageEqualised                // one data symbol's 48 equalised points
+	stageTracked                  // the same points after phase tracking
+	stageDemapped                 // the packet's demapped coded bits
+	stageDecoded                  // the Viterbi output (still scrambled)
+)
+
+// observePts shows the observer a copy of pts, so the stack arrays the
+// decode reuses never escape to the heap.
+func (rx *Receiver) observePts(stage rxStage, pts []complex128) {
+	rx.observe(stage, append([]complex128(nil), pts...), nil)
 }
 
 // NewReceiver returns a receiver with the default detection threshold.
@@ -381,6 +403,9 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	s = buf
 
 	h := estimateChannel(s[start+160:start+320], arena)
+	if rx.observe != nil {
+		rx.observePts(stageChannel, h)
+	}
 	var eq equalizer
 	eq.init(h)
 
@@ -394,12 +419,10 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		return nil, err
 	}
 	r6 := Rates[6]
-	sigBits, err := demapSymbolInto(arena.Bytes(r6.NCBPS)[:0], &pts, r6)
-	if err != nil {
+	sigGains := arena.Int16Uninit(r6.NCBPS)
+	if _, err := demapGainsInto(arena.Bytes(r6.NCBPS)[:0], sigGains, &pts, r6, rxSlots[BPSK][Rate1_2]); err != nil {
 		return nil, err
 	}
-	sigGains := arena.Int16Uninit(r6.NCBPS)
-	putGains(sigGains, sigBits, rxSlots[BPSK][Rate1_2])
 	decoded := arena.Bytes(r6.NCBPS / 2)
 	viterbiMaxKernel(decoded, sigGains)
 	rate, length, err := parseSignal(decoded)
@@ -420,6 +443,9 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		end := dataStart + nSym*SymbolLen
 		derotate(s[start:end], s[start:end], residual)
 		h = estimateChannel(s[start+160:start+320], arena)
+		if rx.observe != nil {
+			rx.observePts(stageChannel, h)
+		}
 		eq.init(h)
 	}
 
@@ -445,6 +471,9 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		if err := disassembleSymbolBuf(s[off:off+SymbolLen], &eq, fftBuf, &pts, &pilots); err != nil {
 			return nil, err
 		}
+		if rx.observe != nil {
+			rx.observePts(stageEqualised, pts[:])
+		}
 		if rx.CollectPilotPhases {
 			pilotPhases = append(pilotPhases, cmplx.Phase(pilotCorrelation(pilots, i+1)))
 		}
@@ -452,18 +481,24 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 			correctPhase(&pts, pilots, i+1)
 		}
 		tracker.correct(&pts, rate.Modulation)
+		if rx.observe != nil {
+			rx.observePts(stageTracked, pts[:])
+		}
 		var err error
-		demapped, err = demapSymbolInto(demapped, &pts, rate)
+		demapped, err = demapGainsInto(demapped, gains[i*span:(i+1)*span], &pts, rate, slots)
 		if err != nil {
 			return nil, err
 		}
-		putGains(gains[i*span:(i+1)*span], demapped[i*rate.NCBPS:], slots)
 	}
 
 	// The traceback assigns every output bit, so the destination can skip
 	// the arena's zeroing pass.
 	scrambled := arena.BytesUninit(nSym * rate.NDBPS)
 	viterbiMaxKernel(scrambled, gains)
+	if rx.observe != nil {
+		rx.observe(stageDemapped, nil, demapped)
+		rx.observe(stageDecoded, nil, scrambled)
+	}
 
 	// Descramble: recover the seed from the first 7 SERVICE bits.
 	seed := RecoverScramblerSeed(scrambled[:7])
@@ -483,15 +518,6 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 		PilotPhases:  pilotPhases,
 	}
 	return pkt, nil
-}
-
-// putGains writes the trellis gain of each hard bit of one demapped symbol
-// (0 → −1, 1 → +1) into its rate-1/2 slot of q.
-func putGains(q []int16, sym []byte, slots []uint16) {
-	sym = sym[:len(slots)]
-	for j, k := range slots {
-		q[k] = int16(sym[j])*2 - 1
-	}
 }
 
 // pilotCorrelation returns Σ pilots·conj(expected) against the 802.11
@@ -548,10 +574,7 @@ func correctPhase(pts *[NumData]complex128, pilots [NumPilots]complex128, symIdx
 	if acc == 0 {
 		return
 	}
-	rot := cmplx.Conj(acc / complex(cmplx.Abs(acc), 0))
-	for i := range pts {
-		pts[i] *= rot
-	}
+	signal.ScaleInto(pts[:], pts[:], cmplx.Conj(acc/complex(cmplx.Abs(acc), 0)))
 }
 
 func parseSignal(b []byte) (Rate, int, error) {

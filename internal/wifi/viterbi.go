@@ -61,7 +61,7 @@ const (
 	// startup sentinel and int16 overflow. The margin would still hold
 	// for symbols up to |q| ≤ 63 (±9576 < 1<<14), which is the range the
 	// dispatch-identity tests drive the kernel over.
-	viterbiRenorm = 64
+	viterbiRenorm = simd.ViterbiRenorm
 	viterbiNinf   = -(int16(1) << 14)
 )
 
@@ -151,30 +151,7 @@ func viterbiMaxKernel(out []byte, q []int16) {
 		metric, next = next, metric
 	}
 
-	// Steady state: unguarded ACS in chunks that never cross a renorm
-	// boundary, dispatched to the SIMD kernel when available with
-	// viterbiACSChunkGo as the bit-identical scalar reference. Both leave
-	// the chunk's final metrics in *metric, so the renorm scan between
-	// chunks and the traceback below see exactly the state the historical
-	// single loop maintained. Dispatch is latched once per packet — a
-	// concurrent SetEnabled (tests, ops) must not switch kernels between
-	// chunks, even though the two are interchangeable bit-for-bit.
-	useSIMD := simd.Enabled()
-	for t < n {
-		if t%viterbiRenorm == 0 {
-			renormMetrics(metric)
-		}
-		end := (t/viterbiRenorm + 1) * viterbiRenorm
-		if end > n {
-			end = n
-		}
-		if useSIMD {
-			simd.ViterbiACS(metric, &acsSigns, q[2*t:2*end], tb[t:end])
-		} else {
-			viterbiACSChunkGo(metric, q[2*t:2*end], tb[t:end])
-		}
-		t = end
-	}
+	viterbiSteady(metric, q[:2*n], tb, t)
 
 	state := 0
 	if metric[0] <= viterbiNinf {
@@ -189,6 +166,31 @@ func viterbiMaxKernel(out []byte, q []int16) {
 		out[t] = byte(state >> 5)
 		sel := int(tb[t]>>uint(state)) & 1
 		state = (state<<1)&0x3F | sel
+	}
+}
+
+// viterbiSteady runs the unguarded steady-state steps t0..len(tb)−1 of
+// the trellis over q, renormalising before every step whose index is a
+// multiple of viterbiRenorm, and leaves the final metrics in *metric.
+// Dispatched, it is one simd.ViterbiACS call; when the kernel declines
+// (metrics or symbols outside the range its int16 lanes hold exactly,
+// which the decoder never produces), the chunked Go loop below runs
+// instead. Both compute the same metrics and selector words.
+func viterbiSteady(metric *[numStates]int16, q []int16, tb []uint64, t0 int) {
+	n := len(tb)
+	if t0 >= n {
+		return
+	}
+	if simd.Enabled() && simd.ViterbiACS(metric, &acsSigns, q[2*t0:2*n], tb[t0:], -t0&(viterbiRenorm-1)) {
+		return
+	}
+	for t := t0; t < n; {
+		if t%viterbiRenorm == 0 {
+			renormMetrics(metric)
+		}
+		end := min((t/viterbiRenorm+1)*viterbiRenorm, n)
+		viterbiACSChunkGo(metric, q[2*t:2*end], tb[t:end])
+		t = end
 	}
 }
 
@@ -211,23 +213,25 @@ func renormMetrics(metric *[numStates]int16) {
 // acsSigns feeds simd.ViterbiACS: entry k holds the ±1 sign the first
 // symbol qa carries in butterfly k's branch gain and entry 32+k the
 // sign for qb, i.e. gainT[bfExpect[k]&3] == acsSigns[k]·qa +
-// acsSigns[32+k]·qb. Derived from the same expected-pair table the
-// scalar kernels index, so the two dispatch paths cannot disagree on
-// the trellis.
+// acsSigns[32+k]·qb, laid out for the kernel. Derived from the same
+// expected-pair table the scalar kernels index, so the two dispatch
+// paths cannot disagree on the trellis.
 var acsSigns = buildACSSigns()
 
-func buildACSSigns() (t [numStates]int32) {
+func buildACSSigns() simd.ViterbiSigns {
+	var t [numStates]int16
 	for k := 0; k < 32; k++ {
 		e := bfExpect[k] & 3
-		t[k] = int32(2*int(e>>1) - 1)
-		t[32+k] = int32(2*int(e&1) - 1)
+		t[k] = int16(2*int(e>>1) - 1)
+		t[32+k] = int16(2*int(e&1) - 1)
 	}
-	return
+	return simd.NewViterbiSigns(&t)
 }
 
 // viterbiACSChunkGo is the pure-Go steady-state ACS: len(tb) unguarded
-// trellis steps with no renormalisation, the scalar reference the SIMD
-// kernels must match bit-for-bit. The loop body is the historical t>=6
+// trellis steps with no renormalisation; with renormMetrics between
+// chunks (viterbiSteady) it is the scalar reference the SIMD kernel must
+// match bit-for-bit. The loop body is the historical t>=6
 // fast path verbatim; only the buffering changed (an internal scratch
 // array with a copy-back when the step count is odd, so the final
 // metrics always land back in *metric).
@@ -238,9 +242,9 @@ func buildACSSigns() (t [numStates]int32) {
 // while sparing the compiler the sign-extension shuffle that spilled
 // half the loop to the stack. For out-of-contract metrics (the
 // differential fuzzer drives ±32767) the int arithmetic still cannot
-// wrap and the int16() stores truncate, which is exactly what the SIMD
-// kernels' int32 lanes and truncating narrows compute — so bit-identity
-// holds unconditionally, not just for reachable metric states.
+// wrap and the int16() stores truncate; the SIMD kernel's int16 lanes
+// would wrap earlier there, so it declines such inputs and this loop
+// runs (see simd.ViterbiACS).
 func viterbiACSChunkGo(metric *[numStates]int16, q []int16, tb []uint64) {
 	var scratch [numStates]int16
 	cur, next := metric, &scratch

@@ -667,3 +667,54 @@ func TestAppendFCSDoesNotAliasInput(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// convEncodeBitLoop is the bit-at-a-time encoder convEncodeInto
+// replaced, from a given state: two parity7 per input bit.
+func convEncodeBitLoop(dst, in []byte, state int) ([]byte, int) {
+	for _, b := range in {
+		reg := ((int(b) & 1) << 6) | state
+		dst = append(dst, parity7(reg&genA), parity7(reg&genB))
+		state = reg >> 1
+	}
+	return dst, state
+}
+
+// TestConvEncodeByteTables checks the byte-at-a-time encoder against
+// the parity7 bit loop exhaustively: for every state and every input
+// byte, convStateOut[s] ^ convByteOut[x] must be the loop's 16 coded
+// bits and x>>2 its next state. Then whole streams of every length
+// mod 8, with stray high bits in the input bytes, must encode
+// identically.
+func TestConvEncodeByteTables(t *testing.T) {
+	for s := 0; s < numStates; s++ {
+		for x := 0; x < 256; x++ {
+			in := make([]byte, 8)
+			for j := range in {
+				in[j] = byte(x>>j) & 1
+			}
+			want, next := convEncodeBitLoop(nil, in, s)
+			w := convStateOut[s] ^ convByteOut[x]
+			for k, bit := range want {
+				if byte(w>>k)&1 != bit {
+					t.Fatalf("state %d byte %#02x: coded bit %d = %d, want %d", s, x, k, w>>k&1, bit)
+				}
+			}
+			if x>>2 != next {
+				t.Fatalf("state %d byte %#02x: next state %d, want %d", s, x, x>>2, next)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n < 80; n++ {
+		in := make([]byte, n)
+		for i := range in {
+			in[i] = byte(rng.Intn(256)) // only bit 0 is an input bit
+		}
+		prefix := []byte{7, 7}
+		want, _ := convEncodeBitLoop(append([]byte(nil), prefix...), in, 0)
+		got := convEncodeInto(append(make([]byte, 0, 2+2*n), prefix...), in)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: byte encoder differs from the bit loop\ngot  %v\nwant %v", n, got, want)
+		}
+	}
+}
