@@ -19,8 +19,9 @@ fmt-check:
 # baselines runs, the chaos fig17 run and the multitag and tagloop
 # examples drive the envelope detector, both multi-tag models (mac with
 # and without round corruption, and sim) and the DSSS receive functions.
-# The coded snr run is the one path through a subcommand's own flags
-# (-coded, -chase) and the coded link-margin study README quotes. The
+# The coded snr runs are the one path through a subcommand's own flags
+# (-coded, -retx) and the coded link-margin study README quotes; the
+# faulted JSON one also encodes the retransmission arm's result keys. The
 # quickstart and sensornet examples run the public facade's Send over
 # WiFi and ZigBee, so all five examples run here.
 cmd-smoke:
@@ -30,7 +31,8 @@ cmd-smoke:
 	$(GO) run ./cmd/freerider-bench -quick -json table1 power fig4 fig15 fig16 fig17 fig17sim waterfall baselines plmrate snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -json -faults impulsive snr-single >/dev/null
 	$(GO) run ./cmd/freerider-bench -quick -faults chaos fig17 >/dev/null
-	$(GO) run ./cmd/freerider-bench -quick snr -coded -chase 2 >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick snr -coded -retx 2 >/dev/null
+	$(GO) run ./cmd/freerider-bench -quick -json -faults brownout-tag snr -coded -retx 2 >/dev/null
 	$(GO) run ./examples/quickstart >/dev/null
 	$(GO) run ./examples/sensornet >/dev/null
 	$(GO) run ./examples/coexistence >/dev/null
@@ -211,11 +213,9 @@ fuzz-faults:
 	$(GO) test -run=^$$ -fuzz=FuzzFaultProfile -fuzztime=10s ./internal/faults
 
 # fuzz-fec smoke-fuzzes the RS codec: encode/corrupt/decode round-trip
-# inside the correction radius, then the soft combiner: N identical
-# attempts must slice exactly as one attempt sliced alone.
+# inside the correction radius.
 fuzz-fec:
 	$(GO) test -run=^$$ -fuzz=FuzzRSRoundTrip -fuzztime=10s ./internal/fec
-	$(GO) test -run=^$$ -fuzz=FuzzCombinerSlice -fuzztime=5s ./internal/fec
 
 # fuzz-decoder smoke-fuzzes all four window rules (dual-receiver compare
 # and single-receiver differential, binary and quaternary) against

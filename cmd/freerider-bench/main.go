@@ -85,7 +85,7 @@ func main() {
 	snrN := snrFlags.Int("code-n", 15, "RS codeword length n (with -coded)")
 	snrK := snrFlags.Int("code-k", 9, "RS data symbols k (with -coded)")
 	snrInterleave := snrFlags.Int("interleave", 1, "RS interleave depth (with -coded)")
-	snrChase := snrFlags.Int("chase", 4, "retransmission budget for the chase-combined arm (with -coded; <2 disables)")
+	snrRetx := snrFlags.Int("retx", 4, "retransmission budget for the retransmitted coded arm (with -coded; <2 disables)")
 	names := flag.Args()
 	if names[0] == "snr" {
 		if err := snrFlags.Parse(names[1:]); err != nil {
@@ -130,7 +130,7 @@ func main() {
 		catalogue[byName("snr")] = experiments.Experiment{Name: "snr",
 			Title: "BER vs SNR — coded vs uncoded uplink (RS link-margin study)",
 			Run: func(opt experiments.Options, _ bool) (any, error) {
-				return experiments.CodedBERvsSNRChase(opt, &code, *snrChase)
+				return experiments.CodedBERvsSNR(opt, &code, *snrRetx)
 			}}
 	}
 	var selected []experiments.Experiment
@@ -372,10 +372,10 @@ experiments:`)
 		fmt.Fprintf(os.Stderr, "  %-11s %s\n", e.Name, e.Title)
 	}
 	fmt.Fprintln(os.Stderr, `  all         everything above
-snr -coded [-code-n N -code-k K -interleave D -chase R] pairs the snr sweep
+snr -coded [-code-n N -code-k K -interleave D -retx R] pairs the snr sweep
 with an RS-coded sweep on the dense transition-band grid and reports the dB
-margin gain at BER 1e-3; -chase adds the chase-combined uplink at a
-retransmission budget of R (default 4).
+margin gain at BER 1e-3; -retx adds the coded uplink at a retransmission
+budget of R (default 4), each copy RS-decoded alone.
 flags: -workers bounds the deterministic worker pool (results never depend
 on it); -faults attaches a fault profile (preset name, name@intensity, or
 "burst:p01=...;outage:period=...;..." spec) to every link — soak defaults

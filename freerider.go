@@ -283,15 +283,8 @@ type SendOptions struct {
 	// must be positive: SendWithOptions and SendDetailed reject <= 0 rather
 	// than silently substituting a default (Send itself uses
 	// DefaultSendAttempts; start from DefaultSendOptions to tweak it).
-	//
-	// With Coding set, Attempts also bounds the chase-combining depth: every
-	// decoded attempt's per-bit soft decisions are accumulated, and each
-	// retry re-slices the running sum before re-running RS decode — so
-	// attempt n decodes from the combined evidence of all n transmissions,
-	// and, when that fails, from its own packet alone (a misaligned earlier
-	// copy can outvote a clean retry). Attempts=1 leaves exactly one soft
-	// vector in the chase ladder, whose slicing is bit-identical to the
-	// plain hard-decision decode path.
+	// With Coding set, every attempt RS-decodes its own packet's hard
+	// decisions alone: no copy's errors carry over to the next.
 	Attempts int
 	// Quaternary starts the transfer on the eq. 5 scheme: 2 tag bits per
 	// window at the 12 Mbps QPSK rate. WiFi only. When the link degrades,
@@ -301,20 +294,18 @@ type SendOptions struct {
 	// Faults attaches a fault-injection profile to the link (nil = benign
 	// channel, bit-identical to a profile-free session).
 	Faults *FaultProfile
-	// Coding enables the Reed-Solomon coded uplink with soft
-	// chase-combining: chunks shrink to the post-FEC payload capacity, the
-	// ladder becomes combine → RS-correct (combined, then the attempt
-	// alone) → retransmit → scheme fallback,
-	// and DegradationReport gains corrected-symbol and combining-gain
-	// counts. Nil keeps the uncoded ladder bit-identical to earlier
-	// builds. The chase ladder is reset on every scheme change (fallback
-	// or probe): soft values do not align across layouts.
+	// Coding enables the Reed-Solomon coded uplink: chunks shrink to the
+	// post-FEC payload capacity, each attempt is RS-corrected before the
+	// ladder retransmits or falls back, and DegradationReport gains the
+	// corrected-symbol count. Nil keeps the uncoded ladder bit-identical
+	// to earlier builds. A scheme change (fallback or probe) re-encodes
+	// the chunk under the new layout.
 	Coding *CodingConfig
 	// Receiver selects the decode deployment: DualReceiver (the zero
 	// value, the paper's two-receiver setup) or SingleReceiver, which
 	// decodes every attempt from the backscattered capture alone via the
 	// differential decision. The whole degradation ladder — retransmission,
-	// chase-combining, fallback — composes unchanged on top; expect more
+	// RS decoding, fallback — composes unchanged on top; expect more
 	// retransmissions at a given range, since the single receiver's
 	// effective decision window is a fraction of the dual one's.
 	Receiver ReceiverMode
@@ -362,13 +353,9 @@ type DegradationReport struct {
 	Recoveries      int
 	FinalQuaternary bool
 
-	// Coded-uplink accounting (SendOptions.Coding only). CorrectedSymbols
-	// counts the RS symbol corrections across delivered chunks;
-	// CombiningGains the deliveries where the chase-combined decode
-	// succeeded but the delivering attempt alone would have failed — the
-	// retransmissions whose accumulated soft history paid off.
+	// CorrectedSymbols counts the RS symbol corrections across delivered
+	// chunks (SendOptions.Coding only).
 	CorrectedSymbols int
-	CombiningGains   int
 }
 
 // Degraded reports whether the transfer needed any degradation machinery.
@@ -400,13 +387,12 @@ func SendWithOptions(r Radio, tagToRxMetres float64, bits []byte, seed int64, op
 // Degradation model: a chunk that fails an attempt backs off exponentially
 // (in packet slots, with seed-derived jitter) before retrying, so
 // retransmissions escape burst fades instead of hammering into them. With
-// coding enabled, every decoded attempt feeds its soft decisions into the
-// chunk's chase ladder (fec.Chase), and the chunk is delivered by the
-// combined evidence's decode or, failing that, the attempt's own — the
-// first whose payload matches. A quaternary transfer whose chunk exhausts
-// its budget falls back to binary translation — half the rate, twice the
-// phase margin — and, after recoverAfter consecutive first-attempt
-// deliveries, risks one probe chunk back at quaternary.
+// coding enabled, each attempt RS-decodes its own hard decisions, and the
+// chunk is delivered by the first attempt whose payload matches. A
+// quaternary transfer whose chunk exhausts its budget falls back to binary
+// translation — half the rate, twice the phase margin — and, after
+// recoverAfter consecutive first-attempt deliveries, risks one probe
+// chunk back at quaternary.
 func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts SendOptions) ([]byte, DegradationReport, error) {
 	var rep DegradationReport
 	for i, b := range bits {
@@ -442,7 +428,7 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 	out := make([]byte, 0, len(bits))
 	fellBack := false // currently degraded to binary
 	streak := 0       // consecutive first-attempt deliveries while degraded
-	var chase fec.Chase
+	var lay fec.Layout
 	for off, chunkIdx := 0, 0; off < len(bits); chunkIdx++ {
 		probing := false
 		if fellBack && streak >= recoverAfter {
@@ -458,10 +444,8 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 		}
 		// Chunk planning. Uncoded: raw bits fill the packet. Coded: the
 		// chunk shrinks to the layout's payload capacity and its RS
-		// encoding is what the tag transmits; the chase ladder starts
-		// empty here and again after any scheme change (the `continue`s
-		// below re-enter this planning step), because soft values from
-		// different layouts do not align bit-for-bit.
+		// encoding is what the tag transmits; a scheme change (the
+		// `continue`s below) re-enters this step and re-encodes.
 		hi := off + s.DataCapacity()
 		if hi > len(bits) {
 			hi = len(bits)
@@ -469,12 +453,11 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 		chunk := bits[off:hi]
 		txBits := chunk
 		if opts.Coding != nil {
-			lay, _ := s.Layout()
+			lay, _ = s.Layout()
 			var err error
 			if txBits, err = lay.EncodeBits(chunk); err != nil {
 				return nil, rep, err
 			}
-			chase.Reset(lay)
 		}
 		budget := opts.Attempts
 		if probing {
@@ -497,25 +480,12 @@ func SendDetailed(r Radio, tagToRxMetres float64, bits []byte, seed int64, opts 
 			rep.Packets++
 			attemptsUsed++
 			if opts.Coding != nil {
-				// The combined decode delivers first, then this attempt
-				// alone: a misaligned earlier copy can fill the
-				// accumulator with confident wrong votes that outvote a
-				// clean retry. The payload compare stands in for a chunk
-				// CRC.
-				combined, alone, ok := chase.Add(pr.DecodedTag, pr.SoftTag)
-				combinedOK := ok && combined.OK && bitsEqual(combined.Data[:len(chunk)], chunk)
-				aloneOK := ok && alone.OK && bitsEqual(alone.Data[:len(chunk)], chunk)
-				if combinedOK || aloneOK {
-					got := alone
-					if combinedOK {
-						got = combined
-						if chase.Copies() > 1 && !aloneOK {
-							rep.CombiningGains++
-						}
-					}
-					decoded = got.Data[:len(chunk)]
+				// The payload compare stands in for a chunk CRC.
+				data, corrected, ok := lay.DecodeBits(pr.DecodedTag)
+				if ok && bitsEqual(data[:len(chunk)], chunk) {
+					decoded = data[:len(chunk)]
 					delivered = true
-					rep.CorrectedSymbols += got.Corrected
+					rep.CorrectedSymbols += corrected
 				}
 			} else if pr.Decoded && pr.BitErrors == 0 {
 				decoded = pr.DecodedTag
@@ -589,16 +559,11 @@ func bitsEqual(a, b []byte) bool {
 // backoffSlots returns the packet slots to sit out before retry number
 // attempt (1-based): exponential in the attempt with ±50% jitter, capped
 // so a deep retry still rejoins the timeline this side of a burst fade.
+// The shift is capped before it is taken (1<<63 and wider overflow), and
+// a base of at least 1 rounds to at least one slot.
 func backoffSlots(rng *rand.Rand, attempt int) int {
-	base := 1 << (attempt - 1)
-	if base > 32 {
-		base = 32
-	}
-	n := int(float64(base)*(0.5+rng.Float64()) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	base := 1 << min(attempt-1, 5)
+	return int(float64(base)*(0.5+rng.Float64()) + 0.5)
 }
 
 // MACScheme selects the multi-tag coordination discipline.

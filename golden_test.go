@@ -59,15 +59,13 @@ type goldenStream struct {
 
 // goldenSingle pins one RunPacket call decoded in single-receiver
 // (Double-decker) mode: same pinned tag bits as the dual-mode packet,
-// decoded from the backscattered capture alone, soft decisions included
-// (single mode always emits them).
+// decoded from the backscattered capture alone.
 type goldenSingle struct {
-	TagBits    string  `json:"tag_bits"`
-	Detected   bool    `json:"detected"`
-	Decoded    bool    `json:"decoded"`
-	DecodedTag string  `json:"decoded_tag"`
-	BitErrors  int     `json:"bit_errors"`
-	Soft       []int16 `json:"soft"`
+	TagBits    string `json:"tag_bits"`
+	Detected   bool   `json:"detected"`
+	Decoded    bool   `json:"decoded"`
+	DecodedTag string `json:"decoded_tag"`
+	BitErrors  int    `json:"bit_errors"`
 }
 
 type goldenVector struct {
@@ -161,7 +159,6 @@ func computeGolden(t *testing.T, r freerider.Radio) goldenVector {
 		Decoded:    spr.Decoded,
 		DecodedTag: hexStream(spr.DecodedTag),
 		BitErrors:  spr.BitErrors,
-		Soft:       append([]int16{}, spr.SoftTag...),
 	}
 
 	// Short aggregated run on derived per-packet streams (a fresh

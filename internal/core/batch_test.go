@@ -71,7 +71,7 @@ func batchIdentityCases(t *testing.T) map[string]Config {
 // TestRunPacketBatchMatchesSerialLoop is the batch path's bit-identity
 // contract: RunPacketBatch(start, n) must return, element for element, the
 // exact PacketResults the serial per-packet loop produces over the same
-// indices — every field including decoded bits and soft decisions.
+// indices — every field including decoded bits.
 func TestRunPacketBatchMatchesSerialLoop(t *testing.T) {
 	const packets = 3
 	for name, cfg := range batchIdentityCases(t) {

@@ -105,9 +105,8 @@ type Config struct {
 	Faults *faults.Profile
 	// Coding enables the Reed-Solomon coded tag uplink: each packet's
 	// chunk is RS-encoded per the config (shortened to the packet's
-	// capacity), the decoder emits per-bit int16 soft decisions
-	// (PacketResult.SoftTag), and Run/RunParallel report post-correction
-	// payload statistics alongside the raw channel BER. Nil keeps the
+	// capacity), and Run/RunParallel report post-correction payload
+	// statistics alongside the raw channel BER. Nil keeps the
 	// uncoded path bit-identical to earlier builds. The coded session
 	// draws the same random tag stream as the uncoded one and transmits
 	// the encoded image of its prefix, so at equal seeds both see the
@@ -243,14 +242,6 @@ type PacketResult struct {
 	AirTime    float64 // excitation packet duration, seconds
 	Samples    int     // complex-baseband samples in the receiver capture
 	DecodedTag []byte  // the decoded tag bits (nil when not decoded)
-	// SoftTag carries the decoder's per-bit int16 soft decisions
-	// (WindowResult.Soft, one per decoded tag bit in every scheme) aligned
-	// with DecodedTag (positive → 0, negative → 1, |s| the margin; see
-	// decoder.SoftScale). Populated when Config.Coding is set, and always
-	// in single-receiver mode (a new path with no allocation pins to
-	// preserve) — the uncoded dual fast path stays allocation-identical
-	// to earlier builds.
-	SoftTag []int16
 	// DroppedElements counts stream elements the decoder could not
 	// compare because the two sides disagreed on length (reference vs
 	// capture in the window compare, sent vs decoded tag bits in the BER
@@ -349,9 +340,7 @@ func (s *Session) configure(cfg Config) error {
 	var layout *fec.Layout
 	if cfg.Coding != nil {
 		// Capacity changes with the scheme, so the coded layout is
-		// re-planned with it; soft values accumulated under the old scheme
-		// no longer align (callers reset their chase ladders — see
-		// fec.Chase.Reset).
+		// re-planned with it.
 		lay, err := fec.LayoutFor(capacity, *cfg.Coding)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
@@ -370,7 +359,9 @@ func (s *Session) Config() Config { return s.cfg }
 // degradation lever freerider.Send pulls when quaternary demapping starts
 // taking bit errors. It re-validates the config; the slot counter, RNG
 // streams and scrambler rotation are untouched, so fault timelines stay
-// aligned across the switch.
+// aligned across the switch. With coding on, the switch re-plans Layout
+// for the new capacity: a chunk encoded under the old layout must be
+// re-encoded, not retransmitted.
 func (s *Session) SetQuaternary(q bool) error {
 	cfg := s.cfg
 	cfg.Quaternary = q
@@ -528,7 +519,6 @@ func (s *Session) entry(payload, tagBits []byte, seed byte) (*waveform.Entry, er
 // decode is the one decode tail: the window decision on the phy's streams
 // (compare or differential; 2 bits per window with Quaternary), truncated
 // to the res.TagBits bits the tag embedded and scored against tagBits.
-// Soft decisions follow PacketResult.SoftTag's rule.
 func (s *Session) decode(res PacketResult, rx received, tagBits []byte) (PacketResult, error) {
 	used := res.TagBits
 	single := s.cfg.ReceiverMode == SingleReceiver
@@ -550,9 +540,6 @@ func (s *Session) decode(res PacketResult, rx received, tagBits []byte) (PacketR
 	}
 	ws = ws[:min(len(ws), used)]
 	res.DecodedTag = decoder.Bits(ws)
-	if single || s.cfg.Coding != nil {
-		res.SoftTag = decoder.Soft(ws)
-	}
 	res.Decoded = true
 	var berDropped int
 	res.BitErrors, _, berDropped = decoder.BER(tagBits[:used], res.DecodedTag)

@@ -27,9 +27,8 @@ func singleConfigs(dist float64) []Config {
 }
 
 // TestSingleReceiverEndToEnd: at close range every radio must decode the
-// tag stream from the backscattered capture alone, error-free, with soft
-// decisions populated (single mode always emits them — there is no
-// reference stream to re-derive confidence from later).
+// tag stream from the backscattered capture alone, error-free, and a
+// sequential packet must decode every bit the tag sent.
 func TestSingleReceiverEndToEnd(t *testing.T) {
 	for _, cfg := range singleConfigs(1) {
 		s, err := NewSession(cfg)
@@ -61,19 +60,9 @@ func TestSingleReceiverEndToEnd(t *testing.T) {
 		if !pr.Decoded {
 			t.Fatalf("%v quat=%v: packet not decoded", cfg.Radio, cfg.Quaternary)
 		}
-		if len(pr.SoftTag) != len(pr.DecodedTag) {
-			t.Errorf("%v quat=%v: soft len %d != decoded len %d (single mode must always emit soft)",
-				cfg.Radio, cfg.Quaternary, len(pr.SoftTag), len(pr.DecodedTag))
-		}
-		for i, s16 := range pr.SoftTag {
-			got := byte(0)
-			if s16 < 0 {
-				got = 1
-			}
-			if got != pr.DecodedTag[i] {
-				t.Fatalf("%v quat=%v: soft[%d]=%d slices to %d, hard %d",
-					cfg.Radio, cfg.Quaternary, i, s16, got, pr.DecodedTag[i])
-			}
+		if len(pr.DecodedTag) != pr.TagBits || pr.BitErrors != 0 {
+			t.Errorf("%v quat=%v: decoded %d of %d tag bits with %d errors",
+				cfg.Radio, cfg.Quaternary, len(pr.DecodedTag), pr.TagBits, pr.BitErrors)
 		}
 	}
 }

@@ -20,32 +20,6 @@ func XORDecode(excitation, backscattered byte) byte {
 	return 1
 }
 
-// SoftScale is the magnitude of a full-confidence soft decision: Soft
-// values live in [-SoftScale, SoftScale], positive meaning tag bit 0 and
-// negative tag bit 1, with |Soft| the normalized decision margin. The
-// chase ladder in internal/fec (fec.Chase) accumulates these values
-// directly and slices their sum by sign, so only the sign convention binds
-// it; the scale sets the int32 accumulator's headroom.
-const SoftScale = 1024
-
-// softFor converts a decision (bit, normalized margin in [0,1]) to the
-// int16 soft convention. A decided 1 is clamped to at most -1 so that
-// re-slicing a single attempt's soft values (sign test, ties to 0) always
-// reproduces the hard decision — zero-margin 1s must not collapse to 0.
-func softFor(bit byte, margin float64) int16 {
-	s := int16(margin * SoftScale)
-	if s > SoftScale {
-		s = SoftScale
-	}
-	if bit == 0 {
-		return s
-	}
-	if s < 1 {
-		s = 1
-	}
-	return -s
-}
-
 // WindowResult carries one decoded tag bit and its decision quality. Every
 // window rule returns one WindowResult per decoded tag bit: one per window
 // for the binary rules, two per window (the rotation index's bit pair) for
@@ -61,20 +35,15 @@ type WindowResult struct {
 	// fraction of units (subcarrier bit pairs, or rotation features) that
 	// do not match rotation step 0, shared by the window's two bits.
 	MismatchFraction float64
-	// Soft is the int16 soft decision (see SoftScale): the bit's
-	// normalized decision margin, signed by the bit. Re-slicing Soft alone
-	// (negative → 1) reproduces Bit exactly.
-	Soft int16
 }
 
 // slice is the binary rules' threshold decision: a mismatch fraction above
-// threshold decodes as 1, and the margin is the fraction's distance from
-// the threshold normalized to the span on the decided side.
-func slice(frac, threshold float64) (byte, float64) {
+// threshold decodes as 1.
+func slice(frac, threshold float64) byte {
 	if frac > threshold {
-		return 1, (frac - threshold) / (1 - threshold)
+		return 1
 	}
-	return 0, (threshold - frac) / threshold
+	return 0
 }
 
 // DecodeWindows compares two aligned streams element-wise in windows of the
@@ -114,8 +83,7 @@ func DecodeWindows(ref, rx []byte, window int, threshold float64) ([]WindowResul
 			}
 		}
 		frac := float64(mism) / float64(window)
-		bit, margin := slice(frac, threshold)
-		out = append(out, WindowResult{Bit: bit, MismatchFraction: frac, Soft: softFor(bit, margin)})
+		out = append(out, WindowResult{Bit: slice(frac, threshold), MismatchFraction: frac})
 	}
 	return out, dropped, nil
 }
@@ -125,15 +93,6 @@ func Bits(ws []WindowResult) []byte {
 	out := make([]byte, len(ws))
 	for i, w := range ws {
 		out[i] = w.Bit
-	}
-	return out
-}
-
-// Soft extracts the int16 soft decisions from a window result slice.
-func Soft(ws []WindowResult) []int16 {
-	out := make([]int16, len(ws))
-	for i, w := range ws {
-		out[i] = w.Soft
 	}
 	return out
 }
@@ -185,11 +144,7 @@ func DecodeQuaternaryWindows(ref, rx []byte, windowBits int) ([]WindowResult, er
 // rotation for the differential one), and units is the window's unit
 // count. The winning step d moves the rotation to k = (k0+d) mod 4, whose
 // binary expansion is the window's tag bit pair (k>>1, k&1): one
-// WindowResult per bit is appended, and k is returned. Each bit's soft
-// margin is the winning step's match count against the best step whose
-// rotation decodes that bit to the opposite value — NOT the overall
-// runner-up, which may agree on the bit — over units; an exact tie keeps
-// its decided value via the ±1 clamp in softFor.
+// WindowResult per bit is appended, k>>1 first, and k is returned.
 func appendRotation(out []WindowResult, matches *[4]int, k0, units int) ([]WindowResult, int) {
 	best := 0
 	for d := 1; d < 4; d++ {
@@ -199,17 +154,9 @@ func appendRotation(out []WindowResult, matches *[4]int, k0, units int) ([]Windo
 	}
 	k := (k0 + best) & 3
 	frac := float64(units-matches[0]) / float64(units)
-	for b := 1; b >= 0; b-- { // b is the bit's place in k: k>>1 first, then k&1
-		v := byte(k>>b) & 1
-		opp := 0
-		for d := 0; d < 4; d++ {
-			if byte((k0+d)&3>>b)&1 != v && matches[d] > opp {
-				opp = matches[d]
-			}
-		}
-		margin := float64(matches[best]-opp) / float64(units)
-		out = append(out, WindowResult{Bit: v, MismatchFraction: frac, Soft: softFor(v, margin)})
-	}
+	out = append(out,
+		WindowResult{Bit: byte(k>>1) & 1, MismatchFraction: frac},
+		WindowResult{Bit: byte(k) & 1, MismatchFraction: frac})
 	return out, k
 }
 

@@ -21,8 +21,8 @@ import "fmt"
 // The price of self-reference is transition-error propagation: one wrong
 // transition decision inverts every later bit until the next wrong one
 // cancels it. The BER-vs-SNR experiment quantifies that sensitivity cost
-// against the dual-receiver rule; the RS/chase pipeline above this layer
-// composes unchanged because Soft values keep the same int16 convention.
+// against the dual-receiver rule; the RS-coded retransmission ladder above
+// this layer composes unchanged because it reads only the hard bits.
 
 // DecodeDifferentialWindows recovers tag bits from a single receiver's
 // binary flip-feature stream: rx holds one 0/1 feature per PHY unit
@@ -33,10 +33,8 @@ import "fmt"
 // transition, and the tag bit is the running XOR of transitions.
 //
 // WindowResult.MismatchFraction is the window's disagreement fraction
-// against its predecessor. Soft carries the *local* transition margin
-// signed by the accumulated bit — re-slicing Soft (negative → 1)
-// reproduces Bit exactly, which is what lets fec.Chase chase-combine
-// single-receiver attempts unchanged.
+// against its predecessor: the *local* transition decision, so the
+// running XOR of (MismatchFraction > threshold) reproduces Bit.
 func DecodeDifferentialWindows(rx []byte, window int, threshold float64) ([]WindowResult, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("decoder: window %d must be positive", window)
@@ -58,9 +56,8 @@ func DecodeDifferentialWindows(rx []byte, window int, threshold float64) ([]Wind
 			}
 		}
 		frac := float64(diff) / float64(window)
-		trans, margin := slice(frac, threshold)
-		bit ^= trans
-		out = append(out, WindowResult{Bit: bit, MismatchFraction: frac, Soft: softFor(bit, margin)})
+		bit ^= slice(frac, threshold)
+		out = append(out, WindowResult{Bit: bit, MismatchFraction: frac})
 	}
 	return out, nil
 }

@@ -127,9 +127,9 @@ func TestDifferentialErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestDifferentialSoftCoherence: re-slicing Soft must reproduce Bit for
-// random feature streams — the invariant that lets fec.Chase
-// chase-combine single-receiver attempts.
+// TestDifferentialSoftCoherence: for random feature streams the running
+// XOR of (MismatchFraction > threshold) reproduces Bit, so the exported
+// mismatch fractions carry each window's transition decision.
 func TestDifferentialSoftCoherence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -142,12 +142,17 @@ func TestDifferentialSoftCoherence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(ws) != len(feat)/window {
+			t.Fatalf("trial %d: %d windows, want %d", trial, len(ws), len(feat)/window)
+		}
+		bit := byte(0)
 		for i, w := range ws {
-			if got := sliceSoft(w.Soft); got != w.Bit {
-				t.Fatalf("trial %d window %d: soft %d slices to %d, hard %d", trial, i, w.Soft, got, w.Bit)
+			if w.MismatchFraction > 0.5 {
+				bit ^= 1
 			}
-			if w.Soft < -SoftScale || w.Soft > SoftScale {
-				t.Fatalf("soft %d outside ±SoftScale", w.Soft)
+			if bit != w.Bit {
+				t.Fatalf("trial %d window %d: running XOR of mismatch fractions gives %d, hard %d",
+					trial, i, bit, w.Bit)
 			}
 		}
 	}
@@ -168,16 +173,20 @@ func TestDifferentialQuaternaryRoundTrip(t *testing.T) {
 	if len(ws) != 2*len(ks) {
 		t.Fatalf("results %d, want %d (two per window)", len(ws), 2*len(ks))
 	}
+	prev := 0
 	for i, k := range ks {
 		if got := rotation(ws, i); got != k {
 			t.Fatalf("window %d: rotation %d, want %d", i, got, k)
 		}
-		requireFullConfidence(t, ws, i)
+		requireCleanMismatch(t, ws, i, k != prev)
+		prev = k
 	}
 }
 
-// TestDifferentialQuaternarySoftCoherence: per-bit soft decisions re-slice
-// to the decided bits for random rotation-feature streams.
+// TestDifferentialQuaternarySoftCoherence: for random rotation-feature
+// streams each window yields two results sharing one MismatchFraction, and
+// a window where step 0 (no rotation change) holds a strict majority of
+// features repeats its predecessor's bit pair.
 func TestDifferentialQuaternarySoftCoherence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
@@ -193,11 +202,19 @@ func TestDifferentialQuaternarySoftCoherence(t *testing.T) {
 		if len(ws) != 2*(len(feat)/window) {
 			t.Fatalf("trial %d: %d results, want two per window", trial, len(ws))
 		}
-		for i, w := range ws {
-			if got := sliceSoft(w.Soft); got != w.Bit {
-				t.Fatalf("trial %d window %d bit %d: soft %d slices to %d, hard %d",
-					trial, i/2, i%2, w.Soft, got, w.Bit)
+		prev := 0
+		for i := 0; i < len(ws)/2; i++ {
+			frac := ws[2*i].MismatchFraction
+			if ws[2*i+1].MismatchFraction != frac {
+				t.Fatalf("trial %d window %d: bits carry mismatch fractions %g and %g",
+					trial, i, frac, ws[2*i+1].MismatchFraction)
 			}
+			k := rotation(ws, i)
+			if frac < 0.5 && k != prev {
+				t.Fatalf("trial %d window %d: mismatch fraction %g moved the rotation %d → %d",
+					trial, i, frac, prev, k)
+			}
+			prev = k
 		}
 	}
 }

@@ -43,8 +43,9 @@ func FuzzDecodeWindows(f *testing.F) {
 			if w.MismatchFraction < 0 || w.MismatchFraction > 1 {
 				t.Fatalf("window %d: mismatch fraction %g", i, w.MismatchFraction)
 			}
-			if got := sliceSoft(w.Soft); got != w.Bit {
-				t.Fatalf("window %d: soft %d slices to %d, hard %d", i, w.Soft, got, w.Bit)
+			if (w.MismatchFraction > threshold) != (w.Bit == 1) {
+				t.Fatalf("window %d: mismatch fraction %g at threshold %g decided bit %d",
+					i, w.MismatchFraction, threshold, w.Bit)
 			}
 		}
 	})
@@ -89,9 +90,6 @@ func FuzzDecodeDifferentialWindows(f *testing.F) {
 					i, w.Bit, prev, trans)
 			}
 			prev = w.Bit
-			if got := sliceSoft(w.Soft); got != w.Bit {
-				t.Fatalf("window %d: soft %d slices to %d, hard %d", i, w.Soft, got, w.Bit)
-			}
 		}
 
 		// Masking features to their used bit must not change the result:
@@ -109,8 +107,10 @@ func FuzzDecodeDifferentialWindows(f *testing.F) {
 // checkRotationResults holds a quaternary rule's results to the shape the
 // decode tail leans on: two results per complete window, bits in {0,1},
 // the mismatch fraction in [0,1] and shared by a window's two bits, and
-// every soft value re-slicing to its bit.
-func checkRotationResults(t *testing.T, ws []WindowResult, windows int) {
+// a window whose mismatch fraction is under one half (step 0 holds a
+// strict majority of its units) keeping the rotation it starts from: 0 for
+// the dual rule, the previous window's for the differential one.
+func checkRotationResults(t *testing.T, ws []WindowResult, windows int, differential bool) {
 	t.Helper()
 	if len(ws) != 2*windows {
 		t.Fatalf("%d results, want %d (two per window)", len(ws), 2*windows)
@@ -125,8 +125,15 @@ func checkRotationResults(t *testing.T, ws []WindowResult, windows int) {
 		if i%2 == 1 && w.MismatchFraction != ws[i-1].MismatchFraction {
 			t.Fatalf("window %d: bits carry mismatch fractions %g and %g", i/2, ws[i-1].MismatchFraction, w.MismatchFraction)
 		}
-		if got := sliceSoft(w.Soft); got != w.Bit {
-			t.Fatalf("result %d: soft %d slices to %d, hard %d", i, w.Soft, got, w.Bit)
+	}
+	k0 := 0
+	for i := 0; i < windows; i++ {
+		k := rotation(ws, i)
+		if frac := ws[2*i].MismatchFraction; frac < 0.5 && k != k0 {
+			t.Fatalf("window %d: mismatch fraction %g moved the rotation %d → %d", i, frac, k0, k)
+		}
+		if differential {
+			k0 = k
 		}
 	}
 }
@@ -159,7 +166,7 @@ func FuzzDecodeQuaternaryWindows(f *testing.F) {
 			}
 			return
 		}
-		checkRotationResults(t, ws, min(len(ref), len(rx))/window)
+		checkRotationResults(t, ws, min(len(ref), len(rx))/window, false)
 		ws2, err := DecodeQuaternaryWindows(masked(ref, 1), masked(rx, 1), window)
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +194,7 @@ func FuzzDecodeDifferentialQuaternaryWindows(f *testing.F) {
 			}
 			return
 		}
-		checkRotationResults(t, ws, len(rx)/window)
+		checkRotationResults(t, ws, len(rx)/window, true)
 		ws2, err := DecodeDifferentialQuaternaryWindows(masked(rx, 3), window)
 		if err != nil {
 			t.Fatal(err)

@@ -50,18 +50,7 @@ func TestDecodeQuaternaryWindowsAllRotations(t *testing.T) {
 		if got := rotation(ws, w); got != k {
 			t.Fatalf("window %d: rotation %d, want %d", w, got, k)
 		}
-		requireFullConfidence(t, ws, w)
-		// No pair is its own 90°, 180° or 270° rotation, so every pair of
-		// a rotated window disagrees with step 0 and none of an unrotated.
-		want := 1.0
-		if k == 0 {
-			want = 0
-		}
-		for b := 0; b < 2; b++ {
-			if got := ws[2*w+b].MismatchFraction; got != want {
-				t.Fatalf("window %d bit %d: mismatch fraction %g, want %g", w, b, got, want)
-			}
-		}
+		requireCleanMismatch(t, ws, w, k != 0)
 	}
 	bits := Bits(ws)
 	want := []byte{0, 0, 0, 1, 1, 0, 1, 1}
@@ -102,14 +91,19 @@ func rotation(ws []WindowResult, i int) int {
 	return int(ws[2*i].Bit)<<1 | int(ws[2*i+1].Bit)
 }
 
-// requireFullConfidence fails unless both of clean window i's soft values
-// are at full scale: every pair matched the winning hypothesis and none
-// matched one that decodes a bit the other way.
-func requireFullConfidence(t *testing.T, ws []WindowResult, i int) {
+// requireCleanMismatch fails unless both of clean window i's results
+// carry mismatch fraction 1 when the window rotated and 0 when it did not:
+// no Gray pair is its own 90°, 180° or 270° rotation, so every unit of a
+// rotated window disagrees with step 0.
+func requireCleanMismatch(t *testing.T, ws []WindowResult, i int, rotated bool) {
 	t.Helper()
+	want := 0.0
+	if rotated {
+		want = 1
+	}
 	for b := 0; b < 2; b++ {
-		if s := ws[2*i+b].Soft; abs16(s) != SoftScale {
-			t.Fatalf("window %d bit %d: clean window soft %d, want ±%d", i, b, s, SoftScale)
+		if got := ws[2*i+b].MismatchFraction; got != want {
+			t.Fatalf("window %d bit %d: mismatch fraction %g, want %g", i, b, got, want)
 		}
 	}
 }

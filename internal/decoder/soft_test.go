@@ -5,19 +5,14 @@ import (
 	"testing"
 )
 
-// sliceSoft mirrors the fec chase ladder's slicing rule (negative → 1, ties →
-// 0) without importing internal/fec; the convention is pinned by these
-// tests on both sides.
-func sliceSoft(s int16) byte {
-	if s < 0 {
-		return 1
-	}
-	return 0
-}
+// The window rules' soft output is MismatchFraction, the decision quality
+// /v1/decode exports per bit as "mismatch". These tests hold it coherent
+// with the hard bits it accompanies.
 
-// TestSoftHardCoherenceBinary: re-slicing a window's soft value must
-// reproduce its hard bit for every achievable mismatch count, at both the
-// WiFi/BT threshold and the ZigBee threshold.
+// TestSoftHardCoherenceBinary: for every achievable mismatch count, at
+// both the WiFi/BT threshold and the ZigBee threshold, a window's
+// MismatchFraction is its mismatch count over the window and
+// MismatchFraction > threshold exactly when the bit is 1.
 func TestSoftHardCoherenceBinary(t *testing.T) {
 	for _, th := range []float64{0.5, 0.3} {
 		for window := 1; window <= 8; window++ {
@@ -32,26 +27,24 @@ func TestSoftHardCoherenceBinary(t *testing.T) {
 					t.Fatal(err)
 				}
 				w := ws[0]
-				if got := sliceSoft(w.Soft); got != w.Bit {
-					t.Fatalf("th=%g window=%d mism=%d: soft %d slices to %d, hard bit %d",
-						th, window, mism, w.Soft, got, w.Bit)
+				if want := float64(mism) / float64(window); w.MismatchFraction != want {
+					t.Fatalf("th=%g window=%d mism=%d: mismatch fraction %g, want %g",
+						th, window, mism, w.MismatchFraction, want)
 				}
-				if w.Bit == 1 && w.Soft == 0 {
-					t.Fatalf("th=%g window=%d mism=%d: decided 1 with soft 0", th, window, mism)
-				}
-				if w.Soft < -SoftScale || w.Soft > SoftScale {
-					t.Fatalf("soft %d outside ±SoftScale", w.Soft)
+				if (w.MismatchFraction > th) != (w.Bit == 1) {
+					t.Fatalf("th=%g window=%d mism=%d: mismatch fraction %g decided bit %d",
+						th, window, mism, w.MismatchFraction, w.Bit)
 				}
 			}
 		}
 	}
 }
 
-// TestSoftMarginMonotone: more mismatches → algebraically smaller soft
-// value (toward confident 1), pinning the sign convention.
+// TestSoftMarginMonotone: more mismatches give a strictly larger
+// MismatchFraction, and the decision flips from 0 to 1 once and stays.
 func TestSoftMarginMonotone(t *testing.T) {
 	const window = 10
-	prev := int16(SoftScale + 1)
+	prev, prevBit := -1.0, byte(0)
 	for mism := 0; mism <= window; mism++ {
 		ref := make([]byte, window)
 		rx := make([]byte, window)
@@ -62,15 +55,21 @@ func TestSoftMarginMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ws[0].Soft >= prev {
-			t.Fatalf("mism=%d: soft %d not decreasing (prev %d)", mism, ws[0].Soft, prev)
+		w := ws[0]
+		if w.MismatchFraction <= prev {
+			t.Fatalf("mism=%d: mismatch fraction %g not increasing (prev %g)", mism, w.MismatchFraction, prev)
 		}
-		prev = ws[0].Soft
+		if w.Bit < prevBit {
+			t.Fatalf("mism=%d: decision fell back to 0", mism)
+		}
+		prev, prevBit = w.MismatchFraction, w.Bit
 	}
 }
 
 // TestSoftHardCoherenceQuaternary: for random demapped streams, each
-// window's per-bit soft decisions must re-slice to the decided bits.
+// window yields two results sharing one MismatchFraction, the fraction of
+// the window's subcarrier pairs that differ from the reference; a window
+// where step 0 holds a strict majority of pairs decodes 00.
 func TestSoftHardCoherenceQuaternary(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const windowBits = 16
@@ -89,18 +88,30 @@ func TestSoftHardCoherenceQuaternary(t *testing.T) {
 		if len(ws) != 2*n/windowBits {
 			t.Fatalf("trial %d: %d results, want two per window", trial, len(ws))
 		}
-		for i, w := range ws {
-			if got := sliceSoft(w.Soft); got != w.Bit {
-				t.Fatalf("trial %d window %d bit %d: soft %d slices to %d, hard %d",
-					trial, i/2, i%2, w.Soft, got, w.Bit)
+		for i := 0; i < len(ws); i += 2 {
+			lo := i / 2 * windowBits
+			diff := 0
+			for j := lo; j < lo+windowBits; j += 2 {
+				if ref[j] != rx[j] || ref[j+1] != rx[j+1] {
+					diff++
+				}
+			}
+			want := float64(diff) / float64(windowBits/2)
+			if ws[i].MismatchFraction != want || ws[i+1].MismatchFraction != want {
+				t.Fatalf("trial %d window %d: mismatch fractions %g, %g, want %g",
+					trial, i/2, ws[i].MismatchFraction, ws[i+1].MismatchFraction, want)
+			}
+			if want < 0.5 && (ws[i].Bit != 0 || ws[i+1].Bit != 0) {
+				t.Fatalf("trial %d window %d: mismatch fraction %g decoded (%d,%d), want (0,0)",
+					trial, i/2, want, ws[i].Bit, ws[i+1].Bit)
 			}
 		}
 	}
 }
 
-// TestQuaternarySoftOppositeHypothesis: a clean rotation-k window must
-// give both bits full-confidence soft values matching k's bit pair.
-func TestQuaternarySoftOppositeHypothesis(t *testing.T) {
+// TestQuaternaryCleanWindowMismatch: a clean rotation-k window decodes
+// k's bit pair, with MismatchFraction 0 for k = 0 and 1 otherwise.
+func TestQuaternaryCleanWindowMismatch(t *testing.T) {
 	const windowBits = 8
 	ref := []byte{0, 0, 0, 1, 1, 0, 1, 1}
 	for k := 0; k < 4; k++ {
@@ -118,16 +129,7 @@ func TestQuaternarySoftOppositeHypothesis(t *testing.T) {
 			if w.Bit != want[b] {
 				t.Fatalf("k=%d bit %d: got %d", k, b, w.Bit)
 			}
-			if mag := abs16(w.Soft); mag < SoftScale/2 {
-				t.Fatalf("k=%d bit %d: clean window soft %d not confident", k, b, w.Soft)
-			}
 		}
+		requireCleanMismatch(t, ws, 0, k != 0)
 	}
-}
-
-func abs16(s int16) int16 {
-	if s < 0 {
-		return -s
-	}
-	return s
 }

@@ -47,14 +47,15 @@ func TestSNRAtBERInterpolation(t *testing.T) {
 }
 
 // TestCodedBERvsSNRGain runs the three-arm sweep at bench effort and
-// asserts the headline property: the full coded uplink — RS plus soft
-// chase-combining at a retransmission budget of 4 — reaches the target
-// BER at a measurably lower SNR than the uncoded single-shot link. It
+// asserts the headline property: the full coded uplink — RS at a
+// retransmission budget of 4 — reaches the target BER at a measurably
+// lower SNR than the uncoded single-shot link. It
 // also pins the DESIGN §9 finding that per-packet RS alone does NOT move
 // the crossing (residual failures are packet-catastrophic misalignments,
 // outside any code's correction radius). The sweep is a pure function of
 // (seed, packets), so the measured margins are deterministic; the probed
-// operating point gives uncoded 7.13 dB and a 7.13 dB chase margin, and
+// operating point gives uncoded 7.13 dB and a 7.13 dB retransmission
+// margin, and
 // the assertions leave headroom only for intentional PHY recalibration.
 func TestCodedBERvsSNRGain(t *testing.T) {
 	if testing.Short() {
@@ -63,34 +64,34 @@ func TestCodedBERvsSNRGain(t *testing.T) {
 	if raceEnabled {
 		t.Skip("three-arm SNR sweep exceeds race-instrumented CI budgets")
 	}
-	res, err := CodedBERvsSNRChase(Options{PacketsPerPoint: 60, Seed: 1}, &fec.Config{N: 15, K: 9}, 4)
+	res, err := CodedBERvsSNR(Options{PacketsPerPoint: 60, Seed: 1}, &fec.Config{N: 15, K: 9}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Coded) != len(res.Uncoded) || len(res.Chase) != len(res.Uncoded) {
+	if len(res.Coded) != len(res.Uncoded) || len(res.Retx) != len(res.Uncoded) {
 		t.Fatalf("curve lengths diverge: %d / %d / %d",
-			len(res.Uncoded), len(res.Coded), len(res.Chase))
+			len(res.Uncoded), len(res.Coded), len(res.Retx))
 	}
-	if res.UncodedSNRdB.never() || res.ChaseSNRdB.never() {
-		t.Fatalf("a curve never reached BER <= %g: uncoded %g, chase %g",
-			res.TargetBER, res.UncodedSNRdB, res.ChaseSNRdB)
+	if res.UncodedSNRdB.never() || res.RetxSNRdB.never() {
+		t.Fatalf("a curve never reached BER <= %g: uncoded %g, retransmitted %g",
+			res.TargetBER, res.UncodedSNRdB, res.RetxSNRdB)
 	}
-	if res.ChaseGainDB < 2 {
-		t.Fatalf("coded uplink link-margin gain collapsed: uncoded %.2f dB, chase-combined %.2f dB (gain %.2f dB, want >= 2)",
-			res.UncodedSNRdB, res.ChaseSNRdB, res.ChaseGainDB)
+	if res.RetxGainDB < 2 {
+		t.Fatalf("coded uplink link-margin gain collapsed: uncoded %.2f dB, retransmitted %.2f dB (gain %.2f dB, want >= 2)",
+			res.UncodedSNRdB, res.RetxSNRdB, res.RetxGainDB)
 	}
 	if math.Abs(float64(res.GainDB)) > 1 {
 		t.Fatalf("per-packet RS moved the crossing by %.2f dB on the clean channel; DESIGN §9 says it cannot — recalibrate or rewrite §9",
 			res.GainDB)
 	}
-	t.Logf("SNR @ BER<=%g: uncoded %.2f dB, RS-only %.2f dB, chase-combined %.2f dB (margin %.2f dB)",
-		res.TargetBER, res.UncodedSNRdB, res.CodedSNRdB, res.ChaseSNRdB, res.ChaseGainDB)
+	t.Logf("SNR @ BER<=%g: uncoded %.2f dB, RS-only %.2f dB, retransmitted %.2f dB (margin %.2f dB)",
+		res.TargetBER, res.UncodedSNRdB, res.CodedSNRdB, res.RetxSNRdB, res.RetxGainDB)
 }
 
 // TestCodedBERvsSNRRejectsBadCode: config validation happens before any
 // session is built.
 func TestCodedBERvsSNRRejectsBadCode(t *testing.T) {
-	if _, err := CodedBERvsSNRChase(QuickOptions(), &fec.Config{N: 10, K: 10}, 1); err == nil {
+	if _, err := CodedBERvsSNR(QuickOptions(), &fec.Config{N: 10, K: 10}, 1); err == nil {
 		t.Fatal("invalid code accepted")
 	}
 }

@@ -105,17 +105,16 @@ type CodedSNRResult struct {
 	CodedSNRdB   Crossing
 	GainDB       Crossing
 
-	// Chase is the full coded uplink — RS plus soft chase-combining with a
-	// retransmission budget of ChaseDepth, each copy decoded from the
-	// combined sum and then alone, as freerider.Send does, but keeping the
-	// first RS-valid decode (no payload check, no scheme fallback) —
-	// populated only by CodedBERvsSNRChase with depth >= 2.
-	// ChaseGainDB is the link margin that uplink holds over the uncoded
+	// Retx is the full coded uplink — RS with a retransmission budget of
+	// RetxDepth, each copy RS-decoded alone as freerider.Send does, but
+	// keeping the first RS-valid decode (no payload check, no scheme
+	// fallback) — populated only by CodedBERvsSNR with depth >= 2.
+	// RetxGainDB is the link margin that uplink holds over the uncoded
 	// single-shot link at the target BER.
-	ChaseDepth  int
-	Chase       []SNRPoint
-	ChaseSNRdB  Crossing
-	ChaseGainDB Crossing
+	RetxDepth  int
+	Retx       []SNRPoint
+	RetxSNRdB  Crossing
+	RetxGainDB Crossing
 }
 
 // String renders the paired sweeps and their margins as the bench log's
@@ -126,11 +125,11 @@ func (r CodedSNRResult) String() string {
 	lines = curveLines(lines, fmt.Sprintf("coded RS(%d,%d) x%d:", c.N, c.K, c.Interleave), r.Coded)
 	lines = append(lines, fmt.Sprintf("BER<=%.0e: uncoded needs %.2f dB, coded needs %.2f dB — gain %.2f dB",
 		r.TargetBER, r.UncodedSNRdB, r.CodedSNRdB, r.GainDB))
-	if r.ChaseDepth >= 2 {
-		lines = curveLines(lines, fmt.Sprintf("chase-combined RS(%d,%d) x%d, budget %d:",
-			c.N, c.K, c.Interleave, r.ChaseDepth), r.Chase)
-		lines = append(lines, fmt.Sprintf("BER<=%.0e: chase-combined needs %.2f dB — %.2f dB link margin over uncoded",
-			r.TargetBER, r.ChaseSNRdB, r.ChaseGainDB))
+	if r.RetxDepth >= 2 {
+		lines = curveLines(lines, fmt.Sprintf("retransmitted RS(%d,%d) x%d, budget %d:",
+			c.N, c.K, c.Interleave, r.RetxDepth), r.Retx)
+		lines = append(lines, fmt.Sprintf("BER<=%.0e: retransmitted needs %.2f dB — %.2f dB link margin over uncoded",
+			r.TargetBER, r.RetxSNRdB, r.RetxGainDB))
 	}
 	return strings.Join(lines, "\n")
 }
@@ -165,19 +164,16 @@ var codedSnrGridDB = []float64{
 	11.5, 12, 12.5, 13, 13.5, 14, 16, 18, 20, 22,
 }
 
-// CodedBERvsSNRChase runs the BER-vs-SNR sweep twice — uncoded and with
-// the given RS code (nil selects fec.DefaultConfig) — over the dense
+// CodedBERvsSNR runs the BER-vs-SNR sweep twice — uncoded and with the
+// given RS code (nil selects fec.DefaultConfig) — over the dense
 // transition-band grid, and reports the SNR each curve needs to hold
 // BER <= 1e-3, plus the dB gain between them. Depth >= 2 adds a third
-// arm: the full coded uplink with soft chase-combining at a
-// retransmission budget of depth. Per-packet RS alone cannot move the
-// 1e-3 crossing on this decoder — residual failures are misalignment
-// events that corrupt about half the packet, far beyond any code's
-// correction radius (see DESIGN §9) — so the headline link margin is read
-// off the chase arm. On the clean channel that margin is the
-// retransmission budget's: decoding each copy alone gives the same rows
-// (seeds 1–8). Under faults combining moves the crossing either way.
-func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRResult, error) {
+// arm: the full coded uplink at a retransmission budget of depth.
+// Per-packet RS alone cannot move the 1e-3 crossing on this decoder —
+// residual failures are misalignment events that corrupt about half the
+// packet, far beyond any code's correction radius (see DESIGN §9) — so
+// the headline link margin is read off the retransmission arm.
+func CodedBERvsSNR(opt Options, coding *fec.Config, depth int) (CodedSNRResult, error) {
 	cc := fec.DefaultConfig()
 	if coding != nil {
 		cc = *coding
@@ -206,31 +202,32 @@ func CodedBERvsSNRChase(opt Options, coding *fec.Config, depth int) (CodedSNRRes
 		res.GainDB = 0 // neither curve reaches the target: no margin to compare
 	}
 	if depth >= 2 {
-		chase, err := chaseBERvsSNROn(codedSnrGridDB, opt, cc, depth)
+		retx, err := retxBERvsSNROn(codedSnrGridDB, opt, cc, depth)
 		if err != nil {
 			return CodedSNRResult{}, err
 		}
-		res.ChaseDepth = depth
-		res.Chase = chase
-		res.ChaseSNRdB = Crossing(SNRAtBER(chase, codedTargetBER))
-		res.ChaseGainDB = res.UncodedSNRdB - res.ChaseSNRdB
-		if res.UncodedSNRdB.never() && res.ChaseSNRdB.never() {
-			res.ChaseGainDB = 0
+		res.RetxDepth = depth
+		res.Retx = retx
+		res.RetxSNRdB = Crossing(SNRAtBER(retx, codedTargetBER))
+		res.RetxGainDB = res.UncodedSNRdB - res.RetxSNRdB
+		if res.UncodedSNRdB.never() && res.RetxSNRdB.never() {
+			res.RetxGainDB = 0
 		}
 	}
 	return res, nil
 }
 
-// chaseBERvsSNROn sweeps the chase-combined coded uplink: each payload is
+// retxBERvsSNROn sweeps the retransmitted coded uplink: each payload is
 // RS-encoded once and transmitted up to depth times through the session's
-// sequential stream, stopping early when a decode clears. Every received
-// copy goes through fec.Chase, the ladder freerider.Send runs; this sweep
-// keeps the first RS-valid decode, combined before alone, and falls back
-// to the combined hard pass-through. A copy that never reached the decoder
-// contributes nothing; a payload with no received copy in the whole budget
-// counts as lost, not errored, matching Session.Run's accounting.
-func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]SNRPoint, error) {
-	return sweep(opt, "snr.chase", len(grid), func(i int, sp *span) (SNRPoint, error) {
+// sequential stream. Every received copy is RS-decoded alone, as
+// freerider.Send does; the sweep keeps the first copy that RS-decodes and,
+// when none does, the hard pass-through of the last copy received. A
+// copy that never reached the decoder contributes nothing; a payload with
+// no received copy in the whole budget counts as lost, not errored,
+// matching Session.Run's accounting. The seed labels ("snr.chase") predate
+// the arm's name; renaming them would change its draws.
+func retxBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]SNRPoint, error) {
+	return sweep(opt, "snr.retx", len(grid), func(i int, sp *span) (SNRPoint, error) {
 		cfg := core.DefaultConfig(core.WiFi, 8)
 		cfg.Seed = runner.DeriveSeed(opt.Seed, "snr.chase", i)
 		cfg.Faults = opt.Faults
@@ -243,7 +240,6 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 		lay, _ := sess.Layout()
 		data := rand.New(rand.NewSource(runner.DeriveSeed(opt.Seed, "snr.chase.data", i)))
 		payload := make([]byte, lay.DataBits())
-		var chase fec.Chase
 		var bitErrs, dataBits, lost, packets int
 		var airTime float64
 		var samples int64
@@ -255,7 +251,6 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 			if err != nil {
 				return SNRPoint{}, err
 			}
-			chase.Reset(lay)
 			var final []byte
 			for t := 0; t < depth; t++ {
 				pr, err := sess.RunPacket(coded)
@@ -265,16 +260,12 @@ func chaseBERvsSNROn(grid []float64, opt Options, cc fec.Config, depth int) ([]S
 				packets++
 				airTime += pr.AirTime
 				samples += int64(pr.Samples)
-				combined, alone, ok := chase.Add(pr.DecodedTag, pr.SoftTag)
-				if !ok {
+				data, _, ok := lay.DecodeBits(pr.DecodedTag)
+				if data == nil {
 					continue // copy never reached the decoder: retransmit
 				}
-				final = combined.Data // best effort so far: combined hard pass-through
-				if combined.OK {
-					break
-				}
-				if alone.OK {
-					final = alone.Data
+				final = data
+				if ok {
 					break
 				}
 			}

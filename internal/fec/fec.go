@@ -191,7 +191,7 @@ func (l Layout) EncodeBits(data []byte) ([]byte, error) {
 // recovered data bits, the total corrected symbol count, and whether every
 // codeword decoded to a valid RS codeword. On a codeword failure its raw
 // hard-decision data symbols are passed through, so callers can still
-// compare against ground truth or chase-combine and retry.
+// compare against ground truth or retransmit.
 func (l Layout) DecodeBits(coded []byte) (data []byte, corrected int, ok bool) {
 	if len(coded) < l.CodedBits() {
 		return nil, 0, false

@@ -289,88 +289,3 @@ func TestEncodeBitsPadsShortData(t *testing.T) {
 		t.Fatal("oversize data accepted")
 	}
 }
-
-// TestCombiner drives the chase ladder: one copy's combined decode is its
-// hard decode, a strong copy outvotes a weak wrong one so the combined
-// evidence decodes where neither copy alone does, ties slice to 0, and a
-// copy too short for the coded region changes nothing.
-func TestCombiner(t *testing.T) {
-	lay, err := LayoutFor(120, Config{N: 15, K: 9, Interleave: 1}) // 15 symbols, t = 3
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, lay.DataBits())
-	for i := range data {
-		data[i] = byte(i*5%7) & 1
-	}
-	coded, err := lay.EncodeBits(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// copyWith flips symbols [lo, hi) with weak votes; every other bit is
-	// a strong correct vote.
-	copyWith := func(lo, hi int) ([]byte, []int16) {
-		hard := append([]byte(nil), coded...)
-		soft := make([]int16, len(coded))
-		for i, b := range coded {
-			mag := int16(300)
-			if i >= lo*8 && i < hi*8 {
-				b ^= 1
-				hard[i] = b
-				mag = 10
-			}
-			soft[i] = mag
-			if b == 1 {
-				soft[i] = -mag
-			}
-		}
-		return hard, soft
-	}
-	var c Chase
-	c.Reset(lay)
-
-	// Single copy: the combined decode is the hard decode.
-	hard, soft := copyWith(0, 2)
-	combined, alone, ok := c.Add(hard, soft)
-	if !ok || !combined.OK || !alone.OK || combined.Corrected != 2 || alone.Corrected != 2 {
-		t.Fatalf("first copy: ok=%v combined=%+v alone=%+v", ok, combined, alone)
-	}
-	if !bytes.Equal(combined.Data, data) || !bytes.Equal(alone.Data, data) {
-		t.Fatal("first copy: decode differs from the payload")
-	}
-
-	// Combining: two copies each beyond the code's radius, damaged in
-	// different symbols, decode together.
-	c.Reset(lay)
-	hard, soft = copyWith(0, 5)
-	if combined, alone, ok = c.Add(hard, soft); !ok || combined.OK || alone.OK {
-		t.Fatalf("5 damaged symbols decoded: combined=%v alone=%v", combined.OK, alone.OK)
-	}
-	hard, soft = copyWith(10, 15)
-	combined, alone, ok = c.Add(hard, soft)
-	if !ok || !combined.OK || alone.OK || combined.Corrected != 0 || !bytes.Equal(combined.Data, data) {
-		t.Fatalf("combined decode: ok=%v combined=%+v alone.OK=%v", ok, combined, alone.OK)
-	}
-	if c.Copies() != 2 {
-		t.Fatalf("copies = %d", c.Copies())
-	}
-
-	// A short copy adds nothing.
-	if _, _, ok := c.Add(hard[:len(hard)-1], soft); ok || c.Copies() != 2 {
-		t.Fatalf("short copy: ok=%v copies=%d", ok, c.Copies())
-	}
-	if _, _, ok := c.Add(hard, soft[:len(soft)-1]); ok || c.Copies() != 2 {
-		t.Fatalf("short soft values: ok=%v copies=%d", ok, c.Copies())
-	}
-
-	// Tie slices to 0.
-	c.Reset(lay)
-	soft = make([]int16, lay.CodedBits())
-	soft[0] = 7
-	c.Add(coded, soft)
-	soft[0] = -7
-	c.Add(coded, soft)
-	if c.sliced[0] != 0 {
-		t.Fatalf("tie sliced to %d, want 0", c.sliced[0])
-	}
-}

@@ -1,15 +1,14 @@
 package fec
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
 
 // FuzzRSRoundTrip drives the encode→corrupt→decode loop from fuzzer
 // entropy: random (k, parity) geometry, random payload, then a mix of
-// symbol erasures (full-symbol corruption) and soft-value perturbations
-// (bit flips, the post-slice image of a noisy soft decision). Invariants:
+// symbol erasures (full-symbol corruption) and single bit flips (one
+// wrong hard decision in a tag window). Invariants:
 // decode never panics; <= t corruptions always decode back to the exact
 // payload; any claimed success is a true codeword (zero syndromes); any
 // failure leaves the buffer untouched.
@@ -35,7 +34,7 @@ func FuzzRSRoundTrip(f *testing.F) {
 			if i%2 == 0 {
 				rec[p] ^= byte(1 + rng.Intn(255)) // symbol erasure image
 			} else {
-				rec[p] ^= 1 << uint(rng.Intn(8)) // single soft-slice bit flip
+				rec[p] ^= 1 << uint(rng.Intn(8)) // single wrong hard decision
 			}
 		}
 		before := append([]byte(nil), rec...)
@@ -67,59 +66,4 @@ func FuzzRSRoundTrip(f *testing.F) {
 			}
 		}
 	})
-}
-
-// FuzzCombinerSlice checks that chase-combining arbitrary soft-value
-// streams never panics and agrees with the sign convention: N identical
-// copies slice like one, and the first copy's combined decode is the hard
-// decode of its own slicing.
-func FuzzCombinerSlice(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4}, uint8(2))
-	wide := make([]byte, 512)
-	for i := range wide {
-		wide[i] = byte(i * 37)
-	}
-	f.Add(wide, uint8(7))
-	f.Fuzz(func(t *testing.T, raw []byte, attempts uint8) {
-		lay, err := LayoutFor(len(raw)/2, Config{N: 15, K: 11, Interleave: 1 + int(attempts)%3})
-		if err != nil {
-			return
-		}
-		soft := make([]int16, lay.CodedBits())
-		for i := range soft {
-			soft[i] = int16(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8)
-		}
-		hard := make([]byte, len(soft))
-		sliceSoft(soft, hard)
-		var c Chase
-		c.Reset(lay)
-		n := 1 + int(attempts)%4
-		for a := 0; a < n; a++ {
-			combined, alone, ok := c.Add(hard, soft)
-			if !ok {
-				t.Fatal("full-length copy rejected")
-			}
-			if a == 0 && (!bytes.Equal(combined.Data, alone.Data) || combined.OK != alone.OK || combined.Corrected != alone.Corrected) {
-				t.Fatalf("first copy: combined %+v, alone %+v", combined, alone)
-			}
-		}
-		for i := range hard {
-			if c.sliced[i] != hard[i] {
-				t.Fatalf("%d identical copies sliced differently at %d", n, i)
-			}
-		}
-	})
-}
-
-// sliceSoft slices a single soft vector without accumulation: what a solo
-// decode of one attempt produces, the oracle for the combiner's
-// single-attempt identity.
-func sliceSoft(soft []int16, dst []byte) {
-	for i, s := range soft {
-		if s < 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
 }

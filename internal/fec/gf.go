@@ -1,10 +1,9 @@
 // Package fec is the coded tag uplink: a Reed-Solomon code over GF(2^8)
-// applied to tag payload chunks, plus the chase ladder (Chase) that merges
-// the per-bit soft decisions of failed chunk attempts across
-// retransmissions. GuardRider (arXiv:1912.06493) measured raw codeword-
-// translation uplinks to be unusable in the wild without FEC; this package
-// supplies the code and the combining substrate the retransmission ladder
-// in freerider.Send stands on.
+// applied to tag payload chunks. GuardRider (arXiv:1912.06493) measured
+// raw codeword-translation uplinks to be unusable in the wild without FEC;
+// this package supplies the code that freerider.Send's retransmission
+// ladder decodes each received copy of a chunk with (Layout.DecodeBits on
+// that copy's hard decisions alone).
 //
 // The code is systematic RS(n, k) over GF(2^8) with the 0x11d field
 // polynomial, shortened per chunk: Config names reference dimensions

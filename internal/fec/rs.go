@@ -114,7 +114,7 @@ func syndromes(rec []byte, out []byte) bool {
 // `parity` trailing parity symbols) in place. It returns the number of
 // symbol corrections applied and whether the result is a valid codeword.
 // On failure rec is left exactly as received so the caller can fall back
-// to the raw hard-decision symbols or chase-combine and retry.
+// to the raw hard-decision symbols or retransmit.
 func rsDecode(rec []byte, parity int) (corrected int, ok bool) {
 	n := len(rec)
 	if parity <= 0 {

@@ -51,12 +51,10 @@ func TestSendCodedChunksShrink(t *testing.T) {
 	}
 }
 
-// TestSendCodedSingleAttemptMatchesHardPath is the pre-FEC regression pin:
-// with Attempts=1 the combiner holds exactly one soft vector, and slicing
-// it must be bit-identical to the hard-decision decode path. The test
-// replays the transfer's packets on a twin session and checks that RS
-// decode over the raw hard decisions reproduces every delivered chunk —
-// i.e. chase combining at depth 1 changed nothing.
+// TestSendCodedSingleAttemptMatchesHardPath pins the coded ladder to the
+// plain decode: with Attempts=1 the transfer replays on a twin session,
+// and lay.DecodeBits over each packet's DecodedTag must reproduce every
+// delivered chunk and the transfer's corrected-symbol count.
 func TestSendCodedSingleAttemptMatchesHardPath(t *testing.T) {
 	const seed = 21
 	cc := CodingConfig{N: 15, K: 9}
@@ -71,12 +69,9 @@ func TestSendCodedSingleAttemptMatchesHardPath(t *testing.T) {
 	if !bitsEqual(out, payload) {
 		t.Fatal("payload corrupted")
 	}
-	if rep.CombiningGains != 0 {
-		t.Fatalf("Attempts=1 credited %d combining gains; depth-1 combining cannot gain", rep.CombiningGains)
-	}
 
-	// Twin session: same cfg and seed, same packet sequence, but decoded
-	// purely from hard decisions (DecodedTag), no combiner anywhere.
+	// Twin session: same cfg and seed, same packet sequence, decoded by
+	// lay.DecodeBits on each packet's hard decisions.
 	cfg := DefaultConfig(WiFi, 8)
 	cfg.Seed = seed
 	fc := fec.Config(cc)
@@ -90,6 +85,7 @@ func TestSendCodedSingleAttemptMatchesHardPath(t *testing.T) {
 		t.Fatal("no layout")
 	}
 	var hard []byte
+	corrected := 0
 	for off := 0; off < len(payload); {
 		hi := off + s.DataCapacity()
 		if hi > len(payload) {
@@ -113,23 +109,28 @@ func TestSendCodedSingleAttemptMatchesHardPath(t *testing.T) {
 		if !pr.Decoded || len(pr.DecodedTag) < lay.CodedBits() {
 			t.Fatalf("twin packet at off %d lost; Send delivered it, replay must too", off)
 		}
-		dec, _, ok := lay.DecodeBits(pr.DecodedTag)
+		dec, n, ok := lay.DecodeBits(pr.DecodedTag)
 		if !ok {
 			t.Fatalf("hard-decision RS decode failed at off %d", off)
 		}
 		hard = append(hard, dec[:len(chunk)]...)
+		corrected += n
 		off = hi
 	}
 	if !bitsEqual(hard, out) {
-		t.Fatal("Attempts=1 combined path diverges from pure hard-decision path")
+		t.Fatal("Attempts=1 transfer diverges from the twin's hard-decision decode")
+	}
+	if corrected != rep.CorrectedSymbols {
+		t.Fatalf("transfer corrected %d symbols, twin %d", rep.CorrectedSymbols, corrected)
 	}
 }
 
-// TestSendCodedCombiningGain: a deterministic operating point (impulse
-// noise over a weak t=1 code) where at least one chunk is delivered by the
-// accumulated soft history when every attempt alone failed. Pins that
-// CombiningGains actually fires, not just compiles.
-func TestSendCodedCombiningGain(t *testing.T) {
+// TestSendCodedImpulseLosesChunk pins the one measured cost of decoding
+// each copy alone: under impulse noise over a weak t=1 code (WiFi 8 m,
+// RS(15,13), 12 attempts, seed 4) every copy of chunk 0 is hit and none
+// RS-decodes, so the transfer fails. A ladder that summed the copies'
+// soft decisions delivered this chunk on its seventh packet.
+func TestSendCodedImpulseLosesChunk(t *testing.T) {
 	fp, err := ParseFaultProfile("impulse:prob=0.01,power=-55")
 	if err != nil {
 		t.Fatal(err)
@@ -139,26 +140,19 @@ func TestSendCodedCombiningGain(t *testing.T) {
 	opts.Faults = fp
 	cc := CodingConfig{N: 15, K: 13}
 	opts.Coding = &cc
-	payload := patternBits(160)
-	out, rep, err := SendDetailed(WiFi, 8, payload, 4, opts)
-	if err != nil {
-		t.Fatal(err)
+	_, rep, err := SendDetailed(WiFi, 8, patternBits(160), 4, opts)
+	if err == nil {
+		t.Fatal("transfer delivered; the decode-alone ladder lost chunk 0 here")
 	}
-	if !bitsEqual(out, payload) {
-		t.Fatal("payload corrupted")
-	}
-	if rep.CorruptPackets == 0 {
-		t.Fatal("operating point too clean: no corrupt packets, gain proves nothing")
-	}
-	if rep.CombiningGains == 0 {
-		t.Fatalf("no combining gains at the pinned operating point (retx=%d corrupt=%d)",
-			rep.Retransmissions, rep.CorruptPackets)
+	if rep.Chunks != 0 || rep.Packets != opts.Attempts || rep.CorruptPackets == 0 {
+		t.Fatalf("want chunk 0 lost after %d packets with corrupt copies among them; report %+v",
+			opts.Attempts, rep)
 	}
 }
 
 // TestSendCodedQuaternaryFallback: the coded ladder composes with the
 // scheme ladder — a quaternary coded transfer under bursty faults must
-// still deliver, resetting the combiner across the layout change.
+// still deliver, re-encoding the chunk across the layout change.
 func TestSendCodedQuaternaryFallback(t *testing.T) {
 	fp, err := ParseFaultProfile("bursty-wifi")
 	if err != nil {
@@ -182,10 +176,8 @@ func TestSendCodedQuaternaryFallback(t *testing.T) {
 }
 
 // TestSendCodedDeliversOnSoloDecode pins a transfer whose chunk is saved
-// by a retry that decodes on its own while the chase-combined sum does
-// not: earlier, misaligned copies filled the combiner with confident
-// wrong votes. ZigBee at 18 m, seed 6, RS(15,9), four attempts per chunk
-// loses that chunk when only the combined decode may deliver.
+// by a retry that decodes on its own after earlier, misaligned copies
+// failed: ZigBee at 18 m, seed 6, RS(15,9), four attempts per chunk.
 func TestSendCodedDeliversOnSoloDecode(t *testing.T) {
 	cc := CodingConfig{N: 15, K: 9}
 	opts := DefaultSendOptions()

@@ -2,6 +2,7 @@ package freerider
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -91,6 +92,25 @@ func TestSendFinalChunkLossRecovers(t *testing.T) {
 	}
 	if !rep.Degraded() {
 		t.Fatal("a retransmitting transfer must report Degraded")
+	}
+}
+
+// TestBackoffSlotsBounded holds every retry's backoff within ±50% of its
+// base, min(2^(attempt-1), 32), rounded: [⌈base/2⌉, ⌊1.5·base+0.5⌋]. From
+// retry 64 on an uncapped shift overflowed and backed off 1 slot.
+func TestBackoffSlotsBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for attempt := 1; attempt <= 100; attempt++ {
+		base := 32
+		if attempt <= 6 {
+			base = 1 << (attempt - 1)
+		}
+		lo, hi := (base+1)/2, (3*base+1)/2
+		for i := 0; i < 200; i++ {
+			if n := backoffSlots(rng, attempt); n < lo || n > hi {
+				t.Fatalf("attempt %d: %d slots, want [%d, %d]", attempt, n, lo, hi)
+			}
+		}
 	}
 }
 
