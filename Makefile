@@ -247,11 +247,12 @@ fuzz-decoder:
 # float bits and hostile captures (random lengths, NaN/Inf samples,
 # truncated or shifted preambles) through both dispatch modes: the FIR
 # fuzzer demands identity with the scatter-form convolution reference,
-# the ZigBee preamble-scan fuzzer the (start, gain, quality) of the
-# test-only reference scan in both modes, and the three receiver fuzzers
-# no panic, a frame or a sentinel error, and identical results with the
-# Go loops and the asm kernels (the ZigBee and Bluetooth ones also hold
-# the detection scan to its reference scan; the WiFi one also
+# the ZigBee preamble-scan fuzzer the (start, quality) of the test-only
+# reference scan in both modes through the correlator ZigBee and WiFi
+# share (signal.Correlate), and the three receiver fuzzers no panic, a
+# frame or a sentinel error, and identical results with the Go loops and
+# the asm kernels (all three also hold the detection scan to its
+# reference scan in both modes; the WiFi one also
 # toggles pilot-phase tracking and pilot-phase collection, and its
 # seed corpus holds crafted SIGNAL fields: every RATE code, both parities,
 # LENGTH 0, 1, 4095 and one past the capture). The AWGN

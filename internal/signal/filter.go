@@ -148,3 +148,33 @@ func convolveEdge(dst, x []complex128, h []float64, k0, k1 int) {
 		dst[k] = acc
 	}
 }
+
+// Correlate fills dst[p] with the correlation of x[p:] against tpl,
+//
+//	dst[p] = Σ_{j<len(tpl)} x[p+j] · tpl[j]
+//
+// (pass the conjugated template for a matched filter): whole groups of
+// 8 positions through simd.PreambleCorr when dispatched, the rest in
+// Go. The Go loop is the kernel's definition: each sum runs from +0 in
+// sample order, and the product is spelled in the real arithmetic
+// `x * cmplx.Conj(r)` lowers to. len(x) must be at least
+// len(dst)+len(tpl)−1.
+func Correlate(dst, x, tpl []complex128) {
+	vec := 0
+	if simd.Enabled() {
+		vec = len(dst) &^ 7
+		simd.PreambleCorr(dst[:vec], x, tpl)
+	}
+	for p := vec; p < len(dst); p++ {
+		var accR, accI float64
+		xs := x[p : p+len(tpl) : p+len(tpl)]
+		for j, c := range tpl {
+			x := xs[j]
+			xr, xi := real(x), imag(x)
+			cr, ci := real(c), imag(c)
+			accR += xr*cr - xi*ci
+			accI += xr*ci + xi*cr
+		}
+		dst[p] = complex(accR, accI)
+	}
+}

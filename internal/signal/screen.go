@@ -4,15 +4,17 @@ import "math"
 
 // EnergyScreen lets a template scan skip the exact window-energy sum at
 // positions that provably cannot beat the best quality found so far.
-// The scans (zigbee and bluetooth detect) rate position i as
+// The scans (zigbee Detect, bluetooth detect and wifi detectTiming)
+// rate position i as
 //
 //	q = num / sqrt(pw · tplPow)
 //
 // with num the position's correlation, pw its window energy summed term
 // by term in sample order and tplPow the template energy, and keep a
-// position only when q > best. The scan hands the screen each sample's
-// energy when the sample enters the window (Enter) and again when it
-// leaves (Leave). The screen keeps two running prefix sums of those
+// position only when q > best (detectTiming's first LTF copy only when
+// q ≥ 0.5, so it passes the largest double below 0.5 as best). The
+// scan hands the screen each sample's energy when the sample enters the
+// window (Enter) and again when it leaves (Leave). The screen keeps two running prefix sums of those
 // energies: lead through the window's last sample and trail up to its
 // first. They add the same terms in the same order, so trail is lead's
 // value from one template length earlier, and their difference bounds
@@ -51,6 +53,10 @@ func NewEnergyScreen(n int, tplPow float64) EnergyScreen {
 	}
 	return EnergyScreen{r: 4 * nu, kP: (1 - 4*nu) * tplPow}
 }
+
+// Energy is one complex sample's energy, the term a complex scan sums
+// into its window energy and hands to Enter and Leave.
+func Energy(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
 
 // Enter adds the energy of the sample joining the window.
 func (s *EnergyScreen) Enter(e float64) {

@@ -49,3 +49,38 @@ func BenchmarkReceive1500B(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDetectPreambleLeadIn times the preamble scan over 400
+// samples of noise ahead of a 1500-byte packet, the common case: the
+// scan stops one symbol past the preamble.
+func BenchmarkDetectPreambleLeadIn(b *testing.B) {
+	sig, err := NewTransmitter().Transmit(AppendFCS(make([]byte, 1500)), Rates[6])
+	if err != nil {
+		b.Fatal(err)
+	}
+	cap := newNoise(400+len(sig.Samples)+400, 0.01, 1)
+	for i, v := range sig.Samples {
+		cap.Samples[400+i] += v
+	}
+	rx := NewReceiver()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if start, _ := rx.DetectPreamble(cap); start != 400 {
+			b.Fatalf("preamble at %d, want 400", start)
+		}
+	}
+}
+
+// BenchmarkDetectPreambleNoPacket times the preamble scan over a
+// 41,440-sample capture of noise alone, a WiFi capture's length: no
+// position clears the gate, so the scan rates every position.
+func BenchmarkDetectPreambleNoPacket(b *testing.B) {
+	cap := newNoise(41440, 1, 2)
+	rx := NewReceiver()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if start, _ := rx.DetectPreamble(cap); start >= 0 {
+			b.Fatalf("preamble found at %d in noise", start)
+		}
+	}
+}

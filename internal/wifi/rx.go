@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/signal"
@@ -147,238 +146,91 @@ func ltfPeriodicity(s []complex128, start int) float64 {
 	return cmplx.Abs(acc) / pow
 }
 
-// detectTiming finds the best LTF matched-filter alignment.
+// timingBlock is the number of scan positions detectTiming rates per
+// correlation pass.
+const timingBlock = 64
+
+// detectTiming finds the best LTF matched-filter alignment: the first
+// LTF copy of a preamble starting at i begins at sample i+192, so
+// position i rates the copies' correlations with the LTF template,
+//
+//	qk = |ck| / sqrt(pk · ltfTmplPower)
+//
+// with ck the correlation over the k-th copy and pk its energy summed in
+// sample order. A position whose first copy has p1 == 0 or q1 < 0.5 is
+// passed over; the rest rate q = (q1+q2)/2, and the first position of
+// highest q wins. The correlations run a block at a time through
+// signal.Correlate, once per sample index: position i's second copy is
+// position i+64's first. p1 is summed only where signal.EnergyScreen
+// cannot prove q1 < 0.5, so every value that reaches the result is
+// computed as by a scan that sums everything.
 func (rx *Receiver) detectTiming(cap *signal.Signal) (int, float64) {
 	templateOnce.Do(initTemplates)
-	lt := ltfConjTmpl
-	ltPow := ltfTmplPower
-	n := len(cap.Samples)
-	// The first LTF copy begins at preambleStart+192. Search for two
-	// consecutive correlation peaks 64 samples apart.
+	x := cap.Samples
 	best, bestQ := -1, 0.0
-	// Long scans (the early break below only fires from an offset that
-	// itself clears the q1 gate, so a capture whose data region never
-	// correlates is scanned end to end) are pre-screened with an FFT
-	// matched-filter pass that proves q1 < 0.5 for almost every offset;
-	// the exact loop body then runs only on the survivors. The screen is
-	// lazy — each 512-sample FFT block is evaluated only when the scan
-	// first asks about an offset inside it — so a capture whose packet
-	// detects near the front (the common case) screens a few blocks
-	// instead of the whole tail. Screened-out offsets have no side effects
-	// in this loop, so the result is bit-identical to the plain scan.
-	last := n - PreambleLen - SymbolLen
-	var sc ltfScreener
-	useScreen := last+1 >= screenMinOffsets
-	if useScreen {
-		a := signal.GetArena()
-		defer a.Release()
-		sc.init(cap.Samples, 192, last+1, a)
+	last := len(x) - PreambleLen - SymbolLen // final scan position
+	if last < 0 {
+		return best, bestQ
 	}
-	for i := 0; i+PreambleLen+SymbolLen <= n; i++ {
-		// The LTF is 64-sample periodic, so misalignments by a whole FFT
-		// window also correlate; keep scanning a full symbol past the best
-		// candidate before accepting it. Checked before the screen so that
-		// an accepted detection stops the scan — and the lazy screen —
-		// immediately instead of screening the rest of the capture for one
-		// more survivor.
-		if bestQ > 0.5 && i > best+SymbolLen {
-			break
+	// c[j] is the correlation at sample i0+192+j: block position j reads
+	// its first copy's at c[j] and its second's at c[j+FFTSize], which
+	// the next block inherits as its first FFTSize entries.
+	var c [timingBlock + FFTSize]complex128
+	screen := signal.NewEnergyScreen(len(x), ltfTmplPower)
+	for _, v := range x[192 : 192+FFTSize-1] {
+		screen.Enter(signal.Energy(v))
+	}
+	// Beaten proves q1 ≤ its bound; the gate rejects only q1 < 0.5.
+	gate := math.Nextafter(0.5, 0)
+scan:
+	for i0 := 0; i0 <= last; i0 += timingBlock {
+		npos := min(timingBlock, last-i0+1)
+		have := 0
+		if i0 > 0 {
+			have = copy(c[:], c[timingBlock:])
 		}
-		if useScreen && !sc.passAt(i) {
-			continue
-		}
-		// Candidate position of first LTF symbol.
-		p := i + 192
-		c1, p1 := corr64(cap.Samples[p:], lt)
-		if p1 == 0 {
-			continue
-		}
-		q1 := cmplx.Abs(c1) / math.Sqrt(p1*ltPow)
-		if q1 < 0.5 {
-			continue
-		}
-		c2, p2 := corr64(cap.Samples[p+FFTSize:], lt)
-		if p2 == 0 {
-			continue
-		}
-		q2 := cmplx.Abs(c2) / math.Sqrt(p2*ltPow)
-		q := (q1 + q2) / 2
-		if q > bestQ {
-			best, bestQ = i, q
+		signal.Correlate(c[have:npos+FFTSize], x[i0+192+have:], ltfConjTmpl)
+		for j := range npos {
+			i := i0 + j
+			// The LTF is 64-sample periodic, so misalignments by a whole FFT
+			// window also correlate; keep scanning a full symbol past the best
+			// candidate before accepting it.
+			if bestQ > 0.5 && i > best+SymbolLen {
+				break scan
+			}
+			p := i + 192
+			if i > 0 {
+				screen.Leave(signal.Energy(x[p-1]))
+			}
+			screen.Enter(signal.Energy(x[p+FFTSize-1]))
+			if screen.Empty() {
+				continue // p1 == 0
+			}
+			a1 := cmplx.Abs(c[j])
+			if screen.Beaten(a1, gate) {
+				continue
+			}
+			var p1, p2 float64
+			for _, v := range x[p : p+FFTSize] {
+				p1 += signal.Energy(v)
+			}
+			q1 := a1 / math.Sqrt(p1*ltfTmplPower)
+			if q1 < 0.5 {
+				continue
+			}
+			for _, v := range x[p+FFTSize : p+2*FFTSize] {
+				p2 += signal.Energy(v)
+			}
+			if p2 == 0 {
+				continue
+			}
+			q2 := cmplx.Abs(c[j+FFTSize]) / math.Sqrt(p2*ltfTmplPower)
+			if q := (q1 + q2) / 2; q > bestQ {
+				best, bestQ = i, q
+			}
 		}
 	}
 	return best, bestQ
-}
-
-// corr64 correlates x against a template supplied in conjugated form
-// (cref[i] = conj(ref[i])). Conjugation is exact and the real-arithmetic
-// body below performs the same multiplies and adds, in the same order, as
-// the historical `acc += x[i] * cmplx.Conj(ref[i])` loop, so the result is
-// bit-identical while the matched-filter scan avoids per-sample conjugation
-// and bounds checks.
-func corr64(x []complex128, cref []complex128) (complex128, float64) {
-	if len(x) < len(cref) {
-		return 0, 0
-	}
-	x = x[:len(cref):len(cref)]
-	var accR, accI, pow float64
-	for i, c := range cref {
-		v := x[i]
-		vr, vi := real(v), imag(v)
-		cr, ci := real(c), imag(c)
-		accR += vr*cr - vi*ci
-		accI += vr*ci + vi*cr
-		pow += vr*vr + vi*vi
-	}
-	return complex(accR, accI), pow
-}
-
-// The overlap-save matched-filter screen. Each block of screenFFTSize
-// input samples yields screenBlockOut correlation outputs against the
-// 64-tap LTF template, turning the O(64·n) scan into O(n·log n) for the
-// common case where nothing past the preamble correlates.
-const (
-	screenFFTSize    = 512
-	screenBlockOut   = screenFFTSize - FFTSize + 1
-	screenMinOffsets = 2048
-)
-
-var (
-	screenOnce sync.Once
-	// screenH is the screenFFTSize-point FFT of the time-reversed
-	// conjugated LTF, so multiplying by it in the frequency domain
-	// computes the same cross-correlation corr64 evaluates directly.
-	screenH []complex128
-)
-
-func initScreen() {
-	templateOnce.Do(initTemplates)
-	h := make([]complex128, screenFFTSize)
-	for j := 0; j < FFTSize; j++ {
-		h[j] = ltfConjTmpl[FFTSize-1-j]
-	}
-	plan, err := signal.PlanFor(screenFFTSize)
-	if err != nil {
-		panic(err)
-	}
-	if err := plan.FFT(h); err != nil {
-		panic(err)
-	}
-	screenH = h
-}
-
-// ltfScreener marks which candidate LTF positions p in [p0, p0+count)
-// could possibly pass detectTiming's exact q1 ≥ 0.5 gate. An offset is
-// screened out only when the FFT correlation estimate proves q1 < 0.4 with
-// margin: the FFT and the sliding-window power prefix sums differ from the
-// exact per-offset computation by relative errors many orders of magnitude
-// below the 0.4-vs-0.5 slack, and windows whose power estimate is too
-// small to bound reliably are passed through to the exact check instead.
-// Survivors are re-evaluated by the unchanged exact loop body, so
-// screening never changes detection results.
-//
-// Screening is incremental: init computes only the O(n) power prefix sums,
-// and each screenFFTSize-sample block's matched-filter FFT runs the first
-// time passAt asks about an offset in it. detectTiming stops scanning one
-// symbol past a confident peak, so on captures that contain a packet the
-// screener evaluates a handful of blocks instead of the full capture.
-type ltfScreener struct {
-	s     []complex128
-	p0    int
-	count int
-	pass  []byte
-	pre   []float64
-	guard float64
-	thr   float64
-	plan  *signal.Plan
-	buf   []complex128
-	done  int // offsets [0, done) have been screened
-}
-
-func (sc *ltfScreener) init(s []complex128, p0, count int, a *signal.Arena) {
-	screenOnce.Do(initScreen)
-	sc.s, sc.p0, sc.count = s, p0, count
-	sc.pass = a.Bytes(count) // zeroed: offsets default to screened-out
-	sc.done = 0
-	region := s[p0 : p0+count+FFTSize-1]
-	// The prefix loop assigns pre[1..len]; only pre[0] needs an explicit
-	// zero, so the buffer skips the arena's zeroing pass.
-	sc.pre = a.FloatUninit(len(region) + 1)
-	sc.pre[0] = 0
-	sum := 0.0
-	for i, v := range region {
-		sum += real(v)*real(v) + imag(v)*imag(v)
-		sc.pre[i+1] = sum
-	}
-	// Windows below 1e-5 of the mean power cannot be bounded against
-	// prefix-sum cancellation error; pass them to the exact check.
-	sc.guard = 1e-5 * float64(FFTSize) * (sum / float64(len(region)))
-	// (0.4·sqrt(p1·ltPow))² threshold factor. The inverse transform below
-	// is unnormalised (outputs scaled by exactly N, a power of two), so the
-	// N² is folded into the threshold rather than divided out per sample.
-	sc.thr = 0.16 * ltfTmplPower * float64(screenFFTSize) * float64(screenFFTSize)
-	plan, err := signal.PlanFor(screenFFTSize)
-	if err != nil {
-		// Unreachable (power-of-two size); fail open to the exact scan.
-		sc.failOpen()
-		return
-	}
-	sc.plan = plan
-	sc.buf = a.Complex(screenFFTSize)
-}
-
-// failOpen marks every remaining offset as a survivor so the exact scan
-// checks them all.
-func (sc *ltfScreener) failOpen() {
-	for i := sc.done; i < sc.count; i++ {
-		sc.pass[i] = 1
-	}
-	sc.done = sc.count
-}
-
-// passAt reports whether offset u (relative to the screen origin) survives
-// the screen, evaluating further blocks on demand.
-func (sc *ltfScreener) passAt(u int) bool {
-	for u >= sc.done {
-		sc.block()
-	}
-	return sc.pass[u] != 0
-}
-
-// block screens the next screenBlockOut offsets starting at sc.done.
-func (sc *ltfScreener) block() {
-	base := sc.done
-	avail := len(sc.s) - (sc.p0 + base)
-	if avail > screenFFTSize {
-		avail = screenFFTSize
-	}
-	copy(sc.buf, sc.s[sc.p0+base:sc.p0+base+avail])
-	for t := avail; t < screenFFTSize; t++ {
-		sc.buf[t] = 0
-	}
-	if sc.plan.FFT(sc.buf) != nil {
-		sc.failOpen()
-		return
-	}
-	for t := range sc.buf {
-		sc.buf[t] *= screenH[t]
-	}
-	if sc.plan.InverseRaw(sc.buf) != nil {
-		sc.failOpen()
-		return
-	}
-	lim := sc.count - base
-	if lim > screenBlockOut {
-		lim = screenBlockOut
-	}
-	for u := 0; u < lim; u++ {
-		c := sc.buf[FFTSize-1+u]
-		pw := sc.pre[base+u+FFTSize] - sc.pre[base+u]
-		if pw <= sc.guard || real(c)*real(c)+imag(c)*imag(c) >= sc.thr*pw {
-			sc.pass[base+u] = 1
-		}
-	}
-	sc.done = base + lim
 }
 
 // decodeFrom decodes a PPDU whose preamble starts at sample start.

@@ -65,10 +65,11 @@ func fuzzCapture(raw []byte, rawBits bool, ppdu []complex128, shift, keep uint16
 // FuzzWiFiReceive feeds hostile captures to Receive, with pilot-phase
 // tracking and pilot-phase collection toggled by the input. It may not
 // panic; it returns a packet or one of the receiver's sentinel errors,
-// equal to the unfused reference chain's (refReceive), and the pure-Go
-// and SIMD kernels (FFT, Viterbi) must agree exactly. The
-// seed corpus includes every crafted SIGNAL capture of
-// TestCraftedSignalFields, as raw float bits.
+// equal to the unfused reference chain's (refReceive), the pure-Go and
+// SIMD kernels (FFT, Viterbi) must agree exactly, and the timing scan
+// must match refDetectTiming in both dispatch modes. The seed corpus
+// includes every crafted SIGNAL capture of TestCraftedSignalFields, as
+// raw float bits.
 func FuzzWiFiReceive(f *testing.F) {
 	frames := fuzzFrames()
 	rng := rand.New(rand.NewSource(5))
@@ -97,6 +98,7 @@ func FuzzWiFiReceive(f *testing.F) {
 		rx := NewReceiver()
 		rx.PilotPhaseTracking = flags&1 == 1
 		rx.CollectPilotPhases = flags&2 == 2
+		requireTimingMatchesRef(t, cap.Samples)
 		type result struct {
 			pkt *RxPacket
 			err error

@@ -1,16 +1,41 @@
 package wifi
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
-// refDetectTiming is the pre-screen scan kept verbatim: the FFT
-// matched-filter screen must reproduce its result bit for bit.
+// corr64 correlates x against a template supplied in conjugated form
+// (cref[i] = conj(ref[i])), returning the correlation and the energy of
+// x's first len(cref) samples. It is the per-position arithmetic of the
+// reference scan below.
+func corr64(x []complex128, cref []complex128) (complex128, float64) {
+	if len(x) < len(cref) {
+		return 0, 0
+	}
+	x = x[:len(cref):len(cref)]
+	var accR, accI, pow float64
+	for i, c := range cref {
+		v := x[i]
+		vr, vi := real(v), imag(v)
+		cr, ci := real(c), imag(c)
+		accR += vr*cr - vi*ci
+		accI += vr*ci + vi*cr
+		pow += vr*vr + vi*vi
+	}
+	return complex(accR, accI), pow
+}
+
+// refDetectTiming is the scan detectTiming must reproduce: one position
+// at a time, both LTF copies' correlations and energies summed from the
+// position's own samples, with detectTiming's gates and its early stop
+// tested before any work on a position.
 func refDetectTiming(cap *signal.Signal) (int, float64) {
 	templateOnce.Do(initTemplates)
 	lt := ltfConjTmpl
@@ -18,6 +43,9 @@ func refDetectTiming(cap *signal.Signal) (int, float64) {
 	n := len(cap.Samples)
 	best, bestQ := -1, 0.0
 	for i := 0; i+PreambleLen+SymbolLen <= n; i++ {
+		if bestQ > 0.5 && i > best+SymbolLen {
+			break
+		}
 		p := i + 192
 		c1, p1 := corr64(cap.Samples[p:], lt)
 		if p1 == 0 {
@@ -36,98 +64,111 @@ func refDetectTiming(cap *signal.Signal) (int, float64) {
 		if q > bestQ {
 			best, bestQ = i, q
 		}
-		if bestQ > 0.5 && i > best+SymbolLen {
-			break
-		}
 	}
 	return best, bestQ
 }
 
-func TestDetectTimingScreenBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	tx := NewTransmitter()
-	rx := NewReceiver()
-	mk := func(pad int, scale complex128, noise float64) *signal.Signal {
-		psdu := make([]byte, 40+rng.Intn(60))
-		rng.Read(psdu)
-		pkt, err := tx.Transmit(psdu, Rates[12])
-		if err != nil {
-			t.Fatal(err)
+// requireTimingMatchesRef fails unless detectTiming returns
+// refDetectTiming's start and quality on x in every dispatch mode the
+// build has.
+func requireTimingMatchesRef(t *testing.T, x []complex128) {
+	t.Helper()
+	cap := &signal.Signal{Rate: SampleRate, Samples: x}
+	ws, wq := refDetectTiming(cap)
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	for _, on := range []bool{false, true} {
+		if simd.SetEnabled(on); on && !simd.Enabled() {
+			break
 		}
-		cap := signal.New(SampleRate, pad+len(pkt.Samples)+pad)
-		for i, v := range pkt.Samples {
-			cap.Samples[pad+i] = v * scale
-		}
-		for i := range cap.Samples {
-			cap.Samples[i] += complex(rng.NormFloat64(), rng.NormFloat64()) * complex(noise, 0)
-		}
-		return cap
-	}
-	caps := []*signal.Signal{
-		mk(400, 1, 0.01),             // clean packet, long scan tail
-		mk(3000, 0.3, 0.2),           // weak packet in heavy noise
-		mk(400, 0, 0.3),              // noise only: nothing to detect
-		mk(400, 1e-9, 1e-12),         // near-silent capture
-		signal.New(SampleRate, 6000), // exact zeros everywhere
-	}
-	// Two packets in one capture: the scan must still pick the global best.
-	two := mk(400, 0.6, 0.05)
-	pkt2, _ := tx.Transmit([]byte{1, 2, 3, 4, 5, 6, 7, 8}, Rates[12])
-	ext := signal.New(SampleRate, len(two.Samples)+len(pkt2.Samples)+400)
-	copy(ext.Samples, two.Samples)
-	copy(ext.Samples[len(two.Samples):], pkt2.Samples)
-	caps = append(caps, ext)
-
-	for ci, cap := range caps {
-		for _, from := range []int{0, 100, len(cap.Samples) / 2} {
-			tail := &signal.Signal{Rate: cap.Rate, Samples: cap.Samples[from:]}
-			wantStart, wantQ := refDetectTiming(tail)
-			gotStart, gotQ := rx.detectTiming(tail)
-			if gotStart != wantStart || gotQ != wantQ {
-				t.Fatalf("capture %d from %d: screen scan (%d, %v) != plain scan (%d, %v)",
-					ci, from, gotStart, gotQ, wantStart, wantQ)
-			}
+		if s, q := NewReceiver().detectTiming(cap); s != ws || !sameFloat(q, wq) {
+			t.Fatalf("%d samples (%s): detectTiming (%d, %v), reference (%d, %v)",
+				len(x), simd.Mode(), s, q, ws, wq)
 		}
 	}
 }
 
-// TestLazyScreenMatchesEager proves the incremental screen computes the
-// same survivor set as a full eager pass over the same region.
-func TestLazyScreenMatchesEager(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	tx := NewTransmitter()
-	psdu := AppendFCS(make([]byte, 300))
-	sig, err := tx.Transmit(psdu, Rates[24])
+// TestDetectTimingMatchesReferenceScan checks detectTiming against
+// refDetectTiming in both dispatch modes: on packets in noise (clean,
+// weak enough that q1 nears its 0.5 gate, near-silent, two in one
+// capture, one shorter than 2048 scan positions), on noise alone, on
+// captures built to trip the energy screen — windows of zero energy
+// (all zeros, zero runs, samples whose energy underflows), exact ties
+// (a constant capture), prefix sums that cancel (a 1e150 lead-in before
+// 1e-150 samples), a single ±Inf or NaN sample — each from the start
+// and from offsets inside it, and on preambles overlapped 81–83 samples
+// apart, where the second can beat the first one position past the
+// early stop.
+func TestDetectTimingMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	psdu := make([]byte, 80)
+	rng.Read(psdu)
+	sig, err := NewTransmitter().Transmit(psdu, Rates[12])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := appendSilence(sig, 3000, 3000)
-	for i := range cap.Samples {
-		cap.Samples[i] += complex(1e-4*rng.NormFloat64(), 1e-4*rng.NormFloat64())
-	}
-	count := len(cap.Samples) - PreambleLen - SymbolLen - 192
-	a := signal.GetArena()
-	eager := append([]byte(nil), ltfScreen(cap.Samples, 192, count, a)...)
-	a.Release()
-
-	a2 := signal.GetArena()
-	defer a2.Release()
-	var sc ltfScreener
-	sc.init(cap.Samples, 192, count, a2)
-	for u := 0; u < count; u++ {
-		if got, want := sc.passAt(u), eager[u] != 0; got != want {
-			t.Fatalf("offset %d: lazy screen %v, eager %v", u, got, want)
+	pkt := sig.Samples
+	n := len(pkt)
+	noisy := func(n int, scale float64) []complex128 {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(scale, 0)
 		}
+		return x
 	}
-}
-
-// ltfScreen screens all count offsets at once: the eager pass the lazy
-// screener must reproduce.
-func ltfScreen(s []complex128, p0, count int, a *signal.Arena) []byte {
-	var sc ltfScreener
-	sc.init(s, p0, count, a)
-	for sc.done < sc.count {
-		sc.block()
+	with := func(x []complex128, at int, s []complex128, scale float64) []complex128 {
+		for i, v := range s {
+			x[at+i] += v * complex(scale, 0)
+		}
+		return x
 	}
-	return sc.pass
+	cases := map[string][]complex128{
+		"clean":       with(noisy(400+n+400, 0.01), 400, pkt, 1),
+		"near-silent": with(noisy(400+n+400, 1e-12), 400, pkt, 1e-9),
+		"short":       with(noisy(1500, 0.05), 100, pkt[:1200], 1),
+		"noise only":  noisy(6000, 0.3),
+		"zeros":       make([]complex128, 6000),
+		"constant":    make([]complex128, 2500),
+		"underflow":   with(make([]complex128, 1500+n), 1500, pkt, 1e-170),
+	}
+	for _, scale := range []float64{0.15, 0.18, 0.2, 0.3} {
+		cases[fmt.Sprintf("weak %v", scale)] = with(noisy(3000+n+3000, 0.2), 3000, pkt, scale)
+	}
+	for i := range cases["constant"] {
+		cases["constant"][i] = complex(0.5, -0.25)
+	}
+	// A weaker packet and a stronger one after it: the scan must stop
+	// after the first, as the reference does.
+	two := with(noisy(400+n+n+400, 0.05), 400, pkt, 0.6)
+	cases["two packets"] = with(two, 400+n, pkt, 1)
+	runs := with(noisy(4000+n, 0.05), 4000, pkt, 1)
+	clear(runs[300:1900])
+	clear(runs[2500:2700])
+	cases["zero runs"] = runs
+	cancel := with(noisy(1500+n+300, 1e-151), 1500, pkt, 1e-150)
+	for i := range cancel[:1500] {
+		cancel[i] = complex(1e150, -1e150)
+	}
+	cases["cancellation"] = cancel
+	for name, v := range map[string]complex128{
+		"+Inf": complex(math.Inf(1), 0), "-Inf": complex(0, math.Inf(-1)), "NaN": complex(math.NaN(), 0),
+	} {
+		x := with(noisy(2000+n, 0.05), 2000, pkt, 1)
+		x[700] = v
+		cases[name] = x
+	}
+	for name, x := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, from := range []int{0, 1, 100, 699, 701, len(x) / 2, len(x) - PreambleLen - SymbolLen - 3, len(x)} {
+				requireTimingMatchesRef(t, x[from:])
+			}
+		})
+	}
+	t.Run("overlapping preambles", func(t *testing.T) {
+		for k := range 300 {
+			lead, gap := 100+k%40, 81+k%3
+			x := with(noisy(lead+gap+PreambleLen+SymbolLen+100, 0.3), lead, pkt[:PreambleLen], 1)
+			requireTimingMatchesRef(t, with(x, lead+gap, pkt[:PreambleLen+SymbolLen], 1))
+		}
+	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/signal"
-	"repro/internal/simd"
 )
 
 // Errors returned by the receiver.
@@ -273,9 +272,6 @@ func sameBits(a, b []complex128) bool {
 	return true
 }
 
-// energy is one sample's energy, the term of a window's sum.
-func energy(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
-
 // Detect locates the first preamble in the capture, returning its start
 // sample index and the normalised correlation quality ((-1, 0) if nothing
 // is found). It correlates the preamble template slice-wise; position i
@@ -319,7 +315,7 @@ func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 	var corr [detectChunk]complex128
 	screen := signal.NewEnergyScreen(len(x), preamblePow)
 	for _, v := range x[:tplLen-1] {
-		screen.Enter(energy(v))
+		screen.Enter(signal.Energy(v))
 	}
 	best, bestQ := -1, 0.0
 scan:
@@ -335,7 +331,7 @@ scan:
 			need := i0 + npos + sliceReach[t]
 			for k := filled[t]; k < need; k += detectChunk {
 				c := corr[:min(detectChunk, need-k)]
-				correlate(c, x[k:], tpl)
+				signal.Correlate(c, x[k:], tpl)
 				ht := h[t][k-base:]
 				for j, v := range c {
 					ht[j] = math.Hypot(real(v), imag(v))
@@ -345,9 +341,9 @@ scan:
 		}
 		for i := i0; i < i0+npos; i++ {
 			if i > 0 {
-				screen.Leave(energy(x[i-1]))
+				screen.Leave(signal.Energy(x[i-1]))
 			}
-			screen.Enter(energy(x[i+tplLen-1]))
+			screen.Enter(signal.Energy(x[i+tplLen-1]))
 			if screen.Empty() {
 				continue // pw == 0
 			}
@@ -358,7 +354,7 @@ scan:
 			if !screen.Beaten(mag, bestQ) {
 				var pw float64
 				for _, v := range x[i : i+tplLen] {
-					pw += energy(v)
+					pw += signal.Energy(v)
 				}
 				if q := mag / math.Sqrt(pw*preamblePow); q > bestQ {
 					best, bestQ = i, q
@@ -378,32 +374,6 @@ scan:
 		return -1, 0
 	}
 	return best, bestQ
-}
-
-// correlate fills dst[p] with the correlation of x[p:] against tpl:
-// whole groups of 8 positions through simd.PreambleCorr when
-// dispatched, the rest in Go. The Go loop is the kernel's definition:
-// each sum runs from +0 in sample order, and the product is spelled in
-// the real arithmetic `x * cmplx.Conj(r)` lowers to (tpl is the
-// conjugated template).
-func correlate(dst, x, tpl []complex128) {
-	vec := 0
-	if simd.Enabled() {
-		vec = len(dst) &^ 7
-		simd.PreambleCorr(dst[:vec], x, tpl)
-	}
-	for p := vec; p < len(dst); p++ {
-		var accR, accI float64
-		xs := x[p : p+len(tpl) : p+len(tpl)]
-		for j, c := range tpl {
-			x := xs[j]
-			xr, xi := real(x), imag(x)
-			cr, ci := real(c), imag(c)
-			accR += xr*cr - xi*ci
-			accI += xr*ci + xi*cr
-		}
-		dst[p] = complex(accR, accI)
-	}
 }
 
 // chipWord packs the 32 chip decisions of the symbol whose chips start
