@@ -263,7 +263,11 @@ fuzz-decoder:
 # bits (gain, divisor, samples) through the elementwise complex kernels
 # (Scale, ScalePower, DivScale) at every length and start phase, in place
 # and into a separate buffer, and demands their Go definitions' bits,
-# power sum and NaN report.
+# power sum and NaN report. FuzzDerotateDispatch feeds raw float bits
+# (offset, rate, samples) through the CFO rotor in both dispatch modes,
+# in place and into a separate buffer, and the rotor kernel on phasor
+# tables drawn from the same bits, and demands the Go definition's
+# bits, NaN compared as a class.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS$$ -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACSInRange$$ -fuzztime=10s ./internal/wifi
@@ -277,6 +281,7 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzWiFiReceive$$ -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzAWGN$$ -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzScaleDispatch$$ -fuzztime=10s ./internal/simd
+	$(GO) test -run=^$$ -fuzz=FuzzDerotateDispatch$$ -fuzztime=10s ./internal/signal
 
 # fuzz-core smoke-fuzzes session configuration: random radio, rate,
 # payload size, redundancy, receiver mode, quaternary flag and coding must

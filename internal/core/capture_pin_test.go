@@ -35,19 +35,19 @@ func TestCapturePinned(t *testing.T) {
 			"ec197e483dd22b42685c752f1e9edf63c2d383a8b60a05b54debc1e64ff67aa8"},
 		{"wifi-45m", WiFi, 45, 2500,
 			"4776df093b533ca61751bd41e93d0fb5c3fb4e3c890a707cca0af16b101f075b",
-			"355c14fc0730404eb2aa95ec262b14d3a47ce3348af93668324a6f78bdf4c590"},
+			"20c6d651b9ab82a104b4afec0cb958b8920871d455127fd3e5cb43a226af829a"},
 		{"zigbee-2m", ZigBee, 2, 0,
 			"b4558202626b11830fa3907f3f8d4ccb1999f136558482e2d10882a36f6ea15e",
 			"f89c5450174034905bd0029f845dadbd08df514f3ce0d5e9f78c57935af4e07e"},
 		{"zigbee-24m", ZigBee, 24, 900,
 			"b4558202626b11830fa3907f3f8d4ccb1999f136558482e2d10882a36f6ea15e",
-			"f874919feec53502827fa06f6e1376681dc1955d92b17643625d067243dc5fdd"},
+			"2557b39b36bfc2f7dc9911fcd068d7930ee8204c3cb71a0c65d4e8890e4447a9"},
 		{"bluetooth-2m", Bluetooth, 2, 0,
 			"1bad925deb45037b63f6a4a85d3df0a4b1c495fafea5b754880b09d6f0a2f2fe",
 			"214822aab0ff6ee513c7bafd0248cac613749ecf85b2f9c40be21afd95a18881"},
 		{"bluetooth-12m", Bluetooth, 12, 700,
 			"1bad925deb45037b63f6a4a85d3df0a4b1c495fafea5b754880b09d6f0a2f2fe",
-			"b1aa40f08b375a3108daa10464158bcc649890274f9250888fc200a6400fb77f"},
+			"7d6c24c9480306aaccaf92a5aec4d452c6da042b05b429fd32523d81086fe78a"},
 	}
 	const (
 		seed = 7

@@ -2,50 +2,80 @@ package signal
 
 import (
 	"math"
-	"math/cmplx"
+
+	"repro/internal/simd"
 )
+
+// rotorBlock is the number of samples that share one block-base phasor
+// in Derotate: rotorBlock/simd.RotateRun hops of simd.RotateRun samples.
+const rotorBlock = 1024
 
 // Derotate writes src with a frequency offset of cfo Hz removed into
 // dst[:len(src)], with the phase reference at index 0. dst may be src
-// itself (in place) but must not otherwise overlap it. The rotation
-// phasor is advanced by a single complex multiply per sample (all trig
-// hoisted out of the loop) and renormalised every 1024 samples against
-// magnitude drift; a zero offset copies.
+// itself (in place) but must not otherwise overlap it. A zero offset
+// (either sign) copies.
 //
-// Bit-identity: this is the exact recurrence the wifi and zigbee receivers
-// historically inlined; both now call it, as does the channel's
-// Signal.FrequencyShift (with the offset negated), so CFO correction and
-// injection stay bit-for-bit identical across radios. Writing to a
-// separate dst keeps every product: dst[i] = src[i]·rot is the in-place
-// x[i] *= rot.
+// Each sample's phasor is built from its index, not carried from the
+// previous sample: with ω = −2π·cfo/rate and i = 1024·b + 64·m + k, it
+// is the product
+//
+//	(base_b · hop_m) · off_k
+//
+// of math.Sincos at the exact-index arguments ω·float64(1024·b),
+// ω·float64(64·m) and ω·float64(k), one base per 1024 samples and
+// tables of at most 16 hops and 64 offsets per call. The phase error
+// stays within a few units of 2⁻⁵²·max(1, |ω·i|) at every index
+// (TestDerotateExactPhase) instead of growing along the capture, no
+// renormalisation is needed, and the samples are independent, so the
+// per-sample products vectorise (simd.Rotate, one call per 1024-sample
+// block; rotateGo is its definition).
+//
+// The channel's Signal.FrequencyShift is Derotate with the offset
+// negated, and the wifi and zigbee receivers correct CFO through it, so
+// CFO injection and correction share one rotor.
 func Derotate(dst, src []complex128, cfo, rate float64) {
 	if cfo == 0 {
 		copy(dst, src)
 		return
 	}
-	step := cmplx.Exp(complex(0, -2*math.Pi*cfo/rate))
-	rot := complex(1, 0)
-	// Block form of the historical per-sample loop: the renorm fires only at
-	// i ≡ 1023 (mod 1024), so each 1024-sample run executes the same
-	// multiply/advance sequence with the boundary test hoisted out of the
-	// inner loop. Operations and their order are unchanged — the renorm
-	// still happens right after the boundary sample's rot advance.
 	n := len(src)
 	dst = dst[:n]
-	for i := 0; i < n; {
-		end := (i | 0x3FF) + 1
-		boundary := end <= n
-		if !boundary {
-			end = n
+	w := -2 * math.Pi * cfo / rate
+	var off [simd.RotateRun]complex128
+	for k := range min(n, len(off)) {
+		off[k] = phasor(w * float64(k))
+	}
+	var hop [rotorBlock / simd.RotateRun]complex128
+	hops := min((n+simd.RotateRun-1)/simd.RotateRun, len(hop))
+	for m := range hops {
+		hop[m] = phasor(w * float64(simd.RotateRun*m))
+	}
+	var runs [len(hop)]complex128
+	for b := 0; b < n; b += rotorBlock {
+		base := phasor(w * float64(b))
+		end := min(b+rotorBlock, n)
+		for m := range (end - b + simd.RotateRun - 1) / simd.RotateRun {
+			runs[m] = base * hop[m]
 		}
-		in, out := src[i:end], dst[i:end]
-		for j, v := range in {
-			out[j] = v * rot
-			rot *= step
+		if simd.Enabled() {
+			simd.Rotate(dst[b:end], src[b:end], runs[:], &off)
+		} else {
+			rotateGo(dst[b:end], src[b:end], &runs, &off)
 		}
-		i = end
-		if boundary {
-			rot /= complex(cmplx.Abs(rot), 0)
-		}
+	}
+}
+
+// phasor is exp(j·theta) from one math.Sincos.
+func phasor(theta float64) complex128 {
+	sin, cos := math.Sincos(theta)
+	return complex(cos, sin)
+}
+
+// rotateGo is simd.Rotate's definition for one block of at most
+// rotorBlock samples.
+func rotateGo(dst, src []complex128, runs *[rotorBlock / simd.RotateRun]complex128, off *[simd.RotateRun]complex128) {
+	for i, v := range src {
+		r := runs[i/simd.RotateRun] * off[i%simd.RotateRun]
+		dst[i] = v * r
 	}
 }

@@ -230,7 +230,7 @@ func TestDerotateRemovesTone(t *testing.T) {
 		x[i] = complex(math.Cos(phase), math.Sin(phase))
 	}
 	// Out of place first (x unchanged), then in place: every sample must
-	// match bitwise across the renormalisation boundaries.
+	// match bitwise across the 64- and 1024-sample block boundaries.
 	out := make([]complex128, n+3)
 	Derotate(out, x, cfo, rate)
 	Derotate(x, x, cfo, rate)

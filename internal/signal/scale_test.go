@@ -2,32 +2,14 @@ package signal
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-// frequencyShiftLoop is FrequencyShift's own rotor loop from before it
-// became Derotate by −df, kept as the reference the shared rotor must
-// reproduce bit for bit.
-func frequencyShiftLoop(x []complex128, df, rate float64) {
-	if df == 0 {
-		return
-	}
-	step := cmplx.Exp(complex(0, 2*math.Pi*df/rate))
-	rot := complex(1, 0)
-	for i := range x {
-		x[i] *= rot
-		rot *= step
-		if i&0x3FF == 0x3FF {
-			rot /= complex(cmplx.Abs(rot), 0)
-		}
-	}
-}
-
-// TestFrequencyShiftMatchesRotorLoop holds FrequencyShift to its old
-// loop across the renormalisation boundaries and for random offsets of
-// either sign, ±0 included.
+// TestFrequencyShiftMatchesRotorLoop holds FrequencyShift to the CFO
+// rotor: FrequencyShift(df) is Derotate by −df bit for bit, in every
+// dispatch mode, across the 1024-sample block boundaries and for random
+// offsets of either sign, ±0 included.
 func TestFrequencyShiftMatchesRotorLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	dfs := []float64{0, math.Copysign(0, -1), 1, -1, 2.5e6, -2.5e6, 1e-300}
@@ -40,11 +22,13 @@ func TestFrequencyShiftMatchesRotorLoop(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		for _, df := range dfs {
-			want := append([]complex128(nil), x...)
-			frequencyShiftLoop(want, df, 20e6)
-			s := &Signal{Rate: 20e6, Samples: append([]complex128(nil), x...)}
-			s.FrequencyShift(df)
-			requireSameSamples(t, "FrequencyShift", s.Samples, want)
+			eachDispatchMode(t, func(mode string) {
+				want := make([]complex128, n)
+				Derotate(want, x, -df, 20e6)
+				s := &Signal{Rate: 20e6, Samples: append([]complex128(nil), x...)}
+				s.FrequencyShift(df)
+				requireSameSamples(t, mode+" FrequencyShift", s.Samples, want)
+			})
 		}
 	}
 }

@@ -85,6 +85,11 @@ func scalePower(x *complex128, n int, gr, gi float64) (p float64)
 //go:noescape
 func divScale(dst, x *complex128, n int, inv, gr, gi float64) (ok bool)
 
+// rotate is the AVX2 per-sample phasor product (scale_amd64.s).
+//
+//go:noescape
+func rotate(dst, x *complex128, n int, runs, tab *complex128)
+
 // equalise is the AVX2 gather, scale and Smith division (equalise_amd64.s).
 //
 //go:noescape

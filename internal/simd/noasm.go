@@ -52,6 +52,10 @@ func divScale(dst, x *complex128, n int, inv, gr, gi float64) bool {
 	panic("simd: divScale called on a build without asm kernels")
 }
 
+func rotate(dst, x *complex128, n int, runs, tab *complex128) {
+	panic("simd: rotate called on a build without asm kernels")
+}
+
 func equalise(dst, x *complex128, n int, bins *int32, coef *EqualiseCoef, pairs int, inv float64) int {
 	panic("simd: equalise called on a build without asm kernels")
 }

@@ -240,3 +240,104 @@ ddone:
 	SETEQ     ok+48(FP)
 	VZEROUPPER
 	RET
+
+// VCMUL multiplies sample register v by the per-sample rotor register
+// r: v = [xr·rr − xi·ri, xi·rr + xr·ri], Go's x·r with each product
+// and each sum rounded once. VMOVDDUP and VPERMILPD $15 spread each
+// rotor's real and imaginary parts over its two lanes; t and u are
+// scratch.
+#define VCMUL(v, r, t, u) \
+	VMOVDDUP  r, t; \
+	VPERMILPD $15, r, u; \
+	VMULPD    v, t, t; \
+	VPERMILPD $5, v, v; \
+	VMULPD    u, v, v; \
+	VADDSUBPD v, t, v
+
+#define VCMUL1(v, r, t, u) \
+	VMOVDDUP  r, t; \
+	VPERMILPD $3, r, u; \
+	VMULPD    v, t, t; \
+	VPERMILPD $1, v, v; \
+	VMULPD    u, v, v; \
+	VADDSUBPD v, t, v
+
+// func rotate(dst, x *complex128, n int, runs, tab *complex128)
+//
+// dst[i] = x[i]·(runs[i/64]·tab[i%64]) for i < n. Each run of 64
+// samples broadcasts its base phasor into Y14/Y15 and forms the rotors
+// r = tab[k]·base with CMUL (the complex product of base·tab[k] in the
+// other operand order, which IEEE makes the same bits), then the
+// samples' products with VCMUL. Only the last run can be short; it ends
+// in the pair and single passes. dst is x or does not overlap it.
+//
+// Register map: DI dst, SI x, CX samples left, BX runs, DX tab, R8 the
+// run's tab cursor, R9 the run's samples left; Y0/Y1 rotors, Y2/Y3
+// samples, Y8–Y11 scratch.
+TEXT ·rotate(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ runs+24(FP), BX
+	MOVQ tab+32(FP), DX
+
+rrun:
+	TESTQ        CX, CX
+	JZ           rdone
+	VBROADCASTSD (BX), Y14
+	VBROADCASTSD 8(BX), Y15
+	ADDQ         $16, BX
+	MOVQ         DX, R8
+	MOVQ         $64, R9
+	CMPQ         CX, R9
+	CMOVQLT      CX, R9
+	SUBQ         R9, CX
+	CMPQ         R9, $4
+	JB           rpair
+
+rquad:
+	VMOVUPD (R8), Y0
+	VMOVUPD 32(R8), Y1
+	CMUL(Y0, Y8)
+	CMUL(Y1, Y9)
+	VMOVUPD (SI), Y2
+	VMOVUPD 32(SI), Y3
+	VCMUL(Y2, Y0, Y8, Y10)
+	VCMUL(Y3, Y1, Y9, Y11)
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    $64, R8
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $4, R9
+	CMPQ    R9, $4
+	JAE     rquad
+
+rpair:
+	CMPQ    R9, $2
+	JB      rone
+	VMOVUPD (R8), Y0
+	CMUL(Y0, Y8)
+	VMOVUPD (SI), Y2
+	VCMUL(Y2, Y0, Y8, Y10)
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, R8
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $2, R9
+
+rone:
+	TESTQ   R9, R9
+	JZ      rrun
+	VMOVUPD (R8), X0
+	CMUL1(X0, X8)
+	VMOVUPD (SI), X2
+	VCMUL1(X2, X0, X8, X10)
+	VMOVUPD X2, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	JMP     rrun
+
+rdone:
+	VZEROUPPER
+	RET

@@ -171,6 +171,42 @@ func TestScalePowerOrder(t *testing.T) {
 	requireBits(t, "sum", ScalePower(x, 1), scalePowerRef(want, 1))
 }
 
+// rotateRef is Rotate's documented formula in Go's complex arithmetic,
+// the loop signal's rotor keeps as its definition.
+func rotateRef(dst, x, runs []complex128, tab *[RotateRun]complex128) {
+	for i, v := range x {
+		r := runs[i/RotateRun] * tab[i%RotateRun]
+		dst[i] = v * r
+	}
+}
+
+// TestRotateMatchesDefinition covers lengths through the quad, pair and
+// single passes of a run, partial and whole runs up to a 1024-sample
+// block and beyond, each start phase, in place and into a separate dst,
+// with finite and special samples and phasors.
+func TestRotateMatchesDefinition(t *testing.T) {
+	requireAVX2Kernels(t)
+	rng := rand.New(rand.NewSource(40))
+	for _, specials := range []bool{false, true} {
+		var tab [RotateRun]complex128
+		copy(tab[:], scaleInput(rng, RotateRun, specials))
+		runs := scaleInput(rng, 40, specials)
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 63, 64, 65, 66, 67, 127, 1023, 1024, 1025, 2500} {
+			x := scaleInput(rng, n, specials)
+			want := make([]complex128, n)
+			rotateRef(want, x, runs, &tab)
+			for off := 0; off < 2; off++ {
+				dst := make([]complex128, n+off)[off:]
+				Rotate(dst, x, runs, &tab)
+				requireSameSamples(t, "Rotate", dst, want)
+				src := append(make([]complex128, off, n+off), x...)[off:]
+				Rotate(src, src, runs, &tab)
+				requireSameSamples(t, "Rotate in place", src, want)
+			}
+		}
+	}
+}
+
 // FuzzScaleDispatch is the elementwise-kernel part of `make fuzz-simd`:
 // raw bytes become float64 bits (so NaN, ±Inf, subnormals and −0 all
 // appear) for the gain, the divisor's reciprocal and the samples, and

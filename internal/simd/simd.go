@@ -11,7 +11,8 @@
 // flags and the fast-path add, and the elementwise complex passes of
 // the packet path (signal.ScaleInto and Signal.ScalePower under the
 // tag's rotation, the sideband gain, the channel's receive gain and the
-// WiFi receiver's phase trackers, and the WiFi symbol scaling), and the
+// WiFi receiver's phase trackers, and the WiFi symbol scaling), the
+// per-sample phasor product of the CFO rotor (signal.Derotate), and the
 // WiFi receiver's equaliser (wifi's equalizer.apply: the per-bin Smith
 // division by the channel estimate). Each kernel has an AVX2 assembly
 // implementation on amd64, and the callers keep their pure-Go loops as
@@ -91,6 +92,13 @@
 //     parts are NaN the runtime takes a C99 fallback the kernel does not
 //     have, so it reports any such sample and the caller redoes the
 //     block in Go; a clean report certifies bit-identical outputs.
+//
+//   - Rotate vectorizes across samples only; each sample's phasor is
+//     its run's base times its table entry, as Scale's product with
+//     the broadcast base, and the sample's product with it spreads the
+//     phasor's real and imaginary parts (VMOVDDUP, VPERMILPD) and ends
+//     in one VADDSUBPD: Go's x·r with all four real products, each
+//     rounded once.
 //
 //   - Equalise gathers each output's bin, scales it as Scale does by a
 //     real gain, and divides it by a fixed divisor in the runtime's
@@ -510,6 +518,32 @@ func DivScale(dst, x []complex128, inv float64, g complex128) (ok bool) {
 		return true
 	}
 	return divScale(&dst[0], &x[0], len(x), inv, real(g), imag(g))
+}
+
+// RotateRun is the number of samples that share one base phasor in
+// Rotate: the length of its phasor table.
+const RotateRun = 64
+
+// Rotate writes each sample of x times its own phasor into dst:
+//
+//	r = runs[i/RotateRun] · tab[i%RotateRun]
+//	dst[i] = x[i] · r
+//
+// with Go's complex product, all four real products kept, each rounded
+// once. dst may be x itself but must not otherwise overlap it;
+// len(dst) must equal len(x), and runs must hold a phasor for every
+// started run of RotateRun samples. Callers must check Enabled().
+func Rotate(dst, x, runs []complex128, tab *[RotateRun]complex128) {
+	if len(dst) != len(x) {
+		panic("simd: Rotate needs len(dst) == len(x)")
+	}
+	if len(x) == 0 {
+		return
+	}
+	if len(runs) < (len(x)+RotateRun-1)/RotateRun {
+		panic("simd: Rotate needs a phasor per run")
+	}
+	rotate(&dst[0], &x[0], len(x), &runs[0], &tab[0])
 }
 
 // EqualiseCoef holds the coefficients of one pair of Equalise outputs,

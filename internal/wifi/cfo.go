@@ -30,7 +30,13 @@ func estimateCFOFromLTF(ltf []complex128) float64 {
 // phase state, making this tracker completely insensitive to FreeRider's
 // per-symbol-block phase modulation — unlike pilot-based phase tracking,
 // which would erase it (§3.2.1).
-func refineCFOFromCP(data []complex128, nSymbols int) float64 {
+//
+// data is the raw capture, not yet corrected for the coarse offset: a
+// coarse derotation would turn every lag-64 product by the same
+// exp(−j2π·coarse·64/SampleRate), so the sum is taken on the raw
+// samples and multiplied once by that exact phasor. The result is the
+// residual left after removing coarse.
+func refineCFOFromCP(data []complex128, nSymbols int, coarse float64) float64 {
 	var acc complex128
 	for s := 0; s < nSymbols; s++ {
 		base := s * SymbolLen
@@ -44,6 +50,8 @@ func refineCFOFromCP(data []complex128, nSymbols int) float64 {
 	if acc == 0 {
 		return 0
 	}
+	sin, cos := math.Sincos(-2 * math.Pi * coarse * FFTSize / SampleRate)
+	acc *= complex(cos, sin)
 	return cmplx.Phase(acc) / (2 * math.Pi * float64(FFTSize)) * SampleRate
 }
 
@@ -104,7 +112,10 @@ func (t *phaseTracker) correct(pts *[NumData]complex128, m Modulation) {
 }
 
 // derotate writes src with a frequency offset of cfo Hz removed into dst
-// (which may be src), with the phase reference at index 0.
+// (which may be src), with the phase reference at index 0. Each
+// sample's phasor comes from its own index (signal.Derotate), so
+// derotating a prefix of a region writes the same samples as
+// derotating the whole region at the same offset.
 func derotate(dst, src []complex128, cfo float64) {
 	signal.Derotate(dst, src, cfo, SampleRate)
 }

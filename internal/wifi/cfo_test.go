@@ -160,7 +160,7 @@ func TestDerotateInverse(t *testing.T) {
 
 func TestRefineCFOFromCP(t *testing.T) {
 	// Build three OFDM symbols, shift by 2 kHz, and verify the CP
-	// correlator reads it back.
+	// correlator reads it back, whole or net of a coarse estimate.
 	tx := NewTransmitter()
 	sig, err := tx.Transmit(AppendFCS(make([]byte, 60)), Rates[6])
 	if err != nil {
@@ -171,11 +171,16 @@ func TestRefineCFOFromCP(t *testing.T) {
 	nSym := len(data) / SymbolLen
 	sh := &signal.Signal{Rate: SampleRate, Samples: data}
 	sh.FrequencyShift(2e3)
-	got := refineCFOFromCP(data, nSym)
+	got := refineCFOFromCP(data, nSym, 0)
 	if math.Abs(got-2e3) > 100 {
 		t.Fatalf("CP refinement read %g Hz, want 2000", got)
 	}
-	if refineCFOFromCP(nil, 0) != 0 {
+	// With a coarse estimate already known, the refinement reads what is
+	// left of the offset, from the same raw samples.
+	if got := refineCFOFromCP(data, nSym, 1500); math.Abs(got-500) > 100 {
+		t.Fatalf("CP refinement after a 1500 Hz coarse estimate read %g Hz, want 500", got)
+	}
+	if refineCFOFromCP(nil, 0, 0) != 0 {
 		t.Fatal("empty input should give 0")
 	}
 }

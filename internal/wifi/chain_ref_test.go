@@ -185,8 +185,11 @@ func refDecodeFrom(rx *Receiver, cap *signal.Signal, start int) (*RxPacket, erro
 	}
 	arena := signal.GetArena()
 	defer arena.Release()
-	buf := make([]complex128, len(s))
-	derotate(buf[start:], s[start:], estimateCFOFromLTF(s[start+160:start+320]))
+	raw := s
+	coarse := estimateCFOFromLTF(raw[start+160 : start+320])
+	buf := make([]complex128, len(raw))
+	sigEnd := start + PreambleLen + SymbolLen
+	derotate(buf[start:sigEnd], raw[start:sigEnd], coarse)
 	s = buf
 
 	var eq equalizer
@@ -221,9 +224,10 @@ func refDecodeFrom(rx *Receiver, cap *signal.Signal, start int) (*RxPacket, erro
 	if len(s) < dataStart+nSym*SymbolLen {
 		return nil, ErrTruncated
 	}
-	if residual := refineCFOFromCP(s[dataStart:], nSym); residual != 0 {
-		end := dataStart + nSym*SymbolLen
-		derotate(s[start:end], s[start:end], residual)
+	end := dataStart + nSym*SymbolLen
+	residual := refineCFOFromCP(raw[dataStart:], nSym, coarse)
+	derotate(s[start:end], raw[start:end], coarse+residual)
+	if residual != 0 {
 		eq.init(estimateChannel(s[start+160:start+320], arena))
 	}
 

@@ -244,14 +244,17 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	// and byte slices), so releasing on return is safe.
 	arena := signal.GetArena()
 	defer arena.Release()
-	// Work on a CFO-corrected copy of the packet region: coarse estimate
-	// from the LTF copies, then (after SIGNAL tells us the length) a
-	// cyclic-prefix refinement over the whole data region. Every read of
-	// the copy below is at an index ≥ start (preamble, SIGNAL and data
-	// symbols all begin there), so the [0, start) prefix can stay
-	// uninitialised.
-	buf := arena.ComplexUninit(len(s))
-	derotate(buf[start:], s[start:], estimateCFOFromLTF(s[start+160:start+320]))
+	// Work on a CFO-corrected copy of the packet region, derotated once
+	// per region: the preamble and SIGNAL at the coarse estimate from the
+	// LTF copies, then (after SIGNAL gives the length) the decoded region
+	// [start, end) at the coarse estimate plus the cyclic-prefix
+	// refinement, both from the raw capture. Every read of the copy below
+	// is in [start, end), so the rest can stay uninitialised.
+	raw := s
+	coarse := estimateCFOFromLTF(raw[start+160 : start+320])
+	buf := arena.ComplexUninit(len(raw))
+	sigEnd := start + PreambleLen + SymbolLen
+	derotate(buf[start:sigEnd], raw[start:sigEnd], coarse)
 	s = buf
 
 	h := estimateChannel(s[start+160:start+320], arena)
@@ -289,11 +292,14 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxPacket, error)
 	}
 
 	// Residual-CFO refinement over all data symbols' cyclic prefixes, then
-	// re-estimate the channel on the re-corrected samples. s is this
-	// decode's private arena copy, so the residual derotates it in place.
-	if residual := refineCFOFromCP(s[dataStart:], nSym); residual != 0 {
-		end := dataStart + nSym*SymbolLen
-		derotate(s[start:end], s[start:end], residual)
+	// one derotation of the decoded region at the summed offset into the
+	// arena copy, and a channel re-estimate on the re-corrected samples.
+	// With no residual the region's preamble is rewritten with the bits
+	// it already holds, so the estimate stands.
+	end := dataStart + nSym*SymbolLen
+	residual := refineCFOFromCP(raw[dataStart:], nSym, coarse)
+	derotate(s[start:end], raw[start:end], coarse+residual)
+	if residual != 0 {
 		h = estimateChannel(s[start+160:start+320], arena)
 		if rx.observe != nil {
 			rx.observePts(stageChannel, h)

@@ -32,9 +32,9 @@ func TestReceivePinned(t *testing.T) {
 		lossy  bool
 		digest string
 	}{
-		{"6M-2m", 2, 0, 6, false, "4025be78cf7e44c83819dbd690f468e4392dcefb079dc6e2266aca5528c3de0a"},
-		{"6M-54m-cfo", 54, 2500, 6, true, "4276dbf3238ed31a991d6c365efd15278a58a731187e676f85221ba2b70957c9"},
-		{"18M-8m-cfo", 8, 700, 18, false, "d8d7508cad70ce924b09599fba61d3060e5c33f2d2dbe8468ded65b10b7fa60a"},
+		{"6M-2m", 2, 0, 6, false, "80d8cb48b6bef14eba6560a527457160f1f09bcafb2d2b8eccecc131bd4502b4"},
+		{"6M-54m-cfo", 54, 2500, 6, true, "aea5deceb2d7621896da8f5df1d5fe0035ec43376785e77b84557d164748e402"},
+		{"18M-8m-cfo", 8, 700, 18, false, "0ae45bb358c6f087cfe0c8828e8fadb743519975ef2fe41e0a00dacc1e79843a"},
 	}
 	prev := simd.Enabled()
 	defer simd.SetEnabled(prev)
