@@ -267,7 +267,11 @@ fuzz-decoder:
 # (offset, rate, samples) through the CFO rotor in both dispatch modes,
 # in place and into a separate buffer, and the rotor kernel on phasor
 # tables drawn from the same bits, and demands the Go definition's
-# bits, NaN compared as a class.
+# bits, NaN compared as a class. FuzzOverlapSave feeds raw float bits as
+# samples through the Bluetooth channel filter's overlap-save form in
+# both dispatch modes and demands identical bits across the modes, the
+# direct convolution's bits on every block a non-finite value reaches,
+# and the stated error bound everywhere else.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS$$ -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACSInRange$$ -fuzztime=10s ./internal/wifi
@@ -282,6 +286,7 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzAWGN$$ -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzScaleDispatch$$ -fuzztime=10s ./internal/simd
 	$(GO) test -run=^$$ -fuzz=FuzzDerotateDispatch$$ -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzOverlapSave$$ -fuzztime=10s ./internal/signal
 
 # fuzz-core smoke-fuzzes session configuration: random radio, rate,
 # payload size, redundancy, receiver mode, quaternary flag and coding must

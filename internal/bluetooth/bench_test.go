@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
 func BenchmarkDiscriminate(b *testing.B) {
@@ -12,6 +13,35 @@ func BenchmarkDiscriminate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Discriminate(sig)
+	}
+}
+
+// BenchmarkChannelFilter times the receiver's channel filter over a
+// 17,696-sample capture (a 255-byte frame plus guard) into a reused
+// output, scratch from a pooled arena as demod takes it, with the Go
+// loops and, where the build and CPU carry them, the asm kernels
+// dispatched.
+func BenchmarkChannelFilter(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]complex128, 17696)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	dst := make([]complex128, len(x))
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	for _, on := range []bool{false, true} {
+		if simd.SetEnabled(on); on && !simd.Enabled() {
+			break
+		}
+		b.Run(simd.Mode(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a := signal.GetArena()
+				channelFilter.FilterInto(dst, x, a)
+				a.Release()
+			}
+		})
 	}
 }
 

@@ -218,8 +218,8 @@ func TestDetectMatchesReferenceScan(t *testing.T) {
 // FuzzBluetoothReceive feeds hostile captures to Receive and the
 // backscatter decoder's Demod queries. Nothing may panic, Receive
 // returns a frame or ErrNoFrame, the Go loops and the kernels
-// (simd.FIRReal in the channel filter and the sync scan) must give
-// identical results, and the sync scan must match detectRef.
+// (simd.FFT in the channel filter, simd.FIRReal in the sync scan) must
+// give identical results, and the sync scan must match detectRef.
 func FuzzBluetoothReceive(f *testing.F) {
 	rng := rand.New(rand.NewSource(6))
 	noise := make([]byte, 1600)

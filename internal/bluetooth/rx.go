@@ -23,9 +23,6 @@ type Receiver struct {
 	DetectionThreshold float64
 	// WhitenSeed must match the transmitter's.
 	WhitenSeed byte
-	// channelFilter rejects out-of-channel energy (e.g. the mirror sideband
-	// a backscatter tag produces); designed lazily for the sample rate.
-	channelFilter []float64
 	// CollectPower makes Demod also retain the per-sample filtered power
 	// |y[n]|², which Demodulated.BitPowers folds into per-bit means. A
 	// flipped bit's FSK tone is toggled to a sideband the channel filter
@@ -35,23 +32,27 @@ type Receiver struct {
 	CollectPower bool
 }
 
-// channelFilterTaps is the shared ±500 kHz channel-selection filter: a
-// transition band narrow enough to sit ~50 dB down at the ±750 kHz mirror
-// sideband a backscatter tag's square-wave mixer produces (eq. 10 relies on
-// this rejection). The design depends only on package constants, so every
-// receiver shares one read-only tap slice instead of redesigning 129 taps
-// per construction (the core session builds a receiver per packet).
-var channelFilterTaps = func() []float64 {
+// channelFilter is the shared ±500 kHz channel-selection filter, 129
+// taps: a transition band narrow enough to sit ~50 dB down at the
+// ±750 kHz mirror sideband a backscatter tag's square-wave mixer produces
+// (eq. 10 relies on this rejection). The design depends only on package
+// constants, so every receiver shares one read-only filter, its spectrum
+// built once (the core session builds a receiver per packet).
+var channelFilter = func() *signal.OverlapSave {
 	h, err := signal.LowpassFIR(SampleRate, ChannelWidth/2, 129)
 	if err != nil {
 		panic("bluetooth: channel filter design: " + err.Error())
 	}
-	return h
+	f, err := signal.NewOverlapSave(h)
+	if err != nil {
+		panic("bluetooth: channel filter spectrum: " + err.Error())
+	}
+	return f
 }()
 
 // NewReceiver returns a receiver with defaults matching NewTransmitter.
 func NewReceiver() *Receiver {
-	return &Receiver{DetectionThreshold: 0.5, WhitenSeed: 0x53, channelFilter: channelFilterTaps}
+	return &Receiver{DetectionThreshold: 0.5, WhitenSeed: 0x53}
 }
 
 // syncTemplate is the ideal discriminator output (instantaneous frequency,
@@ -108,8 +109,8 @@ func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 // Demodulated is one channel-filter + FM-discrimination pass over a
 // capture. Detect and RawBitsAt both start from the discriminator output,
 // so callers that need both (the backscatter decoder detects the sync and
-// then slices raw bits) run the expensive 129-tap channel filter once
-// instead of once per query.
+// then slices raw bits) run the channel filter, most of the pass's cost,
+// once instead of once per query.
 type Demodulated struct {
 	rx   *Receiver
 	disc []float64
@@ -143,7 +144,7 @@ func (rx *Receiver) DemodInto(cap *signal.Signal, a *signal.Arena) Demodulated {
 // heap when out is nil. power is nil when CollectPower is off.
 func (rx *Receiver) demod(cap *signal.Signal, a, out *signal.Arena) Demodulated {
 	n := len(cap.Samples)
-	filtered := signal.ConvolveInto(a.ComplexUninit(n), cap.Samples, rx.channelFilter)
+	filtered := channelFilter.FilterInto(a.ComplexUninit(n), cap.Samples, a)
 	d := Demodulated{rx: rx, disc: floats(out, n)}
 	if rx.CollectPower {
 		d.power = floats(out, n)

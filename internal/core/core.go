@@ -688,10 +688,9 @@ func (r *SessionResult) accumulate(pr PacketResult, gap float64) {
 	}
 }
 
-// batchSize is the packet count per batch dispatch in Run and
-// RunParallel. Large enough to amortise per-dispatch setup (RNG pool
-// checkout, scratch warm-up, plan lookups), small enough that RunParallel
-// still load-balances across workers on modest packet counts.
+// batchSize is the packet count per range in Run: enough to amortise
+// a range's setup (RNG pool checkouts, scratch warm-up, plan lookups).
+// RunParallel does not batch; see there.
 const batchSize = 8
 
 // runPacketRange runs packets [lo, hi) of the derived-stream timeline into
@@ -762,22 +761,22 @@ func (s *Session) Run(n int) (SessionResult, error) {
 }
 
 // RunParallel is Run spread over a bounded worker pool (all cores when
-// workers <= 0). The pool's jobs are Run's batches: batch b covers packets
-// [b·batchSize, min((b+1)·batchSize, n)), ranges fixed by n alone, so each
-// dispatch amortises its setup and the aggregate SessionResult is
+// workers <= 0), one packet per job. Packet costs vary widely (a ZigBee
+// scan that finds no frame costs many times one that does), so
+// multi-packet jobs would leave a worker idle at the end of a call while
+// another finishes its batch. Each packet re-seeds from (Config.Seed,
+// index) and results aggregate in index order, so the SessionResult is
 // bit-identical to the serial Run for every worker count. On error it
 // returns a zero result plus the error the serial loop would have hit
-// first (batches are contiguous and the pool reports the lowest failing
-// batch, whose first error is the serial loop's first error).
+// first: the pool reports the lowest failing job, the lowest failing
+// packet.
 func (s *Session) RunParallel(n, workers int) (SessionResult, error) {
 	if n < 0 {
 		return SessionResult{}, fmt.Errorf("core: negative packet count %d", n)
 	}
 	prs := make([]PacketResult, n)
-	if _, err := runner.Map((n+batchSize-1)/batchSize, workers, func(b int) error {
-		lo := b * batchSize
-		hi := min(lo+batchSize, n)
-		return s.runPacketRange(lo, hi, prs[lo:hi])
+	if _, err := runner.Map(n, workers, func(i int) error {
+		return s.runPacketRange(i, i+1, prs[i:i+1])
 	}); err != nil {
 		return SessionResult{}, err
 	}

@@ -61,10 +61,12 @@ func BenchmarkConvolve101Taps(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolveCapture129Taps is the Bluetooth receive shape: the
-// 129-tap ±500 kHz channel-select filter at 8 MHz over a 17,696-sample
-// capture (a 255-byte frame plus guard), written into a reused output
-// as bluetooth's demodulator does.
+// BenchmarkConvolveCapture129Taps times the direct form of the
+// Bluetooth channel filter, the oracle its overlap-save form is tested
+// against: the 129-tap ±500 kHz channel-select filter at 8 MHz over a
+// 17,696-sample capture (a 255-byte frame plus guard), written into a
+// reused output. bluetooth's BenchmarkChannelFilter times the
+// receiver's own filter.
 func BenchmarkConvolveCapture129Taps(b *testing.B) {
 	s := benchSignal(17696)
 	h, err := LowpassFIR(8e6, 0.5e6, 129)

@@ -3,6 +3,7 @@ package signal
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/simd"
 )
@@ -134,6 +135,20 @@ func firRealGo(dst, x []complex128, h []float64) {
 	}
 }
 
+// convolveRange is ConvolveInto's Go definition for outputs k0..k1−1:
+// firRealGo where every tap lands inside x, convolveEdge elsewhere.
+func convolveRange(dst, x []complex128, h []float64, k0, k1 int) {
+	m := len(h)
+	delay := (m - 1) / 2
+	lo := min(m-1-delay, len(x))
+	hi := max(lo, len(x)-delay)
+	if a, b := max(k0, lo), min(k1, hi); a < b {
+		firRealGo(dst[a:b], x[a-lo:], h)
+	}
+	convolveEdge(dst, x, h, k0, min(k1, lo))
+	convolveEdge(dst, x, h, max(k0, hi), k1)
+}
+
 // convolveEdge computes ConvolveInto's outputs k0..k1−1 near either end
 // of x, where some taps fall outside it.
 func convolveEdge(dst, x []complex128, h []float64, k0, k1 int) {
@@ -177,4 +192,122 @@ func Correlate(dst, x, tpl []complex128) {
 		}
 		dst[p] = complex(accR, accI)
 	}
+}
+
+// osBlock is OverlapSave's transform size. The one-call simd.FFT kernel
+// costs less per point at 512 than at 1024, where the working set
+// starts to spill L1 (DESIGN.md §8).
+const osBlock = 512
+
+// OverlapSave is ConvolveInto for one fixed tap set, computed by
+// overlap-save FFT convolution: each osBlock-point block of input
+// yields osBlock−len(h)+1 outputs. The output is ConvolveInto's in exact
+// arithmetic but not bit for bit; DESIGN.md §8.1 bounds the difference.
+// Immutable after NewOverlapSave and safe for concurrent use.
+type OverlapSave struct {
+	h    []float64
+	spec []complex128 // DFT of h zero-padded to osBlock, scaled by 1/osBlock
+	plan *Plan
+}
+
+// NewOverlapSave builds the filter spectrum of taps h, 1 ≤ len(h) ≤
+// osBlock/2. The spectrum stays complex: a windowed design such as
+// LowpassFIR is symmetric only to within rounding.
+func NewOverlapSave(h []float64) (*OverlapSave, error) {
+	if len(h) == 0 || len(h) > osBlock/2 {
+		return nil, fmt.Errorf("signal: overlap-save takes 1 to %d taps, got %d", osBlock/2, len(h))
+	}
+	plan, err := PlanFor(osBlock)
+	if err != nil {
+		return nil, err
+	}
+	spec := make([]complex128, osBlock)
+	for i, v := range h {
+		spec[i] = complex(v, 0)
+	}
+	if err := plan.FFT(spec); err != nil {
+		return nil, err
+	}
+	for i, v := range spec {
+		spec[i] = complex(real(v)/osBlock, imag(v)/osBlock)
+	}
+	return &OverlapSave{h: slices.Clone(h), spec: spec, plan: plan}, nil
+}
+
+// FilterInto writes the len(x) "same"-aligned outputs of ConvolveInto(dst,
+// x, h) to dst[:len(x)] (reallocated only when dst is too small), with
+// its one block buffer from a, so a warm arena makes the call
+// allocation-free. dst must not overlap x.
+//
+// Block b produces outputs k0 = b·step up to k0+step−1: its window is
+// x[k0−(m−1−delay):] for osBlock samples, zero outside x, which
+// reproduces ConvolveInto's dropped edge taps. Outputs m−1 onwards of the
+// circular convolution are free of wrap-around. A block with any
+// non-finite output (an Inf or NaN input sample, or overflow) is
+// recomputed by the direct Go definition, so a hostile sample reaches
+// the same len(h) outputs it does in ConvolveInto, bit for bit.
+func (f *OverlapSave) FilterInto(dst, x []complex128, a *Arena) []complex128 {
+	if len(x) == 0 {
+		return dst[:0]
+	}
+	if cap(dst) < len(x) {
+		dst = make([]complex128, len(x))
+	}
+	dst = dst[:len(x)]
+	m := len(f.h)
+	lead := m - 1 - (m-1)/2
+	step := osBlock - (m - 1)
+	buf := a.ComplexUninit(osBlock)
+	p := f.plan // buf is the plan's size, so its length checks are skipped
+	for k0 := 0; k0 < len(x); k0 += step {
+		k1 := min(k0+step, len(x))
+		s := k0 - lead
+		lo, hi := max(s, 0), min(s+osBlock, len(x))
+		clear(buf[:lo-s])
+		copy(buf[lo-s:], x[lo:hi])
+		clear(buf[hi-s:])
+		p.transform(buf, p.fwd, p.fwdK) // Plan.FFT
+		mulSpectrum(buf, f.spec)
+		p.transform(buf, p.inv, p.invK) // Plan.InverseRaw
+		if !copyFinite(dst[k0:k1], buf[m-1:]) {
+			convolveRange(dst, x, f.h, k0, k1)
+		}
+	}
+	return dst
+}
+
+// mulSpectrum multiplies x by s bin for bin, four bins a pass (osBlock
+// is a multiple of four) so the compiler drops the bounds checks.
+func mulSpectrum(x, s []complex128) {
+	x, s = x[:osBlock], s[:osBlock]
+	for i := 0; i < osBlock; i += 4 {
+		x[i] *= s[i]
+		x[i+1] *= s[i+1]
+		x[i+2] *= s[i+2]
+		x[i+3] *= s[i+3]
+	}
+}
+
+// copyFinite copies src into dst and reports whether every copied value
+// is finite. The check sums the values: the sum is non-finite when any
+// term is, and a finite sum that overflows only costs a needless
+// fallback.
+func copyFinite(dst, src []complex128) bool {
+	src = src[:len(dst)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+2 <= len(dst); i += 2 {
+		a, b := src[i], src[i+1]
+		dst[i], dst[i+1] = a, b
+		s0 += real(a)
+		s1 += imag(a)
+		s2 += real(b)
+		s3 += imag(b)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = src[i]
+		s0 += real(src[i]) + imag(src[i])
+	}
+	s := s0 + s1 + s2 + s3
+	return s-s == 0
 }

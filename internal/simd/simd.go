@@ -2,9 +2,10 @@
 // hottest inner loops of the packet path: the int16 Viterbi
 // add-compare-select trellis (the WiFi Viterbi decoder's steady state,
 // renormalisation included), the whole radix-2
-// complex FFT of 16 to 1024 points (signal.Plan), the real-tap FIR behind
-// signal.ConvolveInto (the Bluetooth channel filter and the GFSK
-// Gaussian filter) and the Bluetooth sync scan, the ZigBee preamble
+// complex FFT of 16 to 1024 points (signal.Plan, and through it the
+// Bluetooth channel filter), the real-tap FIR behind
+// signal.ConvolveInto (the GFSK Gaussian filter) and the Bluetooth sync
+// scan, the ZigBee preamble
 // slice correlations (zigbee.(*Receiver).Detect), the channel's
 // Gaussian noise (signal.Noise, signal.(*Signal).AddAWGN): the
 // lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
