@@ -261,9 +261,9 @@ fuzz-decoder:
 # dispatch modes and demands the samples and stream position of the
 # rand.NormFloat64 loop it replaced. FuzzScaleDispatch feeds raw float
 # bits (gain, divisor, samples) through the elementwise complex kernels
-# (Scale, ScalePower, DivScale) at every length and start phase, in place
-# and into a separate buffer, and demands their Go definitions' bits,
-# power sum and NaN report. FuzzDerotateDispatch feeds raw float bits
+# (Scale, ScalePower, DivScale, and Mul, the overlap-save bin product)
+# at every length and start phase, in place and into a separate buffer,
+# and demands their Go definitions' bits, power sum and NaN report. FuzzDerotateDispatch feeds raw float bits
 # (offset, rate, samples) through the CFO rotor in both dispatch modes,
 # in place and into a separate buffer, and the rotor kernel on phasor
 # tables drawn from the same bits, and demands the Go definition's

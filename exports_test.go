@@ -27,12 +27,13 @@ import (
 // Keys are "pkg.Name" or "pkg.Type.Method", pkg being the path below
 // internal/.
 var exportAllowlist = map[string]string{
-	"simd.SetEnabled":            "test dispatch control: tests toggle the asm kernels off to compare them with the Go twins",
-	"simd.HWMode":                "test dispatch control: restores the hardware dispatch mode after SetEnabled",
-	"signal.Signal.Spectrum":     "fixture shared by the spectral tests of several packages",
-	"signal.Signal.PhaseShift":   "channel fixture used by the tests of six packages",
-	"signal.Signal.DelaySamples": "channel fixture used by the tests of six packages",
-	"bits.Repeat":                "redundancy fixture used by the tests of six packages",
+	"simd.SetEnabled":              "test dispatch control: tests toggle the asm kernels off to compare them with the Go twins",
+	"simd.HWMode":                  "test dispatch control: restores the hardware dispatch mode after SetEnabled",
+	"signal.Signal.Spectrum":       "fixture shared by the spectral tests of several packages",
+	"signal.Signal.PhaseShift":     "channel fixture used by the tests of six packages",
+	"signal.Signal.DelaySamples":   "channel fixture used by the tests of six packages",
+	"signal.Signal.FrequencyShift": "CFO-injection fixture used by the tests of five packages",
+	"bits.Repeat":                  "redundancy fixture used by the tests of six packages",
 }
 
 // dynamicMethods are the methods the standard library finds by type

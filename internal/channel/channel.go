@@ -168,9 +168,63 @@ func (l Link) SNRdB() float64 { return l.BackscatterRSSI() - l.NoiseFloor }
 // waveform (the tag model's mixer included) reaches the capture: the
 // link's TagLossDB is the only tag loss applied, and callers pass
 // excludeTagLoss=false. True drops TagLossDB from the receive power.
+//
+// It is Begin, Fill to the end and Release. The packet pipeline makes
+// those calls itself, to run detection on a prefix of the capture before
+// the rest is computed.
 func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom int, excludeTagLoss bool, meanPower float64) error {
+	c, err := l.Begin(dst, s, headroom, excludeTagLoss, meanPower)
+	if err != nil {
+		return err
+	}
+	c.Fill(len(dst.Samples))
+	c.Release()
+	return nil
+}
+
+// Capture is one packet's capture in the making: Link.Begin sizes it and
+// draws the packet's fade gain and tap phases, and Fill computes its
+// samples in order, on demand, so a receiver can read a prefix before
+// the rest exists. Each sample Fill writes is bit for bit the one a
+// single ApplyToWithPower call writes there. The source must stay
+// unchanged until the capture is filled whole or released.
+type Capture struct {
+	out      *signal.Signal
+	src      []complex128
+	headroom int
+	g        complex128 // the body's gain: receive amplitude over source RMS, times the fade
+	taps     []echo
+	cut      int     // first sample the brownout silences; len(out.Samples) when none
+	cfo      float64 // offset shifted onto the capture, Hz
+	noise    float64 // AWGN power
+	impulse  float64 // per-sample impulse probability
+	sigma    float64 // impulse amplitude per real dimension
+	rng      *signal.Noise
+	filled   int           // out.Samples[:filled] is final
+	view     signal.Signal // the filled prefix Fill returns
+}
+
+// echo is one multipath tap drawn at Begin: source sample i lands on
+// capture sample headroom+i+delay with the extra gain gain.
+type echo struct {
+	delay int
+	gain  complex128
+}
+
+// capturePool recycles Capture state (its echo slice included), so a
+// packet's capture allocates nothing in steady state.
+var capturePool = signal.FreeList[*Capture]{New: func() *Capture { return new(Capture) }, Cap: 32}
+
+// Begin starts the capture of s over the link into dst, with the
+// arguments and validation of ApplyToWithPower. It sizes dst.Samples to
+// the whole capture and draws the fade gain and tap phases; Fill
+// computes the samples. Every draw — fade gain, tap phases, AWGN,
+// impulses — continues one stream, exactly
+// rand.New(rand.NewSource(l.Seed))'s, which the capture holds until
+// Release.
+func (l Link) Begin(dst *signal.Signal, s *signal.Signal, headroom int, excludeTagLoss bool, meanPower float64) (*Capture, error) {
 	if s == nil || len(s.Samples) == 0 {
-		return fmt.Errorf("channel: empty input signal")
+		return nil, fmt.Errorf("channel: empty input signal")
 	}
 	rssi := l.BackscatterRSSI()
 	if excludeTagLoss {
@@ -186,70 +240,120 @@ func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom in
 		p = s.MeanPower()
 	}
 	if p <= 0 {
-		return fmt.Errorf("channel: zero-power input signal")
+		return nil, fmt.Errorf("channel: zero-power input signal")
 	}
 	n := len(s.Samples) + 2*headroom
 	dst.Rate = s.Rate
 	if cap(dst.Samples) >= n {
 		dst.Samples = dst.Samples[:n]
-		// Only the headroom margins need zeroing: the body is assigned
-		// unconditionally below, and the multipath/impulse adders only
-		// ever add on top of those two regions.
-		for i := 0; i < headroom; i++ {
-			dst.Samples[i] = 0
-		}
-		for i := headroom + len(s.Samples); i < n; i++ {
-			dst.Samples[i] = 0
-		}
 	} else {
 		dst.Samples = make([]complex128, n)
 	}
-	out := dst
-	// Every draw — fade gain, tap phases, AWGN, impulses — continues one
-	// stream: exactly rand.New(rand.NewSource(l.Seed))'s.
-	rng := signal.GetNoise(l.Seed)
-	defer signal.PutNoise(rng)
-	g := complex(amp/math.Sqrt(p), 0) * l.fadeGain(rng)
-	signal.ScaleInto(out.Samples[headroom:], s.Samples, g)
+	c := capturePool.Get() // zero but for its echo slice's capacity (Release)
+	c.out, c.src, c.headroom = dst, s.Samples, headroom
+	c.rng = signal.GetNoise(l.Seed)
+	c.g = complex(amp/math.Sqrt(p), 0) * l.fadeGain(c.rng)
 	for _, tap := range l.Multipath {
-		d := int(math.Round(tap.Delay * s.Rate))
-		tapGain := complex(signal.AmplitudeForPowerDBm(tap.GainDB), 0) *
-			cmplx.Exp(complex(0, 2*math.Pi*rng.Float64()))
-		for i, v := range s.Samples {
-			j := headroom + i + d
-			if j >= len(out.Samples) {
-				break
-			}
-			out.Samples[j] += v * g * tapGain
-		}
+		c.taps = append(c.taps, echo{
+			delay: int(math.Round(tap.Delay * s.Rate)),
+			gain: complex(signal.AmplitudeForPowerDBm(tap.GainDB), 0) *
+				cmplx.Exp(complex(0, 2*math.Pi*c.rng.Float64())),
+		})
 	}
+	c.cut = n
 	if t := l.truncateFraction(); t > 0 {
 		// The tag browned out t of the way through the packet and stopped
 		// reflecting: everything after the cut is gone, echoes included.
-		cut := headroom + int(t*float64(len(s.Samples)))
-		for j := cut; j < len(out.Samples); j++ {
-			out.Samples[j] = 0
-		}
+		c.cut = headroom + int(t*float64(len(s.Samples)))
 	}
-	cfo := l.CFOHz
+	c.cfo = l.CFOHz
 	if l.Impairment != nil {
-		cfo += l.Impairment.CFOHz
+		c.cfo += l.Impairment.CFOHz
 	}
-	if cfo != 0 {
-		out.FrequencyShift(cfo)
-	}
-	out.AddAWGN(signal.DBToPower(l.NoiseFloor), rng)
+	c.noise = signal.DBToPower(l.NoiseFloor)
 	if imp := l.Impairment; imp != nil && imp.ImpulseProb > 0 {
-		// Impulsive co-channel noise: sparse high-power events on top of
-		// the thermal floor (microwave ovens, frequency-hopping bursts).
-		sigma := math.Sqrt(signal.DBToPower(imp.ImpulsePowerDBm) / 2)
-		for j := range out.Samples {
-			if rng.Float64() < imp.ImpulseProb {
-				out.Samples[j] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+		c.impulse = imp.ImpulseProb
+		c.sigma = math.Sqrt(signal.DBToPower(imp.ImpulsePowerDBm) / 2)
+	}
+	return c, nil
+}
+
+// Fill computes the capture through at least sample n and returns its
+// filled prefix, valid until Release (the whole capture, dst itself,
+// once complete); an n at or past the end fills it whole. A fill ends
+// on a multiple of signal.RotorBlock or at the capture's end, so the
+// CFO shift of the next one continues Derotate's exact-index phasors.
+// A link with impulse noise fills whole on the first call: its impulses
+// draw after the capture's whole AWGN stream.
+func (c *Capture) Fill(n int) *signal.Signal {
+	total := len(c.out.Samples)
+	if n >= total || c.impulse > 0 {
+		n = total
+	} else {
+		n = min(total, (n+signal.RotorBlock-1)/signal.RotorBlock*signal.RotorBlock)
+	}
+	if n > c.filled {
+		c.fill(c.filled, n)
+		c.filled = n
+	}
+	if c.filled == total {
+		return c.out
+	}
+	c.view = signal.Signal{Rate: c.out.Rate, Samples: c.out.Samples[:c.filled]}
+	return &c.view
+}
+
+// fill computes samples [lo, hi) after every sample before lo: each
+// stage of the whole-capture model, restricted to those indices, in the
+// model's order — zero margins, the scaled body, the echoes added by
+// output index, the brownout cut, the CFO shift, then the AWGN stream
+// continued, and the impulses (a capture with impulses is filled in one
+// call).
+func (c *Capture) fill(lo, hi int) {
+	x := c.out.Samples
+	h, body := c.headroom, c.headroom+len(c.src)
+	for i := lo; i < min(hi, h); i++ {
+		x[i] = 0
+	}
+	for i := max(lo, body); i < hi; i++ {
+		x[i] = 0
+	}
+	if a, b := max(lo, h), min(hi, body); a < b {
+		signal.ScaleInto(x[a:b], c.src[a-h:b-h], c.g)
+	}
+	for _, e := range c.taps {
+		d := h + e.delay
+		if a, b := max(lo, d), min(hi, d+len(c.src)); a < b {
+			for i, v := range c.src[a-d : b-d] {
+				x[a+i] += v * c.g * e.gain
 			}
 		}
 	}
-	return nil
+	for i := max(lo, c.cut); i < hi; i++ {
+		x[i] = 0
+	}
+	if c.cfo != 0 {
+		signal.Derotate(x[lo:hi], x[lo:hi], lo, -c.cfo, c.out.Rate)
+	}
+	part := signal.Signal{Samples: x[lo:hi]}
+	part.AddAWGN(c.noise, c.rng)
+	if c.impulse > 0 {
+		// Impulsive co-channel noise: sparse high-power events on top of
+		// the thermal floor (microwave ovens, frequency-hopping bursts).
+		for j := range x {
+			if c.rng.Float64() < c.impulse {
+				x[j] += complex(c.rng.NormFloat64()*c.sigma, c.rng.NormFloat64()*c.sigma)
+			}
+		}
+	}
+}
+
+// Release ends the capture, filled or not, and recycles its state and
+// noise stream. The capture's samples stay in dst.
+func (c *Capture) Release() {
+	signal.PutNoise(c.rng)
+	*c = Capture{taps: c.taps[:0]}
+	capturePool.Put(c)
 }
 
 // truncateFraction returns the active brownout cut point in (0,1), or 0

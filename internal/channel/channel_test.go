@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -554,6 +555,95 @@ func TestApplySNRMatchesRandReference(t *testing.T) {
 	for i := range want.Samples {
 		if got.Samples[i] != want.Samples[i] {
 			t.Fatalf("sample %d = %v, want %v", i, got.Samples[i], want.Samples[i])
+		}
+	}
+}
+
+// TestCaptureFillsInParts builds captures by Fill calls split at random
+// multiples of signal.RotorBlock and requires ApplyToWithPower's
+// one-shot capture bit for bit, in both dispatch modes: a plain link,
+// multipath, brownout truncation, static and fault CFO and impulse
+// noise, each with and without fading. Every fill leaves the samples
+// past its end as they were (NaN here), and a link with impulse noise
+// fills whole on its first call.
+func TestCaptureFillsInParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	in := signal.New(20e6, 9000)
+	for i := range in.Samples {
+		in.Samples[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	prev := simd.Enabled()
+	defer simd.SetEnabled(prev)
+	echoes := []Tap{{Delay: 200e-9, GainDB: -3}, {Delay: 650e-9, GainDB: -9}}
+	cases := []struct {
+		name string
+		cfo  float64
+		taps []Tap
+		imp  *Impairment
+	}{
+		{"plain", 0, nil, nil},
+		{"multipath", 0, echoes, nil},
+		{"truncate", 0, nil, &Impairment{Truncate: 0.45}},
+		{"static-cfo", -15e3, nil, nil},
+		{"fault-cfo", 1200, echoes, &Impairment{CFOHz: 700, ExtraLossDB: 2, Truncate: 0.8}},
+		{"impulse", 900, nil, &Impairment{ImpulseProb: 0.02, ImpulsePowerDBm: -50}},
+	}
+	dst := signal.New(0, 0)
+	for _, k := range []float64{0, 4} {
+		for ci, c := range cases {
+			l := wifiLOSLink(7)
+			l.FadingK, l.Impairment, l.Multipath, l.CFOHz = k, c.imp, c.taps, c.cfo
+			l.Seed = int64(100*ci) + int64(k)
+			for _, on := range []bool{false, true} {
+				simd.SetEnabled(on)
+				label := fmt.Sprintf("%s K=%g simd=%s", c.name, k, simd.Mode())
+				want := signal.New(0, 0)
+				if err := l.ApplyToWithPower(want, in, 400, false, 0); err != nil {
+					t.Fatal(err)
+				}
+				for trial := 0; trial < 4; trial++ {
+					capt, err := l.Begin(dst, in, 400, false, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range dst.Samples {
+						dst.Samples[i] = complex(math.NaN(), 1)
+					}
+					n := len(dst.Samples)
+					for done := 0; done < n; {
+						ask := done + 1 + rng.Intn(3*signal.RotorBlock)
+						got := capt.Fill(ask).Samples
+						want := min(n, (ask+signal.RotorBlock-1)/signal.RotorBlock*signal.RotorBlock)
+						if c.imp != nil && c.imp.ImpulseProb > 0 {
+							want = n
+						}
+						if len(got) != want {
+							t.Fatalf("%s: Fill(%d) returned %d samples, want %d", label, ask, len(got), want)
+						}
+						if want < n && !cmplx.IsNaN(dst.Samples[want]) {
+							t.Fatalf("%s: Fill(%d) wrote sample %d past its end", label, ask, want)
+						}
+						done = len(got)
+					}
+					capt.Release()
+					requireSameBits(t, label, dst.Samples, want.Samples)
+				}
+			}
+		}
+	}
+}
+
+// requireSameBits fails unless got and want hold the same float64 bits.
+func requireSameBits(t *testing.T, label string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", label, len(got), len(want))
+	}
+	for i, a := range got {
+		b := want[i]
+		if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
+			math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+			t.Fatalf("%s: sample %d = %v, want %v", label, i, a, b)
 		}
 	}
 }

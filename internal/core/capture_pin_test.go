@@ -59,9 +59,12 @@ func TestCapturePinned(t *testing.T) {
 				cfg := DefaultConfig(c.radio, c.dist)
 				cfg.Seed = seed
 				cfg.Link.CFOHz = c.cfoHz
-				wave, capt := captureDigests(t, cfg, idx)
+				wave, capt, split := captureDigests(t, cfg, idx)
 				if wave != c.wave || capt != c.capt {
 					t.Errorf("digests (wave, capture) = (%q, %q), want (%q, %q)", wave, capt, c.wave, c.capt)
+				}
+				if split != c.capt {
+					t.Errorf("capture filled as prefix plus rest: digest %q, want %q", split, c.capt)
 				}
 			})
 		})
@@ -71,8 +74,9 @@ func TestCapturePinned(t *testing.T) {
 // captureDigests runs packet idx of a session on cfg as runPacketAtWith
 // does, up to the capture, and returns the sha256 of the synthesised
 // entry (its samples' float64 bits, then its mean power's) and of the
-// capture's samples.
-func captureDigests(t *testing.T, cfg Config, idx int) (wave, capt string) {
+// capture's samples, once from ApplyToWithPower and once filled as the
+// packet pipeline fills it: the detection prefix, then the rest.
+func captureDigests(t *testing.T, cfg Config, idx int) (wave, capt, split string) {
 	t.Helper()
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -93,14 +97,29 @@ func captureDigests(t *testing.T, cfg Config, idx int) (wave, capt string) {
 	h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(e.MeanPower)))
 	wave = hex.EncodeToString(h.Sum(nil))
 
+	l := s.link(rng, faults.Packet{})
 	var c signal.Signal
-	if err := s.link(rng, faults.Packet{}).ApplyToWithPower(&c, e.Wave, captureHeadroom, false, e.MeanPower); err != nil {
+	if err := l.ApplyToWithPower(&c, e.Wave, captureHeadroom, false, e.MeanPower); err != nil {
 		t.Fatal(err)
 	}
 	h.Reset()
 	writeSamples(h.Write, c.Samples)
+	capt = hex.EncodeToString(h.Sum(nil))
+
+	var p signal.Signal
+	pc, err := l.Begin(&p, e.Wave, captureHeadroom, false, e.MeanPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(pc.Fill(detectPrefix).Samples); n != detectPrefix {
+		t.Fatalf("prefix fill returned %d samples, want %d", n, detectPrefix)
+	}
+	pc.Fill(math.MaxInt)
+	pc.Release()
+	h.Reset()
+	writeSamples(h.Write, p.Samples)
 	s.phy.release(e)
-	return wave, hex.EncodeToString(h.Sum(nil))
+	return wave, capt, hex.EncodeToString(h.Sum(nil))
 }
 
 // writeSamples feeds the little-endian float64 bits of each sample, real

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/channel"
@@ -482,22 +483,56 @@ func (s *Session) runPacket(tagBits []byte, content, chanRng *rand.Rand, sequent
 // before and after each packet's waveform in the receiver capture.
 const captureHeadroom = 400
 
+// detectPrefix is how many capture samples the WiFi and ZigBee receivers
+// run detection on before the channel computes the rest: two rotor
+// blocks, so the fill boundary keeps the CFO shift's exact-index
+// phasors. On a preamble at captureHeadroom the WiFi scan reads ~830
+// samples before its early stop and the ZigBee scan ~1570 (DESIGN §8).
+const detectPrefix = 2 * signal.RotorBlock
+
 // transmit sends one packet's clean waveform through the slot's link into
 // a pooled capture and hands that to the phy's receiver, returning what it
-// received and the capture's length. An uncached entry is dead once the
-// capture holds its copy, so its buffer goes back to the phy. The received
-// streams are the receiver's own, so the capture is recycled on return.
+// received and the capture's length. The receiver fills the capture as it
+// reads it (detectFirst), so the link's noise stream and an uncached
+// entry's buffer stay checked out until it returns. The received streams
+// are the receiver's own, so the capture is recycled on return.
 func (s *Session) transmit(e *waveform.Entry, chanRng *rand.Rand, pf faults.Packet) (received, int, error) {
 	cap := capturePool.Get()
 	defer capturePool.Put(cap)
-	err := s.link(chanRng, pf).ApplyToWithPower(cap, e.Wave, captureHeadroom, false, e.MeanPower)
+	c, err := s.link(chanRng, pf).Begin(cap, e.Wave, captureHeadroom, false, e.MeanPower)
+	var rx received
+	if err == nil {
+		rx = s.phy.receive(c, e)
+		c.Release()
+	}
 	if s.cfg.Waveforms == nil {
 		s.phy.release(e)
 	}
 	if err != nil {
 		return received{}, 0, err
 	}
-	return s.phy.receive(cap, e), len(cap.Samples), nil
+	return rx, len(cap.Samples), nil
+}
+
+// detectFirst runs a receiver's prefix detection on the capture's first
+// detectPrefix samples before the channel computes the rest. A final
+// answer below threshold loses the packet there, and cap is nil: the
+// rest of the capture, its noise included, is never drawn. Otherwise the
+// capture is filled whole, and an answer that was not final is replaced
+// by detection on all of it (unless the first fill was already the
+// whole capture), so start and q are always what detection on the whole
+// capture returns.
+func detectFirst(c *channel.Capture, threshold float64, detect func(*signal.Signal) (int, float64, bool)) (cap *signal.Signal, start int, q float64) {
+	prefix := c.Fill(detectPrefix)
+	start, q, final := detect(prefix)
+	if final && q < threshold {
+		return nil, start, q
+	}
+	cap = c.Fill(math.MaxInt)
+	if !final && cap != prefix {
+		start, q, _ = detect(cap)
+	}
+	return cap, start, q
 }
 
 // entry returns the clean backscattered waveform plus decode references for

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/bluetooth"
+	"repro/internal/channel"
 	"repro/internal/signal"
 	"repro/internal/tag"
 	"repro/internal/waveform"
@@ -31,9 +32,10 @@ type phy interface {
 	key(k *waveform.KeyBuilder, seed byte)
 	// synthesize runs TX, codeword translation and channel shift.
 	synthesize(payload, tagBits []byte, seed byte) (*waveform.Entry, error)
-	// release recycles an uncached entry once the capture holds its copy.
+	// release recycles an uncached entry once its capture is done.
 	release(e *waveform.Entry)
-	receive(cap *signal.Signal, e *waveform.Entry) received
+	// receive fills the capture as far as it reads it and decodes it.
+	receive(c *channel.Capture, e *waveform.Entry) received
 }
 
 // received is what a phy's receive hands the decode tail. Dual-receiver
@@ -229,9 +231,13 @@ func (p *wifiPHY) receiver() *wifi.Receiver {
 
 // receive decodes the capture; the tag windows start one OFDM symbol into
 // the data, because the SERVICE symbol is reflected unmodified.
-func (p *wifiPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
+func (p *wifiPHY) receive(c *channel.Capture, e *waveform.Entry) received {
 	rx := p.receiver()
-	pkt, err := rx.Receive(cap)
+	cap, start, q := detectFirst(c, rx.DetectionThreshold, rx.DetectPrefix)
+	if cap == nil {
+		return lost
+	}
+	pkt, err := rx.ReceiveAt(cap, start, q)
 	if err != nil {
 		return lost
 	}
@@ -363,11 +369,15 @@ func (p *zigbeePHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.Entry
 	return newEntry(backscattered, power, used, exc.Duration(), zigbee.SymbolsFromBytes(body)), nil
 }
 
-func (p *zigbeePHY) receive(cap *signal.Signal, e *waveform.Entry) received {
+func (p *zigbeePHY) receive(c *channel.Capture, e *waveform.Entry) received {
 	rx := zigbee.NewReceiver()
 	rx.DetectionThreshold = zbDetectionThreshold
 	rx.CollectFlips = p.cfg.ReceiverMode == SingleReceiver
-	frame, err := rx.Receive(cap)
+	cap, start, q := detectFirst(c, rx.DetectionThreshold, rx.DetectPrefix)
+	if cap == nil {
+		return lost
+	}
+	frame, err := rx.ReceiveAt(cap, start, q)
 	if err != nil {
 		return lost
 	}
@@ -438,7 +448,10 @@ func (p *bluetoothPHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.En
 	return newEntry(backscattered, backscattered.MeanPower(), used, exc.Duration(), ref), nil
 }
 
-func (p *bluetoothPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
+// receive reads the whole capture: the discriminator normalises by the
+// mean power of the whole filtered capture, so no prefix of it can
+// decide detection.
+func (p *bluetoothPHY) receive(c *channel.Capture, e *waveform.Entry) received {
 	rx := bluetooth.NewReceiver()
 	rx.DetectionThreshold = btDetectionThreshold
 	rx.CollectPower = p.cfg.ReceiverMode == SingleReceiver
@@ -447,7 +460,7 @@ func (p *bluetoothPHY) receive(cap *signal.Signal, e *waveform.Entry) received {
 	// features below have been copied out.
 	a := signal.GetArena()
 	defer a.Release()
-	demod := rx.DemodInto(cap, a)
+	demod := rx.DemodInto(c.Fill(math.MaxInt), a)
 	start, q := demod.Detect()
 	if start < 0 || q < rx.DetectionThreshold {
 		return lost

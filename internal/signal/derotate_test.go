@@ -61,7 +61,7 @@ func TestDerotateExactPhase(t *testing.T) {
 					label := fmt.Sprintf("%s cfo=%g rate=%g n=%d", mode, cfo, rate, n)
 					dst := make([]complex128, n+1)
 					dst[n] = 7
-					Derotate(dst, ones, cfo, rate)
+					Derotate(dst, ones, 0, cfo, rate)
 					if dst[n] != 7 {
 						t.Fatalf("%s: wrote past len(src)", label)
 					}
@@ -74,7 +74,7 @@ func TestDerotateExactPhase(t *testing.T) {
 						t.Fatalf("%s: sample %d off by %.2f units, bound %d", label, i, u, bound)
 					}
 					in := append([]complex128(nil), ones...)
-					Derotate(in, in, cfo, rate)
+					Derotate(in, in, 0, cfo, rate)
 					requireSameSamples(t, label+" in place", in, dst[:n])
 				})
 			}
@@ -88,6 +88,36 @@ func TestDerotateExactPhase(t *testing.T) {
 	if u, _ := phaseErrorUnits(old, -2*math.Pi*1234.5/20e6); u <= bound {
 		t.Fatalf("historical recurrence within %.2f units; the bound does not separate it", u)
 	}
+}
+
+// TestDerotateInParts rotates a capture in parts split at random
+// multiples of RotorBlock, each part passing its first sample's index,
+// and requires the one-shot rotation bit for bit, in every dispatch
+// mode. A first index that is not a multiple of RotorBlock panics.
+func TestDerotateInParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	x := benchSignal(41440).Samples
+	for _, cfo := range []float64{-15e3, 2500, 48e3} {
+		eachDispatchMode(t, func(mode string) {
+			want := make([]complex128, len(x))
+			Derotate(want, x, 0, cfo, 20e6)
+			for trial := 0; trial < 8; trial++ {
+				got := append([]complex128(nil), x...)
+				for lo := 0; lo < len(got); {
+					hi := min(len(got), lo+RotorBlock*(1+rng.Intn(12)))
+					Derotate(got[lo:hi], got[lo:hi], lo, cfo, 20e6)
+					lo = hi
+				}
+				requireSameSamples(t, fmt.Sprintf("%s cfo=%g", mode, cfo), got, want)
+			}
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Derotate accepted a first index off the rotor-block grid")
+		}
+	}()
+	Derotate(x[:10], x[:10], 64, 1e3, 20e6)
 }
 
 // FuzzDerotateDispatch holds the rotor's kernel to its Go definition on
@@ -138,18 +168,18 @@ func FuzzDerotateDispatch(f *testing.F) {
 		prev := simd.SetEnabled(false)
 		defer simd.SetEnabled(prev)
 		want := make([]complex128, n)
-		Derotate(want, x, cfo, rate)
+		Derotate(want, x, 0, cfo, rate)
 		simd.SetEnabled(true)
 		dst := make([]complex128, n+o)[o:]
-		Derotate(dst, x, cfo, rate)
+		Derotate(dst, x, 0, cfo, rate)
 		requireSameSamples(t, "Derotate", dst, want)
 		src := append(make([]complex128, o, n+o), x...)[o:]
-		Derotate(src, src, cfo, rate)
+		Derotate(src, src, 0, cfo, rate)
 		requireSameSamples(t, "Derotate in place", src, want)
 
 		// The kernel on one block with arbitrary phasors.
-		blk := x[:min(n, rotorBlock)]
-		var runs [rotorBlock / simd.RotateRun]complex128
+		blk := x[:min(n, RotorBlock)]
+		var runs [RotorBlock / simd.RotateRun]complex128
 		var tab [simd.RotateRun]complex128
 		for k := range tab {
 			tab[k] = x[k%n]
@@ -183,7 +213,7 @@ func BenchmarkDerotate(b *testing.B) {
 			b.Run(name+"/"+simd.Mode(), func(b *testing.B) {
 				b.ReportAllocs()
 				for range b.N {
-					Derotate(dst, s.Samples, 1234.5, 20e6)
+					Derotate(dst, s.Samples, 0, 1234.5, 20e6)
 				}
 			})
 			simd.SetEnabled(prev)

@@ -276,9 +276,21 @@ func (f *OverlapSave) FilterInto(dst, x []complex128, a *Arena) []complex128 {
 	return dst
 }
 
-// mulSpectrum multiplies x by s bin for bin, four bins a pass (osBlock
-// is a multiple of four) so the compiler drops the bounds checks.
+// mulSpectrum multiplies x by s bin for bin: simd.Mul when dispatched,
+// else mulSpectrumGo, its definition.
 func mulSpectrum(x, s []complex128) {
+	x, s = x[:osBlock], s[:osBlock]
+	if simd.Enabled() {
+		simd.Mul(x, x, s)
+		return
+	}
+	mulSpectrumGo(x, s)
+}
+
+// mulSpectrumGo is simd.Mul's definition on one block, four bins a pass
+// (osBlock is a multiple of four) so the compiler drops the bounds
+// checks.
+func mulSpectrumGo(x, s []complex128) {
 	x, s = x[:osBlock], s[:osBlock]
 	for i := 0; i < osBlock; i += 4 {
 		x[i] *= s[i]

@@ -232,8 +232,8 @@ func TestDerotateRemovesTone(t *testing.T) {
 	// Out of place first (x unchanged), then in place: every sample must
 	// match bitwise across the 64- and 1024-sample block boundaries.
 	out := make([]complex128, n+3)
-	Derotate(out, x, cfo, rate)
-	Derotate(x, x, cfo, rate)
+	Derotate(out, x, 0, cfo, rate)
+	Derotate(x, x, 0, cfo, rate)
 	for i, v := range x {
 		if math.Abs(real(v)-1) > 1e-6 || math.Abs(imag(v)) > 1e-6 {
 			t.Fatalf("sample %d not derotated to DC: %v", i, v)
@@ -247,12 +247,12 @@ func TestDerotateRemovesTone(t *testing.T) {
 		t.Fatal("Derotate wrote past len(src)")
 	}
 	y := []complex128{1, 2, 3}
-	Derotate(y, y, 0, rate)
+	Derotate(y, y, 0, 0, rate)
 	if y[0] != 1 || y[1] != 2 || y[2] != 3 {
 		t.Fatal("zero-CFO derotate modified samples")
 	}
 	z := make([]complex128, 3)
-	Derotate(z, y, 0, rate)
+	Derotate(z, y, 0, 0, rate)
 	if z[0] != 1 || z[1] != 2 || z[2] != 3 {
 		t.Fatal("zero-CFO derotate did not copy")
 	}

@@ -24,7 +24,7 @@ func TestFrequencyShiftMatchesRotorLoop(t *testing.T) {
 		for _, df := range dfs {
 			eachDispatchMode(t, func(mode string) {
 				want := make([]complex128, n)
-				Derotate(want, x, -df, 20e6)
+				Derotate(want, x, 0, -df, 20e6)
 				s := &Signal{Rate: 20e6, Samples: append([]complex128(nil), x...)}
 				s.FrequencyShift(df)
 				requireSameSamples(t, mode+" FrequencyShift", s.Samples, want)

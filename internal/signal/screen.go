@@ -99,3 +99,37 @@ func (s *EnergyScreen) Beaten(num, best float64) bool {
 	}
 	return num/math.Sqrt(lo*s.kP) <= best
 }
+
+// squaredMargin shrinks BeatenSquared's bound so that the roundings of
+// the squared magnitude (two squares and a sum), of math.Hypot (a few
+// ulps), of Beaten's square root and of the bound's own products, each
+// at most 2⁻⁵³ relative in the normal range it is confined to, cannot
+// carry a position across it: together they stay under 2⁻⁴⁸.
+const squaredMargin = 1 - 0x1p-40
+
+// BeatenSquared is Beaten for a correlation given by its squared
+// magnitude num2 = re² + im² (Energy of the correlation), without the
+// square root of num: it is true only where Beaten(math.Hypot(re, im),
+// best) is. It tests num2 ≤ best²·(1 − 2⁻⁴⁰)·fl(lo·kP), with lo and kP
+// as in Beaten, and is false outside the range where every rounding in
+// that chain is relative: num2 below 2⁻⁹⁶⁰ (a square may have lost its
+// bits to underflow) or non-finite, best² below 2⁻¹⁰⁰⁰, a subnormal
+// fl(lo·kP), and Beaten's own exclusions.
+func (s *EnergyScreen) BeatenSquared(num2, best float64) bool {
+	if !(num2 >= 0x1p-960) || num2 > math.MaxFloat64 || !(s.lead <= math.MaxFloat64) || s.lead < 0x1p-900 {
+		return false
+	}
+	b2 := best * best * squaredMargin
+	if !(b2 >= 0x1p-1000) {
+		return false
+	}
+	lo := (s.lead - s.trail) - s.r*s.lead
+	if !(lo > 0) {
+		return false
+	}
+	bound := lo * s.kP
+	if bound < 0x1p-1022 {
+		return false // subnormal: its rounding is not relative
+	}
+	return num2 <= b2*bound
+}

@@ -64,6 +64,45 @@ func TestEnergyScreenSound(t *testing.T) {
 	}
 }
 
+// TestBeatenSquaredEdges pins where BeatenSquared must defer to the
+// exact test: squared magnitudes that may have underflowed or are not
+// finite, a best too small to square in the normal range, a subnormal
+// bound, and Beaten's own prefix exclusions; and that it agrees with
+// Beaten on an ordinary weak and an ordinary strong position.
+func TestBeatenSquaredEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		num2, trail, lead, best float64
+		want                    bool
+	}{
+		{"weak position", 1e-6, 1, 9, 0.5, true},
+		{"strong position", 4000, 1, 9, 0.5, false},
+		{"zero correlation", 0, 1, 9, 0.5, false},
+		{"underflowed square", 0x1p-970, 0x1p-600, 0x1p-590, 0.5, false},
+		{"NaN", math.NaN(), 1, 9, 0.5, false},
+		{"+Inf", math.Inf(1), 1, 9, 0.5, false},
+		{"tiny best", 1e-300, 1, 9, 0x1p-510, false},
+		{"no best yet", 1e-6, 1, 9, 0, false},
+		{"non-finite prefix", 1e-6, 1, math.Inf(1), 0.5, false},
+		{"tiny prefix", 0x1p-950, 0, 0x1p-950, 0.5, false},
+		{"cancelled difference", 1e-6, 1e300, 1e300, 0.5, false},
+	} {
+		s := NewEnergyScreen(1000, 500)
+		s.trail, s.lead = tc.trail, tc.lead
+		if got := s.BeatenSquared(tc.num2, tc.best); got != tc.want {
+			t.Errorf("%s: BeatenSquared = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := s.BeatenSquared(tc.num2, tc.best); got && !s.Beaten(math.Sqrt(tc.num2), tc.best) {
+			t.Errorf("%s: BeatenSquared rejects what Beaten keeps", tc.name)
+		}
+	}
+	faint := NewEnergyScreen(1000, 0x1p-200)
+	faint.lead = 0x1p-899
+	if faint.BeatenSquared(0x1p-960, 0x1p200) {
+		t.Error("a subnormal bound was trusted")
+	}
+}
+
 // TestEnergyScreenEdges pins the cases where the screen must defer to
 // the exact sum, the sign shortcut and the zero-window count.
 func TestEnergyScreenEdges(t *testing.T) {

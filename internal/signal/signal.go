@@ -64,9 +64,10 @@ func ScaleInto(dst, src []complex128, g complex128) {
 }
 
 // FrequencyShift mixes the signal with exp(j·2π·df·t) in place, moving its
-// spectrum up by df Hz: Derotate by −df, the same rotor.
+// spectrum up by df Hz: Derotate by −df, the rotor the channel shifts its
+// captures with.
 func (s *Signal) FrequencyShift(df float64) *Signal {
-	Derotate(s.Samples, s.Samples, -df, s.Rate)
+	Derotate(s.Samples, s.Samples, 0, -df, s.Rate)
 	return s
 }
 

@@ -90,6 +90,11 @@ func divScale(dst, x *complex128, n int, inv, gr, gi float64) (ok bool)
 //go:noescape
 func rotate(dst, x *complex128, n int, runs, tab *complex128)
 
+// mul is the AVX2 elementwise complex product (scale_amd64.s).
+//
+//go:noescape
+func mul(dst, x, y *complex128, n int)
+
 // equalise is the AVX2 gather, scale and Smith division (equalise_amd64.s).
 //
 //go:noescape

@@ -56,6 +56,10 @@ func rotate(dst, x *complex128, n int, runs, tab *complex128) {
 	panic("simd: rotate called on a build without asm kernels")
 }
 
+func mul(dst, x, y *complex128, n int) {
+	panic("simd: mul called on a build without asm kernels")
+}
+
 func equalise(dst, x *complex128, n int, bins *int32, coef *EqualiseCoef, pairs int, inv float64) int {
 	panic("simd: equalise called on a build without asm kernels")
 }

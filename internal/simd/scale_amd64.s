@@ -341,3 +341,60 @@ rone:
 rdone:
 	VZEROUPPER
 	RET
+
+// func mul(dst, x, y *complex128, n int)
+//
+// dst[i] = x[i]·y[i] for i < n: each pair of factors as VCMUL, the
+// sample x and the per-sample factor y in the rotor's place. Passes
+// take four samples, then one pair, then one sample in an xmm. dst is x
+// or does not overlap it; y does not overlap dst.
+//
+// Register map: DI dst, SI x, DX y, CX samples left; Y0/Y1 factors,
+// Y2/Y3 samples, Y8–Y11 scratch.
+TEXT ·mul(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ n+24(FP), CX
+	CMPQ CX, $4
+	JB   mpair
+
+mquad:
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD (SI), Y2
+	VMOVUPD 32(SI), Y3
+	VCMUL(Y2, Y0, Y8, Y10)
+	VCMUL(Y3, Y1, Y9, Y11)
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    $64, DX
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $4, CX
+	CMPQ    CX, $4
+	JAE     mquad
+
+mpair:
+	CMPQ    CX, $2
+	JB      mone
+	VMOVUPD (DX), Y0
+	VMOVUPD (SI), Y2
+	VCMUL(Y2, Y0, Y8, Y10)
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, DX
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $2, CX
+
+mone:
+	TESTQ   CX, CX
+	JZ      mdone
+	VMOVUPD (DX), X0
+	VMOVUPD (SI), X2
+	VCMUL1(X2, X0, X8, X10)
+	VMOVUPD X2, (DI)
+
+mdone:
+	VZEROUPPER
+	RET

@@ -207,12 +207,58 @@ func TestRotateMatchesDefinition(t *testing.T) {
 	}
 }
 
+// mulRef is Mul's documented formula in Go's complex arithmetic, the
+// loop signal's overlap-save bin product keeps as its definition.
+func mulRef(dst, x, y []complex128) {
+	for i, v := range x {
+		dst[i] = v * y[i]
+	}
+}
+
+// checkMul holds Mul to mulRef on x and y, into a separate dst at
+// start phase off and in place.
+func checkMul(t *testing.T, x, y []complex128, off int) {
+	t.Helper()
+	want := make([]complex128, len(x))
+	mulRef(want, x, y)
+	dst := make([]complex128, len(x)+off)[off:]
+	Mul(dst, x, y)
+	requireSameSamples(t, "Mul", dst, want)
+	src := append(make([]complex128, off, len(x)+off), x...)[off:]
+	Mul(src, src, y)
+	requireSameSamples(t, "Mul in place", src, want)
+}
+
+// TestMulMatchesDefinition covers lengths through the quad, pair and
+// single passes up to the overlap-save block and beyond, each start
+// phase, in place and into a separate dst, with finite and special
+// samples and factors; unequal lengths panic.
+func TestMulMatchesDefinition(t *testing.T) {
+	requireAVX2Kernels(t)
+	rng := rand.New(rand.NewSource(41))
+	for _, specials := range []bool{false, true} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 511, 512, 513, 2500} {
+			x, y := scaleInput(rng, n, specials), scaleInput(rng, n, specials)
+			for off := 0; off < 2; off++ {
+				checkMul(t, x, y, off)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Mul accepted factors shorter than dst")
+		}
+	}()
+	Mul(make([]complex128, 4), make([]complex128, 4), make([]complex128, 3))
+}
+
 // FuzzScaleDispatch is the elementwise-kernel part of `make fuzz-simd`:
 // raw bytes become float64 bits (so NaN, ±Inf, subnormals and −0 all
 // appear) for the gain, the divisor's reciprocal and the samples, and
-// Scale, ScalePower and DivScale must match their Go definitions bit
-// for bit (NaN as a class) at every length and start phase, in place
-// and into a separate dst.
+// Scale, ScalePower, DivScale and Mul (the samples' two halves as
+// factors) must match their Go definitions bit for bit (NaN as a
+// class) at every length and start phase, in place and into a separate
+// dst.
 func FuzzScaleDispatch(f *testing.F) {
 	rng := rand.New(rand.NewSource(37))
 	blob := make([]byte, 8*80)
@@ -245,6 +291,8 @@ func FuzzScaleDispatch(f *testing.F) {
 		}
 		checkScaleKernels(t, x, g, inv, int(off%2))
 		checkScaleKernels(t, x, complex(real(g), 0), 0x1p-6, int(off%2))
+		h := len(x) / 2
+		checkMul(t, x[:h], x[h:2*h], int(off%2))
 	})
 }
 

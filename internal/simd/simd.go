@@ -13,7 +13,8 @@
 // the packet path (signal.ScaleInto and Signal.ScalePower under the
 // tag's rotation, the sideband gain, the channel's receive gain and the
 // WiFi receiver's phase trackers, and the WiFi symbol scaling), the
-// per-sample phasor product of the CFO rotor (signal.Derotate), and the
+// per-sample phasor product of the CFO rotor (signal.Derotate), the
+// overlap-save filter's bin product (signal.OverlapSave), and the
 // WiFi receiver's equaliser (wifi's equalizer.apply: the per-bin Smith
 // division by the channel estimate). Each kernel has an AVX2 assembly
 // implementation on amd64, and the callers keep their pure-Go loops as
@@ -99,6 +100,10 @@
 //     the broadcast base, and the sample's product with it spreads the
 //     phasor's real and imaginary parts (VMOVDDUP, VPERMILPD) and ends
 //     in one VADDSUBPD: Go's x·r with all four real products, each
+//     rounded once.
+//
+//   - Mul is Rotate's sample product with a per-sample factor in the
+//     phasor's place: Go's x·y with all four real products, each
 //     rounded once.
 //
 //   - Equalise gathers each output's bin, scales it as Scale does by a
@@ -545,6 +550,24 @@ func Rotate(dst, x, runs []complex128, tab *[RotateRun]complex128) {
 		panic("simd: Rotate needs a phasor per run")
 	}
 	rotate(&dst[0], &x[0], len(x), &runs[0], &tab[0])
+}
+
+// Mul writes the elementwise product of x and y into dst:
+//
+//	dst[i] = x[i] · y[i]
+//
+// with Go's complex product, all four real products kept, each rounded
+// once. dst may be x itself but must not otherwise overlap it, nor
+// overlap y; x and y must be as long as dst. Callers must check
+// Enabled().
+func Mul(dst, x, y []complex128) {
+	if len(x) != len(dst) || len(y) != len(dst) {
+		panic("simd: Mul needs len(x) == len(y) == len(dst)")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	mul(&dst[0], &x[0], &y[0], len(dst))
 }
 
 // EqualiseCoef holds the coefficients of one pair of Equalise outputs,

@@ -117,5 +117,5 @@ func (t *phaseTracker) correct(pts *[NumData]complex128, m Modulation) {
 // derotating a prefix of a region writes the same samples as
 // derotating the whole region at the same offset.
 func derotate(dst, src []complex128, cfo float64) {
-	signal.Derotate(dst, src, cfo, SampleRate)
+	signal.Derotate(dst, src, 0, cfo, SampleRate)
 }

@@ -102,6 +102,14 @@ func NewReceiver() *Receiver {
 // Receive finds and decodes the first PPDU in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxPacket, error) {
 	start, quality := rx.DetectPreamble(cap)
+	return rx.ReceiveAt(cap, start, quality)
+}
+
+// ReceiveAt is Receive after its detection: it decodes the PPDU whose
+// preamble DetectPreamble, or a final DetectPrefix, placed at start
+// with the given quality, and fails as Receive does on a missing or
+// weak preamble.
+func (rx *Receiver) ReceiveAt(cap *signal.Signal, start int, quality float64) (*RxPacket, error) {
 	if start < 0 {
 		return nil, ErrNoPacket
 	}
@@ -119,11 +127,26 @@ func (rx *Receiver) Receive(cap *signal.Signal) (*RxPacket, error) {
 // than channel flatness, as in commodity chips. Returns the preamble start
 // index and the periodicity quality (≈ SNR/(SNR+1)), or (-1, 0).
 func (rx *Receiver) DetectPreamble(cap *signal.Signal) (int, float64) {
-	start, _ := rx.detectTiming(cap)
+	start, quality, _ := rx.DetectPrefix(cap)
+	return start, quality
+}
+
+// DetectPrefix is DetectPreamble on cap when cap holds only the first
+// samples of a capture, and reports whether its answer is final: the
+// start and quality DetectPreamble returns on every capture that begins
+// with cap. It is final when the timing scan stopped by its own rule (a
+// candidate above 0.5 with a whole symbol scanned past it, so no later
+// position is rated) and the periodicity score's two LTF copies lie
+// inside cap. The scan reads nothing past cap, and its energy screen
+// only prunes positions it proves cannot win, so the scan length it is
+// built for cannot change the answer.
+func (rx *Receiver) DetectPrefix(cap *signal.Signal) (start int, quality float64, final bool) {
+	start, _, stopped := rx.detectTiming(cap)
 	if start < 0 {
-		return -1, 0
+		return -1, 0, false
 	}
-	return start, ltfPeriodicity(cap.Samples, start)
+	final = stopped && start+192+2*FFTSize <= len(cap.Samples)
+	return start, ltfPeriodicity(cap.Samples, start), final
 }
 
 // ltfPeriodicity scores the delay-64 autocorrelation over the two LTF
@@ -162,15 +185,17 @@ const timingBlock = 64
 // highest q wins. The correlations run a block at a time through
 // signal.Correlate, once per sample index: position i's second copy is
 // position i+64's first. p1 is summed only where signal.EnergyScreen
-// cannot prove q1 < 0.5, so every value that reaches the result is
-// computed as by a scan that sums everything.
-func (rx *Receiver) detectTiming(cap *signal.Signal) (int, float64) {
+// cannot prove q1 < 0.5 from |c1|² (EnergyScreen.BeatenSquared, which
+// spares the square root of |c1| too), so every value that reaches the
+// result is computed as by a scan that sums everything. stopped reports that the early stop below ended the scan
+// before its final position.
+func (rx *Receiver) detectTiming(cap *signal.Signal) (best int, bestQ float64, stopped bool) {
 	templateOnce.Do(initTemplates)
 	x := cap.Samples
-	best, bestQ := -1, 0.0
+	best = -1
 	last := len(x) - PreambleLen - SymbolLen // final scan position
 	if last < 0 {
-		return best, bestQ
+		return best, bestQ, false
 	}
 	// c[j] is the correlation at sample i0+192+j: block position j reads
 	// its first copy's at c[j] and its second's at c[j+FFTSize], which
@@ -180,7 +205,7 @@ func (rx *Receiver) detectTiming(cap *signal.Signal) (int, float64) {
 	for _, v := range x[192 : 192+FFTSize-1] {
 		screen.Enter(signal.Energy(v))
 	}
-	// Beaten proves q1 ≤ its bound; the gate rejects only q1 < 0.5.
+	// The screen proves q1 ≤ its bound; the gate rejects only q1 < 0.5.
 	gate := math.Nextafter(0.5, 0)
 scan:
 	for i0 := 0; i0 <= last; i0 += timingBlock {
@@ -196,6 +221,7 @@ scan:
 			// window also correlate; keep scanning a full symbol past the best
 			// candidate before accepting it.
 			if bestQ > 0.5 && i > best+SymbolLen {
+				stopped = true
 				break scan
 			}
 			p := i + 192
@@ -206,10 +232,10 @@ scan:
 			if screen.Empty() {
 				continue // p1 == 0
 			}
-			a1 := cmplx.Abs(c[j])
-			if screen.Beaten(a1, gate) {
+			if screen.BeatenSquared(signal.Energy(c[j]), gate) {
 				continue
 			}
+			a1 := cmplx.Abs(c[j])
 			var p1, p2 float64
 			for _, v := range x[p : p+FFTSize] {
 				p1 += signal.Energy(v)
@@ -230,7 +256,7 @@ scan:
 			}
 		}
 	}
-	return best, bestQ
+	return best, bestQ, stopped
 }
 
 // decodeFrom decodes a PPDU whose preamble starts at sample start.

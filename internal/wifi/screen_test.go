@@ -70,7 +70,8 @@ func refDetectTiming(cap *signal.Signal) (int, float64) {
 
 // requireTimingMatchesRef fails unless detectTiming returns
 // refDetectTiming's start and quality on x in every dispatch mode the
-// build has.
+// build has, and DetectPrefix keeps its finality promise on x's
+// prefixes (requirePrefixFinalHolds).
 func requireTimingMatchesRef(t *testing.T, x []complex128) {
 	t.Helper()
 	cap := &signal.Signal{Rate: SampleRate, Samples: x}
@@ -81,9 +82,32 @@ func requireTimingMatchesRef(t *testing.T, x []complex128) {
 		if simd.SetEnabled(on); on && !simd.Enabled() {
 			break
 		}
-		if s, q := NewReceiver().detectTiming(cap); s != ws || !sameFloat(q, wq) {
+		if s, q, _ := NewReceiver().detectTiming(cap); s != ws || !sameFloat(q, wq) {
 			t.Fatalf("%d samples (%s): detectTiming (%d, %v), reference (%d, %v)",
 				len(x), simd.Mode(), s, q, ws, wq)
+		}
+		requirePrefixFinalHolds(t, x)
+	}
+}
+
+// requirePrefixFinalHolds fails if DetectPrefix calls an answer on a
+// prefix of x final that is not DetectPreamble's answer on all of x.
+// The cuts straddle the shortest prefix the scan's early stop fits in
+// (the stop position best+SymbolLen+1 must be a scan position), and
+// add x's half and the pipeline's 2048-sample prefix.
+func requirePrefixFinalHolds(t *testing.T, x []complex128) {
+	t.Helper()
+	rx := NewReceiver()
+	ws, wq := rx.DetectPreamble(&signal.Signal{Rate: SampleRate, Samples: x})
+	edge := ws + SymbolLen + 1 + PreambleLen + SymbolLen
+	for _, n := range []int{edge - 1, edge, edge + 1, len(x) / 2, 2048} {
+		if n < 0 || n > len(x) {
+			continue
+		}
+		s, q, final := rx.DetectPrefix(&signal.Signal{Rate: SampleRate, Samples: x[:n]})
+		if final && (s != ws || !sameFloat(q, wq)) {
+			t.Fatalf("%d-sample prefix of %d (%s): final (%d, %v), whole capture (%d, %v)",
+				n, len(x), simd.Mode(), s, q, ws, wq)
 		}
 	}
 }
@@ -171,4 +195,87 @@ func TestDetectTimingMatchesReferenceScan(t *testing.T) {
 			requireTimingMatchesRef(t, with(x, lead+gap, pkt[:PreambleLen+SymbolLen], 1))
 		}
 	})
+}
+
+// TestSquaredScreenIsAProof drives EnergyScreen.BeatenSquared at
+// detectTiming's gate with adversarial (re, im, p1): window energies
+// spanning magnitudes from 2⁻⁴⁵⁰ to 2⁴⁵⁰ per sample (with an underflowing
+// and a dominant sample among them), correlations on, just inside and
+// just outside q1 = 0.5 by 0 to 2⁻¹⁶ relative at angles including the
+// axes, and subnormal, zero, huge, infinite and NaN correlations. Each
+// position it rejects must be one the exact test rejects: q1 < 0.5
+// with q1 = |c1|/sqrt(p1·ltfTmplPower) computed as detectTiming does.
+// It must also reject most positions 2⁻³⁰ below the gate, or it proves
+// nothing useful.
+func TestSquaredScreenIsAProof(t *testing.T) {
+	templateOnce.Do(initTemplates)
+	rng := rand.New(rand.NewSource(38))
+	gate := math.Nextafter(0.5, 0)
+	var below, rejectedBelow int
+	for trial := 0; trial < 4000; trial++ {
+		scale := math.Ldexp(1, rng.Intn(901)-450)
+		e := make([]float64, FFTSize)
+		for i := range e {
+			v := complex(rng.NormFloat64(), rng.NormFloat64()) * complex(scale, 0)
+			switch {
+			case i == 5 && trial%7 == 0:
+				v = complex(scale*1e-200, 0) // energy underflows
+			case i == 9 && trial%11 == 0:
+				v *= 1e6 // one sample dominates
+			}
+			e[i] = signal.Energy(v)
+		}
+		screen := signal.NewEnergyScreen(41440, ltfTmplPower)
+		var p1 float64
+		for _, v := range e {
+			screen.Enter(v)
+			p1 += v
+		}
+		if p1 == 0 || math.IsInf(p1, 0) {
+			continue
+		}
+		target := 0.5 * math.Sqrt(p1*ltfTmplPower)
+		var rel float64
+		switch k := trial % 4; k {
+		case 0:
+			rel = 0
+		case 1:
+			rel = -math.Ldexp(rng.Float64(), -16-rng.Intn(37))
+		case 2:
+			rel = math.Ldexp(rng.Float64(), -16-rng.Intn(37))
+		default:
+			rel = -0x1p-30
+		}
+		theta := []float64{0, math.Pi / 2, math.Pi / 4, 2 * math.Pi * rng.Float64()}[trial%4]
+		a := target * (1 + rel)
+		cs := []complex128{
+			complex(a*math.Cos(theta), a*math.Sin(theta)),
+			complex(math.Nextafter(a, 0), 0),
+			complex(0, math.Nextafter(a, math.Inf(1))),
+			complex(5e-324, 0),
+			0,
+			complex(1e300, 1e300),
+			complex(math.Inf(1), 0),
+			complex(math.NaN(), 1),
+		}
+		for _, c := range cs {
+			q1 := cmplx.Abs(c) / math.Sqrt(p1*ltfTmplPower)
+			rejected := screen.BeatenSquared(signal.Energy(c), gate)
+			if rejected && !(q1 < 0.5) {
+				t.Fatalf("trial %d: screen rejected c = %v with q1 = %v (p1 = %v)", trial, c, q1, p1)
+			}
+			if rejected && !screen.Beaten(cmplx.Abs(c), gate) {
+				t.Fatalf("trial %d: squared screen rejected c = %v, which Beaten keeps", trial, c)
+			}
+		}
+		if rel == -0x1p-30 {
+			below++
+			if screen.BeatenSquared(signal.Energy(cs[0]), gate) {
+				rejectedBelow++
+			}
+		}
+	}
+	if rejectedBelow < below*9/10 {
+		t.Fatalf("squared screen rejected %d of %d positions 2⁻³⁰ below the gate", rejectedBelow, below)
+	}
 }

@@ -113,7 +113,8 @@ func FuzzPreambleCorrDispatch(f *testing.F) {
 }
 
 // requireDetectMatchesRef fails unless Detect returns detectRef's start
-// and quality on the capture in every dispatch mode the build has.
+// and quality on the capture in every dispatch mode the build has, and
+// DetectPrefix keeps its finality promise on the capture's prefixes.
 func requireDetectMatchesRef(t *testing.T, cap *signal.Signal) {
 	t.Helper()
 	ws, wq := detectRef(cap.Samples)
@@ -123,7 +124,28 @@ func requireDetectMatchesRef(t *testing.T, cap *signal.Signal) {
 			t.Fatalf("%d samples (%s): Detect (%d, %v), reference (%d, %v)",
 				len(cap.Samples), simd.Mode(), s, q, ws, wq)
 		}
+		requirePrefixFinalHolds(t, cap, ws, wq)
 	})
+}
+
+// requirePrefixFinalHolds fails if DetectPrefix calls an answer on a
+// prefix of cap final that is not (ws, wq), Detect's answer on all of
+// it. The cuts straddle the shortest prefix the scan's early stop fits
+// in (the stop position best+SymbolSamples+1 must be a scan position),
+// and add cap's half and the pipeline's 2048-sample prefix.
+func requirePrefixFinalHolds(t *testing.T, cap *signal.Signal, ws int, wq float64) {
+	t.Helper()
+	edge := ws + SymbolSamples + 1 + PreambleSymbols*SymbolSamples
+	for _, n := range []int{edge - 1, edge, edge + 1, len(cap.Samples) / 2, 2048} {
+		if n < 0 || n > len(cap.Samples) {
+			continue
+		}
+		s, q, final := NewReceiver().DetectPrefix(&signal.Signal{Rate: cap.Rate, Samples: cap.Samples[:n]})
+		if final && (s != ws || !sameFloat(q, wq)) {
+			t.Fatalf("%d-sample prefix of %d (%s): final (%d, %v), whole capture (%d, %v)",
+				n, len(cap.Samples), simd.Mode(), s, q, ws, wq)
+		}
+	}
 }
 
 // tail is the capture from sample from on.

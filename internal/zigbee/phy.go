@@ -183,6 +183,13 @@ func buildPreambleTemplate() []complex128 {
 // Receive finds and decodes the first frame in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
 	start, q := rx.Detect(cap)
+	return rx.ReceiveAt(cap, start, q)
+}
+
+// ReceiveAt is Receive after its detection: it decodes the frame whose
+// preamble Detect, or a final DetectPrefix, placed at start with
+// quality q, and fails as Receive does on a missing or weak preamble.
+func (rx *Receiver) ReceiveAt(cap *signal.Signal, start int, q float64) (*RxFrame, error) {
 	if start < 0 || q < rx.DetectionThreshold {
 		return nil, ErrNoFrame
 	}
@@ -287,11 +294,24 @@ func sameBits(a, b []complex128) bool {
 // value that reaches the result is computed as by a scan that sums
 // everything.
 func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
+	start, q, _ := rx.DetectPrefix(cap)
+	return start, q
+}
+
+// DetectPrefix is Detect on cap when cap holds only the first samples
+// of a capture, and reports whether its answer is final: the start and
+// quality Detect returns on every capture that begins with cap. It is
+// final when the scan stopped by its own rule (a candidate above 0.4
+// with a whole symbol rated past it), so no later position is rated.
+// The scan reads nothing past cap, and its energy screen only prunes
+// positions it proves cannot win, so the scan length it is built for
+// cannot change the answer.
+func (rx *Receiver) DetectPrefix(cap *signal.Signal) (start int, q float64, final bool) {
 	x := cap.Samples
 	const tplLen = PreambleSymbols * SymbolSamples
 	last := len(x) - tplLen // final scan position
 	if last < 0 {
-		return -1, 0
+		return -1, 0, false
 	}
 	// h[t][k-base] is the magnitude of sample k's correlation with
 	// sliceTemplates[t], filled for base ≤ k < filled[t] as far as the
@@ -366,14 +386,15 @@ scan:
 			// gate: a low user threshold must not stop the scan on a noise
 			// blip before the true preamble.
 			if bestQ > 0.4 && i > best+SymbolSamples {
+				final = true
 				break scan
 			}
 		}
 	}
 	if best < 0 {
-		return -1, 0
+		return -1, 0, false
 	}
-	return best, bestQ
+	return best, bestQ, final
 }
 
 // chipWord packs the 32 chip decisions of the symbol whose chips start
@@ -415,7 +436,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int) (*RxFrame, error) 
 	a := signal.GetArena()
 	defer a.Release()
 	samples := a.ComplexUninit(len(cap.Samples) - start)
-	signal.Derotate(samples, cap.Samples[start:], cfo, cap.Rate)
+	signal.Derotate(samples, cap.Samples[start:], 0, cfo, cap.Rate)
 	var acc complex128
 	for j, r := range preambleTemplate {
 		acc += samples[j] * cmplx.Conj(r)
