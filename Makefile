@@ -146,7 +146,7 @@ BENCH_DSP_TIME_FAST ?= 2000x
 BENCH_DSP_TIME_E2E ?= 400x
 BENCH_DSP_TIME_SWEEP ?= 2x
 BENCH_DSP_COUNT ?= 5
-BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveCapture129Taps|SessionRunPacket|Transmit1500B|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
+BENCH_DSP_PATTERN = 'FFT1024|FFT64|AddAWGN|Convolve101Taps|ConvolveCapture129Taps|SessionRunPacket|Transmit1500B|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
 
 bench-dsp:
 	@( $(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
@@ -259,7 +259,11 @@ fuzz-decoder:
 # fuzzer drives seed, length, stream offset and noise power (zero,
 # subnormal, huge, non-finite) through the block noise stream in both
 # dispatch modes and demands the samples and stream position of the
-# rand.NormFloat64 loop it replaced. FuzzScaleDispatch feeds raw float
+# rand.NormFloat64 loop it replaced. FuzzPackDispatch holds the AWGN
+# pack kernel (simd.Pack) to its Go definition over random drop masks
+# of any density, 0–4100 draws, starts off the 32-byte grid, and in
+# place and separate destinations, and demands the same kept draws and
+# count and no write past the draws. FuzzScaleDispatch feeds raw float
 # bits (gain, divisor, samples) through the elementwise complex kernels
 # (Scale, ScalePower, DivScale, and Mul, the overlap-save bin product)
 # at every length and start phase, in place and into a separate buffer,
@@ -284,6 +288,7 @@ fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzBluetoothReceive$$ -fuzztime=10s ./internal/bluetooth
 	$(GO) test -run=^$$ -fuzz=FuzzWiFiReceive$$ -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzAWGN$$ -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzPackDispatch$$ -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzScaleDispatch$$ -fuzztime=10s ./internal/simd
 	$(GO) test -run=^$$ -fuzz=FuzzDerotateDispatch$$ -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzOverlapSave$$ -fuzztime=10s ./internal/signal

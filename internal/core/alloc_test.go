@@ -31,13 +31,13 @@ func forEachDispatchMode(t *testing.T, fn func(t *testing.T)) {
 // per-packet pipeline for every radio (TX synthesis included — no
 // waveform cache configured). The counts cover only the escaping
 // results: the random payload, the frame-bit reference, the
-// synthesised/translated waveforms (except WiFi's, whose excitation
-// buffer cycles through excitationPool) and the decoded frame and
-// feature slices; all filter/convolution scratch, ZigBee's derotated
-// frame and Bluetooth's discriminator output live in pooled arenas and
-// every pool on
-// the path is a GC-stable signal.FreeList, so the counts are exact
-// integers, not budgets. A change in either direction means the fast
+// synthesised waveform, which the tag translates in place (except
+// WiFi's, whose excitation buffer cycles through excitationPool), and
+// the decoded frame and feature slices; all filter/convolution
+// scratch, ZigBee's derotated frame and Bluetooth's discriminator
+// output live in pooled arenas and every pool on the path is a
+// GC-stable signal.FreeList, so the counts are exact integers, not
+// budgets. A change in either direction means the fast
 // path's allocation behaviour moved: re-measure and update the pin
 // alongside the change that caused it.
 func TestRunPacketAllocs(t *testing.T) {
@@ -49,8 +49,8 @@ func TestRunPacketAllocs(t *testing.T) {
 		want  float64 // measured by BenchmarkSessionRunPacket
 	}{
 		{WiFi, 12},
-		{ZigBee, 17},
-		{Bluetooth, 9},
+		{ZigBee, 15},
+		{Bluetooth, 7},
 	} {
 		t.Run(tc.radio.String(), func(t *testing.T) {
 			forEachDispatchMode(t, func(t *testing.T) {

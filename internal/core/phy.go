@@ -352,11 +352,12 @@ func (p *zigbeePHY) draw(rng *rand.Rand, _ bool) ([]byte, byte) {
 func (p *zigbeePHY) key(k *waveform.KeyBuilder, _ byte) { k.Uint64(uint64(p.cfg.Redundancy)) }
 
 func (p *zigbeePHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.Entry, error) {
-	exc, err := p.tx.Transmit(payload)
+	// The transmitted buffer is fresh, so the tag rotates it in place.
+	backscattered, err := p.tx.Transmit(payload)
 	if err != nil {
 		return nil, err
 	}
-	backscattered, used, err := p.tr.Translate(exc, tagBits)
+	used, err := p.tr.TranslateInPlace(backscattered, tagBits)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +367,7 @@ func (p *zigbeePHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.Entry
 	}
 	fcs := bits.CRC16CCITT(payload)
 	body := append(append([]byte(nil), payload...), byte(fcs), byte(fcs>>8))
-	return newEntry(backscattered, power, used, exc.Duration(), zigbee.SymbolsFromBytes(body)), nil
+	return newEntry(backscattered, power, used, backscattered.Duration(), zigbee.SymbolsFromBytes(body)), nil
 }
 
 func (p *zigbeePHY) receive(c *channel.Capture, e *waveform.Entry) received {
@@ -436,16 +437,16 @@ func (p *bluetoothPHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.En
 	if err != nil {
 		return nil, err
 	}
-	exc := bluetooth.ModulateBits(ref)
+	backscattered := bluetooth.ModulateBits(ref)
 	// The Bluetooth tag's codeword toggle already runs through the real
 	// square-wave mixer inside the translator; the channel hop to
 	// 2.48 GHz is folded into TagLossDB like the others, so no shifter
 	// here.
-	backscattered, used, err := p.tr.Translate(exc, tagBits)
+	used, err := p.tr.TranslateInPlace(backscattered, tagBits)
 	if err != nil {
 		return nil, err
 	}
-	return newEntry(backscattered, backscattered.MeanPower(), used, exc.Duration(), ref), nil
+	return newEntry(backscattered, backscattered.MeanPower(), used, backscattered.Duration(), ref), nil
 }
 
 // receive reads the whole capture: the discriminator normalises by the

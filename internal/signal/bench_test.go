@@ -83,17 +83,58 @@ func BenchmarkConvolveCapture129Taps(b *testing.B) {
 
 // BenchmarkAddAWGN is one packet's noise at the wifi-fresh capture
 // length (1500 B at 6 Mbps plus 400 samples of headroom each side): a
-// reseeded stream, as channel.Link.ApplyToWithPower draws it, filling
-// 41,440 samples.
+// reseeded stream, as channel.Capture draws it, filling 41,440 samples
+// in one call (whole) or the way the packet pipeline fills a capture
+// (split): its first 2·RotorBlock samples (core's detectPrefix), then
+// the rest. slow-samples/op is the mean count, over the first eight
+// seeds, of the samples holding a draw the ziggurat's fast path rejects
+// (~2,200 per capture, fixed by the stream).
 func BenchmarkAddAWGN(b *testing.B) {
-	s := benchSignal(41440)
-	n := NewNoise(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Seed(int64(i))
-		s.AddAWGN(0.1, n)
+	const samples = 41440
+	slow := slowSamples(samples, 8)
+	for _, bc := range []struct {
+		name   string
+		prefix int
+	}{{"whole", samples}, {"split", 2 * RotorBlock}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := benchSignal(samples)
+			head, rest := &Signal{Samples: s.Samples[:bc.prefix]}, &Signal{Samples: s.Samples[bc.prefix:]}
+			n := NewNoise(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.Seed(int64(i))
+				head.AddAWGN(0.1, n)
+				rest.AddAWGN(0.1, n)
+			}
+			b.ReportMetric(slow, "slow-samples/op")
+		})
 	}
+}
+
+// countingSource counts the raw values math/rand draws through it.
+type countingSource struct {
+	rand.Source64
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source64.Int63() }
+
+// slowSamples is the mean count, over seeds 0 to seeds−1, of the first
+// n samples whose two normals take more than two raw values.
+func slowSamples(n, seeds int) float64 {
+	total := 0
+	for seed := range seeds {
+		src := &countingSource{Source64: rand.NewSource(int64(seed)).(rand.Source64)}
+		rng := rand.New(src)
+		for range n {
+			before := src.draws
+			rng.NormFloat64()
+			rng.NormFloat64()
+			total += b2i(src.draws-before > 2)
+		}
+	}
+	return float64(total) / float64(seeds)
 }
 
 // BenchmarkScalePower is the channel shift's 2/π gain plus power sum

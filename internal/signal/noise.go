@@ -11,9 +11,11 @@ import (
 // The stream buffer: a block of noiseBlock fresh values behind the
 // FibLong-value window, with the seeded window placed at noiseBase so
 // that both start at a multiple of 64 (noiseHead = 640) and every block
-// has whole words of rejection flags. A refill slides the buffer by
-// exactly noiseBlock values and noiseBlock/64 flag words. With its
-// source a stream holds ~26 KB.
+// has whole words of rejection flags. A refill comes only once every
+// value is read and slides the buffer by exactly noiseBlock values, so
+// unread values never sit before noiseHead and the flags cover the
+// fresh block alone. A stream holds ~42 KB, 16 KB of it AddAWGN's
+// packed draws.
 const (
 	noiseBlock = 2048
 	noiseHead  = (simd.FibLong + 63) / 64 * 64
@@ -32,18 +34,22 @@ const (
 // the recurrence, a block at a time (simd.LagFill). Normal draws use
 // the same Marsaglia–Tsang ziggurat with tables built at init by the
 // paper's setup recurrence. Each block also gets one flag bit per value
-// marking the draws the ziggurat's fast path rejects (simd.ZigReject),
-// so AddAWGN knows every run of fast-path samples before it reaches it:
-// it adds a run in bulk (simd.NormAdd) and hands the sample that ends it
-// to the scalar NormFloat64.
+// marking the draws the ziggurat's fast path rejects (simd.ZigReject).
+// AddAWGN resolves only those draws one at a time (mark), packs the
+// draws that yield a normal (simd.Pack) and adds them in bulk
+// (simd.NormAdd).
 //
 // A Noise is not safe for concurrent use. GetNoise and PutNoise recycle
 // them.
 type Noise struct {
-	y   [noiseHead + noiseBlock]uint64
-	rej [(noiseHead + noiseBlock) / 64]uint64 // bit k%64 of rej[k/64]: y[k] leaves the fast path
-	pos int                                   // next unread value in y
-	end int                                   // y[:end] holds the stream; y[end-FibLong:end] is the state
+	y     [noiseHead + noiseBlock]uint64
+	rej   [noiseBlock / 64]uint64 // bit k%64 of rej[k/64]: y[noiseHead+k] leaves the fast path
+	rejAt [noiseBlock + 4]uint16  // the block's flagged draws in order, then end
+	ri    int                     // mark's cursor in rejAt
+	drop  [noiseBlock / 64]uint64 // bit k%64 of drop[k/64]: y[noiseHead+k] yields no normal (mark)
+	kept  [noiseBlock]uint64      // AddAWGN's packed draws
+	pos   int                     // next unread value in y
+	end   int                     // y[:end] holds the stream; y[end-FibLong:end] is the state
 }
 
 // NewNoise returns a stream seeded with seed.
@@ -81,13 +87,13 @@ func (n *Noise) Seed(seed int64) {
 	n.pos, n.end = noiseHead, noiseHead
 }
 
-// refill fills and flags a fresh block behind the last FibLong values,
-// first sliding the buffer (the fewer than FibLong unread values
-// included) back by a block once it is full.
+// refill fills and flags a fresh block behind the last FibLong values
+// once every value is read, first sliding the window back to the head
+// of the buffer once the buffer is full, and lists the block's rejected
+// draws for mark.
 func (n *Noise) refill() {
 	if n.end == len(n.y) {
 		copy(n.y[:noiseHead], n.y[noiseBlock:])
-		copy(n.rej[:noiseHead/64], n.rej[noiseBlock/64:])
 		n.pos -= noiseBlock
 	}
 	if simd.Enabled() {
@@ -95,8 +101,34 @@ func (n *Noise) refill() {
 	} else {
 		lagFillGo(n.y[noiseBase:])
 	}
-	zigReject(n.rej[noiseHead/64:], n.y[noiseHead:])
+	zigReject(n.rej[:], n.y[noiseHead:])
 	n.end = len(n.y)
+	n.listRejects()
+}
+
+// listRejects writes the index of every flagged draw of the block to
+// rejAt in order, followed by end, and rewinds mark's cursor. A flag
+// word holds 1.7 of them on average, so each word's first four are
+// written without a branch on the bits (the slots past the word's count
+// are overwritten by the next word) and only a fuller word loops.
+func (n *Noise) listRejects() {
+	k := 0
+	for w, b := range n.rej {
+		at := uint16(noiseHead + 64*w)
+		c := bits.OnesCount64(b)
+		s := n.rejAt[k : k+4]
+		for q := range s {
+			s[q] = at + uint16(bits.TrailingZeros64(b))
+			b &= b - 1
+		}
+		for q := k + 4; b != 0; q++ {
+			n.rejAt[q] = at + uint16(bits.TrailingZeros64(b))
+			b &= b - 1
+		}
+		k += c
+	}
+	n.rejAt[k] = uint16(n.end)
+	n.ri = 0
 }
 
 // lagFillGo is simd.LagFill's definition.
@@ -129,20 +161,6 @@ func zigRejectGo(flags, u []uint64) {
 	}
 }
 
-// nextReject returns the index of the first unread value the fast path
-// rejects, or end when the buffer holds none.
-func (n *Noise) nextReject() int {
-	w := n.pos / 64
-	b := n.rej[w] &^ (1<<(n.pos%64) - 1)
-	for b == 0 {
-		if w++; 64*w >= n.end {
-			return n.end
-		}
-		b = n.rej[w]
-	}
-	return 64*w + bits.TrailingZeros64(b)
-}
-
 // next returns the stream's next raw value (rand.Source64.Uint64).
 func (n *Noise) next() uint64 {
 	if n.pos == n.end {
@@ -157,11 +175,15 @@ func (n *Noise) next() uint64 {
 // drawing again on the rare value that rounds up to 1.
 func (n *Noise) Float64() float64 {
 	for {
-		if f := float64(int64(n.next()&(1<<63-1))) / (1 << 63); f < 1 {
+		if f := uniform(n.next()); f < 1 {
 			return f
 		}
 	}
 }
+
+// uniform is one draw's Float64 value before the redraw test: its low 63
+// bits over 2⁶³, which rounds to 1 for the top 2⁹ of them.
+func uniform(v uint64) float64 { return float64(int64(v&(1<<63-1))) / (1 << 63) }
 
 // NormFloat64 is rand.Rand.NormFloat64: a standard normal value by the
 // ziggurat, its wedge and base-strip tail included.
@@ -200,11 +222,18 @@ func (n *Noise) NormFloat64() float64 {
 // draws between the two rounded bounds (under 1% of wedge tests) call
 // math.Exp.
 func wedgeAccepts(i int32, x float64, lhs float32) bool {
-	t, w := x*x, &zigWedge[i]
-	if float32(w.lo0+w.lo1*t) > lhs {
-		return true
+	lo, hi := zigWedge[i].at(x)
+	if b2i(lo <= lhs)&b2i(lhs < hi) != 0 { // rare, unlike either test alone
+		return lhs < float32(math.Exp(-.5*x*x))
 	}
-	return float32(w.hi0+w.hi1*t) > lhs && lhs < float32(math.Exp(-.5*x*x))
+	return lo > lhs
+}
+
+// at returns the strip's bounds at draw x, rounded as the test rounds
+// its sides.
+func (w *wedgeBound) at(x float64) (lo, hi float32) {
+	t := x * x
+	return float32(w.lo0 + w.lo1*t), float32(w.hi0 + w.hi1*t)
 }
 
 // wedgeBound holds one strip's bounds on math.Exp(-t/2) as lines in
@@ -295,7 +324,12 @@ func zigguratTables() (kn [128]uint32, wn, fn [128]float32) {
 //
 //	s.Samples[i] += complex(n.NormFloat64()*sigma, n.NormFloat64()*sigma)
 //
-// taken a run of fast-path samples at a time.
+// taken a block of the stream at a time in three passes: mark resolves
+// the draws the fast path rejects, pack (simd.Pack) moves the draws
+// that yield a normal to the front of n.kept, and normAdd adds them in
+// one run. The sample a run ends in (a base-strip tail, a wedge cut by
+// the block's end, or the block's end itself inside a sample) takes the
+// scalar NormFloat64 for what the run did not cover.
 func (s *Signal) AddAWGN(noisePower float64, n *Noise) *Signal {
 	if noisePower <= 0 {
 		return s
@@ -303,22 +337,131 @@ func (s *Signal) AddAWGN(noisePower float64, n *Noise) *Signal {
 	sigma := math.Sqrt(noisePower / 2) // per real dimension so E|n|^2 = noisePower
 	x := s.Samples
 	for len(x) > 0 {
-		if n.end-n.pos < 2 {
+		if n.pos == n.end {
 			n.refill()
 		}
-		d := n.nextReject()
-		r := min(len(x), (d-n.pos)/2)
-		normAdd(x[:r], n.y[n.pos:], sigma)
-		n.pos += 2 * r
-		x = x[r:]
-		if len(x) > 0 && d < n.end {
-			// Draw d, in this sample, left the fast path: the sample takes
-			// the scalar NormFloat64, wedge and tail included.
-			x[0] += complex(n.NormFloat64()*sigma, n.NormFloat64()*sigma)
+		lo := n.pos &^ 63
+		hi, got, scalar := n.mark(2 * len(x))
+		kept := n.kept[:pack(n.kept[:], n.y[lo:hi], n.drop[(lo-noiseHead)/64:])]
+		normAdd(x[:got/2], kept, sigma)
+		x = x[got/2:]
+		n.pos = hi
+		if odd := got%2 == 1; odd || scalar {
+			// A run that ends inside a sample leaves its real part in the
+			// run's last draw; the scalar path draws the rest.
+			var re float64
+			if odd {
+				re = zigValue(kept[got-1])
+			} else {
+				re = n.NormFloat64()
+			}
+			x[0] += complex(re*sigma, n.NormFloat64()*sigma)
 			x = x[1:]
 		}
 	}
 	return s
+}
+
+// mark resolves the draws y[n.pos:] the fast path rejects, in stream
+// order, until it has found want normals, reaches a draw only the scalar
+// NormFloat64 can resolve, or runs out of the block. It returns the end
+// hi of the draws it resolved, the normals got among them and whether
+// the draw at hi needs the scalar path; drop then marks, over y[lo:hi]
+// with lo = n.pos rounded down to a flag word, every draw that yields
+// no normal: the ones before n.pos, each wedge's uniform and each draw
+// the wedge rejects. A draw the wedge accepts yields its fast-path
+// value, so it stays for normAdd. The scalar path takes the base-strip
+// tails, a wedge whose uniform lies past the block and a uniform that
+// rounds to 1 (Float64 draws again).
+//
+// The walk visits only the listed draws (rejAt), skipping one that a
+// wedge before it took as its uniform. nd counts the draws of y[lo:]
+// dropped so far, so the normals before draw d number d − lo − nd.
+func (n *Noise) mark(want int) (hi, got int, scalar bool) {
+	p, lo := n.pos, n.pos&^63
+	nd := p - lo
+	w := (lo - noiseHead) / 64
+	clear(n.drop[w:])
+	n.drop[w] = 1<<nd - 1
+	r := n.ri
+	for int(n.rejAt[r]) < p {
+		r++
+	}
+	for ; ; r++ {
+		d := int(n.rejAt[r])
+		if d < p {
+			continue
+		}
+		if got = d - lo - nd; got >= want {
+			hi, got = lo+nd+want, want
+			break
+		}
+		hi = d
+		if d == n.end {
+			break
+		}
+		j := int32(n.y[d] >> 31)
+		i := j & 0x7F
+		if i == 0 || d+1 == n.end {
+			scalar = true
+			break
+		}
+		f := uniform(n.y[d+1])
+		if f == 1 {
+			scalar = true
+			break
+		}
+		// About half the wedge tests accept, so the outcome is counted
+		// rather than branched on; wedgeAccepts runs only where the bounds
+		// leave it to math.Exp.
+		x, lhs := float64(j)*float64(zigW[i]), zigF[i]+float32(f)*(zigF[i-1]-zigF[i])
+		below, above := zigWedge[i].at(x)
+		a := b2i(below > lhs)
+		if b2i(below <= lhs)&b2i(lhs < above) != 0 {
+			a = b2i(wedgeAccepts(i, x, lhs))
+		}
+		nd += 2 - a
+		e := d - noiseHead
+		n.drop[e/64] |= uint64(1-a) << (e % 64)
+		n.drop[(e+1)/64] |= 1 << ((e + 1) % 64)
+		p = d + 2
+	}
+	n.ri = r
+	return hi, got, scalar
+}
+
+// pack left-packs the draws of u that drop leaves clear into dst (see
+// simd.Pack).
+func pack(dst, u, drop []uint64) int {
+	if simd.Enabled() {
+		return simd.Pack(dst, u, drop)
+	}
+	return packGo(dst, u, drop)
+}
+
+// packGo is simd.Pack's definition: every draw is written at the count
+// of the kept ones before it, which only a kept draw advances.
+func packGo(dst, u, drop []uint64) int {
+	k := 0
+	for i, v := range u {
+		dst[k] = v
+		k += int(^drop[i/64] >> (i % 64) & 1)
+	}
+	return k
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// zigValue is the ziggurat's fast-path value of draw v.
+func zigValue(v uint64) float64 {
+	j := int32(v >> 31)
+	return float64(j) * float64(zigW[j&0x7F])
 }
 
 // normAdd adds the fast-path normals of a run of accepted samples (see

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,8 +9,11 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/simd"
 )
 
 // awgnRef is the loop AddAWGN replaced, kept as the reference its
@@ -293,4 +297,191 @@ func TestWedgeDecisionExact(t *testing.T) {
 	if frac := float64(undecided) / float64(total); frac > 0.02 {
 		t.Fatalf("the bounds leave %.2f%% of wedge decisions to math.Exp, want under 2%%", 100*frac)
 	}
+}
+
+// replaySource is a rand.Source64 reading a Noise's raw values, so
+// rand.New over it runs math/rand's own Float64 and NormFloat64 on
+// whatever values the stream holds, crafted ones included.
+type replaySource struct{ n *Noise }
+
+func (r replaySource) Int63() int64   { return int64(r.n.next() & (1<<63 - 1)) }
+func (r replaySource) Uint64() uint64 { return r.n.next() }
+func (r replaySource) Seed(int64)     {}
+
+// rawDraw is a raw value whose normal draw has j = int32(v>>31) = j, and
+// rawUniform one whose Float64 is f (to within 2⁻⁶³).
+func rawDraw(j int32) uint64      { return uint64(uint32(j)) << 31 }
+func rawUniform(f float64) uint64 { return uint64(f * (1 << 63)) }
+
+// Crafted draws: wedge draws of strip i at the strip's outer edge
+// (rejected under a uniform near 1) and its inner edge (accepted under a
+// uniform near 0), a base-strip draw (the tail), and a uniform that is
+// itself a flagged draw.
+func outerDraw(i int32) uint64 { return rawDraw(0x7FFFFF80 | i) }
+func innerDraw(i int32) uint64 { return rawDraw((int32(zigK[i])+127)&^127 | i) }
+
+var (
+	tailDraw     = rawDraw(-0x7FFFFF80)
+	flaggedU     = outerDraw(9)
+	uniformNear1 = rawUniform(0.999)
+	uniformNear0 = rawUniform(1e-4)
+	uniformTo1   = uint64(1<<63 - 1) // Float64 rounds it to 1 and draws again
+)
+
+// TestAddAWGNCraftedStream writes raw values into a stream's block,
+// flags it with zigReject, and holds AddAWGN plus a following Float64
+// to math/rand's NormFloat64 loop over the same values: the cases the
+// seeded runs reach rarely or never. Each case runs at four shifts, from
+// two stream positions, with sample counts that end the call on, just
+// before and just after the crafted draws as well as past the block.
+func TestAddAWGNCraftedStream(t *testing.T) {
+	for i := int32(1); i < 128; i++ {
+		for _, c := range []struct {
+			v, u   uint64
+			accept bool
+		}{{outerDraw(i), uniformNear1, false}, {innerDraw(i), uniformNear0, true}} {
+			if j := int32(c.v >> 31); j&0x7F != i || absInt32(j) < zigK[i] {
+				t.Fatalf("strip %d: crafted draw j = %d is not in the wedge", i, j)
+			}
+			lhs := zigF[i] + float32(uniform(c.u))*(zigF[i-1]-zigF[i])
+			if wedgeAccepts(i, zigValue(c.v), lhs) != c.accept {
+				t.Fatalf("strip %d: crafted wedge draw accepted = %v, want %v", i, !c.accept, c.accept)
+			}
+		}
+	}
+	const end = noiseHead + noiseBlock
+	cases := []struct {
+		name    string
+		at      int
+		vals    []uint64
+		flagged []int // offsets into vals that must carry a rejection flag
+	}{
+		{"flagged uniform", noiseHead + 300,
+			[]uint64{innerDraw(9), flaggedU, outerDraw(33), flaggedU, outerDraw(50), uniformNear1},
+			[]int{0, 1, 2, 3, 4}},
+		{"consecutive wedge rejections", noiseHead + 900,
+			[]uint64{outerDraw(5), uniformNear1, outerDraw(17), uniformNear1, outerDraw(90), uniformNear1, innerDraw(3), uniformNear0},
+			[]int{0, 2, 4, 6}},
+		{"base-strip tails", noiseHead + 1200,
+			[]uint64{tailDraw, rawUniform(0.9), rawUniform(0.5), tailDraw, rawUniform(1e-6), uniformNear1, rawUniform(0.9), rawUniform(0.5)},
+			[]int{0, 3}},
+		{"tail loop across a refill", end - 3,
+			[]uint64{tailDraw, rawUniform(1e-6), uniformNear1},
+			[]int{0}},
+		{"rejection at the block's last draw", end - 1,
+			[]uint64{outerDraw(40)},
+			[]int{0}},
+		{"wedge uniform at the block's last draw", end - 2,
+			[]uint64{outerDraw(40), uniformNear1},
+			[]int{0}},
+		{"wedge uniform rounding to 1", noiseHead + 1500,
+			[]uint64{innerDraw(12), uniformTo1, uniformNear0, outerDraw(70), uniformTo1, uniformTo1, uniformNear1, tailDraw, uniformTo1, rawUniform(0.9), rawUniform(0.5)},
+			[]int{0, 3, 7}},
+	}
+	for _, c := range cases {
+		for shift := range 4 {
+			at := c.at - shift
+			if at+len(c.vals) > end {
+				continue
+			}
+			for _, skip := range []int{0, 37} {
+				mid := (at - noiseHead - skip) / 2
+				for _, samples := range []int{mid - 2, mid - 1, mid, mid + 1, mid + 2, mid + 4, noiseBlock, 3000} {
+					if samples > 0 {
+						checkCrafted(t, c.name, at, c.vals, c.flagged, samples, skip)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkCrafted(t *testing.T, name string, at int, vals []uint64, flagged []int, samples, skip int) {
+	t.Helper()
+	eachDispatchMode(t, func(mode string) {
+		label := fmt.Sprintf("%s: %s at %d, %d samples after %d draws", mode, name, at, samples, skip)
+		n := NewNoise(int64(at + samples))
+		n.refill()
+		copy(n.y[at:], vals)
+		zigReject(n.rej[:], n.y[noiseHead:])
+		n.listRejects()
+		for _, k := range flagged {
+			if d := at + k - noiseHead; n.rej[d/64]>>(d%64)&1 == 0 {
+				t.Fatalf("%s: crafted draw %d is not flagged", label, k)
+			}
+		}
+		for range skip {
+			n.next()
+		}
+		ref := *n
+		rng := rand.New(replaySource{&ref})
+		x := make([]complex128, samples)
+		for i := range x {
+			x[i] = complex(float64(i%7), -float64(i%3))
+		}
+		want := append([]complex128(nil), x...)
+		awgnRef(want, 0.7, rng)
+		(&Signal{Samples: x}).AddAWGN(0.7, n)
+		requireSameSamples(t, label, x, want)
+		if a, b := n.Float64(), rng.Float64(); a != b {
+			t.Fatalf("%s: Float64 after AddAWGN %v, want %v", label, a, b)
+		}
+	})
+}
+
+// FuzzPackDispatch holds simd.Pack to its Go definition, packGo: drop
+// masks of any density (empty and full words included) over 0–4100
+// draws, starting off the 32-byte grid, packed into a separate buffer
+// (itself off the grid) and in place. The kept draws and their count
+// must match, and nothing past the draws may be written.
+func FuzzPackDispatch(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint16(7), uint8(1), uint8(128), int64(2))
+	f.Add(uint16(64), uint8(2), uint8(255), int64(3))
+	f.Add(uint16(2048), uint8(3), uint8(8), int64(4))
+	f.Add(uint16(4100), uint8(5), uint8(40), int64(5))
+	f.Fuzz(func(t *testing.T, n uint16, off, density uint8, seed int64) {
+		if !simd.Enabled() {
+			t.Skip("AVX2 kernels not dispatched on this build")
+		}
+		length := int(n) % 4101
+		rng := rand.New(rand.NewSource(seed))
+		drop := make([]uint64, (length+63)/64)
+		for i := range length {
+			if rng.Intn(255) < int(density) {
+				drop[i/64] |= 1 << (i % 64)
+			}
+		}
+		if len(drop) > 0 {
+			drop[rng.Intn(len(drop))] = [2]uint64{0, ^uint64(0)}[rng.Intn(2)]
+		}
+		uo, do := int(off%4), int(off/4%4)
+		buf := make([]uint64, uo+length+1)
+		for i := range buf {
+			buf[i] = rng.Uint64()
+		}
+		u := buf[uo : uo+length]
+		want := make([]uint64, length)
+		k := packGo(want, u, drop)
+
+		dst := make([]uint64, do+length+1)
+		dst[do+length] = 7
+		if got := simd.Pack(dst[do:do+length], u, drop); got != k {
+			t.Fatalf("%d draws: Pack kept %d, packGo %d", length, got, k)
+		}
+		if !slices.Equal(dst[do:do+k], want[:k]) {
+			t.Fatalf("%d draws: Pack's kept draws differ from packGo's", length)
+		}
+		if dst[do+length] != 7 {
+			t.Fatalf("%d draws: Pack wrote past len(u)", length)
+		}
+
+		last := buf[uo+length]
+		if got := simd.Pack(u, u, drop); got != k || !slices.Equal(u[:k], want[:k]) {
+			t.Fatalf("%d draws: in-place Pack kept %d draws unlike packGo's %d", length, got, k)
+		}
+		if buf[uo+length] != last {
+			t.Fatalf("%d draws: in-place Pack wrote past len(u)", length)
+		}
+	})
 }

@@ -70,6 +70,11 @@ func zigReject(flags *uint64, u *uint64, words int, kn *uint32)
 //go:noescape
 func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64)
 
+// pack is the AVX2 left-pack of the kept draws (noise_amd64.s).
+//
+//go:noescape
+func pack(dst *uint64, u *uint64, passes int, drop *uint64) (k int)
+
 // scale is the AVX2 complex scale (scale_amd64.s).
 //
 //go:noescape

@@ -40,6 +40,10 @@ func normAdd(x *complex128, n int, u *uint64, wn *float32, sigma float64) {
 	panic("simd: normAdd called on a build without asm kernels")
 }
 
+func pack(dst *uint64, u *uint64, passes int, drop *uint64) int {
+	panic("simd: pack called on a build without asm kernels")
+}
+
 func scale(dst, x *complex128, n int, gr, gi float64) {
 	panic("simd: scale called on a build without asm kernels")
 }

@@ -195,3 +195,145 @@ sample:
 added:
 	VZEROUPPER
 	RET
+
+// func pack(dst *uint64, u *uint64, passes int, drop *uint64) (k int)
+//
+// Left-packs the values of u that drop leaves clear (bit b of drop[w]
+// set drops u[64w+b]) into dst in order, 8 values per pass as two
+// halves of 4: a half's keep nibble picks a VPERMD index vector from
+// packPerm<> that moves its kept 64-bit lanes to the front, the whole
+// vector is stored at the write cursor, and the cursor advances by the
+// nibble's count (packCount<>). No branch depends on the data. A half
+// stores 4 lanes, but only its kept ones survive the next half's store,
+// so the last half leaves up to 3 stale lanes past the packed values;
+// no store reaches past the half's own 4 inputs, which lets dst be u
+// itself.
+//
+// Register map: DI dst cursor, SI u cursor, DX drop cursor, CX passes
+// left, R10 passes left in this drop word, BX its keep bits (shifted a
+// byte per pass), R8 packPerm<>, R9 packCount<>, R11 dst, R12/R13 the
+// halves' counts; Y1/Y3 index vectors, Y0/Y2 permuted values.
+TEXT ·pack(SB), NOSPLIT, $0-40
+	MOVQ  dst+0(FP), DI
+	MOVQ  u+8(FP), SI
+	MOVQ  passes+16(FP), CX
+	MOVQ  drop+24(FP), DX
+	MOVQ  DI, R11
+	LEAQ  packPerm<>(SB), R8
+	LEAQ  packCount<>(SB), R9
+	TESTQ CX, CX
+	JZ    packed
+
+word:
+	MOVQ    (DX), BX
+	NOTQ    BX
+	ADDQ    $8, DX
+	MOVQ    $8, R10
+	CMPQ    CX, R10
+	CMOVQLT CX, R10
+	SUBQ    R10, CX
+
+pass8:
+	MOVQ    BX, AX
+	ANDQ    $15, AX
+	MOVBQZX (R9)(AX*1), R12
+	SHLQ    $5, AX
+	VMOVDQU (R8)(AX*1), Y1
+	VPERMD  (SI), Y1, Y0
+	MOVQ    BX, AX
+	SHRQ    $4, AX
+	ANDQ    $15, AX
+	MOVBQZX (R9)(AX*1), R13
+	SHLQ    $5, AX
+	VMOVDQU (R8)(AX*1), Y3
+	VPERMD  32(SI), Y3, Y2
+	VMOVDQU Y0, (DI)
+	LEAQ    (DI)(R12*8), DI
+	VMOVDQU Y2, (DI)
+	LEAQ    (DI)(R13*8), DI
+	ADDQ    $64, SI
+	SHRQ    $8, BX
+	DECQ    R10
+	JNZ     pass8
+	TESTQ   CX, CX
+	JNZ     word
+
+packed:
+	SUBQ       R11, DI
+	SHRQ       $3, DI
+	MOVQ       DI, k+32(FP)
+	VZEROUPPER
+	RET
+
+// packPerm<> holds one VPERMD index vector per keep nibble m (bit q set
+// keeps lane q): the dword pairs 2q, 2q+1 of the kept lanes in order,
+// then lane 0's pair to fill. packCount<> holds each nibble's count.
+DATA packPerm<>+0(SB)/8, $0x0000000100000000
+DATA packPerm<>+8(SB)/8, $0x0000000100000000
+DATA packPerm<>+16(SB)/8, $0x0000000100000000
+DATA packPerm<>+24(SB)/8, $0x0000000100000000
+DATA packPerm<>+32(SB)/8, $0x0000000100000000
+DATA packPerm<>+40(SB)/8, $0x0000000100000000
+DATA packPerm<>+48(SB)/8, $0x0000000100000000
+DATA packPerm<>+56(SB)/8, $0x0000000100000000
+DATA packPerm<>+64(SB)/8, $0x0000000300000002
+DATA packPerm<>+72(SB)/8, $0x0000000100000000
+DATA packPerm<>+80(SB)/8, $0x0000000100000000
+DATA packPerm<>+88(SB)/8, $0x0000000100000000
+DATA packPerm<>+96(SB)/8, $0x0000000100000000
+DATA packPerm<>+104(SB)/8, $0x0000000300000002
+DATA packPerm<>+112(SB)/8, $0x0000000100000000
+DATA packPerm<>+120(SB)/8, $0x0000000100000000
+DATA packPerm<>+128(SB)/8, $0x0000000500000004
+DATA packPerm<>+136(SB)/8, $0x0000000100000000
+DATA packPerm<>+144(SB)/8, $0x0000000100000000
+DATA packPerm<>+152(SB)/8, $0x0000000100000000
+DATA packPerm<>+160(SB)/8, $0x0000000100000000
+DATA packPerm<>+168(SB)/8, $0x0000000500000004
+DATA packPerm<>+176(SB)/8, $0x0000000100000000
+DATA packPerm<>+184(SB)/8, $0x0000000100000000
+DATA packPerm<>+192(SB)/8, $0x0000000300000002
+DATA packPerm<>+200(SB)/8, $0x0000000500000004
+DATA packPerm<>+208(SB)/8, $0x0000000100000000
+DATA packPerm<>+216(SB)/8, $0x0000000100000000
+DATA packPerm<>+224(SB)/8, $0x0000000100000000
+DATA packPerm<>+232(SB)/8, $0x0000000300000002
+DATA packPerm<>+240(SB)/8, $0x0000000500000004
+DATA packPerm<>+248(SB)/8, $0x0000000100000000
+DATA packPerm<>+256(SB)/8, $0x0000000700000006
+DATA packPerm<>+264(SB)/8, $0x0000000100000000
+DATA packPerm<>+272(SB)/8, $0x0000000100000000
+DATA packPerm<>+280(SB)/8, $0x0000000100000000
+DATA packPerm<>+288(SB)/8, $0x0000000100000000
+DATA packPerm<>+296(SB)/8, $0x0000000700000006
+DATA packPerm<>+304(SB)/8, $0x0000000100000000
+DATA packPerm<>+312(SB)/8, $0x0000000100000000
+DATA packPerm<>+320(SB)/8, $0x0000000300000002
+DATA packPerm<>+328(SB)/8, $0x0000000700000006
+DATA packPerm<>+336(SB)/8, $0x0000000100000000
+DATA packPerm<>+344(SB)/8, $0x0000000100000000
+DATA packPerm<>+352(SB)/8, $0x0000000100000000
+DATA packPerm<>+360(SB)/8, $0x0000000300000002
+DATA packPerm<>+368(SB)/8, $0x0000000700000006
+DATA packPerm<>+376(SB)/8, $0x0000000100000000
+DATA packPerm<>+384(SB)/8, $0x0000000500000004
+DATA packPerm<>+392(SB)/8, $0x0000000700000006
+DATA packPerm<>+400(SB)/8, $0x0000000100000000
+DATA packPerm<>+408(SB)/8, $0x0000000100000000
+DATA packPerm<>+416(SB)/8, $0x0000000100000000
+DATA packPerm<>+424(SB)/8, $0x0000000500000004
+DATA packPerm<>+432(SB)/8, $0x0000000700000006
+DATA packPerm<>+440(SB)/8, $0x0000000100000000
+DATA packPerm<>+448(SB)/8, $0x0000000300000002
+DATA packPerm<>+456(SB)/8, $0x0000000500000004
+DATA packPerm<>+464(SB)/8, $0x0000000700000006
+DATA packPerm<>+472(SB)/8, $0x0000000100000000
+DATA packPerm<>+480(SB)/8, $0x0000000100000000
+DATA packPerm<>+488(SB)/8, $0x0000000300000002
+DATA packPerm<>+496(SB)/8, $0x0000000500000004
+DATA packPerm<>+504(SB)/8, $0x0000000700000006
+GLOBL packPerm<>(SB), RODATA|NOPTR, $512
+
+DATA packCount<>+0(SB)/8, $0x0302020102010100
+DATA packCount<>+8(SB)/8, $0x0403030203020201
+GLOBL packCount<>(SB), RODATA|NOPTR, $16

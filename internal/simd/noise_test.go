@@ -106,3 +106,73 @@ func TestLagFillMatchesDefinition(t *testing.T) {
 		}
 	}
 }
+
+// packRef is Pack's documented formula: the draws drop leaves clear, in
+// order.
+func packRef(u, drop []uint64) []uint64 {
+	var kept []uint64
+	for i, v := range u {
+		if drop[i/64]>>(i%64)&1 == 0 {
+			kept = append(kept, v)
+		}
+	}
+	return kept
+}
+
+// TestPackMatchesDefinition runs Pack over drop masks from empty to
+// full (every lane pattern of a pass appears), lengths around the
+// 8-value pass and the 64-value word, starts off the 32-byte grid, in
+// place and into a separate buffer, and checks that nothing past len(u)
+// is written.
+func TestPackMatchesDefinition(t *testing.T) {
+	requireAVX2Kernels(t)
+	rng := rand.New(rand.NewSource(12))
+	for trial := range 400 {
+		n := rng.Intn(200)
+		if trial%50 == 0 {
+			n = 4096 + rng.Intn(5)
+		}
+		density := []float64{0, 0.03, 0.5, 0.97, 1}[trial%5]
+		drop := make([]uint64, (n+63)/64)
+		for i := range n {
+			if rng.Float64() < density {
+				drop[i/64] |= 1 << (i % 64)
+			}
+		}
+		off := rng.Intn(4)
+		buf := make([]uint64, off+n+1)
+		for i := range buf {
+			buf[i] = rng.Uint64()
+		}
+		u := buf[off : off+n]
+		want := packRef(u, drop)
+
+		dst := make([]uint64, n+2)
+		dst[n], dst[n+1] = 7, 7
+		k := Pack(dst[:n], u, drop)
+		if k != len(want) {
+			t.Fatalf("trial %d: Pack kept %d of %d draws, want %d", trial, k, n, len(want))
+		}
+		for i, v := range want {
+			if dst[i] != v {
+				t.Fatalf("trial %d: dst[%d] = %#x, want %#x", trial, i, dst[i], v)
+			}
+		}
+		if dst[n] != 7 || dst[n+1] != 7 {
+			t.Fatalf("trial %d: Pack wrote past len(u)", trial)
+		}
+
+		sentinel := buf[off+n]
+		if k := Pack(u, u, drop); k != len(want) {
+			t.Fatalf("trial %d: in place kept %d, want %d", trial, k, len(want))
+		}
+		for i, v := range want {
+			if u[i] != v {
+				t.Fatalf("trial %d: in place u[%d] = %#x, want %#x", trial, i, u[i], v)
+			}
+		}
+		if buf[off+n] != sentinel {
+			t.Fatalf("trial %d: in-place Pack wrote past len(u)", trial)
+		}
+	}
+}

@@ -9,7 +9,8 @@
 // slice correlations (zigbee.(*Receiver).Detect), the channel's
 // Gaussian noise (signal.Noise, signal.(*Signal).AddAWGN): the
 // lagged-Fibonacci block fill, the ziggurat's fast-path acceptance
-// flags and the fast-path add, and the elementwise complex passes of
+// flags, the left-pack of the draws that yield a normal and the
+// fast-path add over them, and the elementwise complex passes of
 // the packet path (signal.ScaleInto and Signal.ScalePower under the
 // tag's rotation, the sideband gain, the channel's receive gain and the
 // WiFi receiver's phase trackers, and the WiFi symbol scaling), the
@@ -76,6 +77,13 @@
 //   - NormAdd vectorizes across draws only; each lane is the scalar
 //     fast path's float64(j)·float64(w), then ·sigma, then the add into
 //     the sample, each rounded once (no FMA).
+//
+//   - Pack moves 64-bit values without touching their bits: four per
+//     pass, the kept lanes first by a VPERMD index vector looked up
+//     from the pass's keep nibble, so the kept values and their count
+//     are the Go loop's. Only the slots past the count differ: the
+//     kernel leaves stale lanes there, which the contract leaves
+//     unspecified.
 //
 //   - Scale vectorizes across samples only; each product is Go's
 //     complex product with all four real products (a real gain's ·0
@@ -459,8 +467,9 @@ func ZigReject(flags, u []uint64, kn *[128]uint32) {
 //	x[q] += complex(float64(j0)·float64(w0)·sigma, float64(j1)·float64(w1)·sigma)
 //
 // for draws u[2q], u[2q+1], each product rounded in that order. It is
-// NormFloat64's value only for draws ZigReject leaves unflagged; the
-// caller hands it runs of those. len(u) must be at least 2·len(x).
+// NormFloat64's value for draws ZigReject leaves unflagged and for
+// flagged draws the wedge test accepts; the caller hands it the packed
+// draws of those (Pack). len(u) must be at least 2·len(x).
 // Callers must check Enabled().
 func NormAdd(x []complex128, u []uint64, wn *[128]float32, sigma float64) {
 	if len(u) < 2*len(x) {
@@ -470,6 +479,26 @@ func NormAdd(x []complex128, u []uint64, wn *[128]float32, sigma float64) {
 		return
 	}
 	normAdd(&x[0], len(x), &u[0], &wn[0], sigma)
+}
+
+// Pack left-packs the draws of u that drop leaves clear: u[i] is
+// dropped when bit i%64 of drop[i/64] is set, and the kept draws are
+// written to dst in order. It returns their count k. dst must have
+// room for len(u) values and may start at u itself (packing in place);
+// dst[k:len(u)] is left unspecified. Callers must check Enabled().
+func Pack(dst, u, drop []uint64) int {
+	if len(dst) < len(u) || 64*len(drop) < len(u) {
+		panic("simd: Pack needs room for every draw and a drop bit per draw")
+	}
+	n8, k := len(u)&^7, 0
+	if n8 > 0 {
+		k = pack(&dst[0], &u[0], n8/8, &drop[0])
+	}
+	for i := n8; i < len(u); i++ {
+		dst[k] = u[i]
+		k += int(^drop[i/64] >> (i % 64) & 1)
+	}
+	return k
 }
 
 // Scale writes x·g into dst, element for element:

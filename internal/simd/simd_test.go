@@ -133,6 +133,9 @@ func TestKernelContracts(t *testing.T) {
 	var wn [128]float32
 	ZigReject(nil, nil, &kn)
 	NormAdd(nil, nil, &wn, 1)
+	if Pack(nil, nil, nil) != 0 {
+		t.Fatal("Pack of no draws kept some")
+	}
 	Scale(nil, nil, 2)
 	if ScalePower(nil, 2) != 0 {
 		t.Fatal("ScalePower of no samples is not 0")
@@ -195,6 +198,8 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("NormAdd short draws", func() {
 		NormAdd(make([]complex128, 4), make([]uint64, 7), &wn, 1)
 	})
+	mustPanic("Pack short dst", func() { Pack(make([]uint64, 3), make([]uint64, 4), make([]uint64, 1)) })
+	mustPanic("Pack short drop mask", func() { Pack(make([]uint64, 65), make([]uint64, 65), make([]uint64, 1)) })
 	mustPanic("Scale length mismatch", func() {
 		Scale(make([]complex128, 3), make([]complex128, 4), 2)
 	})

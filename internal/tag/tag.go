@@ -127,22 +127,34 @@ type FreqTranslator struct {
 	Latency float64
 }
 
-// Translate returns a modified copy of exc (before the channel-shift mixer
-// and reflection losses) and the number of tag bits embedded, which is
-// short of len(tagBits) when the packet ends first.
+// Translate is TranslateInPlace on a copy of exc: it returns the
+// modified waveform (before the channel-shift mixer and reflection
+// losses) and the number of tag bits embedded, which is short of
+// len(tagBits) when the packet ends first.
 func (f *FreqTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.Signal, int, error) {
-	if err := f.validate(); err != nil {
+	out := exc.Clone()
+	used, err := f.TranslateInPlace(out, tagBits)
+	if err != nil {
 		return nil, 0, err
 	}
-	out := exc.Clone()
-	blockSamples := int(math.Round(f.BitPeriod * float64(f.BitsPerTagBit) * exc.Rate))
-	start := int(math.Round((f.DataStart + f.Latency) * exc.Rate))
+	return out, used, nil
+}
+
+// TranslateInPlace toggles the tag-bit-1 windows of s itself, for
+// callers that own the excitation buffer and have no further use for
+// the unmodified waveform. It returns the number of tag bits embedded.
+func (f *FreqTranslator) TranslateInPlace(s *signal.Signal, tagBits []byte) (int, error) {
+	if err := f.validate(); err != nil {
+		return 0, err
+	}
+	blockSamples := int(math.Round(f.BitPeriod * float64(f.BitsPerTagBit) * s.Rate))
+	start := int(math.Round((f.DataStart + f.Latency) * s.Rate))
 	used := 0
-	w := 2 * math.Pi * f.ToggleHz / exc.Rate
+	w := 2 * math.Pi * f.ToggleHz / s.Rate
 	for i := 0; ; i++ {
 		lo := start + i*blockSamples
 		hi := lo + blockSamples
-		if hi > len(out.Samples) || used >= len(tagBits) {
+		if hi > len(s.Samples) || used >= len(tagBits) {
 			break
 		}
 		bit := tagBits[used] & 1
@@ -152,11 +164,11 @@ func (f *FreqTranslator) Translate(exc *signal.Signal, tagBits []byte) (*signal.
 		}
 		for j := lo; j < hi; j++ {
 			if math.Sin(w*float64(j)) < 0 {
-				out.Samples[j] = -out.Samples[j]
+				s.Samples[j] = -s.Samples[j]
 			}
 		}
 	}
-	return out, used, nil
+	return used, nil
 }
 
 // Capacity returns how many tag bits fit on one excitation packet of the

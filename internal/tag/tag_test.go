@@ -193,6 +193,21 @@ func TestFreqTranslatorTogglesOnlyOnes(t *testing.T) {
 			t.Fatalf("tag-0 window modified at %d", i)
 		}
 	}
+	// Translate works on a copy; TranslateInPlace writes the same
+	// samples into the excitation itself.
+	for i, v := range exc.Samples {
+		if v != 1 {
+			t.Fatalf("Translate modified the excitation at %d", i)
+		}
+	}
+	if used, err := f.TranslateInPlace(exc, []byte{0, 1, 0}); err != nil || used != 3 {
+		t.Fatalf("TranslateInPlace: used %d, err %v", used, err)
+	}
+	for i, v := range out.Samples {
+		if exc.Samples[i] != v {
+			t.Fatalf("TranslateInPlace sample %d = %v, Translate gave %v", i, exc.Samples[i], v)
+		}
+	}
 }
 
 func TestFreqTranslatorCapacityAndValidation(t *testing.T) {
