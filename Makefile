@@ -252,7 +252,8 @@ fuzz-decoder:
 # share (signal.Correlate), and the three receiver fuzzers no panic, a
 # frame or a sentinel error, and identical results with the Go loops and
 # the asm kernels (all three also hold the detection scan to its
-# reference scan in both modes; the WiFi one also
+# reference scan in both modes, the WiFi and ZigBee ones also with the
+# scan filling a NaN-poisoned capture as it reads it; the WiFi one also
 # toggles pilot-phase tracking and pilot-phase collection, and its
 # seed corpus holds crafted SIGNAL fields: every RATE code, both parities,
 # LENGTH 0, 1, 4095 and one past the capture). The AWGN

@@ -170,8 +170,7 @@ func (l Link) SNRdB() float64 { return l.BackscatterRSSI() - l.NoiseFloor }
 // excludeTagLoss=false. True drops TagLossDB from the receive power.
 //
 // It is Begin, Fill to the end and Release. The packet pipeline makes
-// those calls itself, to run detection on a prefix of the capture before
-// the rest is computed.
+// those calls itself, so its receivers fill the capture as they read it.
 func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom int, excludeTagLoss bool, meanPower float64) error {
 	c, err := l.Begin(dst, s, headroom, excludeTagLoss, meanPower)
 	if err != nil {
@@ -184,8 +183,8 @@ func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom in
 
 // Capture is one packet's capture in the making: Link.Begin sizes it and
 // draws the packet's fade gain and tap phases, and Fill computes its
-// samples in order, on demand, so a receiver can read a prefix before
-// the rest exists. Each sample Fill writes is bit for bit the one a
+// samples in order, on demand, so a receiver can read the first samples
+// before the rest exists. Each sample Fill writes is bit for bit the one a
 // single ApplyToWithPower call writes there. The source must stay
 // unchanged until the capture is filled whole or released.
 type Capture struct {
@@ -200,8 +199,7 @@ type Capture struct {
 	impulse  float64 // per-sample impulse probability
 	sigma    float64 // impulse amplitude per real dimension
 	rng      *signal.Noise
-	filled   int           // out.Samples[:filled] is final
-	view     signal.Signal // the filled prefix Fill returns
+	filled   int // out.Samples[:filled] is final
 }
 
 // echo is one multipath tap drawn at Begin: source sample i lands on
@@ -278,14 +276,13 @@ func (l Link) Begin(dst *signal.Signal, s *signal.Signal, headroom int, excludeT
 	return c, nil
 }
 
-// Fill computes the capture through at least sample n and returns its
-// filled prefix, valid until Release (the whole capture, dst itself,
-// once complete); an n at or past the end fills it whole. A fill ends
-// on a multiple of signal.RotorBlock or at the capture's end, so the
-// CFO shift of the next one continues Derotate's exact-index phasors.
-// A link with impulse noise fills whole on the first call: its impulses
-// draw after the capture's whole AWGN stream.
-func (c *Capture) Fill(n int) *signal.Signal {
+// Fill computes at least the capture's first n samples in dst; an n at
+// or past the end fills it whole. A fill ends on a multiple of
+// signal.RotorBlock or at the capture's end, so the CFO shift of the
+// next one continues Derotate's exact-index phasors. A link with
+// impulse noise fills whole on the first call: its impulses draw after
+// the capture's whole AWGN stream.
+func (c *Capture) Fill(n int) {
 	total := len(c.out.Samples)
 	if n >= total || c.impulse > 0 {
 		n = total
@@ -296,11 +293,6 @@ func (c *Capture) Fill(n int) *signal.Signal {
 		c.fill(c.filled, n)
 		c.filled = n
 	}
-	if c.filled == total {
-		return c.out
-	}
-	c.view = signal.Signal{Rate: c.out.Rate, Samples: c.out.Samples[:c.filled]}
-	return &c.view
 }
 
 // fill computes samples [lo, hi) after every sample before lo: each

@@ -43,10 +43,10 @@ func BenchmarkSessionRunPacket(b *testing.B) {
 // BenchmarkSessionRunPacketLossy is BenchmarkSessionRunPacket at
 // distances where packets are lost (WiFi 45 m, ZigBee 22 m, Bluetooth
 // 10 m): serial, on a warm Session, reporting allocations and the share
-// of packets lost. A WiFi or ZigBee packet whose detection is decided
-// below threshold on the capture's prefix stops there, so its time is
-// synthesis plus a detectPrefix-sample channel; Bluetooth reads the
-// whole capture and has no such stop.
+// of packets lost. A WiFi or ZigBee packet lost at detection stops where
+// the scan stops, so its time is synthesis plus the channel for the
+// samples the scan read (rounded up to signal.RotorBlock); Bluetooth
+// reads the whole capture and has no such stop.
 func BenchmarkSessionRunPacketLossy(b *testing.B) {
 	for _, tc := range []struct {
 		radio Radio

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestCapturePinned(t *testing.T) {
 					t.Errorf("digests (wave, capture) = (%q, %q), want (%q, %q)", wave, capt, c.wave, c.capt)
 				}
 				if split != c.capt {
-					t.Errorf("capture filled as prefix plus rest: digest %q, want %q", split, c.capt)
+					t.Errorf("capture filled in two calls: digest %q, want %q", split, c.capt)
 				}
 			})
 		})
@@ -74,8 +75,8 @@ func TestCapturePinned(t *testing.T) {
 // captureDigests runs packet idx of a session on cfg as runPacketAtWith
 // does, up to the capture, and returns the sha256 of the synthesised
 // entry (its samples' float64 bits, then its mean power's) and of the
-// capture's samples, once from ApplyToWithPower and once filled as the
-// packet pipeline fills it: the detection prefix, then the rest.
+// capture's samples, once from ApplyToWithPower and once split in two
+// fills: its first two rotor blocks, then the rest.
 func captureDigests(t *testing.T, cfg Config, idx int) (wave, capt, split string) {
 	t.Helper()
 	s, err := NewSession(cfg)
@@ -111,8 +112,10 @@ func captureDigests(t *testing.T, cfg Config, idx int) (wave, capt, split string
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(pc.Fill(detectPrefix).Samples); n != detectPrefix {
-		t.Fatalf("prefix fill returned %d samples, want %d", n, detectPrefix)
+	p.Samples[2*signal.RotorBlock] = cmplx.NaN()
+	pc.Fill(2 * signal.RotorBlock)
+	if !cmplx.IsNaN(p.Samples[2*signal.RotorBlock]) {
+		t.Fatalf("first fill wrote past its %d samples", 2*signal.RotorBlock)
 	}
 	pc.Fill(math.MaxInt)
 	pc.Release()

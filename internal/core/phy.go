@@ -34,8 +34,10 @@ type phy interface {
 	synthesize(payload, tagBits []byte, seed byte) (*waveform.Entry, error)
 	// release recycles an uncached entry once its capture is done.
 	release(e *waveform.Entry)
-	// receive fills the capture as far as it reads it and decodes it.
-	receive(c *channel.Capture, e *waveform.Entry) received
+	// receive decodes cap, asking c to fill it as far as it reads. It
+	// takes c rather than c.Fill: a func value passed through this
+	// interface would escape to the heap on every packet.
+	receive(cap *signal.Signal, c *channel.Capture, e *waveform.Entry) received
 }
 
 // received is what a phy's receive hands the decode tail. Dual-receiver
@@ -231,13 +233,9 @@ func (p *wifiPHY) receiver() *wifi.Receiver {
 
 // receive decodes the capture; the tag windows start one OFDM symbol into
 // the data, because the SERVICE symbol is reflected unmodified.
-func (p *wifiPHY) receive(c *channel.Capture, e *waveform.Entry) received {
+func (p *wifiPHY) receive(cap *signal.Signal, c *channel.Capture, e *waveform.Entry) received {
 	rx := p.receiver()
-	cap, start, q := detectFirst(c, rx.DetectionThreshold, rx.DetectPrefix)
-	if cap == nil {
-		return lost
-	}
-	pkt, err := rx.ReceiveAt(cap, start, q)
+	pkt, err := rx.ReceiveOnDemand(cap, c.Fill)
 	if err != nil {
 		return lost
 	}
@@ -370,15 +368,11 @@ func (p *zigbeePHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.Entry
 	return newEntry(backscattered, power, used, backscattered.Duration(), zigbee.SymbolsFromBytes(body)), nil
 }
 
-func (p *zigbeePHY) receive(c *channel.Capture, e *waveform.Entry) received {
+func (p *zigbeePHY) receive(cap *signal.Signal, c *channel.Capture, e *waveform.Entry) received {
 	rx := zigbee.NewReceiver()
 	rx.DetectionThreshold = zbDetectionThreshold
 	rx.CollectFlips = p.cfg.ReceiverMode == SingleReceiver
-	cap, start, q := detectFirst(c, rx.DetectionThreshold, rx.DetectPrefix)
-	if cap == nil {
-		return lost
-	}
-	frame, err := rx.ReceiveAt(cap, start, q)
+	frame, err := rx.ReceiveOnDemand(cap, c.Fill)
 	if err != nil {
 		return lost
 	}
@@ -449,10 +443,10 @@ func (p *bluetoothPHY) synthesize(payload, tagBits []byte, _ byte) (*waveform.En
 	return newEntry(backscattered, backscattered.MeanPower(), used, backscattered.Duration(), ref), nil
 }
 
-// receive reads the whole capture: the discriminator normalises by the
-// mean power of the whole filtered capture, so no prefix of it can
-// decide detection.
-func (p *bluetoothPHY) receive(c *channel.Capture, e *waveform.Entry) received {
+// receive fills the whole capture before it reads it: the discriminator
+// normalises by the mean power of the whole filtered capture, so no part
+// of it can decide detection.
+func (p *bluetoothPHY) receive(cap *signal.Signal, c *channel.Capture, e *waveform.Entry) received {
 	rx := bluetooth.NewReceiver()
 	rx.DetectionThreshold = btDetectionThreshold
 	rx.CollectPower = p.cfg.ReceiverMode == SingleReceiver
@@ -461,7 +455,8 @@ func (p *bluetoothPHY) receive(c *channel.Capture, e *waveform.Entry) received {
 	// features below have been copied out.
 	a := signal.GetArena()
 	defer a.Release()
-	demod := rx.DemodInto(c.Fill(math.MaxInt), a)
+	c.Fill(len(cap.Samples))
+	demod := rx.DemodInto(cap, a)
 	start, q := demod.Detect()
 	if start < 0 || q < rx.DetectionThreshold {
 		return lost

@@ -84,9 +84,11 @@ func BenchmarkConvolveCapture129Taps(b *testing.B) {
 // BenchmarkAddAWGN is one packet's noise at the wifi-fresh capture
 // length (1500 B at 6 Mbps plus 400 samples of headroom each side): a
 // reseeded stream, as channel.Capture draws it, filling 41,440 samples
-// in one call (whole) or the way the packet pipeline fills a capture
-// (split): its first 2·RotorBlock samples (core's detectPrefix), then
-// the rest. slow-samples/op is the mean count, over the first eight
+// in one call (whole) or the way the packet pipeline fills a WiFi
+// capture whose preamble it detects (split): its first RotorBlock
+// samples, which hold every sample the WiFi scan reads before its early
+// stop on a preamble at the capture's 400-sample headroom, then the
+// rest. slow-samples/op is the mean count, over the first eight
 // seeds, of the samples holding a draw the ziggurat's fast path rejects
 // (~2,200 per capture, fixed by the stream).
 func BenchmarkAddAWGN(b *testing.B) {
@@ -95,7 +97,7 @@ func BenchmarkAddAWGN(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		prefix int
-	}{{"whole", samples}, {"split", 2 * RotorBlock}} {
+	}{{"whole", samples}, {"split", RotorBlock}} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := benchSignal(samples)
 			head, rest := &Signal{Samples: s.Samples[:bc.prefix]}, &Signal{Samples: s.Samples[bc.prefix:]}

@@ -101,21 +101,25 @@ func NewReceiver() *Receiver {
 
 // Receive finds and decodes the first PPDU in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxPacket, error) {
-	start, quality := rx.DetectPreamble(cap)
-	return rx.ReceiveAt(cap, start, quality)
+	return rx.ReceiveOnDemand(cap, func(int) {})
 }
 
-// ReceiveAt is Receive after its detection: it decodes the PPDU whose
-// preamble DetectPreamble, or a final DetectPrefix, placed at start
-// with the given quality, and fails as Receive does on a missing or
-// weak preamble.
-func (rx *Receiver) ReceiveAt(cap *signal.Signal, start int, quality float64) (*RxPacket, error) {
+// ReceiveOnDemand is Receive on a capture whose samples are computed as
+// they are read: cap has the capture's whole length, and once fill(n)
+// returns its first n samples hold their values (an n at or past the
+// end computes all of them). Detection reads no sample before asking
+// for it, and a missing or weak preamble fails before the rest is asked
+// for, so a packet lost at detection never computes it. The answer is
+// Receive's on the finished capture.
+func (rx *Receiver) ReceiveOnDemand(cap *signal.Signal, fill func(n int)) (*RxPacket, error) {
+	start, _ := rx.detectTiming(cap, fill)
 	if start < 0 {
 		return nil, ErrNoPacket
 	}
-	if quality < rx.DetectionThreshold {
+	if ltfPeriodicity(cap.Samples, start) < rx.DetectionThreshold {
 		return nil, ErrWeakDetection
 	}
+	fill(len(cap.Samples))
 	return rx.decodeFrom(cap, start)
 }
 
@@ -127,26 +131,11 @@ func (rx *Receiver) ReceiveAt(cap *signal.Signal, start int, quality float64) (*
 // than channel flatness, as in commodity chips. Returns the preamble start
 // index and the periodicity quality (≈ SNR/(SNR+1)), or (-1, 0).
 func (rx *Receiver) DetectPreamble(cap *signal.Signal) (int, float64) {
-	start, quality, _ := rx.DetectPrefix(cap)
-	return start, quality
-}
-
-// DetectPrefix is DetectPreamble on cap when cap holds only the first
-// samples of a capture, and reports whether its answer is final: the
-// start and quality DetectPreamble returns on every capture that begins
-// with cap. It is final when the timing scan stopped by its own rule (a
-// candidate above 0.5 with a whole symbol scanned past it, so no later
-// position is rated) and the periodicity score's two LTF copies lie
-// inside cap. The scan reads nothing past cap, and its energy screen
-// only prunes positions it proves cannot win, so the scan length it is
-// built for cannot change the answer.
-func (rx *Receiver) DetectPrefix(cap *signal.Signal) (start int, quality float64, final bool) {
-	start, _, stopped := rx.detectTiming(cap)
+	start, _ := rx.detectTiming(cap, func(int) {})
 	if start < 0 {
-		return -1, 0, false
+		return -1, 0
 	}
-	final = stopped && start+192+2*FFTSize <= len(cap.Samples)
-	return start, ltfPeriodicity(cap.Samples, start), final
+	return start, ltfPeriodicity(cap.Samples, start)
 }
 
 // ltfPeriodicity scores the delay-64 autocorrelation over the two LTF
@@ -187,21 +176,24 @@ const timingBlock = 64
 // position i+64's first. p1 is summed only where signal.EnergyScreen
 // cannot prove q1 < 0.5 from |c1|² (EnergyScreen.BeatenSquared, which
 // spares the square root of |c1| too), so every value that reaches the
-// result is computed as by a scan that sums everything. stopped reports that the early stop below ended the scan
-// before its final position.
-func (rx *Receiver) detectTiming(cap *signal.Signal) (best int, bestQ float64, stopped bool) {
+// result is computed as by a scan that sums everything. Before each
+// block it calls fill through the last sample the block reads and reads
+// the capture only that far (see ReceiveOnDemand), so the samples a
+// found preamble's periodicity score reads are filled too.
+func (rx *Receiver) detectTiming(cap *signal.Signal, fill func(n int)) (best int, bestQ float64) {
 	templateOnce.Do(initTemplates)
 	x := cap.Samples
 	best = -1
 	last := len(x) - PreambleLen - SymbolLen // final scan position
 	if last < 0 {
-		return best, bestQ, false
+		return best, bestQ
 	}
 	// c[j] is the correlation at sample i0+192+j: block position j reads
 	// its first copy's at c[j] and its second's at c[j+FFTSize], which
 	// the next block inherits as its first FFTSize entries.
 	var c [timingBlock + FFTSize]complex128
 	screen := signal.NewEnergyScreen(len(x), ltfTmplPower)
+	fill(192 + FFTSize - 1)
 	for _, v := range x[192 : 192+FFTSize-1] {
 		screen.Enter(signal.Energy(v))
 	}
@@ -210,6 +202,9 @@ func (rx *Receiver) detectTiming(cap *signal.Signal) (best int, bestQ float64, s
 scan:
 	for i0 := 0; i0 <= last; i0 += timingBlock {
 		npos := min(timingBlock, last-i0+1)
+		seen := i0 + npos - 1 + PreambleLen
+		fill(seen)
+		x := x[:seen]
 		have := 0
 		if i0 > 0 {
 			have = copy(c[:], c[timingBlock:])
@@ -221,7 +216,6 @@ scan:
 			// window also correlate; keep scanning a full symbol past the best
 			// candidate before accepting it.
 			if bestQ > 0.5 && i > best+SymbolLen {
-				stopped = true
 				break scan
 			}
 			p := i + 192
@@ -256,7 +250,7 @@ scan:
 			}
 		}
 	}
-	return best, bestQ, stopped
+	return best, bestQ
 }
 
 // decodeFrom decodes a PPDU whose preamble starts at sample start.

@@ -70,8 +70,8 @@ func refDetectTiming(cap *signal.Signal) (int, float64) {
 
 // requireTimingMatchesRef fails unless detectTiming returns
 // refDetectTiming's start and quality on x in every dispatch mode the
-// build has, and DetectPrefix keeps its finality promise on x's
-// prefixes (requirePrefixFinalHolds).
+// build has, both on x whole and on x computed on demand
+// (requireOnDemandMatches).
 func requireTimingMatchesRef(t *testing.T, x []complex128) {
 	t.Helper()
 	cap := &signal.Signal{Rate: SampleRate, Samples: x}
@@ -82,33 +82,42 @@ func requireTimingMatchesRef(t *testing.T, x []complex128) {
 		if simd.SetEnabled(on); on && !simd.Enabled() {
 			break
 		}
-		if s, q, _ := NewReceiver().detectTiming(cap); s != ws || !sameFloat(q, wq) {
+		if s, q := NewReceiver().detectTiming(cap, func(int) {}); s != ws || !sameFloat(q, wq) {
 			t.Fatalf("%d samples (%s): detectTiming (%d, %v), reference (%d, %v)",
 				len(x), simd.Mode(), s, q, ws, wq)
 		}
-		requirePrefixFinalHolds(t, x)
+		requireOnDemandMatches(t, x, ws, wq)
 	}
 }
 
-// requirePrefixFinalHolds fails if DetectPrefix calls an answer on a
-// prefix of x final that is not DetectPreamble's answer on all of x.
-// The cuts straddle the shortest prefix the scan's early stop fits in
-// (the stop position best+SymbolLen+1 must be a scan position), and
-// add x's half and the pipeline's 2048-sample prefix.
-func requirePrefixFinalHolds(t *testing.T, x []complex128) {
+// requireOnDemandMatches fails unless detectTiming, scanning a
+// NaN-poisoned copy of x whose fill reveals x's samples only as far as
+// it is asked, returns (ws, wq), the reference's answer on all of x,
+// and has asked for every sample the answer's periodicity score reads.
+// The scan reads no further than its last fill (a read past it panics),
+// so an answer that needed a sample the scan had not asked for would
+// rest on a NaN and differ from the reference.
+func requireOnDemandMatches(t *testing.T, x []complex128, ws int, wq float64) {
 	t.Helper()
-	rx := NewReceiver()
-	ws, wq := rx.DetectPreamble(&signal.Signal{Rate: SampleRate, Samples: x})
-	edge := ws + SymbolLen + 1 + PreambleLen + SymbolLen
-	for _, n := range []int{edge - 1, edge, edge + 1, len(x) / 2, 2048} {
-		if n < 0 || n > len(x) {
-			continue
+	cap := &signal.Signal{Rate: SampleRate, Samples: make([]complex128, len(x))}
+	for i := range cap.Samples {
+		cap.Samples[i] = cmplx.NaN()
+	}
+	filled := 0
+	fill := func(n int) {
+		n = min(n, len(x))
+		if n > filled {
+			copy(cap.Samples[filled:n], x[filled:n])
+			filled = n
 		}
-		s, q, final := rx.DetectPrefix(&signal.Signal{Rate: SampleRate, Samples: x[:n]})
-		if final && (s != ws || !sameFloat(q, wq)) {
-			t.Fatalf("%d-sample prefix of %d (%s): final (%d, %v), whole capture (%d, %v)",
-				n, len(x), simd.Mode(), s, q, ws, wq)
-		}
+	}
+	s, q := NewReceiver().detectTiming(cap, fill)
+	if s != ws || !sameFloat(q, wq) {
+		t.Fatalf("%d samples on demand (%s, %d filled): detectTiming (%d, %v), reference (%d, %v)",
+			len(x), simd.Mode(), filled, s, q, ws, wq)
+	}
+	if s >= 0 && filled < s+PreambleLen {
+		t.Fatalf("%d samples on demand (%s): preamble at %d scored with %d filled", len(x), simd.Mode(), s, filled)
 	}
 }
 

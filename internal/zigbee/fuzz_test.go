@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -113,8 +114,9 @@ func FuzzPreambleCorrDispatch(f *testing.F) {
 }
 
 // requireDetectMatchesRef fails unless Detect returns detectRef's start
-// and quality on the capture in every dispatch mode the build has, and
-// DetectPrefix keeps its finality promise on the capture's prefixes.
+// and quality on the capture in every dispatch mode the build has, both
+// on the capture whole and on it computed on demand
+// (requireOnDemandMatches).
 func requireDetectMatchesRef(t *testing.T, cap *signal.Signal) {
 	t.Helper()
 	ws, wq := detectRef(cap.Samples)
@@ -124,27 +126,34 @@ func requireDetectMatchesRef(t *testing.T, cap *signal.Signal) {
 			t.Fatalf("%d samples (%s): Detect (%d, %v), reference (%d, %v)",
 				len(cap.Samples), simd.Mode(), s, q, ws, wq)
 		}
-		requirePrefixFinalHolds(t, cap, ws, wq)
+		requireOnDemandMatches(t, cap, ws, wq)
 	})
 }
 
-// requirePrefixFinalHolds fails if DetectPrefix calls an answer on a
-// prefix of cap final that is not (ws, wq), Detect's answer on all of
-// it. The cuts straddle the shortest prefix the scan's early stop fits
-// in (the stop position best+SymbolSamples+1 must be a scan position),
-// and add cap's half and the pipeline's 2048-sample prefix.
-func requirePrefixFinalHolds(t *testing.T, cap *signal.Signal, ws int, wq float64) {
+// requireOnDemandMatches fails unless detect, scanning a NaN-poisoned
+// copy of cap whose fill reveals cap's samples only as far as it is
+// asked, returns (ws, wq), the reference's answer on all of cap. The
+// scan reads no further than its last fill (a read past it panics), so
+// an answer that needed a sample the scan had not asked for would rest
+// on a NaN and differ from the reference.
+func requireOnDemandMatches(t *testing.T, cap *signal.Signal, ws int, wq float64) {
 	t.Helper()
-	edge := ws + SymbolSamples + 1 + PreambleSymbols*SymbolSamples
-	for _, n := range []int{edge - 1, edge, edge + 1, len(cap.Samples) / 2, 2048} {
-		if n < 0 || n > len(cap.Samples) {
-			continue
+	x := cap.Samples
+	poisoned := &signal.Signal{Rate: cap.Rate, Samples: make([]complex128, len(x))}
+	for i := range poisoned.Samples {
+		poisoned.Samples[i] = cmplx.NaN()
+	}
+	filled := 0
+	fill := func(n int) {
+		n = min(n, len(x))
+		if n > filled {
+			copy(poisoned.Samples[filled:n], x[filled:n])
+			filled = n
 		}
-		s, q, final := NewReceiver().DetectPrefix(&signal.Signal{Rate: cap.Rate, Samples: cap.Samples[:n]})
-		if final && (s != ws || !sameFloat(q, wq)) {
-			t.Fatalf("%d-sample prefix of %d (%s): final (%d, %v), whole capture (%d, %v)",
-				n, len(cap.Samples), simd.Mode(), s, q, ws, wq)
-		}
+	}
+	if s, q := NewReceiver().detect(poisoned, fill); s != ws || !sameFloat(q, wq) {
+		t.Fatalf("%d samples on demand (%s, %d filled): detect (%d, %v), reference (%d, %v)",
+			len(x), simd.Mode(), filled, s, q, ws, wq)
 	}
 }
 

@@ -182,17 +182,22 @@ func buildPreambleTemplate() []complex128 {
 
 // Receive finds and decodes the first frame in the capture.
 func (rx *Receiver) Receive(cap *signal.Signal) (*RxFrame, error) {
-	start, q := rx.Detect(cap)
-	return rx.ReceiveAt(cap, start, q)
+	return rx.ReceiveOnDemand(cap, func(int) {})
 }
 
-// ReceiveAt is Receive after its detection: it decodes the frame whose
-// preamble Detect, or a final DetectPrefix, placed at start with
-// quality q, and fails as Receive does on a missing or weak preamble.
-func (rx *Receiver) ReceiveAt(cap *signal.Signal, start int, q float64) (*RxFrame, error) {
+// ReceiveOnDemand is Receive on a capture whose samples are computed as
+// they are read: cap has the capture's whole length, and once fill(n)
+// returns its first n samples hold their values (an n at or past the
+// end computes all of them). Detection reads no sample before asking
+// for it, and a missing or weak preamble fails before the rest is asked
+// for, so a frame lost at detection never computes it. The answer is
+// Receive's on the finished capture.
+func (rx *Receiver) ReceiveOnDemand(cap *signal.Signal, fill func(n int)) (*RxFrame, error) {
+	start, q := rx.detect(cap, fill)
 	if start < 0 || q < rx.DetectionThreshold {
 		return nil, ErrNoFrame
 	}
+	fill(len(cap.Samples))
 	return rx.decodeFrom(cap, start)
 }
 
@@ -294,24 +299,18 @@ func sameBits(a, b []complex128) bool {
 // value that reaches the result is computed as by a scan that sums
 // everything.
 func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
-	start, q, _ := rx.DetectPrefix(cap)
-	return start, q
+	return rx.detect(cap, func(int) {})
 }
 
-// DetectPrefix is Detect on cap when cap holds only the first samples
-// of a capture, and reports whether its answer is final: the start and
-// quality Detect returns on every capture that begins with cap. It is
-// final when the scan stopped by its own rule (a candidate above 0.4
-// with a whole symbol rated past it), so no later position is rated.
-// The scan reads nothing past cap, and its energy screen only prunes
-// positions it proves cannot win, so the scan length it is built for
-// cannot change the answer.
-func (rx *Receiver) DetectPrefix(cap *signal.Signal) (start int, q float64, final bool) {
+// detect is Detect calling fill through the samples the screen's first
+// window and then each pass read, before reading the capture that far
+// (see ReceiveOnDemand).
+func (rx *Receiver) detect(cap *signal.Signal, fill func(n int)) (int, float64) {
 	x := cap.Samples
 	const tplLen = PreambleSymbols * SymbolSamples
 	last := len(x) - tplLen // final scan position
 	if last < 0 {
-		return -1, 0, false
+		return -1, 0
 	}
 	// h[t][k-base] is the magnitude of sample k's correlation with
 	// sliceTemplates[t], filled for base ≤ k < filled[t] as far as the
@@ -334,6 +333,7 @@ func (rx *Receiver) DetectPrefix(cap *signal.Signal) (start int, q float64, fina
 	var filled [detectSegments]int
 	var corr [detectChunk]complex128
 	screen := signal.NewEnergyScreen(len(x), preamblePow)
+	fill(tplLen - 1)
 	for _, v := range x[:tplLen-1] {
 		screen.Enter(signal.Energy(v))
 	}
@@ -341,6 +341,9 @@ func (rx *Receiver) DetectPrefix(cap *signal.Signal) (start int, q float64, fina
 scan:
 	for i0 := 0; i0 <= last; i0 += detectBlock {
 		npos := min(detectBlock, last-i0+1)
+		seen := i0 + npos - 1 + tplLen
+		fill(seen)
+		x := x[:seen]
 		if i0+npos+(detectSegments-1)*detectSeg-base > win {
 			for t := range nt {
 				copy(h[t], h[t][i0-base:filled[t]-base])
@@ -386,15 +389,11 @@ scan:
 			// gate: a low user threshold must not stop the scan on a noise
 			// blip before the true preamble.
 			if bestQ > 0.4 && i > best+SymbolSamples {
-				final = true
 				break scan
 			}
 		}
 	}
-	if best < 0 {
-		return -1, 0, false
-	}
-	return best, bestQ, final
+	return best, bestQ
 }
 
 // chipWord packs the 32 chip decisions of the symbol whose chips start
